@@ -10,6 +10,18 @@
 //! evaluates densities from their difference (Lemma 3 / Lemma 5). Every
 //! scalar is held in a Kahan accumulator so the error after millions of
 //! insertions stays at a few ulps.
+//!
+//! An insert is the sweep's per-event cost (Lemma 5's O(1) update), so
+//! everything a row loop calls on a [`SweepAccumulator`] — `insert`,
+//! `reset`, `shift_x`, `count`, `diff` — is inlined into it. That lets a
+//! row engine keep its two accumulators in locals that stay in registers:
+//! one out-of-line call taking `&mut self` makes the accumulator's address
+//! escape, and every insert then loads and stores all of its fields.
+//! Each compensated add inside an insert is [`Kahan::add`], which selects
+//! the larger and smaller operand with Neumaier's own `|sum| ≥ |v|`
+//! comparison and applies the same `(big − t) + small`, so every aggregate
+//! is bitwise what the two-armed form produced (see the `stats` module docs
+//! and its bitwise tests).
 
 use crate::geom::Point;
 use crate::stats::Kahan;
@@ -106,12 +118,13 @@ pub struct SweepAccumulator {
 impl SweepAccumulator {
     /// A fresh accumulator. `maintain_quartic` enables the `C`/`Q`/`M`
     /// terms (needed only by the quartic kernel).
+    #[inline(always)]
     pub fn new(maintain_quartic: bool) -> Self {
         Self { maintain_quartic, ..Self::default() }
     }
 
     /// Inserts `p` (sweep case 1 or 2: an interval endpoint was passed).
-    #[inline]
+    #[inline(always)]
     pub fn insert(&mut self, p: &Point) {
         self.count += 1;
         self.ax.add(p.x);
@@ -129,13 +142,14 @@ impl SweepAccumulator {
     }
 
     /// Number of points inserted so far.
-    #[inline]
+    #[inline(always)]
     pub fn count(&self) -> u64 {
         self.count
     }
 
     /// Clears the accumulator for reuse on the next row (keeps the
     /// `maintain_quartic` flag).
+    #[inline(always)]
     pub fn reset(&mut self) {
         let mq = self.maintain_quartic;
         *self = SweepAccumulator::new(mq);
@@ -151,6 +165,7 @@ impl SweepAccumulator {
     /// magnitude `O(b)` as the sweep advances (the rolling frame described
     /// in `sweep_sort`), which is what keeps the quartic decomposition
     /// conditioned at city-scale coordinates.
+    #[inline(always)]
     pub fn shift_x(&mut self, delta: f64) {
         if self.count == 0 {
             return;
@@ -188,7 +203,7 @@ impl SweepAccumulator {
     /// # Panics
     /// Debug-panics if `other.count > self.count`, which would violate the
     /// sweep invariant `U ⊆ L`.
-    #[inline]
+    #[inline(always)]
     pub fn diff(&self, other: &SweepAccumulator) -> RangeAggregates {
         debug_assert!(other.count <= self.count, "sweep invariant U ⊆ L violated");
         RangeAggregates {

@@ -154,9 +154,11 @@ fn run_scheduler<S>(
     })
 }
 
-/// Sequential-engine dispatch for one worker.
+/// Sequential-engine dispatch for one worker. The sort engine keeps its
+/// accumulators in the struct, the bucket engine does not, so the sort
+/// variant is boxed to keep the enum as small as the bucket engine.
 enum AnyEngine {
-    Sort(SortSweep),
+    Sort(Box<SortSweep>),
     Bucket(BucketSweep),
 }
 
@@ -164,7 +166,7 @@ impl AnyEngine {
     fn new(kind: ParallelEngine, params: &KdvParams) -> Self {
         match kind {
             ParallelEngine::Sort => {
-                Self::Sort(SortSweep::new(params.kernel, params.bandwidth, params.weight))
+                Self::Sort(Box::new(SortSweep::new(params.kernel, params.bandwidth, params.weight)))
             }
             ParallelEngine::Bucket => {
                 Self::Bucket(BucketSweep::new(params.kernel, params.bandwidth, params.weight))

@@ -5,6 +5,27 @@
 //! accumulated error independent of the number of operations, which is what
 //! lets the test suite hold SLAM to a tight exactness tolerance against the
 //! naive SCAN evaluation.
+//!
+//! # One compensated step on selected operands
+//!
+//! Neumaier's step compares `|sum| ≥ |v|` to find the operand whose low
+//! bits the rounded sum `t` lost, then adds `(big − t) + small` to the
+//! compensation. [`Kahan::add`] selects `big` and `small` with that one
+//! comparison and applies the one expression, leaving the compiler free to
+//! lower the selection as a blend or a branch. It is bitwise the textbook
+//! two-armed form of the step for every input, ±0, subnormals, ±inf and
+//! NaN included: the comparison is the same, so the same operand lands in
+//! the same slot, and the float operations after the selection are the
+//! same ones in the same order. The unit tests keep the two-armed form as
+//! a reference and compare `to_bits()` of both fields.
+//!
+//! Two cheaper-looking forms are deliberately not used. A selection forced
+//! through a bit mask (no branch at all) costs about four more
+//! instructions per step; on the sweep's event streams `|sum| ≥ |v|` holds
+//! almost always once an accumulator holds a few points, so the branch
+//! predicts well and the mask made the paper-default render slower. TwoSum
+//! drops the comparison altogether but equals Neumaier's correction only
+//! while the sum is finite and does not overflow.
 
 /// Kahan–Babuška (Neumaier variant) compensated accumulator.
 ///
@@ -29,15 +50,13 @@ impl Kahan {
         Self { sum: v, comp: 0.0 }
     }
 
-    /// Adds `v` with error compensation.
-    #[inline]
+    /// Adds `v` with error compensation (see the module docs for why this
+    /// is bitwise Neumaier's two-armed step).
+    #[inline(always)]
     pub fn add(&mut self, v: f64) {
         let t = self.sum + v;
-        if self.sum.abs() >= v.abs() {
-            self.comp += (self.sum - t) + v;
-        } else {
-            self.comp += (v - t) + self.sum;
-        }
+        let (big, small) = if self.sum.abs() >= v.abs() { (self.sum, v) } else { (v, self.sum) };
+        self.comp += (big - t) + small;
         self.sum = t;
     }
 
@@ -96,6 +115,113 @@ pub fn max_rel_error(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Neumaier's step written as two branch arms: the reference the
+    /// bitwise tests compare [`Kahan::add`] against.
+    fn reference_add(sum: &mut f64, comp: &mut f64, v: f64) {
+        let t = *sum + v;
+        if sum.abs() >= v.abs() {
+            *comp += (*sum - t) + v;
+        } else {
+            *comp += (v - t) + *sum;
+        }
+        *sum = t;
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Feeds `values` to both steps and checks `sum` and `comp` after every
+    /// addition: bitwise, or both NaN.
+    fn assert_matches_reference(start: (f64, f64), values: &[f64]) {
+        let mut k = Kahan { sum: start.0, comp: start.1 };
+        let (mut sum, mut comp) = start;
+        for (i, &v) in values.iter().enumerate() {
+            k.add(v);
+            reference_add(&mut sum, &mut comp, v);
+            assert!(
+                same_bits(k.sum, sum) && same_bits(k.comp, comp),
+                "step {i} (+{v:e}) from {start:?}: got ({:e}, {:e}), reference ({sum:e}, {comp:e})",
+                k.sum,
+                k.comp
+            );
+        }
+    }
+
+    #[test]
+    fn selected_add_is_bitwise_neumaier_on_adversarial_values() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let specials = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -1.0,
+            1.0 + f64::EPSILON,
+            1e-16,
+            -1e-16,
+            3.0,
+            -3.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Every pair of start state and addend, then every ordered pair of
+        // addends from each start: covers ±0, subnormals, equal
+        // magnitudes, exact cancellation, overflow to ±inf, inf − inf and
+        // NaN propagation.
+        for &s in &specials {
+            for &c in &[0.0, -0.0, 1e-17, -tiny] {
+                for &a in &specials {
+                    for &b in &specials {
+                        assert_matches_reference((s, c), &[a, b]);
+                    }
+                }
+            }
+        }
+        // Long runs that overflow and then cancel.
+        assert_matches_reference((0.0, 0.0), &[f64::MAX, f64::MAX, -f64::MAX, -f64::MAX]);
+        assert_matches_reference((0.0, 0.0), &[1.0, 1e100, 1.0, -1e100]);
+        assert_matches_reference((-0.0, -0.0), &[-0.0, 0.0, -0.0, tiny, -tiny]);
+    }
+
+    #[test]
+    fn selected_add_is_bitwise_neumaier_on_random_sequences() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200 {
+            let values: Vec<f64> = (0..500)
+                .map(|_| {
+                    let r = next();
+                    match r % 4 {
+                        // Arbitrary bit patterns: every exponent, subnormals,
+                        // infinities and NaNs.
+                        0 => f64::from_bits(next()),
+                        // Sweep-like values of mixed sign and scale.
+                        1 => ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e4,
+                        2 => ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e-3,
+                        // Small integers: many exact ties and cancellations.
+                        _ => (r >> 60) as f64 - 8.0,
+                    }
+                })
+                .collect();
+            assert_matches_reference((0.0, 0.0), &values);
+        }
+    }
 
     #[test]
     fn kahan_beats_naive_on_cancellation() {

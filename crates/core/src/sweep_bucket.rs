@@ -14,6 +14,17 @@
 //! allocations. Row cost `O(X + |E(k)|)`; whole raster `O(Y(X + n))`
 //! (Theorem 2).
 //!
+//! At Scott's-rule bandwidths a row holds a few thousand intervals but only
+//! ~1,000 pixels, so the row cost is the `|E(k)|` term: per interval one
+//! bucket computation at scatter time and one accumulator insert per side.
+//! Both are kept cheap without changing a bit of the float program:
+//! bucket indices start from a truncating guess, with no libm
+//! `ceil`/`floor` call, and are then corrected exactly (see
+//! `lower_bucket_index`); the accumulators are row-local values whose
+//! quartic terms are a compile-time choice (see `BucketSweep::sweep`), so
+//! an insert is a few register adds rather than loads and stores of the
+//! whole accumulator.
+//!
 //! Accumulation uses the same rolling recentred frame as SLAM_SORT (see the
 //! `sweep_sort` module docs): intervals containing no pixel centre are
 //! dropped at scatter time (`bl == bu` — they would activate and deactivate
@@ -30,94 +41,33 @@ use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
 use crate::simd::{density_at, EmitAggregates, EmitBuffer, SimdMode};
 
-const NIL: u32 = u32::MAX;
+/// End-of-list marker of the bucket lists.
+pub(crate) const NIL: u32 = u32::MAX;
 
-/// Reusable row engine implementing SLAM_BUCKET.
-pub struct BucketSweep {
-    kernel: KernelType,
-    bandwidth: f64,
-    weight: f64,
+/// The row's buckets: intrusive singly linked lists over the interval
+/// array, one lower-bound and one upper-bound list per pixel.
+///
+/// Shared by [`BucketSweep`] and the weighted sweep so both bucket with the
+/// same exact semantics.
+#[derive(Debug, Default)]
+pub(crate) struct Buckets {
     /// `head_l[i]` — first interval whose lower bound activates at pixel `i`
     /// (index `X` = activates past the last pixel, i.e. never).
-    head_l: Vec<u32>,
+    pub(crate) head_l: Vec<u32>,
     /// `head_u[i]` — first interval whose upper bound deactivates at pixel `i`.
-    head_u: Vec<u32>,
-    next_l: Vec<u32>,
-    next_u: Vec<u32>,
-    l_acc: SweepAccumulator,
-    u_acc: SweepAccumulator,
-    emit: EmitBuffer,
+    pub(crate) head_u: Vec<u32>,
+    pub(crate) next_l: Vec<u32>,
+    pub(crate) next_u: Vec<u32>,
 }
 
-impl BucketSweep {
-    /// Creates an engine for the given kernel/bandwidth/weight.
-    pub fn new(kernel: KernelType, bandwidth: f64, weight: f64) -> Self {
-        let quartic = kernel.needs_quartic_terms();
-        Self {
-            kernel,
-            bandwidth,
-            weight,
-            head_l: Vec::new(),
-            head_u: Vec::new(),
-            next_l: Vec::new(),
-            next_u: Vec::new(),
-            l_acc: SweepAccumulator::new(quartic),
-            u_acc: SweepAccumulator::new(quartic),
-            emit: EmitBuffer::default(),
-        }
-    }
-
-    /// Rebinds the engine to a new bandwidth, keeping the bucket scratch
-    /// buffers warm — multi-bandwidth passes share one engine instead of
-    /// holding `B` copies of the `O(X + |E|)` scratch. All per-row state is
-    /// reinitialised at the top of [`RowEngine::process_row`], so a rebound
-    /// engine is bitwise identical to a freshly constructed one.
-    pub fn set_bandwidth(&mut self, bandwidth: f64) {
-        self.bandwidth = bandwidth;
-    }
-
-    /// First pixel index `i` with `xs[i] ≥ lb`, clamped to `[0, X]`
-    /// (Eq. 19 rewritten 0-based). The O(1) division is verified and, if
-    /// floating-point rounding put it one slot off, corrected by at most a
-    /// couple of comparisons against the true pixel coordinates — keeping
-    /// the bucket invariant *exact* rather than approximately right.
-    ///
-    /// Exposed crate-wide so the weighted sweep shares the exact same
-    /// bucketing semantics.
-    #[inline]
-    pub(crate) fn lower_bucket_index(xs: &[f64], x0: f64, inv_gap: f64, lb: f64) -> usize {
-        let raw = ((lb - x0) * inv_gap).ceil();
-        let mut i = if raw <= 0.0 { 0 } else { (raw as usize).min(xs.len()) };
-        while i > 0 && xs[i - 1] >= lb {
-            i -= 1;
-        }
-        while i < xs.len() && xs[i] < lb {
-            i += 1;
-        }
-        i
-    }
-
-    /// First pixel index `i` with `xs[i] > ub` *strictly*, clamped to
-    /// `[0, X]` (Eq. 20, with the closed-boundary convention: a pixel lying
-    /// exactly on `UB` still counts the point).
-    #[inline]
-    pub(crate) fn upper_bucket_index(xs: &[f64], x0: f64, inv_gap: f64, ub: f64) -> usize {
-        let raw = ((ub - x0) * inv_gap).floor() + 1.0;
-        let mut i = if raw <= 0.0 { 0 } else { (raw as usize).min(xs.len()) };
-        while i > 0 && xs[i - 1] > ub {
-            i -= 1;
-        }
-        while i < xs.len() && xs[i] <= ub {
-            i += 1;
-        }
-        i
-    }
-}
-
-impl RowEngine for BucketSweep {
-    fn process_row(&mut self, xs: &[f64], k: f64, intervals: &[SweepInterval], out: &mut [f64]) {
+impl Buckets {
+    /// Scatter pass (lines 6–9 of Algorithm 2): drops every interval into
+    /// its lower-bound and upper-bound bucket, O(1) per interval.
+    /// `bl == bu` means the interval contains no pixel centre: it would
+    /// activate and deactivate at the same pixel, contributing nothing, so
+    /// it is dropped here (saving work *and* rounding noise).
+    pub(crate) fn scatter(&mut self, xs: &[f64], intervals: &[SweepInterval]) {
         let x_count = xs.len();
-        debug_assert_eq!(out.len(), x_count);
         // Reset bucket heads: X+1 buckets, index X meaning "never".
         self.head_l.clear();
         self.head_l.resize(x_count + 1, NIL);
@@ -130,30 +80,122 @@ impl RowEngine for BucketSweep {
 
         let x0 = xs[0];
         let inv_gap = if x_count > 1 { (x_count - 1) as f64 / (xs[x_count - 1] - x0) } else { 0.0 };
-
-        // Scatter pass (lines 6–9 of Algorithm 2): O(1) per point.
-        // `bl == bu` means the interval contains no pixel centre: it would
-        // activate and deactivate at the same pixel, contributing nothing,
-        // so it is dropped here (saving work *and* rounding noise).
-        {
-            let _s = kdv_obs::span1("bucket.scatter", "intervals", intervals.len() as u64);
-            for (idx, iv) in intervals.iter().enumerate() {
-                let bl = Self::lower_bucket_index(xs, x0, inv_gap, iv.lb);
-                let bu = Self::upper_bucket_index(xs, x0, inv_gap, iv.ub);
-                if bl == bu {
-                    continue;
-                }
-                self.next_l[idx] = self.head_l[bl];
-                self.head_l[bl] = idx as u32;
-                self.next_u[idx] = self.head_u[bu];
-                self.head_u[bu] = idx as u32;
+        let hi = x_count.min(i32::MAX as usize) as f64;
+        for (idx, iv) in intervals.iter().enumerate() {
+            let bl = lower_bucket_index(xs, iv.lb, bucket_guess(iv.lb, x0, inv_gap, hi));
+            let bu = upper_bucket_index(xs, iv.ub, bucket_guess(iv.ub, x0, inv_gap, hi));
+            if bl == bu {
+                continue;
             }
+            self.next_l[idx] = self.head_l[bl];
+            self.head_l[bl] = idx as u32;
+            self.next_u[idx] = self.head_u[bu];
+            self.head_u[bu] = idx as u32;
         }
+    }
 
-        // Sweep pass (lines 13–20): each interval visited at most once per
-        // side across the whole row, so O(X + |E(k)|) total. Accumulation
-        // runs in the rolling frame `(frame_x, k)` — see the module docs of
-        // `sweep_sort` for the conditioning argument.
+    /// Heap bytes held by the lists.
+    pub(crate) fn space_bytes(&self) -> usize {
+        (self.head_l.capacity()
+            + self.head_u.capacity()
+            + self.next_l.capacity()
+            + self.next_u.capacity())
+            * std::mem::size_of::<u32>()
+    }
+}
+
+/// Starting guess for both bucket helpers (Eqs. 19–20 rewritten 0-based):
+/// `⌊(x − x0)·inv_gap⌋ + 1` by truncation, clamped to `[0, hi]`, and 0 for
+/// NaN. For a lower bound this is Eq. 19's `⌈·⌉` except on exact pixel
+/// centres; for an upper bound it is Eq. 20's `⌊·⌋ + 1`. Either way it is
+/// only a guess: the helpers correct it exactly from any start, so neither
+/// rounding here nor in `inv_gap` can change a bucket. Truncation is one
+/// conversion instruction, whereas baseline x86-64 has no rounding
+/// instruction, so `ceil`/`floor` would be two out-of-line libm calls per
+/// interval.
+#[inline(always)]
+fn bucket_guess(x: f64, x0: f64, inv_gap: f64, hi: f64) -> usize {
+    // `max` maps NaN to 0; after the clamp the cast cannot saturate.
+    ((x - x0) * inv_gap + 1.0).max(0.0).min(hi) as i32 as usize
+}
+
+/// First pixel index `i` with `xs[i] ≥ lb`, clamped to `[0, X]` — i.e.
+/// `xs.partition_point(|&x| x < lb)` for the ascending pixel centres — found
+/// by walking from `guess` (any value; past `X` counts as `X`). With the
+/// O(1) [`bucket_guess`] the walk is at most a couple of comparisons,
+/// keeping the bucket invariant *exact* rather than approximately right.
+/// A NaN bound compares false everywhere and stays at the guess.
+#[inline(always)]
+pub(crate) fn lower_bucket_index(xs: &[f64], lb: f64, guess: usize) -> usize {
+    let mut i = guess.min(xs.len());
+    while i > 0 && xs[i - 1] >= lb {
+        i -= 1;
+    }
+    while i < xs.len() && xs[i] < lb {
+        i += 1;
+    }
+    i
+}
+
+/// First pixel index `i` with `xs[i] > ub` *strictly*, clamped to `[0, X]`
+/// — `xs.partition_point(|&x| x <= ub)` — walking from `guess` (Eq. 20,
+/// with the closed-boundary convention: a pixel lying exactly on `UB` still
+/// counts the point).
+#[inline(always)]
+pub(crate) fn upper_bucket_index(xs: &[f64], ub: f64, guess: usize) -> usize {
+    let mut i = guess.min(xs.len());
+    while i > 0 && xs[i - 1] > ub {
+        i -= 1;
+    }
+    while i < xs.len() && xs[i] <= ub {
+        i += 1;
+    }
+    i
+}
+
+/// Reusable row engine implementing SLAM_BUCKET.
+pub struct BucketSweep {
+    kernel: KernelType,
+    bandwidth: f64,
+    weight: f64,
+    buckets: Buckets,
+    emit: EmitBuffer,
+}
+
+impl BucketSweep {
+    /// Creates an engine for the given kernel/bandwidth/weight.
+    pub fn new(kernel: KernelType, bandwidth: f64, weight: f64) -> Self {
+        Self { kernel, bandwidth, weight, buckets: Buckets::default(), emit: EmitBuffer::default() }
+    }
+
+    /// Rebinds the engine to a new bandwidth, keeping the bucket scratch
+    /// buffers warm — multi-bandwidth passes share one engine instead of
+    /// holding `B` copies of the `O(X + |E|)` scratch. All per-row state is
+    /// reinitialised at the top of [`RowEngine::process_row`], so a rebound
+    /// engine is bitwise identical to a freshly constructed one.
+    pub fn set_bandwidth(&mut self, bandwidth: f64) {
+        self.bandwidth = bandwidth;
+    }
+
+    /// Sweep pass (lines 13–20 of Algorithm 2) over the scattered buckets.
+    ///
+    /// `QUARTIC` is `kernel.needs_quartic_terms()` as a compile-time
+    /// constant, and the `L`/`U` accumulators are locals of this call
+    /// (they are reset at every row start anyway). Together with the
+    /// accumulator methods being inlined, that lets the compiler drop the
+    /// six quartic sums from Epanechnikov/uniform rows and keep the live
+    /// sums in registers across the bucket drains.
+    fn sweep<const QUARTIC: bool>(
+        &mut self,
+        xs: &[f64],
+        k: f64,
+        intervals: &[SweepInterval],
+        out: &mut [f64],
+    ) {
+        // Each interval is visited at most once per side across the whole
+        // row, so O(X + |E(k)|) total. Accumulation runs in the rolling
+        // frame `(frame_x, k)` — see the module docs of `sweep_sort` for the
+        // conditioning argument.
         //
         // Two variants, dispatched once per row on [`crate::simd::mode`]:
         // the scalar fallback is the paper-faithful fused loop (one
@@ -164,8 +206,10 @@ impl RowEngine for BucketSweep {
         // `EmitBuffer::flush`, which walks each run 4 pixels per
         // iteration. Event processing is identical, so the two variants
         // are bitwise identical (a conformance pair pins this).
-        self.l_acc.reset();
-        self.u_acc.reset();
+        let Buckets { head_l, head_u, next_l, next_u } = &self.buckets;
+        let x_count = xs.len();
+        let mut l_acc = SweepAccumulator::new(QUARTIC);
+        let mut u_acc = SweepAccumulator::new(QUARTIC);
         let shift_limit = 4.0 * self.bandwidth;
         let mut frame_x = xs[0];
         let mode = crate::simd::mode();
@@ -173,24 +217,24 @@ impl RowEngine for BucketSweep {
         let lanes = match mode {
             SimdMode::Scalar => {
                 for (i, &x) in xs.iter().enumerate() {
-                    if self.l_acc.count() == self.u_acc.count() {
+                    if l_acc.count() == u_acc.count() {
                         // Active set is empty: restart clean at the pixel.
-                        self.l_acc.reset();
-                        self.u_acc.reset();
+                        l_acc.reset();
+                        u_acc.reset();
                         frame_x = x;
                     } else if x - frame_x > shift_limit {
                         let delta = x - frame_x;
-                        self.l_acc.shift_x(delta);
-                        self.u_acc.shift_x(delta);
+                        l_acc.shift_x(delta);
+                        u_acc.shift_x(delta);
                         frame_x = x;
                     }
-                    let mut cur = self.head_l[i];
+                    let mut cur = head_l[i];
                     while cur != NIL {
                         let p = &intervals[cur as usize].point;
-                        self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = self.next_l[cur as usize];
+                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                        cur = next_l[cur as usize];
                     }
-                    let agg = self.l_acc.diff(&self.u_acc);
+                    let agg = l_acc.diff(&u_acc);
                     let q = Point::new(x - frame_x, 0.0);
                     out[i] =
                         self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
@@ -198,11 +242,11 @@ impl RowEngine for BucketSweep {
                     // i.e. whose last contained pixel is the current one —
                     // while their coordinates are still within `b` of the
                     // sweep position.
-                    let mut cur = self.head_u[i + 1];
+                    let mut cur = head_u[i + 1];
                     while cur != NIL {
                         let p = &intervals[cur as usize].point;
-                        self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = self.next_u[cur as usize];
+                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                        cur = next_u[cur as usize];
                     }
                 }
                 0
@@ -212,37 +256,37 @@ impl RowEngine for BucketSweep {
                 let mut i = 0usize;
                 while i < x_count {
                     let x = xs[i];
-                    if self.l_acc.count() == self.u_acc.count() {
-                        self.l_acc.reset();
-                        self.u_acc.reset();
+                    if l_acc.count() == u_acc.count() {
+                        l_acc.reset();
+                        u_acc.reset();
                         frame_x = x;
                     } else if x - frame_x > shift_limit {
                         let delta = x - frame_x;
-                        self.l_acc.shift_x(delta);
-                        self.u_acc.shift_x(delta);
+                        l_acc.shift_x(delta);
+                        u_acc.shift_x(delta);
                         frame_x = x;
                     }
-                    let mut cur = self.head_l[i];
+                    let mut cur = head_l[i];
                     while cur != NIL {
                         let p = &intervals[cur as usize].point;
-                        self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = self.next_l[cur as usize];
+                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                        cur = next_l[cur as usize];
                     }
                     // Extend the run over event-free pixels. An empty
                     // active set can only stay empty (activations end
                     // runs), and the scalar loop resets the frame at every
                     // empty pixel, so empty runs ignore the shift limit
                     // and emit a constant instead.
-                    let empty = self.l_acc.count() == self.u_acc.count();
+                    let empty = l_acc.count() == u_acc.count();
                     let mut e = i + 1;
                     if empty {
-                        while e < x_count && self.head_l[e] == NIL && self.head_u[e] == NIL {
+                        while e < x_count && head_l[e] == NIL && head_u[e] == NIL {
                             e += 1;
                         }
                     } else {
                         while e < x_count
-                            && self.head_l[e] == NIL
-                            && self.head_u[e] == NIL
+                            && head_l[e] == NIL
+                            && head_u[e] == NIL
                             && xs[e] - frame_x <= shift_limit
                         {
                             e += 1;
@@ -266,7 +310,7 @@ impl RowEngine for BucketSweep {
                         );
                         frame_x = xs[e - 1];
                     } else {
-                        let agg = self.l_acc.diff(&self.u_acc);
+                        let agg = l_acc.diff(&u_acc);
                         self.emit.push_run(i, e, frame_x, EmitAggregates::from(&agg));
                     }
                     // Deactivate intervals whose bucket is pixel `e` —
@@ -275,11 +319,11 @@ impl RowEngine for BucketSweep {
                     // position. (For run pixels before `e − 1` the
                     // deactivation buckets are NIL by the scan above, so
                     // only the run-final drain can do work.)
-                    let mut cur = self.head_u[e];
+                    let mut cur = head_u[e];
                     while cur != NIL {
                         let p = &intervals[cur as usize].point;
-                        self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = self.next_u[cur as usize];
+                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                        cur = next_u[cur as usize];
                     }
                     i = e;
                 }
@@ -288,14 +332,24 @@ impl RowEngine for BucketSweep {
         };
         span.arg("lanes", lanes as u64);
     }
+}
+
+impl RowEngine for BucketSweep {
+    fn process_row(&mut self, xs: &[f64], k: f64, intervals: &[SweepInterval], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), xs.len());
+        {
+            let _s = kdv_obs::span1("bucket.scatter", "intervals", intervals.len() as u64);
+            self.buckets.scatter(xs, intervals);
+        }
+        if self.kernel.needs_quartic_terms() {
+            self.sweep::<true>(xs, k, intervals, out);
+        } else {
+            self.sweep::<false>(xs, k, intervals, out);
+        }
+    }
 
     fn space_bytes(&self) -> usize {
-        (self.head_l.capacity()
-            + self.head_u.capacity()
-            + self.next_l.capacity()
-            + self.next_u.capacity())
-            * std::mem::size_of::<u32>()
-            + self.emit.space_bytes()
+        self.buckets.space_bytes() + self.emit.space_bytes()
     }
 }
 
@@ -343,23 +397,124 @@ mod tests {
         }
     }
 
+    /// Both bucket helpers as the scatter pass runs them: the truncating
+    /// guess, then the exact correction.
+    fn bucket_pair(xs: &[f64], lb: f64, ub: f64) -> (usize, usize) {
+        let x_count = xs.len();
+        let x0 = xs[0];
+        let inv_gap = if x_count > 1 { (x_count - 1) as f64 / (xs[x_count - 1] - x0) } else { 0.0 };
+        let hi = x_count as f64;
+        (
+            lower_bucket_index(xs, lb, bucket_guess(lb, x0, inv_gap, hi)),
+            upper_bucket_index(xs, ub, bucket_guess(ub, x0, inv_gap, hi)),
+        )
+    }
+
+    /// Checks both helpers against their specs, from the scatter pass's
+    /// guess and from starting guesses below, at, above and far from the
+    /// answer (including past the end of the row).
+    fn assert_buckets_match_spec(xs: &[f64], bound: f64) {
+        let want_l = xs.partition_point(|&x| x < bound);
+        let want_u = xs.partition_point(|&x| x <= bound);
+        assert_eq!(bucket_pair(xs, bound, bound), (want_l, want_u), "bound {bound:e} on {xs:?}");
+        let n = xs.len();
+        let mut guesses = vec![0, 1, n / 2, n, n + 1, usize::MAX];
+        for want in [want_l, want_u] {
+            guesses.extend([
+                want.saturating_sub(2),
+                want.saturating_sub(1),
+                want,
+                want + 1,
+                want + 2,
+            ]);
+        }
+        for guess in guesses {
+            assert_eq!(lower_bucket_index(xs, bound, guess), want_l, "lb {bound:e} from {guess}");
+            assert_eq!(upper_bucket_index(xs, bound, guess), want_u, "ub {bound:e} from {guess}");
+        }
+    }
+
+    /// Recentred pixel centres of an `x_count`-pixel row, as `SweepContext`
+    /// builds them.
+    fn row_xs(min_x: f64, max_x: f64, x_count: usize) -> Vec<f64> {
+        let grid = GridSpec::new(Rect::new(min_x, 0.0, max_x, 1.0), x_count, 1).unwrap();
+        let center = 0.5 * (min_x + max_x);
+        (0..x_count).map(|i| grid.pixel_x(i) - center).collect()
+    }
+
     #[test]
     fn bucket_index_helpers_honor_invariants() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64 * 2.0 + 1.0).collect(); // 1,3,..,19
-        let x0 = xs[0];
-        let inv = 0.5;
-        // lower: first xs[i] >= lb
-        assert_eq!(BucketSweep::lower_bucket_index(&xs, x0, inv, -5.0), 0);
-        assert_eq!(BucketSweep::lower_bucket_index(&xs, x0, inv, 1.0), 0); // xs[0] == lb
-        assert_eq!(BucketSweep::lower_bucket_index(&xs, x0, inv, 1.0001), 1);
-        assert_eq!(BucketSweep::lower_bucket_index(&xs, x0, inv, 19.0), 9);
-        assert_eq!(BucketSweep::lower_bucket_index(&xs, x0, inv, 19.1), 10); // never
-                                                                             // upper: first xs[i] > ub strictly
-        assert_eq!(BucketSweep::upper_bucket_index(&xs, x0, inv, 0.0), 0);
-        assert_eq!(BucketSweep::upper_bucket_index(&xs, x0, inv, 1.0), 1); // pixel 0 keeps it
-        assert_eq!(BucketSweep::upper_bucket_index(&xs, x0, inv, 18.99), 9);
-        assert_eq!(BucketSweep::upper_bucket_index(&xs, x0, inv, 19.0), 10);
-        assert_eq!(BucketSweep::upper_bucket_index(&xs, x0, inv, 25.0), 10);
+        // Centres 1, 3, .., 19. Lower: first xs[i] >= lb; upper: first
+        // xs[i] > ub strictly.
+        let xs: Vec<f64> = (0..10).map(|i| i as f64 * 2.0 + 1.0).collect();
+        assert_eq!(bucket_pair(&xs, -5.0, 0.0), (0, 0));
+        assert_eq!(bucket_pair(&xs, 1.0, 1.0), (0, 1)); // xs[0] == lb; pixel 0 keeps ub
+        assert_eq!(bucket_pair(&xs, 1.0001, 18.99), (1, 9));
+        assert_eq!(bucket_pair(&xs, 19.0, 19.0), (9, 10));
+        assert_eq!(bucket_pair(&xs, 19.1, 25.0), (10, 10)); // never
+    }
+
+    #[test]
+    fn bucket_index_helpers_equal_partition_point_specs() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut rows = vec![
+            row_xs(-20.0, 80.0, 25),
+            row_xs(0.0, 2.0, 1),
+            row_xs(-1.0, 1.0, 2),
+            row_xs(-1e7, 3e7, 2),
+            row_xs(0.0, 1.0, 1280),
+            row_xs(-3.7e5, 1.2e5, 1280),
+            // Integer-spaced centres, where bounds on a centre make the
+            // guess's product land exactly on an integer.
+            (0..10).map(|i| i as f64 * 2.0 + 1.0).collect(),
+        ];
+        for _ in 0..40 {
+            let x_count = 1 + (next() * 300.0) as usize;
+            let min_x = (next() - 0.5) * 1e6;
+            let width = 1e-3 + next() * 1e5;
+            rows.push(row_xs(min_x, min_x + width, x_count));
+        }
+        for xs in &rows {
+            let (first, last) = (xs[0], xs[xs.len() - 1]);
+            let span = (last - first).max(1.0);
+            let mut bounds = vec![
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+                first - 1e3 * span,
+                last + 1e3 * span,
+                first - 1e30,
+                last + 1e30,
+            ];
+            // Exactly on every pixel centre and one ulp either side.
+            for &x in xs {
+                bounds.push(x);
+                if x == 0.0 {
+                    bounds.extend([f64::from_bits(1), -f64::from_bits(1)]);
+                } else {
+                    bounds
+                        .extend([f64::from_bits(x.to_bits() + 1), f64::from_bits(x.to_bits() - 1)]);
+                }
+            }
+            for _ in 0..200 {
+                bounds.push(first + (next() * 1.4 - 0.2) * span);
+            }
+            for &bound in &bounds {
+                assert_buckets_match_spec(xs, bound);
+            }
+            // A NaN bound compares false everywhere, so it stays at its
+            // guess, 0 (where the `ceil`/`floor` guess put it too).
+            assert_eq!(bucket_pair(xs, f64::NAN, f64::NAN), (0, 0));
+        }
     }
 
     #[test]

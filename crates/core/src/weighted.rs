@@ -23,6 +23,7 @@ use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
 use crate::stats::Kahan;
+use crate::sweep_bucket::{Buckets, NIL};
 
 /// Weighted counterpart of `RangeAggregates`: every term carries the
 /// point's weight; `wsum` plays the role of the count.
@@ -62,11 +63,12 @@ struct WeightedAccumulator {
 }
 
 impl WeightedAccumulator {
+    #[inline(always)]
     fn new(maintain_quartic: bool) -> Self {
         Self { maintain_quartic, ..Self::default() }
     }
 
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, p: &Point, w: f64) {
         self.count += 1;
         self.wsum.add(w);
@@ -84,6 +86,7 @@ impl WeightedAccumulator {
         }
     }
 
+    #[inline(always)]
     fn reset(&mut self) {
         let mq = self.maintain_quartic;
         *self = Self::new(mq);
@@ -91,6 +94,7 @@ impl WeightedAccumulator {
 
     /// Weighted analogue of `SweepAccumulator::shift_x`: translates the
     /// frame along x by `delta` (`wsum` plays the role of the count).
+    #[inline(always)]
     fn shift_x(&mut self, delta: f64) {
         if self.count == 0 {
             return;
@@ -119,6 +123,7 @@ impl WeightedAccumulator {
         }
     }
 
+    #[inline(always)]
     fn diff(&self, other: &Self) -> WeightedAggregates {
         WeightedAggregates {
             wsum: self.wsum.value() - other.wsum.value(),
@@ -191,8 +196,6 @@ fn density_from_weighted(
     }
 }
 
-const NIL: u32 = u32::MAX;
-
 /// Reusable weighted bucket-sweep row engine.
 ///
 /// Mirrors [`crate::sweep_bucket::BucketSweep`] — identical bucketing,
@@ -205,44 +208,28 @@ pub(crate) struct WeightedRowSweep {
     kernel: KernelType,
     bandwidth: f64,
     global_weight: f64,
-    head_l: Vec<u32>,
-    head_u: Vec<u32>,
-    next_l: Vec<u32>,
-    next_u: Vec<u32>,
-    l_acc: WeightedAccumulator,
-    u_acc: WeightedAccumulator,
+    buckets: Buckets,
     emit: crate::simd::EmitBuffer,
 }
 
 impl WeightedRowSweep {
     pub(crate) fn new(kernel: KernelType, bandwidth: f64, global_weight: f64) -> Self {
-        let quartic = kernel.needs_quartic_terms();
         Self {
             kernel,
             bandwidth,
             global_weight,
-            head_l: Vec::new(),
-            head_u: Vec::new(),
-            next_l: Vec::new(),
-            next_u: Vec::new(),
-            l_acc: WeightedAccumulator::new(quartic),
-            u_acc: WeightedAccumulator::new(quartic),
+            buckets: Buckets::default(),
             emit: crate::simd::EmitBuffer::default(),
         }
     }
 
     /// Rebinds the engine to new kernel parameters, keeping the bucket
-    /// scratch buffers (the accumulators are reset at every row start, so
-    /// only the quartic flag needs refreshing).
+    /// scratch buffers (the accumulators are row-local, so nothing else
+    /// carries over).
     pub(crate) fn reconfigure(&mut self, kernel: KernelType, bandwidth: f64, global_weight: f64) {
-        let quartic = kernel.needs_quartic_terms();
         self.kernel = kernel;
         self.bandwidth = bandwidth;
         self.global_weight = global_weight;
-        if self.l_acc.maintain_quartic != quartic {
-            self.l_acc = WeightedAccumulator::new(quartic);
-            self.u_acc = WeightedAccumulator::new(quartic);
-        }
     }
 
     /// Fills one pixel row. `env_weights[i]` is the weight of
@@ -256,41 +243,36 @@ impl WeightedRowSweep {
         out: &mut [f64],
     ) {
         debug_assert_eq!(intervals.len(), env_weights.len());
-        let x_count = xs.len();
-        debug_assert_eq!(out.len(), x_count);
-        self.head_l.clear();
-        self.head_l.resize(x_count + 1, NIL);
-        self.head_u.clear();
-        self.head_u.resize(x_count + 1, NIL);
-        self.next_l.clear();
-        self.next_l.resize(intervals.len(), NIL);
-        self.next_u.clear();
-        self.next_u.resize(intervals.len(), NIL);
-
-        let x0 = xs[0];
-        let inv_gap = if x_count > 1 { (x_count - 1) as f64 / (xs[x_count - 1] - x0) } else { 0.0 };
-
-        use crate::sweep_bucket::BucketSweep;
-        for (idx, iv) in intervals.iter().enumerate() {
-            let bl = BucketSweep::lower_bucket_index(xs, x0, inv_gap, iv.lb);
-            let bu = BucketSweep::upper_bucket_index(xs, x0, inv_gap, iv.ub);
-            if bl == bu {
-                continue;
-            }
-            self.next_l[idx] = self.head_l[bl];
-            self.head_l[bl] = idx as u32;
-            self.next_u[idx] = self.head_u[bu];
-            self.head_u[bu] = idx as u32;
+        debug_assert_eq!(out.len(), xs.len());
+        self.buckets.scatter(xs, intervals);
+        if self.kernel.needs_quartic_terms() {
+            self.sweep::<true>(xs, k, intervals, env_weights, out);
+        } else {
+            self.sweep::<false>(xs, k, intervals, env_weights, out);
         }
+    }
+
+    /// Sweep pass over the scattered buckets; `QUARTIC` and the row-local
+    /// accumulators as in `BucketSweep::sweep`.
+    fn sweep<const QUARTIC: bool>(
+        &mut self,
+        xs: &[f64],
+        k: f64,
+        intervals: &[crate::envelope::SweepInterval],
+        env_weights: &[f64],
+        out: &mut [f64],
+    ) {
+        let Buckets { head_l, head_u, next_l, next_u } = &self.buckets;
+        let x_count = xs.len();
 
         // Two variants, dispatched once per row on [`crate::simd::mode`] —
-        // see `BucketSweep::process_row`. Scalar: the fused per-pixel loop
+        // see `BucketSweep::sweep`. Scalar: the fused per-pixel loop
         // through `density_from_weighted`. Vector: event-free pixel
         // stretches share one aggregate snapshot and frame, recorded as
         // runs and evaluated by `EmitBuffer::flush` (4 pixels per
         // iteration), bitwise identical to the per-pixel loop.
-        self.l_acc.reset();
-        self.u_acc.reset();
+        let mut l_acc = WeightedAccumulator::new(QUARTIC);
+        let mut u_acc = WeightedAccumulator::new(QUARTIC);
         let shift_limit = 4.0 * self.bandwidth;
         let mut frame_x = xs[0];
         let mode = crate::simd::mode();
@@ -298,24 +280,24 @@ impl WeightedRowSweep {
         let lanes = match mode {
             crate::simd::SimdMode::Scalar => {
                 for (i, &x) in xs.iter().enumerate() {
-                    if self.l_acc.count == self.u_acc.count {
-                        self.l_acc.reset();
-                        self.u_acc.reset();
+                    if l_acc.count == u_acc.count {
+                        l_acc.reset();
+                        u_acc.reset();
                         frame_x = x;
                     } else if x - frame_x > shift_limit {
                         let delta = x - frame_x;
-                        self.l_acc.shift_x(delta);
-                        self.u_acc.shift_x(delta);
+                        l_acc.shift_x(delta);
+                        u_acc.shift_x(delta);
                         frame_x = x;
                     }
-                    let mut cur = self.head_l[i];
+                    let mut cur = head_l[i];
                     while cur != NIL {
                         let idx = cur as usize;
                         let p = &intervals[idx].point;
-                        self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = self.next_l[idx];
+                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
+                        cur = next_l[idx];
                     }
-                    let agg = self.l_acc.diff(&self.u_acc);
+                    let agg = l_acc.diff(&u_acc);
                     let q = Point::new(x - frame_x, 0.0);
                     out[i] = density_from_weighted(
                         self.kernel,
@@ -324,12 +306,12 @@ impl WeightedRowSweep {
                         self.bandwidth,
                         self.global_weight,
                     );
-                    let mut cur = self.head_u[i + 1];
+                    let mut cur = head_u[i + 1];
                     while cur != NIL {
                         let idx = cur as usize;
                         let p = &intervals[idx].point;
-                        self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = self.next_u[idx];
+                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
+                        cur = next_u[idx];
                     }
                 }
                 0
@@ -339,38 +321,38 @@ impl WeightedRowSweep {
                 let mut i = 0usize;
                 while i < x_count {
                     let x = xs[i];
-                    if self.l_acc.count == self.u_acc.count {
-                        self.l_acc.reset();
-                        self.u_acc.reset();
+                    if l_acc.count == u_acc.count {
+                        l_acc.reset();
+                        u_acc.reset();
                         frame_x = x;
                     } else if x - frame_x > shift_limit {
                         let delta = x - frame_x;
-                        self.l_acc.shift_x(delta);
-                        self.u_acc.shift_x(delta);
+                        l_acc.shift_x(delta);
+                        u_acc.shift_x(delta);
                         frame_x = x;
                     }
-                    let mut cur = self.head_l[i];
+                    let mut cur = head_l[i];
                     while cur != NIL {
                         let idx = cur as usize;
                         let p = &intervals[idx].point;
-                        self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = self.next_l[idx];
+                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
+                        cur = next_l[idx];
                     }
                     // `count` (insertions, not `wsum`) detects emptiness
                     // exactly as the per-pixel loop does; empty ⟹ the reset
                     // above ran and the lower-bound drain inserted nothing,
                     // so every run pixel evaluates at `q = (+0.0, 0.0)`
                     // with zeroed aggregates.
-                    let empty = self.l_acc.count == self.u_acc.count;
+                    let empty = l_acc.count == u_acc.count;
                     let mut e = i + 1;
                     if empty {
-                        while e < x_count && self.head_l[e] == NIL && self.head_u[e] == NIL {
+                        while e < x_count && head_l[e] == NIL && head_u[e] == NIL {
                             e += 1;
                         }
                     } else {
                         while e < x_count
-                            && self.head_l[e] == NIL
-                            && self.head_u[e] == NIL
+                            && head_l[e] == NIL
+                            && head_u[e] == NIL
                             && xs[e] - frame_x <= shift_limit
                         {
                             e += 1;
@@ -390,15 +372,15 @@ impl WeightedRowSweep {
                         );
                         frame_x = xs[e - 1];
                     } else {
-                        let agg = self.l_acc.diff(&self.u_acc);
+                        let agg = l_acc.diff(&u_acc);
                         self.emit.push_run(i, e, frame_x, agg.emit());
                     }
-                    let mut cur = self.head_u[e];
+                    let mut cur = head_u[e];
                     while cur != NIL {
                         let idx = cur as usize;
                         let p = &intervals[idx].point;
-                        self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = self.next_u[idx];
+                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
+                        cur = next_u[idx];
                     }
                     i = e;
                 }
@@ -410,12 +392,7 @@ impl WeightedRowSweep {
 
     /// Auxiliary heap bytes held by the engine.
     pub(crate) fn space_bytes(&self) -> usize {
-        (self.head_l.capacity()
-            + self.head_u.capacity()
-            + self.next_l.capacity()
-            + self.next_u.capacity())
-            * std::mem::size_of::<u32>()
-            + self.emit.space_bytes()
+        self.buckets.space_bytes() + self.emit.space_bytes()
     }
 }
 

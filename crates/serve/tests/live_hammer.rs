@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use kdv_core::digest::grid_checksum;
@@ -94,12 +94,19 @@ fn hammered_live_server_never_serves_a_torn_generation() {
         4,
     ));
 
+    // The appender starts only once every server has cached generation 0,
+    // so later requests find stale-generation tiles to patch. Without this
+    // the appender could seal every batch before any tile was cached, and
+    // the patch path would go unexercised.
+    let warmed = Arc::new(Barrier::new(SERVE_THREADS + 1));
     let done = Arc::new(AtomicBool::new(false));
     let appender = {
         let server = Arc::clone(&server);
         let done = Arc::clone(&done);
+        let warmed = Arc::clone(&warmed);
         let batches = batches.clone();
         thread::spawn(move || {
+            warmed.wait();
             for batch in &batches {
                 server.append(batch);
                 thread::yield_now();
@@ -112,12 +119,16 @@ fn hammered_live_server_never_serves_a_torn_generation() {
         .map(|t| {
             let server = Arc::clone(&server);
             let done = Arc::clone(&done);
+            let warmed = Arc::clone(&warmed);
             let legal = legal.clone();
             let viewports = viewports;
             thread::spawn(move || {
                 let mut served = 0usize;
                 let mut rounds_after_done = 0;
                 while rounds_after_done < 2 {
+                    if served == viewports.len() {
+                        warmed.wait();
+                    }
                     if done.load(Ordering::SeqCst) {
                         rounds_after_done += 1;
                     }

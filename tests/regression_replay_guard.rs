@@ -76,18 +76,22 @@ fn every_regressions_file_has_a_live_proptest_sibling() {
 
 /// Re-runs only the probe property in a child process with the regressions
 /// file overridden to `contents`, returning whether the child passed.
+///
+/// The child's output is captured rather than inherited: the corrupted-file
+/// probe fails on purpose, and its panic and `FAILED` line would otherwise
+/// show up in the parent's test log as if a real test had failed.
 fn probe_with_regressions(label: &str, contents: &str) -> bool {
     let dir = std::env::temp_dir().join("kdv-replay-guard");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join(format!("{label}.proptest-regressions"));
     std::fs::write(&file, contents).unwrap();
-    let status = Command::new(std::env::current_exe().unwrap())
+    let output = Command::new(std::env::current_exe().unwrap())
         .args(["--exact", "replay_guard_probe"])
         .env("PROPTEST_REGRESSIONS_FILE", &file)
-        .status()
+        .output()
         .expect("spawning the test binary");
     let _ = std::fs::remove_file(&file);
-    status.success()
+    output.status.success()
 }
 
 #[test]
