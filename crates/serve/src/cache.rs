@@ -1,4 +1,4 @@
-//! Sharded, byte-budgeted LRU cache of computed tiles.
+//! Sharded, byte-budgeted, segmented-LRU cache of computed tiles.
 //!
 //! The cache key is the full provenance of a tile's bits — dataset,
 //! kernel, bandwidth, weight and pyramid coordinate — so a hit is
@@ -9,12 +9,25 @@
 //! computations and must not alias.
 //!
 //! Concurrency: the key space is split across `shards` independent
-//! `Mutex`-protected LRU maps (shard = key hash high bits), so writers on
+//! `Mutex`-protected maps (shard = key hash high bits), so writers on
 //! different shards never contend and a band insert holds one lock at a
-//! time. Each shard enforces `budget / shards` bytes by evicting from the
-//! cold end of its intrusive LRU list; a tile larger than a whole shard
-//! budget is rejected outright (it would evict everything and then be
-//! evicted itself the moment anything else arrived).
+//! time. A tile larger than a whole shard budget is rejected outright (it
+//! would evict everything and then be evicted itself the moment anything
+//! else arrived). A shard whose lock was poisoned by a panicking thread
+//! is cleared and keeps serving, its lost entries counted as evictions.
+//!
+//! Policy: each shard is a **segmented LRU** enforcing `budget / shards`
+//! bytes. A new tile enters the *probation* segment; a hit moves it to
+//! *protected*, which may hold at most 4/5 of the shard budget (its
+//! overflow is demoted back to the head of probation). Eviction takes the
+//! probation tail: protected entries leave only by demotion, so an
+//! over-budget shard never has an empty probation segment.
+//! Scan resistance is what band prefetch needs: one miss computes a whole
+//! row band of tiles, so a deep-zoom excursion inserts many tiles at once
+//! that are seldom read again. Under plain LRU that burst pushed out the
+//! panned working set and forced its bands to be swept again; under SLRU
+//! it churns only probation, and a tile requested twice (the miss that
+//! cached it, then a hit) survives it.
 //!
 //! Hit/miss/eviction/rejection counters are **saturating** (they stick
 //! at `u64::MAX` rather than wrapping), keeping reported statistics
@@ -24,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use kdv_core::tile::Tile;
 use kdv_core::KernelType;
@@ -189,91 +202,150 @@ pub struct InsertOutcome {
 
 const NIL: usize = usize::MAX;
 
-/// One LRU node: the entry plus its position in the shard's recency list.
-struct Node {
-    key: TileKey,
-    tile: Arc<Tile>,
-    bytes: usize,
-    prev: usize,
-    next: usize,
+/// Share of a shard's budget the protected segment may hold, as a
+/// fraction `PROTECTED_SHARE.0 / PROTECTED_SHARE.1`. The rest is the
+/// floor of probation: room where a burst of new tiles churns without
+/// touching the tiles hit since they were cached.
+const PROTECTED_SHARE: (u128, u128) = (4, 5);
+
+/// Which recency list of its shard a node is threaded on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Segment {
+    /// Inserted and not read since: the first to be evicted.
+    Probation = 0,
+    /// Read at least once while cached.
+    Protected = 1,
 }
 
-/// One shard: a hash map into a slab of nodes threaded on an intrusive
-/// doubly-linked recency list (`head` = hottest, `tail` = next victim).
-/// All operations are O(1).
-struct Shard {
-    map: HashMap<TileKey, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
+/// One intrusive recency list (`head` = hottest, `tail` = coldest) and
+/// the bytes of the nodes on it.
+#[derive(Clone, Copy)]
+struct List {
     head: usize,
     tail: usize,
     bytes: usize,
 }
 
+const EMPTY: List = List { head: NIL, tail: NIL, bytes: 0 };
+
+/// One cache node: the entry plus its segment and position in that
+/// segment's recency list.
+struct Node {
+    key: TileKey,
+    tile: Arc<Tile>,
+    bytes: usize,
+    seg: Segment,
+    prev: usize,
+    next: usize,
+}
+
+/// One shard: a hash map into a slab of nodes, each threaded on one of
+/// two intrusive doubly-linked recency lists — a segmented LRU. New keys
+/// enter probation; a hit moves its entry to protected, whose overflow
+/// past [`PROTECTED_SHARE`] of the budget is demoted back to the head of
+/// probation. Eviction takes the probation tail; protected entries leave
+/// only through demotion. All operations are O(1) amortised.
+struct Shard {
+    map: HashMap<TileKey, usize>,
+    nodes: Vec<Node>,
+    free: Vec<usize>,
+    lists: [List; 2],
+    budget: usize,
+    protected_cap: usize,
+}
+
 impl Shard {
-    fn new() -> Self {
+    fn new(budget: usize) -> Self {
+        let (num, den) = PROTECTED_SHARE;
         Self {
             map: HashMap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            bytes: 0,
+            lists: [EMPTY; 2],
+            budget,
+            protected_cap: (budget as u128 * num / den) as usize,
         }
     }
 
+    fn bytes(&self) -> usize {
+        self.lists[0].bytes + self.lists[1].bytes
+    }
+
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
+        let Node { prev, next, bytes, seg, .. } = self.nodes[idx];
+        let list = &mut self.lists[seg as usize];
+        list.bytes -= bytes;
         match prev {
-            NIL => self.head = next,
+            NIL => list.head = next,
             p => self.nodes[p].next = next,
         }
         match next {
-            NIL => self.tail = prev,
+            NIL => list.tail = prev,
             n => self.nodes[n].prev = prev,
         }
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        match self.head {
-            NIL => self.tail = idx,
+    fn push_front(&mut self, idx: usize, seg: Segment) {
+        let list = &mut self.lists[seg as usize];
+        list.bytes += self.nodes[idx].bytes;
+        let head = std::mem::replace(&mut list.head, idx);
+        match head {
+            NIL => list.tail = idx,
             h => self.nodes[h].prev = idx,
         }
-        self.head = idx;
+        let node = &mut self.nodes[idx];
+        node.seg = seg;
+        node.prev = NIL;
+        node.next = head;
+    }
+
+    /// Unlinks and frees a node, releasing its tile buffer.
+    fn release(&mut self, idx: usize) -> Segment {
+        self.unlink(idx);
+        self.map.remove(&self.nodes[idx].key);
+        self.nodes[idx].tile = Arc::new(Tile::new(0, 0, 0, 0, Vec::new()));
+        self.free.push(idx);
+        self.nodes[idx].seg
+    }
+
+    /// Demotes protected tails to the probation head until protected
+    /// fits its share of the budget.
+    fn demote_overflow(&mut self) {
+        while self.lists[Segment::Protected as usize].bytes > self.protected_cap {
+            let idx = self.lists[Segment::Protected as usize].tail;
+            self.unlink(idx);
+            self.push_front(idx, Segment::Probation);
+        }
     }
 
     fn get(&mut self, key: &TileKey) -> Option<Arc<Tile>> {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
-        self.push_front(idx);
+        self.push_front(idx, Segment::Protected);
+        self.demote_overflow();
         Some(Arc::clone(&self.nodes[idx].tile))
     }
 
-    /// Removes an entry if present, returning whether it was.
-    fn remove(&mut self, key: &TileKey) -> bool {
-        let Some(idx) = self.map.remove(key) else { return false };
-        self.unlink(idx);
-        self.bytes -= self.nodes[idx].bytes;
-        self.nodes[idx].tile = Arc::new(Tile::new(0, 0, 0, 0, Vec::new()));
-        self.free.push(idx);
-        true
+    /// Removes an entry if present, returning the segment it was in.
+    fn remove(&mut self, key: &TileKey) -> Option<Segment> {
+        let idx = *self.map.get(key)?;
+        Some(self.release(idx))
     }
 
-    /// Inserts (or refreshes) an entry and evicts from the cold end until
-    /// the shard fits `budget`. Returns the number of evictions.
-    fn insert(&mut self, key: TileKey, tile: Arc<Tile>, budget: usize) -> u64 {
+    /// Inserts an entry into `seg`, or refreshes it in the hotter of its
+    /// own segment and `seg`, then evicts until the shard fits its
+    /// budget. Returns the number of evictions.
+    fn insert(&mut self, key: TileKey, tile: Arc<Tile>, seg: Segment) -> u64 {
         let bytes = tile.bytes();
         if let Some(&idx) = self.map.get(&key) {
             // refresh: same key recomputed (identical bits by construction)
-            self.bytes = self.bytes - self.nodes[idx].bytes + bytes;
+            self.unlink(idx);
+            let seg = seg.max(self.nodes[idx].seg);
             self.nodes[idx].tile = tile;
             self.nodes[idx].bytes = bytes;
-            self.unlink(idx);
-            self.push_front(idx);
+            self.push_front(idx, seg);
         } else {
-            let node = Node { key, tile, bytes, prev: NIL, next: NIL };
+            let node = Node { key, tile, bytes, seg, prev: NIL, next: NIL };
             let idx = match self.free.pop() {
                 Some(i) => {
                     self.nodes[i] = node;
@@ -285,24 +357,31 @@ impl Shard {
                 }
             };
             self.map.insert(key, idx);
-            self.push_front(idx);
-            self.bytes += bytes;
+            self.push_front(idx, seg);
         }
+        self.demote_overflow();
         let mut evicted = 0u64;
-        while self.bytes > budget && self.tail != NIL {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.map.remove(&self.nodes[victim].key);
-            self.bytes -= self.nodes[victim].bytes;
-            self.nodes[victim].tile = Arc::new(Tile::new(0, 0, 0, 0, Vec::new()));
-            self.free.push(victim);
+        while self.bytes() > self.budget {
+            // protected now fits its cap, which is within the budget, so
+            // an over-budget shard always has a probation tail to evict
+            self.release(self.lists[Segment::Probation as usize].tail);
             evicted += 1;
         }
         evicted
     }
+
+    /// Drops every entry, returning how many there were.
+    fn clear(&mut self) -> u64 {
+        let dropped = self.map.len() as u64;
+        self.map.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.lists = [EMPTY; 2];
+        dropped
+    }
 }
 
-/// The sharded, byte-budgeted LRU tile cache.
+/// The sharded, byte-budgeted, segmented-LRU tile cache.
 pub struct TileCache {
     shards: Vec<Mutex<Shard>>,
     shard_budget: usize,
@@ -323,26 +402,42 @@ impl TileCache {
     /// zero budget silently misclassifies every insert.
     pub fn new(byte_budget: usize, shards: usize) -> Self {
         let shards = shards.clamp(1, 1 << 12).next_power_of_two();
+        let shard_budget = (byte_budget / shards).max(1);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_budget: (byte_budget / shards).max(1),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new(shard_budget))).collect(),
+            shard_budget,
             shard_mask: shards as u64 - 1,
             stats: CacheStats::default(),
         }
     }
 
-    fn shard_of(&self, key: &TileKey) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &TileKey) -> MutexGuard<'_, Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         // high bits pick the shard so shard choice stays independent of
         // the map's own bucket choice (which uses the low bits)
-        &self.shards[((h.finish() >> 32) & self.shard_mask) as usize]
+        self.lock(&self.shards[((h.finish() >> 32) & self.shard_mask) as usize])
     }
 
-    /// Looks a tile up, refreshing its recency. Counts a hit or a miss.
+    /// Locks a shard. A shard whose lock was poisoned (a thread panicked
+    /// holding it, possibly mid-relink) is cleared — map, lists and
+    /// bytes — with its entries counted as evictions, and serving goes
+    /// on: a cache that forgets is still correct, a half-linked list is
+    /// not.
+    fn lock<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
+        shard.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            self.stats.evictions.add(guard.clear());
+            shard.clear_poison();
+            guard
+        })
+    }
+
+    /// Looks a tile up, moving a hit to the head of its shard's protected
+    /// segment. Counts a hit or a miss.
     pub fn get(&self, key: &TileKey) -> Option<Arc<Tile>> {
         let mut span = kdv_obs::span("cache.lookup");
-        let found = self.shard_of(key).lock().expect("cache shard poisoned").get(key);
+        let found = self.shard_of(key).get(key);
         span.arg("hit", found.is_some() as u64);
         match found {
             Some(t) => {
@@ -358,12 +453,13 @@ impl TileCache {
 
     /// Peeks without touching recency or counters (used by assertions).
     pub fn peek(&self, key: &TileKey) -> Option<Arc<Tile>> {
-        let shard = self.shard_of(key).lock().expect("cache shard poisoned");
+        let shard = self.shard_of(key);
         shard.map.get(key).copied().map(|idx| Arc::clone(&shard.nodes[idx].tile))
     }
 
-    /// Inserts a computed tile, evicting cold entries to stay inside the
-    /// byte budget. Oversized tiles (larger than one shard's budget) are
+    /// Inserts a computed tile at the head of probation (a refreshed key
+    /// keeps its segment), evicting cold entries to stay inside the byte
+    /// budget. Oversized tiles (larger than one shard's budget) are
     /// not cached at all — counted under `rejected` (never admitted),
     /// distinct from `evictions` (admitted and later displaced).
     ///
@@ -377,11 +473,7 @@ impl TileCache {
             self.stats.rejected.bump();
             return InsertOutcome { evicted: 0, rejected: true };
         }
-        let evicted = self.shard_of(&key).lock().expect("cache shard poisoned").insert(
-            key,
-            tile,
-            self.shard_budget,
-        );
+        let evicted = self.shard_of(&key).insert(key, tile, Segment::Probation);
         span.arg("evicted", evicted);
         if evicted > 0 {
             self.stats.evictions.add(evicted);
@@ -398,22 +490,23 @@ impl TileCache {
     /// keys may land on different shards with different occupancy) are
     /// still real displacement and are reported in the outcome.
     ///
+    /// The patched entry keeps the replaced entry's segment: a hot tile
+    /// advanced to generation g+1 stays protected. A patch is not an
+    /// access, so it never promotes; with no entry under `old_key` the
+    /// tile enters probation like any insert.
+    ///
     /// The two shard locks are taken strictly in sequence (remove, then
     /// insert), never nested, so `patch` cannot deadlock against
     /// concurrent patches in the opposite direction.
     pub fn patch(&self, old_key: &TileKey, new_key: TileKey, tile: Arc<Tile>) -> InsertOutcome {
         let mut span = kdv_obs::span1("cache.patch", "bytes", tile.bytes() as u64);
-        self.shard_of(old_key).lock().expect("cache shard poisoned").remove(old_key);
+        let seg = self.shard_of(old_key).remove(old_key).unwrap_or(Segment::Probation);
         if tile.bytes() > self.shard_budget {
             span.arg("rejected", 1);
             self.stats.rejected.bump();
             return InsertOutcome { evicted: 0, rejected: true };
         }
-        let evicted = self.shard_of(&new_key).lock().expect("cache shard poisoned").insert(
-            new_key,
-            tile,
-            self.shard_budget,
-        );
+        let evicted = self.shard_of(&new_key).insert(new_key, tile, seg);
         span.arg("evicted", evicted);
         if evicted > 0 {
             self.stats.evictions.add(evicted);
@@ -425,12 +518,12 @@ impl TileCache {
 
     /// Total bytes of tile buffers currently held.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").bytes).sum()
+        self.shards.iter().map(|s| self.lock(s).bytes()).sum()
     }
 
     /// Number of cached tiles.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+        self.shards.iter().map(|s| self.lock(s).map.len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -606,6 +699,26 @@ mod tests {
     }
 
     #[test]
+    fn patch_keeps_the_replaced_entrys_segment() {
+        // a hot live tile advanced to generation g+1 stays protected; a
+        // cold one stays on probation, because a patch is not an access
+        let cache = TileCache::new(1 << 20, 1);
+        let (hot, cold) = (key(0, 0), key(1, 0));
+        cache.insert(hot, tile(0, 4));
+        cache.insert(cold, tile(1, 4));
+        cache.get(&hot);
+        cache.patch(&hot, hot.with_generation(1), tile(2, 4));
+        cache.patch(&cold, cold.with_generation(1), tile(3, 4));
+        assert_eq!(segment_of(&cache, &hot.with_generation(1)), Some(Segment::Protected));
+        assert_eq!(segment_of(&cache, &cold.with_generation(1)), Some(Segment::Probation));
+        assert_eq!(cache.stats().hits(), 1, "a patch is not a hit");
+        // with nothing under the old key the patched tile is a plain insert
+        cache.patch(&key(9, 9), key(9, 9).with_generation(1), tile(4, 4));
+        assert_eq!(segment_of(&cache, &key(9, 9).with_generation(1)), Some(Segment::Probation));
+        check_invariants(&cache);
+    }
+
+    #[test]
     fn oversized_patch_still_retires_the_stale_entry() {
         let unit = tile(0, 4).bytes();
         let cache = TileCache::new(unit, 1);
@@ -615,6 +728,221 @@ mod tests {
         assert!(outcome.rejected);
         assert_eq!(cache.stats().patched(), 0, "nothing was cached, so nothing was patched");
         assert!(cache.is_empty(), "the stale generation must not linger");
+    }
+
+    #[test]
+    fn scan_resistance_keeps_a_working_set_read_twice() {
+        let unit = tile(0, 8).bytes();
+        let cache = TileCache::new(unit * 10, 1);
+        for tx in 0..4 {
+            cache.insert(key(tx, 0), tile(tx as usize, 8));
+            cache.get(&key(tx, 0));
+        }
+        for tx in 0..2 {
+            cache.insert(key(tx, 1), tile(tx as usize, 8)); // inserted, never read
+        }
+        // a burst twice the whole budget, read once each (by the insert)
+        for tx in 0..20 {
+            cache.insert(key(tx, 2), tile(tx as usize, 8));
+        }
+        for tx in 0..4 {
+            assert!(cache.peek(&key(tx, 0)).is_some(), "hot tile {tx} was scanned out");
+        }
+        for tx in 0..2 {
+            assert!(cache.peek(&key(tx, 1)).is_none(), "cold tile {tx} outlived the scan");
+        }
+        assert!(cache.bytes() <= cache.budget());
+        assert_eq!(cache.len(), 10);
+        assert_eq!(cache.stats().evictions(), 16);
+        check_invariants(&cache);
+    }
+
+    #[test]
+    fn refresh_keeps_the_entrys_segment() {
+        let cache = TileCache::new(1 << 20, 1);
+        cache.insert(key(0, 0), tile(0, 4));
+        cache.get(&key(0, 0));
+        cache.insert(key(0, 0), tile(0, 4)); // same key recomputed
+        assert_eq!(segment_of(&cache, &key(0, 0)), Some(Segment::Protected));
+        cache.insert(key(1, 0), tile(1, 4));
+        cache.insert(key(1, 0), tile(1, 4));
+        assert_eq!(segment_of(&cache, &key(1, 0)), Some(Segment::Probation));
+        check_invariants(&cache);
+    }
+
+    #[test]
+    fn eviction_takes_probation_before_protected() {
+        let unit = tile(0, 8).bytes();
+        let cache = TileCache::new(unit * 4, 1);
+        cache.insert(key(0, 0), tile(0, 8));
+        cache.insert(key(1, 0), tile(1, 8));
+        cache.get(&key(0, 0));
+        cache.get(&key(1, 0));
+        cache.insert(key(2, 0), tile(2, 8));
+        cache.insert(key(3, 0), tile(3, 8));
+        // key(0,0) is the least recently used entry overall, but it is
+        // protected: the probation tail key(2,0) goes first
+        let outcome = cache.insert(key(4, 0), tile(4, 8));
+        assert_eq!(outcome.evicted, 1);
+        assert!(cache.peek(&key(2, 0)).is_none(), "probation tail evicted");
+        for tx in [0, 1, 3, 4] {
+            assert!(cache.peek(&key(tx, 0)).is_some(), "key({tx},0) survived");
+        }
+        check_invariants(&cache);
+    }
+
+    #[test]
+    fn protected_segment_is_capped_at_four_fifths_of_the_budget() {
+        let unit = tile(0, 8).bytes();
+        let cache = TileCache::new(unit * 10, 1);
+        for tx in 0..10 {
+            cache.insert(key(tx, 0), tile(tx as usize, 8));
+        }
+        for tx in 0..10 {
+            cache.get(&key(tx, 0));
+        }
+        // only 8 units fit protected: the two oldest hits were demoted to
+        // the probation head, key(1,0) ahead of key(0,0)
+        let shard = cache.shard_of(&key(0, 0));
+        assert_eq!(shard.lists[Segment::Protected as usize].bytes, unit * 8);
+        assert_eq!(shard.lists[Segment::Probation as usize].bytes, unit * 2);
+        drop(shard);
+        assert_eq!(segment_of(&cache, &key(0, 0)), Some(Segment::Probation));
+        assert_eq!(segment_of(&cache, &key(1, 0)), Some(Segment::Probation));
+        assert_eq!(segment_of(&cache, &key(2, 0)), Some(Segment::Protected));
+        cache.insert(key(10, 0), tile(10, 8));
+        assert!(cache.peek(&key(0, 0)).is_none(), "the coldest demoted entry goes first");
+        assert!(cache.peek(&key(1, 0)).is_some());
+        check_invariants(&cache);
+    }
+
+    #[test]
+    fn seeded_operation_sequences_keep_every_invariant() {
+        for (seed, shards) in [(1u64, 1usize), (2, 1), (3, 4), (4, 4)] {
+            let unit = tile(0, 4).bytes();
+            let cache = TileCache::new(unit * 24, shards);
+            let shard_budget = cache.budget() / cache.shards.len();
+            let mut model: HashMap<TileKey, f64> = HashMap::new();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+            let mut next = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            for step in 0..4000 {
+                let k = key(next(12) as u32, 0).with_generation(next(3));
+                let value = step as f64;
+                match next(4) {
+                    0 => {
+                        let got = cache.get(&k);
+                        if let Some(t) = &got {
+                            assert_eq!(Some(&t.values()[0]), model.get(&k), "step {step}");
+                        }
+                        for shard in &cache.shards {
+                            let shard = cache.lock(shard);
+                            let protected = shard.lists[Segment::Protected as usize].bytes;
+                            assert!(protected * 5 <= shard_budget * 4, "step {step}: cap");
+                        }
+                    }
+                    1 => {
+                        let px = 2 + next(5) as usize;
+                        cache.insert(k, Arc::new(Tile::new(0, 0, px, px, vec![value; px * px])));
+                        model.insert(k, value);
+                        for shard in &cache.shards {
+                            assert!(cache.lock(shard).bytes() <= shard_budget, "step {step}");
+                        }
+                    }
+                    2 => {
+                        let to = k.with_generation(k.generation + 1);
+                        cache.patch(&k, to, tile(0, 3 + next(3) as usize));
+                        model.remove(&k);
+                        model.insert(to, 0.0);
+                    }
+                    _ => {
+                        cache.shard_of(&k).remove(&k);
+                        model.remove(&k);
+                    }
+                }
+                check_invariants(&cache);
+                for (k, v) in cache.shards.iter().flat_map(|s| {
+                    let s = cache.lock(s);
+                    s.map
+                        .iter()
+                        .map(|(k, &i)| (*k, s.nodes[i].tile.values()[0]))
+                        .collect::<Vec<_>>()
+                }) {
+                    assert_eq!(model.get(&k), Some(&v), "step {step}: cached bits drifted");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poisoned_shard_is_cleared_and_keeps_serving() {
+        let cache = Arc::new(TileCache::new(1 << 20, 1));
+        cache.insert(key(0, 0), tile(0, 4));
+        cache.insert(key(1, 0), tile(1, 4));
+        let poisoner = Arc::clone(&cache);
+        let result = std::thread::spawn(move || {
+            let mut shard = poisoner.shards[0].lock().unwrap();
+            // die mid-relink: a dangling head the next user must not follow
+            shard.lists[Segment::Probation as usize].head = 12_345;
+            panic!("injected panic while holding the shard lock");
+        })
+        .join();
+        assert!(result.is_err());
+        assert!(cache.shards[0].is_poisoned());
+
+        assert_eq!(cache.len(), 0, "the poisoned shard is cleared, not trusted");
+        assert!(!cache.shards[0].is_poisoned());
+        assert_eq!(cache.stats().evictions(), 2, "dropped entries count as evictions");
+        assert_eq!(cache.bytes(), 0);
+        assert!(cache.get(&key(0, 0)).is_none());
+        assert_eq!(cache.insert(key(0, 0), tile(0, 4)), InsertOutcome::default());
+        assert_eq!(cache.get(&key(0, 0)).unwrap().values()[0], 0.0);
+        let outcome = cache.patch(&key(0, 0), key(0, 0).with_generation(1), tile(5, 4));
+        assert_eq!(outcome, InsertOutcome::default());
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.bytes(), tile(5, 4).bytes());
+        assert_eq!(cache.stats().evictions(), 2, "a recovered shard is not cleared again");
+        check_invariants(&cache);
+    }
+
+    fn segment_of(cache: &TileCache, k: &TileKey) -> Option<Segment> {
+        let shard = cache.shard_of(k);
+        shard.map.get(k).map(|&i| shard.nodes[i].seg)
+    }
+
+    /// Walks both lists of every shard: links agree in both directions,
+    /// every node sits on the list its segment names, per-segment bytes
+    /// equal the sum over its nodes, and the map indexes exactly the
+    /// linked nodes.
+    fn check_invariants(cache: &TileCache) {
+        for shard in &cache.shards {
+            let shard = cache.lock(shard);
+            let mut linked = 0;
+            for seg in [Segment::Probation, Segment::Protected] {
+                let list = shard.lists[seg as usize];
+                let (mut idx, mut prev, mut bytes) = (list.head, NIL, 0);
+                while idx != NIL {
+                    let node = &shard.nodes[idx];
+                    assert_eq!(node.seg, seg);
+                    assert_eq!(node.prev, prev);
+                    assert_eq!(shard.map.get(&node.key), Some(&idx), "map and list disagree");
+                    assert_eq!(node.bytes, node.tile.bytes());
+                    bytes += node.bytes;
+                    linked += 1;
+                    (prev, idx) = (idx, node.next);
+                }
+                assert_eq!(list.tail, prev);
+                assert_eq!(list.bytes, bytes, "{seg:?} bytes");
+            }
+            assert_eq!(shard.map.len(), linked, "map holds an unlinked node");
+            assert!(shard.lists[Segment::Protected as usize].bytes <= shard.protected_cap);
+            let node_bytes: usize = shard.map.values().map(|&i| shard.nodes[i].bytes).sum();
+            assert_eq!(shard.bytes(), node_bytes);
+        }
     }
 
     #[test]

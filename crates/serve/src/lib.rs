@@ -5,8 +5,11 @@
 //!
 //! * [`pyramid`] — zoom levels over a fixed region, each an exact raster
 //!   of the same point set (coarse levels are never downsampled).
-//! * [`cache`] — sharded, byte-budgeted LRU of computed tiles, keyed by
-//!   the full provenance of a tile's bits.
+//! * [`cache`] — sharded, byte-budgeted segmented LRU of computed tiles,
+//!   keyed by the full provenance of a tile's bits. New tiles go on
+//!   probation and a hit protects them, so the band bursts of a
+//!   deep-zoom excursion (band prefetch inserts whole tile rows) evict
+//!   each other rather than the panned working set.
 //! * [`server`] — viewport assembly; misses compute whole tile row bands
 //!   with `kdv_core::tile::compute_band`, so one miss prefetches the
 //!   band's horizontal neighbours.

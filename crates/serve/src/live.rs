@@ -1018,9 +1018,9 @@ mod tests {
         let sup = grid
             .values()
             .iter()
-            .zip((0..vp.height).flat_map(|j| {
-                exact.row(vp.py + j)[vp.px..vp.px + vp.width].iter().copied().collect::<Vec<_>>()
-            }))
+            .zip(
+                (0..vp.height).flat_map(|j| exact.row(vp.py + j)[vp.px..vp.px + vp.width].to_vec()),
+            )
             .map(|(a, r)| (a - r).abs())
             .fold(0.0f64, f64::max);
         assert!(sup <= eps, "sup {sup:e} > advertised {eps:e}");

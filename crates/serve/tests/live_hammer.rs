@@ -121,7 +121,6 @@ fn hammered_live_server_never_serves_a_torn_generation() {
             let done = Arc::clone(&done);
             let warmed = Arc::clone(&warmed);
             let legal = legal.clone();
-            let viewports = viewports;
             thread::spawn(move || {
                 let mut served = 0usize;
                 let mut rounds_after_done = 0;

@@ -11,7 +11,7 @@ use kdv_core::{KernelType, Point, Rect};
 use kdv_serve::{PyramidSpec, ServeConfig, TileServer, Viewport};
 
 fn points(n: usize) -> Vec<Point> {
-    let mut state = 0x5EA5_1DEu64;
+    let mut state = 0x05EA_51DEu64;
     let mut next = move || {
         state ^= state << 13;
         state ^= state >> 7;
