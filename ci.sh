@@ -2,7 +2,8 @@
 # Local CI gate: build, tests, conformance, formatting, lints. Run before
 # every push.
 #
-#   ./ci.sh            full gate (includes the quick conformance matrix)
+#   ./ci.sh            full gate (includes the quick conformance matrix
+#                      and the repository benchmark's self-tests)
 #   ./ci.sh soak [N]   extended differential fuzzing: N fresh seeds
 #                      (default 20000) through every engine×oracle pair
 #   ./ci.sh bench      timing benches: bench_envelope + bench_tiles,
@@ -206,6 +207,9 @@ cargo test -q
 
 echo "==> kdv-conformance --quick"
 cargo run --release -p kdv-conformance -- --quick
+
+echo "==> perfbench self-tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run

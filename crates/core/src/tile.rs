@@ -37,6 +37,16 @@
 //! of the monolithic sweep; computing a single tile in isolation costs the
 //! same band (the price of exactness), which the cache turns into
 //! amortised reuse.
+//!
+//! Assembly is the other half: [`assemble`] cuts any pixel window out of
+//! a set of tiles, and it is the only assembly path — [`stitch`] is
+//! `assemble` over the whole raster, and both `kdv-serve` servers answer
+//! every viewport with it. It writes the window row by row into one
+//! buffer reserved up front, appending each overlapping tile's row
+//! segment, so every pixel is written once and nothing is zero-filled.
+//! A viewport whose tiles are all cached therefore costs one copy of its
+//! pixels; for a 1024 × 768 viewport that copy (6.3 MB) is most of the
+//! request.
 
 use std::ops::Range;
 
@@ -405,28 +415,73 @@ pub fn compute_tiles_parallel(
     Ok(per_band.into_iter().flatten().collect())
 }
 
-/// Reassembles tiles (in any order) into the full raster.
+/// Assembles the `width × height` pixel window at `(px, py)` of the
+/// tiled raster from its overlapping tiles; `tile_at(tx, ty)` returns
+/// the tile at that position of `tiling`.
+///
+/// The window is written row by row into one buffer reserved up front:
+/// each output row is the concatenation of the overlapping tiles' row
+/// segments, appended with `extend_from_slice`, so every pixel is
+/// written exactly once and nothing is zero-filled first.
 ///
 /// # Panics
-/// Panics if a tile's extent disagrees with the tiling or a pixel is left
-/// uncovered — a stitching bug must never degrade silently into a
-/// half-zero raster.
+/// Panics if the window is empty or leaves the raster, or if a tile's
+/// extent disagrees with the tiling.
+pub fn assemble<'t>(
+    tiling: &Tiling,
+    px: usize,
+    py: usize,
+    width: usize,
+    height: usize,
+    mut tile_at: impl FnMut(usize, usize) -> &'t Tile,
+) -> DensityGrid {
+    assert!(
+        (1..=tiling.res_x.saturating_sub(px)).contains(&width)
+            && (1..=tiling.res_y.saturating_sub(py)).contains(&height),
+        "window must be non-empty and inside the raster"
+    );
+    let (x_end, y_end) = (px + width, py + height);
+    let size = tiling.tile_size;
+    let col_tiles = px / size..(x_end - 1) / size + 1;
+    let mut values = Vec::with_capacity(width * height);
+    for ty in py / size..(y_end - 1) / size + 1 {
+        let rows = tiling.tile_rows(ty);
+        for y in py.max(rows.start)..y_end.min(rows.end) {
+            for tx in col_tiles.clone() {
+                let cols = tiling.tile_cols(tx);
+                let tile = tile_at(tx, ty);
+                assert_eq!(
+                    (tile.width, tile.height),
+                    (cols.len(), rows.len()),
+                    "tile extent mismatch"
+                );
+                let (x0, x1) = (px.max(cols.start), x_end.min(cols.end));
+                values
+                    .extend_from_slice(&tile.row(y - rows.start)[x0 - cols.start..x1 - cols.start]);
+            }
+        }
+    }
+    DensityGrid::from_values(width, height, values)
+}
+
+/// Reassembles tiles (in any order) into the full raster: [`assemble`]
+/// over the whole tiling.
+///
+/// # Panics
+/// Panics if the tile count or a tile's extent disagrees with the tiling
+/// or a pixel is left uncovered (a missing or duplicated tile) — a
+/// stitching bug must never degrade silently into a half-zero raster.
 pub fn stitch(tiling: &Tiling, tiles: &[Tile]) -> DensityGrid {
     let _s = kdv_obs::span1("tile.stitch", "tiles", tiles.len() as u64);
     assert_eq!(tiles.len(), tiling.tile_count(), "tile count mismatch");
-    let mut grid = DensityGrid::zeroed(tiling.res_x, tiling.res_y);
-    let mut covered = 0usize;
+    let mut by_index: Vec<Option<&Tile>> = vec![None; tiles.len()];
     for tile in tiles {
-        let cols = tiling.tile_cols(tile.tx);
-        let rows = tiling.tile_rows(tile.ty);
-        assert_eq!((tile.width, tile.height), (cols.len(), rows.len()), "tile extent mismatch");
-        for (j, row) in rows.clone().enumerate() {
-            grid.row_mut(row)[cols.start..cols.end].copy_from_slice(tile.row(j));
-        }
-        covered += tile.width * tile.height;
+        assert!(tile.tx < tiling.tiles_x() && tile.ty < tiling.tiles_y(), "tile extent mismatch");
+        by_index[tiling.index_of(tile.tx, tile.ty)] = Some(tile);
     }
-    assert_eq!(covered, tiling.res_x * tiling.res_y, "stitched tiles must cover every pixel");
-    grid
+    assemble(tiling, 0, 0, tiling.res_x, tiling.res_y, |tx, ty| {
+        by_index[tiling.index_of(tx, ty)].expect("stitched tiles must cover every pixel")
+    })
 }
 
 /// Computes the raster through the tile path — partition, per-band sweep,
@@ -590,6 +645,58 @@ mod tests {
             (0..3).map(|i| Tile::new(i % 2, i / 2, 4, 4, vec![0.0; 16])).collect();
         let result = std::panic::catch_unwind(|| stitch(&tiling, &tiles));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn stitch_panics_on_duplicate_tile() {
+        // right count, but (0, 0) twice and (1, 1) never
+        let tiling = Tiling::new(8, 8, 4).unwrap();
+        let tiles: Vec<Tile> = [(0, 0), (1, 0), (0, 1), (0, 0)]
+            .iter()
+            .map(|&(tx, ty)| Tile::new(tx, ty, 4, 4, vec![0.0; 16]))
+            .collect();
+        let result = std::panic::catch_unwind(|| stitch(&tiling, &tiles));
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn stitch_panics_on_tile_outside_the_tiling() {
+        let tiling = Tiling::new(8, 4, 4).unwrap();
+        let tiles = vec![Tile::new(0, 0, 4, 4, vec![0.0; 16]), Tile::new(2, 0, 0, 4, Vec::new())];
+        let result = std::panic::catch_unwind(|| stitch(&tiling, &tiles));
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn assembled_windows_match_monolithic_crops_bitwise() {
+        // 23 × 17 in tiles of 5: the last column and row are clipped
+        let (params, pts) = setup(23, 17, 9.0);
+        let mono = sweep_bucket::compute(&params, &pts).unwrap();
+        let tiling = Tiling::new(23, 17, 5).unwrap();
+        let tiles = compute_tiles(&params, &pts, 5).unwrap();
+        let mut windows = vec![(0, 0, 23, 17), (22, 16, 1, 1), (5, 10, 5, 5), (20, 15, 3, 2)];
+        windows.extend((0..5).flat_map(|x| (0..5).map(move |y| (5 + x, y, 11 - x, 9 + y))));
+        for (px, py, width, height) in windows {
+            let grid =
+                assemble(&tiling, px, py, width, height, |tx, ty| &tiles[tiling.index_of(tx, ty)]);
+            assert_eq!((grid.res_x(), grid.res_y()), (width, height));
+            for j in 0..height {
+                assert_eq!(grid.row(j), &mono.row(py + j)[px..px + width], "({px}, {py}) row {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn assemble_rejects_windows_outside_the_raster() {
+        let tiling = Tiling::new(8, 8, 4).unwrap();
+        let tile = Tile::new(0, 0, 4, 4, vec![0.0; 16]);
+        for (px, py, width, height) in
+            [(0, 0, 0, 1), (0, 0, 9, 1), (7, 0, 2, 1), (usize::MAX, 0, 2, 1)]
+        {
+            let result =
+                std::panic::catch_unwind(|| assemble(&tiling, px, py, width, height, |_, _| &tile));
+            assert!(result.is_err(), "({px}, {py}, {width}, {height})");
+        }
     }
 
     #[test]

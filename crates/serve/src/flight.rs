@@ -16,10 +16,15 @@
 //! adequately sized cache however many threads hammer the server, which
 //! `ci.sh serve-load` (frozen sets) and the live hammer test (streaming
 //! sets) both assert.
+//!
+//! Every lock here recovers from poisoning: each critical section is one
+//! insert, remove or slot write, so the guarded state is consistent
+//! whenever the lock is free, and a panic on one request's thread must
+//! not fail every later request that touches the same table.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use kdv_core::{KdvError, Result};
 
@@ -37,7 +42,7 @@ impl<T: Clone> Flight<T> {
 
     /// Publishes the leader's result exactly once and wakes all waiters.
     pub fn publish(&self, result: Result<T>) {
-        let mut slot = self.slot.lock().expect("flight poisoned");
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(result);
         }
@@ -47,9 +52,9 @@ impl<T: Clone> Flight<T> {
     /// Blocks until the leader publishes, then returns a clone of the
     /// result.
     pub fn wait(&self) -> Result<T> {
-        let mut slot = self.slot.lock().expect("flight poisoned");
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         while slot.is_none() {
-            slot = self.done.wait(slot).expect("flight poisoned");
+            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
         slot.as_ref().expect("published").clone()
     }
@@ -122,7 +127,7 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
         use std::collections::hash_map::Entry;
         let mut lead = Vec::new();
         let mut join = Vec::new();
-        let mut map = self.inflight.lock().expect("inflight table poisoned");
+        let mut map = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         for key in keys {
             match map.entry(key.clone()) {
                 Entry::Occupied(e) => {
@@ -143,7 +148,7 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
     /// Removes a finished flight from the in-flight table (waiters that
     /// already hold the `Arc` still read its published result).
     pub fn deregister(&self, key: &K) {
-        self.inflight.lock().expect("inflight table poisoned").remove(key);
+        self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(key);
     }
 
     /// Retires a key from the ever-computed set: its result was
@@ -151,14 +156,14 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
     /// a newer generation retires the stale generation), so a later
     /// recompute of it is legitimate work, not a dedup failure.
     pub fn forget(&self, key: &K) {
-        self.computed.lock().expect("computed set poisoned").remove(key);
+        self.computed.lock().unwrap_or_else(PoisonError::into_inner).remove(key);
     }
 
     /// Records that `key` was computed, bumping the computed counter and
     /// — if this table had already recorded the same key — the duplicate
     /// counter. Returns whether it was a duplicate.
     pub fn record_computed(&self, key: K) -> bool {
-        let duplicate = !self.computed.lock().expect("computed set poisoned").insert(key);
+        let duplicate = !self.computed.lock().unwrap_or_else(PoisonError::into_inner).insert(key);
         self.stats.computed.bump();
         let metrics = kdv_obs::metrics::global();
         metrics.counter("serve.band.computed").bump();
@@ -258,5 +263,47 @@ mod tests {
         // the flight is deregistered, so the key can be claimed afresh
         let (lead2, join2) = table.claim(&[9]);
         assert_eq!((lead2.len(), join2.len()), (1, 0));
+    }
+
+    /// Poisons `mutex` by panicking on a thread that holds it.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = mutex.lock();
+                panic!("holder panics with the lock held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_slot_still_publishes_and_waits() {
+        let flight: Flight<u64> = Flight::new();
+        poison(&flight.slot);
+        flight.publish(Ok(5));
+        assert_eq!(flight.wait().unwrap(), 5);
+    }
+
+    #[test]
+    fn poisoned_inflight_table_still_claims_and_deregisters() {
+        let table: FlightTable<u32, u64> = FlightTable::new();
+        poison(&table.inflight);
+        let (lead, join) = table.claim(&[1]);
+        assert_eq!((lead.len(), join.len()), (1, 0));
+        assert_eq!(table.claim(&[1]).1.len(), 1, "key 1 is in flight");
+        table.lease(1, &lead[0].1).complete(Ok(10));
+        assert_eq!(table.claim(&[1]).0.len(), 1, "completed flight was deregistered");
+    }
+
+    #[test]
+    fn poisoned_computed_set_still_records_and_forgets() {
+        let table: FlightTable<u32, u64> = FlightTable::new();
+        poison(&table.computed);
+        assert!(!table.record_computed(3));
+        assert!(table.record_computed(3));
+        table.forget(&3);
+        assert!(!table.record_computed(3), "a forgotten key is fresh work");
+        assert_eq!(table.stats().duplicate_computes(), 1);
     }
 }

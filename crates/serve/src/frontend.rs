@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -169,16 +169,23 @@ impl Ticket {
 
     /// Blocks until the request completes and returns its outcome.
     pub fn wait(self) -> ServeResult {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
+        let mut slot = lock(&self.state.slot);
         while slot.is_none() {
-            slot = self.state.done.wait(slot).expect("ticket poisoned");
+            slot = self.state.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
         slot.take().expect("completed")
     }
 }
 
+/// Locks a front-end mutex, recovering it if a holder panicked: every
+/// critical section here is a single push, pop, drain or slot write, so
+/// the guarded state is consistent whenever the lock is free.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn complete(state: &TicketState, result: ServeResult) {
-    let mut slot = state.slot.lock().expect("ticket poisoned");
+    let mut slot = lock(&state.slot);
     *slot = Some(result);
     state.done.notify_all();
 }
@@ -269,7 +276,7 @@ impl Frontend {
             return Err(ServeError::Closed);
         }
         let depth = self.inner.config.queue_depth.max(1);
-        let mut queue = self.inner.queue.lock().expect("front-end queue poisoned");
+        let mut queue = lock(&self.inner.queue);
         if queue.len() >= depth {
             self.inner.stats.shed_queue_full.bump();
             kdv_obs::metrics::global().counter("serve.shed.queue_full").bump();
@@ -302,7 +309,7 @@ impl Drop for Frontend {
         }
         // Workers are gone; fail anything still queued so no submitter
         // blocks on a ticket nobody will complete.
-        let mut queue = self.inner.queue.lock().expect("front-end queue poisoned");
+        let mut queue = lock(&self.inner.queue);
         for job in queue.drain(..) {
             complete(&job.ticket, Err(ServeError::Closed));
         }
@@ -312,7 +319,7 @@ impl Drop for Frontend {
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut queue = inner.queue.lock().expect("front-end queue poisoned");
+            let mut queue = lock(&inner.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break job;
@@ -320,7 +327,7 @@ fn worker_loop(inner: &Inner) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                queue = inner.not_empty.wait(queue).expect("front-end queue poisoned");
+                queue = inner.not_empty.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let waited = job.submitted.elapsed();
@@ -477,5 +484,37 @@ mod tests {
         let inner = Arc::clone(&fe.inner);
         drop(fe);
         assert!(inner.shutdown.load(Ordering::Acquire));
+    }
+
+    /// Poisons `mutex` by panicking on a thread that holds it.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = mutex.lock();
+                panic!("holder panics with the lock held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_queue_keeps_serving() {
+        let fe =
+            Frontend::new(server(), FrontendConfig { workers: 1, ..FrontendConfig::default() });
+        poison(&fe.inner.queue);
+        let vp = Viewport { zoom: 0, px: 0, py: 0, width: 20, height: 20 };
+        for _ in 0..3 {
+            fe.serve(vp).expect("a poisoned queue must keep serving");
+        }
+        assert_eq!(fe.stats().completed(), 3);
+    }
+
+    #[test]
+    fn poisoned_ticket_still_completes() {
+        let (ticket, state) = Ticket::new();
+        poison(&state.slot);
+        complete(&state, Err(ServeError::Closed));
+        assert_eq!(ticket.wait().unwrap_err(), ServeError::Closed);
     }
 }

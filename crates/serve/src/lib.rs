@@ -10,9 +10,13 @@
 //!   probation and a hit protects them, so the band bursts of a
 //!   deep-zoom excursion (band prefetch inserts whole tile rows) evict
 //!   each other rather than the panned working set.
-//! * [`server`] — viewport assembly; misses compute whole tile row bands
+//! * [`server`] — viewport serving; misses compute whole tile row bands
 //!   with `kdv_core::tile::compute_band`, so one miss prefetches the
-//!   band's horizontal neighbours.
+//!   band's horizontal neighbours. Both servers collect a request's
+//!   tiles in a dense table over its tile window and assemble the
+//!   response with `kdv_core::tile::assemble`, which writes each pixel
+//!   once into an unzeroed buffer: a request whose tiles are all cached
+//!   costs one copy of its pixels.
 //! * [`trace`] — recorded viewport sequences (v1 single-stream, v2
 //!   multi-session with think times) for `kdv serve --batch` replay and
 //!   the tile benchmarks.

@@ -65,7 +65,7 @@ use kdv_stream::{fold_batches, StreamSnapshot, StreamingPointSet};
 use crate::cache::{CacheStats, TileCache, TileKey, TileTier};
 use crate::flight::{Flight, FlightStats, FlightTable};
 use crate::pyramid::{PyramidSpec, TileCoord, Viewport};
-use crate::server::{OverviewConfig, ServeConfig, TierInfo};
+use crate::server::{OverviewConfig, ServeConfig, TierInfo, TileWindow};
 
 /// Streaming-specific configuration.
 #[derive(Debug, Clone, Copy)]
@@ -469,16 +469,13 @@ impl LiveTileServer {
         threads: usize,
     ) -> Result<(DensityGrid, SweepReport, TierInfo)> {
         let started = Instant::now();
-        let mut span = kdv_obs::span2(
-            "serve.viewport",
-            "zoom",
-            viewport.zoom as u64,
-            "pixels",
-            (viewport.width * viewport.height) as u64,
-        );
+        let mut span = kdv_obs::span1("serve.viewport", "zoom", viewport.zoom as u64);
         let vp = viewport
             .clamped(&self.pyramid)
             .ok_or(KdvError::EmptyResolution { x: viewport.width, y: viewport.height })?;
+        // The clamped window's size: the request's own `width × height`
+        // is untrusted and may overflow.
+        span.arg("pixels", vp.num_pixels() as u64);
         let snapshot = self.snapshot();
         let generation = snapshot.generation();
         span.arg("generation", generation);
@@ -493,30 +490,27 @@ impl LiveTileServer {
             })
             .bump();
         let tiling = self.pyramid.level_tiling(vp.zoom);
-        let tile_size = self.pyramid.tile_size;
-        let want_cols = vp.tile_cols(tile_size);
-        let want_rows = vp.tile_rows(tile_size);
+        let mut window = TileWindow::new(&vp, self.pyramid.tile_size);
 
         // Decide per band: fresh (cached at this generation), patchable
         // (cached at an older generation of this epoch), or cold.
         let registry: HashMap<usize, u64> = {
             let reg = self.band_gens.lock().expect("band registry poisoned");
-            want_rows.clone().filter_map(|ty| reg.get(&(vp.zoom, ty)).map(|&g| (ty, g))).collect()
+            window.rows().filter_map(|ty| reg.get(&(vp.zoom, ty)).map(|&g| (ty, g))).collect()
         };
-        let mut tiles: HashMap<(usize, usize), Arc<Tile>> = HashMap::new();
         let mut work: Vec<(usize, BandPlan)> = Vec::new();
         let (mut req_hits, mut req_misses) = (0u64, 0u64);
-        for ty in want_rows.clone() {
+        for ty in window.rows() {
             match registry.get(&ty) {
                 Some(&g) if g == generation => {
                     // Expect cached tiles at the current generation:
                     // counting lookups, like any warm request.
                     let mut evicted = false;
-                    for tx in want_cols.clone() {
+                    for tx in window.cols() {
                         match self.cache.get(&self.key(vp.zoom, tx, ty, generation)) {
                             Some(tile) => {
                                 req_hits += 1;
-                                tiles.insert((tx, ty), tile);
+                                window.put(tile);
                             }
                             None => {
                                 req_misses += 1;
@@ -536,7 +530,7 @@ impl LiveTileServer {
                     work.push((ty, BandPlan::Patch(g)));
                 }
                 _ => {
-                    req_misses += want_cols.len() as u64;
+                    req_misses += window.cols().len() as u64;
                     work.push((ty, BandPlan::Cold));
                 }
             }
@@ -571,47 +565,22 @@ impl LiveTileServer {
                 patched: &req_patched,
             };
 
-            let led: Vec<(usize, Result<Arc<BandTiles>>)> =
+            let led: Vec<Result<Arc<BandTiles>>> =
                 for_each_index_with(lead.len(), threads, LiveScratch::default, |scratch, i| {
                     let ((_, ty, _), ref flight) = lead[i];
                     let plan = plans.get(&ty).expect("claimed band has a plan");
-                    (ty, self.lead_band(&req, ty, plan, flight, scratch))
+                    self.lead_band(&req, ty, plan, flight, scratch)
                 });
 
-            let mut band_results: Vec<(usize, Arc<BandTiles>)> = Vec::with_capacity(keys.len());
-            for (ty, result) in led {
-                band_results.push((ty, result?));
+            for result in led {
+                window.put_band(&result?);
             }
-            for ((_, ty, _), flight) in join {
-                band_results.push((ty, flight.wait()?));
-            }
-            for (_, shared) in band_results {
-                for tile in shared.iter() {
-                    if want_cols.contains(&tile.tx) && want_rows.contains(&tile.ty) {
-                        tiles.insert((tile.tx, tile.ty), Arc::clone(tile));
-                    }
-                }
+            for (_, flight) in join {
+                window.put_band(&flight.wait()?);
             }
         }
 
-        // Assemble the viewport window from tile overlaps.
-        let mut out = DensityGrid::zeroed(vp.width, vp.height);
-        for ty in want_rows.clone() {
-            let rows = tiling.tile_rows(ty);
-            for tx in want_cols.clone() {
-                let cols = tiling.tile_cols(tx);
-                let tile = &tiles[&(tx, ty)];
-                let x0 = vp.px.max(cols.start);
-                let x1 = (vp.px + vp.width).min(cols.end);
-                let y0 = vp.py.max(rows.start);
-                let y1 = (vp.py + vp.height).min(rows.end);
-                for y in y0..y1 {
-                    let src = tile.row(y - rows.start);
-                    out.row_mut(y - vp.py)[x0 - vp.px..x1 - vp.px]
-                        .copy_from_slice(&src[x0 - cols.start..x1 - cols.start]);
-                }
-            }
-        }
+        let out = window.assemble(&tiling, &vp);
 
         let mut report = SweepReport::from_workers(Vec::new(), vp.height, 0)
             .with_cache_counters(req_hits, req_misses, req_evictions.load(Ordering::Relaxed))

@@ -26,7 +26,7 @@
 //! cache the duplicate counter stays at zero however many threads hammer
 //! the server, which `ci.sh serve-load` asserts.
 
-use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -36,7 +36,7 @@ use kdv_core::envelope::EnvelopeBuffer;
 use kdv_core::parallel::for_each_index_with;
 use kdv_core::sweep_bucket::BucketSweep;
 use kdv_core::telemetry::SweepReport;
-use kdv_core::tile::{compute_band, compute_band_weighted, Tile, Tiling};
+use kdv_core::tile::{self, compute_band, compute_band_weighted, Tile, Tiling};
 use kdv_core::weighted::WeightedWorkspace;
 use kdv_core::{DensityGrid, KdvError, KernelType, Point, Result};
 use kdv_coreset::{Coreset, CoresetMethod, CoresetSpec};
@@ -376,16 +376,13 @@ impl TileServer {
         threads: usize,
     ) -> Result<(DensityGrid, SweepReport, TierInfo)> {
         let started = Instant::now();
-        let mut span = kdv_obs::span2(
-            "serve.viewport",
-            "zoom",
-            viewport.zoom as u64,
-            "pixels",
-            (viewport.width * viewport.height) as u64,
-        );
+        let mut span = kdv_obs::span1("serve.viewport", "zoom", viewport.zoom as u64);
         let vp = viewport
             .clamped(&self.pyramid)
             .ok_or(KdvError::EmptyResolution { x: viewport.width, y: viewport.height })?;
+        // The clamped window's size: the request's own `width × height`
+        // is untrusted and may overflow.
+        span.arg("pixels", vp.num_pixels() as u64);
         let tier_info = self.tier_info(vp.zoom);
         {
             let _s = kdv_obs::span2(
@@ -403,25 +400,25 @@ impl TileServer {
                 .bump();
         }
         let tiling = self.pyramid.level_tiling(vp.zoom);
-        let tile_size = self.pyramid.tile_size;
-        let want_cols = vp.tile_cols(tile_size);
-        let want_rows = vp.tile_rows(tile_size);
 
         // Look every needed tile up first, counting this request's own
-        // hits and misses; group the misses by row band.
-        let mut tiles: HashMap<(usize, usize), Arc<Tile>> = HashMap::new();
-        let mut missing_bands: BTreeSet<usize> = BTreeSet::new();
+        // hits and misses; collect the misses' row bands (ascending, as
+        // the lookup walks the rows in order).
+        let mut window = TileWindow::new(&vp, self.pyramid.tile_size);
+        let mut missing_bands: Vec<usize> = Vec::new();
         let (mut req_hits, mut req_misses) = (0u64, 0u64);
-        for ty in want_rows.clone() {
-            for tx in want_cols.clone() {
+        for ty in window.rows() {
+            for tx in window.cols() {
                 match self.cache.get(&self.key(vp.zoom, tx, ty)) {
                     Some(tile) => {
                         req_hits += 1;
-                        tiles.insert((tx, ty), tile);
+                        window.put(tile);
                     }
                     None => {
                         req_misses += 1;
-                        missing_bands.insert(ty);
+                        if missing_bands.last() != Some(&ty) {
+                            missing_bands.push(ty);
+                        }
                     }
                 }
             }
@@ -443,50 +440,28 @@ impl TileServer {
 
             // Compute the bands this request leads, in parallel, each
             // publishing to its flight as soon as it finishes.
-            let led: Vec<(usize, Arc<BandTiles>)> = for_each_index_with(
+            let led: Vec<Arc<BandTiles>> = for_each_index_with(
                 lead.len(),
                 threads,
                 || self.band_scratch(vp.zoom, ctx.points.len()),
                 |scratch, i| {
                     let ((_, ty), ref flight) = lead[i];
-                    let shared = self.lead_band(&req, ty, flight, scratch);
-                    (ty, shared)
+                    self.lead_band(&req, ty, flight, scratch)
                 },
             );
 
-            // Collect led results, then wait for the flights other
-            // requests are computing on this request's behalf.
-            let mut band_results: Vec<(usize, Arc<BandTiles>)> = led;
-            for ((_, ty), flight) in join {
-                band_results.push((ty, flight.wait()?));
+            // Take the window's tiles from the led results, then wait for
+            // the flights other requests are computing on this request's
+            // behalf.
+            for shared in &led {
+                window.put_band(shared);
             }
-            for (_, shared) in band_results {
-                for tile in shared.iter() {
-                    if want_cols.contains(&tile.tx) && want_rows.contains(&tile.ty) {
-                        tiles.insert((tile.tx, tile.ty), Arc::clone(tile));
-                    }
-                }
+            for (_, flight) in join {
+                window.put_band(&flight.wait()?);
             }
         }
 
-        // Assemble the viewport window from tile overlaps.
-        let mut out = DensityGrid::zeroed(vp.width, vp.height);
-        for ty in want_rows.clone() {
-            let rows = tiling.tile_rows(ty);
-            for tx in want_cols.clone() {
-                let cols = tiling.tile_cols(tx);
-                let tile = &tiles[&(tx, ty)];
-                let x0 = vp.px.max(cols.start);
-                let x1 = (vp.px + vp.width).min(cols.end);
-                let y0 = vp.py.max(rows.start);
-                let y1 = (vp.py + vp.height).min(rows.end);
-                for y in y0..y1 {
-                    let src = tile.row(y - rows.start);
-                    out.row_mut(y - vp.py)[x0 - vp.px..x1 - vp.px]
-                        .copy_from_slice(&src[x0 - cols.start..x1 - cols.start]);
-                }
-            }
-        }
+        let out = window.assemble(&tiling, &vp);
 
         let mut report = SweepReport::from_workers(Vec::new(), vp.height, 0)
             .with_cache_counters(req_hits, req_misses, req_evictions.load(Ordering::Relaxed))
@@ -524,6 +499,64 @@ struct LeadContext<'a> {
     zoom: u8,
     evictions: &'a AtomicU64,
     rejected: &'a AtomicU64,
+}
+
+/// The tiles one request assembles its viewport from: a dense table
+/// over the viewport's tile window, row-major in `(ty, tx)`. Filled from
+/// cache hits and computed bands, then handed to
+/// [`kdv_core::tile::assemble`]. Shared by [`TileServer`] and
+/// [`crate::live::LiveTileServer`].
+pub(crate) struct TileWindow {
+    cols: Range<usize>,
+    rows: Range<usize>,
+    tiles: Vec<Option<Arc<Tile>>>,
+}
+
+impl TileWindow {
+    /// An empty window over the tiles a clamped viewport intersects.
+    pub(crate) fn new(vp: &Viewport, tile_size: usize) -> Self {
+        let (cols, rows) = (vp.tile_cols(tile_size), vp.tile_rows(tile_size));
+        Self { tiles: vec![None; cols.len() * rows.len()], cols, rows }
+    }
+
+    /// Tile columns of the window.
+    pub(crate) fn cols(&self) -> Range<usize> {
+        self.cols.clone()
+    }
+
+    /// Tile rows (bands) of the window.
+    pub(crate) fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    fn slot(&self, tx: usize, ty: usize) -> usize {
+        (ty - self.rows.start) * self.cols.len() + (tx - self.cols.start)
+    }
+
+    /// Stores a tile of the window.
+    pub(crate) fn put(&mut self, tile: Arc<Tile>) {
+        let slot = self.slot(tile.tx, tile.ty);
+        self.tiles[slot] = Some(tile);
+    }
+
+    /// Stores the tiles of a computed band that fall inside the window.
+    pub(crate) fn put_band(&mut self, band: &[Arc<Tile>]) {
+        for tile in band {
+            if self.cols.contains(&tile.tx) && self.rows.contains(&tile.ty) {
+                self.put(Arc::clone(tile));
+            }
+        }
+    }
+
+    /// Assembles the viewport from the window's tiles.
+    ///
+    /// # Panics
+    /// Panics if a tile the viewport overlaps was never stored.
+    pub(crate) fn assemble(&self, tiling: &Tiling, vp: &Viewport) -> DensityGrid {
+        tile::assemble(tiling, vp.px, vp.py, vp.width, vp.height, |tx, ty| {
+            self.tiles[self.slot(tx, ty)].as_deref().expect("every window tile is served")
+        })
+    }
 }
 
 #[cfg(test)]
