@@ -45,13 +45,6 @@
 #                      feed replay through the CLI, and the quick
 #                      conformance matrix (three streaming pairs
 #                      included)
-#   ./ci.sh simd       SIMD dispatch gate: bench_simd (scalar vs f64x4
-#                      A/B with the >=2x fill+emit speedup assertion and
-#                      bitwise grid equality, appended to
-#                      results/BENCH_simd.json), the forced-scalar vs
-#                      auto subprocess dispatch tests, the simd unit
-#                      suite, and the quick conformance matrix (three
-#                      scalar-vs-vector oracle pairs included)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -135,21 +128,6 @@ if [[ "${1:-}" == "coreset" ]]; then
     echo "==> bench results smoke test"
     cargo test -q --test bench_results
     echo "==> CORESET OK"
-    exit 0
-fi
-
-if [[ "${1:-}" == "simd" ]]; then
-    echo "==> bench_simd (bitwise + >=2x fill+emit speedup assertions)"
-    cargo run --release -p kdv-bench --bin bench_simd -- --scale 0.001 --res 1280x960
-    echo "==> forced-scalar vs auto dispatch subprocess tests"
-    cargo test -q --test simd_dispatch
-    echo "==> simd unit suite (lanes, clamp, bitwise emit/fill pairs)"
-    cargo test -q -p kdv-core --lib simd
-    echo "==> quick conformance matrix (includes scalar-vs-vector pairs)"
-    cargo run --release -p kdv-conformance -- --quick
-    echo "==> bench results smoke test"
-    cargo test -q --test bench_results
-    echo "==> SIMD OK"
     exit 0
 fi
 

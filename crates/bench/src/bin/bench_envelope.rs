@@ -3,10 +3,7 @@
 //! For each bandwidth, times (a) extraction alone over every raster row —
 //! `O(Y·n)` for the scan vs `O(Y·(log n + |E(k)|))` for the banded index —
 //! and (b) the end-to-end SLAM_BUCKET raster through both extraction
-//! paths. A third instrumented pass records the per-phase span totals
-//! (`envelope.fill_simd`, `emit.simd`) with the dispatch forced to the
-//! scalar and the `f64x4` path in turn, so the JSON carries the emit loop
-//! as its own phase alongside the wall-clock totals. Emits
+//! paths, asserting the two rasters are bitwise identical. Emits
 //! `BENCH_envelope.json` into the output directory (`--out`, default
 //! `results/`).
 //!
@@ -44,30 +41,6 @@ struct Row {
     extract_banded_s: f64,
     total_scan_s: f64,
     total_banded_s: f64,
-    fill_scalar_s: f64,
-    emit_scalar_s: f64,
-    fill_simd_s: f64,
-    emit_simd_s: f64,
-}
-
-/// One instrumented banded raster with the SIMD dispatch pinned to
-/// `mode`; returns the (`envelope.fill_simd`, `emit.simd`) span totals in
-/// seconds — the phase attribution the wall-clock columns can't give.
-fn phase_secs(params: &KdvParams, points: &[Point], mode: kdv_core::simd::SimdMode) -> (f64, f64) {
-    kdv_core::simd::with_mode(mode, || {
-        kdv_obs::span::clear();
-        kdv_obs::set_enabled(true);
-        let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
-        sweep_grid(params, points, &mut engine).expect("sweep must succeed");
-        kdv_obs::set_enabled(false);
-        let trace = kdv_obs::span::take_trace();
-        kdv_obs::span::clear();
-        let sum = |name: &str| -> f64 {
-            trace.events.iter().filter(|e| e.name == name).map(|e| e.dur_ns).sum::<u64>() as f64
-                / 1e9
-        };
-        (sum("envelope.fill_simd"), sum("emit.simd"))
-    })
 }
 
 fn main() {
@@ -85,15 +58,8 @@ fn main() {
         grid.res_y
     );
     println!(
-        "{:>10} {:>12} {:>14} {:>14} {:>12} {:>12} {:>12} {:>12}",
-        "bandwidth",
-        "mean|E(k)|",
-        "extract scan",
-        "extract band",
-        "total scan",
-        "total band",
-        "emit scalar",
-        "emit f64x4"
+        "{:>10} {:>12} {:>14} {:>14} {:>12} {:>12}",
+        "bandwidth", "mean|E(k)|", "extract scan", "extract band", "total scan", "total band"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -132,22 +98,15 @@ fn main() {
         });
         assert_eq!(banded_grid, reference, "banded output must be bitwise identical");
 
-        let (fill_scalar_s, emit_scalar_s) =
-            phase_secs(&params, &points, kdv_core::simd::SimdMode::Scalar);
-        let (fill_simd_s, emit_simd_s) =
-            phase_secs(&params, &points, kdv_core::simd::SimdMode::Vector);
-
         let mean_band = total_intervals as f64 / grid.res_y as f64;
         println!(
-            "{:>10.0} {:>12.1} {:>13.2}ms {:>13.2}ms {:>11.2}ms {:>11.2}ms {:>10.2}ms {:>10.2}ms",
+            "{:>10.0} {:>12.1} {:>13.2}ms {:>13.2}ms {:>11.2}ms {:>11.2}ms",
             bandwidth,
             mean_band,
             extract_scan_s * 1e3,
             extract_banded_s * 1e3,
             total_scan_s * 1e3,
-            total_banded_s * 1e3,
-            emit_scalar_s * 1e3,
-            emit_simd_s * 1e3
+            total_banded_s * 1e3
         );
         rows.push(Row {
             bandwidth,
@@ -156,10 +115,6 @@ fn main() {
             extract_banded_s,
             total_scan_s,
             total_banded_s,
-            fill_scalar_s,
-            emit_scalar_s,
-            fill_simd_s,
-            emit_simd_s,
         });
     }
 
@@ -172,17 +127,13 @@ fn main() {
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"bandwidth\": {}, \"mean_band\": {:.2}, \"extract_scan_s\": {:.6}, \"extract_banded_s\": {:.6}, \"total_scan_s\": {:.6}, \"total_banded_s\": {:.6}, \"fill_scalar_s\": {:.6}, \"emit_scalar_s\": {:.6}, \"fill_simd_s\": {:.6}, \"emit_simd_s\": {:.6}}}{}\n",
+            "    {{\"bandwidth\": {}, \"mean_band\": {:.2}, \"extract_scan_s\": {:.6}, \"extract_banded_s\": {:.6}, \"total_scan_s\": {:.6}, \"total_banded_s\": {:.6}}}{}\n",
             r.bandwidth,
             r.mean_band,
             r.extract_scan_s,
             r.extract_banded_s,
             r.total_scan_s,
             r.total_banded_s,
-            r.fill_scalar_s,
-            r.emit_scalar_s,
-            r.fill_simd_s,
-            r.emit_simd_s,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

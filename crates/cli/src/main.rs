@@ -43,10 +43,10 @@ USAGE:
   kdv generate --city <seattle|la|ny|sf> [--scale F] [--out FILE.csv]
   kdv render   --input FILE.csv [--res WxH] [--kernel K] [--bandwidth B]
                [--method M] [--colormap C] [--scale-mode S] [--out FILE.ppm] [--ascii]
-               [--threads N] [--simd scalar|auto] [--stats]
+               [--threads N] [--stats]
                [--trace-out FILE] [--metrics-out FILE]
   kdv bench    --input FILE.csv --method M [--res WxH] [--kernel K] [--bandwidth B]
-               [--threads N] [--simd scalar|auto] [--stats]
+               [--threads N] [--stats]
                [--trace-out FILE] [--metrics-out FILE]
   kdv hotspots --input FILE.csv [--res WxH] [--kernel K] [--bandwidth B]
                [--peak-fraction F] [--top N]
@@ -78,11 +78,6 @@ OPTIONS:
   --scale-mode   linear | sqrt | log                     (default sqrt)
   --threads      sweep worker threads; 0 or omitted = all cores
                  (SLAM methods, stkdv and serve)
-  --simd         scalar | auto: force the density-emit/envelope-fill
-                 hot loops onto the portable scalar path, or (default)
-                 use the f64x4 lanes when the CPU supports them; both
-                 paths are bitwise identical. KDV_SIMD=scalar|auto is
-                 the environment equivalent (the flag wins)
   --stats        print the sweep telemetry report (SLAM methods only);
                  with --trace-out/--metrics-out also prints a per-phase
                  span summary table
@@ -507,20 +502,6 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         city.name(),
         out.display()
     );
-    Ok(())
-}
-
-/// Applies `--simd scalar|auto` to the process-wide SIMD dispatch
-/// (`scalar` forces the portable path, `auto` restores runtime feature
-/// detection). Overrides the `KDV_SIMD` environment variable; omitted
-/// means the environment/startup resolution stands.
-fn apply_simd_flag(args: &Args) -> Result<(), String> {
-    match args.get("simd") {
-        Some("scalar") => kdv_core::simd::set_override(Some(kdv_core::simd::SimdMode::Scalar)),
-        Some("auto") => kdv_core::simd::set_override(None),
-        Some(other) => return Err(format!("bad --simd '{other}' (scalar|auto)")),
-        None => {}
-    }
     Ok(())
 }
 
@@ -1187,7 +1168,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let args = Args::parse(&argv[1..]);
-    let result = apply_simd_flag(&args).and_then(|()| match cmd.as_str() {
+    let result = match cmd.as_str() {
         "generate" => cmd_generate(&args),
         "render" => cmd_render(&args),
         "bench" => cmd_bench(&args),
@@ -1200,7 +1181,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    });
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1260,5 +1241,16 @@ mod tests {
         assert_eq!(parse_res("1X2").unwrap(), (1, 2));
         assert!(parse_res("320").is_err());
         assert!(parse_res("ax2").is_err());
+    }
+
+    /// A resolution whose pixel count overflows `usize` parses, but the
+    /// grid rejects it with an error instead of the render aborting in the
+    /// allocator.
+    #[test]
+    fn oversized_resolution_is_an_error_not_an_abort() {
+        let (rx, ry) = parse_res("4294967296x4294967296").unwrap();
+        let region = kdv_core::Rect::new(0.0, 0.0, 1.0, 1.0);
+        let err = GridSpec::new(region, rx, ry).map_err(|e| e.to_string()).unwrap_err();
+        assert!(err.contains("4294967296x4294967296"), "{err}");
     }
 }

@@ -23,8 +23,6 @@
 //! | NKDV forward augmentation | per-lixel Dijkstra | network ULPs |
 //! | stitched tiles | monolithic SLAM_BUCKET | bitwise |
 //! | instrumented bucket | same sweep, recorder off | bitwise |
-//! | f64x4 emit (bucket / sort) | forced-scalar twin | bitwise |
-//! | f64x4 envelope fill | forced-scalar twin | bitwise |
 //! | coreset grid / coreset sort | SCAN | error bound (advertised ε) |
 //! | coreset overview serve | SCAN | error bound (advertised ε) |
 //! | coreset deep zoom | monolithic SLAM_BUCKET | bitwise |
@@ -39,11 +37,9 @@
 
 use kdv_baselines::AnyMethod;
 use kdv_core::driver::KdvParams;
-use kdv_core::envelope::{BandIndex, EnvelopeBuffer};
 use kdv_core::parallel::{
     compute_parallel, compute_parallel_rao, compute_weighted_parallel, ParallelEngine,
 };
-use kdv_core::simd::{with_mode, SimdMode};
 use kdv_core::weighted::{compute_weighted, weighted_scan};
 use kdv_core::{multi_bandwidth, rao, sweep_bucket, KdvEngine, Method, Rect};
 use kdv_coreset::{CoresetMethod, CoresetSpec};
@@ -61,7 +57,7 @@ use crate::case::{CaseSpec, SplitMix64};
 use crate::tolerance::{compare, unit_kernel_peak, Comparison, Policy};
 
 /// Names of every pair in the registry, in execution order.
-pub const PAIR_NAMES: [&str; 30] = [
+pub const PAIR_NAMES: [&str; 27] = [
     "SLAM_SORT vs SCAN",
     "SLAM_BUCKET vs SCAN",
     "SLAM_SORT^(RAO) vs SCAN",
@@ -82,9 +78,6 @@ pub const PAIR_NAMES: [&str; 30] = [
     "NKDV forward vs Dijkstra",
     "stitched tiles vs monolithic",
     "instrumented bucket vs plain",
-    "simd emit vs scalar emit (bucket)",
-    "simd emit vs scalar emit (sort)",
-    "simd envelope fill vs scalar",
     "coreset grid vs SCAN (ε-bound)",
     "coreset sort vs SCAN (ε-bound)",
     "coreset overview serve vs SCAN (ε-bound)",
@@ -298,45 +291,6 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
         }
     });
 
-    // --- SIMD lane layer vs forced-scalar twins (bitwise) ------------------
-    // The f64x4 emit and envelope-fill paths mirror the scalar expression
-    // trees op for op, so forcing the dispatch either way must produce the
-    // identical raster. On hardware without the vector ISA `with_mode`
-    // clamps Vector to Scalar and the pairs hold trivially — that clamp is
-    // itself part of the contract (never execute an unsupported path).
-    for (idx, engine) in [(20usize, Method::SlamBucket), (21, Method::SlamSort)] {
-        out.push({
-            let scalar =
-                with_mode(SimdMode::Scalar, || KdvEngine::new(engine).compute(&params, pts));
-            let vector =
-                with_mode(SimdMode::Vector, || KdvEngine::new(engine).compute(&params, pts));
-            match (vector, scalar) {
-                (Ok(v), Ok(s)) => ok(PAIR_NAMES[idx], Policy::Bitwise, v.values(), s.values()),
-                (v, s) => fail(PAIR_NAMES[idx], two_errors(v.err(), s.err())),
-            }
-        });
-    }
-    out.push({
-        let fill_rows = |mode: SimdMode| {
-            with_mode(mode, || {
-                let index = BandIndex::build(pts);
-                let mut buf = EnvelopeBuffer::for_points(pts.len());
-                let mut flat = Vec::new();
-                for row in 0..params.grid.res_y {
-                    let k = params.grid.pixel_center(0, row).y;
-                    let band = index.band(case.bandwidth, k);
-                    for iv in buf.fill_band(&index, band, case.bandwidth, k) {
-                        flat.extend_from_slice(&[iv.lb, iv.ub, iv.point.x, iv.point.y]);
-                    }
-                }
-                flat
-            })
-        };
-        let scalar = fill_rows(SimdMode::Scalar);
-        let vector = fill_rows(SimdMode::Vector);
-        ok(PAIR_NAMES[22], Policy::Bitwise, &vector, &scalar)
-    });
-
     // --- coreset overview tier vs its certified advertisement --------------
     out.extend(run_coreset(case, &params, &scan));
 
@@ -371,7 +325,7 @@ fn run_coreset(
     let scale =
         kdv_coreset::density_scale(case.kernel, case.bandwidth, case.weight, case.points.len());
 
-    for (idx, method) in [(23usize, CoresetMethod::Grid), (24, CoresetMethod::Sort)] {
+    for (idx, method) in [(20usize, CoresetMethod::Grid), (21, CoresetMethod::Sort)] {
         let spec = CoresetSpec {
             method,
             target_epsilon: rel * scale,
@@ -400,8 +354,8 @@ fn run_coreset(
     let method = match case.coreset_method().parse::<CoresetMethod>() {
         Ok(m) => m,
         Err(e) => {
-            out.push(fail(PAIR_NAMES[25], e.to_string()));
-            out.push(fail(PAIR_NAMES[26], e.to_string()));
+            out.push(fail(PAIR_NAMES[22], e.to_string()));
+            out.push(fail(PAIR_NAMES[23], e.to_string()));
             return out;
         }
     };
@@ -429,8 +383,8 @@ fn run_coreset(
     let server = match server {
         Ok(s) => s,
         Err(e) => {
-            out.push(fail(PAIR_NAMES[25], format!("server: {e}")));
-            out.push(fail(PAIR_NAMES[26], format!("server: {e}")));
+            out.push(fail(PAIR_NAMES[22], format!("server: {e}")));
+            out.push(fail(PAIR_NAMES[23], format!("server: {e}")));
             return out;
         }
     };
@@ -438,13 +392,13 @@ fn run_coreset(
     let vp0 = Viewport { zoom: 0, px: 0, py: 0, width: case.res_x, height: case.res_y };
     out.push(match server.serve_viewport_tiered(&vp0, 2) {
         Ok((g, _, info)) if info.tier == TileTier::Coreset => ok(
-            PAIR_NAMES[25],
+            PAIR_NAMES[22],
             Policy::ErrorBound { epsilon: info.epsilon.unwrap_or(0.0) },
             g.values(),
             scan.values(),
         ),
-        Ok((_, _, info)) => fail(PAIR_NAMES[25], format!("zoom 0 reported tier {:?}", info.tier)),
-        Err(e) => fail(PAIR_NAMES[25], e.to_string()),
+        Ok((_, _, info)) => fail(PAIR_NAMES[22], format!("zoom 0 reported tier {:?}", info.tier)),
+        Err(e) => fail(PAIR_NAMES[22], e.to_string()),
     });
 
     let vp1 = Viewport { zoom: 1, px: 0, py: 0, width: 2 * case.res_x, height: 2 * case.res_y };
@@ -452,12 +406,12 @@ fn run_coreset(
     out.push(
         match (server.serve_viewport_tiered(&vp1, 2), sweep_bucket::compute(&deep, &case.points)) {
             (Ok((g, _, info)), Ok(mono)) if info.tier == TileTier::Exact => {
-                ok(PAIR_NAMES[26], Policy::Bitwise, g.values(), mono.values())
+                ok(PAIR_NAMES[23], Policy::Bitwise, g.values(), mono.values())
             }
             (Ok((_, _, info)), Ok(_)) => {
-                fail(PAIR_NAMES[26], format!("zoom 1 reported tier {:?}", info.tier))
+                fail(PAIR_NAMES[23], format!("zoom 1 reported tier {:?}", info.tier))
             }
-            (g, m) => fail(PAIR_NAMES[26], two_errors(g.err(), m.err())),
+            (g, m) => fail(PAIR_NAMES[23], two_errors(g.err(), m.err())),
         },
     );
     out
@@ -483,7 +437,7 @@ fn run_streaming(case: &CaseSpec, params: &KdvParams) -> Vec<PairResult> {
             )
         })
         .collect();
-    let streaming_pairs = &PAIR_NAMES[27..30];
+    let streaming_pairs = &PAIR_NAMES[24..27];
 
     let pyramid = match PyramidSpec::new(case.region, case.tile_size(), case.res_x, case.res_y, 1) {
         Ok(p) => p,
@@ -547,12 +501,12 @@ fn run_streaming(case: &CaseSpec, params: &KdvParams) -> Vec<PairResult> {
     } else {
         server.append(&appended);
     }
-    out.push(serve_all_zooms(PAIR_NAMES[27]));
+    out.push(serve_all_zooms(PAIR_NAMES[24]));
 
     // expire a third of the live set (at least one point) and re-serve
     let expire = (server.live_len() / 3).max(1);
     server.expire_oldest(expire);
-    out.push(serve_all_zooms(PAIR_NAMES[28]));
+    out.push(serve_all_zooms(PAIR_NAMES[25]));
 
     // the compacted-overview pair: coreset zoom 0, exact zoom 1
     out.push(run_streaming_overview(case, params, &pyramid, serve_config, &appended));
@@ -570,7 +524,7 @@ fn run_streaming_overview(
     serve_config: ServeConfig,
     appended: &[kdv_core::Point],
 ) -> PairResult {
-    let pair = PAIR_NAMES[29];
+    let pair = PAIR_NAMES[26];
     let method = match case.coreset_method().parse::<CoresetMethod>() {
         Ok(m) => m,
         Err(e) => return fail(pair, e.to_string()),

@@ -1,7 +1,7 @@
 //! Bitwise-sensitive raster fingerprints.
 //!
 //! One FNV-1a digest definition shared by every layer that compares
-//! rasters across process or thread boundaries (the SIMD dispatch probe,
+//! rasters across process or thread boundaries (the golden checksums,
 //! the serve replayers): dimensions first, then the raw bit pattern of
 //! every density value, so a single-ULP difference — or a transposed
 //! grid with the same values — changes the digest.

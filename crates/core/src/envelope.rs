@@ -209,13 +209,7 @@ impl EnvelopeBuffer {
     /// of the range satisfies `|k − p.y| ≤ b`, which [`BandIndex::band`]
     /// guarantees; a caller-built band may graze the support boundary, in
     /// which case the underflowed `b² − dy²` is clamped to `+0.0` before
-    /// the square root — identically on the scalar and SIMD paths).
-    ///
-    /// The bound computation runs through [`crate::simd::fill_intervals`]:
-    /// 4 points per iteration with a scalar tail when the `f64x4` path is
-    /// selected, a plain scalar loop otherwise, bitwise identical either
-    /// way. Instrumented with the `envelope.fill_simd` span and the
-    /// `simd.lanes` counter.
+    /// the square root).
     pub fn fill_band(
         &mut self,
         index: &BandIndex,
@@ -227,13 +221,19 @@ impl EnvelopeBuffer {
         let b2 = bandwidth * bandwidth;
         let xs = &index.xs[band.clone()];
         let ys = &index.ys[band];
-        self.intervals.reserve(xs.len());
-        let mut span = kdv_obs::span1("envelope.fill_simd", "points", xs.len() as u64);
-        let lanes = crate::simd::fill_intervals(&mut self.intervals, xs, ys, b2, k);
-        span.arg("lanes", lanes as u64);
-        if kdv_obs::enabled() {
-            kdv_obs::metrics::global().counter("simd.lanes").add(lanes as u64);
-        }
+        // A zip of two slices has an exact length, so `extend` reserves
+        // once and writes without a per-push capacity check.
+        self.intervals.extend(xs.iter().zip(ys).map(|(&x, &y)| {
+            let dy = k - y;
+            // Clamp with an explicit compare, never `f64::max`, whose `-0.0`
+            // choice is representation-defined. For `BandIndex` bands the
+            // membership predicate used the identical arithmetic, so
+            // `rem ≥ +0.0` and the clamp is a bitwise no-op.
+            let rem = b2 - dy * dy;
+            let rem = if rem < 0.0 { 0.0 } else { rem };
+            let half = rem.sqrt();
+            SweepInterval { point: Point::new(x, y), lb: x - half, ub: x + half }
+        }));
         &self.intervals
     }
 
@@ -388,6 +388,45 @@ mod tests {
         assert!(index.band(2.0, 20.0).is_empty());
         assert_eq!(index.band(2.0, 9.0), 0..1);
         assert!(index.space_bytes() >= BandIndex::bytes_for(1));
+    }
+
+    /// Recorded regression: rows grazing the support boundary. When `dy`
+    /// is 1 ulp past `b`, `b² − dy²` rounds to a tiny negative value; the
+    /// fill must clamp it to zero *before* the sqrt (a NaN here poisons the
+    /// interval bounds) and produce the degenerate `lb == ub == x`
+    /// interval.
+    #[test]
+    fn fill_clamps_support_boundary_rows_bitwise() {
+        let b = 5.0_f64;
+        let k = 10.0;
+        let up = f64::from_bits(b.to_bits() + 1); // next_up(b)
+        let down = f64::from_bits(b.to_bits() - 1); // next_down(b)
+        assert!(b * b - up * up < 0.0, "1 ulp past b must underflow negative");
+        // dy = k − y hits exactly b, 1 ulp past it, 1 ulp inside it, and
+        // comfortable interior values.
+        let dys = [b, up, down, 0.5 * b, up, b, down, 1e-9, up];
+        let pts: Vec<Point> = dys
+            .iter()
+            .enumerate()
+            .map(|(i, dy)| Point::new(i as f64 * 3.25 - 7.0, k - dy))
+            .collect();
+        let index = BandIndex::build(&pts);
+        // A caller-built band over every point, past-the-boundary ones too.
+        let mut buf = EnvelopeBuffer::new();
+        let intervals = buf.fill_band(&index, 0..index.len(), b, k);
+        assert_eq!(intervals.len(), pts.len());
+        for (i, iv) in intervals.iter().enumerate() {
+            let p = index.point(i);
+            assert_eq!(iv.point, p, "point {i}");
+            assert!(iv.lb.is_finite() && iv.ub.is_finite(), "point {i} must not be NaN");
+            if k - p.y >= b {
+                // at or past the boundary: degenerate interval at x
+                assert_eq!(iv.lb.to_bits(), p.x.to_bits(), "point {i}");
+                assert_eq!(iv.ub.to_bits(), p.x.to_bits(), "point {i}");
+            } else {
+                assert!(iv.lb < iv.ub, "point {i} strictly inside the support");
+            }
+        }
     }
 
     #[test]

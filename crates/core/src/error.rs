@@ -7,6 +7,9 @@ use std::fmt;
 pub enum KdvError {
     /// The raster must have at least one pixel in each dimension.
     EmptyResolution { x: usize, y: usize },
+    /// The raster's `f64` buffer (`x · y · 8` bytes) is larger than any
+    /// allocation can be.
+    ResolutionTooLarge { x: usize, y: usize },
     /// The bandwidth must be finite and strictly positive.
     InvalidBandwidth(f64),
     /// The query region is degenerate (zero or negative extent).
@@ -33,6 +36,9 @@ impl fmt::Display for KdvError {
         match self {
             KdvError::EmptyResolution { x, y } => {
                 write!(f, "resolution {x}x{y} must be at least 1x1")
+            }
+            KdvError::ResolutionTooLarge { x, y } => {
+                write!(f, "resolution {x}x{y} is too large to allocate")
             }
             KdvError::InvalidBandwidth(b) => {
                 write!(f, "bandwidth {b} must be finite and > 0")

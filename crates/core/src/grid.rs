@@ -21,9 +21,20 @@ pub struct GridSpec {
 
 impl GridSpec {
     /// Creates a grid, validating the resolution and region.
+    ///
+    /// The resolution must have at least one pixel per axis, and its
+    /// density buffer (`res_x · res_y` `f64`s) must fit in an allocation's
+    /// `isize::MAX` bytes: an overflowing size would otherwise reach the
+    /// allocator and abort the process instead of returning an error.
     pub fn new(region: Rect, res_x: usize, res_y: usize) -> Result<Self> {
         if res_x == 0 || res_y == 0 {
             return Err(KdvError::EmptyResolution { x: res_x, y: res_y });
+        }
+        let bytes = res_x
+            .checked_mul(res_y)
+            .and_then(|pixels| pixels.checked_mul(std::mem::size_of::<f64>()));
+        if bytes.is_none_or(|b| b > isize::MAX as usize) {
+            return Err(KdvError::ResolutionTooLarge { x: res_x, y: res_y });
         }
         let (w, h) = (region.width(), region.height());
         if !w.is_finite() || !h.is_finite() || w <= 0.0 || h <= 0.0 {
@@ -191,6 +202,22 @@ mod tests {
         assert!(matches!(GridSpec::new(r, 0, 4), Err(KdvError::EmptyResolution { .. })));
         let deg = Rect::new(0.0, 0.0, 0.0, 1.0);
         assert!(matches!(GridSpec::new(deg, 2, 2), Err(KdvError::DegenerateRegion { .. })));
+    }
+
+    #[test]
+    fn rejects_resolutions_whose_buffer_overflows() {
+        let r = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let too_large =
+            |x, y| matches!(GridSpec::new(r, x, y), Err(KdvError::ResolutionTooLarge { .. }));
+        // `x · y` overflows usize.
+        assert!(too_large(1 << 32, 1 << 32));
+        assert!(too_large(usize::MAX, 2));
+        // `x · y` fits, but `x · y · 8` bytes overflows.
+        assert!(too_large(usize::MAX / 4, 1));
+        // `x · y · 8` fits in usize but exceeds isize::MAX bytes.
+        assert!(too_large(isize::MAX as usize / 8 + 1, 1));
+        // The largest buffer an allocation can describe is accepted.
+        assert!(GridSpec::new(r, isize::MAX as usize / 8, 1).is_ok());
     }
 
     #[test]

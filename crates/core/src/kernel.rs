@@ -86,15 +86,33 @@ impl KernelType {
         bandwidth: f64,
         weight: f64,
     ) -> f64 {
+        self.density_from_moments(q, agg.count as f64, agg, bandwidth, weight)
+    }
+
+    /// The density polynomial: the kernel's closed form over the moments of
+    /// `agg`, with the zeroth moment `n` passed as an `f64`. `n` is
+    /// `|R(q)|` for the unweighted sweeps and `Σ wᵢ` for the weighted
+    /// sweep, whose other moments carry the weights term for term; the
+    /// count field of `agg` is not read. This is the only copy of the
+    /// polynomial in the crate, so every engine evaluates the same float
+    /// program.
+    #[inline(always)]
+    pub(crate) fn density_from_moments(
+        &self,
+        q: &Point,
+        n: f64,
+        agg: &RangeAggregates,
+        bandwidth: f64,
+        weight: f64,
+    ) -> f64 {
         let b2 = bandwidth * bandwidth;
-        let count = agg.count as f64;
         match self {
-            KernelType::Uniform => weight / bandwidth * count,
+            KernelType::Uniform => weight / bandwidth * n,
             KernelType::Epanechnikov => {
                 // F = w|R| − w/b² (|R|·‖q‖² − 2 qᵀA + S)      (Eq. 5)
                 let qn = q.norm_sq();
                 let qta = q.x * agg.ax + q.y * agg.ay;
-                weight * (count - (count * qn - 2.0 * qta + agg.s) / b2)
+                weight * (n - (n * qn - 2.0 * qta + agg.s) / b2)
             }
             KernelType::Quartic => {
                 // Expand Σ (1 − dist²/b²)² = Σ (1 − u/b²)² with
@@ -107,11 +125,10 @@ impl KernelType {
                 let qta = q.x * agg.ax + q.y * agg.ay;
                 let qtc = q.x * agg.cx + q.y * agg.cy;
                 let qmq = q.x * q.x * agg.mxx + 2.0 * q.x * q.y * agg.mxy + q.y * q.y * agg.myy;
-                let sum_u = count * qn - 2.0 * qta + agg.s;
-                let sum_u2 = count * qn * qn + 4.0 * qmq + agg.q4 - 4.0 * qn * qta
-                    + 2.0 * qn * agg.s
+                let sum_u = n * qn - 2.0 * qta + agg.s;
+                let sum_u2 = n * qn * qn + 4.0 * qmq + agg.q4 - 4.0 * qn * qta + 2.0 * qn * agg.s
                     - 4.0 * qtc;
-                weight * (count - 2.0 / b2 * sum_u + sum_u2 / (b2 * b2))
+                weight * (n - 2.0 / b2 * sum_u + sum_u2 / (b2 * b2))
             }
         }
     }

@@ -53,8 +53,8 @@
 //! * [`weighted`] — per-point weights (temporal kernels, event counts).
 //! * [`multi_bandwidth`] — bandwidth-exploration sweeps sharing row scans.
 //! * [`grid_io`] — lossless raster persistence (binary and TSV).
-//! * [`simd`] — runtime-dispatched `f64x4` layer for the density emit and
-//!   envelope fill hot loops, bitwise identical to the scalar paths.
+//! * [`simd`] — the machine's `f64` lane class, reported in the benchmark
+//!   fingerprint (the engines themselves have one scalar row loop).
 //! * [`tile`] — tile-decomposed computation whose stitched output is
 //!   bitwise identical to the monolithic sweep (the compute layer under
 //!   the `kdv-serve` tile cache).

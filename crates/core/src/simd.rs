@@ -1,69 +1,20 @@
-//! Runtime-dispatched `f64x4` SIMD layer for the density emit loop and the
-//! envelope fill (an implementation extension beyond the paper).
+//! Vector-lane label of the running machine, kept for the benchmark
+//! fingerprint.
 //!
-//! Every SLAM engine ends in a per-pixel walk turning the `L − U` running
-//! aggregates into densities, and envelope extraction spends one
-//! `sqrt(b² − dy²)` per band point. Both are pure element-wise polynomial
-//! kernels — embarrassingly vectorizable. This module provides:
-//!
-//! * [`F64x4`] — a dependency-free, array-backed 4-lane `f64` vector whose
-//!   lane ops are `#[inline(always)]` element-wise loops. Instantiated
-//!   inside a `#[target_feature(enable = "avx2")]` function they compile to
-//!   256-bit AVX arithmetic; in the portable fallback they compile to
-//!   whatever the baseline target supports.
-//! * [`mode`] — process-wide dispatch, resolved **once** at first use:
-//!   `KDV_SIMD=scalar` forces the scalar path, anything else (or unset)
-//!   selects the vector path iff the CPU supports it
-//!   (`is_x86_feature_detected!("avx2")` on x86-64, always on aarch64 where
-//!   NEON is baseline). [`set_override`] / [`with_mode`] give the CLI
-//!   `--simd` flag and the conformance harness scoped control.
-//! * [`EmitBuffer`] — deferred run-based emit: the sweep loop records
-//!   event-free pixel runs (constant aggregates, constant frame) and the
-//!   flush evaluates them 4 pixels per iteration under the `emit.simd`
-//!   span, so phase tables attribute emit cost separately from the
-//!   accumulator drains.
-//! * [`fill_intervals`] — the envelope bound computation
-//!   (`b² − dy² → sqrt → x ∓ half`) 4 points per iteration with a scalar
-//!   tail.
-//!
-//! # Bitwise conformance
-//!
-//! The vector paths are **bitwise identical** to the scalar paths (policy
-//! `Bitwise` in the conformance harness), which the implementation earns by
-//! construction rather than by tolerance:
-//!
-//! * every lane mirrors the scalar expression tree **operation for
-//!   operation** — same association, same literal `q.y = 0` terms — and
-//!   IEEE-754 ops are deterministic, so identical op sequences on identical
-//!   inputs give identical bits;
-//! * no FMA contraction: only the `avx2` target feature is enabled (never
-//!   `fma`), and Rust/LLVM do not contract `a*b + c` without it.
-//!   [`F64x4::mul_add`] exists for completeness/tests but is **not** used
-//!   on any conformance-gated path;
-//! * `sqrt` is correctly rounded in both scalar (`f64::sqrt`) and vector
-//!   (`vsqrtpd`) form, per IEEE-754;
-//! * the negative-underflow clamp before `sqrt` is written as an explicit
-//!   `if rem < 0.0 { 0.0 } else { rem }` in both paths (not `f64::max`,
-//!   whose `±0`/NaN behaviour is representation-dependent).
+//! `kdv-core` has no vector code path: every engine evaluates its row in one
+//! scalar loop (README §"Row loop" gives the measurements behind that). The
+//! repository benchmark still prints whether the CPU has four-lane `f64`
+//! arithmetic in its provenance line and folds [`mode`] into its machine
+//! fingerprint. Both functions depend on the hardware alone, so two records
+//! taken on one machine carry the same fingerprint.
 
-use crate::aggregate::RangeAggregates;
-use crate::envelope::SweepInterval;
-use crate::geom::Point;
-use crate::kernel::KernelType;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-// ---------------------------------------------------------------------------
-// Dispatch
-// ---------------------------------------------------------------------------
-
-/// Which implementation the emit/fill hot loops run.
+/// The machine's `f64` lane class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdMode {
-    /// Portable per-element path (also the vector path's reference oracle).
-    Scalar = 0,
-    /// Four-lane [`F64x4`] path (AVX2 on x86-64, NEON baseline on aarch64).
-    Vector = 1,
+    /// No four-lane `f64` arithmetic detected.
+    Scalar,
+    /// AVX2 on x86-64, or NEON (baseline) on aarch64.
+    Vector,
 }
 
 impl SimdMode {
@@ -76,13 +27,7 @@ impl SimdMode {
     }
 }
 
-impl std::fmt::Display for SimdMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Whether the running CPU supports the vector path.
+/// Whether the running CPU has four-lane `f64` arithmetic.
 pub fn detected() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -98,700 +43,12 @@ pub fn detected() -> bool {
     }
 }
 
-/// 0 = no override, 1 = scalar, 2 = vector.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The startup-resolved mode: `KDV_SIMD=scalar` forces scalar, anything
-/// else (including unset and `auto`) picks vector iff [`detected`].
-fn resolved() -> SimdMode {
-    static RESOLVED: OnceLock<SimdMode> = OnceLock::new();
-    *RESOLVED.get_or_init(|| match std::env::var("KDV_SIMD").as_deref() {
-        Ok("scalar") => SimdMode::Scalar,
-        _ => {
-            if detected() {
-                SimdMode::Vector
-            } else {
-                SimdMode::Scalar
-            }
-        }
-    })
-}
-
-/// The mode the hot loops dispatch on: a programmatic override if one is
-/// set, else the startup-resolved mode. One relaxed load when no override
-/// is active.
-#[inline]
+/// The machine's lane class: [`SimdMode::Vector`] iff [`detected`].
 pub fn mode() -> SimdMode {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => SimdMode::Scalar,
-        2 => SimdMode::Vector,
-        _ => resolved(),
-    }
-}
-
-/// Overrides the dispatch (`None` restores the startup resolution). A
-/// `Vector` request on hardware without the feature is clamped to `Scalar`
-/// — forcing an unsupported instruction set would be unsound, not slow.
-pub fn set_override(mode: Option<SimdMode>) {
-    let v = match mode {
-        None => 0,
-        Some(SimdMode::Scalar) => 1,
-        Some(SimdMode::Vector) => {
-            if detected() {
-                2
-            } else {
-                1
-            }
-        }
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Runs `f` with the dispatch forced to `mode`, restoring the previous
-/// override afterwards (also on panic). Serialised behind a mutex — the
-/// override is process-global, so concurrent `with_mode` scopes with
-/// different modes would race each other's computations.
-pub fn with_mode<R>(mode: SimdMode, f: impl FnOnce() -> R) -> R {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let _guard = LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.store(self.0, Ordering::Relaxed);
-        }
-    }
-    let _restore = Restore(OVERRIDE.load(Ordering::Relaxed));
-    set_override(Some(mode));
-    f()
-}
-
-// ---------------------------------------------------------------------------
-// F64x4
-// ---------------------------------------------------------------------------
-
-/// A four-lane `f64` vector. Array-backed: the lane ops are plain
-/// element-wise loops that LLVM turns into 256-bit arithmetic when compiled
-/// under `target_feature(enable = "avx2")` (see the vector instantiations
-/// below) and into baseline SSE2/NEON otherwise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(align(32))]
-pub struct F64x4(pub [f64; 4]);
-
-impl F64x4 {
-    /// Lane count.
-    pub const LANES: usize = 4;
-
-    /// All four lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: f64) -> Self {
-        Self([v; 4])
-    }
-
-    /// Loads the first four elements of `s`.
-    ///
-    /// # Panics
-    /// If `s.len() < 4`.
-    #[inline(always)]
-    pub fn from_slice(s: &[f64]) -> Self {
-        Self([s[0], s[1], s[2], s[3]])
-    }
-
-    /// Stores the lanes into the first four elements of `out`.
-    ///
-    /// # Panics
-    /// If `out.len() < 4`.
-    #[inline(always)]
-    pub fn write_to(self, out: &mut [f64]) {
-        out[..4].copy_from_slice(&self.0);
-    }
-
-    /// The lanes as a plain array.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
-    }
-
-    /// Lane `i`.
-    #[inline(always)]
-    pub fn lane(self, i: usize) -> f64 {
-        self.0[i]
-    }
-
-    /// Lane-wise square root (correctly rounded, `vsqrtpd` under AVX).
-    #[inline(always)]
-    pub fn sqrt(self) -> Self {
-        Self([self.0[0].sqrt(), self.0[1].sqrt(), self.0[2].sqrt(), self.0[3].sqrt()])
-    }
-
-    /// Lane-wise fused multiply-add `self * a + b` (one rounding).
-    ///
-    /// **Not** used on the conformance-gated emit/fill paths: the scalar
-    /// reference computes `mul` and `add` with two roundings, and the
-    /// bitwise policy forbids contraction. Exposed for lane-op completeness
-    /// and workloads that opt into fused arithmetic explicitly.
-    #[inline(always)]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        Self([
-            self.0[0].mul_add(a.0[0], b.0[0]),
-            self.0[1].mul_add(a.0[1], b.0[1]),
-            self.0[2].mul_add(a.0[2], b.0[2]),
-            self.0[3].mul_add(a.0[3], b.0[3]),
-        ])
-    }
-
-    /// Lane-wise clamp of negative values to `+0.0`, written as an explicit
-    /// compare-select so scalar and vector agree on `-0.0` and NaN lanes
-    /// (NaN is *kept*: `NaN < 0.0` is false, mirroring the scalar clamp).
-    #[inline(always)]
-    pub fn clamp_negative_to_zero(self) -> Self {
-        #[inline(always)]
-        fn clamp(v: f64) -> f64 {
-            if v < 0.0 {
-                0.0
-            } else {
-                v
-            }
-        }
-        Self([clamp(self.0[0]), clamp(self.0[1]), clamp(self.0[2]), clamp(self.0[3])])
-    }
-}
-
-macro_rules! lane_op {
-    ($trait:ident, $fn:ident, $op:tt) => {
-        impl std::ops::$trait for F64x4 {
-            type Output = F64x4;
-            #[inline(always)]
-            fn $fn(self, rhs: F64x4) -> F64x4 {
-                F64x4([
-                    self.0[0] $op rhs.0[0],
-                    self.0[1] $op rhs.0[1],
-                    self.0[2] $op rhs.0[2],
-                    self.0[3] $op rhs.0[3],
-                ])
-            }
-        }
-    };
-}
-lane_op!(Add, add, +);
-lane_op!(Sub, sub, -);
-lane_op!(Mul, mul, *);
-lane_op!(Div, div, /);
-
-// ---------------------------------------------------------------------------
-// Density emit
-// ---------------------------------------------------------------------------
-
-/// Plain-`f64` snapshot of the ten aggregate terms the emit polynomial
-/// reads. `n` is `|R(q)|` for the plain engines and `Σ wᵢ` for the weighted
-/// engine — the expression trees are identical (the weighted decomposition
-/// replaces the count with the weight sum term-for-term).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EmitAggregates {
-    /// `|R(q)|` (or `Σ wᵢ` for weighted sweeps).
-    pub n: f64,
-    /// `Σ p.x`.
-    pub ax: f64,
-    /// `Σ p.y`.
-    pub ay: f64,
-    /// `Σ ‖p‖²`.
-    pub s: f64,
-    /// `Σ ‖p‖²·p.x` (quartic only).
-    pub cx: f64,
-    /// `Σ ‖p‖²·p.y` (quartic only).
-    pub cy: f64,
-    /// `Σ ‖p‖⁴` (quartic only).
-    pub q4: f64,
-    /// `Σ p.x²` (quartic only).
-    pub mxx: f64,
-    /// `Σ p.x·p.y` (quartic only).
-    pub mxy: f64,
-    /// `Σ p.y²` (quartic only).
-    pub myy: f64,
-}
-
-impl From<&RangeAggregates> for EmitAggregates {
-    #[inline]
-    fn from(a: &RangeAggregates) -> Self {
-        Self {
-            n: a.count as f64,
-            ax: a.ax,
-            ay: a.ay,
-            s: a.s,
-            cx: a.cx,
-            cy: a.cy,
-            q4: a.q4,
-            mxx: a.mxx,
-            mxy: a.mxy,
-            myy: a.myy,
-        }
-    }
-}
-
-/// Scalar density at sweep offset `dx` (the pixel is `q = (dx, 0)` in the
-/// rolling frame). This is [`KernelType::density_from_aggregates`] with the
-/// count generalised to `f64` — **the expression trees must stay identical
-/// op-for-op** (a unit test pins this), because the run-based emit below
-/// replaces the per-pixel `density_from_aggregates` calls of the original
-/// sweep loops and the vector lanes mirror this function in turn.
-#[inline(always)]
-pub fn density_at(
-    kernel: KernelType,
-    agg: &EmitAggregates,
-    dx: f64,
-    bandwidth: f64,
-    weight: f64,
-) -> f64 {
-    let b2 = bandwidth * bandwidth;
-    let qy = 0.0_f64; // the pixel row is y = 0 in the rolling frame
-    match kernel {
-        KernelType::Uniform => weight / bandwidth * agg.n,
-        KernelType::Epanechnikov => {
-            let qn = dx * dx + qy * qy;
-            let qta = dx * agg.ax + qy * agg.ay;
-            weight * (agg.n - (agg.n * qn - 2.0 * qta + agg.s) / b2)
-        }
-        KernelType::Quartic => {
-            let qn = dx * dx + qy * qy;
-            let qta = dx * agg.ax + qy * agg.ay;
-            let qtc = dx * agg.cx + qy * agg.cy;
-            let qmq = dx * dx * agg.mxx + 2.0 * dx * qy * agg.mxy + qy * qy * agg.myy;
-            let sum_u = agg.n * qn - 2.0 * qta + agg.s;
-            let sum_u2 = agg.n * qn * qn + 4.0 * qmq + agg.q4 - 4.0 * qn * qta + 2.0 * qn * agg.s
-                - 4.0 * qtc;
-            weight * (agg.n - 2.0 / b2 * sum_u + sum_u2 / (b2 * b2))
-        }
-    }
-}
-
-#[inline(always)]
-fn emit_scalar(
-    kernel: KernelType,
-    agg: &EmitAggregates,
-    xs: &[f64],
-    frame_x: f64,
-    bandwidth: f64,
-    weight: f64,
-    out: &mut [f64],
-) {
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = density_at(kernel, agg, x - frame_x, bandwidth, weight);
-    }
-}
-
-/// Vector emit body: 4 pixels per iteration, scalar tail. Every lane
-/// mirrors [`density_at`] op-for-op (same association, same literal
-/// `qy = 0` terms), so the result is bitwise identical to the scalar path.
-/// Returns the number of pixels evaluated through full 4-lane groups.
-#[inline(always)]
-fn emit_vector_body(
-    kernel: KernelType,
-    agg: &EmitAggregates,
-    xs: &[f64],
-    frame_x: f64,
-    bandwidth: f64,
-    weight: f64,
-    out: &mut [f64],
-) -> usize {
-    let n = xs.len();
-    if kernel == KernelType::Uniform {
-        // Constant per run: identical to the scalar per-pixel evaluation.
-        let v = weight / bandwidth * agg.n;
-        out.fill(v);
-        return 0;
-    }
-    if n < F64x4::LANES {
-        // Too short to fill one lane group: skip the constant splats and
-        // evaluate the (bitwise-identical) scalar tree directly. Dense
-        // rows are dominated by such runs, so this path is hot.
-        emit_scalar(kernel, agg, xs, frame_x, bandwidth, weight, out);
-        return 0;
-    }
-    let quads = n - (n % F64x4::LANES);
-    let b2 = bandwidth * bandwidth;
-    let fx = F64x4::splat(frame_x);
-    let qy = F64x4::splat(0.0);
-    let w4 = F64x4::splat(weight);
-    let n4 = F64x4::splat(agg.n);
-    let ax = F64x4::splat(agg.ax);
-    let ay = F64x4::splat(agg.ay);
-    let s4 = F64x4::splat(agg.s);
-    let two = F64x4::splat(2.0);
-    let b24 = F64x4::splat(b2);
-    match kernel {
-        KernelType::Uniform => unreachable!("handled above"),
-        KernelType::Epanechnikov => {
-            for j in (0..quads).step_by(F64x4::LANES) {
-                let dx = F64x4::from_slice(&xs[j..]) - fx;
-                let qn = dx * dx + qy * qy;
-                let qta = dx * ax + qy * ay;
-                let val = w4 * (n4 - (n4 * qn - two * qta + s4) / b24);
-                val.write_to(&mut out[j..]);
-            }
-        }
-        KernelType::Quartic => {
-            let cx = F64x4::splat(agg.cx);
-            let cy = F64x4::splat(agg.cy);
-            let q44 = F64x4::splat(agg.q4);
-            let mxx = F64x4::splat(agg.mxx);
-            let mxy = F64x4::splat(agg.mxy);
-            let myy = F64x4::splat(agg.myy);
-            let four = F64x4::splat(4.0);
-            // Splats of the scalar path's per-pixel constants: `2.0 / b2`
-            // and `b2 * b2` are recomputed from the same inputs every pixel
-            // there, so one shared division/multiply is value-identical.
-            let two_over_b2 = F64x4::splat(2.0 / b2);
-            let b44 = F64x4::splat(b2 * b2);
-            for j in (0..quads).step_by(F64x4::LANES) {
-                let dx = F64x4::from_slice(&xs[j..]) - fx;
-                let qn = dx * dx + qy * qy;
-                let qta = dx * ax + qy * ay;
-                let qtc = dx * cx + qy * cy;
-                let qmq = dx * dx * mxx + two * dx * qy * mxy + qy * qy * myy;
-                let sum_u = n4 * qn - two * qta + s4;
-                let sum_u2 =
-                    n4 * qn * qn + four * qmq + q44 - four * qn * qta + two * qn * s4 - four * qtc;
-                let val = w4 * (n4 - two_over_b2 * sum_u + sum_u2 / b44);
-                val.write_to(&mut out[j..]);
-            }
-        }
-    }
-    emit_scalar(kernel, agg, &xs[quads..], frame_x, bandwidth, weight, &mut out[quads..]);
-    quads
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn emit_vector_avx2(
-    kernel: KernelType,
-    agg: &EmitAggregates,
-    xs: &[f64],
-    frame_x: f64,
-    bandwidth: f64,
-    weight: f64,
-    out: &mut [f64],
-) -> usize {
-    emit_vector_body(kernel, agg, xs, frame_x, bandwidth, weight, out)
-}
-
-#[inline]
-fn emit_vector(
-    kernel: KernelType,
-    agg: &EmitAggregates,
-    xs: &[f64],
-    frame_x: f64,
-    bandwidth: f64,
-    weight: f64,
-    out: &mut [f64],
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: `mode()` only returns `Vector` on x86-64 when AVX2 was
-        // detected (`resolved`/`set_override` both clamp on `detected()`).
-        unsafe { emit_vector_avx2(kernel, agg, xs, frame_x, bandwidth, weight, out) }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        emit_vector_body(kernel, agg, xs, frame_x, bandwidth, weight, out)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        emit_scalar(kernel, agg, xs, frame_x, bandwidth, weight, out);
-        0
-    }
-}
-
-/// Emits densities for one event-free pixel run: `out[i] = F(xs[i])` with
-/// the run's frozen aggregates and frame. Dispatches on [`mode`]; returns
-/// the number of pixels evaluated through 4-lane groups (0 on the scalar
-/// path).
-pub fn emit_run(
-    kernel: KernelType,
-    agg: &EmitAggregates,
-    xs: &[f64],
-    frame_x: f64,
-    bandwidth: f64,
-    weight: f64,
-    out: &mut [f64],
-) -> usize {
-    debug_assert_eq!(xs.len(), out.len());
-    match mode() {
-        SimdMode::Scalar => {
-            emit_scalar(kernel, agg, xs, frame_x, bandwidth, weight, out);
-            0
-        }
-        SimdMode::Vector => emit_vector(kernel, agg, xs, frame_x, bandwidth, weight, out),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deferred run-based emit
-// ---------------------------------------------------------------------------
-
-/// One recorded pixel run `[start, end)`.
-#[derive(Debug, Clone, Copy)]
-enum EmitRun {
-    /// Empty active set: every pixel emits the same constant (the original
-    /// per-pixel loops evaluated at `q = (+0.0, 0.0)` with freshly reset
-    /// accumulators — a constant).
-    Fill { start: u32, end: u32, value: f64 },
-    /// Non-empty active set: evaluate the polynomial at
-    /// `dx = xs[i] − frame_x` with the run's aggregate snapshot.
-    Poly { start: u32, end: u32, frame_x: f64, agg: EmitAggregates },
-}
-
-/// Deferred emit buffer for the vector path: the sweep loops record runs
-/// while draining events, then [`EmitBuffer::flush`] evaluates all of
-/// them in one tight lane-friendly pass (bumping the `simd.lanes`
-/// counter). The scalar path keeps the original fused per-pixel loop and
-/// never records runs; the engines wrap both variants in the `emit.simd`
-/// span so phase tables compare symmetric scopes.
-#[derive(Debug, Default)]
-pub struct EmitBuffer {
-    runs: Vec<EmitRun>,
-}
-
-impl EmitBuffer {
-    /// Discards any recorded runs (start of a row).
-    pub fn clear(&mut self) {
-        self.runs.clear();
-    }
-
-    /// Records a constant-fill run (empty active set).
-    #[inline]
-    pub fn push_fill(&mut self, start: usize, end: usize, value: f64) {
-        self.runs.push(EmitRun::Fill { start: start as u32, end: end as u32, value });
-    }
-
-    /// Records a polynomial run with its aggregate/frame snapshot.
-    #[inline]
-    pub fn push_run(&mut self, start: usize, end: usize, frame_x: f64, agg: EmitAggregates) {
-        self.runs.push(EmitRun::Poly { start: start as u32, end: end as u32, frame_x, agg });
-    }
-
-    /// Evaluates every recorded run into `out` and clears the buffer.
-    /// Returns the number of pixels that went through 4-lane groups,
-    /// adding them to the `simd.lanes` counter (the engines record the
-    /// `emit.simd` span around the whole sweep pass so scalar and vector
-    /// modes time symmetric scopes).
-    ///
-    /// The dispatch happens once per flush, not per run: on the vector
-    /// path the whole run loop (including sub-lane scalar tails) compiles
-    /// inside one `target_feature` function, so dense rows with many
-    /// short runs don't pay a dynamic-dispatch round trip each. The
-    /// scalar instantiation exists for the non-AVX2 `mode() == Vector`
-    /// fallback arches; `mode() == Scalar` engines never record runs.
-    pub fn flush(
-        &mut self,
-        kernel: KernelType,
-        bandwidth: f64,
-        weight: f64,
-        xs: &[f64],
-        out: &mut [f64],
-    ) -> usize {
-        let lanes = flush_runs_vector(&self.runs, kernel, bandwidth, weight, xs, out);
-        if kdv_obs::enabled() {
-            kdv_obs::metrics::global().counter("simd.lanes").add(lanes as u64);
-        }
-        self.runs.clear();
-        lanes
-    }
-
-    /// Heap bytes held by the run buffer (space accounting).
-    pub fn space_bytes(&self) -> usize {
-        self.runs.capacity() * std::mem::size_of::<EmitRun>()
-    }
-}
-
-/// Run-loop body shared by both flush instantiations. `VECTOR` selects
-/// the per-run evaluator; with `true` the caller guarantees the required
-/// ISA (the loop is instantiated inside the `target_feature` wrapper).
-#[inline(always)]
-fn flush_runs_body<const VECTOR: bool>(
-    runs: &[EmitRun],
-    kernel: KernelType,
-    bandwidth: f64,
-    weight: f64,
-    xs: &[f64],
-    out: &mut [f64],
-) -> usize {
-    let mut lanes = 0usize;
-    for run in runs {
-        match *run {
-            EmitRun::Fill { start, end, value } => {
-                out[start as usize..end as usize].fill(value);
-            }
-            EmitRun::Poly { start, end, frame_x, ref agg } => {
-                let (s, e) = (start as usize, end as usize);
-                let (xs, out) = (&xs[s..e], &mut out[s..e]);
-                if VECTOR {
-                    lanes += emit_vector_body(kernel, agg, xs, frame_x, bandwidth, weight, out);
-                } else {
-                    emit_scalar(kernel, agg, xs, frame_x, bandwidth, weight, out);
-                }
-            }
-        }
-    }
-    lanes
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn flush_runs_avx2(
-    runs: &[EmitRun],
-    kernel: KernelType,
-    bandwidth: f64,
-    weight: f64,
-    xs: &[f64],
-    out: &mut [f64],
-) -> usize {
-    flush_runs_body::<true>(runs, kernel, bandwidth, weight, xs, out)
-}
-
-#[inline]
-fn flush_runs_vector(
-    runs: &[EmitRun],
-    kernel: KernelType,
-    bandwidth: f64,
-    weight: f64,
-    xs: &[f64],
-    out: &mut [f64],
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // `flush` is public and mode-independent, so it re-checks the
-        // feature itself instead of trusting the caller's dispatch state
-        // (std caches the cpuid probe — one atomic load per row-flush).
-        if detected() {
-            // SAFETY: AVX2 support was just verified.
-            unsafe { flush_runs_avx2(runs, kernel, bandwidth, weight, xs, out) }
-        } else {
-            flush_runs_body::<false>(runs, kernel, bandwidth, weight, xs, out)
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        flush_runs_body::<true>(runs, kernel, bandwidth, weight, xs, out)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        flush_runs_body::<false>(runs, kernel, bandwidth, weight, xs, out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Envelope fill
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn fill_scalar(out: &mut Vec<SweepInterval>, xs: &[f64], ys: &[f64], b2: f64, k: f64) {
-    for (&x, &y) in xs.iter().zip(ys) {
-        let dy = k - y;
-        let rem = b2 - dy * dy;
-        // `|k − y| = b` rows can underflow `b² − dy²` to a tiny negative in
-        // a *caller-built* band; clamp deterministically before the sqrt
-        // (never `f64::max` — its `-0.0` choice is representation-defined).
-        // For `BandIndex`-produced bands the predicate used the identical
-        // arithmetic, so `rem ≥ +0.0` and the clamp is a bitwise no-op.
-        let rem = if rem < 0.0 { 0.0 } else { rem };
-        let half = rem.sqrt();
-        out.push(SweepInterval { point: Point::new(x, y), lb: x - half, ub: x + half });
-    }
-}
-
-/// Vector fill body: 4 points per iteration, scalar tail; lanes mirror
-/// [`fill_scalar`] op-for-op. Returns the pixel count that went through
-/// full 4-lane groups.
-///
-/// Lane groups are written straight into the `Vec`'s spare capacity —
-/// the scalar path's per-element `push` pays a length check and branch
-/// per interval, which is most of its cost (the loop body itself is one
-/// subtract/multiply/sqrt chain), so eliding it is where the vector
-/// path's fill speedup comes from on top of the packed `sqrt`.
-#[inline(always)]
-fn fill_vector_body(
-    out: &mut Vec<SweepInterval>,
-    xs: &[f64],
-    ys: &[f64],
-    b2: f64,
-    k: f64,
-) -> usize {
-    let n = xs.len();
-    let quads = n - (n % F64x4::LANES);
-    let k4 = F64x4::splat(k);
-    let b24 = F64x4::splat(b2);
-    let start = out.len();
-    out.reserve(n);
-    let spare = out.spare_capacity_mut();
-    for j in (0..quads).step_by(F64x4::LANES) {
-        let x4 = F64x4::from_slice(&xs[j..]);
-        let y4 = F64x4::from_slice(&ys[j..]);
-        let dy = k4 - y4;
-        let rem = (b24 - dy * dy).clamp_negative_to_zero();
-        let half = rem.sqrt();
-        let lb = x4 - half;
-        let ub = x4 + half;
-        for l in 0..F64x4::LANES {
-            spare[j + l].write(SweepInterval {
-                point: Point::new(x4.lane(l), y4.lane(l)),
-                lb: lb.lane(l),
-                ub: ub.lane(l),
-            });
-        }
-    }
-    // SAFETY: the loop above initialised exactly the first `quads` spare
-    // slots, and `reserve(n)` guaranteed they exist.
-    unsafe { out.set_len(start + quads) };
-    fill_scalar(out, &xs[quads..], &ys[quads..], b2, k);
-    quads
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fill_vector_avx2(
-    out: &mut Vec<SweepInterval>,
-    xs: &[f64],
-    ys: &[f64],
-    b2: f64,
-    k: f64,
-) -> usize {
-    fill_vector_body(out, xs, ys, b2, k)
-}
-
-/// Computes the sweep intervals `[x ∓ sqrt(b² − dy²)]` for a band of
-/// points, appending to `out`. Dispatches on [`mode`]; returns the number
-/// of points processed through 4-lane groups (0 on the scalar path).
-///
-/// Both paths clamp a negative `b² − dy²` (support-boundary underflow in a
-/// caller-built band) to `+0.0` before the square root.
-pub fn fill_intervals(
-    out: &mut Vec<SweepInterval>,
-    xs: &[f64],
-    ys: &[f64],
-    b2: f64,
-    k: f64,
-) -> usize {
-    debug_assert_eq!(xs.len(), ys.len());
-    match mode() {
-        SimdMode::Scalar => {
-            fill_scalar(out, xs, ys, b2, k);
-            0
-        }
-        SimdMode::Vector => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: `Vector` mode implies AVX2 was detected.
-                unsafe { fill_vector_avx2(out, xs, ys, b2, k) }
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                fill_vector_body(out, xs, ys, b2, k)
-            }
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                fill_scalar(out, xs, ys, b2, k);
-                0
-            }
-        }
+    if detected() {
+        SimdMode::Vector
+    } else {
+        SimdMode::Scalar
     }
 }
 
@@ -800,221 +57,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splat_load_store_round_trip() {
-        let v = F64x4::splat(2.5);
-        assert_eq!(v.to_array(), [2.5; 4]);
-        let data = [1.0, -2.0, 3.5, f64::INFINITY, 9.0];
-        let loaded = F64x4::from_slice(&data);
-        assert_eq!(loaded.to_array(), [1.0, -2.0, 3.5, f64::INFINITY]);
-        let mut out = [0.0; 6];
-        loaded.write_to(&mut out);
-        assert_eq!(&out[..4], &[1.0, -2.0, 3.5, f64::INFINITY]);
-        assert_eq!(&out[4..], &[0.0, 0.0]);
-        assert_eq!(loaded.lane(2), 3.5);
-    }
-
-    #[test]
-    fn lane_arithmetic_matches_scalar() {
-        let a = F64x4([1.5, -2.0, 1e300, 1e-300]);
-        let b = F64x4([0.3, 7.0, 1e300, 1e-300]);
-        for i in 0..4 {
-            assert_eq!((a + b).lane(i).to_bits(), (a.lane(i) + b.lane(i)).to_bits());
-            assert_eq!((a - b).lane(i).to_bits(), (a.lane(i) - b.lane(i)).to_bits());
-            assert_eq!((a * b).lane(i).to_bits(), (a.lane(i) * b.lane(i)).to_bits());
-            assert_eq!((a / b).lane(i).to_bits(), (a.lane(i) / b.lane(i)).to_bits());
-            assert_eq!(a.sqrt().lane(i).to_bits(), a.lane(i).sqrt().to_bits());
-            assert_eq!(
-                a.mul_add(b, b).lane(i).to_bits(),
-                a.lane(i).mul_add(b.lane(i), b.lane(i)).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn nan_propagates_through_lanes() {
-        let v = F64x4([f64::NAN, 1.0, f64::NAN, 4.0]);
-        let sum = v + F64x4::splat(1.0);
-        assert!(sum.lane(0).is_nan());
-        assert_eq!(sum.lane(1), 2.0);
-        assert!(sum.lane(2).is_nan());
-        assert!(v.sqrt().lane(0).is_nan());
-        assert!(v.mul_add(F64x4::splat(2.0), F64x4::splat(1.0)).lane(0).is_nan());
-        // the clamp keeps NaN (NaN < 0.0 is false), mirroring the scalar
-        // `if rem < 0.0` branch
-        assert!(v.clamp_negative_to_zero().lane(0).is_nan());
-        assert_eq!(v.clamp_negative_to_zero().lane(1), 1.0);
-    }
-
-    #[test]
-    fn clamp_negative_to_zero_handles_signed_zero() {
-        let v = F64x4([-1e-300, -0.0, 0.0, 5.0]);
-        let c = v.clamp_negative_to_zero();
-        assert_eq!(c.lane(0).to_bits(), 0.0_f64.to_bits());
-        // -0.0 is not < 0.0, so it is *kept* — same as the scalar branch
-        assert_eq!(c.lane(1).to_bits(), (-0.0_f64).to_bits());
-        assert_eq!(c.lane(2).to_bits(), 0.0_f64.to_bits());
-        assert_eq!(c.lane(3), 5.0);
-    }
-
-    /// `density_at` must mirror `KernelType::density_from_aggregates`
-    /// bit-for-bit: the run-based emit replaced the per-pixel calls, so any
-    /// drift in either expression tree is an engine-output change.
-    #[test]
-    fn density_at_matches_density_from_aggregates_bitwise() {
-        let mut agg = RangeAggregates::default();
-        for p in [
-            Point::new(0.4, -1.2),
-            Point::new(-3.7, 2.2),
-            Point::new(1e-3, 5.0),
-            Point::new(2.5, 2.5),
-        ] {
-            agg.add(&p);
-        }
-        let emit = EmitAggregates::from(&agg);
-        for kernel in KernelType::ALL {
-            for dx in [-4.2, -0.0, 0.0, 1e-9, 0.7, 3.9, 12.5] {
-                for b in [0.9, 7.3, 1234.5] {
-                    let q = Point::new(dx, 0.0);
-                    let reference = kernel.density_from_aggregates(&q, &agg, b, 0.37);
-                    let got = density_at(kernel, &emit, dx, b, 0.37);
-                    assert_eq!(
-                        got.to_bits(),
-                        reference.to_bits(),
-                        "{kernel} dx={dx} b={b}: {got} vs {reference}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Vector emit must equal scalar emit bitwise for every kernel, run
-    /// length (masked-tail coverage) and aggregate mix.
-    #[test]
-    fn emit_vector_matches_scalar_bitwise() {
-        let mut agg = RangeAggregates::default();
-        for i in 0..17 {
-            let t = i as f64;
-            agg.add(&Point::new((t * 0.37) - 3.0, (t * 0.91) - 7.0));
-        }
-        let emit = EmitAggregates::from(&agg);
-        let xs: Vec<f64> = (0..23).map(|i| 100.0 + i as f64 * 0.625).collect();
-        for kernel in KernelType::ALL {
-            for len in [1, 2, 3, 4, 5, 7, 8, 9, 23] {
-                let mut scalar = vec![0.0; len];
-                let mut vector = vec![f64::NAN; len];
-                with_mode(SimdMode::Scalar, || {
-                    emit_run(kernel, &emit, &xs[..len], 99.0, 6.5, 0.01, &mut scalar)
-                });
-                with_mode(SimdMode::Vector, || {
-                    emit_run(kernel, &emit, &xs[..len], 99.0, 6.5, 0.01, &mut vector)
-                });
-                for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
-                    assert_eq!(s.to_bits(), v.to_bits(), "{kernel} len={len} pixel {i}");
-                }
-            }
-        }
-    }
-
-    /// Vector envelope fill must equal scalar fill bitwise, including the
-    /// scalar tail and the negative-underflow clamp.
-    #[test]
-    fn fill_vector_matches_scalar_bitwise() {
-        let n = 13;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 * 1.7 - 4.0).collect();
-        let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73) - 3.0).collect();
-        let b = 5.0;
-        let b2 = b * b;
-        for k in [-2.0, 0.0, 1.9, 2.0 + b] {
-            let mut scalar = Vec::new();
-            let mut vector = Vec::new();
-            with_mode(SimdMode::Scalar, || fill_intervals(&mut scalar, &xs, &ys, b2, k));
-            with_mode(SimdMode::Vector, || fill_intervals(&mut vector, &xs, &ys, b2, k));
-            assert_eq!(scalar.len(), vector.len());
-            for (s, v) in scalar.iter().zip(&vector) {
-                assert_eq!(s.lb.to_bits(), v.lb.to_bits(), "k={k}");
-                assert_eq!(s.ub.to_bits(), v.ub.to_bits(), "k={k}");
-                assert_eq!(s.point, v.point, "k={k}");
-            }
-        }
-    }
-
-    /// Recorded regression: rows grazing the support boundary. When
-    /// `dy` is within 1 ulp of `b`, `b² − dy²` rounds to a tiny negative
-    /// value; both paths must clamp it to zero *before* the sqrt (a NaN
-    /// here poisons the interval bounds) and produce the degenerate
-    /// `lb == ub == x` interval with identical bits.
-    #[test]
-    fn fill_clamps_support_boundary_rows_bitwise() {
-        let b = 5.0_f64;
-        let b2 = b * b;
-        let k = 10.0;
-        let up = f64::from_bits(b.to_bits() + 1); // next_up(b)
-        let down = f64::from_bits(b.to_bits() - 1); // next_down(b)
-                                                    // dy = k − y hits exactly b, 1 ulp past it (rem underflows
-                                                    // negative), 1 ulp inside it, and a comfortable interior value —
-                                                    // spread over more than 4 points so the lane groups *and* the
-                                                    // masked scalar tail both cross the boundary cases.
-        let dys = [b, up, down, 0.5 * b, up, b, down, 1e-9, up];
-        let xs: Vec<f64> = (0..dys.len()).map(|i| i as f64 * 3.25 - 7.0).collect();
-        let ys: Vec<f64> = dys.iter().map(|dy| k - dy).collect();
-        assert!(b2 - up * up < 0.0, "1 ulp past b must underflow negative");
-
-        let mut scalar = Vec::new();
-        let mut vector = Vec::new();
-        with_mode(SimdMode::Scalar, || fill_intervals(&mut scalar, &xs, &ys, b2, k));
-        with_mode(SimdMode::Vector, || fill_intervals(&mut vector, &xs, &ys, b2, k));
-        assert_eq!(scalar.len(), xs.len());
-        assert_eq!(scalar.len(), vector.len());
-        for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
-            assert_eq!(s.lb.to_bits(), v.lb.to_bits(), "point {i}");
-            assert_eq!(s.ub.to_bits(), v.ub.to_bits(), "point {i}");
-            assert_eq!(s.point, v.point, "point {i}");
-            assert!(s.lb.is_finite() && s.ub.is_finite(), "point {i} must not be NaN");
-            if dys[i] >= b {
-                // at or past the boundary: degenerate interval at x
-                assert_eq!(s.lb.to_bits(), xs[i].to_bits(), "point {i}");
-                assert_eq!(s.ub.to_bits(), xs[i].to_bits(), "point {i}");
-            } else {
-                assert!(s.lb < s.ub, "point {i} strictly inside the support");
-            }
-        }
-    }
-
-    #[test]
-    fn with_mode_restores_override_and_clamps() {
-        set_override(None);
-        let outer = mode();
-        with_mode(SimdMode::Scalar, || assert_eq!(mode(), SimdMode::Scalar));
-        assert_eq!(mode(), outer);
-        // Vector requests clamp to hardware support instead of forcing UB.
-        with_mode(SimdMode::Vector, || {
-            if detected() {
-                assert_eq!(mode(), SimdMode::Vector);
-            } else {
-                assert_eq!(mode(), SimdMode::Scalar);
-            }
-        });
-        assert_eq!(mode(), outer);
-    }
-
-    #[test]
-    fn emit_buffer_flush_covers_fill_and_poly_runs() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let mut out = vec![f64::NAN; 10];
-        let mut buf = EmitBuffer::default();
-        buf.push_fill(0, 3, 0.25);
-        let agg = EmitAggregates { n: 2.0, s: 1.0, ..Default::default() };
-        buf.push_run(3, 10, xs[3], agg);
-        buf.flush(KernelType::Epanechnikov, 4.0, 0.5, &xs, &mut out);
-        assert_eq!(&out[..3], &[0.25; 3]);
-        for (i, &v) in out[3..].iter().enumerate() {
-            let want = density_at(KernelType::Epanechnikov, &agg, xs[3 + i] - xs[3], 4.0, 0.5);
-            assert_eq!(v.to_bits(), want.to_bits(), "pixel {i}");
-        }
-        assert!(buf.space_bytes() > 0);
-        // buffer clears after flush: flushing again touches nothing
-        let mut untouched = vec![7.0; 10];
-        buf.flush(KernelType::Epanechnikov, 4.0, 0.5, &xs, &mut untouched);
-        assert_eq!(untouched, vec![7.0; 10]);
+    fn mode_follows_detection() {
+        assert_eq!(mode() == SimdMode::Vector, detected());
+        assert_eq!(mode().name(), if detected() { "f64x4" } else { "scalar" });
     }
 }

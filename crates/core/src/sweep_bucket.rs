@@ -39,7 +39,6 @@ use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
-use crate::simd::{density_at, EmitAggregates, EmitBuffer, SimdMode};
 
 /// End-of-list marker of the bucket lists.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -159,13 +158,12 @@ pub struct BucketSweep {
     bandwidth: f64,
     weight: f64,
     buckets: Buckets,
-    emit: EmitBuffer,
 }
 
 impl BucketSweep {
     /// Creates an engine for the given kernel/bandwidth/weight.
     pub fn new(kernel: KernelType, bandwidth: f64, weight: f64) -> Self {
-        Self { kernel, bandwidth, weight, buckets: Buckets::default(), emit: EmitBuffer::default() }
+        Self { kernel, bandwidth, weight, buckets: Buckets::default() }
     }
 
     /// Rebinds the engine to a new bandwidth, keeping the bucket scratch
@@ -186,7 +184,7 @@ impl BucketSweep {
     /// six quartic sums from Epanechnikov/uniform rows and keep the live
     /// sums in registers across the bucket drains.
     fn sweep<const QUARTIC: bool>(
-        &mut self,
+        &self,
         xs: &[f64],
         k: f64,
         intervals: &[SweepInterval],
@@ -196,141 +194,43 @@ impl BucketSweep {
         // row, so O(X + |E(k)|) total. Accumulation runs in the rolling
         // frame `(frame_x, k)` — see the module docs of `sweep_sort` for the
         // conditioning argument.
-        //
-        // Two variants, dispatched once per row on [`crate::simd::mode`]:
-        // the scalar fallback is the paper-faithful fused loop (one
-        // `diff` + density evaluation per pixel, interleaved with the
-        // bucket drains), while the vector path records event-free pixel
-        // runs — between two events every pixel sees the *same* aggregate
-        // snapshot in the *same* frame — and defers evaluation to
-        // `EmitBuffer::flush`, which walks each run 4 pixels per
-        // iteration. Event processing is identical, so the two variants
-        // are bitwise identical (a conformance pair pins this).
         let Buckets { head_l, head_u, next_l, next_u } = &self.buckets;
-        let x_count = xs.len();
         let mut l_acc = SweepAccumulator::new(QUARTIC);
         let mut u_acc = SweepAccumulator::new(QUARTIC);
         let shift_limit = 4.0 * self.bandwidth;
         let mut frame_x = xs[0];
-        let mode = crate::simd::mode();
-        let mut span = kdv_obs::span1("emit.simd", "mode", mode as u64);
-        let lanes = match mode {
-            SimdMode::Scalar => {
-                for (i, &x) in xs.iter().enumerate() {
-                    if l_acc.count() == u_acc.count() {
-                        // Active set is empty: restart clean at the pixel.
-                        l_acc.reset();
-                        u_acc.reset();
-                        frame_x = x;
-                    } else if x - frame_x > shift_limit {
-                        let delta = x - frame_x;
-                        l_acc.shift_x(delta);
-                        u_acc.shift_x(delta);
-                        frame_x = x;
-                    }
-                    let mut cur = head_l[i];
-                    while cur != NIL {
-                        let p = &intervals[cur as usize].point;
-                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = next_l[cur as usize];
-                    }
-                    let agg = l_acc.diff(&u_acc);
-                    let q = Point::new(x - frame_x, 0.0);
-                    out[i] =
-                        self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
-                    // Deactivate intervals whose bucket is the next pixel —
-                    // i.e. whose last contained pixel is the current one —
-                    // while their coordinates are still within `b` of the
-                    // sweep position.
-                    let mut cur = head_u[i + 1];
-                    while cur != NIL {
-                        let p = &intervals[cur as usize].point;
-                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = next_u[cur as usize];
-                    }
-                }
-                0
+        let _span = kdv_obs::span("row.emit");
+        for (i, &x) in xs.iter().enumerate() {
+            if l_acc.count() == u_acc.count() {
+                // Active set is empty: restart clean at the pixel.
+                l_acc.reset();
+                u_acc.reset();
+                frame_x = x;
+            } else if x - frame_x > shift_limit {
+                let delta = x - frame_x;
+                l_acc.shift_x(delta);
+                u_acc.shift_x(delta);
+                frame_x = x;
             }
-            SimdMode::Vector => {
-                self.emit.clear();
-                let mut i = 0usize;
-                while i < x_count {
-                    let x = xs[i];
-                    if l_acc.count() == u_acc.count() {
-                        l_acc.reset();
-                        u_acc.reset();
-                        frame_x = x;
-                    } else if x - frame_x > shift_limit {
-                        let delta = x - frame_x;
-                        l_acc.shift_x(delta);
-                        u_acc.shift_x(delta);
-                        frame_x = x;
-                    }
-                    let mut cur = head_l[i];
-                    while cur != NIL {
-                        let p = &intervals[cur as usize].point;
-                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = next_l[cur as usize];
-                    }
-                    // Extend the run over event-free pixels. An empty
-                    // active set can only stay empty (activations end
-                    // runs), and the scalar loop resets the frame at every
-                    // empty pixel, so empty runs ignore the shift limit
-                    // and emit a constant instead.
-                    let empty = l_acc.count() == u_acc.count();
-                    let mut e = i + 1;
-                    if empty {
-                        while e < x_count && head_l[e] == NIL && head_u[e] == NIL {
-                            e += 1;
-                        }
-                    } else {
-                        while e < x_count
-                            && head_l[e] == NIL
-                            && head_u[e] == NIL
-                            && xs[e] - frame_x <= shift_limit
-                        {
-                            e += 1;
-                        }
-                    }
-                    if empty {
-                        // Empty ⟹ the reset above ran at pixel `i` and
-                        // nothing was inserted, so the scalar loop
-                        // evaluates every run pixel at `q = (+0.0, 0.0)`
-                        // with zeroed aggregates: a constant.
-                        self.emit.push_fill(
-                            i,
-                            e,
-                            density_at(
-                                self.kernel,
-                                &EmitAggregates::default(),
-                                0.0,
-                                self.bandwidth,
-                                self.weight,
-                            ),
-                        );
-                        frame_x = xs[e - 1];
-                    } else {
-                        let agg = l_acc.diff(&u_acc);
-                        self.emit.push_run(i, e, frame_x, EmitAggregates::from(&agg));
-                    }
-                    // Deactivate intervals whose bucket is pixel `e` —
-                    // their last contained pixel is `e − 1` — while their
-                    // coordinates are still within `b` of the sweep
-                    // position. (For run pixels before `e − 1` the
-                    // deactivation buckets are NIL by the scan above, so
-                    // only the run-final drain can do work.)
-                    let mut cur = head_u[e];
-                    while cur != NIL {
-                        let p = &intervals[cur as usize].point;
-                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        cur = next_u[cur as usize];
-                    }
-                    i = e;
-                }
-                self.emit.flush(self.kernel, self.bandwidth, self.weight, xs, out)
+            let mut cur = head_l[i];
+            while cur != NIL {
+                let p = &intervals[cur as usize].point;
+                l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                cur = next_l[cur as usize];
             }
-        };
-        span.arg("lanes", lanes as u64);
+            let agg = l_acc.diff(&u_acc);
+            let q = Point::new(x - frame_x, 0.0);
+            out[i] = self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
+            // Deactivate intervals whose bucket is the next pixel — i.e.
+            // whose last contained pixel is the current one — while their
+            // coordinates are still within `b` of the sweep position.
+            let mut cur = head_u[i + 1];
+            while cur != NIL {
+                let p = &intervals[cur as usize].point;
+                u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                cur = next_u[cur as usize];
+            }
+        }
     }
 }
 
@@ -349,7 +249,7 @@ impl RowEngine for BucketSweep {
     }
 
     fn space_bytes(&self) -> usize {
-        self.buckets.space_bytes() + self.emit.space_bytes()
+        self.buckets.space_bytes()
     }
 }
 

@@ -46,7 +46,6 @@ use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
-use crate::simd::{density_at, EmitAggregates, EmitBuffer, SimdMode};
 
 /// Reusable row engine implementing SLAM_SORT.
 pub struct SortSweep {
@@ -59,7 +58,6 @@ pub struct SortSweep {
     ubs: Vec<(f64, f64, Point)>,
     l_acc: SweepAccumulator,
     u_acc: SweepAccumulator,
-    emit: EmitBuffer,
 }
 
 impl SortSweep {
@@ -74,7 +72,6 @@ impl SortSweep {
             ubs: Vec::new(),
             l_acc: SweepAccumulator::new(quartic),
             u_acc: SweepAccumulator::new(quartic),
-            emit: EmitBuffer::default(),
         }
     }
 }
@@ -101,172 +98,56 @@ impl RowEngine for SortSweep {
         // accumulator coordinate by `5b`.
         let shift_limit = 4.0 * self.bandwidth;
         let mut frame_x = xs[0];
-        let x_count = xs.len();
-
-        // Two variants, dispatched once per row on [`crate::simd::mode`]:
-        // the scalar fallback is the paper-faithful fused loop (one
-        // `diff` + density evaluation per pixel, interleaved with the merge
-        // pointers), while the vector path records event-free pixel runs —
-        // between two events every pixel sees the *same* aggregate snapshot
-        // in the *same* frame — and defers evaluation to
-        // `EmitBuffer::flush`, which walks each run 4 pixels per iteration.
-        // Event processing is identical, so the two variants are bitwise
-        // identical (a conformance pair pins this).
-        let mode = crate::simd::mode();
-        let mut span = kdv_obs::span1("emit.simd", "mode", mode as u64);
-        let lanes = match mode {
-            SimdMode::Scalar => {
-                for (i, &x) in xs.iter().enumerate() {
-                    if self.l_acc.count() == self.u_acc.count() {
-                        // Active set is empty: restart clean at the pixel.
-                        self.l_acc.reset();
-                        self.u_acc.reset();
-                        frame_x = x;
-                    } else if x - frame_x > shift_limit {
-                        let delta = x - frame_x;
-                        self.l_acc.shift_x(delta);
-                        self.u_acc.shift_x(delta);
-                        frame_x = x;
-                    }
-                    // Case 1: sweep passes lower bounds with LB ≤ x.
-                    // Intervals that contain no pixel centre (UB < x
-                    // already) would cancel against an immediate
-                    // deactivation, so they are skipped on both sides.
-                    while li < self.lbs.len() && self.lbs[li].0 <= x {
-                        let (_, ub, p) = self.lbs[li];
-                        if ub >= x {
-                            self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        }
-                        li += 1;
-                    }
-                    // Case 3: evaluate the pixel from L − U aggregates
-                    // (Lemma 3).
-                    let agg = self.l_acc.diff(&self.u_acc);
-                    let q = Point::new(x - frame_x, 0.0);
-                    out[i] =
-                        self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
-                    // Case 2: deactivate intervals ending before the next
-                    // pixel (UB < xs[i+1]; strict, so a pixel exactly on an
-                    // interval's right endpoint still counts, keeping
-                    // R(q) = {dist ≤ b} inclusive). Doing this at the last
-                    // pixel the interval contains — instead of the first
-                    // pixel past it — keeps the deactivated coordinates
-                    // within `b` of the current pixel.
-                    if i + 1 < xs.len() {
-                        let x_next = xs[i + 1];
-                        while ui < self.ubs.len() && self.ubs[ui].0 < x_next {
-                            let (ub, lb, p) = self.ubs[ui];
-                            // Mirror of the insertion skip: only intervals
-                            // that contained the current pixel were ever
-                            // inserted.
-                            if lb <= x && ub >= x {
-                                self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                            }
-                            ui += 1;
-                        }
-                    }
-                }
-                0
+        let _span = kdv_obs::span("row.emit");
+        for (i, &x) in xs.iter().enumerate() {
+            if self.l_acc.count() == self.u_acc.count() {
+                // Active set is empty: restart clean at the pixel.
+                self.l_acc.reset();
+                self.u_acc.reset();
+                frame_x = x;
+            } else if x - frame_x > shift_limit {
+                let delta = x - frame_x;
+                self.l_acc.shift_x(delta);
+                self.u_acc.shift_x(delta);
+                frame_x = x;
             }
-            SimdMode::Vector => {
-                self.emit.clear();
-                let mut i = 0usize;
-                while i < x_count {
-                    let x = xs[i];
-                    if self.l_acc.count() == self.u_acc.count() {
-                        // Active set is empty: restart clean at the pixel.
-                        self.l_acc.reset();
-                        self.u_acc.reset();
-                        frame_x = x;
-                    } else if x - frame_x > shift_limit {
-                        let delta = x - frame_x;
-                        self.l_acc.shift_x(delta);
-                        self.u_acc.shift_x(delta);
-                        frame_x = x;
-                    }
-                    // Case 1: sweep passes lower bounds with LB ≤ x.
-                    // Intervals that contain no pixel centre (UB < x
-                    // already) would cancel against an immediate
-                    // deactivation, so they are skipped on both sides.
-                    while li < self.lbs.len() && self.lbs[li].0 <= x {
-                        let (_, ub, p) = self.lbs[li];
-                        if ub >= x {
-                            self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                        }
-                        li += 1;
-                    }
-                    // Extend the run until the next event: an activation at
-                    // pixel `e`, a deactivation firing strictly below
-                    // `xs[e]` (the merge pointer must advance there even if
-                    // its interval never inserted — pointer timing is part
-                    // of the replayed state), or a frame shift. Empty runs
-                    // ignore the shift limit because the scalar loop resets
-                    // the frame at every empty pixel.
-                    let empty = self.l_acc.count() == self.u_acc.count();
-                    let mut e = i + 1;
-                    while e < x_count
-                        && !(li < self.lbs.len() && self.lbs[li].0 <= xs[e])
-                        && !(ui < self.ubs.len() && self.ubs[ui].0 < xs[e])
-                        && (empty || xs[e] - frame_x <= shift_limit)
-                    {
-                        e += 1;
-                    }
-                    // Case 3: evaluate the run from L − U aggregates
-                    // (Lemma 3).
-                    if empty {
-                        // Empty ⟹ the reset above ran and Case 1 inserted
-                        // nothing: every run pixel evaluates at
-                        // `q = (+0.0, 0.0)` with zeroed aggregates — a
-                        // constant.
-                        self.emit.push_fill(
-                            i,
-                            e,
-                            density_at(
-                                self.kernel,
-                                &EmitAggregates::default(),
-                                0.0,
-                                self.bandwidth,
-                                self.weight,
-                            ),
-                        );
-                        frame_x = xs[e - 1];
-                    } else {
-                        let agg = self.l_acc.diff(&self.u_acc);
-                        self.emit.push_run(i, e, frame_x, EmitAggregates::from(&agg));
-                    }
-                    // Case 2 for the run-final pixel `e − 1`: deactivate
-                    // intervals ending before pixel `e` (UB < xs[e];
-                    // strict, so a pixel exactly on an interval's right
-                    // endpoint still counts, keeping R(q) = {dist ≤ b}
-                    // inclusive). Deactivating at the last pixel an
-                    // interval contains — instead of the first pixel past
-                    // it — keeps the deactivated coordinates within `b` of
-                    // the sweep position. Run pixels before `e − 1` have no
-                    // deactivations by the scan above.
-                    if e < x_count {
-                        let x_last = xs[e - 1];
-                        while ui < self.ubs.len() && self.ubs[ui].0 < xs[e] {
-                            let (ub, lb, p) = self.ubs[ui];
-                            // Mirror of the insertion skip: only intervals
-                            // that contained the run-final pixel were ever
-                            // inserted.
-                            if lb <= x_last && ub >= x_last {
-                                self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                            }
-                            ui += 1;
-                        }
-                    }
-                    i = e;
+            // Case 1: sweep passes lower bounds with LB ≤ x. Intervals that
+            // contain no pixel centre (UB < x already) would cancel against
+            // an immediate deactivation, so they are skipped on both sides.
+            while li < self.lbs.len() && self.lbs[li].0 <= x {
+                let (_, ub, p) = self.lbs[li];
+                if ub >= x {
+                    self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
                 }
-                self.emit.flush(self.kernel, self.bandwidth, self.weight, xs, out)
+                li += 1;
             }
-        };
-        span.arg("lanes", lanes as u64);
+            // Case 3: evaluate the pixel from L − U aggregates (Lemma 3).
+            let agg = self.l_acc.diff(&self.u_acc);
+            let q = Point::new(x - frame_x, 0.0);
+            out[i] = self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
+            // Case 2: deactivate intervals ending before the next pixel
+            // (UB < xs[i+1]; strict, so a pixel exactly on an interval's
+            // right endpoint still counts, keeping R(q) = {dist ≤ b}
+            // inclusive). Doing this at the last pixel the interval
+            // contains — instead of the first pixel past it — keeps the
+            // deactivated coordinates within `b` of the current pixel.
+            if i + 1 < xs.len() {
+                let x_next = xs[i + 1];
+                while ui < self.ubs.len() && self.ubs[ui].0 < x_next {
+                    let (ub, lb, p) = self.ubs[ui];
+                    // Mirror of the insertion skip: only intervals that
+                    // contained the current pixel were ever inserted.
+                    if lb <= x && ub >= x {
+                        self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
+                    }
+                    ui += 1;
+                }
+            }
+        }
     }
 
     fn space_bytes(&self) -> usize {
         (self.lbs.capacity() + self.ubs.capacity()) * std::mem::size_of::<(f64, f64, Point)>()
-            + self.emit.space_bytes()
     }
 }
 

@@ -16,6 +16,7 @@
 //! `O(Y(X + n))` complexity (plus RAO), validated against direct
 //! summation.
 
+use crate::aggregate::RangeAggregates;
 use crate::driver::{KdvParams, SweepContext};
 use crate::envelope::EnvelopeBuffer;
 use crate::error::{KdvError, Result};
@@ -24,22 +25,6 @@ use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
 use crate::stats::Kahan;
 use crate::sweep_bucket::{Buckets, NIL};
-
-/// Weighted counterpart of `RangeAggregates`: every term carries the
-/// point's weight; `wsum` plays the role of the count.
-#[derive(Debug, Clone, Copy, Default)]
-struct WeightedAggregates {
-    wsum: f64,
-    ax: f64,
-    ay: f64,
-    s: f64,
-    cx: f64,
-    cy: f64,
-    q4: f64,
-    mxx: f64,
-    mxy: f64,
-    myy: f64,
-}
 
 /// Kahan-compensated weighted accumulator for one sweep side.
 ///
@@ -123,10 +108,13 @@ impl WeightedAccumulator {
         }
     }
 
+    /// Snapshot of `self − other`: the weight sum `Σ wᵢ`, which plays the
+    /// role of the count in the density polynomial, and the weighted
+    /// moments (whose `count` is the number of points).
     #[inline(always)]
-    fn diff(&self, other: &Self) -> WeightedAggregates {
-        WeightedAggregates {
-            wsum: self.wsum.value() - other.wsum.value(),
+    fn diff(&self, other: &Self) -> (f64, RangeAggregates) {
+        let moments = RangeAggregates {
+            count: self.count - other.count,
             ax: self.ax.value() - other.ax.value(),
             ay: self.ay.value() - other.ay.value(),
             s: self.s.value() - other.s.value(),
@@ -136,63 +124,8 @@ impl WeightedAccumulator {
             mxx: self.mxx.value() - other.mxx.value(),
             mxy: self.mxy.value() - other.mxy.value(),
             myy: self.myy.value() - other.myy.value(),
-        }
-    }
-}
-
-impl WeightedAggregates {
-    /// Snapshot in the shared emit form: `wsum` plays the role of the
-    /// count, the polynomial is identical term-for-term (see
-    /// [`crate::simd::density_at`]).
-    #[inline]
-    fn emit(&self) -> crate::simd::EmitAggregates {
-        crate::simd::EmitAggregates {
-            n: self.wsum,
-            ax: self.ax,
-            ay: self.ay,
-            s: self.s,
-            cx: self.cx,
-            cy: self.cy,
-            q4: self.q4,
-            mxx: self.mxx,
-            mxy: self.mxy,
-            myy: self.myy,
-        }
-    }
-}
-
-/// Weighted density from aggregates — the weighted analogue of
-/// `KernelType::density_from_aggregates`. The scalar sweep path evaluates
-/// through this directly; the vector path goes through
-/// [`crate::simd::density_at`] with `n = wsum`, which mirrors this
-/// expression tree bit-for-bit (pinned by the emit-path test below).
-#[inline]
-fn density_from_weighted(
-    kernel: KernelType,
-    q: &Point,
-    agg: &WeightedAggregates,
-    bandwidth: f64,
-    global_weight: f64,
-) -> f64 {
-    let b2 = bandwidth * bandwidth;
-    match kernel {
-        KernelType::Uniform => global_weight / bandwidth * agg.wsum,
-        KernelType::Epanechnikov => {
-            let qn = q.norm_sq();
-            let qta = q.x * agg.ax + q.y * agg.ay;
-            global_weight * (agg.wsum - (agg.wsum * qn - 2.0 * qta + agg.s) / b2)
-        }
-        KernelType::Quartic => {
-            let qn = q.norm_sq();
-            let qta = q.x * agg.ax + q.y * agg.ay;
-            let qtc = q.x * agg.cx + q.y * agg.cy;
-            let qmq = q.x * q.x * agg.mxx + 2.0 * q.x * q.y * agg.mxy + q.y * q.y * agg.myy;
-            let sum_u = agg.wsum * qn - 2.0 * qta + agg.s;
-            let sum_u2 = agg.wsum * qn * qn + 4.0 * qmq + agg.q4 - 4.0 * qn * qta
-                + 2.0 * qn * agg.s
-                - 4.0 * qtc;
-            global_weight * (agg.wsum - 2.0 / b2 * sum_u + sum_u2 / (b2 * b2))
-        }
+        };
+        (self.wsum.value() - other.wsum.value(), moments)
     }
 }
 
@@ -209,18 +142,11 @@ pub(crate) struct WeightedRowSweep {
     bandwidth: f64,
     global_weight: f64,
     buckets: Buckets,
-    emit: crate::simd::EmitBuffer,
 }
 
 impl WeightedRowSweep {
     pub(crate) fn new(kernel: KernelType, bandwidth: f64, global_weight: f64) -> Self {
-        Self {
-            kernel,
-            bandwidth,
-            global_weight,
-            buckets: Buckets::default(),
-            emit: crate::simd::EmitBuffer::default(),
-        }
+        Self { kernel, bandwidth, global_weight, buckets: Buckets::default() }
     }
 
     /// Rebinds the engine to new kernel parameters, keeping the bucket
@@ -255,7 +181,7 @@ impl WeightedRowSweep {
     /// Sweep pass over the scattered buckets; `QUARTIC` and the row-local
     /// accumulators as in `BucketSweep::sweep`.
     fn sweep<const QUARTIC: bool>(
-        &mut self,
+        &self,
         xs: &[f64],
         k: f64,
         intervals: &[crate::envelope::SweepInterval],
@@ -263,136 +189,51 @@ impl WeightedRowSweep {
         out: &mut [f64],
     ) {
         let Buckets { head_l, head_u, next_l, next_u } = &self.buckets;
-        let x_count = xs.len();
-
-        // Two variants, dispatched once per row on [`crate::simd::mode`] —
-        // see `BucketSweep::sweep`. Scalar: the fused per-pixel loop
-        // through `density_from_weighted`. Vector: event-free pixel
-        // stretches share one aggregate snapshot and frame, recorded as
-        // runs and evaluated by `EmitBuffer::flush` (4 pixels per
-        // iteration), bitwise identical to the per-pixel loop.
         let mut l_acc = WeightedAccumulator::new(QUARTIC);
         let mut u_acc = WeightedAccumulator::new(QUARTIC);
         let shift_limit = 4.0 * self.bandwidth;
         let mut frame_x = xs[0];
-        let mode = crate::simd::mode();
-        let mut span = kdv_obs::span1("emit.simd", "mode", mode as u64);
-        let lanes = match mode {
-            crate::simd::SimdMode::Scalar => {
-                for (i, &x) in xs.iter().enumerate() {
-                    if l_acc.count == u_acc.count {
-                        l_acc.reset();
-                        u_acc.reset();
-                        frame_x = x;
-                    } else if x - frame_x > shift_limit {
-                        let delta = x - frame_x;
-                        l_acc.shift_x(delta);
-                        u_acc.shift_x(delta);
-                        frame_x = x;
-                    }
-                    let mut cur = head_l[i];
-                    while cur != NIL {
-                        let idx = cur as usize;
-                        let p = &intervals[idx].point;
-                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = next_l[idx];
-                    }
-                    let agg = l_acc.diff(&u_acc);
-                    let q = Point::new(x - frame_x, 0.0);
-                    out[i] = density_from_weighted(
-                        self.kernel,
-                        &q,
-                        &agg,
-                        self.bandwidth,
-                        self.global_weight,
-                    );
-                    let mut cur = head_u[i + 1];
-                    while cur != NIL {
-                        let idx = cur as usize;
-                        let p = &intervals[idx].point;
-                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = next_u[idx];
-                    }
-                }
-                0
+        let _span = kdv_obs::span("row.emit");
+        for (i, &x) in xs.iter().enumerate() {
+            if l_acc.count == u_acc.count {
+                l_acc.reset();
+                u_acc.reset();
+                frame_x = x;
+            } else if x - frame_x > shift_limit {
+                let delta = x - frame_x;
+                l_acc.shift_x(delta);
+                u_acc.shift_x(delta);
+                frame_x = x;
             }
-            crate::simd::SimdMode::Vector => {
-                self.emit.clear();
-                let mut i = 0usize;
-                while i < x_count {
-                    let x = xs[i];
-                    if l_acc.count == u_acc.count {
-                        l_acc.reset();
-                        u_acc.reset();
-                        frame_x = x;
-                    } else if x - frame_x > shift_limit {
-                        let delta = x - frame_x;
-                        l_acc.shift_x(delta);
-                        u_acc.shift_x(delta);
-                        frame_x = x;
-                    }
-                    let mut cur = head_l[i];
-                    while cur != NIL {
-                        let idx = cur as usize;
-                        let p = &intervals[idx].point;
-                        l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = next_l[idx];
-                    }
-                    // `count` (insertions, not `wsum`) detects emptiness
-                    // exactly as the per-pixel loop does; empty ⟹ the reset
-                    // above ran and the lower-bound drain inserted nothing,
-                    // so every run pixel evaluates at `q = (+0.0, 0.0)`
-                    // with zeroed aggregates.
-                    let empty = l_acc.count == u_acc.count;
-                    let mut e = i + 1;
-                    if empty {
-                        while e < x_count && head_l[e] == NIL && head_u[e] == NIL {
-                            e += 1;
-                        }
-                    } else {
-                        while e < x_count
-                            && head_l[e] == NIL
-                            && head_u[e] == NIL
-                            && xs[e] - frame_x <= shift_limit
-                        {
-                            e += 1;
-                        }
-                    }
-                    if empty {
-                        self.emit.push_fill(
-                            i,
-                            e,
-                            crate::simd::density_at(
-                                self.kernel,
-                                &crate::simd::EmitAggregates::default(),
-                                0.0,
-                                self.bandwidth,
-                                self.global_weight,
-                            ),
-                        );
-                        frame_x = xs[e - 1];
-                    } else {
-                        let agg = l_acc.diff(&u_acc);
-                        self.emit.push_run(i, e, frame_x, agg.emit());
-                    }
-                    let mut cur = head_u[e];
-                    while cur != NIL {
-                        let idx = cur as usize;
-                        let p = &intervals[idx].point;
-                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
-                        cur = next_u[idx];
-                    }
-                    i = e;
-                }
-                self.emit.flush(self.kernel, self.bandwidth, self.global_weight, xs, out)
+            let mut cur = head_l[i];
+            while cur != NIL {
+                let idx = cur as usize;
+                let p = &intervals[idx].point;
+                l_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
+                cur = next_l[idx];
             }
-        };
-        span.arg("lanes", lanes as u64);
+            let (wsum, agg) = l_acc.diff(&u_acc);
+            let q = Point::new(x - frame_x, 0.0);
+            out[i] = self.kernel.density_from_moments(
+                &q,
+                wsum,
+                &agg,
+                self.bandwidth,
+                self.global_weight,
+            );
+            let mut cur = head_u[i + 1];
+            while cur != NIL {
+                let idx = cur as usize;
+                let p = &intervals[idx].point;
+                u_acc.insert(&Point::new(p.x - frame_x, p.y - k), env_weights[idx]);
+                cur = next_u[idx];
+            }
+        }
     }
 
     /// Auxiliary heap bytes held by the engine.
     pub(crate) fn space_bytes(&self) -> usize {
-        self.buckets.space_bytes() + self.emit.space_bytes()
+        self.buckets.space_bytes()
     }
 }
 
@@ -679,31 +520,33 @@ mod tests {
         }
     }
 
-    /// The sweep now emits through `simd::density_at` with `n = wsum`; that
-    /// expression tree must mirror the weighted reference bit-for-bit.
+    /// The weighted sweep evaluates through the crate's one density
+    /// polynomial with `n = Σ wᵢ`. With unit weights every weighted moment
+    /// is exactly the unweighted one (`1.0·x == x`, and a compensated sum
+    /// of ones is exact), so the weighted evaluation must reproduce the
+    /// unweighted one bit for bit.
     #[test]
-    fn emit_path_matches_density_from_weighted_bitwise() {
-        let mut l = WeightedAccumulator::new(true);
-        for (i, p) in [
+    fn unit_weight_moments_match_the_unweighted_polynomial_bitwise() {
+        let mut weighted = WeightedAccumulator::new(true);
+        let mut plain = crate::aggregate::SweepAccumulator::new(true);
+        for p in [
             Point::new(0.5, -1.5),
             Point::new(-2.25, 0.75),
             Point::new(3.0, 3.0),
             Point::new(1e-4, -0.3),
-        ]
-        .iter()
-        .enumerate()
-        {
-            l.insert(p, 0.25 + i as f64 * 1.5);
+        ] {
+            weighted.insert(&p, 1.0);
+            plain.insert(&p);
         }
-        let agg = l.diff(&WeightedAccumulator::new(true));
-        let emit = agg.emit();
+        let (wsum, moments) = weighted.diff(&WeightedAccumulator::new(true));
+        let agg = plain.diff(&crate::aggregate::SweepAccumulator::new(true));
         for kernel in KernelType::ALL {
             for dx in [-3.5, 0.0, 0.125, 2.75] {
                 for b in [1.25, 8.0] {
                     let q = Point::new(dx, 0.0);
-                    let reference = density_from_weighted(kernel, &q, &agg, b, 0.6);
-                    let got = crate::simd::density_at(kernel, &emit, dx, b, 0.6);
-                    assert_eq!(got.to_bits(), reference.to_bits(), "{kernel} dx={dx} b={b}");
+                    let want = kernel.density_from_aggregates(&q, &agg, b, 0.6);
+                    let got = kernel.density_from_moments(&q, wsum, &moments, b, 0.6);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{kernel} dx={dx} b={b}");
                 }
             }
         }

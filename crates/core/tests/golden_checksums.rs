@@ -4,8 +4,8 @@
 //! that moved every engine the same way (say, in the shared accumulator or
 //! the bucket helpers) would pass it. These tests pin the absolute output
 //! instead: small fixed scenes, all three kernels, unweighted and
-//! unit-weighted, each rendered under both SIMD modes, must reproduce the
-//! `digest::grid_checksum` values recorded below bit for bit.
+//! unit-weighted, must reproduce the `digest::grid_checksum` values
+//! recorded below bit for bit.
 //!
 //! The values were recorded from the engines before the bucket sweep's
 //! per-event rewrite (libm-free bucketing, selected-operand compensated
@@ -15,7 +15,6 @@
 
 use kdv_core::digest::grid_checksum;
 use kdv_core::parallel::{compute_parallel_rao, ParallelEngine};
-use kdv_core::simd::{with_mode, SimdMode};
 use kdv_core::weighted::compute_weighted;
 use kdv_core::{
     sweep_bucket, sweep_sort, DensityGrid, GridSpec, KdvParams, KernelType, Point, Rect,
@@ -165,23 +164,20 @@ const GOLDEN: &[(&str, u64)] = &[
 ];
 
 #[test]
-fn sweep_engines_reproduce_recorded_checksums_in_both_simd_modes() {
+fn sweep_engines_reproduce_recorded_checksums() {
     let mut mismatches = Vec::new();
     let mut table = String::new();
     for scene in scenes() {
         for kernel in KernelType::ALL {
-            for mode in [SimdMode::Scalar, SimdMode::Vector] {
-                for (label, grid) in with_mode(mode, || renders(&scene, kernel)) {
-                    let got = grid_checksum(&grid);
-                    if mode == SimdMode::Scalar {
-                        table.push_str(&format!("    (\"{label}\", 0x{got:016x}),\n"));
+            for (label, grid) in renders(&scene, kernel) {
+                let got = grid_checksum(&grid);
+                table.push_str(&format!("    (\"{label}\", 0x{got:016x}),\n"));
+                match GOLDEN.iter().find(|(l, _)| *l == label) {
+                    Some(&(_, want)) if want == got => {}
+                    Some(&(_, want)) => {
+                        mismatches.push(format!("{label}: got {got:016x}, want {want:016x}"))
                     }
-                    match GOLDEN.iter().find(|(l, _)| *l == label) {
-                        Some(&(_, want)) if want == got => {}
-                        Some(&(_, want)) => mismatches
-                            .push(format!("{label} ({mode:?}): got {got:016x}, want {want:016x}")),
-                        None => mismatches.push(format!("{label}: no recorded checksum")),
-                    }
+                    None => mismatches.push(format!("{label}: no recorded checksum")),
                 }
             }
         }

@@ -22,8 +22,8 @@ use crate::trace::Session;
 /// FNV-1a over the grid dimensions and the raw bit pattern of every
 /// density value. Bitwise-sensitive: any single-ULP difference between
 /// two grids produces a different checksum. Thin re-export of the shared
-/// [`kdv_core::digest::grid_checksum`] so replay digests and the SIMD
-/// dispatch probe use one definition.
+/// [`kdv_core::digest::grid_checksum`] so replay digests and the golden
+/// checksums use one definition.
 pub fn checksum(grid: &DensityGrid) -> u64 {
     kdv_core::digest::grid_checksum(grid)
 }
