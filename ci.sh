@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: build, tests, conformance, formatting, lints. Run before
-# every push.
+# Local CI gate: build, tests, conformance, formatting, lints, rustdoc.
+# Run before every push.
 #
 #   ./ci.sh            full gate (includes the quick conformance matrix
 #                      and the repository benchmark's self-tests)
@@ -197,5 +197,8 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> CI OK"

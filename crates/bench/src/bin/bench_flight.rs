@@ -14,7 +14,7 @@
 //!    offending request's span tree (the breach dump also its exemplar).
 //! 3. **Prometheus** — the text exposition of the live metrics registry
 //!    must parse under the golden-format grammar and agree with the
-//!    [`Snapshot`] counter-for-counter.
+//!    [`kdv_obs::metrics::Snapshot`] counter-for-counter.
 //!
 //! Appends a dated entry to `BENCH_flight.json` in the output directory
 //! (`--out`, default `results/`). `./ci.sh obs-live` runs this.

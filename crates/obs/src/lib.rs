@@ -6,7 +6,7 @@
 //! per-phase predictions — envelope extraction vs. interval sort vs. row
 //! sweep — and this crate is how the repo observes them empirically:
 //!
-//! * [`span`] — a per-thread **span recorder**: `begin`/`end` events with
+//! * [`span`](mod@span) — a per-thread **span recorder**: `begin`/`end` events with
 //!   static names and `u64` arguments, recorded into thread-local buffers
 //!   that drain into a global sink when a thread exits (or on an explicit
 //!   [`span::flush_thread`]). Spans are RAII guards ([`span::span`]), so

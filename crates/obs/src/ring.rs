@@ -1,7 +1,7 @@
 //! Flight recorder: always-on bounded per-thread rings of *completed*
 //! spans with trigger-based incident dumps.
 //!
-//! The span recorder in [`crate::span`] answers "what happened over the
+//! The span recorder in [`crate::span`](mod@crate::span) answers "what happened over the
 //! whole run" — it grows without bound while enabled and is drained once
 //! at exit. A long-lived server needs the opposite: a recorder that is
 //! always on, costs near-nothing in steady state, never grows, and can
