@@ -100,9 +100,21 @@ impl RangeAggregates {
 /// Tracks the same ten quantities as [`RangeAggregates`] but with
 /// Kahan-compensated sums; `maintain_quartic` lets Epanechnikov/uniform runs
 /// skip the six extra accumulators.
+///
+/// `WEIGHTED` picks the weight source at compile time. Every Table 4
+/// aggregate is a sum over points, so a weighted sweep is the same sweep
+/// with each point's terms scaled by its weight and `n = Σ wᵢ` in place of
+/// `|R(q)|`. With unit weights (`false`, the default) an insert multiplies
+/// by nothing and `n` is the insertion count; with `f64` weights (`true`)
+/// every term carries the weight as its leftmost factor (`w·n²·x` is
+/// `(w·n²)·x`) and `n` is a compensated weight sum. `count` is kept either
+/// way: weights may cancel, so only the count can tell when the active set
+/// is empty.
 #[derive(Debug, Clone, Default)]
-pub struct SweepAccumulator {
+pub struct SweepAccumulator<const WEIGHTED: bool = false> {
     count: u64,
+    /// `Σ wᵢ` (weighted sweeps only).
+    wsum: Kahan,
     ax: Kahan,
     ay: Kahan,
     s: Kahan,
@@ -115,7 +127,7 @@ pub struct SweepAccumulator {
     maintain_quartic: bool,
 }
 
-impl SweepAccumulator {
+impl<const WEIGHTED: bool> SweepAccumulator<WEIGHTED> {
     /// A fresh accumulator. `maintain_quartic` enables the `C`/`Q`/`M`
     /// terms (needed only by the quartic kernel).
     #[inline(always)]
@@ -123,21 +135,28 @@ impl SweepAccumulator {
         Self { maintain_quartic, ..Self::default() }
     }
 
-    /// Inserts `p` (sweep case 1 or 2: an interval endpoint was passed).
+    /// Inserts `p` with weight `w` (sweep case 1 or 2: an interval endpoint
+    /// was passed). A unit-weight accumulator ignores `w`.
     #[inline(always)]
-    pub fn insert(&mut self, p: &Point) {
+    pub fn insert(&mut self, p: &Point, w: f64) {
         self.count += 1;
-        self.ax.add(p.x);
-        self.ay.add(p.y);
         let n2 = p.norm_sq();
-        self.s.add(n2);
+        let (wx, wy, wn2) = if WEIGHTED {
+            self.wsum.add(w);
+            (w * p.x, w * p.y, w * n2)
+        } else {
+            (p.x, p.y, n2)
+        };
+        self.ax.add(wx);
+        self.ay.add(wy);
+        self.s.add(wn2);
         if self.maintain_quartic {
-            self.cx.add(n2 * p.x);
-            self.cy.add(n2 * p.y);
-            self.q4.add(n2 * n2);
-            self.mxx.add(p.x * p.x);
-            self.mxy.add(p.x * p.y);
-            self.myy.add(p.y * p.y);
+            self.cx.add(wn2 * p.x);
+            self.cy.add(wn2 * p.y);
+            self.q4.add(wn2 * n2);
+            self.mxx.add(wx * p.x);
+            self.mxy.add(wx * p.y);
+            self.myy.add(wy * p.y);
         }
     }
 
@@ -151,8 +170,7 @@ impl SweepAccumulator {
     /// `maintain_quartic` flag).
     #[inline(always)]
     pub fn reset(&mut self) {
-        let mq = self.maintain_quartic;
-        *self = SweepAccumulator::new(mq);
+        *self = Self::new(self.maintain_quartic);
     }
 
     /// Translates the accumulated coordinate frame along x by `delta`:
@@ -161,16 +179,17 @@ impl SweepAccumulator {
     ///
     /// Exact in real arithmetic — each power sum is a polynomial in the
     /// coordinates, so a translation is a binomial re-expansion in terms of
-    /// the pre-shift sums. The engines use this to keep every stored
-    /// magnitude `O(b)` as the sweep advances (the rolling frame described
-    /// in `sweep_sort`), which is what keeps the quartic decomposition
-    /// conditioned at city-scale coordinates.
+    /// the pre-shift sums, with the zeroth moment `n` (count or `Σ wᵢ`)
+    /// where a binomial term has no coordinate left. The engines use this
+    /// to keep every stored magnitude `O(b)` as the sweep advances (the
+    /// rolling frame described in `sweep_sort`), which is what keeps the
+    /// quartic decomposition conditioned at city-scale coordinates.
     #[inline(always)]
     pub fn shift_x(&mut self, delta: f64) {
         if self.count == 0 {
             return;
         }
-        let n = self.count as f64;
+        let n = if WEIGHTED { self.wsum.value() } else { self.count as f64 };
         let d = delta;
         // Snapshot pre-shift values: every update below must see the old
         // frame, not a partially shifted one.
@@ -198,15 +217,18 @@ impl SweepAccumulator {
     }
 
     /// Snapshot of the difference `self − other`, i.e. the aggregates of
-    /// `L \ U` (valid because `U ⊆ L`, proven in Lemma 5).
+    /// `L \ U` (valid because `U ⊆ L`, proven in Lemma 5), together with
+    /// the density polynomial's zeroth moment `n` of that set: its point
+    /// count for unit weights, its weight sum otherwise (the aggregates'
+    /// own `count` is always the number of points).
     ///
     /// # Panics
     /// Debug-panics if `other.count > self.count`, which would violate the
     /// sweep invariant `U ⊆ L`.
     #[inline(always)]
-    pub fn diff(&self, other: &SweepAccumulator) -> RangeAggregates {
+    pub fn diff(&self, other: &Self) -> (f64, RangeAggregates) {
         debug_assert!(other.count <= self.count, "sweep invariant U ⊆ L violated");
-        RangeAggregates {
+        let agg = RangeAggregates {
             count: self.count - other.count,
             ax: self.ax.value() - other.ax.value(),
             ay: self.ay.value() - other.ay.value(),
@@ -217,7 +239,9 @@ impl SweepAccumulator {
             mxx: self.mxx.value() - other.mxx.value(),
             mxy: self.mxy.value() - other.mxy.value(),
             myy: self.myy.value() - other.myy.value(),
-        }
+        };
+        let n = if WEIGHTED { self.wsum.value() - other.wsum.value() } else { agg.count as f64 };
+        (n, agg)
     }
 }
 
@@ -261,19 +285,25 @@ mod tests {
         assert!((a.q4 - whole.q4).abs() < 1e-12);
     }
 
+    /// A unit-weight accumulator.
+    fn unit(quartic: bool) -> SweepAccumulator {
+        SweepAccumulator::new(quartic)
+    }
+
     #[test]
     fn sweep_diff_equals_set_difference() {
         let pts = sample_points();
-        let mut l = SweepAccumulator::new(true);
-        let mut u = SweepAccumulator::new(true);
+        let mut l = unit(true);
+        let mut u = unit(true);
         for p in &pts {
-            l.insert(p);
+            l.insert(p, 1.0);
         }
         // U gets the first two points (they have "left" the range)
-        u.insert(&pts[0]);
-        u.insert(&pts[1]);
-        let diff = l.diff(&u);
+        u.insert(&pts[0], 1.0);
+        u.insert(&pts[1], 1.0);
+        let (n, diff) = l.diff(&u);
         let expect = RangeAggregates::from_points(&pts[2..]);
+        assert_eq!(n, 2.0);
         assert_eq!(diff.count, expect.count);
         assert!((diff.ax - expect.ax).abs() < 1e-12);
         assert!((diff.s - expect.s).abs() < 1e-12);
@@ -283,54 +313,80 @@ mod tests {
 
     #[test]
     fn reset_keeps_quartic_flag() {
-        let mut acc = SweepAccumulator::new(true);
-        acc.insert(&Point::new(1.0, 1.0));
+        let mut acc = unit(true);
+        acc.insert(&Point::new(1.0, 1.0), 1.0);
         acc.reset();
         assert_eq!(acc.count(), 0);
-        acc.insert(&Point::new(2.0, 0.0));
-        let diff = acc.diff(&SweepAccumulator::new(true));
+        acc.insert(&Point::new(2.0, 0.0), 1.0);
+        let (_, diff) = acc.diff(&unit(true));
         assert!((diff.q4 - 16.0).abs() < 1e-12, "quartic terms still maintained");
+    }
+
+    /// `(n, aggregates)` of `pts` inserted with `weights` (ignored by a
+    /// unit-weight accumulator), after an x-shift by `delta`.
+    fn moments<const WEIGHTED: bool>(
+        pts: &[Point],
+        weights: &[f64],
+        quartic: bool,
+        delta: f64,
+    ) -> (f64, RangeAggregates) {
+        let mut acc = SweepAccumulator::<WEIGHTED>::new(quartic);
+        for (p, &w) in pts.iter().zip(weights) {
+            acc.insert(p, w);
+        }
+        acc.shift_x(delta);
+        acc.diff(&SweepAccumulator::new(quartic))
     }
 
     #[test]
     fn shift_x_matches_rebuilding_in_new_frame() {
         let pts = sample_points();
+        let delta = 3.75;
+        let shifted: Vec<Point> = pts.iter().map(|p| Point::new(p.x - delta, p.y)).collect();
+        // Real weights of both signs: their sum stands in for the count.
+        let weights = [0.5, -2.0, 3.0, 1.25];
         for quartic in [false, true] {
-            let mut acc = SweepAccumulator::new(quartic);
-            for p in &pts {
-                acc.insert(p);
-            }
-            let delta = 3.75;
-            acc.shift_x(delta);
-            let shifted: Vec<Point> = pts.iter().map(|p| Point::new(p.x - delta, p.y)).collect();
-            let mut expect = SweepAccumulator::new(quartic);
-            for p in &shifted {
-                expect.insert(p);
-            }
-            let got = acc.diff(&SweepAccumulator::new(quartic));
-            let want = expect.diff(&SweepAccumulator::new(quartic));
-            assert_eq!(got.count, want.count);
-            for (g, w) in [
-                (got.ax, want.ax),
-                (got.ay, want.ay),
-                (got.s, want.s),
-                (got.cx, want.cx),
-                (got.cy, want.cy),
-                (got.q4, want.q4),
-                (got.mxx, want.mxx),
-                (got.mxy, want.mxy),
-                (got.myy, want.myy),
+            for ((n_got, got), (n_want, want)) in [
+                (
+                    moments::<false>(&pts, &weights, quartic, delta),
+                    moments::<false>(&shifted, &weights, quartic, 0.0),
+                ),
+                (
+                    moments::<true>(&pts, &weights, quartic, delta),
+                    moments::<true>(&shifted, &weights, quartic, 0.0),
+                ),
             ] {
-                assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0), "{g} vs {w}");
+                assert_eq!((got.count, n_got), (want.count, n_want));
+                for (g, w) in [
+                    (got.ax, want.ax),
+                    (got.ay, want.ay),
+                    (got.s, want.s),
+                    (got.cx, want.cx),
+                    (got.cy, want.cy),
+                    (got.q4, want.q4),
+                    (got.mxx, want.mxx),
+                    (got.mxy, want.mxy),
+                    (got.myy, want.myy),
+                ] {
+                    assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0), "{g} vs {w}");
+                }
             }
         }
     }
 
     #[test]
+    fn weight_sum_not_count_is_the_zeroth_moment() {
+        let pts = [Point::new(1.0, 0.0), Point::new(-1.0, 0.0)];
+        let (n, agg) = moments::<true>(&pts, &[2.5, -1.0], false, 0.0);
+        assert_eq!((n, agg.count, agg.ax), (1.5, 2, 3.5));
+    }
+
+    #[test]
     fn shift_x_on_empty_accumulator_is_a_noop() {
-        let mut acc = SweepAccumulator::new(true);
+        let mut acc = unit(true);
         acc.shift_x(123.0);
-        let d = acc.diff(&SweepAccumulator::new(true));
+        let (n, d) = acc.diff(&unit(true));
+        assert_eq!(n, 0.0);
         assert_eq!(d.count, 0);
         assert_eq!(d.ax, 0.0);
         assert_eq!(d.q4, 0.0);
@@ -338,9 +394,9 @@ mod tests {
 
     #[test]
     fn non_quartic_mode_skips_extras() {
-        let mut acc = SweepAccumulator::new(false);
-        acc.insert(&Point::new(2.0, 3.0));
-        let d = acc.diff(&SweepAccumulator::new(false));
+        let mut acc = unit(false);
+        acc.insert(&Point::new(2.0, 3.0), 1.0);
+        let (_, d) = acc.diff(&unit(false));
         assert_eq!(d.count, 1);
         assert_eq!(d.s, 13.0);
         assert_eq!(d.q4, 0.0, "quartic terms not maintained in cheap mode");

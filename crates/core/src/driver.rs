@@ -6,8 +6,11 @@
 //! This module owns everything row-independent: input validation, numerical
 //! recentring, pixel-centre precomputation and buffer reuse.
 
+use std::ops::Range;
+
 use crate::envelope::{BandIndex, EnvelopeBuffer, SweepInterval};
 use crate::error::{KdvError, Result};
+use crate::geom::Point;
 use crate::grid::{DensityGrid, GridSpec};
 use crate::kernel::KernelType;
 
@@ -56,11 +59,24 @@ impl KdvParams {
 }
 
 /// Validates that every input coordinate is finite.
-pub fn validate_points(points: &[crate::geom::Point]) -> Result<()> {
+pub fn validate_points(points: &[Point]) -> Result<()> {
     for (i, p) in points.iter().enumerate() {
         if !p.x.is_finite() || !p.y.is_finite() {
             return Err(KdvError::NonFinitePoint { index: i });
         }
+    }
+    Ok(())
+}
+
+/// Validates a weight vector against its point set: the lengths must match
+/// (a mismatch reports [`KdvError::NonFinitePoint`] at the first index
+/// only one side has) and every weight must be finite.
+pub(crate) fn validate_weights(points: &[Point], weights: &[f64]) -> Result<()> {
+    if weights.len() != points.len() {
+        return Err(KdvError::NonFinitePoint { index: weights.len().min(points.len()) });
+    }
+    if let Some(i) = weights.iter().position(|w| !w.is_finite()) {
+        return Err(KdvError::InvalidWeight(weights[i]));
     }
     Ok(())
 }
@@ -73,6 +89,23 @@ pub fn validate_points(points: &[crate::geom::Point]) -> Result<()> {
 pub trait RowEngine {
     /// Fills `out[i] = F_P(q_i)` for every pixel of the row.
     fn process_row(&mut self, xs: &[f64], k: f64, intervals: &[SweepInterval], out: &mut [f64]);
+
+    /// [`RowEngine::process_row`] with per-point weights,
+    /// `F(q_i) = w·Σ weights[j]·K(q_i, intervals[j].point)`. The drivers
+    /// call it for every row of a weighted [`SweepContext`]. Only the
+    /// bucket engine sweeps weights; this default panics, so a weighted
+    /// context handed to a unit-only engine fails loudly instead of
+    /// dropping its weights.
+    fn process_weighted_row(
+        &mut self,
+        _xs: &[f64],
+        _k: f64,
+        _intervals: &[SweepInterval],
+        _weights: &[f64],
+        _out: &mut [f64],
+    ) {
+        panic!("this row engine sweeps unit weights only");
+    }
 
     /// Auxiliary heap bytes currently held by the engine (for the paper's
     /// space-consumption experiment, Figure 17).
@@ -87,10 +120,14 @@ pub trait RowEngine {
 /// ties in input order — which is what both the banded index and the
 /// full-scan reference emit, so every extraction path hands intervals to
 /// the engines in the same sequence (bitwise-reproducible accumulation).
+///
+/// A context built with [`SweepContext::weighted`] also carries per-point
+/// weights in that order, so a row's weights are the slice of its band and
+/// every driver sweeps it as a weighted KDV with no further setup.
 pub struct SweepContext {
     /// Points shifted so the region centre is the origin, sorted by
     /// ascending y (stable, so runs are deterministic).
-    pub points: Vec<crate::geom::Point>,
+    pub points: Vec<Point>,
     /// Banded envelope index over `points`: y-sorted SoA coordinates plus
     /// the permutation back to the caller's input order.
     pub index: BandIndex,
@@ -99,7 +136,9 @@ pub struct SweepContext {
     /// Recentred pixel-centre y-coordinates, one per row.
     pub ks: Vec<f64>,
     /// Offset that was subtracted (region centre).
-    pub center: crate::geom::Point,
+    pub center: Point,
+    /// Per-point weights in canonical order (`None`: unit weights).
+    weights: Option<Vec<f64>>,
 }
 
 impl SweepContext {
@@ -110,7 +149,7 @@ impl SweepContext {
     /// exact in real arithmetic (kernels depend only on `q − p`) and keeps
     /// the aggregate expansion (Eq. 5) well conditioned when coordinates
     /// are large (city projections are ~1e5–1e7 metres).
-    pub fn new(params: &KdvParams, points: &[crate::geom::Point]) -> Result<Self> {
+    pub fn new(params: &KdvParams, points: &[Point]) -> Result<Self> {
         params.validate()?;
         validate_points(points)?;
         let grid = &params.grid;
@@ -120,14 +159,53 @@ impl SweepContext {
         let sorted: Vec<_> = (0..index.len()).map(|i| index.point(i)).collect();
         let xs: Vec<f64> = (0..grid.res_x).map(|i| grid.pixel_x(i) - center.x).collect();
         let ks: Vec<f64> = (0..grid.res_y).map(|j| grid.pixel_y(j) - center.y).collect();
-        Ok(Self { points: sorted, index, xs, ks, center })
+        Ok(Self { points: sorted, index, xs, ks, center, weights: None })
     }
 
-    /// Heap bytes held by the context (points, index, pixel coordinates).
+    /// [`SweepContext::new`] for a weighted KDV: `weights[i]` is the weight
+    /// of `points[i]`, stored in the canonical order.
+    ///
+    /// # Errors
+    /// Those of [`SweepContext::new`], plus [`KdvError::InvalidWeight`] for a
+    /// non-finite weight and [`KdvError::NonFinitePoint`] at the first
+    /// unmatched index when the lengths differ.
+    pub fn weighted(params: &KdvParams, points: &[Point], weights: &[f64]) -> Result<Self> {
+        validate_weights(points, weights)?;
+        let mut ctx = Self::new(params, points)?;
+        let index = &ctx.index;
+        ctx.weights = Some((0..index.len()).map(|i| weights[index.original_index(i)]).collect());
+        Ok(ctx)
+    }
+
+    /// Sweeps one row with `engine`: `intervals` were filled from `band`
+    /// (a range of the canonical order) at row coordinate `k`. A weighted
+    /// context hands the engine the band's weights.
+    #[inline]
+    pub(crate) fn sweep_row<E: RowEngine>(
+        &self,
+        engine: &mut E,
+        band: Range<usize>,
+        k: f64,
+        intervals: &[SweepInterval],
+        out: &mut [f64],
+    ) {
+        match &self.weights {
+            Some(weights) => {
+                engine.process_weighted_row(&self.xs, k, intervals, &weights[band], out)
+            }
+            None => engine.process_row(&self.xs, k, intervals, out),
+        }
+    }
+
+    /// Heap bytes held by the context (points, index, pixel coordinates,
+    /// weights).
     pub fn space_bytes(&self) -> usize {
-        self.points.capacity() * std::mem::size_of::<crate::geom::Point>()
+        self.points.capacity() * std::mem::size_of::<Point>()
             + self.index.space_bytes()
-            + (self.xs.capacity() + self.ks.capacity()) * std::mem::size_of::<f64>()
+            + (self.xs.capacity()
+                + self.ks.capacity()
+                + self.weights.as_ref().map_or(0, Vec::capacity))
+                * std::mem::size_of::<f64>()
     }
 }
 
@@ -137,38 +215,27 @@ impl SweepContext {
 /// outright — their densities are exactly zero).
 pub fn sweep_grid<E: RowEngine>(
     params: &KdvParams,
-    points: &[crate::geom::Point],
+    points: &[Point],
     engine: &mut E,
 ) -> Result<DensityGrid> {
     let ctx = SweepContext::new(params, points)?;
-    let mut grid = DensityGrid::zeroed(params.grid.res_x, params.grid.res_y);
+    Ok(sweep_context(&ctx, params, engine))
+}
+
+/// The raster of a built context: [`crate::tile::sweep_rows`] over every
+/// row, unit or weighted as the context says.
+pub(crate) fn sweep_context<E: RowEngine>(
+    ctx: &SweepContext,
+    params: &KdvParams,
+    engine: &mut E,
+) -> DensityGrid {
+    let (res_x, res_y) = (params.grid.res_x, params.grid.res_y);
+    let mut values = vec![0.0; res_x * res_y];
     let mut envelope = EnvelopeBuffer::for_points(ctx.points.len());
-    let _sweep = kdv_obs::span2(
-        "sweep.sequential",
-        "rows",
-        params.grid.res_y as u64,
-        "points",
-        points.len() as u64,
-    );
-    for j in 0..params.grid.res_y {
-        let k = ctx.ks[j];
-        let band = {
-            let _s = kdv_obs::span1("band.search", "row", j as u64);
-            ctx.index.band(params.bandwidth, k)
-        };
-        if band.is_empty() {
-            continue;
-        }
-        let intervals = {
-            let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-            let intervals = envelope.fill_band(&ctx.index, band, params.bandwidth, k);
-            s.arg("size", intervals.len() as u64);
-            intervals
-        };
-        let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-        engine.process_row(&ctx.xs, k, intervals, grid.row_mut(j));
-    }
-    Ok(grid)
+    let _sweep =
+        kdv_obs::span2("sweep.sequential", "rows", res_y as u64, "points", ctx.points.len() as u64);
+    crate::tile::sweep_rows(ctx, params.bandwidth, 0..res_y, engine, &mut envelope, &mut values);
+    DensityGrid::from_values(res_x, res_y, values)
 }
 
 /// [`sweep_grid`] with the paper's original full-scan extraction (`O(n)`
@@ -177,7 +244,7 @@ pub fn sweep_grid<E: RowEngine>(
 /// identical to it, and the extraction benchmarks measure it.
 pub fn sweep_grid_scan<E: RowEngine>(
     params: &KdvParams,
-    points: &[crate::geom::Point],
+    points: &[Point],
     engine: &mut E,
 ) -> Result<DensityGrid> {
     let ctx = SweepContext::new(params, points)?;

@@ -124,14 +124,6 @@ impl BandIndex {
         (within.start + lo)..(within.start + hi)
     }
 
-    /// Copies the per-point payloads (e.g. weights, indexed like the
-    /// builder's input slice) of one band into `out`, aligned with the
-    /// intervals that [`EnvelopeBuffer::fill_band`] produces for it.
-    pub fn gather(&self, band: Range<usize>, payload: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.perm[band].iter().map(|&i| payload[i as usize]));
-    }
-
     /// Heap bytes an index over `n` points occupies: two `f64` coordinate
     /// arrays plus the `u32` permutation.
     pub const fn bytes_for(n: usize) -> usize {
@@ -362,9 +354,6 @@ mod tests {
         assert_eq!(index.original_index(1), 1);
         let band = index.band(3.0, 0.0);
         assert_eq!(band, 0..3);
-        let mut out = Vec::new();
-        index.gather(band, &[10.0, 20.0, 30.0], &mut out);
-        assert_eq!(out, vec![10.0, 20.0, 30.0]);
     }
 
     #[test]

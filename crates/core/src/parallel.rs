@@ -37,7 +37,6 @@ use crate::grid::DensityGrid;
 use crate::sweep_bucket::BucketSweep;
 use crate::sweep_sort::SortSweep;
 use crate::telemetry::{SweepReport, WorkerStats};
-use crate::weighted::WeightedWorkspace;
 
 /// Which sequential engine each worker thread instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,47 +153,6 @@ fn run_scheduler<S>(
     })
 }
 
-/// Sequential-engine dispatch for one worker. The sort engine keeps its
-/// accumulators in the struct, the bucket engine does not, so the sort
-/// variant is boxed to keep the enum as small as the bucket engine.
-enum AnyEngine {
-    Sort(Box<SortSweep>),
-    Bucket(BucketSweep),
-}
-
-impl AnyEngine {
-    fn new(kind: ParallelEngine, params: &KdvParams) -> Self {
-        match kind {
-            ParallelEngine::Sort => {
-                Self::Sort(Box::new(SortSweep::new(params.kernel, params.bandwidth, params.weight)))
-            }
-            ParallelEngine::Bucket => {
-                Self::Bucket(BucketSweep::new(params.kernel, params.bandwidth, params.weight))
-            }
-        }
-    }
-
-    fn process_row(
-        &mut self,
-        xs: &[f64],
-        k: f64,
-        intervals: &[crate::envelope::SweepInterval],
-        out: &mut [f64],
-    ) {
-        match self {
-            Self::Sort(e) => e.process_row(xs, k, intervals, out),
-            Self::Bucket(e) => e.process_row(xs, k, intervals, out),
-        }
-    }
-
-    fn space_bytes(&self) -> usize {
-        match self {
-            Self::Sort(e) => e.space_bytes(),
-            Self::Bucket(e) => e.space_bytes(),
-        }
-    }
-}
-
 /// Computes the raster with `threads` workers claiming rows dynamically.
 /// `threads == 0` uses [`default_threads`]; `1` falls back to the
 /// sequential path. Output is bitwise identical to the sequential sweep
@@ -223,8 +181,28 @@ pub fn compute_parallel_with_report(
     engine: ParallelEngine,
     threads: usize,
 ) -> Result<(DensityGrid, SweepReport)> {
-    let threads = resolve_threads(threads);
     let ctx = SweepContext::new(params, points)?;
+    let (kernel, b, w) = (params.kernel, params.bandwidth, params.weight);
+    Ok(match engine {
+        ParallelEngine::Sort => {
+            sweep_context_parallel(&ctx, params, threads, || SortSweep::new(kernel, b, w))
+        }
+        ParallelEngine::Bucket => {
+            sweep_context_parallel(&ctx, params, threads, || BucketSweep::new(kernel, b, w))
+        }
+    })
+}
+
+/// The work-stealing row sweep over a built context, unit or weighted as
+/// the context says, with one `make_engine()` engine per worker: the one
+/// row closure of every parallel sweep driver.
+fn sweep_context_parallel<E: RowEngine>(
+    ctx: &SweepContext,
+    params: &KdvParams,
+    threads: usize,
+    make_engine: impl Fn() -> E + Sync,
+) -> (DensityGrid, SweepReport) {
+    let threads = resolve_threads(threads);
     let res_x = params.grid.res_x;
     let res_y = params.grid.res_y;
     let mut values = vec![0.0_f64; res_x * res_y];
@@ -237,7 +215,7 @@ pub fn compute_parallel_with_report(
         run_scheduler(
             res_y,
             threads,
-            &|| (EnvelopeBuffer::for_points(ctx.points.len()), AnyEngine::new(engine, params)),
+            &|| (EnvelopeBuffer::for_points(ctx.points.len()), make_engine()),
             &|(envelope, eng), j, stats| {
                 let k = ctx.ks[j];
                 let t0 = Instant::now();
@@ -254,7 +232,8 @@ pub fn compute_parallel_with_report(
                 }
                 let intervals = {
                     let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-                    let intervals = envelope.fill_band(&ctx.index, band, params.bandwidth, k);
+                    let intervals =
+                        envelope.fill_band(&ctx.index, band.clone(), params.bandwidth, k);
                     s.arg("size", intervals.len() as u64);
                     intervals
                 };
@@ -263,7 +242,7 @@ pub fn compute_parallel_with_report(
                 let out = unsafe { table.row(j) };
                 {
                     let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-                    eng.process_row(&ctx.xs, k, intervals, out);
+                    ctx.sweep_row(eng, band, k, intervals, out);
                 }
                 stats.fill_nanos += (t1 - t0).as_nanos() as u64;
                 stats.sweep_nanos += t1.elapsed().as_nanos() as u64;
@@ -274,7 +253,7 @@ pub fn compute_parallel_with_report(
     };
     let mut report = SweepReport::from_workers(workers, res_y, ctx.space_bytes());
     report.wall_nanos = start.elapsed().as_nanos() as u64;
-    Ok((DensityGrid::from_values(res_x, res_y, values), report))
+    (DensityGrid::from_values(res_x, res_y, values), report)
 }
 
 /// Parallel sweep with the resolution-aware optimization: transposes when
@@ -297,13 +276,23 @@ pub fn compute_parallel_rao_with_report(
     engine: ParallelEngine,
     threads: usize,
 ) -> Result<(DensityGrid, SweepReport)> {
-    if crate::rao::should_transpose(params) {
-        let t_params = params.transposed();
-        let t_points: Vec<Point> = points.iter().map(Point::transposed).collect();
-        let (grid, report) = compute_parallel_with_report(&t_params, &t_points, engine, threads)?;
-        return Ok((grid.transposed(), report));
+    with_rao_report(params, points, |params, points| {
+        compute_parallel_with_report(params, points, engine, threads)
+    })
+}
+
+/// [`crate::rao::with_rao`] for the drivers that also return a report.
+fn with_rao_report(
+    params: &KdvParams,
+    points: &[Point],
+    sweep: impl Fn(&KdvParams, &[Point]) -> Result<(DensityGrid, SweepReport)>,
+) -> Result<(DensityGrid, SweepReport)> {
+    if !crate::rao::should_transpose(params) {
+        return sweep(params, points);
     }
-    compute_parallel_with_report(params, points, engine, threads)
+    let t_points: Vec<Point> = points.iter().map(Point::transposed).collect();
+    let (grid, report) = sweep(&params.transposed(), &t_points)?;
+    Ok((grid.transposed(), report))
 }
 
 /// Parallel weighted sweep (bucket engine plus RAO dispatch), bitwise
@@ -325,83 +314,11 @@ pub fn compute_weighted_parallel_with_report(
     weights: &[f64],
     threads: usize,
 ) -> Result<(DensityGrid, SweepReport)> {
-    crate::weighted::validate_weights(points, weights)?;
-    if params.grid.res_y > params.grid.res_x {
-        let t_params = params.transposed();
-        let t_points: Vec<Point> = points.iter().map(Point::transposed).collect();
-        let (grid, report) =
-            compute_weighted_rows_parallel(&t_params, &t_points, weights, threads)?;
-        return Ok((grid.transposed(), report));
-    }
-    compute_weighted_rows_parallel(params, points, weights, threads)
-}
-
-fn compute_weighted_rows_parallel(
-    params: &KdvParams,
-    points: &[Point],
-    weights: &[f64],
-    threads: usize,
-) -> Result<(DensityGrid, SweepReport)> {
-    let threads = resolve_threads(threads);
-    let ctx = SweepContext::new(params, points)?;
-    let res_x = params.grid.res_x;
-    let res_y = params.grid.res_y;
-    let bandwidth = params.bandwidth;
-    let mut values = vec![0.0_f64; res_x * res_y];
-    let table = RowTable::new(&mut values, res_x);
-
-    let start = Instant::now();
-    let workers = {
-        let _sweep =
-            kdv_obs::span2("sweep.parallel", "rows", res_y as u64, "threads", threads as u64);
-        run_scheduler(
-            res_y,
-            threads,
-            &|| {
-                let mut ws = WeightedWorkspace::new();
-                ws.engine_for(params);
-                ws
-            },
-            &|ws, j, stats| {
-                let WeightedWorkspace { envelope, env_weights, engine, .. } = ws;
-                let engine = engine.as_mut().expect("engine_for configured the engine");
-                let k = ctx.ks[j];
-                let t0 = Instant::now();
-                let band = {
-                    let _s = kdv_obs::span1("band.search", "row", j as u64);
-                    ctx.index.band(bandwidth, k)
-                };
-                if band.is_empty() {
-                    // the output row is already zeroed — skip the engine
-                    stats.fill_nanos += t0.elapsed().as_nanos() as u64;
-                    stats.rows_skipped += 1;
-                    stats.envelope_sizes.push((j, 0));
-                    return;
-                }
-                let intervals = {
-                    let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-                    ctx.index.gather(band.clone(), weights, env_weights);
-                    let intervals = envelope.fill_band(&ctx.index, band, bandwidth, k);
-                    s.arg("size", intervals.len() as u64);
-                    intervals
-                };
-                let t1 = Instant::now();
-                // SAFETY: the scheduler claims each row exactly once.
-                let out = unsafe { table.row(j) };
-                {
-                    let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-                    engine.process_row(&ctx.xs, k, intervals, env_weights, out);
-                }
-                stats.fill_nanos += (t1 - t0).as_nanos() as u64;
-                stats.sweep_nanos += t1.elapsed().as_nanos() as u64;
-                stats.envelope_sizes.push((j, intervals.len()));
-            },
-            &|ws| ws.space_bytes(),
-        )
-    };
-    let mut report = SweepReport::from_workers(workers, res_y, ctx.space_bytes());
-    report.wall_nanos = start.elapsed().as_nanos() as u64;
-    Ok((DensityGrid::from_values(res_x, res_y, values), report))
+    with_rao_report(params, points, |params, points| {
+        let ctx = SweepContext::weighted(params, points, weights)?;
+        let (kernel, b, w) = (params.kernel, params.bandwidth, params.weight);
+        Ok(sweep_context_parallel(&ctx, params, threads, || BucketSweep::new(kernel, b, w)))
+    })
 }
 
 /// Parallel multi-bandwidth exploration, bitwise identical to
@@ -504,7 +421,7 @@ pub fn for_each_index<T: Send>(
 /// [`for_each_index`] with per-worker scratch state: each worker builds one
 /// `S` with `make_state` and threads it through every task it claims. This
 /// is how frame loops keep buffers warm across frames without sharing them
-/// between threads (e.g. one [`WeightedWorkspace`] per worker).
+/// between threads (e.g. one [`crate::tile::BandWorkspace`] per worker).
 pub fn for_each_index_with<S, T: Send>(
     count: usize,
     threads: usize,

@@ -25,6 +25,12 @@
 //! an insert is a few register adds rather than loads and stores of the
 //! whole accumulator.
 //!
+//! The same row loop sweeps weighted KDV (`F(q) = w·Σ wᵢ·K(q, pᵢ)`): every
+//! Table 4 aggregate is a sum over points, so the weighted sweep is this
+//! one with each insert scaled by its point's weight and `n = Σ wᵢ`
+//! (`SweepAccumulator<true>`). Whether a row is weighted is a compile-time
+//! parameter of the loop, chosen once per row.
+//!
 //! Accumulation uses the same rolling recentred frame as SLAM_SORT (see the
 //! `sweep_sort` module docs): intervals containing no pixel centre are
 //! dropped at scatter time (`bl == bu` — they would activate and deactivate
@@ -41,22 +47,20 @@ use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
 
 /// End-of-list marker of the bucket lists.
-pub(crate) const NIL: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
 
 /// The row's buckets: intrusive singly linked lists over the interval
 /// array, one lower-bound and one upper-bound list per pixel.
 ///
-/// Shared by [`BucketSweep`] and the weighted sweep so both bucket with the
-/// same exact semantics.
 #[derive(Debug, Default)]
-pub(crate) struct Buckets {
+struct Buckets {
     /// `head_l[i]` — first interval whose lower bound activates at pixel `i`
     /// (index `X` = activates past the last pixel, i.e. never).
-    pub(crate) head_l: Vec<u32>,
+    head_l: Vec<u32>,
     /// `head_u[i]` — first interval whose upper bound deactivates at pixel `i`.
-    pub(crate) head_u: Vec<u32>,
-    pub(crate) next_l: Vec<u32>,
-    pub(crate) next_u: Vec<u32>,
+    head_u: Vec<u32>,
+    next_l: Vec<u32>,
+    next_u: Vec<u32>,
 }
 
 impl Buckets {
@@ -65,7 +69,7 @@ impl Buckets {
     /// `bl == bu` means the interval contains no pixel centre: it would
     /// activate and deactivate at the same pixel, contributing nothing, so
     /// it is dropped here (saving work *and* rounding noise).
-    pub(crate) fn scatter(&mut self, xs: &[f64], intervals: &[SweepInterval]) {
+    fn scatter(&mut self, xs: &[f64], intervals: &[SweepInterval]) {
         let x_count = xs.len();
         // Reset bucket heads: X+1 buckets, index X meaning "never".
         self.head_l.clear();
@@ -94,7 +98,7 @@ impl Buckets {
     }
 
     /// Heap bytes held by the lists.
-    pub(crate) fn space_bytes(&self) -> usize {
+    fn space_bytes(&self) -> usize {
         (self.head_l.capacity()
             + self.head_u.capacity()
             + self.next_l.capacity()
@@ -175,6 +179,28 @@ impl BucketSweep {
         self.bandwidth = bandwidth;
     }
 
+    /// Scatters the row's intervals, then runs the sweep pass with the
+    /// kernel's quartic choice; `weights` as in [`BucketSweep::sweep`].
+    fn run<const WEIGHTED: bool>(
+        &mut self,
+        xs: &[f64],
+        k: f64,
+        intervals: &[SweepInterval],
+        weights: &[f64],
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(out.len(), xs.len());
+        {
+            let _s = kdv_obs::span1("bucket.scatter", "intervals", intervals.len() as u64);
+            self.buckets.scatter(xs, intervals);
+        }
+        if self.kernel.needs_quartic_terms() {
+            self.sweep::<true, WEIGHTED>(xs, k, intervals, weights, out);
+        } else {
+            self.sweep::<false, WEIGHTED>(xs, k, intervals, weights, out);
+        }
+    }
+
     /// Sweep pass (lines 13–20 of Algorithm 2) over the scattered buckets.
     ///
     /// `QUARTIC` is `kernel.needs_quartic_terms()` as a compile-time
@@ -182,21 +208,26 @@ impl BucketSweep {
     /// (they are reset at every row start anyway). Together with the
     /// accumulator methods being inlined, that lets the compiler drop the
     /// six quartic sums from Epanechnikov/uniform rows and keep the live
-    /// sums in registers across the bucket drains.
-    fn sweep<const QUARTIC: bool>(
+    /// sums in registers across the bucket drains. `WEIGHTED` is the
+    /// accumulators' weight source: `weights[i]` is the weight of
+    /// `intervals[i]` when it is set, and `weights` is not read otherwise.
+    fn sweep<const QUARTIC: bool, const WEIGHTED: bool>(
         &self,
         xs: &[f64],
         k: f64,
         intervals: &[SweepInterval],
+        weights: &[f64],
         out: &mut [f64],
     ) {
+        debug_assert!(!WEIGHTED || weights.len() == intervals.len());
         // Each interval is visited at most once per side across the whole
         // row, so O(X + |E(k)|) total. Accumulation runs in the rolling
         // frame `(frame_x, k)` — see the module docs of `sweep_sort` for the
         // conditioning argument.
         let Buckets { head_l, head_u, next_l, next_u } = &self.buckets;
-        let mut l_acc = SweepAccumulator::new(QUARTIC);
-        let mut u_acc = SweepAccumulator::new(QUARTIC);
+        let mut l_acc = SweepAccumulator::<WEIGHTED>::new(QUARTIC);
+        let mut u_acc = SweepAccumulator::<WEIGHTED>::new(QUARTIC);
+        let weight = |idx: usize| if WEIGHTED { weights[idx] } else { 1.0 };
         let shift_limit = 4.0 * self.bandwidth;
         let mut frame_x = xs[0];
         let _span = kdv_obs::span("row.emit");
@@ -214,21 +245,23 @@ impl BucketSweep {
             }
             let mut cur = head_l[i];
             while cur != NIL {
-                let p = &intervals[cur as usize].point;
-                l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                cur = next_l[cur as usize];
+                let idx = cur as usize;
+                let p = &intervals[idx].point;
+                l_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
+                cur = next_l[idx];
             }
-            let agg = l_acc.diff(&u_acc);
+            let (n, agg) = l_acc.diff(&u_acc);
             let q = Point::new(x - frame_x, 0.0);
-            out[i] = self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
+            out[i] = self.kernel.density_from_moments(&q, n, &agg, self.bandwidth, self.weight);
             // Deactivate intervals whose bucket is the next pixel — i.e.
             // whose last contained pixel is the current one — while their
             // coordinates are still within `b` of the sweep position.
             let mut cur = head_u[i + 1];
             while cur != NIL {
-                let p = &intervals[cur as usize].point;
-                u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                cur = next_u[cur as usize];
+                let idx = cur as usize;
+                let p = &intervals[idx].point;
+                u_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
+                cur = next_u[idx];
             }
         }
     }
@@ -236,16 +269,18 @@ impl BucketSweep {
 
 impl RowEngine for BucketSweep {
     fn process_row(&mut self, xs: &[f64], k: f64, intervals: &[SweepInterval], out: &mut [f64]) {
-        debug_assert_eq!(out.len(), xs.len());
-        {
-            let _s = kdv_obs::span1("bucket.scatter", "intervals", intervals.len() as u64);
-            self.buckets.scatter(xs, intervals);
-        }
-        if self.kernel.needs_quartic_terms() {
-            self.sweep::<true>(xs, k, intervals, out);
-        } else {
-            self.sweep::<false>(xs, k, intervals, out);
-        }
+        self.run::<false>(xs, k, intervals, &[], out);
+    }
+
+    fn process_weighted_row(
+        &mut self,
+        xs: &[f64],
+        k: f64,
+        intervals: &[SweepInterval],
+        weights: &[f64],
+        out: &mut [f64],
+    ) {
+        self.run::<true>(xs, k, intervals, weights, out);
     }
 
     fn space_bytes(&self) -> usize {

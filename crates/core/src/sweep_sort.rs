@@ -56,22 +56,73 @@ pub struct SortSweep {
     lbs: Vec<(f64, f64, Point)>,
     /// Intervals sorted by upper bound: `(UB_k(p), LB_k(p), p)`.
     ubs: Vec<(f64, f64, Point)>,
-    l_acc: SweepAccumulator,
-    u_acc: SweepAccumulator,
 }
 
 impl SortSweep {
     /// Creates an engine for the given kernel/bandwidth/weight.
     pub fn new(kernel: KernelType, bandwidth: f64, weight: f64) -> Self {
-        let quartic = kernel.needs_quartic_terms();
-        Self {
-            kernel,
-            bandwidth,
-            weight,
-            lbs: Vec::new(),
-            ubs: Vec::new(),
-            l_acc: SweepAccumulator::new(quartic),
-            u_acc: SweepAccumulator::new(quartic),
+        Self { kernel, bandwidth, weight, lbs: Vec::new(), ubs: Vec::new() }
+    }
+
+    /// Sweep pass over the sorted endpoint lists. As in `BucketSweep`,
+    /// `QUARTIC` is `kernel.needs_quartic_terms()` as a compile-time
+    /// constant and the `L`/`U` accumulators are locals of the call, so
+    /// they can live in registers.
+    fn sweep<const QUARTIC: bool>(&self, xs: &[f64], k: f64, out: &mut [f64]) {
+        let (lbs, ubs) = (&self.lbs, &self.ubs);
+        let mut l_acc = SweepAccumulator::<false>::new(QUARTIC);
+        let mut u_acc = SweepAccumulator::<false>::new(QUARTIC);
+        let (mut li, mut ui) = (0usize, 0usize);
+        // Rolling frame: see the module docs. `4b` keeps shifts rare (at
+        // most every ~4 bandwidths of sweep progress) while bounding every
+        // accumulator coordinate by `5b`.
+        let shift_limit = 4.0 * self.bandwidth;
+        let mut frame_x = xs[0];
+        let _span = kdv_obs::span("row.emit");
+        for (i, &x) in xs.iter().enumerate() {
+            if l_acc.count() == u_acc.count() {
+                // Active set is empty: restart clean at the pixel.
+                l_acc.reset();
+                u_acc.reset();
+                frame_x = x;
+            } else if x - frame_x > shift_limit {
+                let delta = x - frame_x;
+                l_acc.shift_x(delta);
+                u_acc.shift_x(delta);
+                frame_x = x;
+            }
+            // Case 1: sweep passes lower bounds with LB ≤ x. Intervals that
+            // contain no pixel centre (UB < x already) would cancel against
+            // an immediate deactivation, so they are skipped on both sides.
+            while li < lbs.len() && lbs[li].0 <= x {
+                let (_, ub, p) = lbs[li];
+                if ub >= x {
+                    l_acc.insert(&Point::new(p.x - frame_x, p.y - k), 1.0);
+                }
+                li += 1;
+            }
+            // Case 3: evaluate the pixel from L − U aggregates (Lemma 3).
+            let (n, agg) = l_acc.diff(&u_acc);
+            let q = Point::new(x - frame_x, 0.0);
+            out[i] = self.kernel.density_from_moments(&q, n, &agg, self.bandwidth, self.weight);
+            // Case 2: deactivate intervals ending before the next pixel
+            // (UB < xs[i+1]; strict, so a pixel exactly on an interval's
+            // right endpoint still counts, keeping R(q) = {dist ≤ b}
+            // inclusive). Doing this at the last pixel the interval
+            // contains — instead of the first pixel past it — keeps the
+            // deactivated coordinates within `b` of the current pixel.
+            if i + 1 < xs.len() {
+                let x_next = xs[i + 1];
+                while ui < ubs.len() && ubs[ui].0 < x_next {
+                    let (ub, lb, p) = ubs[ui];
+                    // Mirror of the insertion skip: only intervals that
+                    // contained the current pixel were ever inserted.
+                    if lb <= x && ub >= x {
+                        u_acc.insert(&Point::new(p.x - frame_x, p.y - k), 1.0);
+                    }
+                    ui += 1;
+                }
+            }
         }
     }
 }
@@ -89,60 +140,10 @@ impl RowEngine for SortSweep {
             self.lbs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             self.ubs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         }
-
-        self.l_acc.reset();
-        self.u_acc.reset();
-        let (mut li, mut ui) = (0usize, 0usize);
-        // Rolling frame: see the module docs. `4b` keeps shifts rare (at
-        // most every ~4 bandwidths of sweep progress) while bounding every
-        // accumulator coordinate by `5b`.
-        let shift_limit = 4.0 * self.bandwidth;
-        let mut frame_x = xs[0];
-        let _span = kdv_obs::span("row.emit");
-        for (i, &x) in xs.iter().enumerate() {
-            if self.l_acc.count() == self.u_acc.count() {
-                // Active set is empty: restart clean at the pixel.
-                self.l_acc.reset();
-                self.u_acc.reset();
-                frame_x = x;
-            } else if x - frame_x > shift_limit {
-                let delta = x - frame_x;
-                self.l_acc.shift_x(delta);
-                self.u_acc.shift_x(delta);
-                frame_x = x;
-            }
-            // Case 1: sweep passes lower bounds with LB ≤ x. Intervals that
-            // contain no pixel centre (UB < x already) would cancel against
-            // an immediate deactivation, so they are skipped on both sides.
-            while li < self.lbs.len() && self.lbs[li].0 <= x {
-                let (_, ub, p) = self.lbs[li];
-                if ub >= x {
-                    self.l_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                }
-                li += 1;
-            }
-            // Case 3: evaluate the pixel from L − U aggregates (Lemma 3).
-            let agg = self.l_acc.diff(&self.u_acc);
-            let q = Point::new(x - frame_x, 0.0);
-            out[i] = self.kernel.density_from_aggregates(&q, &agg, self.bandwidth, self.weight);
-            // Case 2: deactivate intervals ending before the next pixel
-            // (UB < xs[i+1]; strict, so a pixel exactly on an interval's
-            // right endpoint still counts, keeping R(q) = {dist ≤ b}
-            // inclusive). Doing this at the last pixel the interval
-            // contains — instead of the first pixel past it — keeps the
-            // deactivated coordinates within `b` of the current pixel.
-            if i + 1 < xs.len() {
-                let x_next = xs[i + 1];
-                while ui < self.ubs.len() && self.ubs[ui].0 < x_next {
-                    let (ub, lb, p) = self.ubs[ui];
-                    // Mirror of the insertion skip: only intervals that
-                    // contained the current pixel were ever inserted.
-                    if lb <= x && ub >= x {
-                        self.u_acc.insert(&Point::new(p.x - frame_x, p.y - k));
-                    }
-                    ui += 1;
-                }
-            }
+        if self.kernel.needs_quartic_terms() {
+            self.sweep::<true>(xs, k, out);
+        } else {
+            self.sweep::<false>(xs, k, out);
         }
     }
 

@@ -57,7 +57,6 @@ use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::parallel::for_each_index_with;
 use crate::sweep_bucket::BucketSweep;
-use crate::weighted::WeightedWorkspace;
 
 /// Partition of an `X × Y` raster into square tiles of side `tile_size`
 /// (edge tiles are clipped). Pure index arithmetic — the geometry stays in
@@ -178,11 +177,12 @@ impl Tile {
 
 /// Runs the ordinary full-width row sweeps for `rows`, writing the
 /// results row-major into `out` (`rows.len() × ctx.xs.len()`). Rows whose
-/// envelope band is empty are skipped and stay exactly zero, as in
-/// [`crate::driver::sweep_grid`]. This is the canonical band computation shared by the
-/// stitched drivers below and the `kdv-serve` tile cache: running it for
-/// any row range produces the same bits the monolithic sweep produces for
-/// those rows.
+/// envelope band is empty are skipped and set to exactly zero, as in
+/// [`crate::driver::sweep_grid`]. A weighted context sweeps each row with
+/// its band's weights. This is the canonical
+/// band computation shared by the monolithic and stitched drivers and the
+/// `kdv-serve` tile cache: running it for any row range produces the same
+/// bits the monolithic sweep produces for those rows.
 pub fn sweep_rows<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
@@ -193,24 +193,24 @@ pub fn sweep_rows<E: RowEngine>(
 ) {
     let x_count = ctx.xs.len();
     assert_eq!(out.len(), rows.len() * x_count, "band buffer/row-range mismatch");
-    out.fill(0.0);
-    for (slot, j) in rows.enumerate() {
+    for (j, out) in rows.zip(out.chunks_exact_mut(x_count)) {
         let k = ctx.ks[j];
         let band = {
             let _s = kdv_obs::span1("band.search", "row", j as u64);
             ctx.index.band(bandwidth, k)
         };
         if band.is_empty() {
+            out.fill(0.0);
             continue;
         }
         let intervals = {
             let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-            let intervals = envelope.fill_band(&ctx.index, band, bandwidth, k);
+            let intervals = envelope.fill_band(&ctx.index, band.clone(), bandwidth, k);
             s.arg("size", intervals.len() as u64);
             intervals
         };
         let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-        engine.process_row(&ctx.xs, k, intervals, &mut out[slot * x_count..(slot + 1) * x_count]);
+        ctx.sweep_row(engine, band, k, intervals, out);
     }
 }
 
@@ -234,80 +234,10 @@ pub fn compute_band<E: RowEngine>(
     slice_band(tiling, ty, rows, band)
 }
 
-/// Weighted counterpart of [`sweep_rows`]: the ordinary full-width
-/// weighted row sweeps for `rows`, written row-major into `out`.
-/// `weights` is in *original* point order — the gather through the banded
-/// index applies the canonical-order permutation per row, exactly as
-/// [`crate::weighted::compute_weighted`] does, so any row range produces
-/// the same bits the monolithic weighted sweep produces for those rows.
-/// This is the compute path under the serve layer's coreset overview
-/// tier, where the weights are coreset multiplicities.
-pub fn sweep_rows_weighted(
-    ctx: &SweepContext,
-    params: &KdvParams,
-    rows: Range<usize>,
-    weights: &[f64],
-    workspace: &mut WeightedWorkspace,
-    out: &mut [f64],
-) {
-    let x_count = ctx.xs.len();
-    assert_eq!(out.len(), rows.len() * x_count, "band buffer/row-range mismatch");
-    out.fill(0.0);
-    let bandwidth = params.bandwidth;
-    workspace.engine_for(params);
-    let WeightedWorkspace { envelope, env_weights, engine, .. } = workspace;
-    let engine = engine.as_mut().expect("engine_for configured the engine");
-    for (slot, j) in rows.enumerate() {
-        let k = ctx.ks[j];
-        let band = {
-            let _s = kdv_obs::span1("band.search", "row", j as u64);
-            ctx.index.band(bandwidth, k)
-        };
-        if band.is_empty() {
-            continue;
-        }
-        ctx.index.gather(band.clone(), weights, env_weights);
-        let intervals = {
-            let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-            let intervals = envelope.fill_band(&ctx.index, band, bandwidth, k);
-            s.arg("size", intervals.len() as u64);
-            intervals
-        };
-        let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-        engine.process_row(
-            &ctx.xs,
-            k,
-            intervals,
-            env_weights,
-            &mut out[slot * x_count..(slot + 1) * x_count],
-        );
-    }
-}
-
-/// Weighted counterpart of [`compute_band`]: one tile row band computed
-/// by full-width *weighted* row sweeps and sliced into tiles. The unit
-/// the serve layer computes on a coreset-tier cache miss.
-pub fn compute_band_weighted(
-    ctx: &SweepContext,
-    tiling: &Tiling,
-    params: &KdvParams,
-    ty: usize,
-    weights: &[f64],
-    workspace: &mut WeightedWorkspace,
-    band: &mut Vec<f64>,
-) -> Vec<Tile> {
-    let rows = tiling.tile_rows(ty);
-    let _s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
-    band.resize(rows.len() * tiling.res_x, 0.0);
-    sweep_rows_weighted(ctx, params, rows.clone(), weights, workspace, band);
-    slice_band(tiling, ty, rows, band)
-}
-
-/// Delta-restricted weighted band accumulation — the streaming patch
-/// primitive. Runs the ordinary full-width weighted row sweeps for
-/// `rows` over `ctx` (a context built over a *delta batch*, not the base
-/// set) into `scratch`, then folds the result elementwise into `out`
-/// (the band's existing densities).
+/// Band accumulation — the streaming patch primitive. Runs the ordinary
+/// full-width row sweeps for `rows` over `ctx` (a weighted context built
+/// over a *delta batch*, not the base set) into `scratch`, then folds the
+/// result elementwise into `out` (the band's existing densities).
 ///
 /// Kernel sums are additive, so `base band + delta band` is the live
 /// band; signed weights make the same call an append (`+w`) or an
@@ -319,12 +249,12 @@ pub fn compute_band_weighted(
 /// rebuild path and the cached-tile patch path in `kdv-serve` go through
 /// this one function, which is what makes patch-then-serve bitwise-equal
 /// to rebuild-from-scratch by construction.
-pub fn accumulate_rows_weighted(
+pub fn accumulate_rows<E: RowEngine>(
     ctx: &SweepContext,
-    params: &KdvParams,
+    bandwidth: f64,
     rows: Range<usize>,
-    weights: &[f64],
-    workspace: &mut WeightedWorkspace,
+    engine: &mut E,
+    envelope: &mut EnvelopeBuffer,
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
@@ -333,7 +263,7 @@ pub fn accumulate_rows_weighted(
     let _s =
         kdv_obs::span2("tile.patch", "rows", rows.len() as u64, "points", ctx.points.len() as u64);
     scratch.resize(rows.len() * x_count, 0.0);
-    sweep_rows_weighted(ctx, params, rows, weights, workspace, scratch);
+    sweep_rows(ctx, bandwidth, rows, engine, envelope, scratch);
     for (o, &d) in out.iter_mut().zip(scratch.iter()) {
         if d != 0.0 {
             *o += d;
@@ -362,28 +292,39 @@ pub fn slice_band(tiling: &Tiling, ty: usize, band_rows: Range<usize>, band: &[f
     tiles
 }
 
+/// Per-worker scratch of the band computations: the bucket row engine,
+/// its envelope buffer, the band being built (full raster width,
+/// row-major) and the delta buffer of [`accumulate_rows`]. Everything
+/// grows on first use and stays warm across bands.
+pub struct BandWorkspace {
+    /// Row engine configured for the level's kernel parameters.
+    pub engine: BucketSweep,
+    /// Envelope buffer reused across rows.
+    pub envelope: EnvelopeBuffer,
+    /// The band's densities.
+    pub band: Vec<f64>,
+    /// Delta rows folded into `band` by [`accumulate_rows`].
+    pub delta: Vec<f64>,
+}
+
+impl BandWorkspace {
+    /// An empty workspace whose engine sweeps under `params`.
+    pub fn new(params: &KdvParams) -> Self {
+        Self {
+            engine: BucketSweep::new(params.kernel, params.bandwidth, params.weight),
+            envelope: EnvelopeBuffer::new(),
+            band: Vec::new(),
+            delta: Vec::new(),
+        }
+    }
+}
+
 /// Computes every tile of the raster with SLAM_BUCKET row sweeps, one
 /// shared full-width sweep per row band. Tiles are returned in row-major
-/// `(ty, tx)` order (see [`Tiling::index_of`]).
+/// `(ty, tx)` order (see [`Tiling::index_of`]): [`compute_tiles_parallel`]
+/// on one worker.
 pub fn compute_tiles(params: &KdvParams, points: &[Point], tile_size: usize) -> Result<Vec<Tile>> {
-    let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size)?;
-    let ctx = SweepContext::new(params, points)?;
-    let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
-    let mut envelope = EnvelopeBuffer::for_points(ctx.points.len());
-    let mut band = Vec::new();
-    let mut tiles = Vec::with_capacity(tiling.tile_count());
-    for ty in 0..tiling.tiles_y() {
-        tiles.extend(compute_band(
-            &ctx,
-            &tiling,
-            params.bandwidth,
-            ty,
-            &mut engine,
-            &mut envelope,
-            &mut band,
-        ));
-    }
-    Ok(tiles)
+    compute_tiles_parallel(params, points, tile_size, 1)
 }
 
 /// [`compute_tiles`] with row bands distributed over the work-stealing
@@ -401,14 +342,9 @@ pub fn compute_tiles_parallel(
     let per_band: Vec<Vec<Tile>> = for_each_index_with(
         tiling.tiles_y(),
         threads,
-        || {
-            (
-                BucketSweep::new(params.kernel, params.bandwidth, params.weight),
-                EnvelopeBuffer::for_points(ctx.points.len()),
-                Vec::new(),
-            )
-        },
-        |(engine, envelope, band), ty| {
+        || BandWorkspace::new(params),
+        |ws, ty| {
+            let BandWorkspace { engine, envelope, band, .. } = ws;
             compute_band(&ctx, &tiling, params.bandwidth, ty, engine, envelope, band)
         },
     );
@@ -601,21 +537,20 @@ mod tests {
         let (params, pts) = setup(50, 33, 12.0);
         let weights: Vec<f64> = (0..pts.len()).map(|i| 0.25 + (i % 9) as f64 * 0.5).collect();
         let mono = crate::weighted::compute_weighted(&params, &pts, &weights).unwrap();
-        let ctx = SweepContext::new(&params, &pts).unwrap();
+        let ctx = SweepContext::weighted(&params, &pts, &weights).unwrap();
         for tile_size in [1, 7, 16, 33] {
             let tiling = Tiling::new(50, 33, tile_size).unwrap();
-            let mut workspace = WeightedWorkspace::new();
-            let mut band = Vec::new();
+            let mut ws = BandWorkspace::new(&params);
             let mut tiles = Vec::new();
             for ty in 0..tiling.tiles_y() {
-                tiles.extend(compute_band_weighted(
+                tiles.extend(compute_band(
                     &ctx,
                     &tiling,
-                    &params,
+                    params.bandwidth,
                     ty,
-                    &weights,
-                    &mut workspace,
-                    &mut band,
+                    &mut ws.engine,
+                    &mut ws.envelope,
+                    &mut ws.band,
                 ));
             }
             let stitched = stitch(&tiling, &tiles);
@@ -628,14 +563,32 @@ mod tests {
         let (params, pts) = setup(30, 24, 9.0);
         let weights: Vec<f64> = (0..pts.len()).map(|i| (i % 5) as f64 * 0.3 + 0.1).collect();
         let full = crate::weighted::compute_weighted(&params, &pts, &weights).unwrap();
-        let ctx = SweepContext::new(&params, &pts).unwrap();
-        let mut workspace = WeightedWorkspace::new();
+        let ctx = SweepContext::weighted(&params, &pts, &weights).unwrap();
+        let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
         let rows = 4..19;
         let mut out = vec![f64::NAN; rows.len() * 30];
-        sweep_rows_weighted(&ctx, &params, rows.clone(), &weights, &mut workspace, &mut out);
+        sweep_rows(
+            &ctx,
+            params.bandwidth,
+            rows.clone(),
+            &mut engine,
+            &mut EnvelopeBuffer::new(),
+            &mut out,
+        );
         for (slot, j) in rows.enumerate() {
             assert_eq!(&out[slot * 30..(slot + 1) * 30], full.row(j), "row {j}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unit weights only")]
+    fn weighted_context_rejects_a_unit_only_engine() {
+        let (params, pts) = setup(12, 9, 9.0);
+        let ctx = SweepContext::weighted(&params, &pts, &vec![2.0; pts.len()]).unwrap();
+        let mut engine =
+            crate::sweep_sort::SortSweep::new(params.kernel, params.bandwidth, params.weight);
+        let mut out = vec![0.0; 9 * 12];
+        sweep_rows(&ctx, params.bandwidth, 0..9, &mut engine, &mut EnvelopeBuffer::new(), &mut out);
     }
 
     #[test]

@@ -60,7 +60,8 @@ proptest! {
     }
 
     /// Duplicate-y points appear in input order within the band (the sort
-    /// is stable), so `gather` aligns per-point payloads exactly.
+    /// is stable), so per-point payloads stored in the canonical order
+    /// (the weights of `SweepContext::weighted`) align exactly.
     #[test]
     fn band_preserves_input_order_of_ties(
         pts in lattice_points(),

@@ -26,8 +26,8 @@ use kdv_core::driver::SweepContext;
 use kdv_core::envelope::EnvelopeBuffer;
 use kdv_core::parallel::{compute_parallel_rao, compute_weighted_parallel, ParallelEngine};
 use kdv_core::sweep_bucket::BucketSweep;
-use kdv_core::tile::{accumulate_rows_weighted, sweep_rows};
-use kdv_core::weighted::{compute_weighted, WeightedWorkspace};
+use kdv_core::tile::{accumulate_rows, sweep_rows};
+use kdv_core::weighted::compute_weighted;
 use kdv_core::{
     sweep_bucket, sweep_sort, DensityGrid, GridSpec, KdvParams, KernelType, Point, Rect,
 };
@@ -209,17 +209,17 @@ fn weighted_renders(scene: &Scene, kernel: KernelType) -> Vec<(String, DensityGr
     let rows = scene.grid.res_y / 4..scene.grid.res_y * 3 / 4;
     let res_x = scene.grid.res_x;
     let base = SweepContext::new(&params, pts).unwrap();
-    let batch = SweepContext::new(&params, &pts[..60]).unwrap();
+    let batch = SweepContext::weighted(&params, &pts[..60], &signed[..60]).unwrap();
     let mut engine = BucketSweep::new(kernel, scene.bandwidth, params.weight);
     let mut envelope = EnvelopeBuffer::new();
     let mut band = vec![0.0; rows.len() * res_x];
     sweep_rows(&base, scene.bandwidth, rows.clone(), &mut engine, &mut envelope, &mut band);
-    accumulate_rows_weighted(
+    accumulate_rows(
         &batch,
-        &params,
+        scene.bandwidth,
         rows.clone(),
-        &signed[..60],
-        &mut WeightedWorkspace::new(),
+        &mut engine,
+        &mut envelope,
         &mut Vec::new(),
         &mut band,
     );

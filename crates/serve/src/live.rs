@@ -8,7 +8,7 @@
 //! generation `g` by folding in a weighted sweep of only the delta
 //! batches `g₀..g`, restricted to the band's rows
 //! ([`kdv_stream::fold_batches`] →
-//! [`kdv_core::tile::accumulate_rows_weighted`]). Batches whose
+//! [`kdv_core::tile::accumulate_rows`]). Batches whose
 //! y-extent ± bandwidth misses the band are skipped entirely
 //! (bandwidth-radius invalidation) — bit-transparently, because the fold
 //! skips exactly-zero delta pixels.
@@ -52,15 +52,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use kdv_core::driver::{KdvParams, SweepContext};
-use kdv_core::envelope::EnvelopeBuffer;
 use kdv_core::parallel::for_each_index_with;
-use kdv_core::sweep_bucket::BucketSweep;
 use kdv_core::telemetry::SweepReport;
-use kdv_core::tile::{slice_band, sweep_rows, sweep_rows_weighted, Tile, Tiling};
-use kdv_core::weighted::WeightedWorkspace;
+use kdv_core::tile::{slice_band, sweep_rows, BandWorkspace, Tile, Tiling};
 use kdv_core::{DensityGrid, KdvError, Point, Result};
 use kdv_coreset::Coreset;
-use kdv_stream::{fold_batches, StreamSnapshot, StreamingPointSet};
+use kdv_stream::{batch_context, fold_batches, StreamSnapshot, StreamingPointSet};
 
 use crate::cache::{CacheStats, TileCache, TileKey, TileTier};
 use crate::flight::{Flight, FlightStats, FlightTable};
@@ -263,10 +260,16 @@ impl LiveTileServer {
     }
 
     /// Appends `points` as one batch; returns the new generation.
-    /// Triggers compaction when `compact_every` is reached.
+    /// Triggers compaction when `compact_every` is reached. A batch with
+    /// a non-finite coordinate is rejected whole: nothing is sealed, the
+    /// current generation is returned, and the `stream.rejected_points`
+    /// counter grows by the batch's size.
     pub fn append(&self, points: &[Point]) -> u64 {
         let mut stream = self.stream.lock().expect("stream poisoned");
-        stream.append(points);
+        if stream.append(points).is_err() {
+            kdv_obs::metrics::global().counter("stream.rejected_points").add(points.len() as u64);
+            return stream.generation();
+        }
         self.maybe_compact(&mut stream)
     }
 
@@ -395,15 +398,11 @@ impl LiveTileServer {
 
     /// The sweep context for this zoom's *base* raster under the
     /// snapshot's epoch: the epoch base for the exact tier, the overview
-    /// coreset for the coreset tier.
+    /// coreset weighted by its multiplicities for the coreset tier.
     fn base_context(&self, snapshot: &StreamSnapshot, zoom: u8) -> Result<Arc<SweepContext>> {
-        let (map, points): (_, Arc<Vec<Point>>) = match self.tier_of(zoom) {
-            TileTier::Exact => (&self.base_contexts, Arc::clone(&snapshot.base)),
-            TileTier::Coreset => {
-                let coreset = self.overview_for(snapshot)?;
-                // context over the coreset representatives
-                (&self.coreset_contexts, Arc::new(coreset.points.clone()))
-            }
+        let (map, coreset) = match self.tier_of(zoom) {
+            TileTier::Exact => (&self.base_contexts, None),
+            TileTier::Coreset => (&self.coreset_contexts, Some(self.overview_for(snapshot)?)),
         };
         let mut map = map.lock().expect("context map poisoned");
         if let Some((epoch, ctx)) = map.get(&zoom) {
@@ -412,7 +411,11 @@ impl LiveTileServer {
             }
         }
         let _s = kdv_obs::span1("pyramid.build", "zoom", zoom as u64);
-        let ctx = Arc::new(SweepContext::new(&self.level_params(zoom), &points)?);
+        let params = self.level_params(zoom);
+        let ctx = Arc::new(match coreset {
+            None => SweepContext::new(&params, &snapshot.base)?,
+            Some(c) => SweepContext::weighted(&params, &c.points, &c.weights)?,
+        });
         map.insert(zoom, (snapshot.epoch, Arc::clone(&ctx)));
         Ok(ctx)
     }
@@ -432,7 +435,7 @@ impl LiveTileServer {
             let ctx = match map.get(&(zoom, generation)) {
                 Some(ctx) => Arc::clone(ctx),
                 None => {
-                    let ctx = Arc::new(SweepContext::new(&params, &batch.points)?);
+                    let ctx = Arc::new(batch_context(&params, batch)?);
                     map.insert((zoom, generation), Arc::clone(&ctx));
                     ctx
                 }
@@ -542,10 +545,6 @@ impl LiveTileServer {
         if !work.is_empty() {
             let base_ctx = self.base_context(&snapshot, vp.zoom)?;
             let batch_ctxs = self.batch_contexts_for(&snapshot, vp.zoom)?;
-            let coreset = match tier_info.tier {
-                TileTier::Coreset => Some(self.overview_for(&snapshot)?),
-                TileTier::Exact => None,
-            };
             let keys: Vec<LiveBandId> =
                 work.iter().map(|&(ty, _)| (vp.zoom, ty, generation)).collect();
             let plans: HashMap<usize, BandPlan> = work.into_iter().collect();
@@ -559,18 +558,21 @@ impl LiveTileServer {
                 generation,
                 base_ctx: &base_ctx,
                 batch_ctxs: &batch_ctxs,
-                coreset: coreset.as_deref(),
                 evictions: &req_evictions,
                 rejected: &req_rejected,
                 patched: &req_patched,
             };
 
-            let led: Vec<Result<Arc<BandTiles>>> =
-                for_each_index_with(lead.len(), threads, LiveScratch::default, |scratch, i| {
+            let led: Vec<Result<Arc<BandTiles>>> = for_each_index_with(
+                lead.len(),
+                threads,
+                || BandWorkspace::new(&params),
+                |ws, i| {
                     let ((_, ty, _), ref flight) = lead[i];
                     let plan = plans.get(&ty).expect("claimed band has a plan");
-                    self.lead_band(&req, ty, plan, flight, scratch)
-                });
+                    self.lead_band(&req, ty, plan, flight, ws)
+                },
+            );
 
             for result in led {
                 window.put_band(&result?);
@@ -607,7 +609,7 @@ impl LiveTileServer {
         ty: usize,
         plan: &BandPlan,
         flight: &Arc<Flight<Arc<BandTiles>>>,
-        scratch: &mut LiveScratch,
+        ws: &mut BandWorkspace,
     ) -> Result<Arc<BandTiles>> {
         let zoom = req.zoom;
         let mut lease = self.flights.lease((zoom, ty, req.generation), flight);
@@ -623,7 +625,7 @@ impl LiveTileServer {
             lease.complete(Ok(Arc::clone(&shared)));
             return Ok(shared);
         }
-        scratch.band.resize(rows.len() * req.tiling.res_x, 0.0);
+        ws.band.resize(rows.len() * req.tiling.res_x, 0.0);
 
         // Try the patch path: reassemble the band from the stale cached
         // tiles, then fold only the missing suffix of batches.
@@ -634,8 +636,7 @@ impl LiveTileServer {
                 for tile in &stale {
                     let cols = req.tiling.tile_cols(tile.tx);
                     for j in 0..rows.len() {
-                        scratch.band
-                            [j * req.tiling.res_x + cols.start..j * req.tiling.res_x + cols.end]
+                        ws.band[j * req.tiling.res_x + cols.start..j * req.tiling.res_x + cols.end]
                             .copy_from_slice(tile.row(j));
                     }
                 }
@@ -644,9 +645,7 @@ impl LiveTileServer {
                     req.params,
                     req.snapshot.batches_since(g0),
                     rows.clone(),
-                    &mut scratch.workspace,
-                    &mut scratch.delta,
-                    &mut scratch.band,
+                    ws,
                     |i, _| Ok(Arc::clone(&req.batch_ctxs[offset + i])),
                 )?;
                 span.arg("folded", folded);
@@ -658,50 +657,25 @@ impl LiveTileServer {
         }
 
         if patched_from.is_none() {
-            // Cold: canonical program from the epoch base.
-            match req.coreset {
-                None => {
-                    let engine = scratch.engine.get_or_insert_with(|| {
-                        BucketSweep::new(
-                            self.config.kernel,
-                            self.config.bandwidth,
-                            self.config.weight,
-                        )
-                    });
-                    sweep_rows(
-                        req.base_ctx,
-                        self.config.bandwidth,
-                        rows.clone(),
-                        engine,
-                        &mut scratch.envelope,
-                        &mut scratch.band,
-                    );
-                }
-                Some(coreset) => {
-                    sweep_rows_weighted(
-                        req.base_ctx,
-                        req.params,
-                        rows.clone(),
-                        &coreset.weights,
-                        &mut scratch.workspace,
-                        &mut scratch.band,
-                    );
-                }
-            }
-            let (folded, _skipped) = fold_batches(
-                req.params,
-                &req.snapshot.batches,
+            // Cold: canonical program from the epoch base (weighted by
+            // the coreset multiplicities on the overview tier).
+            sweep_rows(
+                req.base_ctx,
+                self.config.bandwidth,
                 rows.clone(),
-                &mut scratch.workspace,
-                &mut scratch.delta,
-                &mut scratch.band,
-                |i, _| Ok(Arc::clone(&req.batch_ctxs[i])),
-            )?;
+                &mut ws.engine,
+                &mut ws.envelope,
+                &mut ws.band,
+            );
+            let (folded, _skipped) =
+                fold_batches(req.params, &req.snapshot.batches, rows.clone(), ws, |i, _| {
+                    Ok(Arc::clone(&req.batch_ctxs[i]))
+                })?;
             self.stats.recomputed_bands.bump();
             self.stats.folded_batches.add(folded);
         }
 
-        let sliced = slice_band(req.tiling, ty, rows, &scratch.band);
+        let sliced = slice_band(req.tiling, ty, rows, &ws.band);
         let shared: Arc<BandTiles> = Arc::new(sliced.into_iter().map(Arc::new).collect());
         match patched_from {
             Some((g0, folded)) => {
@@ -782,32 +756,9 @@ struct LiveLeadContext<'a> {
     generation: u64,
     base_ctx: &'a Arc<SweepContext>,
     batch_ctxs: &'a [Arc<SweepContext>],
-    coreset: Option<&'a Coreset>,
     evictions: &'a AtomicU64,
     rejected: &'a AtomicU64,
     patched: &'a AtomicU64,
-}
-
-/// Per-worker scratch for live band computes; buffers grow on first use
-/// and stay warm across bands.
-struct LiveScratch {
-    engine: Option<BucketSweep>,
-    envelope: EnvelopeBuffer,
-    workspace: WeightedWorkspace,
-    band: Vec<f64>,
-    delta: Vec<f64>,
-}
-
-impl Default for LiveScratch {
-    fn default() -> Self {
-        Self {
-            engine: None,
-            envelope: EnvelopeBuffer::new(),
-            workspace: WeightedWorkspace::new(),
-            band: Vec::new(),
-            delta: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -896,6 +847,25 @@ mod tests {
         }
         assert!(srv.live_stats().patched_bands() > 0);
         assert_eq!(srv.flight_stats().duplicate_computes(), 0);
+    }
+
+    #[test]
+    fn non_finite_batches_are_rejected_and_later_requests_succeed() {
+        let srv = live_server(1 << 22, LiveConfig::default());
+        let vp = Viewport { zoom: 1, px: 5, py: 9, width: 60, height: 40 };
+        srv.serve_viewport(&vp, 0).unwrap();
+        let rejected = kdv_obs::metrics::global().counter("stream.rejected_points").get();
+        let nan = [Point::new(f64::NAN, 50.0), Point::new(20.0, 20.0)];
+        assert_eq!(srv.append(&nan), 0, "a rejected append seals nothing");
+        assert!(kdv_obs::metrics::global().counter("stream.rejected_points").get() >= rejected + 2);
+        assert_eq!(srv.serve_viewport(&vp, 0).unwrap().0, rebuild_reference(&srv, &vp));
+        let inf = [Point::new(30.0, f64::INFINITY)];
+        assert!(matches!(srv.apply_signed(&inf, &[1.0]), Err(KdvError::NonFinitePoint { .. })));
+        assert_eq!(srv.generation(), 0);
+        assert_eq!(srv.serve_viewport(&vp, 0).unwrap().0, rebuild_reference(&srv, &vp));
+        // a valid append after the rejections is served as usual
+        assert_eq!(srv.append(&points(4, 0xFACE)), 1);
+        assert_eq!(srv.serve_viewport(&vp, 0).unwrap().0, rebuild_reference(&srv, &vp));
     }
 
     #[test]

@@ -31,13 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use kdv_core::driver::SweepContext;
-use kdv_core::envelope::EnvelopeBuffer;
+use kdv_core::driver::{KdvParams, SweepContext};
 use kdv_core::parallel::for_each_index_with;
-use kdv_core::sweep_bucket::BucketSweep;
 use kdv_core::telemetry::SweepReport;
-use kdv_core::tile::{self, compute_band, compute_band_weighted, Tile, Tiling};
-use kdv_core::weighted::WeightedWorkspace;
+use kdv_core::tile::{self, compute_band, BandWorkspace, Tile, Tiling};
 use kdv_core::{DensityGrid, KdvError, KernelType, Point, Result};
 use kdv_coreset::{Coreset, CoresetMethod, CoresetSpec};
 
@@ -250,87 +247,65 @@ impl TileServer {
         .with_tier(self.tier_of(zoom))
     }
 
-    /// The point set the given zoom sweeps over: the coreset for
-    /// overview levels, the full set for exact levels.
-    fn tier_points(&self, zoom: u8) -> &[Point] {
-        match self.tier_of(zoom) {
-            TileTier::Exact => &self.points,
-            TileTier::Coreset => {
-                &self.overview.as_ref().expect("coreset tier implies overview").coreset.points
-            }
-        }
+    fn level_params(&self, zoom: u8) -> KdvParams {
+        self.pyramid.level_params(
+            zoom,
+            self.config.kernel,
+            self.config.bandwidth,
+            self.config.weight,
+        )
     }
 
     /// The level's shared sweep context, built on first use over the
-    /// level tier's point set. Concurrent first requests may build it
-    /// twice; construction is deterministic, so either copy yields the
-    /// same bits and one is dropped.
+    /// level tier's point set: the full set for exact levels, the coreset
+    /// representatives weighted by their multiplicities for overview
+    /// levels. Concurrent first requests may build it twice; construction
+    /// is deterministic, so either copy yields the same bits and one is
+    /// dropped.
     fn level_context(&self, zoom: u8) -> Result<Arc<SweepContext>> {
         let slot = &self.contexts[zoom as usize];
         if let Some(ctx) = slot.get() {
             return Ok(Arc::clone(ctx));
         }
         let _s = kdv_obs::span1("pyramid.build", "zoom", zoom as u64);
-        let params = self.pyramid.level_params(
-            zoom,
-            self.config.kernel,
-            self.config.bandwidth,
-            self.config.weight,
-        );
-        let built = Arc::new(SweepContext::new(&params, self.tier_points(zoom))?);
+        let params = self.level_params(zoom);
+        let built = Arc::new(match &self.overview {
+            Some(tier) if zoom <= tier.max_zoom => {
+                SweepContext::weighted(&params, &tier.coreset.points, &tier.coreset.weights)?
+            }
+            _ => SweepContext::new(&params, &self.points)?,
+        });
         Ok(Arc::clone(slot.get_or_init(|| built)))
-    }
-
-    /// Fresh per-worker band-compute scratch for the given zoom's tier.
-    fn band_scratch(&self, zoom: u8, points_len: usize) -> BandScratch {
-        match self.tier_of(zoom) {
-            TileTier::Exact => BandScratch::Exact(
-                BucketSweep::new(self.config.kernel, self.config.bandwidth, self.config.weight),
-                EnvelopeBuffer::for_points(points_len),
-                Vec::new(),
-            ),
-            TileTier::Coreset => BandScratch::Coreset(WeightedWorkspace::new(), Vec::new()),
-        }
     }
 
     /// Computes one led band, caches its tiles, records the single-flight
     /// counters and publishes the result to any joined waiters. Always
     /// publishes and deregisters, even if the sweep panics (the lease
     /// guard publishes an error so waiters fail instead of hanging).
-    /// Exact-tier bands run the plain bucket sweep; coreset-tier bands
-    /// run the weighted sweep over the coreset multiplicities.
+    ///
+    /// The request missed this band before claiming its flight, and
+    /// another request's flight for it may have completed in between. So
+    /// the leader first peeks the band's tiles: if all are cached, it
+    /// publishes them without sweeping or counting a compute.
     fn lead_band(
         &self,
         req: &LeadContext<'_>,
         ty: usize,
         flight: &Arc<Flight<Arc<BandTiles>>>,
-        scratch: &mut BandScratch,
+        ws: &mut BandWorkspace,
     ) -> Arc<BandTiles> {
         let zoom = req.zoom;
         let mut lease = self.flights.lease((zoom, ty), flight);
-        let computed = match scratch {
-            BandScratch::Exact(engine, envelope, band) => {
-                compute_band(req.ctx, req.tiling, self.config.bandwidth, ty, engine, envelope, band)
-            }
-            BandScratch::Coreset(workspace, band) => {
-                let tier = self.overview.as_ref().expect("coreset scratch implies overview");
-                let params = self.pyramid.level_params(
-                    zoom,
-                    self.config.kernel,
-                    self.config.bandwidth,
-                    self.config.weight,
-                );
-                compute_band_weighted(
-                    req.ctx,
-                    req.tiling,
-                    &params,
-                    ty,
-                    &tier.coreset.weights,
-                    workspace,
-                    band,
-                )
-            }
-        };
+        let cached: Option<BandTiles> =
+            (0..req.tiling.tiles_x()).map(|tx| self.cache.peek(&self.key(zoom, tx, ty))).collect();
+        if let Some(cached) = cached {
+            let shared = Arc::new(cached);
+            lease.complete(Ok(Arc::clone(&shared)));
+            return shared;
+        }
+        let BandWorkspace { engine, envelope, band, .. } = ws;
+        let computed =
+            compute_band(req.ctx, req.tiling, self.config.bandwidth, ty, engine, envelope, band);
         let shared: Arc<BandTiles> = Arc::new(computed.into_iter().map(Arc::new).collect());
         for tile in shared.iter() {
             // Every tile of the band goes into the cache — the sweep
@@ -440,13 +415,14 @@ impl TileServer {
 
             // Compute the bands this request leads, in parallel, each
             // publishing to its flight as soon as it finishes.
+            let params = self.level_params(vp.zoom);
             let led: Vec<Arc<BandTiles>> = for_each_index_with(
                 lead.len(),
                 threads,
-                || self.band_scratch(vp.zoom, ctx.points.len()),
-                |scratch, i| {
+                || BandWorkspace::new(&params),
+                |ws, i| {
                     let ((_, ty), ref flight) = lead[i];
-                    self.lead_band(&req, ty, flight, scratch)
+                    self.lead_band(&req, ty, flight, ws)
                 },
             );
 
@@ -479,14 +455,6 @@ impl TileServer {
             .record(report.wall_nanos);
         Ok((out, report, tier_info))
     }
-}
-
-/// Per-worker band-compute scratch, tier-shaped: the exact tier drives
-/// the plain bucket row engine, the coreset tier drives the weighted
-/// engine through its workspace.
-enum BandScratch {
-    Exact(BucketSweep, EnvelopeBuffer, Vec<f64>),
-    Coreset(WeightedWorkspace, Vec<f64>),
 }
 
 /// Per-request context shared by every band this request leads: the

@@ -75,7 +75,7 @@ fn hammered_live_server_never_serves_a_torn_generation() {
     let mut replay = StreamingPointSet::new(base.clone());
     for g in 0..=GENERATIONS {
         if g > 0 {
-            replay.append(&batches[g - 1]);
+            replay.append(&batches[g - 1]).unwrap();
         }
         for (v, vp) in viewports.iter().enumerate() {
             legal.insert(grid_checksum(&reference(&replay, vp)), (v, g));
@@ -164,7 +164,7 @@ fn hammered_live_server_never_serves_a_torn_generation() {
     // And the settled state is bitwise the final rebuild.
     let mut final_set = StreamingPointSet::new(points(300, 0xBADC0FFE));
     for batch in &batches {
-        final_set.append(batch);
+        final_set.append(batch).unwrap();
     }
     for vp in &viewports {
         let (grid, _) = server.serve_viewport(vp, 0).unwrap();

@@ -6,7 +6,9 @@
 //! empty tokens; fields dropped, duplicated, inserted or swapped; lines
 //! cut short or commented out). Every input goes through all three
 //! parsers, and every viewport any of them accepts is served by a tiny
-//! [`TileServer`] and a tiny [`LiveTileServer`]. Each step must return
+//! [`TileServer`] and a tiny [`LiveTileServer`]. The live feed's
+//! arrivals are appended to the live server and then expired, once while
+//! they are live and once more after they are not. Each step must return
 //! `Ok` or `Err`: a served viewport must have exactly the clamped
 //! window's shape, and a viewport with nothing left after clamping must
 //! be an `Err`.
@@ -86,8 +88,9 @@ fn config() -> ServeConfig {
 
 fn servers() -> (TileServer, LiveTileServer) {
     let frozen = TileServer::new(pyramid(), config(), points(40), 1 << 24, 2);
-    let live =
-        LiveTileServer::new(pyramid(), config(), LiveConfig::default(), points(40), 1 << 24, 2);
+    // Compaction keeps the batch log of the fed arrivals short.
+    let live_config = LiveConfig { patching: true, compact_every: Some(16) };
+    let live = LiveTileServer::new(pyramid(), config(), live_config, points(40), 1 << 24, 2);
     (frozen, live)
 }
 
@@ -164,6 +167,22 @@ fn input(rng: &mut Rng, corpora: &[Vec<&str>]) -> String {
     }
 }
 
+/// Appends `arrivals` to the live server as one batch, then expires each
+/// one with a signed batch, and the first once more, when it is no longer
+/// live: that expiration must be an `Err` that seals nothing.
+fn feed(live: &LiveTileServer, arrivals: &[Point]) {
+    let before = live.generation();
+    assert_eq!(live.append(arrivals) > before, !arrivals.is_empty(), "append of {arrivals:?}");
+    for p in arrivals {
+        live.apply_signed(&[*p], &[-1.0]).expect("an appended arrival is live");
+    }
+    if let Some(p) = arrivals.first() {
+        let generation = live.generation();
+        assert!(live.apply_signed(&[*p], &[-1.0]).is_err(), "{p:?} expired twice");
+        assert_eq!(live.generation(), generation, "a rejected expiration seals nothing");
+    }
+}
+
 /// Serves `vp` on both servers and checks the outcome against the
 /// clamped window.
 fn serve_both(frozen: &TileServer, live: &LiveTileServer, vp: &Viewport) {
@@ -205,11 +224,12 @@ fn seeded_trace_inputs_never_panic() {
     assert!(corpora.iter().all(|c| c.len() >= 5), "the committed traces should seed the corpus");
     let (frozen, live) = servers();
     let mut rng = Rng(0x7ACE_F022);
-    let (mut parsed, mut served, mut clamped) = (0usize, 0usize, 0usize);
+    let (mut parsed, mut served, mut clamped, mut fed) = (0usize, 0usize, 0usize, 0usize);
     for i in 0..20_000 {
         let text = input(&mut rng, &corpora);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut vps: Vec<Viewport> = Vec::new();
+            let mut arrivals = Vec::new();
             if let Ok(v) = trace::parse(&text) {
                 vps.extend(v);
             }
@@ -219,29 +239,37 @@ fn seeded_trace_inputs_never_panic() {
                 );
             }
             if let Ok(events) = trace::parse_live(&text) {
-                vps.extend(events.iter().filter_map(|e| match e {
-                    LiveEvent::Request { viewport, .. } => Some(*viewport),
-                    LiveEvent::Arrival { .. } => None,
-                }));
+                for event in &events {
+                    match event {
+                        LiveEvent::Request { viewport, .. } => vps.push(*viewport),
+                        LiveEvent::Arrival { point, .. } => arrivals.push(*point),
+                    }
+                }
+                feed(&live, &arrivals);
             }
             for vp in &vps {
                 serve_both(&frozen, &live, vp);
             }
             let reshaped = vps.iter().filter(|vp| vp.clamped(frozen.pyramid()) != Some(**vp));
-            (vps.len(), reshaped.count())
+            (vps.len(), reshaped.count(), arrivals.len())
         }));
         match outcome {
-            Ok((n, reshaped)) => {
+            Ok((n, reshaped, arrived)) => {
                 parsed += usize::from(n > 0);
                 served += n;
                 clamped += reshaped;
+                fed += arrived;
             }
             Err(_) => panic!("input {i} panicked: {text:?}"),
         }
     }
     // enough inputs must parse to reach the servers, most of them with
     // windows the servers have to clamp or reject
-    println!("{parsed} inputs parsed, {served} viewports served, {clamped} clamped or rejected");
+    println!(
+        "{parsed} inputs parsed, {served} viewports served, {clamped} clamped or rejected, \
+         {fed} arrivals fed"
+    );
     assert!(parsed > 1_500, "only {parsed} inputs parsed to a viewport");
+    assert!(fed > 100, "only {fed} live arrivals reached the live server");
     assert!(clamped > 3_000, "only {clamped} viewports needed clamping");
 }

@@ -16,7 +16,7 @@
 //!   generation `g₀` to `g` folds exactly the suffix batches, so the
 //!   patch is bitwise-equal to a cold rebuild **by construction** (both
 //!   run the same additions in the same order; see
-//!   [`kdv_core::tile::accumulate_rows_weighted`]).
+//!   [`kdv_core::tile::accumulate_rows`]).
 //! * [`StreamingPointSet::compact`] folds the live multiset into a new
 //!   epoch base. Re-sweeping a merged set legally reassociates float
 //!   additions, so compaction bumps the generation (old cached tiles can
@@ -33,11 +33,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use kdv_core::driver::{KdvParams, SweepContext};
-use kdv_core::envelope::EnvelopeBuffer;
-use kdv_core::sweep_bucket::BucketSweep;
-use kdv_core::tile::{accumulate_rows_weighted, sweep_rows};
-use kdv_core::weighted::WeightedWorkspace;
+use kdv_core::driver::{validate_points, KdvParams, SweepContext};
+use kdv_core::tile::{accumulate_rows, sweep_rows, BandWorkspace};
 use kdv_core::{DensityGrid, KdvError, Point, Result};
 
 /// One sealed mutation batch: points with signed unit weights (`+1.0`
@@ -198,14 +195,17 @@ impl StreamingPointSet {
     /// Appends `points` as one sealed batch (weight `+1.0` each) and
     /// returns the new generation. Empty appends are a no-op (no batch,
     /// same generation) — replaying a history with empty appends removed
-    /// reaches the identical state.
-    pub fn append(&mut self, points: &[Point]) -> u64 {
+    /// reaches the identical state. A batch with a non-finite coordinate
+    /// is an error ([`KdvError::NonFinitePoint`]) and leaves the set
+    /// unchanged: sealed, it would fail every later sweep of the stream.
+    pub fn append(&mut self, points: &[Point]) -> Result<u64> {
+        validate_points(points)?;
         if points.is_empty() {
-            return self.generation();
+            return Ok(self.generation());
         }
         let weights = vec![1.0; points.len()];
         self.live.extend(points.iter().copied());
-        self.seal(DeltaBatch::new(points.to_vec(), weights))
+        Ok(self.seal(DeltaBatch::new(points.to_vec(), weights)))
     }
 
     /// Expires the `n` oldest live points (FIFO — the expiring-window
@@ -229,12 +229,13 @@ impl StreamingPointSet {
     /// weighted sweep, which is what makes an append-then-expire of the
     /// same point in one batch an exactly-zero delta (see the property
     /// tests). Errors (leaving the set unchanged) on a length mismatch,
-    /// a weight other than ±1.0, or an expiration of a point that is not
-    /// live.
+    /// a non-finite coordinate, a weight other than ±1.0, or an
+    /// expiration of a point that is not live.
     pub fn apply_signed(&mut self, points: &[Point], weights: &[f64]) -> Result<u64> {
         if points.len() != weights.len() {
             return Err(KdvError::Internal("signed batch points/weights length mismatch"));
         }
+        validate_points(points)?;
         if weights.iter().any(|&w| w != 1.0 && w != -1.0) {
             return Err(KdvError::Internal("signed batch weights must be +1.0 or -1.0"));
         }
@@ -312,14 +313,15 @@ impl StreamingPointSet {
     }
 }
 
-/// Folds every batch of `batches` into the full-width row band
-/// `out` (rows `row_range` of the raster), in batch order, skipping
+/// Folds every batch of `batches` into `workspace.band`, the full-width
+/// row band of rows `row_range` of the raster, in batch order, skipping
 /// batches outside the band's bandwidth radius. This is the one fold
 /// both the cold rebuild and the serve layer's cached-tile patch run —
 /// the shared float program that makes them bitwise-equal.
 ///
-/// `context_for` supplies (or caches) the per-batch sweep context,
-/// called with each folded batch's index within `batches`.
+/// `context_for` supplies (or caches) the per-batch weighted sweep
+/// context ([`batch_context`]), called with each folded batch's index
+/// within `batches`.
 ///
 /// Returns `(folded, skipped)` batch counts, so the serve layer can
 /// attribute patch work (`serve.patch.batches` / `serve.patch.skipped`)
@@ -328,9 +330,7 @@ pub fn fold_batches(
     params: &KdvParams,
     batches: &[Arc<DeltaBatch>],
     rows: std::ops::Range<usize>,
-    workspace: &mut WeightedWorkspace,
-    scratch: &mut Vec<f64>,
-    out: &mut [f64],
+    workspace: &mut BandWorkspace,
     mut context_for: impl FnMut(usize, &DeltaBatch) -> Result<Arc<SweepContext>>,
 ) -> Result<(u64, u64)> {
     if batches.is_empty() || rows.is_empty() {
@@ -340,6 +340,7 @@ pub fn fold_batches(
         (params.grid.pixel_center(0, rows.start).y, params.grid.pixel_center(0, rows.end - 1).y);
     let (row_lo, row_hi) = (k0.min(k1), k0.max(k1));
     let (mut folded, mut skipped) = (0u64, 0u64);
+    let BandWorkspace { engine, envelope, band, delta } = workspace;
     for (i, batch) in batches.iter().enumerate() {
         if !batch.touches_rows(row_lo, row_hi, params.bandwidth) {
             kdv_obs::metrics::global().counter("serve.patch.skipped").bump();
@@ -347,18 +348,16 @@ pub fn fold_batches(
             continue;
         }
         let ctx = context_for(i, batch)?;
-        accumulate_rows_weighted(
-            &ctx,
-            params,
-            rows.clone(),
-            &batch.weights,
-            workspace,
-            scratch,
-            out,
-        );
+        accumulate_rows(&ctx, params.bandwidth, rows.clone(), engine, envelope, delta, band);
         folded += 1;
     }
     Ok((folded, skipped))
+}
+
+/// The weighted sweep context of one batch: its points with their signed
+/// weights, on the raster of `params`.
+pub fn batch_context(params: &KdvParams, batch: &DeltaBatch) -> Result<SweepContext> {
+    SweepContext::weighted(params, &batch.points, &batch.weights)
 }
 
 /// The canonical cold rebuild of a snapshot's full raster: the epoch
@@ -369,22 +368,20 @@ pub fn fold_batches(
 pub fn rebuild_grid(params: &KdvParams, snapshot: &StreamSnapshot) -> Result<DensityGrid> {
     let rows = 0..params.grid.res_y;
     let ctx = SweepContext::new(params, &snapshot.base)?;
-    let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
-    let mut envelope = EnvelopeBuffer::for_points(snapshot.base.len());
-    let mut out = vec![0.0; params.grid.res_x * params.grid.res_y];
-    sweep_rows(&ctx, params.bandwidth, rows.clone(), &mut engine, &mut envelope, &mut out);
-    let mut workspace = WeightedWorkspace::new();
-    let mut scratch = Vec::new();
-    fold_batches(
-        params,
-        &snapshot.batches,
-        rows,
-        &mut workspace,
-        &mut scratch,
-        &mut out,
-        |_, batch| Ok(Arc::new(SweepContext::new(params, &batch.points)?)),
-    )?;
-    Ok(DensityGrid::from_values(params.grid.res_x, params.grid.res_y, out))
+    let mut ws = BandWorkspace::new(params);
+    ws.band.resize(params.grid.res_x * params.grid.res_y, 0.0);
+    sweep_rows(
+        &ctx,
+        params.bandwidth,
+        rows.clone(),
+        &mut ws.engine,
+        &mut ws.envelope,
+        &mut ws.band,
+    );
+    fold_batches(params, &snapshot.batches, rows, &mut ws, |_, batch| {
+        Ok(Arc::new(batch_context(params, batch)?))
+    })?;
+    Ok(DensityGrid::from_values(params.grid.res_x, params.grid.res_y, ws.band))
 }
 
 #[cfg(test)]
@@ -412,7 +409,7 @@ mod tests {
     fn generations_are_monotone_and_name_every_state() {
         let mut set = StreamingPointSet::new(pts(1, 20));
         assert_eq!(set.generation(), 0);
-        let g1 = set.append(&pts(2, 3));
+        let g1 = set.append(&pts(2, 3)).unwrap();
         assert_eq!(g1, 1);
         let (g2, expired) = set.expire_oldest(2);
         assert_eq!(g2, 2);
@@ -428,7 +425,7 @@ mod tests {
     #[test]
     fn empty_mutations_do_not_seal_batches() {
         let mut set = StreamingPointSet::new(pts(1, 5));
-        assert_eq!(set.append(&[]), 0);
+        assert_eq!(set.append(&[]).unwrap(), 0);
         assert_eq!(set.expire_oldest(0).0, 0);
         assert_eq!(set.apply_signed(&[], &[]).unwrap(), 0);
         assert_eq!(set.batch_count(), 0);
@@ -441,6 +438,9 @@ mod tests {
         assert!(set.apply_signed(&[p], &[0.5]).is_err(), "non-unit weight");
         assert!(set.apply_signed(&[p], &[-1.0]).is_err(), "expiring a non-live point");
         assert!(set.apply_signed(&[p, p], &[1.0]).is_err(), "length mismatch");
+        let nan = Point::new(f64::NAN, 2.0);
+        assert!(set.apply_signed(&[p, nan], &[1.0, 1.0]).is_err(), "non-finite point");
+        assert!(set.append(&[p, nan]).is_err(), "non-finite append");
         assert_eq!(set.generation(), 0, "failed batches leave the set untouched");
         assert_eq!(set.live_len(), 4);
         // append then expire in one batch: live set round-trips
@@ -451,9 +451,9 @@ mod tests {
     #[test]
     fn snapshot_is_stable_under_later_mutations() {
         let mut set = StreamingPointSet::new(pts(3, 10));
-        set.append(&pts(4, 2));
+        set.append(&pts(4, 2)).unwrap();
         let snap = set.snapshot();
-        set.append(&pts(5, 2));
+        set.append(&pts(5, 2)).unwrap();
         set.compact();
         assert_eq!(snap.generation(), 1);
         assert_eq!(snap.batches.len(), 1);
@@ -479,7 +479,7 @@ mod tests {
         let mut set = StreamingPointSet::new(pts(7, 40));
         let p = params();
         let before = rebuild_grid(&p, &set.snapshot()).unwrap();
-        set.append(&[Point::new(50.0, 50.0)]);
+        set.append(&[Point::new(50.0, 50.0)]).unwrap();
         let after = rebuild_grid(&p, &set.snapshot()).unwrap();
         assert_ne!(before, after, "an appended point must change the density");
     }
@@ -490,7 +490,7 @@ mod tests {
         let mut set = StreamingPointSet::new(pts(9, 30));
         let base = rebuild_grid(&p, &set.snapshot()).unwrap();
         // a point far below the raster (rows span y∈[0,100], b=18)
-        set.append(&[Point::new(50.0, -500.0)]);
+        set.append(&[Point::new(50.0, -500.0)]).unwrap();
         assert!(!set.snapshot().batches[0].touches_rows(0.0, 100.0, p.bandwidth));
         let after = rebuild_grid(&p, &set.snapshot()).unwrap();
         assert_eq!(

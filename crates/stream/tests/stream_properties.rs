@@ -22,10 +22,10 @@
 use std::sync::Arc;
 
 use kdv_core::digest::grid_checksum;
-use kdv_core::driver::{KdvParams, SweepContext};
-use kdv_core::weighted::WeightedWorkspace;
+use kdv_core::driver::KdvParams;
+use kdv_core::tile::BandWorkspace;
 use kdv_core::{GridSpec, KernelType, Point, Rect};
-use kdv_stream::{fold_batches, rebuild_grid, StreamingPointSet};
+use kdv_stream::{batch_context, fold_batches, rebuild_grid, StreamingPointSet};
 use proptest::prelude::*;
 
 fn params(res_x: usize, res_y: usize, bandwidth: f64) -> KdvParams {
@@ -69,7 +69,7 @@ fn apply(set: &mut StreamingPointSet, steps: &[Step]) {
     for step in steps {
         match step {
             Step::Append(points) => {
-                set.append(points);
+                set.append(points).unwrap();
             }
             Step::Expire(n) => {
                 set.expire_oldest(*n);
@@ -96,7 +96,7 @@ proptest! {
         let mut set = StreamingPointSet::new(base);
         // some unrelated history first, so the no-op batch lands on a
         // non-trivial state
-        set.append(&extra);
+        set.append(&extra).unwrap();
         let before = grid_checksum(&rebuild_grid(&params, &set.snapshot()).unwrap());
         set.apply_signed(&[p, p], &[1.0, -1.0]).unwrap();
         prop_assert!(set.generation() > 1, "the no-op batch still seals a generation");
@@ -120,25 +120,25 @@ proptest! {
         apply(&mut set, &steps[..split]);
         let cached_snapshot = set.snapshot();
         let g0 = cached_snapshot.generation();
-        let mut patched = rebuild_grid(&params, &cached_snapshot).unwrap().values().to_vec();
+        let mut workspace = BandWorkspace::new(&params);
+        workspace.band = rebuild_grid(&params, &cached_snapshot).unwrap().values().to_vec();
         // the rest of the history arrives after the tile was cached
         apply(&mut set, &steps[split..]);
         let now = set.snapshot();
         prop_assert!(now.patchable_from(g0));
         let missing = now.batches_since(g0).to_vec();
-        let mut workspace = WeightedWorkspace::new();
-        let mut scratch = Vec::new();
         fold_batches(
             &params,
             &missing,
             0..params.grid.res_y,
             &mut workspace,
-            &mut scratch,
-            &mut patched,
-            |_, batch| Ok(Arc::new(SweepContext::new(&params, &batch.points)?)),
+            |_, batch| Ok(Arc::new(batch_context(&params, batch)?)),
         ).unwrap();
-        let patched =
-            kdv_core::DensityGrid::from_values(params.grid.res_x, params.grid.res_y, patched);
+        let patched = kdv_core::DensityGrid::from_values(
+            params.grid.res_x,
+            params.grid.res_y,
+            workspace.band,
+        );
         let rebuilt = rebuild_grid(&params, &now).unwrap();
         prop_assert_eq!(
             grid_checksum(&patched),
@@ -189,7 +189,7 @@ proptest! {
         for step in &steps {
             match step {
                 Step::Append(points) => {
-                    set.append(points);
+                    set.append(points).unwrap();
                     model.extend(points.iter().copied());
                 }
                 Step::Expire(n) => {

@@ -3,7 +3,7 @@
 use kdv_core::driver::KdvParams;
 use kdv_core::geom::Point;
 use kdv_core::grid::DensityGrid;
-use kdv_core::weighted::{compute_weighted_with, WeightedWorkspace};
+use kdv_core::weighted::compute_weighted;
 use kdv_core::Result;
 use kdv_data::record::EventRecord;
 
@@ -111,14 +111,12 @@ pub fn compute_stkdv_parallel(
 }
 
 /// Per-worker scratch reused across frames: the event/weight selection
-/// buffers plus the weighted sweep's [`WeightedWorkspace`] (envelope
-/// buffer, per-row weight scratch, row engine, transpose scratch). One
-/// animation allocates these once per worker instead of once per frame.
+/// buffers. One animation allocates these once per worker instead of once
+/// per frame.
 #[derive(Default)]
 struct FrameScratch {
     points: Vec<Point>,
     weights: Vec<f64>,
-    sweep: WeightedWorkspace,
 }
 
 fn compute_stkdv_threaded(
@@ -155,7 +153,7 @@ fn compute_stkdv_threaded(
 
 /// Renders one frame: select the temporal support `[t − b_t, t + b_t]` by
 /// binary search, weight each event by the temporal kernel, run one
-/// weighted SLAM sweep through the worker's reusable scratch.
+/// weighted SLAM sweep over them.
 fn compute_frame(
     config: &StKdvConfig,
     sorted: &[&EventRecord],
@@ -176,12 +174,7 @@ fn compute_frame(
             scratch.weights.push(w);
         }
     }
-    let grid = compute_weighted_with(
-        &config.params,
-        &scratch.points,
-        &scratch.weights,
-        &mut scratch.sweep,
-    )?;
+    let grid = compute_weighted(&config.params, &scratch.points, &scratch.weights)?;
     Ok(Frame { time: t, events: scratch.points.len(), grid })
 }
 
