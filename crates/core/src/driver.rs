@@ -180,6 +180,10 @@ impl SweepContext {
     /// Sweeps one row with `engine`: `intervals` were filled from `band`
     /// (a range of the canonical order) at row coordinate `k`. A weighted
     /// context hands the engine the band's weights.
+    ///
+    /// The row is swept over the pixel prefix `xs[..out.len()]`. A pixel's
+    /// density depends only on the events at or left of it, so a prefix
+    /// sweep yields exactly the first `out.len()` pixels of the full row.
     #[inline]
     pub(crate) fn sweep_row<E: RowEngine>(
         &self,
@@ -189,11 +193,10 @@ impl SweepContext {
         intervals: &[SweepInterval],
         out: &mut [f64],
     ) {
+        let xs = &self.xs[..out.len()];
         match &self.weights {
-            Some(weights) => {
-                engine.process_weighted_row(&self.xs, k, intervals, &weights[band], out)
-            }
-            None => engine.process_row(&self.xs, k, intervals, out),
+            Some(weights) => engine.process_weighted_row(xs, k, intervals, &weights[band], out),
+            None => engine.process_row(xs, k, intervals, out),
         }
     }
 
