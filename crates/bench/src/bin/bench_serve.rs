@@ -9,9 +9,9 @@
 //!
 //! * every concurrent grid checksum is bitwise-equal to its sequential
 //!   twin,
-//! * the single-flight duplicate-band counter is zero (no band swept
+//! * the single-flight duplicate counter is zero (no tile computed
 //!   twice despite the overlap),
-//! * bands computed equals the distinct band count of the trace,
+//! * tiles computed equals the distinct tile count of the trace,
 //! * concurrent p99 latency stays under a generous cap, and
 //! * a deliberately saturated run (1 worker, depth-2 queue) sheds with
 //!   explicit `QueueFull` rejections while every accepted request still
@@ -52,7 +52,7 @@ fn make_server(points: &[Point], extent: Rect, bandwidth: f64) -> Arc<TileServer
 }
 
 /// Four pan sessions at the deepest zoom, horizontally offset so every
-/// session's viewports overlap its neighbours' tile row bands.
+/// session's viewports overlap its neighbours' tiles.
 fn pan_sessions() -> Vec<Session> {
     (0..4u32)
         .map(|id| Session {
@@ -73,19 +73,20 @@ fn pan_sessions() -> Vec<Session> {
         .collect()
 }
 
-/// Distinct `(zoom, tile_row)` bands the sessions touch — the exact
-/// number of band sweeps an ideal (fully deduplicated) replay performs.
-fn distinct_bands(sessions: &[Session]) -> usize {
-    let mut bands = HashSet::new();
+/// Distinct `(zoom, tx, ty)` tiles the sessions touch — the exact
+/// number of tile computes an ideal (fully deduplicated) replay performs
+/// when nothing is evicted.
+fn distinct_tiles(sessions: &[Session]) -> usize {
+    let mut tiles = HashSet::new();
     for s in sessions {
         for r in &s.requests {
             let vp = &r.viewport;
-            for ty in vp.py / TILE_SIZE..=(vp.py + vp.height - 1) / TILE_SIZE {
-                bands.insert((vp.zoom, ty));
+            for ty in vp.tile_rows(TILE_SIZE) {
+                tiles.extend(vp.tile_cols(TILE_SIZE).map(|tx| (vp.zoom, tx, ty)));
             }
         }
     }
-    bands.len()
+    tiles.len()
 }
 
 fn main() {
@@ -98,9 +99,9 @@ fn main() {
 
     let sessions = pan_sessions();
     let requests: usize = sessions.iter().map(|s| s.requests.len()).sum();
-    let expected_bands = distinct_bands(&sessions);
+    let expected_tiles = distinct_tiles(&sessions);
     println!(
-        "serve load bench: n={} sessions={} requests={requests} distinct_bands={expected_bands} \
+        "serve load bench: n={} sessions={} requests={requests} distinct_tiles={expected_tiles} \
          tile={TILE_SIZE}px base={BASE_RES}x{BASE_RES} max_zoom={MAX_ZOOM}",
         points.len(),
         sessions.len()
@@ -143,12 +144,12 @@ fn main() {
     assert_eq!(
         flights.duplicate_computes(),
         0,
-        "duplicate band computes under overlapping concurrent sessions"
+        "duplicate tile computes under overlapping concurrent sessions"
     );
     assert_eq!(
         flights.computed() as usize,
-        expected_bands,
-        "bands computed must equal the trace's distinct band count"
+        expected_tiles,
+        "tiles computed must equal the trace's distinct tile count"
     );
 
     // correctness gate 3: tail latency under the (generous) cap
@@ -163,7 +164,7 @@ fn main() {
         "sequential {seq_s:.3}s  concurrent {conc_s:.3}s  p50 {p50_ms:.3} ms  p99 {p99_ms:.3} ms"
     );
     println!(
-        "bands: {} computed (= distinct), {} joined in flight, 0 duplicates; checksums bitwise-equal",
+        "tiles: {} computed (= distinct), {} joined in flight, 0 duplicates; checksums bitwise-equal",
         flights.computed(),
         flights.joined()
     );
@@ -201,7 +202,7 @@ fn main() {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let entry = format!(
-        "    {{\n      \"date\": \"{}\",\n      \"n\": {},\n      \"sessions\": {},\n      \"requests\": {requests},\n      \"distinct_bands\": {expected_bands},\n      \"sequential_s\": {seq_s:.6},\n      \"concurrent_s\": {conc_s:.6},\n      \"p50_ms\": {p50_ms:.3},\n      \"p99_ms\": {p99_ms:.3},\n      \"bands_computed\": {},\n      \"bands_joined\": {},\n      \"duplicate_computes\": 0,\n      \"saturation_shed\": {shed}\n    }}",
+        "    {{\n      \"date\": \"{}\",\n      \"n\": {},\n      \"sessions\": {},\n      \"requests\": {requests},\n      \"distinct_tiles\": {expected_tiles},\n      \"sequential_s\": {seq_s:.6},\n      \"concurrent_s\": {conc_s:.6},\n      \"p50_ms\": {p50_ms:.3},\n      \"p99_ms\": {p99_ms:.3},\n      \"tiles_computed\": {},\n      \"tiles_joined\": {},\n      \"duplicate_computes\": 0,\n      \"saturation_shed\": {shed}\n    }}",
         kdv_bench::utc_date(now),
         points.len(),
         sessions.len(),

@@ -1129,7 +1129,7 @@ fn serve_concurrent(
         kdv_obs::stats::fmt_p50_p99_ms(p50, p99)
     );
     println!(
-        "bands: {} computed, {} joined in flight, {} duplicate compute(s)",
+        "flights: {} tile(s) computed, {} joined in flight, {} duplicate compute(s)",
         flights.computed(),
         flights.joined(),
         flights.duplicate_computes()

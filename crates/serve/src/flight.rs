@@ -2,15 +2,16 @@
 //!
 //! Concurrent misses on the same unit of work elect one **leader** under
 //! the table's lock; the leader computes once and publishes the result
-//! (or its error) to every waiter. Extracted from the band-compute path
-//! of [`crate::server::TileServer`] so the streaming server can reuse the
-//! exact same discipline with a richer key — its flights are keyed by
-//! `(zoom, band, generation)`, because a band recomputed for a *newer
-//! state of the data* is fresh work, not a duplicate.
+//! (or its error) to every waiter. The table does not know what a unit
+//! is: [`crate::server::TileServer`] keys its flights by tile,
+//! `(zoom, tx, ty)`, and the streaming server keys them by band and data
+//! generation, `(zoom, band, generation)`, because a band recomputed for
+//! a *newer state of the data* is fresh work, not a duplicate. The
+//! counters are unit-neutral to match (`serve.flight.*`).
 //!
 //! The table also keeps the ever-computed key set, bounded by the key
-//! space (pyramid bands × live generations retained), so *duplicate*
-//! computes — recomputing a key this table already saw, which only a
+//! space (pyramid tiles, or bands × live generations retained), so
+//! *duplicate* computes — recomputing a key this table already saw, which only a
 //! cache eviction or a dedup bug can cause — are observable.
 //! [`FlightStats::duplicate_computes`] must stay at zero under an
 //! adequately sized cache however many threads hammer the server, which
@@ -132,7 +133,7 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
             match map.entry(key.clone()) {
                 Entry::Occupied(e) => {
                     self.stats.joined.bump();
-                    kdv_obs::metrics::global().counter("serve.band.joined").bump();
+                    kdv_obs::metrics::global().counter("serve.flight.joined").bump();
                     join.push((key.clone(), Arc::clone(e.get())));
                 }
                 Entry::Vacant(v) => {
@@ -166,10 +167,10 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
         let duplicate = !self.computed.lock().unwrap_or_else(PoisonError::into_inner).insert(key);
         self.stats.computed.bump();
         let metrics = kdv_obs::metrics::global();
-        metrics.counter("serve.band.computed").bump();
+        metrics.counter("serve.flight.computed").bump();
         if duplicate {
             self.stats.duplicates.bump();
-            metrics.counter("serve.band.duplicate").bump();
+            metrics.counter("serve.flight.duplicate_computes").bump();
             // A duplicate compute is wasted work the dedup design says
             // cannot happen under an adequate cache — worth a flight dump.
             kdv_obs::ring::trigger("duplicate.compute", None);
@@ -211,7 +212,7 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightLease<'_, K, T> {
 impl<K: Eq + Hash + Clone, T: Clone> Drop for FlightLease<'_, K, T> {
     fn drop(&mut self) {
         if !self.published {
-            self.flight.publish(Err(KdvError::Internal("band compute leader panicked")));
+            self.flight.publish(Err(KdvError::Internal("single-flight leader panicked")));
             self.table.deregister(&self.key);
             kdv_obs::ring::trigger("leader.panic", None);
         }

@@ -3,12 +3,13 @@
 //! Satellite of the single-flight work: N threads serve overlapping
 //! viewports against ONE `TileServer` and the results must be
 //! bitwise-equal to a sequential server, with the single-flight
-//! counters proving each band was computed exactly once — concurrent
-//! misses on the same band join the in-flight compute instead of
+//! counters proving each tile was computed exactly once — concurrent
+//! misses on the same tile join the in-flight compute instead of
 //! duplicating it, and per-request cache deltas stay attributed to the
 //! request that caused them (hits + misses always equals the request's
 //! own tile count, never a smeared global diff).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use kdv_core::{KernelType, Point, Rect};
@@ -41,9 +42,18 @@ fn make_server() -> Arc<TileServer> {
 
 /// Tile count of a viewport with 16-px tiles.
 fn tiles_of(vp: &Viewport) -> u64 {
-    let cols = (vp.px + vp.width - 1) / 16 - vp.px / 16 + 1;
-    let rows = (vp.py + vp.height - 1) / 16 - vp.py / 16 + 1;
-    (cols * rows) as u64
+    (vp.tile_cols(16).len() * vp.tile_rows(16).len()) as u64
+}
+
+/// Distinct `(zoom, tx, ty)` tiles the viewports cover with 16-px tiles.
+fn distinct_tiles(viewports: &[Viewport]) -> usize {
+    let mut tiles = HashSet::new();
+    for vp in viewports {
+        for ty in vp.tile_rows(16) {
+            tiles.extend(vp.tile_cols(16).map(|tx| (vp.zoom, tx, ty)));
+        }
+    }
+    tiles.len()
 }
 
 #[test]
@@ -98,15 +108,19 @@ fn hammer_overlapping_viewports_single_flight_and_bitwise_equal() {
         assert_eq!(got, want, "{vp:?}: concurrent bits diverge from sequential");
     }
 
-    // single-flight: the 8 threads' viewports span exactly tile rows
-    // 0..=3 of zoom 1, so exactly 4 band computes — every other miss on
-    // those bands must have joined an in-flight compute or hit cache
+    // single-flight: every tile the viewports cover is computed exactly
+    // once — every other miss on it must have joined an in-flight compute
+    // or hit cache (the cache is large enough that nothing is evicted)
     let flights = shared.flight_stats();
-    assert_eq!(flights.computed(), 4, "each overlapped band computed exactly once");
+    assert_eq!(
+        flights.computed() as usize,
+        distinct_tiles(&viewports),
+        "each overlapped tile computed exactly once"
+    );
     assert_eq!(
         flights.duplicate_computes(),
         0,
-        "a band was swept twice despite the single-flight table"
+        "a tile was computed twice despite the single-flight table"
     );
 }
 

@@ -165,13 +165,13 @@ fn bench_serve_json_parses_with_expected_keys() {
         "\"date\"",
         "\"sessions\"",
         "\"requests\"",
-        "\"distinct_bands\"",
+        "\"distinct_tiles\"",
         "\"sequential_s\"",
         "\"concurrent_s\"",
         "\"p50_ms\"",
         "\"p99_ms\"",
-        "\"bands_computed\"",
-        "\"bands_joined\"",
+        "\"tiles_computed\"",
+        "\"tiles_joined\"",
         "\"duplicate_computes\"",
         "\"saturation_shed\"",
     ] {
@@ -181,7 +181,7 @@ fn bench_serve_json_parses_with_expected_keys() {
     // a nonzero duplicate count must never be recorded
     assert!(
         text.contains("\"duplicate_computes\": 0"),
-        "BENCH_serve.json recorded duplicate band computes"
+        "BENCH_serve.json recorded duplicate tile computes"
     );
 }
 
