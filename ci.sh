@@ -24,10 +24,12 @@
 #                      --top
 #   ./ci.sh serve-load concurrent serving gate: bench_serve (multi-
 #                      session replay, bitwise sequential==concurrent,
-#                      zero duplicate band computes, p99 cap, explicit
-#                      load-shed under saturation), a v2 trace replay
-#                      through the CLI front end, and the serve hammer
-#                      tests
+#                      zero duplicate tile computes, tiles computed ==
+#                      distinct tiles, p99 cap, explicit load-shed under
+#                      saturation), a v2 trace replay through the CLI
+#                      front end, and the serve hammer tests (the
+#                      serve_frontend overlap hammer and the
+#                      tile_flight_hammer column-range hammer)
 #   ./ci.sh coreset    approximate-overview gate: bench_coreset at
 #                      n=10^6 (sup-error <= advertised eps, deep zoom
 #                      bitwise vs the exact server, >=5x cold overview
@@ -156,7 +158,7 @@ if [[ "${1:-}" == "stream" ]]; then
 fi
 
 if [[ "${1:-}" == "serve-load" ]]; then
-    echo "==> bench_serve (bitwise, zero-duplicate-band, p99 and load-shed assertions)"
+    echo "==> bench_serve (bitwise, zero-duplicate-tile, p99 and load-shed assertions)"
     cargo run --release -p kdv-bench --bin bench_serve
     echo "==> v2 multi-session trace replay through the CLI front end"
     tmp="$(mktemp -d)"
@@ -167,10 +169,11 @@ if [[ "${1:-}" == "serve-load" ]]; then
         --workers 4 --queue-depth 64 --stats)"
     echo "$out" | tail -4
     echo "$out" | grep -q ", 0 duplicate compute(s)" \
-        || { echo "duplicate band computes in CLI replay" >&2; exit 1; }
+        || { echo "duplicate tile computes in CLI replay" >&2; exit 1; }
     echo "$out" | grep -q ", 0 shed (0 queue-full, 0 deadline)" \
         || { echo "unexpected load shedding in unsaturated CLI replay" >&2; exit 1; }
-    echo "==> serve hammer + front-end tests"
+    echo "==> serve hammers (serve_frontend, tile_flight_hammer) + front-end tests"
+    cargo test -q -p kdv-serve --test serve_frontend --test tile_flight_hammer
     cargo test -q -p kdv-serve
     cargo test -q --test bench_results
     echo "==> SERVE-LOAD OK"

@@ -2,11 +2,9 @@
 //!
 //! Replays three synthetic exploration traces — a horizontal pan, a zoom
 //! ladder and a revisit loop — against a fresh [`TileServer`] (cold: every
-//! band computed) and again against the now-warm cache (warm: assembly
-//! from cached tiles only). The pan trace is the cache's home turf: a
-//! miss computes the whole tile row band, so panning inside a band is
-//! pure reuse and the warm/cold ratio is the amortisation the serving
-//! layer exists for.
+//! tile computed) and again against the now-warm cache (warm: assembly
+//! from cached tiles only). The warm/cold ratio is the amortisation the
+//! serving layer exists for.
 //!
 //! Appends one dated entry per run to `BENCH_tiles.json` in the output
 //! directory (`--out`, default `results/`), so successive runs accumulate

@@ -10,8 +10,8 @@
 //!
 //! Concurrency: the key space is split across `shards` independent
 //! `Mutex`-protected maps (shard = key hash high bits), so writers on
-//! different shards never contend and a band insert holds one lock at a
-//! time. A tile larger than a whole shard budget is rejected outright (it
+//! different shards never contend and a multi-tile insert holds one lock
+//! at a time. A tile larger than a whole shard budget is rejected outright (it
 //! would evict everything and then be evicted itself the moment anything
 //! else arrived). A shard whose lock was poisoned by a panicking thread
 //! is cleared and keeps serving, its lost entries counted as evictions.
@@ -22,12 +22,14 @@
 //! overflow is demoted back to the head of probation). Eviction takes the
 //! probation tail: protected entries leave only by demotion, so an
 //! over-budget shard never has an empty probation segment.
-//! Scan resistance is what band prefetch needs: one miss computes a whole
-//! row band of tiles, so a deep-zoom excursion inserts many tiles at once
-//! that are seldom read again. Under plain LRU that burst pushed out the
-//! panned working set and forced its bands to be swept again; under SLRU
-//! it churns only probation, and a tile requested twice (the miss that
-//! cached it, then a hit) survives it.
+//! Scan resistance guards the panned working set against one-off
+//! traffic: a deep-zoom excursion inserts a viewport's worth of tiles at
+//! once that are seldom read again. Under plain LRU that burst pushed out
+//! the panned working set and forced its tiles to be computed again;
+//! under SLRU it churns only probation, and a tile requested twice (the
+//! miss that cached it, then a hit) survives it. The servers insert only
+//! tiles a request asked for (the static server has no band prefetch), so
+//! the burst is no larger than the excursion itself.
 //!
 //! Hit/miss/eviction/rejection counters are **saturating** (they stick
 //! at `u64::MAX` rather than wrapping), keeping reported statistics

@@ -7,12 +7,14 @@
 //!   of the same point set (coarse levels are never downsampled).
 //! * [`cache`] — sharded, byte-budgeted segmented LRU of computed tiles,
 //!   keyed by the full provenance of a tile's bits. New tiles go on
-//!   probation and a hit protects them, so the band bursts of a
-//!   deep-zoom excursion (band prefetch inserts whole tile rows) evict
-//!   each other rather than the panned working set.
-//! * [`server`] — viewport serving; misses compute whole tile row bands
-//!   with `kdv_core::tile::compute_band`, so one miss prefetches the
-//!   band's horizontal neighbours. Both servers collect a request's
+//!   probation and a hit protects them, so the tile bursts of a
+//!   deep-zoom excursion evict each other rather than the panned working
+//!   set.
+//! * [`server`] — viewport serving; the tile is the unit of a miss. A
+//!   request computes and caches exactly the tiles it missed, one sweep
+//!   per band over the row prefixes that end at its rightmost missing
+//!   tile (`kdv_core::tile::compute_band_tiles`), under per-tile
+//!   single-flight. Both servers collect a request's
 //!   tiles in a dense table over its tile window and assemble the
 //!   response with `kdv_core::tile::assemble`, which writes each pixel
 //!   once into an unzeroed buffer: a request whose tiles are all cached
@@ -26,8 +28,8 @@
 //! * [`replay`] — sequential and concurrent trace replayers that
 //!   checksum every served grid so the two modes can be proven
 //!   bitwise-identical.
-//! * [`flight`] — the generic single-flight table behind band compute,
-//!   shared by the frozen-set and streaming servers.
+//! * [`flight`] — the generic single-flight table, keyed by tile in the
+//!   frozen-set server and by band and generation in the streaming one.
 //! * [`live`] — streaming ingestion: a [`live::LiveTileServer`] over a
 //!   `kdv_stream::StreamingPointSet` that **patches** cached tiles with
 //!   delta sweeps instead of invalidating them, every response
