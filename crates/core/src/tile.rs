@@ -206,7 +206,11 @@ pub fn sweep_rows<E: RowEngine>(
 /// [`sweep_rows`] over the pixel prefix `xs[..end]` of each row: `out`
 /// is `rows.len() × end`, and each of its rows is bitwise the first `end`
 /// pixels of the full row.
-fn sweep_row_prefixes<E: RowEngine>(
+///
+/// # Panics
+/// Panics if `end` is zero or past the row, or if `out` is not
+/// `rows.len() × end`.
+pub fn sweep_row_prefixes<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
     rows: Range<usize>,
@@ -289,10 +293,11 @@ pub fn compute_band_tiles<E: RowEngine>(
     slice_tiles(tiling, ty, rows.len(), end, cols.iter().copied(), band)
 }
 
-/// Band accumulation — the streaming patch primitive. Runs the ordinary
-/// full-width row sweeps for `rows` over `ctx` (a weighted context built
-/// over a *delta batch*, not the base set) into `scratch`, then folds the
-/// result elementwise into `out` (the band's existing densities).
+/// Band accumulation — the streaming patch primitive. Runs the row
+/// sweeps for `rows` over the pixel prefix `xs[..end]` of `ctx` (a
+/// weighted context built over a *delta batch*, not the base set) into
+/// `scratch`, then folds the result elementwise into `out`, the
+/// `rows.len() × end` prefix band of the existing densities.
 ///
 /// Kernel sums are additive, so `base band + delta band` is the live
 /// band; signed weights make the same call an append (`+w`) or an
@@ -303,22 +308,28 @@ pub fn compute_band_tiles<E: RowEngine>(
 /// caller may elide it entirely without changing a bit. Both the cold
 /// rebuild path and the cached-tile patch path in `kdv-serve` go through
 /// this one function, which is what makes patch-then-serve bitwise-equal
-/// to rebuild-from-scratch by construction.
+/// to rebuild-from-scratch by construction. A prefix fold is bitwise the
+/// first `end` pixels of the full-width fold, as for [`sweep_row_prefixes`].
+///
+/// # Panics
+/// Panics if `end` is zero or past the row, or if `out` is not
+/// `rows.len() × end`.
+#[allow(clippy::too_many_arguments)]
 pub fn accumulate_rows<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
     rows: Range<usize>,
+    end: usize,
     engine: &mut E,
     envelope: &mut EnvelopeBuffer,
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
-    let x_count = ctx.xs.len();
-    assert_eq!(out.len(), rows.len() * x_count, "band buffer/row-range mismatch");
+    assert_eq!(out.len(), rows.len() * end, "band buffer/row-range mismatch");
     let _s =
         kdv_obs::span2("tile.patch", "rows", rows.len() as u64, "points", ctx.points.len() as u64);
-    scratch.resize(rows.len() * x_count, 0.0);
-    sweep_rows(ctx, bandwidth, rows, engine, envelope, scratch);
+    scratch.resize(rows.len() * end, 0.0);
+    sweep_row_prefixes(ctx, bandwidth, rows, end, engine, envelope, scratch);
     for (o, &d) in out.iter_mut().zip(scratch.iter()) {
         if d != 0.0 {
             *o += d;
@@ -661,6 +672,75 @@ mod tests {
                         &format!("weighted bucket {what}"),
                         |xs, out| bucket.process_weighted_row(xs, k, intervals, &weights, out),
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_folds_equal_full_width_folds_bitwise() {
+        // The serving layer patches a tile over the row prefix that ends
+        // at its right edge: the base sweep plus each signed batch folded
+        // over `xs[..e]` must be exactly the first `e` pixels of the same
+        // program run over the full width.
+        let (_, pts) = setup(1, 1, 1.0);
+        let signed: Vec<f64> = (0..60).map(|i| if i % 3 == 0 { -1.0 } else { 1.0 }).collect();
+        let expired = vec![-1.0; 40];
+        let mut state = 0xF01D_u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as usize % n
+        };
+        for width in [1, 97, 331, 2560] {
+            let mut ends = vec![1, width];
+            ends.extend((0..6).map(|_| 1 + below(width)));
+            for kernel in KernelType::ALL {
+                let grid = GridSpec::new(Rect::new(-10.0, 5.0, 90.0, 70.0), width, 5).unwrap();
+                let params = KdvParams::new(grid, kernel, 12.0).with_weight(0.004);
+                let base = SweepContext::new(&params, &pts[60..]).unwrap();
+                let batches = [
+                    SweepContext::weighted(&params, &pts[..60], &signed).unwrap(),
+                    SweepContext::weighted(&params, &pts[100..140], &expired).unwrap(),
+                ];
+                let mut ws = BandWorkspace::new(&params);
+                let mut fold = |end: usize| {
+                    let BandWorkspace { engine, envelope, delta, .. } = &mut ws;
+                    let mut out = vec![f64::NAN; 5 * end];
+                    sweep_row_prefixes(
+                        &base,
+                        params.bandwidth,
+                        0..5,
+                        end,
+                        engine,
+                        envelope,
+                        &mut out,
+                    );
+                    for batch in &batches {
+                        accumulate_rows(
+                            batch,
+                            params.bandwidth,
+                            0..5,
+                            end,
+                            engine,
+                            envelope,
+                            delta,
+                            &mut out,
+                        );
+                    }
+                    out
+                };
+                let full = fold(width);
+                for &e in &ends {
+                    let prefix = fold(e);
+                    for j in 0..5 {
+                        assert_eq!(
+                            bits(&prefix[j * e..(j + 1) * e]),
+                            bits(&full[j * width..j * width + e]),
+                            "{kernel:?} width {width} row {j}: fold over a prefix of {e} pixels"
+                        );
+                    }
                 }
             }
         }

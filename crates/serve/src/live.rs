@@ -645,6 +645,7 @@ impl LiveTileServer {
                     req.params,
                     req.snapshot.batches_since(g0),
                     rows.clone(),
+                    req.tiling.res_x,
                     ws,
                     |i, _| Ok(Arc::clone(&req.batch_ctxs[offset + i])),
                 )?;
@@ -667,10 +668,14 @@ impl LiveTileServer {
                 &mut ws.envelope,
                 &mut ws.band,
             );
-            let (folded, _skipped) =
-                fold_batches(req.params, &req.snapshot.batches, rows.clone(), ws, |i, _| {
-                    Ok(Arc::clone(&req.batch_ctxs[i]))
-                })?;
+            let (folded, _skipped) = fold_batches(
+                req.params,
+                &req.snapshot.batches,
+                rows.clone(),
+                req.tiling.res_x,
+                ws,
+                |i, _| Ok(Arc::clone(&req.batch_ctxs[i])),
+            )?;
             self.stats.recomputed_bands.bump();
             self.stats.folded_batches.add(folded);
         }

@@ -313,11 +313,15 @@ impl StreamingPointSet {
     }
 }
 
-/// Folds every batch of `batches` into `workspace.band`, the full-width
-/// row band of rows `row_range` of the raster, in batch order, skipping
-/// batches outside the band's bandwidth radius. This is the one fold
-/// both the cold rebuild and the serve layer's cached-tile patch run —
-/// the shared float program that makes them bitwise-equal.
+/// Folds every batch of `batches` into `workspace.band`, the row band
+/// of rows `row_range` of the raster over the pixel prefix `xs[..end]`
+/// (`row_range.len() × end`), in batch order, skipping batches outside
+/// the band's bandwidth radius. This is the one fold both the cold
+/// rebuild and the serve layer's cached-tile patch run — the shared
+/// float program that makes them bitwise-equal. A prefix fold is bitwise
+/// the first `end` pixels of each row of the full-width fold (see
+/// [`kdv_core::tile::accumulate_rows`]), so a tile can be patched over
+/// the prefix that ends at its right edge.
 ///
 /// `context_for` supplies (or caches) the per-batch weighted sweep
 /// context ([`batch_context`]), called with each folded batch's index
@@ -330,6 +334,7 @@ pub fn fold_batches(
     params: &KdvParams,
     batches: &[Arc<DeltaBatch>],
     rows: std::ops::Range<usize>,
+    end: usize,
     workspace: &mut BandWorkspace,
     mut context_for: impl FnMut(usize, &DeltaBatch) -> Result<Arc<SweepContext>>,
 ) -> Result<(u64, u64)> {
@@ -348,7 +353,7 @@ pub fn fold_batches(
             continue;
         }
         let ctx = context_for(i, batch)?;
-        accumulate_rows(&ctx, params.bandwidth, rows.clone(), engine, envelope, delta, band);
+        accumulate_rows(&ctx, params.bandwidth, rows.clone(), end, engine, envelope, delta, band);
         folded += 1;
     }
     Ok((folded, skipped))
@@ -378,7 +383,7 @@ pub fn rebuild_grid(params: &KdvParams, snapshot: &StreamSnapshot) -> Result<Den
         &mut ws.envelope,
         &mut ws.band,
     );
-    fold_batches(params, &snapshot.batches, rows, &mut ws, |_, batch| {
+    fold_batches(params, &snapshot.batches, rows, params.grid.res_x, &mut ws, |_, batch| {
         Ok(Arc::new(batch_context(params, batch)?))
     })?;
     Ok(DensityGrid::from_values(params.grid.res_x, params.grid.res_y, ws.band))
@@ -498,5 +503,48 @@ mod tests {
             kdv_core::digest::grid_checksum(&base),
             "an out-of-radius batch must not change a single bit"
         );
+    }
+
+    #[test]
+    fn prefix_fold_equals_the_full_folds_prefix_bitwise() {
+        // A tile is patched over the row prefix that ends at its right
+        // edge: base prefix sweep plus every signed batch folded over
+        // `xs[..end]` must be the first `end` pixels of the rebuild.
+        let p = params();
+        let mut set = StreamingPointSet::new(pts(11, 40));
+        set.append(&pts(12, 9)).unwrap();
+        set.expire_oldest(5);
+        let mixed = pts(13, 4);
+        set.append(&mixed).unwrap();
+        set.apply_signed(&[mixed[1], Point::new(30.0, 60.0)], &[-1.0, 1.0]).unwrap();
+        let snapshot = set.snapshot();
+        let full = rebuild_grid(&p, &snapshot).unwrap();
+        let ctx = SweepContext::new(&p, &snapshot.base).unwrap();
+        let mut ws = BandWorkspace::new(&p);
+        for (rows, end) in [(0..24, 1), (3..9, 7), (10..24, 13), (5..6, 24), (0..24, 24)] {
+            ws.band.resize(rows.len() * end, 0.0);
+            let BandWorkspace { engine, envelope, band, .. } = &mut ws;
+            kdv_core::tile::sweep_row_prefixes(
+                &ctx,
+                p.bandwidth,
+                rows.clone(),
+                end,
+                engine,
+                envelope,
+                band,
+            );
+            let (folded, _) =
+                fold_batches(&p, &snapshot.batches, rows.clone(), end, &mut ws, |_, b| {
+                    Ok(Arc::new(batch_context(&p, b)?))
+                })
+                .unwrap();
+            assert!(folded > 0, "rows {rows:?}: some batch must reach the band");
+            for (slot, j) in rows.clone().enumerate() {
+                let got: Vec<u64> =
+                    ws.band[slot * end..(slot + 1) * end].iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = full.row(j)[..end].iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "row {j}, prefix of {end} pixels");
+            }
+        }
     }
 }
