@@ -26,9 +26,10 @@
 #                      session replay, bitwise sequential==concurrent,
 #                      zero duplicate tile computes, tiles computed ==
 #                      distinct tiles, p99 cap, explicit load-shed under
-#                      saturation), a v2 trace replay through the CLI
-#                      front end, and the serve hammer tests (the
-#                      serve_frontend overlap hammer and the
+#                      saturation), a v2 trace replay and a live feed
+#                      replay through the CLI front end (zero duplicate
+#                      tile computes in both), and the serve hammer tests
+#                      (the serve_frontend overlap hammer and the
 #                      tile_flight_hammer column-range hammer)
 #   ./ci.sh coreset    approximate-overview gate: bench_coreset at
 #                      n=10^6 (sup-error <= advertised eps, deep zoom
@@ -40,7 +41,7 @@
 #   ./ci.sh stream     streaming ingestion gate: bench_stream (pan trace
 #                      under a live append feed, every patched response
 #                      bitwise-equal to the cold recompute arm, zero
-#                      duplicate band computes, >=5x patch-vs-recompute
+#                      duplicate tile computes, >=5x patch-vs-recompute
 #                      speedup, appended to results/BENCH_stream.json),
 #                      the kdv-stream unit + property suites, the live
 #                      server tests incl. the 8-thread hammer, a live
@@ -172,6 +173,12 @@ if [[ "${1:-}" == "serve-load" ]]; then
         || { echo "duplicate tile computes in CLI replay" >&2; exit 1; }
     echo "$out" | grep -q ", 0 shed (0 queue-full, 0 deadline)" \
         || { echo "unexpected load shedding in unsaturated CLI replay" >&2; exit 1; }
+    echo "==> live feed replay through the CLI front end"
+    out="$(cargo run --release -p kdv-cli -- serve --input "$tmp/city.csv" \
+        --live traces/live_feed.trace --max-zoom 2 --cache-mb 128 --threads 2 --stats)"
+    echo "$out" | tail -3
+    echo "$out" | grep -q ", 0 duplicate compute(s)" \
+        || { echo "duplicate tile computes in live CLI replay" >&2; exit 1; }
     echo "==> serve hammers (serve_frontend, tile_flight_hammer) + front-end tests"
     cargo test -q -p kdv-serve --test serve_frontend --test tile_flight_hammer
     cargo test -q -p kdv-serve

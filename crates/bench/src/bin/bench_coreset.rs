@@ -28,7 +28,9 @@ use kdv_core::geom::{Point, Rect};
 use kdv_core::{DensityGrid, KernelType};
 use kdv_coreset::CoresetMethod;
 use kdv_data::synth::{generate, SynthConfig};
-use kdv_serve::{OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport};
+use kdv_serve::{
+    LiveConfig, OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport,
+};
 
 const TILE_SIZE: usize = 256;
 const BASE_RES: usize = 512;
@@ -91,6 +93,7 @@ fn main() {
     let coreset_server = TileServer::with_overview_coreset(
         pyramid(extent),
         serve_config(n, bandwidth),
+        LiveConfig::default(),
         points.clone(),
         512 << 20,
         16,

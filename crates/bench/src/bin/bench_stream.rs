@@ -5,7 +5,7 @@
 //! One pan sequence at the deepest zoom is replayed over `GENERATIONS`
 //! delta batches against two streaming servers fed the identical
 //! append schedule — one patching cached tiles with each sealed batch,
-//! one with patching disabled (stale bands recompute from the epoch
+//! one with patching disabled (stale tiles recompute from the epoch
 //! base). The run **aborts** unless:
 //!
 //! * every response checksum of the patch arm is bitwise-equal to its
@@ -24,7 +24,7 @@ use kdv_core::digest::grid_checksum;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::KernelType;
 use kdv_data::synth::{generate, SynthConfig};
-use kdv_serve::{LiveConfig, LiveTileServer, PyramidSpec, ServeConfig, Viewport};
+use kdv_serve::{LiveConfig, PyramidSpec, ServeConfig, TileServer, Viewport};
 
 const TILE_SIZE: usize = 256;
 const BASE_RES: usize = 512;
@@ -44,7 +44,7 @@ fn pan_steps() -> Vec<Viewport> {
 struct ArmResult {
     checksums: Vec<u64>,
     live_s: f64,
-    server: LiveTileServer,
+    server: TileServer,
 }
 
 /// Replays the identical feed (warm at generation 0, then `batches`
@@ -66,7 +66,7 @@ fn run_arm(
         bandwidth,
         weight: 1.0 / points.len().max(1) as f64,
     };
-    let server = LiveTileServer::new(
+    let server = TileServer::with_live(
         pyramid,
         config,
         LiveConfig { patching, compact_every: None },
@@ -130,12 +130,12 @@ fn main() {
     assert_eq!(
         patch.server.flight_stats().duplicate_computes(),
         0,
-        "duplicate band computes in the patch arm"
+        "duplicate tile computes in the patch arm"
     );
     assert_eq!(
         recompute.server.flight_stats().duplicate_computes(),
         0,
-        "duplicate band computes in the recompute arm"
+        "duplicate tile computes in the recompute arm"
     );
 
     // correctness gate 3: the arms exercised the paths they claim to

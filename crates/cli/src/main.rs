@@ -716,118 +716,178 @@ fn cmd_stkdv(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// What `kdv serve --batch` and `kdv serve --live` share: the dataset,
+/// the pyramid and kernel configuration, the cache budget, the optional
+/// overview tier, and the reporting sessions.
+struct ServeSetup {
+    points: Vec<kdv_core::Point>,
+    pyramid: kdv_serve::PyramidSpec,
+    config: kdv_serve::ServeConfig,
+    overview: Option<kdv_serve::OverviewConfig>,
+    cache_mb: usize,
+    threads: usize,
+    stats: bool,
+    obs: ObsSession,
+    telemetry: ServeTelemetry,
+}
+
+impl ServeSetup {
+    fn from_args(args: &Args) -> Result<Self, String> {
+        let input = args.get("input").ok_or("--input FILE.csv is required")?;
+        let dataset = csvio::read_csv_file(Path::new(input)).map_err(|e| e.to_string())?;
+        if dataset.is_empty() {
+            return Err("dataset is empty".into());
+        }
+        let points = dataset.points();
+        let tile_size: usize =
+            args.get("tile-size").unwrap_or("256").parse().map_err(|_| "bad --tile-size")?;
+        let (base_x, base_y) = match args.get("base-res") {
+            Some(r) => parse_res(r)?,
+            None => (tile_size, tile_size),
+        };
+        let max_zoom: u8 =
+            args.get("max-zoom").unwrap_or("4").parse().map_err(|_| "bad --max-zoom")?;
+        let kernel: KernelType =
+            args.get("kernel").unwrap_or("epanechnikov").parse().map_err(|e: String| e)?;
+        let bandwidth = match args.get("bandwidth") {
+            Some(b) => b.parse().map_err(|_| "bad --bandwidth")?,
+            None => kdv_data::scott_bandwidth(&points),
+        };
+        let cache_mb: usize =
+            args.get("cache-mb").unwrap_or("256").parse().map_err(|_| "bad --cache-mb")?;
+        let overview = match args.get("coreset-zoom") {
+            Some(z) => Some(kdv_serve::OverviewConfig {
+                max_zoom: z.parse().map_err(|_| "bad --coreset-zoom")?,
+                method: args
+                    .get("coreset-method")
+                    .unwrap_or("grid")
+                    .parse()
+                    .map_err(|e| format!("{e}"))?,
+                target_rel_epsilon: args
+                    .get("coreset-eps")
+                    .unwrap_or("0.01")
+                    .parse()
+                    .map_err(|_| "bad --coreset-eps")?,
+                seed: 7,
+            }),
+            None => None,
+        };
+        let pyramid =
+            kdv_serve::PyramidSpec::new(dataset.mbr(), tile_size, base_x, base_y, max_zoom)
+                .map_err(|e| e.to_string())?;
+        let config = kdv_serve::ServeConfig {
+            dataset: 1,
+            kernel,
+            bandwidth,
+            weight: 1.0 / points.len() as f64,
+        };
+        Ok(Self {
+            points,
+            pyramid,
+            config,
+            overview,
+            cache_mb,
+            threads: parse_threads(args)?,
+            stats: args.has_flag("stats"),
+            obs: ObsSession::from_args(args),
+            telemetry: ServeTelemetry::from_args(args)?,
+        })
+    }
+
+    /// The server over the dataset (its points move into the stream's
+    /// epoch base), with the overview tier when one was asked for. Starts
+    /// the `[top]` reporter on its cache.
+    fn server(
+        &mut self,
+        live: kdv_serve::LiveConfig,
+    ) -> Result<Arc<kdv_serve::TileServer>, String> {
+        let (pyramid, config, bytes) = (self.pyramid, self.config, self.cache_mb << 20);
+        let points = std::mem::take(&mut self.points);
+        let n = points.len();
+        let server = Arc::new(match self.overview {
+            Some(ov) => kdv_serve::TileServer::with_overview_coreset(
+                pyramid, config, live, points, bytes, 16, ov,
+            )
+            .map_err(|e| e.to_string())?,
+            None => kdv_serve::TileServer::with_live(pyramid, config, live, points, bytes, 16),
+        });
+        if let Some(ov) = &self.overview {
+            let info = server.tier_info(0);
+            println!(
+                "coreset overview tier: zoom <= {} served from {} of {n} point(s) ({} coreset), \
+                 advertised eps {:.3e} (rel target {})",
+                ov.max_zoom.min(pyramid.max_zoom),
+                info.coreset_size.unwrap_or(0),
+                ov.method,
+                info.epsilon.unwrap_or(0.0),
+                ov.target_rel_epsilon
+            );
+        }
+        let sampled = Arc::clone(&server);
+        self.telemetry.start_top(Box::new(move || {
+            let cs = sampled.cache_stats();
+            (cs.hits(), cs.misses(), cs.patched())
+        }));
+        Ok(server)
+    }
+
+    /// The configuration line both replays print before they start.
+    fn describe(&self) -> String {
+        let p = &self.pyramid;
+        let (base_x, base_y) = p.level_res(0);
+        format!(
+            "tile {}px, base {base_x}x{base_y}, max zoom {}, bandwidth {:.2}, cache {} MiB, \
+             {} thread(s)",
+            p.tile_size, p.max_zoom, self.config.bandwidth, self.cache_mb, self.threads
+        )
+    }
+
+    fn finish(self) -> Result<(), String> {
+        self.telemetry.finish()?;
+        self.obs.finish()
+    }
+}
+
+/// Prints the single-flight counters (`ci.sh serve-load` greps the
+/// duplicate count).
+fn print_flights(server: &kdv_serve::TileServer) {
+    let flights = server.flight_stats();
+    println!(
+        "flights: {} tile(s) computed, {} joined in flight, {} duplicate compute(s)",
+        flights.computed(),
+        flights.joined(),
+        flights.duplicate_computes()
+    );
+}
+
 /// `kdv serve --batch`: replays a recorded viewport trace against the
 /// caching tile server and reports cache effectiveness. Every served
 /// raster is exact — bitwise-equal to cropping the monolithic sweep of
 /// the level — whether the tiles were cached or computed on the spot.
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    if args.get("live").is_some() {
-        return cmd_serve_live(args);
+    if let Some(feed) = args.get("live") {
+        return cmd_serve_live(args, feed);
     }
-    let input = args.get("input").ok_or("--input FILE.csv is required")?;
     let batch = args.get("batch").ok_or("--batch TRACE.txt or --live FEED.trace is required")?;
-    let dataset = csvio::read_csv_file(Path::new(input)).map_err(|e| e.to_string())?;
-    if dataset.is_empty() {
-        return Err("dataset is empty".into());
-    }
-    let points = dataset.points();
-    let mbr = dataset.mbr();
-
-    let tile_size: usize =
-        args.get("tile-size").unwrap_or("256").parse().map_err(|_| "bad --tile-size")?;
-    let (base_x, base_y) = match args.get("base-res") {
-        Some(r) => parse_res(r)?,
-        None => (tile_size, tile_size),
-    };
-    let max_zoom: u8 = args.get("max-zoom").unwrap_or("4").parse().map_err(|_| "bad --max-zoom")?;
-    let kernel: KernelType =
-        args.get("kernel").unwrap_or("epanechnikov").parse().map_err(|e: String| e)?;
-    let bandwidth = match args.get("bandwidth") {
-        Some(b) => b.parse().map_err(|_| "bad --bandwidth")?,
-        None => kdv_data::scott_bandwidth(&points),
-    };
-    let cache_mb: usize =
-        args.get("cache-mb").unwrap_or("256").parse().map_err(|_| "bad --cache-mb")?;
-    let threads = parse_threads(args)?;
-    let stats = args.has_flag("stats");
-    let obs = ObsSession::from_args(args);
-    let mut telemetry = ServeTelemetry::from_args(args)?;
-
+    let mut setup = ServeSetup::from_args(args)?;
     let trace_text = std::fs::read_to_string(batch).map_err(|e| format!("{batch}: {e}"))?;
     let trace = kdv_serve::trace::parse_sessions(&trace_text).map_err(|e| e.to_string())?;
     if trace.num_requests() == 0 {
         return Err(format!("{batch}: trace contains no requests"));
     }
     let concurrent = trace.version == 2 || args.get("workers").is_some();
-
-    let overview = match args.get("coreset-zoom") {
-        Some(z) => {
-            let zoom: u8 = z.parse().map_err(|_| "bad --coreset-zoom")?;
-            let rel: f64 = args
-                .get("coreset-eps")
-                .unwrap_or("0.01")
-                .parse()
-                .map_err(|_| "bad --coreset-eps")?;
-            let method: kdv_coreset::CoresetMethod =
-                args.get("coreset-method").unwrap_or("grid").parse().map_err(|e| format!("{e}"))?;
-            Some(kdv_serve::OverviewConfig {
-                max_zoom: zoom,
-                method,
-                target_rel_epsilon: rel,
-                seed: 7,
-            })
-        }
-        None => None,
-    };
-
-    let pyramid = kdv_serve::PyramidSpec::new(mbr, tile_size, base_x, base_y, max_zoom)
-        .map_err(|e| e.to_string())?;
-    let config =
-        kdv_serve::ServeConfig { dataset: 1, kernel, bandwidth, weight: 1.0 / points.len() as f64 };
-    let n = points.len();
-    let server = std::sync::Arc::new(match overview {
-        Some(ov) => kdv_serve::TileServer::with_overview_coreset(
-            pyramid,
-            config,
-            points,
-            cache_mb << 20,
-            16,
-            ov,
-        )
-        .map_err(|e| e.to_string())?,
-        None => kdv_serve::TileServer::new(pyramid, config, points, cache_mb << 20, 16),
-    });
-
     println!(
-        "serving {} request(s) over {} points (tile {tile_size}px, base {base_x}x{base_y}, \
-         max zoom {max_zoom}, bandwidth {bandwidth:.2}, cache {cache_mb} MiB, {threads} thread(s))",
+        "serving {} request(s) over {} points ({})",
         trace.num_requests(),
-        n
+        setup.points.len(),
+        setup.describe()
     );
-    if let Some(ov) = &overview {
-        let info = server.tier_info(0);
-        println!(
-            "coreset overview tier: zoom <= {} served from {} of {n} point(s) ({} coreset), \
-             advertised eps {:.3e} (rel target {})",
-            ov.max_zoom.min(max_zoom),
-            info.coreset_size.unwrap_or(0),
-            ov.method,
-            info.epsilon.unwrap_or(0.0),
-            ov.target_rel_epsilon
-        );
-    }
-    {
-        let server = std::sync::Arc::clone(&server);
-        telemetry.start_top(Box::new(move || {
-            let cs = server.cache_stats();
-            (cs.hits(), cs.misses(), cs.patched())
-        }));
-    }
+    let server = setup.server(kdv_serve::LiveConfig::default())?;
     let start = Instant::now();
     if concurrent {
-        serve_concurrent(args, &trace, &server, stats, &telemetry)?;
+        serve_concurrent(args, &trace, &server, &setup)?;
     } else {
-        serve_sequential(args, &trace, &server, threads, stats, &obs, &telemetry)?;
+        serve_sequential(args, &trace, &server, &setup)?;
     }
     let cs = server.cache_stats();
     let total = cs.hits() + cs.misses();
@@ -845,46 +905,19 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         server.cache().bytes(),
         server.cache().budget()
     );
-    telemetry.finish()?;
-    obs.finish()?;
-    Ok(())
+    setup.finish()
 }
 
-/// `kdv serve --live`: replays a timestamped live feed through the
-/// streaming tile server. Arrivals between two requests are flushed as
-/// one sealed delta batch immediately before the later request; cached
-/// tiles are **patched** with the delta instead of being rebuilt, and
-/// every response is bitwise-equal to a cold rebuild of its generation.
-fn cmd_serve_live(args: &Args) -> Result<(), String> {
-    let input = args.get("input").ok_or("--input FILE.csv is required")?;
-    let feed_path = args.get("live").expect("cmd_serve_live dispatched on --live");
-    let dataset = csvio::read_csv_file(Path::new(input)).map_err(|e| e.to_string())?;
-    if dataset.is_empty() {
-        return Err("dataset is empty".into());
-    }
-    let points = dataset.points();
-    let mbr = dataset.mbr();
-    let n = points.len();
-
-    let tile_size: usize =
-        args.get("tile-size").unwrap_or("256").parse().map_err(|_| "bad --tile-size")?;
-    let (base_x, base_y) = match args.get("base-res") {
-        Some(r) => parse_res(r)?,
-        None => (tile_size, tile_size),
-    };
-    let max_zoom: u8 = args.get("max-zoom").unwrap_or("4").parse().map_err(|_| "bad --max-zoom")?;
-    let kernel: KernelType =
-        args.get("kernel").unwrap_or("epanechnikov").parse().map_err(|e: String| e)?;
-    let bandwidth = match args.get("bandwidth") {
-        Some(b) => b.parse().map_err(|_| "bad --bandwidth")?,
-        None => kdv_data::scott_bandwidth(&points),
-    };
-    let cache_mb: usize =
-        args.get("cache-mb").unwrap_or("256").parse().map_err(|_| "bad --cache-mb")?;
-    let threads = parse_threads(args)?;
-    let stats = args.has_flag("stats");
-    let obs = ObsSession::from_args(args);
-    let mut telemetry = ServeTelemetry::from_args(args)?;
+/// `kdv serve --live`: replays a timestamped live feed through the tile
+/// server and its worker-pool front end. Arrivals between two requests
+/// are flushed as one sealed delta batch immediately before the later
+/// request; cached tiles are **patched** with the delta instead of being
+/// rebuilt, and every response is bitwise-equal to a cold rebuild of its
+/// generation. Requests are submitted one at a time, in feed order; the
+/// front end records those served at a generation > 0 under the `live`
+/// SLO class.
+fn cmd_serve_live(args: &Args, feed_path: &str) -> Result<(), String> {
+    let mut setup = ServeSetup::from_args(args)?;
     let window: Option<usize> = match args.get("window") {
         Some(w) => Some(w.parse().map_err(|_| "bad --window")?),
         None => None,
@@ -902,33 +935,26 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
     if requests == 0 {
         return Err(format!("{feed_path}: feed contains no viewport requests"));
     }
-
-    let pyramid = kdv_serve::PyramidSpec::new(mbr, tile_size, base_x, base_y, max_zoom)
-        .map_err(|e| e.to_string())?;
-    let config = kdv_serve::ServeConfig { dataset: 1, kernel, bandwidth, weight: 1.0 / n as f64 };
-    let server = Arc::new(kdv_serve::LiveTileServer::new(
-        pyramid,
-        config,
-        kdv_serve::LiveConfig { patching, compact_every },
-        points,
-        cache_mb << 20,
-        16,
-    ));
-    {
-        let server = Arc::clone(&server);
-        telemetry.start_top(Box::new(move || {
-            let cs = server.cache_stats();
-            (cs.hits(), cs.misses(), cs.patched())
-        }));
-    }
-
     println!(
-        "live replay: {} event(s), {requests} request(s) over a base of {n} point(s) \
-         (tile {tile_size}px, base {base_x}x{base_y}, max zoom {max_zoom}, \
-         bandwidth {bandwidth:.2}, cache {cache_mb} MiB, {threads} thread(s), patching {})",
+        "live replay: {} event(s), {requests} request(s) over a base of {} point(s) \
+         ({}, patching {})",
         events.len(),
+        setup.points.len(),
+        setup.describe(),
         if patching { "on" } else { "off" },
     );
+    let server = setup.server(kdv_serve::LiveConfig { patching, compact_every })?;
+    let frontend = kdv_serve::Frontend::new(
+        Arc::clone(&server),
+        kdv_serve::FrontendConfig {
+            workers: 1,
+            threads_per_request: setup.threads,
+            ..kdv_serve::FrontendConfig::default()
+        },
+    );
+    if let Some(slo) = &setup.telemetry.slo {
+        frontend.set_slo(Arc::clone(slo));
+    }
     let start = Instant::now();
     let mut pending: Vec<kdv_core::geom::Point> = Vec::new();
     let mut arrived = 0usize;
@@ -951,14 +977,13 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
                     }
                 }
                 served += 1;
-                let (_, report) = server.serve_viewport(vp, threads).map_err(|e| {
+                let (_, report) = frontend.serve(*vp).map_err(|e| {
                     format!("request #{served} (zoom {} at {},{}): {e}", vp.zoom, vp.px, vp.py)
                 })?;
-                telemetry.record(RequestClass::Live, report.wall_nanos, served as u64);
-                if obs.active() {
+                if setup.obs.active() {
                     report.record_metrics();
                 }
-                if stats {
+                if setup.stats {
                     println!(
                         "t={at_ms:>6}ms gen {:>3}: zoom {} @({},{}) {}x{}  {:>8.3} ms  \
                          hits {} misses {} patched {}",
@@ -980,8 +1005,8 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
     if !pending.is_empty() {
         arrived += pending.len();
         server.append(&pending); // trailing arrivals still seal a batch
-        pending.clear();
     }
+    drop(frontend);
     let ls = server.live_stats();
     let cs = server.cache_stats();
     println!(
@@ -1003,9 +1028,8 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         cs.patched(),
         cs.evictions(),
     );
-    telemetry.finish()?;
-    obs.finish()?;
-    Ok(())
+    print_flights(&server);
+    setup.finish()
 }
 
 /// Sequential v1 replay: one request at a time, straight at the server.
@@ -1013,19 +1037,17 @@ fn serve_sequential(
     args: &Args,
     trace: &kdv_serve::TraceFile,
     server: &kdv_serve::TileServer,
-    threads: usize,
-    stats: bool,
-    obs: &ObsSession,
-    telemetry: &ServeTelemetry,
+    setup: &ServeSetup,
 ) -> Result<(), String> {
+    let ServeSetup { threads, stats, obs, telemetry, .. } = setup;
     let colormap: ColorMap = args.get("colormap").unwrap_or("heat").parse()?;
     let requests: Vec<_> =
         trace.sessions.iter().flat_map(|s| s.requests.iter().map(|r| r.viewport)).collect();
     for (i, vp) in requests.iter().enumerate() {
-        let (grid, report) = server.serve_viewport(vp, threads).map_err(|e| {
+        let (grid, report, tier) = server.serve_viewport_tiered(vp, *threads).map_err(|e| {
             format!("request #{} (zoom {} at {},{}): {e}", i + 1, vp.zoom, vp.px, vp.py)
         })?;
-        let class = match server.tier_info(vp.zoom).tier {
+        let class = match tier.tier {
             kdv_serve::TileTier::Exact => RequestClass::Exact,
             kdv_serve::TileTier::Coreset => RequestClass::Coreset,
         };
@@ -1033,7 +1055,7 @@ fn serve_sequential(
         if obs.active() {
             report.record_metrics();
         }
-        if stats {
+        if *stats {
             println!(
                 "request {:>3}: zoom {} @({},{}) {}x{}  tier {:7}  {:>8.3} ms  hits {} misses {} \
                  evictions {} rejected {}",
@@ -1043,7 +1065,7 @@ fn serve_sequential(
                 vp.py,
                 vp.width,
                 vp.height,
-                server.tier_info(vp.zoom).tier.name(),
+                tier.tier.name(),
                 ns_to_ms(report.wall_nanos),
                 report.cache_hits,
                 report.cache_misses,
@@ -1066,10 +1088,10 @@ fn serve_sequential(
 fn serve_concurrent(
     args: &Args,
     trace: &kdv_serve::TraceFile,
-    server: &std::sync::Arc<kdv_serve::TileServer>,
-    stats: bool,
-    telemetry: &ServeTelemetry,
+    server: &Arc<kdv_serve::TileServer>,
+    setup: &ServeSetup,
 ) -> Result<(), String> {
+    let (stats, telemetry) = (setup.stats, &setup.telemetry);
     if args.get("out-prefix").is_some() {
         return Err("--out-prefix is only supported for sequential (v1) replay".into());
     }
@@ -1119,7 +1141,6 @@ fn serve_concurrent(
     let p50 = kdv_serve::replay::latency_quantile_ns(&records, 0.5);
     let p99 = kdv_serve::replay::latency_quantile_ns(&records, 0.99);
     let fs = frontend.stats();
-    let flights = server.flight_stats();
     println!(
         "front end: {} served, {} shed ({} queue-full, {} deadline), {}",
         served,
@@ -1128,12 +1149,7 @@ fn serve_concurrent(
         fs.shed_deadline(),
         kdv_obs::stats::fmt_p50_p99_ms(p50, p99)
     );
-    println!(
-        "flights: {} tile(s) computed, {} joined in flight, {} duplicate compute(s)",
-        flights.computed(),
-        flights.joined(),
-        flights.duplicate_computes()
-    );
+    print_flights(server);
     Ok(())
 }
 

@@ -47,8 +47,7 @@ use kdv_data::record::EventRecord;
 use kdv_explore::incremental::pan_render;
 use kdv_network::{compute_nkdv, compute_nkdv_naive, NetPosition, NkdvParams, RoadNetwork};
 use kdv_serve::{
-    LiveConfig, LiveTileServer, OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier,
-    Viewport,
+    LiveConfig, OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport,
 };
 use kdv_stream::rebuild_grid;
 use kdv_temporal::{compute_stkdv, compute_stkdv_parallel, FrameSpec, StKdvConfig, TemporalKernel};
@@ -369,6 +368,7 @@ fn run_coreset(
                     bandwidth: case.bandwidth,
                     weight: case.weight,
                 },
+                LiveConfig::default(),
                 case.points.clone(),
                 1 << 20,
                 2,
@@ -451,7 +451,7 @@ fn run_streaming(case: &CaseSpec, params: &KdvParams) -> Vec<PairResult> {
         bandwidth: case.bandwidth,
         weight: case.weight,
     };
-    let server = LiveTileServer::new(
+    let server = TileServer::with_live(
         pyramid,
         serve_config,
         LiveConfig::default(),
@@ -529,7 +529,7 @@ fn run_streaming_overview(
         Ok(m) => m,
         Err(e) => return fail(pair, e.to_string()),
     };
-    let server = match LiveTileServer::with_overview_coreset(
+    let server = match TileServer::with_overview_coreset(
         *pyramid,
         serve_config,
         LiveConfig::default(),

@@ -289,8 +289,8 @@ pub fn compute_band_tiles<E: RowEngine>(
     let mut s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
     s.arg("end", end as u64);
     band.resize(rows.len() * end, 0.0);
-    sweep_row_prefixes(ctx, bandwidth, rows.clone(), end, engine, envelope, band);
-    slice_tiles(tiling, ty, rows.len(), end, cols.iter().copied(), band)
+    sweep_row_prefixes(ctx, bandwidth, rows, end, engine, envelope, band);
+    slice_band_tiles(tiling, ty, end, cols, band)
 }
 
 /// Band accumulation — the streaming patch primitive. Runs the row
@@ -337,35 +337,34 @@ pub fn accumulate_rows<E: RowEngine>(
     }
 }
 
-/// Slices one computed row band (full raster width) into its tiles —
-/// pure memory movement, shared by the batch tile paths and the
-/// `kdv-serve` band compute/patch paths.
-pub fn slice_band(tiling: &Tiling, ty: usize, band_rows: Range<usize>, band: &[f64]) -> Vec<Tile> {
-    slice_tiles(tiling, ty, band_rows.len(), tiling.res_x, 0..tiling.tiles_x(), band)
-}
-
-/// Cuts the tiles at columns `cols` of band `ty` out of `band`, a
-/// row-major buffer of `height` rows `stride` pixels apart that covers
-/// every requested column.
-fn slice_tiles(
+/// Cuts the tiles at columns `cols` of band `ty` (in the order given)
+/// out of `band`, the band's `rows × end` prefix buffer (as
+/// [`sweep_row_prefixes`] and [`accumulate_rows`] fill it) — pure memory
+/// movement, shared by [`compute_band_tiles`] and the `kdv-serve` patch
+/// and cold paths.
+///
+/// # Panics
+/// Panics if a column ends past `end`.
+pub fn slice_band_tiles(
     tiling: &Tiling,
     ty: usize,
-    height: usize,
-    stride: usize,
-    cols: impl ExactSizeIterator<Item = usize>,
+    end: usize,
+    cols: &[usize],
     band: &[f64],
 ) -> Vec<Tile> {
     let _s = kdv_obs::span1("tile.slice", "tiles", cols.len() as u64);
-    cols.map(|tx| {
-        let cols = tiling.tile_cols(tx);
-        let width = cols.len();
-        let mut values = Vec::with_capacity(width * height);
-        for row in band.chunks_exact(stride).take(height) {
-            values.extend_from_slice(&row[cols.clone()]);
-        }
-        Tile::new(tx, ty, width, height, values)
-    })
-    .collect()
+    let height = tiling.tile_rows(ty).len();
+    cols.iter()
+        .map(|&tx| {
+            let cols = tiling.tile_cols(tx);
+            assert!(cols.end <= end, "tile column past the band prefix");
+            let mut values = Vec::with_capacity(cols.len() * height);
+            for row in band.chunks_exact(end).take(height) {
+                values.extend_from_slice(&row[cols.clone()]);
+            }
+            Tile::new(tx, ty, cols.len(), height, values)
+        })
+        .collect()
 }
 
 /// Per-worker scratch of the band computations: the bucket row engine,

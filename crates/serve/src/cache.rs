@@ -27,9 +27,9 @@
 //! once that are seldom read again. Under plain LRU that burst pushed out
 //! the panned working set and forced its tiles to be computed again;
 //! under SLRU it churns only probation, and a tile requested twice (the
-//! miss that cached it, then a hit) survives it. The servers insert only
-//! tiles a request asked for (the static server has no band prefetch), so
-//! the burst is no larger than the excursion itself.
+//! miss that cached it, then a hit) survives it. The server inserts only
+//! tiles a request asked for (there is no band prefetch), so the burst is
+//! no larger than the excursion itself.
 //!
 //! Hit/miss/eviction/rejection counters are **saturating** (they stick
 //! at `u64::MAX` rather than wrapping), keeping reported statistics
@@ -86,12 +86,12 @@ pub struct TileKey {
     pub coord: TileCoord,
     /// Exact or coreset provenance (see [`TileTier`]).
     pub tier: TileTier,
-    /// Delta generation of the point set the tile was computed from
-    /// (always 0 for frozen-set servers). Streaming servers bump the
-    /// generation on every sealed mutation batch and every compaction,
-    /// so a tile of an older state of the data can never alias a fresh
-    /// one — lookups for generation `g` simply miss (or get patched
-    /// forward via [`TileCache::patch`]).
+    /// Generation of the point set the tile was computed from (0 for a
+    /// set that never sealed a batch). A streaming set bumps the
+    /// generation on every sealed mutation batch and every compaction, so
+    /// a tile of an older state of the data can never alias a fresh one
+    /// — a lookup for generation `g` finds it only as a stale tile
+    /// ([`Lookup::Stale`]) to patch forward.
     pub generation: u64,
 }
 
@@ -104,6 +104,7 @@ impl TileKey {
         bandwidth: f64,
         weight: f64,
         coord: TileCoord,
+        generation: u64,
     ) -> Self {
         Self {
             dataset,
@@ -112,7 +113,7 @@ impl TileKey {
             weight_bits: weight.to_bits(),
             coord,
             tier: TileTier::Exact,
-            generation: 0,
+            generation,
         }
     }
 
@@ -121,12 +122,19 @@ impl TileKey {
         self.tier = tier;
         self
     }
+}
 
-    /// The same key at a different delta generation (builder style).
-    pub fn with_generation(mut self, generation: u64) -> Self {
-        self.generation = generation;
-        self
-    }
+/// What a [`TileCache::lookup`] found.
+#[derive(Debug, Clone)]
+pub enum Lookup {
+    /// The tile at the requested generation.
+    Hit(Arc<Tile>),
+    /// No tile at the requested generation, but the same tile at the
+    /// older generation `.0` — the newest one cached in the searched
+    /// range. Its bits can be patched forward.
+    Stale(u64, Arc<Tile>),
+    /// Neither.
+    Miss,
 }
 
 /// Saturating cache counters, shared by all shards. Built on the
@@ -139,11 +147,15 @@ impl TileKey {
 /// was never admitted counts under `rejected` instead — conflating the
 /// two would make a cache that admits nothing look like one that churns.
 ///
-/// `patched` counts in-place advances of a cached tile to a newer delta
-/// generation ([`TileCache::patch`]). A patch reuses bits the cache
-/// already paid for, so it is **neither** a miss nor a fresh insert —
-/// counting it as miss+insert would make the hit rate lie about how much
-/// sweep work streaming actually saved.
+/// Every [`TileCache::lookup`] counts exactly one of `hits`, `misses`
+/// and `patched`: `patched` is a lookup that found the tile only at an
+/// older generation ([`Lookup::Stale`]), whose bits the server advances
+/// with a delta fold ([`TileCache::patch`]) instead of sweeping them from
+/// scratch. A patch reuses bits the cache already paid for, so it is
+/// **neither** a miss nor a hit — counting it as a miss would make the
+/// hit rate lie about how much sweep work streaming actually saved.
+/// Counting at lookup time makes `hits + misses + patched` equal the
+/// lookups, for one request and in total.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: kdv_obs::Counter,
@@ -175,8 +187,8 @@ impl CacheStats {
         self.rejected.get()
     }
 
-    /// Cached tiles advanced in place to a newer delta generation —
-    /// reused bits, not misses and not fresh inserts.
+    /// Lookups that found the tile only at an older generation, to be
+    /// patched forward — reused bits, neither hits nor misses.
     pub fn patched(&self) -> u64 {
         self.patched.get()
     }
@@ -413,9 +425,13 @@ impl TileCache {
         }
     }
 
+    /// The shard of a tile. Its generation is left out of the hash, so
+    /// every generation of a tile shares one shard and a lookup finds a
+    /// stale generation under the same lock.
     fn shard_of(&self, key: &TileKey) -> MutexGuard<'_, Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
+        (key.dataset, key.kernel, key.bandwidth_bits, key.weight_bits, key.coord, key.tier)
+            .hash(&mut h);
         // high bits pick the shard so shard choice stays independent of
         // the map's own bucket choice (which uses the low bits)
         self.lock(&self.shards[((h.finish() >> 32) & self.shard_mask) as usize])
@@ -438,19 +454,44 @@ impl TileCache {
     /// Looks a tile up, moving a hit to the head of its shard's protected
     /// segment. Counts a hit or a miss.
     pub fn get(&self, key: &TileKey) -> Option<Arc<Tile>> {
-        let mut span = kdv_obs::span("cache.lookup");
-        let found = self.shard_of(key).get(key);
-        span.arg("hit", found.is_some() as u64);
-        match found {
-            Some(t) => {
-                self.stats.hits.bump();
-                Some(t)
-            }
-            None => {
-                self.stats.misses.bump();
-                None
-            }
+        match self.lookup(key, key.generation) {
+            Lookup::Hit(tile) => Some(tile),
+            _ => None,
         }
+    }
+
+    /// Looks a tile up at `key.generation`; failing that, finds the same
+    /// tile at the newest generation in `oldest..key.generation` (the
+    /// generations it may be patched forward from), under the same shard
+    /// lock. A hit moves to the head of the protected segment; a stale
+    /// tile is not an access and keeps its place. Counts exactly one of
+    /// a hit, a patch or a miss (see [`CacheStats`]).
+    pub fn lookup(&self, key: &TileKey, oldest: u64) -> Lookup {
+        let mut span = kdv_obs::span("cache.lookup");
+        let found = {
+            let mut shard = self.shard_of(key);
+            match shard.get(key) {
+                Some(tile) => Lookup::Hit(tile),
+                None => (oldest..key.generation)
+                    .rev()
+                    .find_map(|generation| {
+                        let stale = TileKey { generation, ..*key };
+                        let idx = *shard.map.get(&stale)?;
+                        Some(Lookup::Stale(generation, Arc::clone(&shard.nodes[idx].tile)))
+                    })
+                    .unwrap_or(Lookup::Miss),
+            }
+        };
+        span.arg("hit", matches!(found, Lookup::Hit(_)) as u64);
+        match found {
+            Lookup::Hit(_) => self.stats.hits.bump(),
+            Lookup::Stale(..) => {
+                self.stats.patched.bump();
+                kdv_obs::metrics::global().counter("cache.patched").bump();
+            }
+            Lookup::Miss => self.stats.misses.bump(),
+        }
+        found
     }
 
     /// Peeks without touching recency or counters (used by assertions).
@@ -483,23 +524,19 @@ impl TileCache {
         InsertOutcome { evicted, rejected: false }
     }
 
-    /// Advances a cached tile to a newer delta generation **in place**:
-    /// removes the entry under `old_key` (the stale generation) and
-    /// stores the patched `tile` under `new_key`. Counted once under
-    /// `patched` — a patch reuses bits the cache already holds, so it is
-    /// deliberately *not* a miss and *not* a fresh insert (see
-    /// [`CacheStats`]); evictions the re-keyed entry causes (the two
-    /// keys may land on different shards with different occupancy) are
-    /// still real displacement and are reported in the outcome.
+    /// Advances a cached tile to a newer generation **in place**: removes
+    /// the entry under `old_key` (the stale generation) and stores the
+    /// patched `tile` under `new_key`. The lookup that found the stale
+    /// tile already counted it under `patched`, so the patch itself is
+    /// counted as neither a miss nor a fresh insert (see [`CacheStats`]);
+    /// evictions the re-keyed entry causes are still real displacement
+    /// and are reported in the outcome.
     ///
     /// The patched entry keeps the replaced entry's segment: a hot tile
     /// advanced to generation g+1 stays protected. A patch is not an
     /// access, so it never promotes; with no entry under `old_key` the
-    /// tile enters probation like any insert.
-    ///
-    /// The two shard locks are taken strictly in sequence (remove, then
-    /// insert), never nested, so `patch` cannot deadlock against
-    /// concurrent patches in the opposite direction.
+    /// tile enters probation like any insert. The shard lock is taken
+    /// twice in sequence (remove, then insert), never nested.
     pub fn patch(&self, old_key: &TileKey, new_key: TileKey, tile: Arc<Tile>) -> InsertOutcome {
         let mut span = kdv_obs::span1("cache.patch", "bytes", tile.bytes() as u64);
         let seg = self.shard_of(old_key).remove(old_key).unwrap_or(Segment::Probation);
@@ -513,8 +550,6 @@ impl TileCache {
         if evicted > 0 {
             self.stats.evictions.add(evicted);
         }
-        self.stats.patched.bump();
-        kdv_obs::metrics::global().counter("cache.patched").bump();
         InsertOutcome { evicted, rejected: false }
     }
 
@@ -549,7 +584,12 @@ mod tests {
     use super::*;
 
     fn key(tx: u32, ty: u32) -> TileKey {
-        TileKey::new(1, KernelType::Epanechnikov, 10.0, 1.0, TileCoord { zoom: 0, tx, ty })
+        TileKey::new(1, KernelType::Epanechnikov, 10.0, 1.0, TileCoord { zoom: 0, tx, ty }, 0)
+    }
+
+    /// `k` at another generation.
+    fn at(k: TileKey, generation: u64) -> TileKey {
+        TileKey { generation, ..k }
     }
 
     fn tile(tx: usize, px: usize) -> Arc<Tile> {
@@ -655,13 +695,14 @@ mod tests {
     fn distinct_bandwidth_bits_do_not_alias() {
         let cache = TileCache::new(1 << 20, 4);
         let a =
-            TileKey::new(1, KernelType::Quartic, 10.0, 1.0, TileCoord { zoom: 1, tx: 0, ty: 0 });
+            TileKey::new(1, KernelType::Quartic, 10.0, 1.0, TileCoord { zoom: 1, tx: 0, ty: 0 }, 0);
         let b = TileKey::new(
             1,
             KernelType::Quartic,
             f64::from_bits(10.0_f64.to_bits() + 1),
             1.0,
             TileCoord { zoom: 1, tx: 0, ty: 0 },
+            0,
         );
         cache.insert(a, tile(7, 2));
         assert!(cache.peek(&b).is_none());
@@ -673,7 +714,7 @@ mod tests {
         // a lookup for the current generation
         let cache = TileCache::new(1 << 20, 4);
         let g0 = key(0, 0);
-        let g1 = key(0, 0).with_generation(1);
+        let g1 = at(key(0, 0), 1);
         assert_ne!(g0, g1);
         cache.insert(g0, tile(5, 2));
         assert!(cache.peek(&g1).is_none(), "generation-1 lookup found a generation-0 tile");
@@ -686,18 +727,42 @@ mod tests {
         // miss+insert would make streaming hit rates meaningless
         let cache = TileCache::new(1 << 20, 4);
         let g0 = key(2, 3);
-        let g1 = key(2, 3).with_generation(1);
+        let g1 = at(key(2, 3), 1);
         cache.insert(g0, tile(1, 4));
         let (h0, m0) = (cache.stats().hits(), cache.stats().misses());
+        match cache.lookup(&g1, 0) {
+            Lookup::Stale(0, stale) => assert_eq!(stale.values()[0], 1.0),
+            other => panic!("expected the generation-0 tile, got {other:?}"),
+        }
         let outcome = cache.patch(&g0, g1, tile(9, 4));
         assert_eq!(outcome, InsertOutcome::default());
-        assert_eq!(cache.stats().patched(), 1);
+        assert_eq!(cache.stats().patched(), 1, "the stale lookup counts the patch, once");
         assert_eq!(cache.stats().hits(), h0, "a patch is not a hit");
         assert_eq!(cache.stats().misses(), m0, "a patch is not a miss");
         assert_eq!(cache.stats().evictions(), 0);
         assert_eq!(cache.len(), 1, "patch replaces, never duplicates");
         assert!(cache.peek(&g0).is_none(), "the stale generation is gone");
         assert_eq!(cache.peek(&g1).unwrap().values()[0], 9.0);
+    }
+
+    #[test]
+    fn lookup_finds_the_newest_stale_generation_in_range() {
+        let cache = TileCache::new(1 << 20, 4);
+        cache.insert(at(key(0, 0), 1), tile(1, 4));
+        cache.insert(at(key(0, 0), 3), tile(3, 4));
+        cache.insert(at(key(1, 0), 4), tile(7, 4));
+        match cache.lookup(&at(key(0, 0), 5), 0) {
+            Lookup::Stale(3, stale) => assert_eq!(stale.values()[0], 3.0),
+            other => panic!("expected generation 3, got {other:?}"),
+        }
+        assert!(matches!(cache.lookup(&at(key(0, 0), 5), 4), Lookup::Miss), "3 is out of range");
+        assert!(matches!(cache.lookup(&at(key(0, 0), 3), 0), Lookup::Hit(_)));
+        assert!(
+            matches!(cache.lookup(&at(key(0, 0), 0), 0), Lookup::Miss),
+            "no newer tile is stale"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits(), stats.misses(), stats.patched()), (1, 2, 1));
     }
 
     #[test]
@@ -709,14 +774,14 @@ mod tests {
         cache.insert(hot, tile(0, 4));
         cache.insert(cold, tile(1, 4));
         cache.get(&hot);
-        cache.patch(&hot, hot.with_generation(1), tile(2, 4));
-        cache.patch(&cold, cold.with_generation(1), tile(3, 4));
-        assert_eq!(segment_of(&cache, &hot.with_generation(1)), Some(Segment::Protected));
-        assert_eq!(segment_of(&cache, &cold.with_generation(1)), Some(Segment::Probation));
+        cache.patch(&hot, at(hot, 1), tile(2, 4));
+        cache.patch(&cold, at(cold, 1), tile(3, 4));
+        assert_eq!(segment_of(&cache, &at(hot, 1)), Some(Segment::Protected));
+        assert_eq!(segment_of(&cache, &at(cold, 1)), Some(Segment::Probation));
         assert_eq!(cache.stats().hits(), 1, "a patch is not a hit");
         // with nothing under the old key the patched tile is a plain insert
-        cache.patch(&key(9, 9), key(9, 9).with_generation(1), tile(4, 4));
-        assert_eq!(segment_of(&cache, &key(9, 9).with_generation(1)), Some(Segment::Probation));
+        cache.patch(&key(9, 9), at(key(9, 9), 1), tile(4, 4));
+        assert_eq!(segment_of(&cache, &at(key(9, 9), 1)), Some(Segment::Probation));
         check_invariants(&cache);
     }
 
@@ -726,9 +791,9 @@ mod tests {
         let cache = TileCache::new(unit, 1);
         let g0 = key(0, 0);
         cache.insert(g0, tile(0, 4));
-        let outcome = cache.patch(&g0, g0.with_generation(1), tile(0, 64));
+        let outcome = cache.patch(&g0, at(g0, 1), tile(0, 64));
         assert!(outcome.rejected);
-        assert_eq!(cache.stats().patched(), 0, "nothing was cached, so nothing was patched");
+        assert_eq!(cache.stats().rejected(), 1, "the oversized tile was never admitted");
         assert!(cache.is_empty(), "the stale generation must not linger");
     }
 
@@ -833,7 +898,7 @@ mod tests {
                 state % n
             };
             for step in 0..4000 {
-                let k = key(next(12) as u32, 0).with_generation(next(3));
+                let k = at(key(next(12) as u32, 0), next(3));
                 let value = step as f64;
                 match next(4) {
                     0 => {
@@ -856,7 +921,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        let to = k.with_generation(k.generation + 1);
+                        let to = at(k, k.generation + 1);
                         cache.patch(&k, to, tile(0, 3 + next(3) as usize));
                         model.remove(&k);
                         model.insert(to, 0.0);
@@ -903,7 +968,7 @@ mod tests {
         assert!(cache.get(&key(0, 0)).is_none());
         assert_eq!(cache.insert(key(0, 0), tile(0, 4)), InsertOutcome::default());
         assert_eq!(cache.get(&key(0, 0)).unwrap().values()[0], 0.0);
-        let outcome = cache.patch(&key(0, 0), key(0, 0).with_generation(1), tile(5, 4));
+        let outcome = cache.patch(&key(0, 0), at(key(0, 0), 1), tile(5, 4));
         assert_eq!(outcome, InsertOutcome::default());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), tile(5, 4).bytes());

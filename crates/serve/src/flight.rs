@@ -3,20 +3,21 @@
 //! Concurrent misses on the same unit of work elect one **leader** under
 //! the table's lock; the leader computes once and publishes the result
 //! (or its error) to every waiter. The table does not know what a unit
-//! is: [`crate::server::TileServer`] keys its flights by tile,
-//! `(zoom, tx, ty)`, and the streaming server keys them by band and data
-//! generation, `(zoom, band, generation)`, because a band recomputed for
-//! a *newer state of the data* is fresh work, not a duplicate. The
-//! counters are unit-neutral to match (`serve.flight.*`).
+//! is; [`crate::server::TileServer`] keys its flights by tile and data
+//! generation, `(zoom, tx, ty, generation)`, because a tile computed
+//! for a *newer state of the data* is fresh work, not a duplicate. A
+//! frozen point set stays at generation 0. The counters are unit-neutral
+//! (`serve.flight.*`).
 //!
 //! The table also keeps the ever-computed key set, bounded by the key
-//! space (pyramid tiles, or bands × live generations retained), so
-//! *duplicate* computes — recomputing a key this table already saw, which only a
-//! cache eviction or a dedup bug can cause — are observable.
-//! [`FlightStats::duplicate_computes`] must stay at zero under an
-//! adequately sized cache however many threads hammer the server, which
-//! `ci.sh serve-load` (frozen sets) and the live hammer test (streaming
-//! sets) both assert.
+//! space (pyramid tiles × the generations computed; a patch retires the
+//! generation it advanced from with [`FlightTable::forget`]), so
+//! *duplicate* computes — recomputing a key this table already saw,
+//! which only a cache eviction or a dedup bug can cause — are
+//! observable. [`FlightStats::duplicate_computes`] must stay at zero
+//! under an adequately sized cache however many threads hammer the
+//! server, which `ci.sh serve-load` (trace and live-feed replays) and
+//! the live hammer test both assert.
 //!
 //! Every lock here recovers from poisoning: each critical section is one
 //! insert, remove or slot write, so the guarded state is consistent

@@ -12,9 +12,11 @@
 //! beyond that is a counted rejection, not a growing tail.
 //!
 //! Duplicate work across concurrent requests is handled one layer down:
-//! the [`TileServer`]'s single-flight band table means two workers
-//! serving overlapping viewports share one band sweep — the front end
-//! adds admission control and parallel execution, not coordination.
+//! the [`TileServer`]'s per-tile single-flight table means two workers
+//! serving overlapping viewports compute each shared tile once — the
+//! front end adds admission control and parallel execution, not
+//! coordination. The server may be frozen or live: appends, expirations
+//! and compactions go to the server directly while the pool serves.
 //!
 //! Metrics (process-global registry): counters `serve.submitted`,
 //! `serve.completed`, `serve.shed.queue_full`, `serve.shed.deadline`;
@@ -40,11 +42,10 @@ use std::time::{Duration, Instant};
 
 use kdv_core::telemetry::SweepReport;
 use kdv_core::{DensityGrid, KdvError};
-use kdv_obs::{RequestClass, SloTracker};
+use kdv_obs::SloTracker;
 
-use crate::cache::TileTier;
 use crate::pyramid::Viewport;
-use crate::server::TileServer;
+use crate::server::{request_class, TileServer};
 
 /// Why a request was rejected without being served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,8 +255,9 @@ impl Frontend {
     }
 
     /// Attaches an SLO tracker: workers record every completion's
-    /// submit-to-finish latency under its request class (exact /
-    /// coreset, by the zoom's serving tier) and fire the `slo.p99`
+    /// submit-to-finish latency under its request class (`live` once the
+    /// stream has sealed a batch or compacted, else exact / coreset by
+    /// the zoom's serving tier) and fire the `slo.p99`
     /// incident trigger on a breach edge. One-shot — later calls are
     /// ignored (the pool is already recording against the first).
     pub fn set_slo(&self, slo: Arc<SloTracker>) {
@@ -347,7 +349,10 @@ fn worker_loop(inner: &Inner) {
             } else {
                 inner
                     .server
-                    .serve_viewport(&job.viewport, inner.config.threads_per_request)
+                    .serve(&job.viewport, inner.config.threads_per_request)
+                    .map(|(grid, report, tier, generation)| {
+                        ((grid, report), request_class(tier.tier, generation))
+                    })
                     .map_err(ServeError::Compute)
             }
         };
@@ -360,16 +365,16 @@ fn worker_loop(inner: &Inner) {
             metrics.counter("serve.completed").bump();
             if let Some(slo) = inner.slo.get() {
                 let latency_ns = job.submitted.elapsed().as_nanos() as u64;
-                let class = match inner.server.tier_of(job.viewport.zoom) {
-                    TileTier::Exact => RequestClass::Exact,
-                    TileTier::Coreset => RequestClass::Coreset,
+                let class = match &result {
+                    Ok((_, class)) => *class,
+                    Err(_) => request_class(inner.server.tier_of(job.viewport.zoom), 0),
                 };
                 if slo.record(class, latency_ns, job.id).breached {
                     kdv_obs::ring::trigger("slo.p99", Some(job.id));
                 }
             }
         }
-        complete(&job.ticket, result);
+        complete(&job.ticket, result.map(|(served, _)| served));
     }
 }
 

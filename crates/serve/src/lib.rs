@@ -10,35 +10,41 @@
 //!   probation and a hit protects them, so the tile bursts of a
 //!   deep-zoom excursion evict each other rather than the panned working
 //!   set.
-//! * [`server`] — viewport serving; the tile is the unit of a miss. A
-//!   request computes and caches exactly the tiles it missed, one sweep
-//!   per band over the row prefixes that end at its rightmost missing
-//!   tile (`kdv_core::tile::compute_band_tiles`), under per-tile
-//!   single-flight. Both servers collect a request's
-//!   tiles in a dense table over its tile window and assemble the
+//! * [`server`] — viewport serving through one [`TileServer`] over a
+//!   `kdv_stream::StreamingPointSet`; a frozen point set is a stream that
+//!   never seals a batch. The tile is the unit of a miss: a request looks
+//!   each tile up at its snapshot's generation and finds it cached, stale
+//!   (cached at an older generation of the epoch, patched forward by
+//!   folding the batches sealed since over the row prefix that ends at
+//!   the band's rightmost stale tile) or missing (computed cold over the
+//!   row prefix that ends at the band's rightmost missing tile, with every
+//!   batch folded on top), under per-tile single-flight. It collects the
+//!   tiles in a dense table over its tile window and assembles the
 //!   response with `kdv_core::tile::assemble`, which writes each pixel
 //!   once into an unzeroed buffer: a request whose tiles are all cached
 //!   costs one copy of its pixels.
+//! * [`live`] — the streaming API of the same server: appends,
+//!   expirations, signed batches and compaction, [`LiveConfig`] and the
+//!   band counters in [`LiveStats`].
 //! * [`trace`] — recorded viewport sequences (v1 single-stream, v2
-//!   multi-session with think times) for `kdv serve --batch` replay and
-//!   the tile benchmarks.
+//!   multi-session with think times, timestamped live feeds) for
+//!   `kdv serve` replay and the tile benchmarks.
 //! * [`frontend`] — concurrent serving front end: a worker pool over a
-//!   bounded admission queue with per-request deadlines and explicit
-//!   load shedding.
+//!   bounded admission queue with per-request deadlines, explicit load
+//!   shedding and per-class SLO accounting (`exact`, `coreset`, or
+//!   `live` once the stream has moved past generation 0).
 //! * [`replay`] — sequential and concurrent trace replayers that
 //!   checksum every served grid so the two modes can be proven
 //!   bitwise-identical.
-//! * [`flight`] — the generic single-flight table, keyed by tile in the
-//!   frozen-set server and by band and generation in the streaming one.
-//! * [`live`] — streaming ingestion: a [`live::LiveTileServer`] over a
-//!   `kdv_stream::StreamingPointSet` that **patches** cached tiles with
-//!   delta sweeps instead of invalidating them, every response
-//!   bitwise-equal to a rebuild from scratch.
+//! * [`flight`] — the generic single-flight table, keyed by tile and
+//!   generation.
 //!
 //! The invariant tying it together: a served viewport is bitwise-equal to
-//! cropping the monolithic `sweep_bucket` raster of its level, for any
-//! cache state, tile size and thread count. `crates/conformance` holds
-//! the tile path to that contract under the exact (ULP-zero) policy.
+//! cropping the canonical rebuild of its generation's level
+//! (`kdv_stream::rebuild_grid`; at generation 0 the monolithic
+//! `sweep_bucket` raster), for any cache state, patch history, tile size
+//! and thread count. `crates/conformance` holds the tile path to that
+//! contract under the exact (ULP-zero) policy.
 
 pub mod cache;
 pub mod flight;
@@ -49,7 +55,7 @@ pub mod replay;
 pub mod server;
 pub mod trace;
 
-pub use cache::{CacheStats, InsertOutcome, TileCache, TileKey, TileTier};
+pub use cache::{CacheStats, InsertOutcome, Lookup, TileCache, TileKey, TileTier};
 pub use flight::{Flight, FlightStats, FlightTable};
 pub use frontend::{
     Frontend, FrontendConfig, FrontendStats, ServeError, ServeResult, ShedReason, Ticket,

@@ -1,49 +1,95 @@
 //! The tile server: viewport requests in, exact density rasters out.
 //!
-//! A [`TileServer`] owns one immutable point set and a [`PyramidSpec`],
-//! and answers [`Viewport`] requests by assembling cached tiles. The tile
-//! is the unit of a miss: a request computes exactly the tiles it missed
-//! and inserts only those. Per tile row band it runs one sweep via
-//! [`kdv_core::tile::compute_band_tiles`], over the row prefixes that end
-//! at its rightmost missing tile of the band, so a tile near a level's
-//! left edge costs a short prefix rather than a full-width band, and a
-//! zoom-in excursion does not flood the cache with tiles nobody asked for.
+//! A [`TileServer`] serves one [`StreamingPointSet`] over a
+//! [`PyramidSpec`]. A frozen point set is a stream that never seals a
+//! batch: it stays at generation 0, and every request takes the same path
+//! whether the data is frozen or live ([`crate::live`] holds the
+//! mutation API). A request snapshots the stream, looks every tile of its
+//! window up at the snapshot's generation `g`, and finds each one
 //!
-//! Exactness contract: a served viewport is bitwise-equal to cropping the
-//! monolithic `sweep_bucket` raster of the whole level, whether the tiles
-//! came from the cache or were computed on the spot, for any thread
-//! count. The cache key carries the full provenance of the bits
-//! ([`crate::cache::TileKey`]), and tile computation is
-//! viewport-independent (a prefix sweep is bitwise the full row's
-//! prefix), so cached and fresh tiles cannot diverge.
+//! * **cached at `g`** — a hit;
+//! * **cached at an older generation `g₀` of the same epoch** — a patch:
+//!   kernel sums are additive, so the stale tile becomes the tile of `g`
+//!   by folding in a weighted sweep of only the batches sealed since `g₀`
+//!   ([`kdv_stream::fold_batches`]). The stale tiles of one band and one
+//!   `g₀` are copied into the band buffer and folded together, over the
+//!   row prefixes that end at the rightmost of them;
+//! * **not cached** — a cold compute: the band's base prefix sweep over
+//!   the epoch base ([`kdv_core::tile::sweep_row_prefixes`], the sweep of
+//!   [`kdv_core::tile::compute_band_tiles`]) up to its rightmost missing
+//!   tile, then every batch folded over the same prefix.
 //!
-//! Concurrency: tile computation is **single-flight**. A request claims
-//! its missing tiles under the in-flight table's lock, keyed by
-//! `(zoom, tx, ty)`: it leads each tile nobody is computing yet and joins
-//! the flights of the others. It computes its led tiles band by band, one
-//! prefix sweep per band, publishes one flight per tile, and then waits
-//! on the tiles it joined. Two users panning the same region therefore
-//! share each tile's computation instead of duplicating it, even when
-//! they want different column ranges of the same bands. [`FlightStats`]
-//! counts led tiles, joined tiles and duplicate computes; a tile is
-//! recomputed only after the cache evicted it, so under an adequately
-//! sized cache the duplicate counter stays at zero however many threads
-//! hammer the server, which `ci.sh serve-load` asserts.
+//! The tile is the unit of a miss: a request computes exactly the tiles
+//! it missed and inserts only those, so a tile near a level's left edge
+//! costs a short prefix rather than a full-width band, and a zoom-in
+//! excursion does not flood the cache with tiles nobody asked for.
+//!
+//! **Exactness contract.** The canonical raster of generation `g` is the
+//! epoch-base sweep with each batch's weighted sweep folded in batch
+//! order ([`kdv_stream::rebuild_grid`]); at generation 0 it is the
+//! monolithic `sweep_bucket` raster. Cold computes run exactly that
+//! program and patches run its suffix from the cached prefix — the same
+//! additions in the same order, and a prefix sweep or fold is bitwise the
+//! full row's prefix — so a served viewport is bitwise-equal to cropping
+//! the rebuild of its generation, for any cache state, patch history,
+//! zoom and thread count. Compaction rebases onto a re-swept base and
+//! takes a fresh generation, so stale tiles of an older epoch are never
+//! patched, only recomputed; the contract across a compaction is equality
+//! with a fresh server over the compacted live set.
+//!
+//! **Concurrency.** Tile computation is single-flight, keyed
+//! `(zoom, tx, ty, generation)`: a request claims its missing tiles under
+//! the in-flight table's lock, leads each tile nobody is computing yet,
+//! joins the flights of the others, computes its led tiles band by band
+//! and then waits on the ones it joined. A tile computed for newer data
+//! is fresh work; computing the same tile of the same generation twice is
+//! a duplicate, which only a cache eviction can cause, so under an
+//! adequately sized cache [`FlightStats::duplicate_computes`] stays at
+//! zero however many threads hammer the server. A patch retires the
+//! patched-away generation's key ([`FlightTable::forget`]).
+//!
+//! **Counters.** Each window tile is counted once, by the lookup that
+//! classified it, as a hit, a miss or a patch ([`TileCache::lookup`]), so
+//! `cache_hits + cache_misses + cache_patched` of a request's report is
+//! the number of tiles in its window, and the requests' counters sum to
+//! the cache's. [`LiveStats`] counts band-prefix patches and cold sweeps.
+//!
+//! **Locks.** A request whose tiles are all cached at its generation
+//! takes only the stream lock (for its snapshot) and the cache shard
+//! locks. The stream lock recovers from poisoning through `into_inner`,
+//! because every mutation leaves the stream consistent whenever the lock
+//! is free; the sweep-context map is a derived cache and is cleared when
+//! poisoned; the cache shards and the flight table recover as documented
+//! in their modules.
+//!
+//! **Overview tier.** When configured, zooms at or below the threshold
+//! are served from an ε-coreset of the epoch base, weighted by its
+//! multiplicities, with the exact delta batches folded on top. The
+//! coreset is built once per epoch (at construction, and again after each
+//! compaction). Folding identical exact deltas into the approximate and
+//! the exact raster leaves their sup-distance unchanged up to per-pixel
+//! rounding, so a snapshot with batches advertises the certified ε plus a
+//! `2⁻²⁴·scale` slack; a server that never sealed a batch advertises the
+//! certified ε alone.
 
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use kdv_core::driver::{KdvParams, SweepContext};
 use kdv_core::parallel::for_each_index_with;
 use kdv_core::telemetry::SweepReport;
-use kdv_core::tile::{self, compute_band_tiles, BandWorkspace, Tile, Tiling};
+use kdv_core::tile::{self, slice_band_tiles, sweep_row_prefixes, BandWorkspace, Tile, Tiling};
 use kdv_core::{DensityGrid, KdvError, KernelType, Point, Result};
 use kdv_coreset::{Coreset, CoresetMethod, CoresetSpec};
+use kdv_obs::RequestClass;
+use kdv_stream::{batch_context, fold_batches, StreamSnapshot, StreamingPointSet};
 
-use crate::cache::{CacheStats, TileCache, TileKey, TileTier};
+use crate::cache::{CacheStats, InsertOutcome, Lookup, TileCache, TileKey, TileTier};
 use crate::flight::{Flight, FlightStats, FlightTable};
+use crate::live::{LiveConfig, LiveStats};
 use crate::pyramid::{PyramidSpec, TileCoord, Viewport};
 
 /// Kernel configuration a server answers requests under (one server = one
@@ -62,10 +108,9 @@ pub struct ServeConfig {
 }
 
 /// Configuration of the approximate overview tier: pyramid levels at or
-/// below `max_zoom` are served from an ε-coreset of the dataset instead
-/// of the full point set (deep zooms stay exact). The coreset is built
-/// once at server construction, with the certificate measured on exactly
-/// the level grids this tier will answer on.
+/// below `max_zoom` are served from an ε-coreset of the epoch base
+/// instead of the full point set (deep zooms stay exact). The coreset is
+/// certified on exactly the level grids this tier answers on.
 #[derive(Debug, Clone, Copy)]
 pub struct OverviewConfig {
     /// Highest zoom served from the coreset (inclusive); `zoom >
@@ -88,7 +133,7 @@ pub struct OverviewConfig {
 pub struct TierInfo {
     /// Exact or coreset provenance of every tile in the response.
     pub tier: TileTier,
-    /// Certified sup-error bound of the response vs the exact raster
+    /// Advertised sup-error bound of the response vs the exact raster
     /// (`None` for the exact tier, which is bitwise-equal instead).
     pub epsilon: Option<f64>,
     /// Number of coreset representatives the tier sweeps over (`None`
@@ -96,43 +141,47 @@ pub struct TierInfo {
     pub coreset_size: Option<usize>,
 }
 
-/// The built overview tier: the coreset and the zoom threshold it
-/// answers for.
-struct OverviewTier {
-    coreset: Coreset,
-    max_zoom: u8,
-}
-
-/// Identity of one tile within a server: `(zoom, tx, ty)`. The server
-/// fixes dataset, kernel, bandwidth and weight, so this is the full
-/// single-flight key — the tier is a function of the zoom.
-type TileId = (u8, usize, usize);
+/// Single-flight identity of one tile of one generation:
+/// `(zoom, tx, ty, generation)`. The server fixes dataset, kernel,
+/// bandwidth and weight, and the tier is a function of the zoom.
+type TileId = (u8, usize, usize, u64);
 
 /// A tile this request leads: its id and the flight it publishes to.
 type LedTile = (TileId, Arc<Flight<Arc<Tile>>>);
 
-/// Caching tile server over one point set and pyramid.
+/// The stream and the overview coreset of its current epoch, under one
+/// lock so a snapshot and its coreset always agree.
+pub(crate) struct Stream {
+    pub(crate) set: StreamingPointSet,
+    /// The current epoch's overview coreset, once built (cleared by
+    /// compaction).
+    pub(crate) overview: Option<Arc<Coreset>>,
+}
+
+/// Caching tile server over a streaming point set and a pyramid.
 pub struct TileServer {
     pyramid: PyramidSpec,
     config: ServeConfig,
-    points: Vec<Point>,
+    pub(crate) live: LiveConfig,
     cache: TileCache,
-    /// Lazily-built per-level sweep contexts (recentred points + banded
-    /// index + pixel coordinates), indexed by zoom. Shared by every
-    /// request at that level.
-    contexts: Vec<OnceLock<Arc<SweepContext>>>,
-    /// Single-flight table over tiles keyed by `(zoom, tx, ty)`: a miss
-    /// either leads (computes and publishes) or joins the existing
-    /// flight. The table's ever-computed set is bounded by the pyramid's
-    /// tile count, not by traffic.
+    pub(crate) stream: Mutex<Stream>,
+    /// Sweep contexts by `(zoom, generation)`: at an epoch's generation
+    /// the context of its base (or of its overview coreset, on coreset
+    /// levels), at a batch's generation the weighted context of that
+    /// batch. Generations are unique across epochs, so the two never
+    /// collide; entries of older epochs are dropped when the first
+    /// context of a newer one is built.
+    contexts: Mutex<HashMap<(u8, u64), Arc<SweepContext>>>,
     flights: FlightTable<TileId, Arc<Tile>>,
-    /// Approximate overview tier, when configured.
-    overview: Option<OverviewTier>,
+    pub(crate) stats: LiveStats,
+    overview: Option<OverviewConfig>,
 }
 
 impl TileServer {
-    /// A server for `points` over `pyramid`, caching at most
-    /// `cache_bytes` bytes of tiles across `cache_shards` shards.
+    /// A server for the frozen point set `points` over `pyramid`,
+    /// caching at most `cache_bytes` bytes of tiles across
+    /// `cache_shards` shards: [`TileServer::with_live`] with the default
+    /// [`LiveConfig`].
     pub fn new(
         pyramid: PyramidSpec,
         config: ServeConfig,
@@ -140,79 +189,79 @@ impl TileServer {
         cache_bytes: usize,
         cache_shards: usize,
     ) -> Self {
-        let contexts = (0..=pyramid.max_zoom as usize).map(|_| OnceLock::new()).collect();
+        Self::with_live(pyramid, config, LiveConfig::default(), points, cache_bytes, cache_shards)
+    }
+
+    /// A server whose stream starts from the epoch base `base` at
+    /// generation 0, patching and compacting as `live` says.
+    pub fn with_live(
+        pyramid: PyramidSpec,
+        config: ServeConfig,
+        live: LiveConfig,
+        base: Vec<Point>,
+        cache_bytes: usize,
+        cache_shards: usize,
+    ) -> Self {
         Self {
             pyramid,
             config,
-            points,
+            live,
             cache: TileCache::new(cache_bytes, cache_shards),
-            contexts,
+            stream: Mutex::new(Stream { set: StreamingPointSet::new(base), overview: None }),
+            contexts: Mutex::new(HashMap::new()),
             flights: FlightTable::new(),
+            stats: LiveStats::default(),
             overview: None,
         }
     }
 
-    /// [`TileServer::new`] plus an approximate overview tier: builds an
-    /// ε-coreset of `points` (certified on exactly the level grids of
+    /// [`TileServer::with_live`] plus an approximate overview tier: builds
+    /// an ε-coreset of `base` (certified on exactly the level grids of
     /// zooms `0..=overview.max_zoom`) and serves those levels from it,
-    /// while deeper zooms stay exact over the full set. The achieved ε
-    /// is surfaced by [`TileServer::tier_info`] and in every
-    /// [`TierInfo`] this server attaches to a response.
+    /// while deeper zooms stay exact. Each compaction rebuilds the
+    /// coreset from the then-live set. The advertised ε is surfaced by
+    /// [`TileServer::tier_info`] and in every [`TierInfo`] this server
+    /// attaches to a response.
     pub fn with_overview_coreset(
         pyramid: PyramidSpec,
         config: ServeConfig,
-        points: Vec<Point>,
+        live: LiveConfig,
+        base: Vec<Point>,
         cache_bytes: usize,
         cache_shards: usize,
         overview: OverviewConfig,
     ) -> Result<Self> {
-        let threshold = overview.max_zoom.min(pyramid.max_zoom);
-        let eval_grids = (0..=threshold).map(|z| pyramid.level_grid(z)).collect();
-        let scale = kdv_coreset::density_scale(
-            config.kernel,
-            config.bandwidth,
-            config.weight,
-            points.len(),
-        );
-        let spec = CoresetSpec {
-            method: overview.method,
-            target_epsilon: overview.target_rel_epsilon * scale,
-            kernel: config.kernel,
-            bandwidth: config.bandwidth,
-            weight: config.weight,
-            seed: overview.seed,
-            eval_grids,
-        };
-        let coreset = kdv_coreset::build(&spec, &points)?;
-        let mut server = Self::new(pyramid, config, points, cache_bytes, cache_shards);
-        server.overview = Some(OverviewTier { coreset, max_zoom: threshold });
+        let mut server = Self::with_live(pyramid, config, live, base, cache_bytes, cache_shards);
+        server.overview = Some(overview);
+        let (snapshot, _) = server.read_stream();
+        server.overview_for(&snapshot, None)?; // build (and certify) eagerly
         Ok(server)
     }
 
     /// Which tier answers requests at `zoom`.
     pub fn tier_of(&self, zoom: u8) -> TileTier {
-        match &self.overview {
-            Some(tier) if zoom <= tier.max_zoom => TileTier::Coreset,
+        match self.overview {
+            Some(cfg) if zoom <= cfg.max_zoom.min(self.pyramid.max_zoom) => TileTier::Coreset,
             _ => TileTier::Exact,
         }
     }
 
-    /// Tier metadata for `zoom`: the tier plus, for the coreset tier,
-    /// the advertised ε and coreset size.
+    /// Tier metadata for a request at `zoom` against the current state:
+    /// the tier plus, for the coreset tier, the advertised ε and coreset
+    /// size. A coreset level whose epoch's coreset cannot be built (the
+    /// request would fail too) reports no ε.
     pub fn tier_info(&self, zoom: u8) -> TierInfo {
-        match self.tier_of(zoom) {
-            TileTier::Exact => {
-                TierInfo { tier: TileTier::Exact, epsilon: None, coreset_size: None }
-            }
-            TileTier::Coreset => {
-                let tier = self.overview.as_ref().expect("coreset tier implies overview");
-                TierInfo {
-                    tier: TileTier::Coreset,
-                    epsilon: Some(tier.coreset.epsilon),
-                    coreset_size: Some(tier.coreset.len()),
+        let (snapshot, held) = self.read_stream();
+        let coreset = match self.tier_of(zoom) {
+            TileTier::Exact => None,
+            TileTier::Coreset => match self.overview_for(&snapshot, held) {
+                Ok(coreset) => Some(coreset),
+                Err(_) => {
+                    return TierInfo { tier: TileTier::Coreset, epsilon: None, coreset_size: None }
                 }
-            }
-        }
+            },
+        };
+        self.tier_info_for(&snapshot, coreset.as_deref())
     }
 
     /// The pyramid this server answers for.
@@ -240,13 +289,43 @@ impl TileServer {
         self.flights.stats()
     }
 
-    fn key(&self, zoom: u8, tx: usize, ty: usize) -> TileKey {
+    /// Locks the stream. A poisoned lock is recovered through
+    /// `into_inner`: every [`StreamingPointSet`] mutation validates and
+    /// computes everything that can fail before its first write, and the
+    /// server's own writes under this lock are single assignments, so the
+    /// stream is consistent whenever the lock is free, even after a
+    /// holder panicked.
+    pub(crate) fn lock_stream(&self) -> MutexGuard<'_, Stream> {
+        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A consistent snapshot of the stream and, when built, the overview
+    /// coreset of its epoch.
+    fn read_stream(&self) -> (StreamSnapshot, Option<Arc<Coreset>>) {
+        let stream = self.lock_stream();
+        (stream.set.snapshot(), stream.overview.clone())
+    }
+
+    /// The sweep-context map. It is a derived cache: if a holder
+    /// panicked, it is cleared (every entry is rebuilt from the stream on
+    /// demand) and serving goes on.
+    fn lock_contexts(&self) -> MutexGuard<'_, HashMap<(u8, u64), Arc<SweepContext>>> {
+        self.contexts.lock().unwrap_or_else(|poisoned| {
+            let mut map = poisoned.into_inner();
+            map.clear();
+            self.contexts.clear_poison();
+            map
+        })
+    }
+
+    fn key(&self, zoom: u8, tx: usize, ty: usize, generation: u64) -> TileKey {
         TileKey::new(
             self.config.dataset,
             self.config.kernel,
             self.config.bandwidth,
             self.config.weight,
             TileCoord { zoom, tx: tx as u32, ty: ty as u32 },
+            generation,
         )
         .with_tier(self.tier_of(zoom))
     }
@@ -260,119 +339,151 @@ impl TileServer {
         )
     }
 
-    /// The level's shared sweep context, built on first use over the
-    /// level tier's point set: the full set for exact levels, the coreset
-    /// representatives weighted by their multiplicities for overview
-    /// levels. Concurrent first requests may build it twice; construction
-    /// is deterministic, so either copy yields the same bits and one is
-    /// dropped.
-    fn level_context(&self, zoom: u8) -> Result<Arc<SweepContext>> {
-        let slot = &self.contexts[zoom as usize];
-        if let Some(ctx) = slot.get() {
-            return Ok(Arc::clone(ctx));
-        }
-        let _s = kdv_obs::span1("pyramid.build", "zoom", zoom as u64);
-        let params = self.level_params(zoom);
-        let built = Arc::new(match &self.overview {
-            Some(tier) if zoom <= tier.max_zoom => {
-                SweepContext::weighted(&params, &tier.coreset.points, &tier.coreset.weights)?
-            }
-            _ => SweepContext::new(&params, &self.points)?,
-        });
-        Ok(Arc::clone(slot.get_or_init(|| built)))
-    }
-
-    /// Computes the tiles this request leads in one band (ascending
-    /// `tx`), caches them, records the single-flight counters and
-    /// publishes each tile to its flight's waiters. Every flight is
-    /// published and deregistered, even if the sweep panics (the lease
-    /// guards publish an error so waiters fail instead of hanging).
-    ///
-    /// The request missed these tiles before claiming their flights, and
-    /// another request's flight for one of them may have completed in
-    /// between. So the leader first peeks each tile: a cached one is
-    /// published without sweeping or counting a compute, and the band is
-    /// swept only up to the rightmost tile still missing.
-    fn lead_tiles(
+    /// The overview coreset of the snapshot's epoch: `held` if the
+    /// snapshot came with it, else built now and stored with the stream
+    /// (unless a compaction has moved on since). Concurrent first
+    /// requests of an epoch may both build it; construction is
+    /// deterministic, so either copy has the same bits.
+    fn overview_for(
         &self,
-        req: &LeadContext<'_>,
-        led: &[LedTile],
-        ws: &mut BandWorkspace,
-    ) -> Vec<Arc<Tile>> {
-        let Some(&((zoom, _, ty), _)) = led.first() else {
-            return Vec::new();
-        };
-        let leases: Vec<_> =
-            led.iter().map(|(id, flight)| self.flights.lease(*id, flight)).collect();
-        let mut tiles = Vec::with_capacity(led.len());
-        let mut pending = Vec::new();
-        for (mut lease, &((_, tx, _), _)) in leases.into_iter().zip(led) {
-            match self.cache.peek(&self.key(zoom, tx, ty)) {
-                Some(tile) => {
-                    lease.complete(Ok(Arc::clone(&tile)));
-                    tiles.push(tile);
-                }
-                None => pending.push((lease, tx)),
-            }
+        snapshot: &StreamSnapshot,
+        held: Option<Arc<Coreset>>,
+    ) -> Result<Arc<Coreset>> {
+        if let Some(coreset) = held {
+            return Ok(coreset);
         }
-        if pending.is_empty() {
-            return tiles;
-        }
-        let cols: Vec<usize> = pending.iter().map(|&(_, tx)| tx).collect();
-        let BandWorkspace { engine, envelope, band, .. } = ws;
-        let computed = compute_band_tiles(
-            req.ctx,
-            req.tiling,
+        let cfg = self.overview.ok_or(KdvError::Internal("no overview tier configured"))?;
+        let _s = kdv_obs::span1("serve.overview.rebuild", "epoch", snapshot.epoch);
+        let threshold = cfg.max_zoom.min(self.pyramid.max_zoom);
+        let scale = kdv_coreset::density_scale(
+            self.config.kernel,
             self.config.bandwidth,
-            ty,
-            &cols,
-            engine,
-            envelope,
-            band,
+            self.config.weight,
+            snapshot.base.len(),
         );
-        for ((mut lease, tx), tile) in pending.into_iter().zip(computed) {
-            let tile = Arc::new(tile);
-            let outcome = self.cache.insert(self.key(zoom, tx, ty), Arc::clone(&tile));
-            req.evictions.fetch_add(outcome.evicted, Ordering::Relaxed);
-            req.rejected.fetch_add(outcome.rejected as u64, Ordering::Relaxed);
-            self.flights.record_computed((zoom, tx, ty));
-            lease.complete(Ok(Arc::clone(&tile)));
-            tiles.push(tile);
+        let spec = CoresetSpec {
+            method: cfg.method,
+            target_epsilon: cfg.target_rel_epsilon * scale,
+            kernel: self.config.kernel,
+            bandwidth: self.config.bandwidth,
+            weight: self.config.weight,
+            seed: cfg.seed,
+            eval_grids: (0..=threshold).map(|z| self.pyramid.level_grid(z)).collect(),
+        };
+        let coreset = Arc::new(kdv_coreset::build(&spec, &snapshot.base)?);
+        let mut stream = self.lock_stream();
+        if stream.set.epoch() != snapshot.epoch {
+            return Ok(coreset);
         }
-        tiles
+        Ok(Arc::clone(stream.overview.get_or_insert(coreset)))
     }
 
-    /// Serves one viewport: assembles the requested pixel window from
-    /// cached tiles, computing (and caching) the missing ones, one prefix
-    /// sweep per band on the work-stealing runtime (`threads == 0` means
-    /// "auto"). Misses are **single-flight** per tile: if another request
-    /// is already computing a needed tile, this request waits for that
-    /// result instead of duplicating the work.
-    ///
-    /// Returns the `width × height` density raster plus a [`SweepReport`]
-    /// whose cache counters are the **deltas this request itself
-    /// caused** — counted along this request's own lookups and inserts,
-    /// never inferred from the global counters (which would misattribute
-    /// other requests' traffic under concurrency). The raster is
-    /// bitwise-equal to cropping the monolithic level raster, for any
-    /// cache state and thread count.
+    /// Tier metadata of a response served from `snapshot`, whose level is
+    /// answered from `coreset` if it is a coreset level. The coreset's
+    /// certified ε holds for the epoch base; with batches folded on top
+    /// it gains a `2⁻²⁴·scale` slack for the per-pixel rounding of the
+    /// folds.
+    fn tier_info_for(&self, snapshot: &StreamSnapshot, coreset: Option<&Coreset>) -> TierInfo {
+        let Some(coreset) = coreset else {
+            return TierInfo { tier: TileTier::Exact, epsilon: None, coreset_size: None };
+        };
+        let epsilon = if snapshot.batches.is_empty() {
+            coreset.epsilon
+        } else {
+            let scale = kdv_coreset::density_scale(
+                self.config.kernel,
+                self.config.bandwidth,
+                self.config.weight,
+                snapshot.base.len() + snapshot.delta_len(),
+            );
+            coreset.epsilon + scale * 2.0f64.powi(-24)
+        };
+        TierInfo {
+            tier: TileTier::Coreset,
+            epsilon: Some(epsilon),
+            coreset_size: Some(coreset.len()),
+        }
+    }
+
+    /// The sweep contexts a tile of `zoom` needs at the snapshot's
+    /// generation, from the shared map: index 0 sweeps the epoch base (or
+    /// its overview coreset, weighted by the multiplicities), index
+    /// `1 + i` is batch `i`'s weighted context. Missing ones are built
+    /// under the map's lock, so each is built once.
+    fn contexts_for(
+        &self,
+        snapshot: &StreamSnapshot,
+        coreset: Option<&Coreset>,
+        zoom: u8,
+    ) -> Result<Vec<Arc<SweepContext>>> {
+        let params = self.level_params(zoom);
+        let first = snapshot.epoch_generation;
+        let mut map = self.lock_contexts();
+        let mut out = Vec::with_capacity(1 + snapshot.batches.len());
+        for generation in first..=snapshot.generation() {
+            if let Some(ctx) = map.get(&(zoom, generation)) {
+                out.push(Arc::clone(ctx));
+                continue;
+            }
+            let ctx = Arc::new(match (generation - first).checked_sub(1) {
+                Some(i) => batch_context(&params, &snapshot.batches[i as usize])?,
+                None => {
+                    let _s = kdv_obs::span1("pyramid.build", "zoom", zoom as u64);
+                    map.retain(|&(_, g), _| g >= first);
+                    match coreset {
+                        Some(c) => SweepContext::weighted(&params, &c.points, &c.weights)?,
+                        None => SweepContext::new(&params, &snapshot.base)?,
+                    }
+                }
+            });
+            map.insert((zoom, generation), Arc::clone(&ctx));
+            out.push(ctx);
+        }
+        Ok(out)
+    }
+
+    /// Serves one viewport against the stream's current generation: see
+    /// [`TileServer::serve_viewport_tiered`].
     pub fn serve_viewport(
         &self,
         viewport: &Viewport,
         threads: usize,
     ) -> Result<(DensityGrid, SweepReport)> {
-        let (grid, report, _tier) = self.serve_viewport_tiered(viewport, threads)?;
+        let (grid, report, _, _) = self.serve(viewport, threads)?;
         Ok((grid, report))
     }
 
-    /// [`TileServer::serve_viewport`] plus the [`TierInfo`] metadata of
-    /// the level that answered: which tier it was and, for the coreset
-    /// tier, the advertised ε and coreset size.
+    /// Serves one viewport against a consistent snapshot of the stream:
+    /// assembles the requested pixel window from tiles of the snapshot's
+    /// generation — cached, patched forward from an older generation, or
+    /// computed cold, one prefix sweep per band and stale generation on
+    /// the work-stealing runtime (`threads == 0` means "auto"). Misses
+    /// and patches are single-flight per tile. The raster is
+    /// bitwise-equal to cropping the rebuild of the snapshot's generation
+    /// (at generation 0, the monolithic level raster), for any cache
+    /// state and thread count.
+    ///
+    /// Returns the raster, a [`SweepReport`] whose cache counters are
+    /// the **deltas this request itself caused** — one hit, miss or patch
+    /// per window tile, counted along its own lookups, never inferred
+    /// from the global counters — and the [`TierInfo`] of the level that
+    /// answered.
     pub fn serve_viewport_tiered(
         &self,
         viewport: &Viewport,
         threads: usize,
     ) -> Result<(DensityGrid, SweepReport, TierInfo)> {
+        let (grid, report, tier, _) = self.serve(viewport, threads)?;
+        Ok((grid, report, tier))
+    }
+
+    /// [`TileServer::serve_viewport_tiered`] plus the generation the
+    /// response was served at.
+    pub(crate) fn serve(
+        &self,
+        viewport: &Viewport,
+        threads: usize,
+    ) -> Result<(DensityGrid, SweepReport, TierInfo, u64)> {
         let started = Instant::now();
         let mut span = kdv_obs::span1("serve.viewport", "zoom", viewport.zoom as u64);
         let vp = viewport
@@ -381,17 +492,29 @@ impl TileServer {
         // The clamped window's size: the request's own `width × height`
         // is untrusted and may overflow.
         span.arg("pixels", vp.num_pixels() as u64);
-        let tier_info = self.tier_info(vp.zoom);
+        let (snapshot, held) = self.read_stream();
+        let generation = snapshot.generation();
+        span.arg("generation", generation);
+        let metrics = kdv_obs::metrics::global();
+        // Generation lag = stream.generation - serve.generation: how far
+        // behind ingestion the bits being served are.
+        metrics.gauge("serve.generation").set(generation);
+        let tier = self.tier_of(vp.zoom);
+        let coreset = match tier {
+            TileTier::Exact => None,
+            TileTier::Coreset => Some(self.overview_for(&snapshot, held)?),
+        };
+        let tier_info = self.tier_info_for(&snapshot, coreset.as_deref());
         {
             let _s = kdv_obs::span2(
                 "serve.tier",
                 "zoom",
                 vp.zoom as u64,
                 "coreset",
-                u64::from(tier_info.tier == TileTier::Coreset),
+                u64::from(tier == TileTier::Coreset),
             );
-            kdv_obs::metrics::global()
-                .counter(match tier_info.tier {
+            metrics
+                .counter(match tier {
                     TileTier::Exact => "serve.tier.exact",
                     TileTier::Coreset => "serve.tier.coreset",
                 })
@@ -399,44 +522,52 @@ impl TileServer {
         }
         let tiling = self.pyramid.level_tiling(vp.zoom);
 
-        // Look every needed tile up first, counting this request's own
-        // hits and misses; collect the misses in `(ty, tx)` order, as the
-        // lookup walks the rows in order.
+        // Look every tile up first, counting this request's own hits,
+        // patches and misses; collect the tiles to compute in `(ty, tx)`
+        // order, as the lookup walks the rows in order.
+        let oldest = if self.live.patching { snapshot.epoch_generation } else { generation };
         let mut window = TileWindow::new(&vp, self.pyramid.tile_size);
         let mut missing: Vec<TileId> = Vec::new();
-        let (mut req_hits, mut req_misses) = (0u64, 0u64);
+        let mut stale: HashMap<(usize, usize), (u64, Arc<Tile>)> = HashMap::new();
+        let (mut req_hits, mut req_misses, mut req_patched) = (0u64, 0u64, 0u64);
         for ty in window.rows() {
             for tx in window.cols() {
-                match self.cache.get(&self.key(vp.zoom, tx, ty)) {
-                    Some(tile) => {
+                match self.cache.lookup(&self.key(vp.zoom, tx, ty, generation), oldest) {
+                    Lookup::Hit(tile) => {
                         req_hits += 1;
                         window.put(tile);
+                        continue;
                     }
-                    None => {
-                        req_misses += 1;
-                        missing.push((vp.zoom, tx, ty));
+                    Lookup::Stale(from, tile) => {
+                        req_patched += 1;
+                        stale.insert((tx, ty), (from, tile));
                     }
+                    Lookup::Miss => req_misses += 1,
                 }
+                missing.push((vp.zoom, tx, ty, generation));
             }
         }
 
         let req_evictions = AtomicU64::new(0);
         let req_rejected = AtomicU64::new(0);
         if !missing.is_empty() {
-            let ctx = self.level_context(vp.zoom)?;
+            let contexts = self.contexts_for(&snapshot, coreset.as_deref(), vp.zoom)?;
             let (lead, join) = self.flights.claim(&missing);
+            let params = self.level_params(vp.zoom);
             let req = LeadContext {
-                ctx: &ctx,
+                snapshot: &snapshot,
+                params: &params,
                 tiling: &tiling,
+                contexts: &contexts,
+                stale: &stale,
                 evictions: &req_evictions,
                 rejected: &req_rejected,
             };
 
             // Compute the led tiles band by band, in parallel, each band
-            // publishing its tiles as soon as its sweep finishes.
+            // publishing its tiles as soon as they are done.
             let bands: Vec<&[LedTile]> = lead.chunk_by(|a, b| a.0 .2 == b.0 .2).collect();
-            let params = self.level_params(vp.zoom);
-            let led: Vec<Vec<Arc<Tile>>> = for_each_index_with(
+            let led: Vec<Result<Vec<Arc<Tile>>>> = for_each_index_with(
                 bands.len(),
                 threads,
                 || BandWorkspace::new(&params),
@@ -446,8 +577,10 @@ impl TileServer {
             // Take the window's tiles from the led results, then wait for
             // the tiles other requests are computing on this request's
             // behalf.
-            for tile in led.into_iter().flatten() {
-                window.put(tile);
+            for tiles in led {
+                for tile in tiles? {
+                    window.put(tile);
+                }
             }
             for (_, flight) in join {
                 window.put(flight.wait()?);
@@ -458,39 +591,182 @@ impl TileServer {
 
         let mut report = SweepReport::from_workers(Vec::new(), vp.height, 0)
             .with_cache_counters(req_hits, req_misses, req_evictions.load(Ordering::Relaxed))
-            .with_cache_rejected(req_rejected.load(Ordering::Relaxed));
+            .with_cache_rejected(req_rejected.load(Ordering::Relaxed))
+            .with_cache_patched(req_patched);
         report.threads = threads;
         report.wall_nanos = started.elapsed().as_nanos() as u64;
         span.arg("misses", report.cache_misses);
-        let metrics = kdv_obs::metrics::global();
+        span.arg("patched", report.cache_patched);
         metrics.histogram("serve.request_ns").record(report.wall_nanos);
         metrics
-            .histogram(match tier_info.tier {
-                TileTier::Exact => "serve.request_ns.exact",
-                TileTier::Coreset => "serve.request_ns.coreset",
+            .histogram(match request_class(tier, generation) {
+                RequestClass::Exact => "serve.request_ns.exact",
+                RequestClass::Coreset => "serve.request_ns.coreset",
+                RequestClass::Live => "serve.request_ns.live",
             })
             .record(report.wall_nanos);
-        Ok((out, report, tier_info))
+        Ok((out, report, tier_info, generation))
+    }
+
+    /// Computes the tiles this request leads in one band (ascending
+    /// `tx`), caches them, records the single-flight counters and
+    /// publishes each tile to its flight's waiters. Every flight is
+    /// published and deregistered, even on an error or a panic (the lease
+    /// guards publish an error so waiters fail instead of hanging).
+    ///
+    /// The request looked these tiles up before claiming their flights,
+    /// and another request's flight for one of them may have completed in
+    /// between. So the leader first peeks each tile at the request's
+    /// generation: a cached one is published without computing. The rest
+    /// are patched, one fold per stale generation over the prefix that
+    /// ends at the rightmost tile of that generation, and computed cold
+    /// over the prefix that ends at the rightmost cold tile.
+    fn lead_tiles(
+        &self,
+        req: &LeadContext<'_>,
+        led: &[LedTile],
+        ws: &mut BandWorkspace,
+    ) -> Result<Vec<Arc<Tile>>> {
+        let Some(&((zoom, _, ty, generation), _)) = led.first() else {
+            return Ok(Vec::new());
+        };
+        let mut tiles = Vec::with_capacity(led.len());
+        let mut cold = Vec::new();
+        let mut patches: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+        for (id, flight) in led {
+            let mut lease = self.flights.lease(*id, flight);
+            let tx = id.1;
+            if let Some(tile) = self.cache.peek(&self.key(zoom, tx, ty, generation)) {
+                lease.complete(Ok(Arc::clone(&tile)));
+                tiles.push(tile);
+                continue;
+            }
+            match req.stale.get(&(tx, ty)) {
+                Some((from, tile)) => patches.entry(*from).or_default().push((lease, tx, tile)),
+                None => cold.push((lease, tx)),
+            }
+        }
+        let rows = req.tiling.tile_rows(ty);
+        let metrics = kdv_obs::metrics::global();
+
+        for (from, group) in patches {
+            let mut span = kdv_obs::span2("serve.patch", "ty", ty as u64, "from", from);
+            let end = group.last().map_or(0, |&(_, tx, _)| req.tiling.tile_cols(tx).end);
+            ws.band.resize(rows.len() * end, 0.0);
+            for (_, tx, tile) in &group {
+                let cols = req.tiling.tile_cols(*tx);
+                for (j, row) in ws.band.chunks_exact_mut(end).enumerate() {
+                    row[cols.clone()].copy_from_slice(tile.row(j));
+                }
+            }
+            let offset = 1 + (from - req.snapshot.epoch_generation) as usize;
+            let (folded, _) = fold_batches(
+                req.params,
+                req.snapshot.batches_since(from),
+                rows.clone(),
+                end,
+                ws,
+                |i, _| Ok(Arc::clone(&req.contexts[offset + i])),
+            )?;
+            span.arg("folded", folded);
+            let cols: Vec<usize> = group.iter().map(|&(_, tx, _)| tx).collect();
+            let fresh = slice_band_tiles(req.tiling, ty, end, &cols, &ws.band);
+            for ((mut lease, tx, _), tile) in group.into_iter().zip(fresh) {
+                let tile = Arc::new(tile);
+                let old = self.key(zoom, tx, ty, from);
+                let new = TileKey { generation, ..old };
+                let outcome = self.cache.patch(&old, new, Arc::clone(&tile));
+                req.record(outcome);
+                // The patched-away generation is retired on purpose: a
+                // slow request still serving it will recompute it cold,
+                // and that is legitimate work, not a dedup failure.
+                self.flights.forget(&(zoom, tx, ty, from));
+                self.flights.record_computed((zoom, tx, ty, generation));
+                lease.complete(Ok(Arc::clone(&tile)));
+                tiles.push(tile);
+            }
+            metrics.counter("serve.patch.bands").bump();
+            metrics.counter("serve.patch.tiles").add(cols.len() as u64);
+            metrics.counter("serve.patch.batches").add(folded);
+            self.stats.patched_bands.bump();
+            self.stats.folded_batches.add(folded);
+        }
+
+        if let Some(&(_, last)) = cold.last() {
+            let end = req.tiling.tile_cols(last).end;
+            let mut s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
+            s.arg("end", end as u64);
+            ws.band.resize(rows.len() * end, 0.0);
+            let BandWorkspace { engine, envelope, band, .. } = ws;
+            sweep_row_prefixes(
+                &req.contexts[0],
+                self.config.bandwidth,
+                rows.clone(),
+                end,
+                engine,
+                envelope,
+                band,
+            );
+            let (folded, _) =
+                fold_batches(req.params, &req.snapshot.batches, rows, end, ws, |i, _| {
+                    Ok(Arc::clone(&req.contexts[1 + i]))
+                })?;
+            let cols: Vec<usize> = cold.iter().map(|&(_, tx)| tx).collect();
+            let fresh = slice_band_tiles(req.tiling, ty, end, &cols, &ws.band);
+            for ((mut lease, tx), tile) in cold.into_iter().zip(fresh) {
+                let tile = Arc::new(tile);
+                req.record(
+                    self.cache.insert(self.key(zoom, tx, ty, generation), Arc::clone(&tile)),
+                );
+                self.flights.record_computed((zoom, tx, ty, generation));
+                lease.complete(Ok(Arc::clone(&tile)));
+                tiles.push(tile);
+            }
+            self.stats.recomputed_bands.bump();
+            self.stats.folded_batches.add(folded);
+        }
+        Ok(tiles)
+    }
+}
+
+/// The SLO and latency class of a response: `live` once the stream has
+/// sealed a batch or compacted (generation > 0), else its tier.
+pub(crate) fn request_class(tier: TileTier, generation: u64) -> RequestClass {
+    match tier {
+        _ if generation > 0 => RequestClass::Live,
+        TileTier::Exact => RequestClass::Exact,
+        TileTier::Coreset => RequestClass::Coreset,
     }
 }
 
 /// Per-request context shared by every band this request leads tiles
-/// in: the level's sweep context and tiling, plus the request-local
-/// eviction / rejection accumulators (leaders insert from parallel worker
-/// threads, so the deltas are atomics).
+/// in: the snapshot, the level's parameters, tiling and sweep contexts,
+/// the stale tiles its lookups found, and the request-local eviction /
+/// rejection accumulators (leaders insert from parallel worker threads,
+/// so the deltas are atomics).
 struct LeadContext<'a> {
-    ctx: &'a SweepContext,
+    snapshot: &'a StreamSnapshot,
+    params: &'a KdvParams,
     tiling: &'a Tiling,
+    contexts: &'a [Arc<SweepContext>],
+    stale: &'a HashMap<(usize, usize), (u64, Arc<Tile>)>,
     evictions: &'a AtomicU64,
     rejected: &'a AtomicU64,
+}
+
+impl LeadContext<'_> {
+    /// Adds one insert's or patch's displacement to the request's deltas.
+    fn record(&self, outcome: InsertOutcome) {
+        self.evictions.fetch_add(outcome.evicted, Ordering::Relaxed);
+        self.rejected.fetch_add(outcome.rejected as u64, Ordering::Relaxed);
+    }
 }
 
 /// The tiles one request assembles its viewport from: a dense table
 /// over the viewport's tile window, row-major in `(ty, tx)`. Filled from
 /// cache hits and computed tiles, then handed to
-/// [`kdv_core::tile::assemble`]. Shared by [`TileServer`] and
-/// [`crate::live::LiveTileServer`].
-pub(crate) struct TileWindow {
+/// [`kdv_core::tile::assemble`].
+struct TileWindow {
     cols: Range<usize>,
     rows: Range<usize>,
     tiles: Vec<Option<Arc<Tile>>>,
@@ -498,18 +774,18 @@ pub(crate) struct TileWindow {
 
 impl TileWindow {
     /// An empty window over the tiles a clamped viewport intersects.
-    pub(crate) fn new(vp: &Viewport, tile_size: usize) -> Self {
+    fn new(vp: &Viewport, tile_size: usize) -> Self {
         let (cols, rows) = (vp.tile_cols(tile_size), vp.tile_rows(tile_size));
         Self { tiles: vec![None; cols.len() * rows.len()], cols, rows }
     }
 
     /// Tile columns of the window.
-    pub(crate) fn cols(&self) -> Range<usize> {
+    fn cols(&self) -> Range<usize> {
         self.cols.clone()
     }
 
     /// Tile rows (bands) of the window.
-    pub(crate) fn rows(&self) -> Range<usize> {
+    fn rows(&self) -> Range<usize> {
         self.rows.clone()
     }
 
@@ -518,25 +794,16 @@ impl TileWindow {
     }
 
     /// Stores a tile of the window.
-    pub(crate) fn put(&mut self, tile: Arc<Tile>) {
+    fn put(&mut self, tile: Arc<Tile>) {
         let slot = self.slot(tile.tx, tile.ty);
         self.tiles[slot] = Some(tile);
-    }
-
-    /// Stores the tiles of a computed band that fall inside the window.
-    pub(crate) fn put_band(&mut self, band: &[Arc<Tile>]) {
-        for tile in band {
-            if self.cols.contains(&tile.tx) && self.rows.contains(&tile.ty) {
-                self.put(Arc::clone(tile));
-            }
-        }
     }
 
     /// Assembles the viewport from the window's tiles.
     ///
     /// # Panics
     /// Panics if a tile the viewport overlaps was never stored.
-    pub(crate) fn assemble(&self, tiling: &Tiling, vp: &Viewport) -> DensityGrid {
+    fn assemble(&self, tiling: &Tiling, vp: &Viewport) -> DensityGrid {
         tile::assemble(tiling, vp.px, vp.py, vp.width, vp.height, |tx, ty| {
             self.tiles[self.slot(tx, ty)].as_deref().expect("every window tile is served")
         })
@@ -580,7 +847,7 @@ mod tests {
             server.config().bandwidth,
             server.config().weight,
         );
-        let full = sweep_bucket::compute(&params, &server.points).unwrap();
+        let full = sweep_bucket::compute(&params, &server.live_points()).unwrap();
         let mut out = DensityGrid::zeroed(vp.width, vp.height);
         for j in 0..vp.height {
             out.row_mut(j).copy_from_slice(&full.row(vp.py + j)[vp.px..vp.px + vp.width]);
@@ -622,7 +889,7 @@ mod tests {
     }
 
     fn cached(srv: &TileServer, zoom: u8, tx: usize, ty: usize) -> bool {
-        srv.cache().peek(&srv.key(zoom, tx, ty)).is_some()
+        srv.cache().peek(&srv.key(zoom, tx, ty, 0)).is_some()
     }
 
     #[test]
@@ -692,8 +959,16 @@ mod tests {
             target_rel_epsilon: 0.01,
             seed: 11,
         };
-        TileServer::with_overview_coreset(pyramid, config, points(300), cache_bytes, 4, overview)
-            .unwrap()
+        TileServer::with_overview_coreset(
+            pyramid,
+            config,
+            LiveConfig::default(),
+            points(300),
+            cache_bytes,
+            4,
+            overview,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -747,5 +1022,49 @@ mod tests {
         assert!(report.cache_rejected > 0, "tiny budget must reject oversized tiles");
         assert_eq!(report.cache_evictions, 0, "nothing admitted, so nothing displaced");
         assert!(srv.cache().bytes() <= srv.cache().budget());
+    }
+
+    /// Poisons `mutex` by panicking on a thread that holds it.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = mutex.lock();
+                panic!("holder panics with the lock held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_stream_lock_keeps_serving_and_ingesting() {
+        let srv = server(1 << 22);
+        let vp = Viewport { zoom: 1, px: 13, py: 29, width: 41, height: 30 };
+        srv.serve_viewport(&vp, 0).unwrap();
+        poison(&srv.stream);
+        assert_eq!(srv.serve_viewport(&vp, 0).unwrap().0, crop_reference(&srv, &vp));
+        assert_eq!(srv.append(&points(4)), 1, "a poisoned stream still seals batches");
+        let params = srv.pyramid().level_params(1, KernelType::Epanechnikov, 14.0, 0.005);
+        let level = kdv_stream::rebuild_grid(&params, &srv.snapshot()).unwrap();
+        let (grid, report) = srv.serve_viewport(&vp, 0).unwrap();
+        assert!(report.cache_patched > 0);
+        for j in 0..vp.height {
+            assert_eq!(grid.row(j), &level.row(vp.py + j)[vp.px..vp.px + vp.width], "row {j}");
+        }
+    }
+
+    #[test]
+    fn poisoned_context_map_is_cleared_and_rebuilt() {
+        let srv = server(1 << 22);
+        let a = Viewport { zoom: 1, px: 0, py: 0, width: 30, height: 30 };
+        srv.serve_viewport(&a, 0).unwrap();
+        poison(&srv.contexts);
+        // a miss at the same level needs the level's context again
+        let b = Viewport { zoom: 1, px: 50, py: 50, width: 40, height: 40 };
+        let (grid, report) = srv.serve_viewport(&b, 0).unwrap();
+        assert!(report.cache_misses > 0);
+        assert_eq!(grid, crop_reference(&srv, &b));
+        assert!(!srv.contexts.is_poisoned());
+        assert_eq!(srv.lock_contexts().len(), 1, "only the rebuilt context is held");
     }
 }

@@ -40,7 +40,7 @@
 //! ```
 //!
 //! `kdv serve --live` replays a feed against a
-//! [`crate::live::LiveTileServer`]: arrivals between two requests are
+//! [`crate::server::TileServer`]: arrivals between two requests are
 //! flushed as **one** sealed delta batch immediately before the later
 //! request, so the generation ladder a replay walks is a pure function
 //! of the file.

@@ -1,8 +1,9 @@
-//! Concurrency hammer for the streaming tile server: 7 serving threads
-//! and 1 appender interleave on one [`LiveTileServer`], and every single
-//! response must be a **pure generation** — bitwise-equal to the
-//! canonical rebuild of some state the stream actually passed through,
-//! never a torn mix of pre- and post-append tiles.
+//! Concurrency hammer for the streaming tile server: 7 client threads
+//! submit through a 4-worker [`Frontend`] while 1 appender seals batches
+//! on the same [`TileServer`], and every single response must be a
+//! **pure generation** — bitwise-equal to the canonical rebuild of some
+//! state the stream actually passed through, never a torn mix of pre- and
+//! post-append tiles.
 //!
 //! The appender seals a known sequence of batches, so the full set of
 //! legal response checksums (per viewport × per generation) is
@@ -11,19 +12,23 @@
 //! outside that set.
 //!
 //! Single-flight discipline must also hold under fire: flights are keyed
-//! by `(zoom, band, generation)`, and the cache is sized to hold the
+//! by `(zoom, tx, ty, generation)`, and the cache is sized to hold the
 //! current generation's working set (patching retires stale-generation
-//! tiles in place), so no `(band, generation)` is ever computed twice —
-//! the duplicate counter stays at exactly zero.
+//! tiles in place), so no tile of a generation is ever computed twice —
+//! the duplicate counter stays at exactly zero. And every response
+//! counts each of its window's tiles once, as a hit, a miss or a patch,
+//! with the requests' misses summing to the cache's.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 use kdv_core::digest::grid_checksum;
 use kdv_core::{DensityGrid, KernelType, Point, Rect};
-use kdv_serve::{LiveConfig, LiveTileServer, PyramidSpec, ServeConfig, Viewport};
+use kdv_serve::{
+    Frontend, FrontendConfig, LiveConfig, PyramidSpec, ServeConfig, TileServer, Viewport,
+};
 use kdv_stream::{rebuild_grid, StreamingPointSet};
 
 fn points(n: usize, seed: u64) -> Vec<Point> {
@@ -43,6 +48,12 @@ fn pyramid() -> PyramidSpec {
 
 fn config() -> ServeConfig {
     ServeConfig { dataset: 7, kernel: KernelType::Epanechnikov, bandwidth: 14.0, weight: 0.005 }
+}
+
+/// Tiles one viewport's window covers.
+fn tiles(vp: &Viewport) -> u64 {
+    let size = pyramid().tile_size;
+    (vp.tile_cols(size).len() * vp.tile_rows(size).len()) as u64
 }
 
 /// Crops the canonical rebuild of `set`'s current state to `vp`.
@@ -85,7 +96,7 @@ fn hammered_live_server_never_serves_a_torn_generation() {
     // Cache sized to hold the current generation's full working set with
     // headroom (patching retires stale generations in place, so the
     // live working set is one generation's tiles per level).
-    let server = Arc::new(LiveTileServer::new(
+    let server = Arc::new(TileServer::with_live(
         pyramid(),
         config(),
         LiveConfig::default(),
@@ -115,9 +126,15 @@ fn hammered_live_server_never_serves_a_torn_generation() {
         })
     };
 
+    let frontend = Arc::new(Frontend::new(
+        Arc::clone(&server),
+        FrontendConfig { workers: 4, ..FrontendConfig::default() },
+    ));
+    let misses = Arc::new(AtomicU64::new(0));
     let servers: Vec<_> = (0..SERVE_THREADS)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let frontend = Arc::clone(&frontend);
+            let misses = Arc::clone(&misses);
             let done = Arc::clone(&done);
             let warmed = Arc::clone(&warmed);
             let legal = legal.clone();
@@ -132,7 +149,13 @@ fn hammered_live_server_never_serves_a_torn_generation() {
                         rounds_after_done += 1;
                     }
                     for (v, vp) in viewports.iter().enumerate() {
-                        let (grid, _report) = server.serve_viewport(vp, 1).unwrap();
+                        let (grid, report) = frontend.serve(*vp).unwrap();
+                        assert_eq!(
+                            report.cache_hits + report.cache_misses + report.cache_patched,
+                            tiles(vp),
+                            "thread {t}: every window tile counts once"
+                        );
+                        misses.fetch_add(report.cache_misses, Ordering::Relaxed);
                         let sum = grid_checksum(&grid);
                         let hit = legal.get(&sum);
                         assert!(
@@ -151,6 +174,13 @@ fn hammered_live_server_never_serves_a_torn_generation() {
     appender.join().unwrap();
     let total_served: usize = servers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(total_served >= SERVE_THREADS * 2, "hammer actually served traffic");
+    assert_eq!(frontend.stats().completed(), total_served as u64);
+    assert_eq!(frontend.stats().shed(), 0);
+    assert_eq!(
+        server.cache_stats().misses(),
+        misses.load(Ordering::Relaxed),
+        "the requests' misses sum to the cache's"
+    );
 
     // No (band, generation) may ever be computed twice.
     assert_eq!(
@@ -178,7 +208,7 @@ fn hammer_with_expirations_and_compaction_stays_pure() {
     // compaction; every post-compaction response must equal the fresh
     // rebuild of the live set (the epoch-rebase contract).
     let base = points(200, 0x5EED);
-    let server = Arc::new(LiveTileServer::new(
+    let server = Arc::new(TileServer::with_live(
         pyramid(),
         config(),
         LiveConfig { patching: true, compact_every: None },

@@ -15,7 +15,9 @@ use std::time::{Duration, Instant};
 use kdv_core::sweep_bucket;
 use kdv_core::{DensityGrid, KernelType, Point, Rect};
 use kdv_coreset::CoresetMethod;
-use kdv_serve::{OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport};
+use kdv_serve::{
+    LiveConfig, OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport,
+};
 
 const STRESS_BUDGET: Duration = Duration::from_secs(120);
 
@@ -47,6 +49,7 @@ fn make_server(cache_bytes: usize) -> TileServer {
     TileServer::with_overview_coreset(
         pyramid,
         config,
+        LiveConfig::default(),
         points(250, 0x57E55),
         cache_bytes,
         4,

@@ -10,7 +10,9 @@
 //! * every response is bitwise-equal to a sequential cold server's,
 //! * each distinct tile the viewports cover is computed exactly once
 //!   (`computed` equals the count derived from the viewports),
-//! * no tile is computed twice (`duplicate_computes == 0`), and
+//! * no tile is computed twice (`duplicate_computes == 0`),
+//! * every request counts each of its window's tiles once, as a hit, a
+//!   miss or a patch, and the requests' misses sum to the cache's, and
 //! * no request panics, so every window tile was served (a tile a
 //!   request neither found, led nor joined would trip
 //!   `TileWindow::assemble`'s panic).
@@ -88,7 +90,7 @@ fn hammer_column_ranges_of_shared_bands_compute_each_tile_once() {
     for round in 0..ROUNDS {
         let server = Arc::new(make_server());
         let start = Arc::new(Barrier::new(THREADS));
-        let grids: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let served: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = viewports
                 .iter()
                 .map(|vp| {
@@ -96,9 +98,10 @@ fn hammer_column_ranges_of_shared_bands_compute_each_tile_once() {
                     scope.spawn(move || {
                         start.wait();
                         let (grid, report) = server.serve_viewport(vp, 1 + round % 2).unwrap();
-                        let deltas = report.cache_hits + report.cache_misses;
-                        assert_eq!(deltas, own_tiles(vp), "{vp:?}");
-                        bits(&grid)
+                        let counted =
+                            report.cache_hits + report.cache_misses + report.cache_patched;
+                        assert_eq!(counted, own_tiles(vp), "{vp:?}: every window tile counts once");
+                        (bits(&grid), report.cache_misses)
                     })
                 })
                 .collect();
@@ -107,8 +110,9 @@ fn hammer_column_ranges_of_shared_bands_compute_each_tile_once() {
                 .map(|h| h.join().expect("a request panicked: a window tile went unserved"))
                 .collect()
         });
-
-        for ((vp, got), want) in viewports.iter().zip(&grids).zip(&reference) {
+        let misses: u64 = served.iter().map(|(_, m)| m).sum();
+        assert_eq!(server.cache_stats().misses(), misses, "round {round}: misses reconcile");
+        for ((vp, (got, _)), want) in viewports.iter().zip(&served).zip(&reference) {
             assert_eq!(got, want, "round {round} {vp:?}: bits diverge from the sequential server");
         }
         let flights = server.flight_stats();

@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kdv_core::{KernelType, Point, Rect};
 use kdv_serve::trace::{self, LiveEvent};
-use kdv_serve::{LiveConfig, LiveTileServer, PyramidSpec, ServeConfig, TileServer, Viewport};
+use kdv_serve::{LiveConfig, PyramidSpec, ServeConfig, TileServer, Viewport};
 
 const TRACES: [&str; 3] = [
     include_str!("../../../traces/pan.trace"),
@@ -86,11 +86,11 @@ fn config() -> ServeConfig {
     ServeConfig { dataset: 5, kernel: KernelType::Quartic, bandwidth: 6.0, weight: 0.01 }
 }
 
-fn servers() -> (TileServer, LiveTileServer) {
+fn servers() -> (TileServer, TileServer) {
     let frozen = TileServer::new(pyramid(), config(), points(40), 1 << 24, 2);
     // Compaction keeps the batch log of the fed arrivals short.
     let live_config = LiveConfig { patching: true, compact_every: Some(16) };
-    let live = LiveTileServer::new(pyramid(), config(), live_config, points(40), 1 << 24, 2);
+    let live = TileServer::with_live(pyramid(), config(), live_config, points(40), 1 << 24, 2);
     (frozen, live)
 }
 
@@ -170,7 +170,7 @@ fn input(rng: &mut Rng, corpora: &[Vec<&str>]) -> String {
 /// Appends `arrivals` to the live server as one batch, then expires each
 /// one with a signed batch, and the first once more, when it is no longer
 /// live: that expiration must be an `Err` that seals nothing.
-fn feed(live: &LiveTileServer, arrivals: &[Point]) {
+fn feed(live: &TileServer, arrivals: &[Point]) {
     let before = live.generation();
     assert_eq!(live.append(arrivals) > before, !arrivals.is_empty(), "append of {arrivals:?}");
     for p in arrivals {
@@ -185,7 +185,7 @@ fn feed(live: &LiveTileServer, arrivals: &[Point]) {
 
 /// Serves `vp` on both servers and checks the outcome against the
 /// clamped window.
-fn serve_both(frozen: &TileServer, live: &LiveTileServer, vp: &Viewport) {
+fn serve_both(frozen: &TileServer, live: &TileServer, vp: &Viewport) {
     let clamped = vp.clamped(frozen.pyramid());
     for (name, result) in [
         ("frozen", frozen.serve_viewport(vp, 1).map(|(grid, _)| grid)),

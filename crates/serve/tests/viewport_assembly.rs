@@ -9,7 +9,7 @@
 //! is one pixel wide).
 
 use kdv_core::{sweep_bucket, DensityGrid, KernelType, Point, Rect};
-use kdv_serve::{LiveConfig, LiveTileServer, PyramidSpec, ServeConfig, TileServer, Viewport};
+use kdv_serve::{LiveConfig, PyramidSpec, ServeConfig, TileServer, Viewport};
 
 const TILE: usize = 5;
 
@@ -116,14 +116,14 @@ fn tile_server_viewports_equal_monolithic_crops() {
 fn live_server_viewports_equal_monolithic_crops() {
     let pts = points(180, 0xA55E);
     let rasters = level_rasters(&pts);
-    let server = LiveTileServer::new(pyramid(), config(), LiveConfig::default(), pts, 1 << 24, 3);
+    let server = TileServer::with_live(pyramid(), config(), LiveConfig::default(), pts, 1 << 24, 3);
     check("live", &rasters, |vp| server.serve_viewport(vp, 2).map(|(grid, _)| grid));
     assert!(server.cache_stats().hits() > 0, "the warm pass must assemble from cached tiles");
 }
 
 #[test]
 fn live_server_patched_viewports_equal_rebuild_crops() {
-    let server = LiveTileServer::new(
+    let server = TileServer::with_live(
         pyramid(),
         config(),
         LiveConfig::default(),

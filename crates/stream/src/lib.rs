@@ -138,7 +138,11 @@ impl StreamSnapshot {
 ///
 /// Mutations never edit the base or a sealed batch — each one seals a
 /// new batch and bumps the generation, so every generation names one
-/// immutable state and the serving layer can cache against it.
+/// immutable state and the serving layer can cache against it. Each
+/// mutation validates and builds everything it needs before its first
+/// write, so a panic (or an error) never leaves a half-applied mutation
+/// behind: a server may keep using the set after a panic poisoned the
+/// lock around it.
 #[derive(Debug)]
 pub struct StreamingPointSet {
     base: Arc<Vec<Point>>,
@@ -203,9 +207,9 @@ impl StreamingPointSet {
         if points.is_empty() {
             return Ok(self.generation());
         }
-        let weights = vec![1.0; points.len()];
+        let batch = DeltaBatch::new(points.to_vec(), vec![1.0; points.len()]);
         self.live.extend(points.iter().copied());
-        Ok(self.seal(DeltaBatch::new(points.to_vec(), weights)))
+        Ok(self.seal(batch))
     }
 
     /// Expires the `n` oldest live points (FIFO — the expiring-window
@@ -217,10 +221,10 @@ impl StreamingPointSet {
         if n == 0 {
             return (self.generation(), Vec::new());
         }
-        let expired: Vec<Point> = self.live.drain(..n).collect();
-        let weights = vec![-1.0; expired.len()];
-        let generation = self.seal(DeltaBatch::new(expired.clone(), weights));
-        (generation, expired)
+        let expired: Vec<Point> = self.live.iter().take(n).copied().collect();
+        let batch = DeltaBatch::new(expired.clone(), vec![-1.0; n]);
+        self.live.drain(..n);
+        (self.seal(batch), expired)
     }
 
     /// Seals one *mixed* batch of signed unit mutations: weight `+1.0`
@@ -259,8 +263,9 @@ impl StreamingPointSet {
         if points.is_empty() {
             return Ok(self.generation());
         }
+        let batch = DeltaBatch::new(points.to_vec(), weights.to_vec());
         self.live = live;
-        Ok(self.seal(DeltaBatch::new(points.to_vec(), weights.to_vec())))
+        Ok(self.seal(batch))
     }
 
     fn seal(&mut self, batch: DeltaBatch) -> u64 {
@@ -292,9 +297,12 @@ impl StreamingPointSet {
             "delta",
             self.delta_len() as u64,
         );
+        // Everything that allocates happens before the first write, so a
+        // panic cannot leave a half-compacted set behind.
+        let base = Arc::new(self.live_points());
         self.epoch_generation = self.generation() + 1;
         self.epoch += 1;
-        self.base = Arc::new(self.live_points());
+        self.base = base;
         self.batches.clear();
         let metrics = kdv_obs::metrics::global();
         metrics.counter("stream.compactions").bump();
