@@ -63,6 +63,7 @@ USAGE:
                [--compact-every N] [--no-patch] [--tile-size N]
                [--base-res WxH] [--max-zoom Z] [--kernel K] [--bandwidth B]
                [--cache-mb M] [--threads N] [--stats]
+               [--coreset-zoom Z] [--coreset-eps REL] [--coreset-method M]
                [--slo-p99-ms MS] [--incident-dir DIR] [--prom-out FILE]
                [--top [SECS]] [--trace-out FILE] [--metrics-out FILE]
   kdv info     --input FILE.csv
@@ -115,17 +116,18 @@ SERVE OPTIONS:
                  (sequential v1 replay only)
   --stats        print per-request cache deltas and a final summary;
                  concurrent replay also prints p50/p99 latency, shed
-                 counts and single-flight band counters
+                 counts and single-flight tile counters
   --live         timestamped live feed (`p t x y` arrivals, `v t zoom px
-                 py w h` requests): replays through the streaming tile
-                 server, which patches cached tiles with each sealed
-                 delta batch instead of rebuilding them. Every response
-                 is bitwise-equal to a cold rebuild of its generation
+                 py w h` requests): replays in order through the tile
+                 server's front end, sealing the arrivals before each
+                 request as one delta batch; cached tiles are patched
+                 with it instead of rebuilt. Every response is
+                 bitwise-equal to a cold rebuild of its generation
   --window       keep at most N live points: each flush expires the
                  oldest points beyond the window (FIFO)
   --compact-every fold the delta into the epoch base every N sealed
                  batches (generation keying keeps stale tiles out)
-  --no-patch     disable tile patching (stale bands recompute from the
+  --no-patch     disable tile patching (stale tiles recompute from the
                  epoch base instead — the A/B arm for the patch win)
   --slo-p99-ms   windowed SLO target: track p50/p99 latency per request
                  class (exact / coreset / live) over a 10 s sliding
@@ -135,8 +137,8 @@ SERVE OPTIONS:
                  with --incident-dir a breach edge dumps an incident
   --incident-dir arm the always-on flight recorder: per-thread span
                  rings capture completed spans at near-zero cost, and a
-                 deadline or queue-full shed, a duplicate band compute,
-                 an SLO p99 breach, or an abandoned band leader
+                 deadline or queue-full shed, a duplicate tile compute,
+                 an SLO p99 breach, or an abandoned tile leader
                  snapshots the recent spans plus a metrics snapshot to
                  a Perfetto-loadable incident file in this directory
   --prom-out     write the final metrics registry in Prometheus text
