@@ -148,8 +148,10 @@ pub struct StreamingPointSet {
     base: Arc<Vec<Point>>,
     batches: Vec<Arc<DeltaBatch>>,
     /// Current live points in arrival order (base survivors first) — the
-    /// FIFO expiration queue and the next compaction's base.
-    live: VecDeque<Point>,
+    /// FIFO expiration queue and the next compaction's base. `None` while
+    /// the live set is exactly the epoch base, so a set that has sealed
+    /// no batch since its base was frozen holds its points once.
+    live: Option<VecDeque<Point>>,
     epoch: u64,
     epoch_generation: u64,
 }
@@ -160,8 +162,19 @@ impl StreamingPointSet {
     /// the same sequence are bitwise-indistinguishable forever after the
     /// same mutation history.
     pub fn new(base: Vec<Point>) -> Self {
-        let live = base.iter().copied().collect();
-        Self { base: Arc::new(base), batches: Vec::new(), live, epoch: 0, epoch_generation: 0 }
+        Self {
+            base: Arc::new(base),
+            batches: Vec::new(),
+            live: None,
+            epoch: 0,
+            epoch_generation: 0,
+        }
+    }
+
+    /// The live FIFO, copied out of the base on first use (the copy holds
+    /// the same points, so the live set is unchanged by it).
+    fn live_mut(&mut self) -> &mut VecDeque<Point> {
+        self.live.get_or_insert_with(|| self.base.iter().copied().collect())
     }
 
     /// Current generation (monotone across mutations *and* compactions —
@@ -177,7 +190,7 @@ impl StreamingPointSet {
 
     /// Number of currently-live points.
     pub fn live_len(&self) -> usize {
-        self.live.len()
+        self.live.as_ref().map_or(self.base.len(), VecDeque::len)
     }
 
     /// Number of sealed batches in the current epoch.
@@ -193,7 +206,10 @@ impl StreamingPointSet {
 
     /// The live points in arrival order (what a compaction would freeze).
     pub fn live_points(&self) -> Vec<Point> {
-        self.live.iter().copied().collect()
+        match &self.live {
+            Some(live) => live.iter().copied().collect(),
+            None => self.base.to_vec(),
+        }
     }
 
     /// Appends `points` as one sealed batch (weight `+1.0` each) and
@@ -208,7 +224,7 @@ impl StreamingPointSet {
             return Ok(self.generation());
         }
         let batch = DeltaBatch::new(points.to_vec(), vec![1.0; points.len()]);
-        self.live.extend(points.iter().copied());
+        self.live_mut().extend(points.iter().copied());
         Ok(self.seal(batch))
     }
 
@@ -217,13 +233,14 @@ impl StreamingPointSet {
     /// of weight `-1.0` entries. Returns the new generation and the
     /// expired points; expiring from an empty set is a no-op.
     pub fn expire_oldest(&mut self, n: usize) -> (u64, Vec<Point>) {
-        let n = n.min(self.live.len());
+        let n = n.min(self.live_len());
         if n == 0 {
             return (self.generation(), Vec::new());
         }
-        let expired: Vec<Point> = self.live.iter().take(n).copied().collect();
+        let live = self.live_mut();
+        let expired: Vec<Point> = live.iter().take(n).copied().collect();
         let batch = DeltaBatch::new(expired.clone(), vec![-1.0; n]);
-        self.live.drain(..n);
+        live.drain(..n);
         (self.seal(batch), expired)
     }
 
@@ -244,7 +261,10 @@ impl StreamingPointSet {
             return Err(KdvError::Internal("signed batch weights must be +1.0 or -1.0"));
         }
         // validate + stage the live-queue edit before sealing anything
-        let mut live = self.live.clone();
+        let mut live = match &self.live {
+            Some(live) => live.clone(),
+            None => self.base.iter().copied().collect(),
+        };
         for (p, &w) in points.iter().zip(weights) {
             if w == 1.0 {
                 live.push_back(*p);
@@ -264,7 +284,7 @@ impl StreamingPointSet {
             return Ok(self.generation());
         }
         let batch = DeltaBatch::new(points.to_vec(), weights.to_vec());
-        self.live = live;
+        self.live = Some(live);
         Ok(self.seal(batch))
     }
 
@@ -293,7 +313,7 @@ impl StreamingPointSet {
         let _s = kdv_obs::span2(
             "stream.compact",
             "live",
-            self.live.len() as u64,
+            self.live_len() as u64,
             "delta",
             self.delta_len() as u64,
         );
@@ -304,6 +324,7 @@ impl StreamingPointSet {
         self.epoch += 1;
         self.base = base;
         self.batches.clear();
+        self.live = None;
         let metrics = kdv_obs::metrics::global();
         metrics.counter("stream.compactions").bump();
         metrics.gauge("stream.generation").set(self.epoch_generation);
