@@ -12,8 +12,9 @@
 #                      expected keys
 #   ./ci.sh obs        observability gate: instrumented sweep + serve
 #                      trace replay through the CLI export flags, JSON
-#                      well-formedness smoke, and the bench_obs
-#                      instrumented-vs-disabled overhead assertion
+#                      well-formedness smoke, the bench_obs
+#                      instrumented-vs-disabled overhead assertion, and
+#                      the kdv-obs unit tests run 20 times
 #   ./ci.sh obs-live   live-observability gate: bench_flight (flight-
 #                      recorder ring overhead <= 1.1x with bitwise
 #                      responses, injected deadline-shed and SLO-breach
@@ -89,6 +90,10 @@ if [[ "${1:-}" == "obs" ]]; then
     cargo test -q --test obs_trace --test bench_results
     cargo test -q -p kdv-obs
     cargo test -q -p kdv-core --test obs_properties
+    echo "==> kdv-obs unit tests, 20 runs (a span-log race fails here instead of flaking)"
+    for _ in $(seq 20); do
+        cargo test -q -p kdv-obs --lib
+    done
     echo "==> OBS OK"
     exit 0
 fi

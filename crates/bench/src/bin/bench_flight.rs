@@ -4,7 +4,7 @@
 //! Three gates, mirroring the observability acceptance criteria:
 //!
 //! 1. **Overhead** — replays the canonical pan trace against a fresh
-//!    [`TileServer`] with the per-thread span rings off and on. The
+//!    [`TileServer`] with the flight recorder off and on. The
 //!    recorder-on arm must stay within [`MAX_RATIO`] of the off arm and
 //!    every response must be bitwise identical (checksummed per
 //!    request) — the flight recorder is observation-only.
@@ -38,8 +38,8 @@ const TILE_SIZE: usize = 256;
 const BASE_RES: usize = 512;
 const MAX_ZOOM: u8 = 2;
 
-/// Bound on the recorder-on/off wall ratio. Ring recording is one
-/// `try_lock` plus a slot write per *completed* span — far off the
+/// Bound on the recorder-on/off wall ratio. Recording is one
+/// `try_lock` plus a push per *completed* span — far off the
 /// density hot path — so the replay must stay within 10%.
 const MAX_RATIO: f64 = 1.10;
 

@@ -135,8 +135,8 @@ SERVE OPTIONS:
                  p50 target is half of it). Slow requests record
                  exemplars linking their id to the captured span tree;
                  with --incident-dir a breach edge dumps an incident
-  --incident-dir arm the always-on flight recorder: per-thread span
-                 rings capture completed spans at near-zero cost, and a
+  --incident-dir arm the always-on flight recorder: bounded per-thread
+                 span logs keep completed spans at near-zero cost, and a
                  deadline or queue-full shed, a duplicate tile compute,
                  an SLO p99 breach, or an abandoned tile leader
                  snapshots the recent spans plus a metrics snapshot to
@@ -229,7 +229,6 @@ impl ObsSession {
             return Ok(());
         }
         kdv_obs::set_enabled(false);
-        kdv_obs::span::flush_thread();
         let trace = kdv_obs::span::take_trace();
         if let Some(path) = &self.trace_out {
             std::fs::write(path, kdv_obs::chrome_trace_json(&trace))

@@ -282,7 +282,6 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
         kdv_obs::set_enabled(true);
         let traced = sweep_bucket::compute(&params, pts);
         kdv_obs::set_enabled(was_enabled);
-        kdv_obs::span::flush_thread();
         kdv_obs::span::clear();
         match (traced, plain) {
             (Ok(t), Ok(p)) => ok(PAIR_NAMES[19], Policy::Bitwise, t.values(), p.values()),

@@ -509,8 +509,6 @@ mod tests {
                 ev("envelope.fill", 2, 220, 300, &[("row", 1), ("size", 6)]),
                 ev("row.sweep", 2, 600, 900, &[("row", 1)]),
             ],
-            unmatched_begins: 0,
-            unmatched_ends: 0,
         };
         let report = SweepReport::from_trace(&trace, 3);
         assert_eq!(report.threads, 2);

@@ -36,7 +36,7 @@ fn push_args(out: &mut String, args: &[(&'static str, u64)]) {
     out.push('}');
 }
 
-/// Serializes a paired [`Trace`] as Chrome trace-event JSON: one
+/// Serializes a [`Trace`] as Chrome trace-event JSON: one
 /// complete (`"ph":"X"`) event per span with microsecond `ts`/`dur`,
 /// plus a `thread_name` metadata event per recorder thread so Perfetto
 /// labels the tracks. Thread id 0 is the recorder's first thread (the
@@ -214,13 +214,6 @@ pub fn phase_summary(trace: &Trace) -> String {
             r.threads.len()
         );
     }
-    if trace.unmatched_begins > 0 || trace.unmatched_ends > 0 {
-        let _ = writeln!(
-            out,
-            "warning: unmatched spans ({} begins, {} ends)",
-            trace.unmatched_begins, trace.unmatched_ends
-        );
-    }
     let dropped = crate::span::dropped_events();
     if dropped > 0 {
         let _ = writeln!(
@@ -377,8 +370,6 @@ mod tests {
                     args: SpanArgs::default(),
                 },
             ],
-            unmatched_begins: 0,
-            unmatched_ends: 0,
         }
     }
 
@@ -430,13 +421,6 @@ mod tests {
         let sweep_line = table.lines().find(|l| l.starts_with("row.sweep")).unwrap();
         assert!(sweep_line.trim_end().ends_with('2'), "{sweep_line}");
         assert!(!table.contains("warning"));
-    }
-
-    #[test]
-    fn phase_summary_flags_unbalanced_traces() {
-        let mut trace = sample_trace();
-        trace.unmatched_begins = 1;
-        assert!(phase_summary(&trace).contains("unmatched spans (1 begins, 0 ends)"));
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! per-phase predictions — envelope extraction vs. interval sort vs. row
 //! sweep — and this crate is how the repo observes them empirically:
 //!
-//! * [`span`](mod@span) — a per-thread **span recorder**: `begin`/`end` events with
-//!   static names and `u64` arguments, recorded into thread-local buffers
-//!   that drain into a global sink when a thread exits (or on an explicit
-//!   [`span::flush_thread`]). Spans are RAII guards ([`span::span`]), so
-//!   every begin has a matching end by construction; a **disabled**
-//!   recorder costs one relaxed atomic load and a branch per span.
+//! * [`span`](mod@span) — the **span log**: one per-thread log of
+//!   completed spans with static names and `u64` arguments, registered in
+//!   one global registry. Spans are RAII guards ([`span::span`]), so each
+//!   thread's spans nest by construction; a span records once, when its
+//!   guard drops. With both consumers off a span costs two relaxed atomic
+//!   loads and a branch. Whole-run export ([`span::take_trace`]) drains
+//!   every log, running threads' included.
 //! * [`metrics`] — a **registry** of named counters, gauges and
 //!   fixed-bucket log2 histograms with cheap atomic recording. Counters
 //!   are *saturating* (they stick at `u64::MAX` instead of wrapping),
@@ -27,12 +28,15 @@
 //! On top of the post-hoc layer sits the *operational* layer for
 //! long-lived `kdv serve` processes:
 //!
-//! * [`ring`] — the always-on **flight recorder**: bounded per-thread
-//!   rings of completed spans (overwrite-oldest, losses counted in
-//!   `obs.dropped_events`) with trigger-based **incident dumps** — a
-//!   shed, a duplicate band compute, an SLO breach or a leader panic
-//!   snapshots the last N seconds of spans, the metrics registry and
+//! * [`ring`] — the always-on **flight recorder**, the span log's second
+//!   consumer: outside a whole-run trace each log overwrites its oldest
+//!   span at [`ring::RING_CAPACITY`], and exited threads share one
+//!   retired log, so it stays bounded. Trigger-based **incident dumps** —
+//!   a shed, a duplicate band compute, an SLO breach or a leader panic —
+//!   snapshot the last N seconds of the logs, the metrics registry and
 //!   the slow-request [`ring::Exemplar`]s into a Perfetto-loadable file.
+//!   `obs.dropped_events` counts span writes lost to a log a consumer
+//!   was reading.
 //! * [`window`] — rotating time-windowed histograms/counters beside the
 //!   cumulative ones ("p99 over the last 10 s", qps).
 //! * [`slo`] — [`slo::SloTracker`]: windowed p50/p99 per request class

@@ -1,22 +1,14 @@
-//! Flight recorder: always-on bounded per-thread rings of *completed*
-//! spans with trigger-based incident dumps.
+//! Flight recorder: incident dumps over a window of the span logs.
 //!
-//! The span recorder in [`crate::span`](mod@crate::span) answers "what happened over the
-//! whole run" — it grows without bound while enabled and is drained once
-//! at exit. A long-lived server needs the opposite: a recorder that is
-//! always on, costs near-nothing in steady state, never grows, and can
-//! answer "what were the last few seconds doing" the moment something
-//! goes wrong. That is this module:
+//! The span logs of [`crate::span`](mod@crate::span) serve two consumers.
+//! Whole-run export drains them; this module reads the last few seconds
+//! of them the moment something goes wrong in a long-lived server:
 //!
-//! * Each thread owns a fixed-capacity ring ([`RING_CAPACITY`] completed
-//!   spans, overwrite-oldest). A [`crate::span::SpanGuard`] whose scope
-//!   closes while [`recording`] is on writes one entry into its thread's
-//!   ring; the write path is a `try_lock` that **never blocks** — a
-//!   contended ring drops the event and counts it in
-//!   `obs.dropped_events` instead of stalling the serving path.
-//!   Overwritten-oldest entries are normal ring operation and are
-//!   counted separately (reported per incident dump as `overwritten`).
-//! * [`trigger`] snapshots the last `window_ns` of spans from every ring
+//! * [`set_recording`] keeps spans flowing into the logs outside a
+//!   whole-run trace, each log bounded by [`RING_CAPACITY`] and all
+//!   exited threads sharing one retired log. Overwritten-oldest spans are
+//!   normal operation, reported per dump as `overwritten`.
+//! * [`trigger`] snapshots the last `window_ns` of spans from every log
 //!   plus a full metrics snapshot and the recent [`Exemplar`]s into a
 //!   Perfetto-loadable incident file (`incident-NNNN-<kind>.json`).
 //!   Triggers are armed with [`arm_incidents`]; a disarmed trigger is a
@@ -30,15 +22,16 @@
 //! Tests that toggle the process-global recording flag must hold
 //! [`crate::span::exclusive`], exactly like span-recorder tests.
 
-use crate::span::{self, SpanArgs, Trace, TraceEvent};
+use crate::span::{self, lock, Trace};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
-/// Completed spans each thread ring retains (overwrite-oldest beyond
-/// this). 4096 spans at ~10 spans/request covers hundreds of requests —
+/// Completed spans each thread log retains outside a whole-run trace
+/// (overwrite-oldest beyond this), and the bound of the retired log.
+/// 4096 spans at ~10 spans/request covers hundreds of requests —
 /// several seconds of history at interactive rates.
 pub const RING_CAPACITY: usize = 4096;
 
@@ -48,8 +41,6 @@ pub const MAX_EXEMPLARS: usize = 16;
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
 static ARMED: AtomicBool = AtomicBool::new(false);
-static NEXT_RING_TID: AtomicU64 = AtomicU64::new(0);
-static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
 static EXEMPLARS: Mutex<VecDeque<Exemplar>> = Mutex::new(VecDeque::new());
 static INCIDENTS: Mutex<Option<IncidentState>> = Mutex::new(None);
 
@@ -68,88 +59,22 @@ pub struct Exemplar {
     pub ts_ns: u64,
 }
 
-struct RingState {
-    buf: Vec<TraceEvent>,
-    next: usize,
-    overwritten: u64,
-}
-
-impl RingState {
-    fn push(&mut self, e: TraceEvent) {
-        if self.buf.len() < RING_CAPACITY {
-            self.buf.push(e);
-        } else {
-            self.buf[self.next] = e;
-            self.next = (self.next + 1) % RING_CAPACITY;
-            self.overwritten += 1;
-        }
-    }
-}
-
-struct ThreadRing {
-    tid: u64,
-    state: Mutex<RingState>,
-}
-
-fn lock_rings() -> MutexGuard<'static, Vec<Arc<ThreadRing>>> {
-    RINGS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock_exemplars() -> MutexGuard<'static, VecDeque<Exemplar>> {
-    EXEMPLARS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock_incidents() -> MutexGuard<'static, Option<IncidentState>> {
-    INCIDENTS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-thread_local! {
-    // Registered globally on first record so dumps see every thread's
-    // ring; the Arc keeps a ring readable after its thread exits (the
-    // spans age out of the dump window naturally).
-    static RING: Arc<ThreadRing> = {
-        let ring = Arc::new(ThreadRing {
-            tid: NEXT_RING_TID.fetch_add(1, Ordering::Relaxed),
-            state: Mutex::new(RingState { buf: Vec::new(), next: 0, overwritten: 0 }),
-        });
-        lock_rings().push(Arc::clone(&ring));
-        ring
-    };
-}
-
-/// Turns the flight recorder on or off process-wide. While off, the
-/// per-span cost is one relaxed load.
+/// Turns the flight recorder on or off process-wide. While off (and
+/// whole-run tracing too), the per-span cost is one relaxed load each.
 pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::SeqCst);
 }
 
-/// Whether completed spans are currently being written into the rings.
+/// Whether completed spans are currently being written into the logs
+/// for the flight recorder.
 #[inline]
 pub fn recording() -> bool {
     RECORDING.load(Ordering::Relaxed)
 }
 
-/// Writes one completed span into the calling thread's ring. Called from
-/// `SpanGuard::drop`; never blocks — TLS teardown or a contended ring
-/// drops the event into `obs.dropped_events` instead.
-pub(crate) fn record_completed(name: &'static str, ts_ns: u64, dur_ns: u64, args: SpanArgs) {
-    let recorded = RING
-        .try_with(|r| match r.state.try_lock() {
-            Ok(mut s) => {
-                s.push(TraceEvent { name, tid: r.tid, ts_ns, dur_ns, args });
-                true
-            }
-            Err(_) => false,
-        })
-        .unwrap_or(false);
-    if !recorded {
-        span::note_dropped(1);
-    }
-}
-
-/// The last `window_ns` of completed spans across every thread ring
-/// (sorted by thread then start time), plus the total overwritten-oldest
-/// count. A span is in the window if it *ended* within it.
+/// The last `window_ns` of completed spans across every log (sorted by
+/// thread then start time), plus the total overwritten-oldest count. A
+/// span is in the window if it *ended* within it.
 pub fn snapshot(window_ns: u64) -> (Trace, u64) {
     snapshot_at(span::now_ns(), window_ns)
 }
@@ -158,14 +83,12 @@ pub fn snapshot(window_ns: u64) -> (Trace, u64) {
 /// (deterministic tests).
 pub fn snapshot_at(now_ns: u64, window_ns: u64) -> (Trace, u64) {
     let cutoff = now_ns.saturating_sub(window_ns);
-    let rings: Vec<Arc<ThreadRing>> = lock_rings().clone();
     let mut trace = Trace::default();
     let mut overwritten = 0u64;
-    for ring in rings {
-        let s = ring.state.lock().unwrap_or_else(|e| e.into_inner());
-        overwritten += s.overwritten;
-        trace.events.extend(s.buf.iter().filter(|e| e.ts_ns.saturating_add(e.dur_ns) >= cutoff));
-    }
+    span::for_each_log(|log| {
+        overwritten += log.overwritten;
+        trace.events.extend(log.events.iter().filter(|e| e.end_ns() >= cutoff));
+    });
     trace.events.sort_by_key(|e| (e.tid, e.ts_ns));
     (trace, overwritten)
 }
@@ -173,7 +96,7 @@ pub fn snapshot_at(now_ns: u64, window_ns: u64) -> (Trace, u64) {
 /// Records a slow-request exemplar (kept newest-[`MAX_EXEMPLARS`]); the
 /// next incident dump embeds it beside the span tree.
 pub fn note_exemplar(request_id: u64, class: &'static str, latency_ns: u64) {
-    let mut ex = lock_exemplars();
+    let mut ex = lock(&EXEMPLARS);
     if ex.len() == MAX_EXEMPLARS {
         ex.pop_front();
     }
@@ -182,26 +105,20 @@ pub fn note_exemplar(request_id: u64, class: &'static str, latency_ns: u64) {
 
 /// The retained exemplars, oldest first.
 pub fn exemplars() -> Vec<Exemplar> {
-    lock_exemplars().iter().copied().collect()
+    lock(&EXEMPLARS).iter().copied().collect()
 }
 
-/// Empties every ring, the exemplar store and the incident sequence
-/// (does not change the recording/armed flags). Benches call this
-/// between arms; hold [`crate::span::exclusive`].
+/// Empties every span log (as [`span::clear`]), the exemplar store and
+/// the incident sequence (does not change the recording/armed flags).
+/// Benches call this between arms; hold [`crate::span::exclusive`].
 pub fn clear() {
-    for ring in lock_rings().iter() {
-        let mut s = ring.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.buf = Vec::new();
-        s.next = 0;
-        s.overwritten = 0;
-    }
-    lock_exemplars().clear();
-    if let Some(st) = lock_incidents().as_mut() {
+    span::clear();
+    lock(&EXEMPLARS).clear();
+    if let Some(st) = lock(&INCIDENTS).as_mut() {
         st.seq = 0;
         st.last_fire.clear();
     }
 }
-
 /// Incident-dump policy: where dumps go and how eagerly triggers fire.
 #[derive(Debug, Clone)]
 pub struct IncidentConfig {
@@ -236,14 +153,14 @@ struct IncidentState {
 /// resets the dump sequence.
 pub fn arm_incidents(config: IncidentConfig) {
     set_recording(true);
-    *lock_incidents() = Some(IncidentState { config, seq: 0, last_fire: Vec::new() });
+    *lock(&INCIDENTS) = Some(IncidentState { config, seq: 0, last_fire: Vec::new() });
     ARMED.store(true, Ordering::SeqCst);
 }
 
 /// Disarms incident dumps and turns ring recording back off.
 pub fn disarm_incidents() {
     ARMED.store(false, Ordering::SeqCst);
-    *lock_incidents() = None;
+    *lock(&INCIDENTS) = None;
     set_recording(false);
 }
 
@@ -269,7 +186,7 @@ pub fn trigger(kind: &'static str, request_id: Option<u64>) -> Option<PathBuf> {
     }
     let now = span::now_ns();
     let (path, window_ns) = {
-        let mut guard = lock_incidents();
+        let mut guard = lock(&INCIDENTS);
         let st = guard.as_mut()?;
         if st.seq >= st.config.max_dumps {
             return None;
@@ -343,6 +260,7 @@ fn incident_json(kind: &str, request_id: Option<u64>, now_ns: u64, window_ns: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{SpanArgs, TraceEvent};
     use crate::validate_json;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -385,7 +303,7 @@ mod tests {
         let _x = span::exclusive();
         clear();
         for i in 0..(RING_CAPACITY as u64 + 10) {
-            record_completed("ring.fill", i, 1, SpanArgs::default());
+            span::record("ring.fill", i, 1, SpanArgs::default());
         }
         let (trace, overwritten) = snapshot_at(RING_CAPACITY as u64 + 10, u64::MAX);
         let fills: Vec<&TraceEvent> =
@@ -401,8 +319,8 @@ mod tests {
     fn snapshot_window_filters_by_end_time() {
         let _x = span::exclusive();
         clear();
-        record_completed("ring.old", 100, 50, SpanArgs::default());
-        record_completed("ring.new", 900, 50, SpanArgs::default());
+        span::record("ring.old", 100, 50, SpanArgs::default());
+        span::record("ring.new", 900, 50, SpanArgs::default());
         let (trace, _) = snapshot_at(1000, 200);
         assert!(trace.events.iter().any(|e| e.name == "ring.new"));
         assert!(!trace.events.iter().any(|e| e.name == "ring.old"));
@@ -459,6 +377,57 @@ mod tests {
         disarm_incidents();
         clear();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_consumers_see_one_tid() {
+        let _x = span::exclusive();
+        clear();
+        set_recording(true);
+        // a thread seen by the flight recorder alone takes a tid too
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(span::span("ring.only")));
+        });
+        span::set_enabled(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(span::span("ring.both")));
+        });
+        set_recording(false);
+        span::set_enabled(false);
+        let (window, _) = snapshot(u64::MAX);
+        let trace = span::take_trace();
+        let tid_in = |t: &Trace| t.events.iter().find(|e| e.name == "ring.both").map(|e| e.tid);
+        assert!(tid_in(&window).is_some());
+        assert_eq!(tid_in(&window), tid_in(&trace));
+    }
+
+    #[test]
+    fn dead_threads_hold_at_most_one_log() {
+        let _x = span::exclusive();
+        clear();
+        set_recording(true);
+        // one short-lived thread at a time; the explicit join waits for
+        // its exit teardown, so afterwards this test's thread is the only
+        // live one that recorded
+        std::thread::scope(|scope| {
+            for _ in 0..1_000 {
+                let worker = scope.spawn(|| {
+                    for _ in 0..20 {
+                        let _g = span::span("ring.dead");
+                    }
+                });
+                worker.join().expect("worker records spans without panicking");
+            }
+        });
+        set_recording(false);
+        let (trace, _) = snapshot(u64::MAX);
+        clear();
+        let live_threads = 1;
+        assert!(
+            trace.events.len() <= RING_CAPACITY * (live_threads + 1),
+            "{} spans held after 1000 threads exited",
+            trace.events.len()
+        );
     }
 
     #[test]

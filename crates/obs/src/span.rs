@@ -1,39 +1,48 @@
-//! The span recorder: lock-free per-thread begin/end event buffers with
-//! RAII guards.
+//! The span log: one per-thread log of completed spans, read by two
+//! consumers.
 //!
-//! Recording path: [`span`] checks one global `AtomicBool`; when the
-//! recorder is disabled that check is the *entire* cost (plus an inert
-//! guard whose `Drop` takes the same one branch). When enabled, the guard
-//! pushes a `Begin` event into a thread-local `Vec` and its `Drop` pushes
-//! the matching `End` — no locks, no allocation beyond the `Vec`'s
-//! amortised growth, no cross-thread traffic on the hot path.
+//! Recording path: [`span`] checks two global flags, whole-run tracing
+//! ([`set_enabled`]) and the flight recorder
+//! ([`crate::ring::set_recording`]). With both off those two relaxed
+//! loads are the *entire* cost, plus an inert guard whose `Drop` takes
+//! one branch. Otherwise the guard reads the clock when it opens and, when
+//! it drops, appends one completed [`TraceEvent`] to its thread's log: an
+//! uncontended `try_lock` and a push, no cross-thread traffic. A write
+//! that finds its log held by a consumer is dropped and counted in
+//! `obs.dropped_events`; the recording thread never blocks.
 //!
-//! Collection path: a thread's buffer drains into the global sink when
-//! the thread exits (thread-local destructor) or when the thread calls
-//! [`flush_thread`] explicitly (the main thread never "exits" before the
-//! process does, so exporters flush it by hand). [`take_trace`] pairs the
-//! per-thread begin/end streams into complete spans; RAII guarantees the
-//! per-thread streams are properly nested, and the pairing reports any
-//! unmatched events instead of guessing.
+//! Storage: a thread's log joins one global registry at its first span.
+//! From [`set_enabled`]`(true)` until the trace is taken or cleared, every
+//! log keeps every span; otherwise a log overwrites its oldest span at
+//! [`RING_CAPACITY`]. When a thread exits, its spans move into the
+//! registry's one *retired* log under the same rule and the thread's log
+//! leaves the registry, so outside a whole-run trace the recorder holds
+//! at most one bounded log per live thread plus one.
+//!
+//! Consumers: [`take_trace`] and [`clear`] drain every log, including
+//! those of threads that are still running; nothing waits for a thread to
+//! exit. [`crate::ring::snapshot`] copies a time window of the same logs
+//! into incident dumps, so a span carries one tid in both.
 //!
 //! Timestamps are nanoseconds since the process-wide epoch (the first
 //! time any recorder API observes the clock), so spans from different
 //! threads share one timeline.
 
-use std::cell::RefCell;
+use crate::ring::RING_CAPACITY;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Maximum arguments a single raw event carries; a paired [`TraceEvent`]
-/// merges the begin and end argument sets, so it holds up to twice this.
-pub const MAX_RAW_ARGS: usize = 2;
+/// Maximum arguments one span carries, open-side and close-side together.
+pub const MAX_SPAN_ARGS: usize = 4;
 
 /// A small inline `(&'static str, u64)` argument set (no allocation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanArgs {
     len: u8,
-    items: [(&'static str, u64); 2 * MAX_RAW_ARGS],
+    items: [(&'static str, u64); MAX_SPAN_ARGS],
 }
 
 impl SpanArgs {
@@ -55,200 +64,215 @@ impl SpanArgs {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    pub(crate) fn merged(&self, other: &SpanArgs) -> SpanArgs {
-        let mut out = *self;
-        for &(k, v) in other.as_slice() {
-            out.push(k, v);
-        }
-        out
-    }
 }
 
-/// Whether a raw event opens or closes a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawKind {
-    /// Span opened.
-    Begin,
-    /// Span closed.
-    End,
-}
-
-/// One raw begin/end event as recorded in a thread buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct RawEvent {
-    /// Static span name (the stable registry in the README).
-    pub name: &'static str,
-    /// Begin or end.
-    pub kind: RawKind,
-    /// Nanoseconds since the recorder epoch.
-    pub ts_ns: u64,
-    /// Arguments attached to this side of the span.
-    pub args: SpanArgs,
-}
-
-/// One drained thread buffer: the recording thread's id plus its events
-/// in chronological order.
-#[derive(Debug, Clone)]
-pub struct ThreadEvents {
-    /// Recorder-assigned thread id (dense, starts at 0, stable for the
-    /// thread's lifetime).
-    pub tid: u64,
-    /// The thread's events in the order they were recorded.
-    pub events: Vec<RawEvent>,
-}
-
-/// One complete (begin-matched-with-end) span.
+/// One completed span.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Static span name.
     pub name: &'static str,
-    /// Recording thread id.
+    /// Recording thread id (dense, starts at 0, stable for the thread's
+    /// lifetime).
     pub tid: u64,
     /// Start, nanoseconds since the recorder epoch.
     pub ts_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Begin-side then end-side arguments.
+    /// Open-side then close-side arguments.
     pub args: SpanArgs,
 }
 
-/// A paired trace: complete spans plus counts of events the pairing
-/// could not match (always zero under RAII usage; exposed so tests can
-/// assert it).
+impl TraceEvent {
+    pub(crate) fn end_ns(&self) -> u64 {
+        self.ts_ns.saturating_add(self.dur_ns)
+    }
+}
+
+/// Completed spans, ordered by thread then start time.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// Complete spans, ordered by thread then start time.
+    /// The spans.
     pub events: Vec<TraceEvent>,
-    /// `Begin` events with no matching `End` (a guard leaked or a thread
-    /// buffer was drained mid-span).
-    pub unmatched_begins: usize,
-    /// `End` events with no matching `Begin`.
-    pub unmatched_ends: usize,
 }
 
 impl Trace {
-    /// Whether every begin found its end.
-    pub fn is_balanced(&self) -> bool {
-        self.unmatched_begins == 0 && self.unmatched_ends == 0
+    /// Two spans of one thread that partly overlap (the second starts
+    /// inside the first and ends after it), or `None` when each thread's
+    /// spans nest. RAII guards nest by construction, so tests assert
+    /// `None`.
+    pub fn partial_overlap(&self) -> Option<(TraceEvent, TraceEvent)> {
+        let mut spans: Vec<&TraceEvent> = self.events.iter().collect();
+        spans.sort_by_key(|e| (e.tid, e.ts_ns, Reverse(e.dur_ns)));
+        let mut open: Vec<&TraceEvent> = Vec::new();
+        for e in spans {
+            while open.last().is_some_and(|top| top.tid != e.tid || top.end_ns() <= e.ts_ns) {
+                open.pop();
+            }
+            if let Some(top) = open.last().filter(|top| e.end_ns() > top.end_ns()) {
+                return Some((**top, *e));
+            }
+            open.push(e);
+        }
+        None
     }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Set by [`set_enabled`]`(true)`, reset by [`take_trace`]: while set,
+/// logs keep every span so the whole-run trace loses none, even to a
+/// straddling span or a worker exiting after tracing was switched off.
+static KEEP_ALL: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-static SINK: Mutex<Vec<ThreadEvents>> = Mutex::new(Vec::new());
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry { live: Vec::new(), retired: Log::new() });
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 static DROPPED: crate::metrics::Counter = crate::metrics::Counter::new();
 
 /// Nanoseconds since the process-wide recorder epoch (the first time any
 /// recorder API observed the clock). The shared timeline of the span
-/// recorder, the flight-recorder rings and the windowed metrics.
+/// logs and the windowed metrics.
 pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Events lost by the observability layer itself (TLS-teardown drops in
-/// the span recorder, flight-recorder ring contention) — the
-/// `obs.dropped_events` counter. Zero in steady state; the phase table
-/// surfaces it when not.
+/// Span writes lost because a consumer held the writer's log: the
+/// `obs.dropped_events` counter. A span closed in a thread's exit
+/// teardown, after its log retired, would count too; no thread-local
+/// destructor in this workspace opens one. Zero in steady state; the
+/// phase table surfaces it when not.
 pub fn dropped_events() -> u64 {
     DROPPED.get()
 }
 
-/// Counts `n` lost events into [`dropped_events`] and the global
-/// `obs.dropped_events` metrics counter.
-pub(crate) fn note_dropped(n: u64) {
-    DROPPED.add(n);
-    crate::metrics::global().counter("obs.dropped_events").add(n);
+/// Completed spans, oldest first, plus how many were overwritten to keep
+/// the log within [`RING_CAPACITY`].
+pub(crate) struct Log {
+    pub(crate) events: VecDeque<TraceEvent>,
+    pub(crate) overwritten: u64,
 }
 
-fn lock_sink() -> MutexGuard<'static, Vec<ThreadEvents>> {
-    // A panic while holding the sink only interrupts event collection,
-    // never the observed computation — recover the data instead of
-    // poisoning every later export.
-    SINK.lock().unwrap_or_else(|e| e.into_inner())
-}
+impl Log {
+    const fn new() -> Self {
+        Log { events: VecDeque::new(), overwritten: 0 }
+    }
 
-struct TlsBuf {
-    tid: u64,
-    events: Vec<RawEvent>,
-}
-
-impl TlsBuf {
-    fn flush(&mut self) {
-        if self.events.is_empty() {
-            return;
+    fn push(&mut self, e: TraceEvent) {
+        if !KEEP_ALL.load(Ordering::Relaxed) && self.events.len() >= RING_CAPACITY {
+            self.events.pop_front();
+            self.overwritten += 1;
         }
-        let drained = ThreadEvents { tid: self.tid, events: std::mem::take(&mut self.events) };
-        lock_sink().push(drained);
+        self.events.push_back(e);
     }
 }
 
-impl Drop for TlsBuf {
+struct ThreadLog {
+    tid: u64,
+    log: Mutex<Log>,
+}
+
+/// Lock order: the registry, then a thread's log. Writers take only
+/// their own log, and only with `try_lock`.
+struct Registry {
+    live: Vec<Arc<ThreadLog>>,
+    retired: Log,
+}
+
+/// A panic while holding a log only interrupts collection, never the
+/// observed computation, and every update leaves a log valid: recover
+/// the data instead of poisoning every later export.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The calling thread's registered log; dropping it at thread exit
+/// retires the log.
+struct LogHandle(Arc<ThreadLog>);
+
+impl Drop for LogHandle {
     fn drop(&mut self) {
-        self.flush();
+        let mut registry = lock(&REGISTRY);
+        registry.live.retain(|l| !Arc::ptr_eq(l, &self.0));
+        let mut log = lock(&self.0.log);
+        for e in log.events.drain(..) {
+            registry.retired.push(e);
+        }
+        registry.retired.overwritten += log.overwritten;
     }
 }
 
 thread_local! {
-    static BUF: RefCell<TlsBuf> = RefCell::new(TlsBuf {
-        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        events: Vec::new(),
-    });
+    static LOG: LogHandle = {
+        let log = Arc::new(ThreadLog {
+            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+            log: Mutex::new(Log::new()),
+        });
+        lock(&REGISTRY).live.push(Arc::clone(&log));
+        LogHandle(log)
+    };
 }
 
-fn record(name: &'static str, kind: RawKind, args: SpanArgs) {
-    let ts_ns = now_ns();
-    // If the thread is in TLS teardown the event is dropped — losing a
-    // span beats aborting the process inside a destructor — but the loss
-    // is *counted* (`obs.dropped_events`), never silent.
-    let recorded = BUF.try_with(|b| {
-        if let Ok(mut b) = b.try_borrow_mut() {
-            b.events.push(RawEvent { name, kind, ts_ns, args });
-            true
-        } else {
-            false
-        }
-    });
-    if !recorded.unwrap_or(false) {
-        note_dropped(1);
+/// Appends one completed span to the calling thread's log; never blocks.
+pub(crate) fn record(name: &'static str, ts_ns: u64, dur_ns: u64, args: SpanArgs) {
+    let recorded = LOG
+        .try_with(|h| match h.0.log.try_lock() {
+            Ok(mut log) => {
+                log.push(TraceEvent { name, tid: h.0.tid, ts_ns, dur_ns, args });
+                true
+            }
+            Err(_) => false,
+        })
+        .unwrap_or(false);
+    if !recorded {
+        DROPPED.add(1);
+        crate::metrics::global().counter("obs.dropped_events").add(1);
     }
 }
 
-/// Turns recording on or off process-wide. Spans opened while enabled
-/// still record their `End` after disabling (the guard captured its
-/// active state at open), so traces stay balanced across the switch.
+/// Calls `f` on the retired log and on each live thread's log, holding
+/// the registry so no thread retires in between.
+pub(crate) fn for_each_log(mut f: impl FnMut(&mut Log)) {
+    let mut registry = lock(&REGISTRY);
+    let Registry { live, retired } = &mut *registry;
+    f(retired);
+    for l in live.iter() {
+        f(&mut lock(&l.log));
+    }
+}
+
+/// Turns whole-run tracing on or off process-wide. Spans opened while
+/// enabled still record after disabling (the guard captured its active
+/// state at open), and the logs keep every span until [`take_trace`].
 pub fn set_enabled(on: bool) {
+    if on {
+        KEEP_ALL.store(true, Ordering::SeqCst);
+    }
     ENABLED.store(on, Ordering::SeqCst);
 }
 
-/// Whether the recorder is currently enabled.
+/// Whether whole-run tracing is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// RAII span guard: records `Begin` at creation (when enabled) and `End`
-/// at drop. With both the trace sink and the flight-recorder ring off,
-/// the cost is one relaxed load per recorder at creation and one branch
-/// each at drop.
+/// RAII span guard: reads the clock at creation and records one
+/// completed span at drop, when whole-run tracing or the flight recorder
+/// was on at creation. With both off, the cost is two relaxed loads at
+/// creation and one branch at drop.
 #[must_use = "a span guard measures the scope it lives in"]
 pub struct SpanGuard {
     name: &'static str,
     args: SpanArgs,
-    active: bool,
-    /// Begin timestamp + begin-side args, captured only while the flight
-    /// recorder is on; `Drop` turns them into one completed ring event.
-    ring: Option<(u64, SpanArgs)>,
+    /// Open timestamp; `None` when the guard is inert.
+    ts_ns: Option<u64>,
 }
 
 impl SpanGuard {
-    /// Attaches an argument to the span's `End` event — for quantities
-    /// only known at scope exit (an envelope size, an eviction count).
+    /// Attaches an argument when the span closes — for quantities only
+    /// known at scope exit (an envelope size, an eviction count).
     #[inline]
     pub fn arg(&mut self, key: &'static str, value: u64) {
-        if self.active || self.ring.is_some() {
+        if self.ts_ns.is_some() {
             self.args.push(key, value);
         }
     }
@@ -257,28 +281,16 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        if self.active {
-            record(self.name, RawKind::End, self.args);
-        }
-        if let Some((ts_ns, begin_args)) = self.ring {
-            crate::ring::record_completed(
-                self.name,
-                ts_ns,
-                now_ns().saturating_sub(ts_ns),
-                begin_args.merged(&self.args),
-            );
+        if let Some(ts_ns) = self.ts_ns {
+            record(self.name, ts_ns, now_ns().saturating_sub(ts_ns), self.args);
         }
     }
 }
 
 #[inline]
-fn open(name: &'static str, begin_args: SpanArgs) -> SpanGuard {
-    let active = enabled();
-    if active {
-        record(name, RawKind::Begin, begin_args);
-    }
-    let ring = if crate::ring::recording() { Some((now_ns(), begin_args)) } else { None };
-    SpanGuard { name, args: SpanArgs::default(), active, ring }
+fn open(name: &'static str, args: SpanArgs) -> SpanGuard {
+    let active = enabled() || crate::ring::recording();
+    SpanGuard { name, args, ts_ns: active.then(now_ns) }
 }
 
 /// Opens a span. `name` must be `'static` (the stable span registry —
@@ -288,7 +300,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     open(name, SpanArgs::default())
 }
 
-/// Opens a span with one argument on the `Begin` event.
+/// Opens a span with one argument.
 #[inline]
 pub fn span1(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
     let mut args = SpanArgs::default();
@@ -296,7 +308,7 @@ pub fn span1(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
     open(name, args)
 }
 
-/// Opens a span with two arguments on the `Begin` event.
+/// Opens a span with two arguments.
 #[inline]
 pub fn span2(
     name: &'static str,
@@ -311,77 +323,25 @@ pub fn span2(
     open(name, args)
 }
 
-/// Drains the calling thread's buffer into the global sink. Exporters
-/// call this on the main thread before [`take_trace`]; worker threads
-/// drain automatically when they exit.
-pub fn flush_thread() {
-    let _ = BUF.try_with(|b| {
-        if let Ok(mut b) = b.try_borrow_mut() {
-            b.flush();
-        }
-    });
-}
-
-/// Takes every drained thread buffer out of the sink (flushing the
-/// calling thread first), grouped by thread id with per-thread
-/// chronological order preserved.
-pub fn take_raw() -> Vec<ThreadEvents> {
-    flush_thread();
-    let drained: Vec<ThreadEvents> = std::mem::take(&mut *lock_sink());
-    // A thread that flushed more than once appears as multiple entries;
-    // concatenate them (arrival order == per-thread chronological order).
-    let mut by_tid: Vec<ThreadEvents> = Vec::new();
-    for part in drained {
-        match by_tid.iter_mut().find(|t| t.tid == part.tid) {
-            Some(existing) => existing.events.extend(part.events),
-            None => by_tid.push(part),
-        }
-    }
-    by_tid.sort_by_key(|t| t.tid);
-    by_tid
-}
-
-/// Takes the recorded events and pairs them into complete spans.
-///
-/// RAII guards nest properly within a thread, so pairing is a per-thread
-/// stack: `Begin` pushes, `End` pops its matching `Begin` (same name at
-/// the top of the stack) and emits one [`TraceEvent`] whose arguments are
-/// the begin-side then end-side sets. Events that cannot be matched are
-/// counted, never silently dropped into a wrong pairing.
+/// Drains every thread's log, the logs of running threads included, into
+/// one trace ordered by thread then start time, and ends the keep-all
+/// period of the last [`set_enabled`]`(true)` unless tracing is still on.
 pub fn take_trace() -> Trace {
-    let mut trace = Trace::default();
-    for thread in take_raw() {
-        let mut stack: Vec<RawEvent> = Vec::new();
-        for event in thread.events {
-            match event.kind {
-                RawKind::Begin => stack.push(event),
-                RawKind::End => {
-                    if stack.last().map(|b| b.name) == Some(event.name) {
-                        let begin = stack.pop().expect("checked non-empty");
-                        trace.events.push(TraceEvent {
-                            name: begin.name,
-                            tid: thread.tid,
-                            ts_ns: begin.ts_ns,
-                            dur_ns: event.ts_ns.saturating_sub(begin.ts_ns),
-                            args: begin.args.merged(&event.args),
-                        });
-                    } else {
-                        trace.unmatched_ends += 1;
-                    }
-                }
-            }
-        }
-        trace.unmatched_begins += stack.len();
-    }
-    trace.events.sort_by_key(|e| (e.tid, e.ts_ns));
-    trace
+    let mut events = Vec::new();
+    for_each_log(|log| {
+        events.extend(log.events.drain(..));
+        log.overwritten = 0;
+    });
+    KEEP_ALL.store(enabled(), Ordering::SeqCst);
+    events.sort_by_key(|e| (e.tid, e.ts_ns));
+    Trace { events }
 }
 
 /// Discards everything recorded so far (does not change the enabled
 /// flag). Long-running hosts that only sample occasionally call this
-/// between windows so the sink cannot grow without bound.
+/// between windows so the logs cannot grow without bound.
 pub fn clear() {
-    let _ = take_raw();
+    let _ = take_trace();
 }
 
 /// Serializes tests that toggle the process-global recorder. Every test
@@ -389,7 +349,7 @@ pub fn clear() {
 /// the mutex recovers from poisoning so one failing test cannot wedge
 /// the rest of the suite.
 pub fn exclusive() -> MutexGuard<'static, ()> {
-    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+    lock(&EXCLUSIVE)
 }
 
 #[cfg(test)]
@@ -422,7 +382,6 @@ mod tests {
         }
         set_enabled(false);
         let trace = take_trace();
-        assert!(trace.is_balanced(), "{trace:?}");
         assert_eq!(trace.events.len(), 2);
         let outer = trace.events.iter().find(|e| e.name == "test.outer").unwrap();
         let inner = trace.events.iter().find(|e| e.name == "test.inner").unwrap();
@@ -431,6 +390,7 @@ mod tests {
         // inner nests within outer on the shared timeline
         assert!(inner.ts_ns >= outer.ts_ns);
         assert!(inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns);
+        assert!(trace.partial_overlap().is_none(), "{trace:?}");
     }
 
     #[test]
@@ -450,11 +410,34 @@ mod tests {
         }
         set_enabled(false);
         let trace = take_trace();
-        assert!(trace.is_balanced());
         assert_eq!(trace.events.iter().filter(|e| e.name == "test.worker").count(), 3);
         let worker_tids: std::collections::BTreeSet<u64> =
             trace.events.iter().filter(|e| e.name == "test.worker").map(|e| e.tid).collect();
         assert_eq!(worker_tids.len(), 3, "each worker thread gets its own tid");
+    }
+
+    #[test]
+    fn a_running_threads_spans_are_taken_without_it_exiting() {
+        let _x = exclusive();
+        set_enabled(true);
+        clear();
+        let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                {
+                    let _g = span("test.parked");
+                }
+                recorded_tx.send(()).expect("test thread waits for the span");
+                // parked on the channel until the trace has been taken
+                let _ = release_rx.recv();
+            });
+            recorded_rx.recv().expect("worker recorded its span");
+            set_enabled(false);
+            let trace = take_trace();
+            release_tx.send(()).expect("worker is still parked");
+            assert_eq!(trace.events.iter().filter(|e| e.name == "test.parked").count(), 1);
+        });
     }
 
     #[test]
@@ -466,7 +449,6 @@ mod tests {
         set_enabled(false);
         drop(g);
         let trace = take_trace();
-        assert!(trace.is_balanced());
         assert_eq!(trace.events.len(), 1);
         assert_eq!(trace.events[0].name, "test.straddle");
     }
@@ -477,7 +459,7 @@ mod tests {
         for i in 0..10 {
             args.push("k", i);
         }
-        assert_eq!(args.as_slice().len(), 2 * MAX_RAW_ARGS);
+        assert_eq!(args.as_slice().len(), MAX_SPAN_ARGS);
     }
 
     #[test]
@@ -490,5 +472,24 @@ mod tests {
         clear();
         set_enabled(false);
         assert!(take_trace().events.is_empty());
+    }
+
+    #[test]
+    fn partial_overlap_flags_crossing_spans_only() {
+        let ev = |tid, ts_ns, dur_ns| TraceEvent {
+            name: "s",
+            tid,
+            ts_ns,
+            dur_ns,
+            args: SpanArgs::default(),
+        };
+        // nested, back to back, same start, and crossing only across threads
+        let nested = Trace {
+            events: vec![ev(0, 0, 10), ev(0, 2, 3), ev(0, 5, 5), ev(0, 10, 4), ev(1, 1, 20)],
+        };
+        assert!(nested.partial_overlap().is_none());
+        let crossing = Trace { events: vec![ev(0, 0, 10), ev(0, 1, 2), ev(0, 5, 10)] };
+        let (a, b) = crossing.partial_overlap().expect("spans 0..10 and 5..15 cross");
+        assert_eq!((a.ts_ns, b.ts_ns), (0, 5));
     }
 }
