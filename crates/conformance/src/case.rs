@@ -83,22 +83,9 @@ impl CaseSpec {
         (w * w + h * h).sqrt() / 2.0
     }
 
-    /// Largest absolute coordinate of the region — the conditioning length
-    /// fed to [`crate::tolerance::Policy::pan_exact`]: pixel centres derived
-    /// at magnitude `c` carry `c·ε` of rounding.
-    pub fn coord_magnitude(&self) -> f64 {
-        self.region
-            .min_x
-            .abs()
-            .max(self.region.min_y.abs())
-            .max(self.region.max_x.abs())
-            .max(self.region.max_y.abs())
-    }
-
     /// A deterministic seed derived from the case *content* (not the
     /// label), used to synthesise auxiliary inputs — per-point weights,
-    /// event timestamps, the road network — so a corpus case is fully
-    /// self-contained.
+    /// event timestamps — so a corpus case is fully self-contained.
     pub fn aux_seed(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325_u64; // FNV-1a offset basis
         let mut eat = |v: u64| {

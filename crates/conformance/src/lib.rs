@@ -5,8 +5,8 @@
 //! crate checks that systematically instead of ad hoc:
 //!
 //! * [`oracle`] — the registry pairing every density-producing engine
-//!   (core sweeps, parallel drivers, weighted, multi-bandwidth, baselines,
-//!   NKDV, STKDV, incremental pan) with its ground-truth reference.
+//!   (core sweeps, parallel drivers, weighted, baselines, STKDV, tiles,
+//!   coreset and streaming serving) with its ground-truth reference.
 //! * [`tolerance`] — the single ULP/relative-error policy replacing the
 //!   per-test magic constants.
 //! * [`case`] — deterministic seeded generation of adversarial

@@ -13,14 +13,11 @@
 //! | parallel bucket / parallel RAO sort | sequential twin | bitwise |
 //! | weighted sweep | `weighted_scan` | sweep ULPs |
 //! | parallel weighted | sequential weighted | bitwise |
-//! | multi-bandwidth | solo bucket runs | bitwise |
 //! | RQS_kd / RQS_ball / QUAD | SCAN | tree ULPs `(c/b)⁴` |
 //! | Z-order (fraction 1) | SCAN | tree ULPs |
 //! | aKDE | SCAN | absolute bound `w·n·ε/2` |
 //! | STKDV frames | per-frame `weighted_scan` | sweep ULPs |
 //! | parallel STKDV | sequential STKDV | bitwise |
-//! | incremental pan | full recompute | sweep ULPs |
-//! | NKDV forward augmentation | per-lixel Dijkstra | network ULPs |
 //! | stitched tiles | monolithic SLAM_BUCKET | bitwise |
 //! | instrumented bucket | same sweep, recorder off | bitwise |
 //! | coreset grid / coreset sort | SCAN | error bound (advertised ε) |
@@ -31,9 +28,8 @@
 //! | streaming overview (compacted) | SCAN over the live set | error bound (advertised ε) |
 //!
 //! Auxiliary inputs a pair needs beyond the case itself (per-point
-//! weights, event timestamps, the road network) are synthesised from
-//! [`CaseSpec::aux_seed`], so a corpus line alone reproduces the full
-//! computation.
+//! weights, event timestamps) are synthesised from [`CaseSpec::aux_seed`],
+//! so a corpus line alone reproduces the full computation.
 
 use kdv_baselines::AnyMethod;
 use kdv_core::driver::KdvParams;
@@ -41,11 +37,9 @@ use kdv_core::parallel::{
     compute_parallel, compute_parallel_rao, compute_weighted_parallel, ParallelEngine,
 };
 use kdv_core::weighted::{compute_weighted, weighted_scan};
-use kdv_core::{multi_bandwidth, rao, sweep_bucket, KdvEngine, Method, Rect};
+use kdv_core::{rao, sweep_bucket, KdvEngine, Method};
 use kdv_coreset::{CoresetMethod, CoresetSpec};
 use kdv_data::record::EventRecord;
-use kdv_explore::incremental::pan_render;
-use kdv_network::{compute_nkdv, compute_nkdv_naive, NetPosition, NkdvParams, RoadNetwork};
 use kdv_serve::{
     LiveConfig, OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport,
 };
@@ -56,7 +50,7 @@ use crate::case::{CaseSpec, SplitMix64};
 use crate::tolerance::{compare, unit_kernel_peak, Comparison, Policy};
 
 /// Names of every pair in the registry, in execution order.
-pub const PAIR_NAMES: [&str; 27] = [
+pub const PAIR_NAMES: [&str; 24] = [
     "SLAM_SORT vs SCAN",
     "SLAM_BUCKET vs SCAN",
     "SLAM_SORT^(RAO) vs SCAN",
@@ -65,7 +59,6 @@ pub const PAIR_NAMES: [&str; 27] = [
     "parallel RAO sort vs sequential",
     "weighted sweep vs weighted_scan",
     "parallel weighted vs sequential",
-    "multi-bandwidth vs solo sweeps",
     "RQS_kd vs SCAN",
     "RQS_ball vs SCAN",
     "QUAD vs SCAN",
@@ -73,8 +66,6 @@ pub const PAIR_NAMES: [&str; 27] = [
     "aKDE bound vs SCAN",
     "STKDV vs weighted_scan",
     "parallel STKDV vs sequential",
-    "incremental pan vs recompute",
-    "NKDV forward vs Dijkstra",
     "stitched tiles vs monolithic",
     "instrumented bucket vs plain",
     "coreset grid vs SCAN (ε-bound)",
@@ -187,46 +178,20 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
         },
     );
 
-    // --- multi-bandwidth vs solo runs (bitwise) --------------------------
-    let bandwidths = [case.bandwidth * 0.5, case.bandwidth, case.bandwidth * 1.7];
-    out.push(match multi_bandwidth::compute_multi_bandwidth(&params, pts, &bandwidths) {
-        Ok(grids) => {
-            let mut got = Vec::new();
-            let mut reference = Vec::new();
-            let mut solo_err = None;
-            for (g, &b) in grids.iter().zip(&bandwidths) {
-                let mut solo_params = params;
-                solo_params.bandwidth = b;
-                match sweep_bucket::compute(&solo_params, pts) {
-                    Ok(s) => {
-                        got.extend_from_slice(g.values());
-                        reference.extend_from_slice(s.values());
-                    }
-                    Err(e) => solo_err = Some(e),
-                }
-            }
-            match solo_err {
-                None => ok(PAIR_NAMES[8], Policy::Bitwise, &got, &reference),
-                Some(e) => fail(PAIR_NAMES[8], format!("solo oracle: {e}")),
-            }
-        }
-        Err(e) => fail(PAIR_NAMES[8], e.to_string()),
-    });
-
     // --- tree baselines vs SCAN ------------------------------------------
     let tree = Policy::tree_exact(case.region_half_diagonal(), case.bandwidth, term);
     for (i, method) in
         [AnyMethod::RqsKd, AnyMethod::RqsBall, AnyMethod::Quad].into_iter().enumerate()
     {
-        let name = PAIR_NAMES[9 + i];
+        let name = PAIR_NAMES[8 + i];
         out.push(match method.compute(&params, pts) {
             Ok(o) => ok(name, tree, o.grid.values(), scan.values()),
             Err(e) => fail(name, e.to_string()),
         });
     }
     out.push(match (AnyMethod::ZOrder { sample_fraction: 1.0 }).compute(&params, pts) {
-        Ok(o) => ok(PAIR_NAMES[12], tree, o.grid.values(), scan.values()),
-        Err(e) => fail(PAIR_NAMES[12], e.to_string()),
+        Ok(o) => ok(PAIR_NAMES[11], tree, o.grid.values(), scan.values()),
+        Err(e) => fail(PAIR_NAMES[11], e.to_string()),
     });
 
     // --- aKDE against its proven absolute bound --------------------------
@@ -240,19 +205,13 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
         Ok(o) => {
             let peak = scan.values().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             let policy = Policy::akde_bound(case.weight, pts.len(), epsilon, peak, term);
-            ok(PAIR_NAMES[13], policy, o.grid.values(), scan.values())
+            ok(PAIR_NAMES[12], policy, o.grid.values(), scan.values())
         }
-        Err(e) => fail(PAIR_NAMES[13], e.to_string()),
+        Err(e) => fail(PAIR_NAMES[12], e.to_string()),
     });
 
     // --- STKDV ------------------------------------------------------------
     out.extend(run_stkdv(case, &params, &mut aux));
-
-    // --- incremental pan vs full recompute --------------------------------
-    out.push(run_pan(case, &params, &mut aux));
-
-    // --- NKDV forward augmentation vs Dijkstra reference -------------------
-    out.push(run_nkdv(case, &mut aux));
 
     // --- stitched tiles vs the monolithic sweep (bitwise) ------------------
     // Tile decomposition must be pure memory movement: for every tile
@@ -264,9 +223,9 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
             kdv_core::tile::compute_stitched(&params, pts, tile_size),
             sweep_bucket::compute(&params, pts),
         ) {
-            (Ok(t), Ok(m)) => ok(PAIR_NAMES[18], Policy::Bitwise, t.values(), m.values()),
+            (Ok(t), Ok(m)) => ok(PAIR_NAMES[15], Policy::Bitwise, t.values(), m.values()),
             (t, m) => fail(
-                PAIR_NAMES[18],
+                PAIR_NAMES[15],
                 format!("tile_size={tile_size}: {}", two_errors(t.err(), m.err())),
             ),
         },
@@ -284,8 +243,8 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
         kdv_obs::set_enabled(was_enabled);
         kdv_obs::span::clear();
         match (traced, plain) {
-            (Ok(t), Ok(p)) => ok(PAIR_NAMES[19], Policy::Bitwise, t.values(), p.values()),
-            (t, p) => fail(PAIR_NAMES[19], two_errors(t.err(), p.err())),
+            (Ok(t), Ok(p)) => ok(PAIR_NAMES[16], Policy::Bitwise, t.values(), p.values()),
+            (t, p) => fail(PAIR_NAMES[16], two_errors(t.err(), p.err())),
         }
     });
 
@@ -323,7 +282,7 @@ fn run_coreset(
     let scale =
         kdv_coreset::density_scale(case.kernel, case.bandwidth, case.weight, case.points.len());
 
-    for (idx, method) in [(20usize, CoresetMethod::Grid), (21, CoresetMethod::Sort)] {
+    for (idx, method) in [(17usize, CoresetMethod::Grid), (18, CoresetMethod::Sort)] {
         let spec = CoresetSpec {
             method,
             target_epsilon: rel * scale,
@@ -352,8 +311,8 @@ fn run_coreset(
     let method = match case.coreset_method().parse::<CoresetMethod>() {
         Ok(m) => m,
         Err(e) => {
-            out.push(fail(PAIR_NAMES[22], e.to_string()));
-            out.push(fail(PAIR_NAMES[23], e.to_string()));
+            out.push(fail(PAIR_NAMES[19], e.to_string()));
+            out.push(fail(PAIR_NAMES[20], e.to_string()));
             return out;
         }
     };
@@ -382,8 +341,8 @@ fn run_coreset(
     let server = match server {
         Ok(s) => s,
         Err(e) => {
-            out.push(fail(PAIR_NAMES[22], format!("server: {e}")));
-            out.push(fail(PAIR_NAMES[23], format!("server: {e}")));
+            out.push(fail(PAIR_NAMES[19], format!("server: {e}")));
+            out.push(fail(PAIR_NAMES[20], format!("server: {e}")));
             return out;
         }
     };
@@ -391,13 +350,13 @@ fn run_coreset(
     let vp0 = Viewport { zoom: 0, px: 0, py: 0, width: case.res_x, height: case.res_y };
     out.push(match server.serve_viewport_tiered(&vp0, 2) {
         Ok((g, _, info)) if info.tier == TileTier::Coreset => ok(
-            PAIR_NAMES[22],
+            PAIR_NAMES[19],
             Policy::ErrorBound { epsilon: info.epsilon.unwrap_or(0.0) },
             g.values(),
             scan.values(),
         ),
-        Ok((_, _, info)) => fail(PAIR_NAMES[22], format!("zoom 0 reported tier {:?}", info.tier)),
-        Err(e) => fail(PAIR_NAMES[22], e.to_string()),
+        Ok((_, _, info)) => fail(PAIR_NAMES[19], format!("zoom 0 reported tier {:?}", info.tier)),
+        Err(e) => fail(PAIR_NAMES[19], e.to_string()),
     });
 
     let vp1 = Viewport { zoom: 1, px: 0, py: 0, width: 2 * case.res_x, height: 2 * case.res_y };
@@ -405,12 +364,12 @@ fn run_coreset(
     out.push(
         match (server.serve_viewport_tiered(&vp1, 2), sweep_bucket::compute(&deep, &case.points)) {
             (Ok((g, _, info)), Ok(mono)) if info.tier == TileTier::Exact => {
-                ok(PAIR_NAMES[23], Policy::Bitwise, g.values(), mono.values())
+                ok(PAIR_NAMES[20], Policy::Bitwise, g.values(), mono.values())
             }
             (Ok((_, _, info)), Ok(_)) => {
-                fail(PAIR_NAMES[23], format!("zoom 1 reported tier {:?}", info.tier))
+                fail(PAIR_NAMES[20], format!("zoom 1 reported tier {:?}", info.tier))
             }
-            (g, m) => fail(PAIR_NAMES[23], two_errors(g.err(), m.err())),
+            (g, m) => fail(PAIR_NAMES[20], two_errors(g.err(), m.err())),
         },
     );
     out
@@ -436,7 +395,7 @@ fn run_streaming(case: &CaseSpec, params: &KdvParams) -> Vec<PairResult> {
             )
         })
         .collect();
-    let streaming_pairs = &PAIR_NAMES[24..27];
+    let streaming_pairs = &PAIR_NAMES[21..24];
 
     let pyramid = match PyramidSpec::new(case.region, case.tile_size(), case.res_x, case.res_y, 1) {
         Ok(p) => p,
@@ -500,12 +459,12 @@ fn run_streaming(case: &CaseSpec, params: &KdvParams) -> Vec<PairResult> {
     } else {
         server.append(&appended);
     }
-    out.push(serve_all_zooms(PAIR_NAMES[24]));
+    out.push(serve_all_zooms(PAIR_NAMES[21]));
 
     // expire a third of the live set (at least one point) and re-serve
     let expire = (server.live_len() / 3).max(1);
     server.expire_oldest(expire);
-    out.push(serve_all_zooms(PAIR_NAMES[25]));
+    out.push(serve_all_zooms(PAIR_NAMES[22]));
 
     // the compacted-overview pair: coreset zoom 0, exact zoom 1
     out.push(run_streaming_overview(case, params, &pyramid, serve_config, &appended));
@@ -523,7 +482,7 @@ fn run_streaming_overview(
     serve_config: ServeConfig,
     appended: &[kdv_core::Point],
 ) -> PairResult {
-    let pair = PAIR_NAMES[26];
+    let pair = PAIR_NAMES[23];
     let method = match case.coreset_method().parse::<CoresetMethod>() {
         Ok(m) => m,
         Err(e) => return fail(pair, e.to_string()),
@@ -627,9 +586,9 @@ fn run_stkdv(case: &CaseSpec, params: &KdvParams, aux: &mut SplitMix64) -> Vec<P
                 got.extend_from_slice(frame.grid.values());
                 reference.extend_from_slice(direct.values());
             }
-            ok(PAIR_NAMES[14], Policy::sweep_exact(term), &got, &reference)
+            ok(PAIR_NAMES[13], Policy::sweep_exact(term), &got, &reference)
         }
-        Err(e) => fail(PAIR_NAMES[14], e.to_string()),
+        Err(e) => fail(PAIR_NAMES[13], e.to_string()),
     };
 
     let parallel_pair = match (&sequential, compute_stkdv_parallel(&config, &records, 3)) {
@@ -637,159 +596,12 @@ fn run_stkdv(case: &CaseSpec, params: &KdvParams, aux: &mut SplitMix64) -> Vec<P
             let got: Vec<f64> = par.iter().flat_map(|f| f.grid.values().iter().copied()).collect();
             let reference: Vec<f64> =
                 seq.iter().flat_map(|f| f.grid.values().iter().copied()).collect();
-            ok(PAIR_NAMES[15], Policy::Bitwise, &got, &reference)
+            ok(PAIR_NAMES[14], Policy::Bitwise, &got, &reference)
         }
-        (Err(e), _) => fail(PAIR_NAMES[15], format!("sequential: {e}")),
-        (_, Err(e)) => fail(PAIR_NAMES[15], format!("parallel: {e}")),
+        (Err(e), _) => fail(PAIR_NAMES[14], format!("sequential: {e}")),
+        (_, Err(e)) => fail(PAIR_NAMES[14], format!("parallel: {e}")),
     };
     vec![scan_pair, parallel_pair]
-}
-
-fn run_pan(case: &CaseSpec, params: &KdvParams, aux: &mut SplitMix64) -> PairResult {
-    // previous viewport: the case region shifted down by a whole number of
-    // pixel rows, so pan_render takes the copy-overlap fast path
-    let dj = 1 + aux.below(3) as i64;
-    let gap_y = (case.region.max_y - case.region.min_y) / case.res_y as f64;
-    let delta = dj as f64 * gap_y;
-    let prev_region = Rect::new(
-        case.region.min_x,
-        case.region.min_y - delta,
-        case.region.max_x,
-        case.region.max_y - delta,
-    );
-    let prev_spec = match kdv_core::GridSpec::new(prev_region, case.res_x, case.res_y) {
-        Ok(s) => s,
-        Err(e) => return fail(PAIR_NAMES[16], format!("prev spec: {e}")),
-    };
-    let mut prev_params = *params;
-    prev_params.grid = prev_spec;
-    match (
-        rao::compute_bucket(&prev_params, &case.points),
-        rao::compute_bucket(params, &case.points),
-    ) {
-        (Ok(prev), Ok(full)) => {
-            match pan_render(&prev, &prev_spec, params, &case.points) {
-                Ok((inc, _recomputed)) => {
-                    // the copied rows' pixel centres were derived in the
-                    // previous viewport's float frame, so this comparison
-                    // carries c·ε/b of grid-derivation conditioning on top
-                    // of two independent sweep budgets (pan_exact)
-                    let term = case.weight.abs()
-                        * case.points.len() as f64
-                        * unit_kernel_peak(case.kernel, case.bandwidth);
-                    let policy = Policy::pan_exact(case.coord_magnitude(), case.bandwidth, term);
-                    if case.kernel == kdv_core::KernelType::Uniform {
-                        compare_pan_uniform(case, params, &prev_spec, dj, policy, &inc, &full)
-                    } else {
-                        ok(PAIR_NAMES[16], policy, inc.values(), full.values())
-                    }
-                }
-                Err(e) => fail(PAIR_NAMES[16], e.to_string()),
-            }
-        }
-        (p, f) => fail(PAIR_NAMES[16], two_errors(p.err(), f.err())),
-    }
-}
-
-/// Pan comparison for the uniform kernel, whose support-boundary
-/// *discontinuity* breaks a purely scaled policy: the copied rows' pixel
-/// centres were derived in the previous viewport's float frame and differ
-/// from the recompute's by `O(c·ε)`, so a point grazing `dist = b` can
-/// flip membership between the two frames and legitimately shift the
-/// density by a whole term `w·K(0)` (found by the soak fuzzer at seed
-/// 66246, corpus case `seed-66246-uniform-membership-flip`).
-///
-/// Pixels with a possible flip are excluded from the scaled comparison
-/// and checked against the whole-term bound `flips · w·K(0)` instead; an
-/// excess there falls through to the honest (failing) full comparison.
-fn compare_pan_uniform(
-    case: &CaseSpec,
-    params: &KdvParams,
-    prev_spec: &kdv_core::GridSpec,
-    dj: i64,
-    policy: Policy,
-    inc: &kdv_core::DensityGrid,
-    full: &kdv_core::DensityGrid,
-) -> PairResult {
-    let b2 = case.bandwidth * case.bandwidth;
-    // membership slack: dist² at coordinate magnitude c carries O(c²·ε)
-    // of rounding, as does b²
-    let c = case.coord_magnitude();
-    let slack = 32.0 * f64::EPSILON * (c * c).max(b2);
-    let flip_cost = case.weight.abs() * unit_kernel_peak(case.kernel, case.bandwidth);
-    let full_peak = full.values().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    let base = policy.admitted_error(full_peak);
-
-    let mut got = Vec::new();
-    let mut reference = Vec::new();
-    for j in 0..case.res_y {
-        for i in 0..case.res_x {
-            let q_full = params.grid.pixel_center(i, j);
-            // the prev-frame centre of the same geometric pixel (rows not
-            // present in the previous viewport were recomputed in the
-            // full frame, so their centres agree)
-            let jp = j as i64 + dj;
-            let q_prev = if (0..case.res_y as i64).contains(&jp) {
-                prev_spec.pixel_center(i, jp as usize)
-            } else {
-                q_full
-            };
-            let flips = case
-                .points
-                .iter()
-                .filter(|p| {
-                    let s_full = q_full.dist_sq(p) - b2;
-                    let s_prev = q_prev.dist_sq(p) - b2;
-                    (s_full <= 0.0) != (s_prev <= 0.0) || s_full.abs().min(s_prev.abs()) <= slack
-                })
-                .count();
-            if flips == 0 {
-                got.push(inc.get(i, j));
-                reference.push(full.get(i, j));
-            } else if (inc.get(i, j) - full.get(i, j)).abs() > flips as f64 * flip_cost + base {
-                // a flip can't explain this much — report the honest
-                // failing comparison over the whole grid
-                return ok(PAIR_NAMES[16], policy, inc.values(), full.values());
-            }
-        }
-    }
-    ok(PAIR_NAMES[16], policy, &got, &reference)
-}
-
-fn run_nkdv(case: &CaseSpec, aux: &mut SplitMix64) -> PairResult {
-    let network = RoadNetwork::grid_city(
-        3 + aux.below(3) as usize,
-        3 + aux.below(2) as usize,
-        80.0 + aux.f64() * 80.0,
-        0.9,
-        aux.next_u64() | 1,
-    );
-    if network.num_edges() == 0 {
-        return fail(PAIR_NAMES[17], "generated network has no edges".into());
-    }
-    let events: Vec<NetPosition> = (0..aux.below(25))
-        .map(|_| {
-            let edge = aux.below(network.num_edges() as u64) as u32;
-            let (_, _, len) = network.edge_info(edge);
-            NetPosition { edge, offset: aux.f64() * len }
-        })
-        .collect();
-    let params = NkdvParams {
-        kernel: case.kernel,
-        bandwidth: 60.0 + aux.f64() * 250.0,
-        lixel_length: 12.0 + aux.f64() * 30.0,
-        weight: 1.0 / events.len().max(1) as f64,
-    };
-    match (compute_nkdv(&network, &params, &events), compute_nkdv_naive(&network, &params, &events))
-    {
-        (Ok(fast), Ok(slow)) => {
-            let term = params.weight.abs()
-                * events.len() as f64
-                * unit_kernel_peak(params.kernel, params.bandwidth);
-            ok(PAIR_NAMES[17], Policy::network_exact(term), fast.values(), slow.values())
-        }
-        (f, s) => fail(PAIR_NAMES[17], two_errors(f.err(), s.err())),
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Before this module existed every test picked its own magic constant
 //! (`1e-9` for sweeps, `1e-9 + 1e-12·(160/b)⁴` for the tree baselines,
-//! `1e-12` for NKDV, …). Those numbers were all rediscovering the same two
-//! facts, so the policy states them once:
+//! …). Those numbers were all rediscovering the same two facts, so the
+//! policy states them once:
 //!
 //! 1. **Exact engines drift by reassociation only.** An exact engine
 //!    computes the same sum as the oracle with the terms reassociated
@@ -31,7 +31,8 @@
 //!
 //! Engines that run the *identical* floating-point program as their
 //! reference (parallel vs sequential, banded vs full-scan extraction,
-//! multi-bandwidth vs solo runs) get no budget at all: [`Policy::Bitwise`].
+//! stitched tiles vs the monolithic sweep) get no budget at all:
+//! [`Policy::Bitwise`].
 //! Approximate engines (aKDE) are checked against their *proven* absolute
 //! error bound, not against a similarity heuristic.
 
@@ -48,19 +49,6 @@ pub const SWEEP_ULPS: f64 = (1u64 << 22) as f64;
 /// 3.6e-12` per unit — covers the old `1e-12·(160/b)⁴` with ~4× headroom
 /// for regions whose half-diagonal exceeds the old tests' 160-unit span.
 pub const TREE_COND_ULPS: f64 = (1u64 << 14) as f64;
-
-/// Relative budget for the NKDV forward augmentation vs the per-lixel
-/// Dijkstra reference: both sum identical kernel values in different
-/// orders, so the budget is small — `2¹³ · ε ≈ 1.8e-12` of the peak.
-pub const NETWORK_ULPS: f64 = (1u64 << 13) as f64;
-
-/// Extra ULP budget per unit of `c/b` for comparisons between two sweeps
-/// whose pixel grids were derived in *different* float frames (incremental
-/// pan vs full recompute): a pixel centre at coordinate magnitude `c`
-/// carries `c·ε` of derivation rounding, and the kernel slope turns that
-/// into `O(c·ε/b)` of relative density error. Found by the soak fuzzer at
-/// `c = 4e6, b = 0.79` (corpus case `seed-1688-pan-grid-derivation`).
-pub const PAN_COND_ULPS: f64 = 16.0;
 
 /// The unnormalized kernel's peak value `K(0)` (see
 /// [`KernelType::eval`] at distance zero): the magnitude of a single
@@ -132,21 +120,6 @@ impl Policy {
     pub fn tree_exact(region_half_diagonal: f64, bandwidth: f64, term_scale: f64) -> Self {
         let cond = (region_half_diagonal / bandwidth).powi(4);
         Policy::ScaledUlps { ulps: SWEEP_ULPS + TREE_COND_ULPS * cond.max(1.0), floor: term_scale }
-    }
-
-    /// Policy for the NKDV forward augmentation vs the naive reference.
-    pub fn network_exact(term_scale: f64) -> Self {
-        Policy::ScaledUlps { ulps: NETWORK_ULPS, floor: term_scale }
-    }
-
-    /// Policy for incremental pan vs full recompute: both sides are exact
-    /// sweeps (two budgets), plus the pixel-grid re-derivation term
-    /// `c·ε/b` — the copied rows' pixel centres were computed in the
-    /// previous viewport's float frame, `c` being the coordinate magnitude
-    /// of the region.
-    pub fn pan_exact(coord_magnitude: f64, bandwidth: f64, term_scale: f64) -> Self {
-        let cond = (coord_magnitude / bandwidth).max(1.0);
-        Policy::ScaledUlps { ulps: 2.0 * SWEEP_ULPS + PAN_COND_ULPS * cond, floor: term_scale }
     }
 
     /// Policy for aKDE: per-point kernel tolerance `ε_k` admits an
@@ -256,18 +229,6 @@ mod tests {
         let tight = Policy::tree_exact(80.0, 80.0, 0.0).admitted_error(1.0);
         let loose = Policy::tree_exact(80.0, 1.0, 0.0).admitted_error(1.0);
         assert!(loose > tight * 1e4, "conditioning must dominate: {tight} vs {loose}");
-    }
-
-    #[test]
-    fn pan_budget_scales_with_coordinate_magnitude() {
-        // near the origin the pan budget is just two sweep budgets...
-        let near = Policy::pan_exact(100.0, 50.0, 0.0).admitted_error(1.0);
-        assert!(near < 3.0 * SWEEP_ULPS * f64::EPSILON, "near-origin budget {near}");
-        // ...but the seed-1688 corpus case (c = 4e6, b ≈ 0.79, observed
-        // scaled error 9.7e-10) must fit inside it with headroom
-        let far = Policy::pan_exact(4.0e6, 0.79, 0.0).admitted_error(1.0);
-        assert!(far > 9.8e-10, "seed-1688 error must fit: {far}");
-        assert!(far < 1e-6, "budget must stay tight: {far}");
     }
 
     #[test]

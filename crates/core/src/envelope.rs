@@ -101,15 +101,8 @@ impl BandIndex {
     /// for bandwidth `bandwidth`: O(log n).
     #[inline]
     pub fn band(&self, bandwidth: f64, k: f64) -> Range<usize> {
-        self.band_in(0..self.ys.len(), bandwidth, k)
-    }
-
-    /// [`BandIndex::band`] restricted to a known superset range — a
-    /// smaller bandwidth's band is always inside a larger one's, so
-    /// multi-bandwidth passes let the widest band bound the search.
-    pub fn band_in(&self, within: Range<usize>, bandwidth: f64, k: f64) -> Range<usize> {
         let b2 = bandwidth * bandwidth;
-        let ys = &self.ys[within.clone()];
+        let ys = &self.ys;
         // Both predicates evaluate membership with exactly the full scan's
         // arithmetic (`b2 - dy*dy >= 0.0`) and are monotone over ascending
         // y: out-of-band-below → in-band → out-of-band-above.
@@ -121,7 +114,7 @@ impl BandIndex {
             let dy = k - y;
             y < k || b2 - dy * dy >= 0.0
         });
-        (within.start + lo)..(within.start + hi)
+        lo..hi
     }
 
     /// Heap bytes an index over `n` points occupies: two `f64` coordinate
@@ -354,16 +347,6 @@ mod tests {
         assert_eq!(index.original_index(1), 1);
         let band = index.band(3.0, 0.0);
         assert_eq!(band, 0..3);
-    }
-
-    #[test]
-    fn band_in_bounds_search_by_superset() {
-        let pts: Vec<Point> = (0..100).map(|i| Point::new(0.0, i as f64)).collect();
-        let index = BandIndex::build(&pts);
-        let wide = index.band(30.0, 50.0);
-        for b in [0.5, 3.0, 11.25, 30.0] {
-            assert_eq!(index.band_in(wide.clone(), b, 50.0), index.band(b, 50.0), "b={b}");
-        }
     }
 
     #[test]

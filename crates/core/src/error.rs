@@ -18,9 +18,6 @@ pub enum KdvError {
     NonFinitePoint { index: usize },
     /// The requested weight is non-finite.
     InvalidWeight(f64),
-    /// The lixel length of an NKDV computation must be finite and
-    /// strictly positive.
-    InvalidLixelLength(f64),
     /// A tile decomposition needs a tile side of at least one pixel.
     InvalidTileSize { tile_size: usize },
     /// A cooperative deadline expired before the computation finished
@@ -50,9 +47,6 @@ impl fmt::Display for KdvError {
                 write!(f, "data point #{index} has a non-finite coordinate")
             }
             KdvError::InvalidWeight(w) => write!(f, "weight {w} must be finite"),
-            KdvError::InvalidLixelLength(l) => {
-                write!(f, "lixel length {l} must be finite and > 0")
-            }
             KdvError::InvalidTileSize { tile_size } => {
                 write!(f, "tile size {tile_size} must be at least 1 pixel")
             }

@@ -49,9 +49,8 @@
 //! Extensions beyond the paper (each documented as such):
 //!
 //! * [`parallel`] — work-stealing row-parallel runtime (plain, RAO,
-//!   weighted and multi-bandwidth sweeps) with [`telemetry`] reports.
+//!   and weighted sweeps) with [`telemetry`] reports.
 //! * [`weighted`] — per-point weights (temporal kernels, event counts).
-//! * [`multi_bandwidth`] — bandwidth-exploration sweeps sharing row scans.
 //! * [`grid_io`] — lossless raster persistence (binary and TSV).
 //! * [`simd`] — the machine's `f64` lane class, reported in the benchmark
 //!   fingerprint (the engines themselves have one scalar row loop).
@@ -68,7 +67,6 @@ pub mod geom;
 pub mod grid;
 pub mod grid_io;
 pub mod kernel;
-pub mod multi_bandwidth;
 pub mod parallel;
 pub mod rao;
 pub mod simd;

@@ -20,9 +20,8 @@
 //! The same scheduler drives every parallel entry point in the workspace:
 //! plain sweeps ([`compute_parallel`]), RAO composition
 //! ([`compute_parallel_rao`]), weighted sweeps
-//! ([`compute_weighted_parallel`]), multi-bandwidth exploration
-//! ([`compute_multi_bandwidth_parallel`]) and — via [`for_each_index`] —
-//! the temporal frame driver in `kdv-temporal`. The `*_with_report`
+//! ([`compute_weighted_parallel`]) and — via [`for_each_index`] — the
+//! temporal frame driver in `kdv-temporal`. The `*_with_report`
 //! variants additionally collect a [`SweepReport`] of per-row envelope
 //! sizes, fill/sweep phase times and the rows-per-worker distribution.
 
@@ -321,91 +320,6 @@ pub fn compute_weighted_parallel_with_report(
     })
 }
 
-/// Parallel multi-bandwidth exploration, bitwise identical to
-/// [`crate::multi_bandwidth::compute_multi_bandwidth`]: per claimed row the
-/// widest bandwidth's band is located once and bounds the binary search of
-/// every smaller bandwidth; one bucket engine per worker is rebound per
-/// bandwidth.
-pub fn compute_multi_bandwidth_parallel(
-    params: &KdvParams,
-    points: &[Point],
-    bandwidths: &[f64],
-    threads: usize,
-) -> Result<Vec<DensityGrid>> {
-    use crate::error::KdvError;
-
-    for &b in bandwidths {
-        if !b.is_finite() || b <= 0.0 {
-            return Err(KdvError::InvalidBandwidth(b));
-        }
-    }
-    if bandwidths.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = resolve_threads(threads);
-    let b_max = bandwidths.iter().copied().fold(f64::MIN, f64::max);
-    let mut check = *params;
-    check.bandwidth = b_max;
-    let ctx = SweepContext::new(&check, points)?;
-
-    let res_x = params.grid.res_x;
-    let res_y = params.grid.res_y;
-    let mut buffers: Vec<Vec<f64>> =
-        bandwidths.iter().map(|_| vec![0.0_f64; res_x * res_y]).collect();
-    let tables: Vec<RowTable> = buffers.iter_mut().map(|b| RowTable::new(b, res_x)).collect();
-
-    run_scheduler(
-        res_y,
-        threads,
-        &|| {
-            (
-                EnvelopeBuffer::for_points(ctx.points.len()),
-                BucketSweep::new(params.kernel, b_max, params.weight),
-            )
-        },
-        &|(envelope, engine), j, stats| {
-            let k = ctx.ks[j];
-            let t0 = Instant::now();
-            // the widest band bounds every smaller bandwidth's binary search
-            let band_max = {
-                let _s = kdv_obs::span1("band.search", "row", j as u64);
-                ctx.index.band(b_max, k)
-            };
-            if band_max.is_empty() {
-                stats.fill_nanos += t0.elapsed().as_nanos() as u64;
-                stats.rows_skipped += 1;
-                stats.envelope_sizes.push((j, 0));
-                return;
-            }
-            let t1 = Instant::now();
-            for (bi, &b) in bandwidths.iter().enumerate() {
-                let band = ctx.index.band_in(band_max.clone(), b, k);
-                if band.is_empty() {
-                    continue;
-                }
-                let intervals = {
-                    let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-                    let intervals = envelope.fill_band(&ctx.index, band, b, k);
-                    s.arg("size", intervals.len() as u64);
-                    intervals
-                };
-                engine.set_bandwidth(b);
-                // SAFETY: the scheduler claims each row exactly once, and
-                // each bandwidth writes to its own raster.
-                let out = unsafe { tables[bi].row(j) };
-                let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-                engine.process_row(&ctx.xs, k, intervals, out);
-            }
-            stats.fill_nanos += (t1 - t0).as_nanos() as u64;
-            stats.sweep_nanos += t1.elapsed().as_nanos() as u64;
-            stats.envelope_sizes.push((j, band_max.len()));
-        },
-        &|(envelope, engine)| envelope.space_bytes() + engine.space_bytes(),
-    );
-    drop(tables);
-    Ok(buffers.into_iter().map(|v| DensityGrid::from_values(res_x, res_y, v)).collect())
-}
-
 /// Generic work-stealing index loop for embarrassingly parallel tasks that
 /// are not row sweeps (e.g. temporal frames in `kdv-temporal`). Runs
 /// `task(i)` for every `i in 0..count` on up to `threads` workers and
@@ -554,18 +468,6 @@ mod tests {
         }
         // weight validation propagates
         assert!(compute_weighted_parallel(&params, &pts, &weights[1..], 2).is_err());
-    }
-
-    #[test]
-    fn multi_bandwidth_parallel_matches_sequential() {
-        let (params, pts) = setup();
-        let bandwidths = [3.0, 9.0, 25.0];
-        let seq =
-            crate::multi_bandwidth::compute_multi_bandwidth(&params, &pts, &bandwidths).unwrap();
-        let par = compute_multi_bandwidth_parallel(&params, &pts, &bandwidths, 3).unwrap();
-        assert_eq!(seq, par);
-        assert!(compute_multi_bandwidth_parallel(&params, &pts, &[-1.0], 2).is_err());
-        assert!(compute_multi_bandwidth_parallel(&params, &pts, &[], 2).unwrap().is_empty());
     }
 
     #[test]

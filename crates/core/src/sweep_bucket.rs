@@ -170,15 +170,6 @@ impl BucketSweep {
         Self { kernel, bandwidth, weight, buckets: Buckets::default() }
     }
 
-    /// Rebinds the engine to a new bandwidth, keeping the bucket scratch
-    /// buffers warm — multi-bandwidth passes share one engine instead of
-    /// holding `B` copies of the `O(X + |E|)` scratch. All per-row state is
-    /// reinitialised at the top of [`RowEngine::process_row`], so a rebound
-    /// engine is bitwise identical to a freshly constructed one.
-    pub fn set_bandwidth(&mut self, bandwidth: f64) {
-        self.bandwidth = bandwidth;
-    }
-
     /// Scatters the row's intervals, then runs the sweep pass with the
     /// kernel's quartic choice; `weights` as in [`BucketSweep::sweep`].
     fn run<const WEIGHTED: bool>(

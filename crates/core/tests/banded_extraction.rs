@@ -80,23 +80,4 @@ proptest! {
             last_seen.insert(y, orig);
         }
     }
-
-    /// Bounding the search by any superset band (a larger bandwidth's
-    /// band) returns exactly the unbounded result — the multi-bandwidth
-    /// fast path.
-    #[test]
-    fn band_in_superset_equals_direct(
-        pts in lattice_points(),
-        b1 in 0.25f64..60.0,
-        b2 in 0.25f64..60.0,
-        kraw in -10.0f64..60.0,
-    ) {
-        let (small, big) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
-        let index = BandIndex::build(&pts);
-        let superset = index.band(big, kraw);
-        prop_assert_eq!(
-            index.band_in(superset, small, kraw),
-            index.band(small, kraw)
-        );
-    }
 }

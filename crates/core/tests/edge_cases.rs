@@ -8,9 +8,7 @@
 
 use kdv_core::driver::{validate_points, KdvParams};
 use kdv_core::weighted::{compute_weighted, weighted_scan};
-use kdv_core::{
-    multi_bandwidth, rao, GridSpec, KdvEngine, KdvError, KernelType, Method, Point, Rect,
-};
+use kdv_core::{rao, GridSpec, KdvEngine, KdvError, KernelType, Method, Point, Rect};
 
 fn spec(res_x: usize, res_y: usize) -> GridSpec {
     GridSpec::new(Rect::new(0.0, 0.0, 100.0, 80.0), res_x, res_y).unwrap()
@@ -142,21 +140,6 @@ fn weighted_engines_handle_empty_and_degenerate_inputs() {
     }
     // mismatched weights length is a typed error, not a panic
     assert!(compute_weighted(&params, &pts, &[1.0]).is_err());
-}
-
-#[test]
-fn multi_bandwidth_rejects_a_bad_bandwidth_in_the_list() {
-    let params = KdvParams::new(spec(4, 4), KernelType::Epanechnikov, 10.0);
-    let pts = some_points();
-    for bad in [0.0, -1.0, f64::NAN] {
-        assert!(
-            matches!(
-                multi_bandwidth::compute_multi_bandwidth(&params, &pts, &[10.0, bad]),
-                Err(KdvError::InvalidBandwidth(_))
-            ),
-            "bandwidth list containing {bad} must be rejected"
-        );
-    }
 }
 
 #[test]

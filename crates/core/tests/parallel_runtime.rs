@@ -7,8 +7,8 @@ use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
 use kdv_core::parallel::{
-    compute_multi_bandwidth_parallel, compute_parallel, compute_parallel_rao,
-    compute_parallel_with_report, compute_weighted_parallel, default_threads, ParallelEngine,
+    compute_parallel, compute_parallel_rao, compute_parallel_with_report,
+    compute_weighted_parallel, default_threads, ParallelEngine,
 };
 use kdv_core::{rao, sweep_bucket, sweep_sort, KernelType};
 
@@ -89,18 +89,6 @@ fn clustered_weighted_parallel_is_bitwise_sequential() {
     for threads in thread_counts() {
         let par = compute_weighted_parallel(&p, &pts, &weights, threads).unwrap();
         assert_eq!(par, seq, "weighted threads={threads}");
-    }
-}
-
-#[test]
-fn clustered_multi_bandwidth_parallel_is_bitwise_sequential() {
-    let pts = clustered_points();
-    let p = params(KernelType::Epanechnikov);
-    let bandwidths = [2.0, 4.0, 12.0];
-    let seq = kdv_core::multi_bandwidth::compute_multi_bandwidth(&p, &pts, &bandwidths).unwrap();
-    for threads in thread_counts() {
-        let par = compute_multi_bandwidth_parallel(&p, &pts, &bandwidths, threads).unwrap();
-        assert_eq!(par, seq, "multi threads={threads}");
     }
 }
 

@@ -6,7 +6,6 @@
 use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::{DensityGrid, GridSpec};
-use kdv_core::multi_bandwidth::compute_multi_bandwidth;
 use kdv_core::weighted::{compute_weighted, weighted_scan};
 use kdv_core::{rao, sweep_bucket, sweep_sort, KernelType};
 use proptest::prelude::*;
@@ -129,27 +128,6 @@ proptest! {
         let err = max_scaled_error(&fast, &slow);
         let tol = 1e-9; // same rolling-frame bound as above
         prop_assert!(err < tol, "kernel={kernel}: err {err} tol {tol}");
-    }
-
-    /// Multi-bandwidth sweeps are identical to solo bucket sweeps for
-    /// every requested bandwidth.
-    #[test]
-    fn multi_bandwidth_identical_to_solo(
-        (pts, (rx, ry), _b, ksel, off) in city_problem(),
-        b1 in 10.0f64..2_000.0,
-        b2 in 10.0f64..2_000.0,
-    ) {
-        let region = Rect::new(off, off, off + 10_000.0, off + 8_000.0);
-        let grid = GridSpec::new(region, rx, ry).unwrap();
-        let kernel = KernelType::ALL[ksel as usize % 3];
-        let params = KdvParams::new(grid, kernel, 1.0);
-        let multi = compute_multi_bandwidth(&params, &pts, &[b1, b2]).unwrap();
-        for (grid_out, b) in multi.iter().zip([b1, b2]) {
-            let mut solo_params = params;
-            solo_params.bandwidth = b;
-            let solo = sweep_bucket::compute(&solo_params, &pts).unwrap();
-            prop_assert_eq!(grid_out, &solo, "b={}", b);
-        }
     }
 
     /// Collinear degenerate datasets (all points on one horizontal line)

@@ -7,7 +7,7 @@
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
 use kdv_core::weighted::compute_weighted;
-use kdv_core::{KdvParams, KernelType};
+use kdv_core::{KdvError, KdvParams, KernelType};
 use kdv_coreset::{build, density_scale, Coreset, CoresetMethod, CoresetSpec};
 
 fn random_points(n: usize, seed: u64, extent: Rect) -> Vec<Point> {
@@ -186,5 +186,28 @@ fn degenerate_inputs_build_cleanly() {
         assert!(!cs.is_empty());
         let total: f64 = cs.weights.iter().sum();
         assert!((total - 64.0).abs() < 1e-9, "{method}: multiplicities sum to {total}");
+    }
+}
+
+#[test]
+fn a_non_finite_point_is_rejected_with_its_index() {
+    let extent = Rect::new(0.0, 0.0, 100.0, 100.0);
+    let grids = vec![GridSpec::new(extent, 8, 8).unwrap()];
+    let points = random_points(32, 5, extent);
+    for method in METHODS {
+        let s = spec(method, KernelType::Epanechnikov, 10.0, 1.0 / 32.0, 1e-3, 1, grids.clone());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in [0, 17, 31] {
+                for p in [Point::new(bad, 50.0), Point::new(50.0, bad)] {
+                    let mut pts = points.clone();
+                    pts[index] = p;
+                    assert_eq!(
+                        build(&s, &pts).map(|cs| cs.len()),
+                        Err(KdvError::NonFinitePoint { index }),
+                        "{method}: {p:?} at #{index}"
+                    );
+                }
+            }
+        }
     }
 }

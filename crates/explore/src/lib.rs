@@ -10,10 +10,7 @@
 //! * [`session`] — a stateful [`session::ExploreSession`] that applies
 //!   operations and re-renders through a SLAM engine, reporting per-render
 //!   workload statistics.
-//! * [`incremental`] — copy-and-sweep re-rendering for whole-pixel pans
-//!   (an extension beyond the paper).
 
-pub mod incremental;
 pub mod session;
 pub mod viewport;
 

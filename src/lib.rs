@@ -17,7 +17,6 @@
 //! * [`temporal`] (`kdv-temporal`) — spatial-temporal KDV animations.
 //! * [`analysis`] (`kdv-analysis`) — hotspot extraction, grid metrics,
 //!   Ripley's K-function.
-//! * [`network`] (`kdv-network`) — network KDV over road graphs.
 //! * [`viz`] (`kdv-viz`) — heat-map rendering.
 //!
 //! The most common entry points are lifted to the top level; see
@@ -29,7 +28,6 @@ pub use kdv_core as core;
 pub use kdv_data as data;
 pub use kdv_explore as explore;
 pub use kdv_index as index;
-pub use kdv_network as network;
 pub use kdv_temporal as temporal;
 pub use kdv_viz as viz;
 
