@@ -216,6 +216,65 @@ impl<const WEIGHTED: bool> SweepAccumulator<WEIGHTED> {
         }
     }
 
+    /// Number of `u64` words [`SweepAccumulator::save`] writes: the count,
+    /// then a sum and a compensation per maintained aggregate (`Σ wᵢ`
+    /// when weighted, `A` and `S`, and the six quartic terms when
+    /// `maintain_quartic`). Fields the accumulator never touches stay
+    /// zero, so they need no words.
+    pub const fn state_words(maintain_quartic: bool) -> usize {
+        1 + 2 * (3 + WEIGHTED as usize + if maintain_quartic { 6 } else { 0 })
+    }
+
+    /// Writes the accumulator's whole state into the first
+    /// [`SweepAccumulator::state_words`] words of `out`, bit for bit.
+    #[inline(always)]
+    pub fn save(&self, out: &mut [u64]) {
+        out[0] = self.count;
+        let mut at = 1;
+        for k in self.maintained() {
+            out[at..at + 2].copy_from_slice(&k.to_bits());
+            at += 2;
+        }
+    }
+
+    /// The accumulator [`SweepAccumulator::save`] wrote into `words`:
+    /// bitwise the one that was saved.
+    #[inline(always)]
+    pub fn restore(words: &[u64], maintain_quartic: bool) -> Self {
+        let mut acc = Self::new(maintain_quartic);
+        acc.count = words[0];
+        let mut at = 1;
+        for k in acc.maintained_mut() {
+            *k = Kahan::from_bits([words[at], words[at + 1]]);
+            at += 2;
+        }
+        acc
+    }
+
+    /// The maintained sums, in [`SweepAccumulator::save`] order.
+    #[inline(always)]
+    fn maintained(&self) -> impl Iterator<Item = &Kahan> {
+        let quartic = [&self.cx, &self.cy, &self.q4, &self.mxx, &self.mxy, &self.myy];
+        WEIGHTED
+            .then_some(&self.wsum)
+            .into_iter()
+            .chain([&self.ax, &self.ay, &self.s])
+            .chain(quartic.into_iter().take(if self.maintain_quartic { 6 } else { 0 }))
+    }
+
+    /// [`SweepAccumulator::maintained`], mutably.
+    #[inline(always)]
+    fn maintained_mut(&mut self) -> impl Iterator<Item = &mut Kahan> {
+        let n = if self.maintain_quartic { 6 } else { 0 };
+        let quartic =
+            [&mut self.cx, &mut self.cy, &mut self.q4, &mut self.mxx, &mut self.mxy, &mut self.myy];
+        WEIGHTED
+            .then_some(&mut self.wsum)
+            .into_iter()
+            .chain([&mut self.ax, &mut self.ay, &mut self.s])
+            .chain(quartic.into_iter().take(n))
+    }
+
     /// Snapshot of the difference `self − other`, i.e. the aggregates of
     /// `L \ U` (valid because `U ⊆ L`, proven in Lemma 5), together with
     /// the density polynomial's zeroth moment `n` of that set: its point

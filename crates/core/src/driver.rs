@@ -107,11 +107,69 @@ pub trait RowEngine {
         panic!("this row engine sweeps unit weights only");
     }
 
+    /// Sweeps the pixels `row.cols` of a row into `out` (`row.cols.len()`
+    /// values, bitwise those pixels of the whole-row sweep). The sweep
+    /// starts from `resume`, the row's state at `row.cols.start` as an
+    /// earlier call captured it, or from pixel 0 when `resume` is `None`.
+    /// At each pixel boundary of `marks` (ascending, within
+    /// `row.cols.start + 1..=row.cols.end`) it writes the row's state into
+    /// the next [`RowEngine::state_words`] words of `captured`.
+    ///
+    /// This default sweeps whole rows only, through
+    /// [`RowEngine::process_row`] or [`RowEngine::process_weighted_row`];
+    /// the bucket engine overrides it.
+    ///
+    /// # Panics
+    /// The default panics on a partial row, a `resume` or a `marks`.
+    fn sweep_span(
+        &mut self,
+        row: &RowSpan<'_>,
+        resume: Option<&[u64]>,
+        marks: &[usize],
+        captured: &mut [u64],
+        out: &mut [f64],
+    ) {
+        let _ = captured;
+        assert!(
+            row.cols == (0..row.xs.len()) && resume.is_none() && marks.is_empty(),
+            "this row engine sweeps whole rows only"
+        );
+        match row.weights {
+            Some(weights) => self.process_weighted_row(row.xs, row.k, row.intervals, weights, out),
+            None => self.process_row(row.xs, row.k, row.intervals, out),
+        }
+    }
+
+    /// Words of one row's state at a pixel boundary, as
+    /// [`RowEngine::sweep_span`] captures and resumes it, for a unit or a
+    /// weighted row (0: the engine cannot checkpoint).
+    fn state_words(&self, weighted: bool) -> usize {
+        let _ = weighted;
+        0
+    }
+
     /// Auxiliary heap bytes currently held by the engine (for the paper's
     /// space-consumption experiment, Figure 17).
     fn space_bytes(&self) -> usize {
         0
     }
+}
+
+/// One row as [`RowEngine::sweep_span`] sweeps it.
+#[derive(Debug, Clone)]
+pub struct RowSpan<'a> {
+    /// Recentred pixel centres of the whole row, strictly increasing.
+    pub xs: &'a [f64],
+    /// The pixels to sweep, a range of `xs`.
+    pub cols: Range<usize>,
+    /// Recentred row coordinate.
+    pub k: f64,
+    /// The row's envelope intervals in canonical order: all of them, or
+    /// any subsequence that keeps every interval with an endpoint event
+    /// inside `cols`.
+    pub intervals: &'a [SweepInterval],
+    /// Per-interval weights (`None`: unit weights).
+    pub weights: Option<&'a [f64]>,
 }
 
 /// Pre-processed, recentred inputs shared by every row of one computation.
@@ -177,13 +235,9 @@ impl SweepContext {
         Ok(ctx)
     }
 
-    /// Sweeps one row with `engine`: `intervals` were filled from `band`
-    /// (a range of the canonical order) at row coordinate `k`. A weighted
-    /// context hands the engine the band's weights.
-    ///
-    /// The row is swept over the pixel prefix `xs[..out.len()]`. A pixel's
-    /// density depends only on the events at or left of it, so a prefix
-    /// sweep yields exactly the first `out.len()` pixels of the full row.
+    /// Sweeps one whole row with `engine`: `intervals` were filled from
+    /// `band` (a range of the canonical order) at row coordinate `k`. A
+    /// weighted context hands the engine the band's weights.
     #[inline]
     pub(crate) fn sweep_row<E: RowEngine>(
         &self,
@@ -193,11 +247,18 @@ impl SweepContext {
         intervals: &[SweepInterval],
         out: &mut [f64],
     ) {
-        let xs = &self.xs[..out.len()];
         match &self.weights {
-            Some(weights) => engine.process_weighted_row(xs, k, intervals, &weights[band], out),
-            None => engine.process_row(xs, k, intervals, out),
+            Some(weights) => {
+                engine.process_weighted_row(&self.xs, k, intervals, &weights[band], out)
+            }
+            None => engine.process_row(&self.xs, k, intervals, out),
         }
+    }
+
+    /// Per-point weights in canonical order (`None`: unit weights).
+    #[inline]
+    pub fn weights(&self) -> Option<&[f64]> {
+        self.weights.as_deref()
     }
 
     /// Heap bytes held by the context (points, index, pixel coordinates,

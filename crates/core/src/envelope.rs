@@ -117,6 +117,29 @@ impl BandIndex {
         lo..hi
     }
 
+    /// Rebuilds `out` as the points of the sorted positions `range` whose
+    /// x-coordinate `keep` accepts, in their sorted order, so the bands of
+    /// `out` are subsequences of the bands of `self`. `out`'s
+    /// [`BandIndex::original_index`] is a point's sorted position in
+    /// `self`. Reuses `out`'s allocations.
+    pub fn select_into(
+        &self,
+        range: Range<usize>,
+        keep: impl Fn(f64) -> bool,
+        out: &mut BandIndex,
+    ) {
+        out.xs.clear();
+        out.ys.clear();
+        out.perm.clear();
+        for i in range {
+            if keep(self.xs[i]) {
+                out.xs.push(self.xs[i]);
+                out.ys.push(self.ys[i]);
+                out.perm.push(i as u32);
+            }
+        }
+    }
+
     /// Heap bytes an index over `n` points occupies: two `f64` coordinate
     /// arrays plus the `u32` permutation.
     pub const fn bytes_for(n: usize) -> usize {
@@ -132,9 +155,16 @@ impl BandIndex {
 
 /// Reusable buffer for envelope extraction; one allocation reused across
 /// all `Y` rows (the paper's O(n) extra space).
+///
+/// It also holds a *window*: the points of a band of rows that can reach
+/// a range of pixel columns, selected once per band by
+/// [`EnvelopeBuffer::set_window`] and filled per row by
+/// [`EnvelopeBuffer::fill_window`].
 #[derive(Debug, Default)]
 pub struct EnvelopeBuffer {
     intervals: Vec<SweepInterval>,
+    window: BandIndex,
+    window_weights: Vec<f64>,
 }
 
 impl EnvelopeBuffer {
@@ -150,7 +180,7 @@ impl EnvelopeBuffer {
 
     /// Pre-sizes the buffer for `n` points.
     pub fn with_capacity(n: usize) -> Self {
-        Self { intervals: Vec::with_capacity(n) }
+        Self { intervals: Vec::with_capacity(n), ..Self::default() }
     }
 
     /// The buffer every sweep driver should use for a dataset of `n`
@@ -202,13 +232,70 @@ impl EnvelopeBuffer {
         bandwidth: f64,
         k: f64,
     ) -> &[SweepInterval] {
-        self.intervals.clear();
+        Self::fill_into(&mut self.intervals, index, band, bandwidth, k);
+        &self.intervals
+    }
+
+    /// Selects the window of a band sweep over pixel columns
+    /// `x_lo..=x_hi` (recentred pixel centres): the points of the sorted
+    /// positions `range` of `index` that may have an interval endpoint
+    /// event at one of those pixels, with their weights when `weights`
+    /// (canonical order, like `index`) is given.
+    ///
+    /// A point is kept iff `x − r ≤ x_hi` and `x + r ≥ x_lo`, with
+    /// `r = sqrt(b²)` evaluated like the fill's `sqrt(b² − dy²)` at
+    /// `dy = 0`. Every interval's half-width `h` satisfies `h ≤ r`
+    /// (rounding is monotone), so `fl(x − h) ≥ fl(x − r)`: a dropped point
+    /// right of the window has `lb > x_hi` and activates right of it, and
+    /// one left of the window has `ub < x_lo` and deactivates before it.
+    /// Neither has an event inside the window, which is all a resumed or
+    /// prefix sweep of it reads (see [`crate::driver::RowSpan`]).
+    pub fn set_window(
+        &mut self,
+        index: &BandIndex,
+        weights: Option<&[f64]>,
+        range: Range<usize>,
+        bandwidth: f64,
+        x_lo: f64,
+        x_hi: f64,
+    ) {
+        let r = (bandwidth * bandwidth).sqrt();
+        index.select_into(range, |x| x - r <= x_hi && x + r >= x_lo, &mut self.window);
+        self.window_weights.clear();
+        if let Some(weights) = weights {
+            let sorted = &self.window.perm;
+            self.window_weights.extend(sorted.iter().map(|&i| weights[i as usize]));
+        }
+    }
+
+    /// [`EnvelopeBuffer::fill_banded`] over the window of the last
+    /// [`EnvelopeBuffer::set_window`]: the row's intervals whose points
+    /// are in the window, in canonical order, with their weights (empty
+    /// for a unit-weight window).
+    pub fn fill_window(&mut self, bandwidth: f64, k: f64) -> (&[SweepInterval], &[f64]) {
+        let band = self.window.band(bandwidth, k);
+        Self::fill_into(&mut self.intervals, &self.window, band.clone(), bandwidth, k);
+        let weights =
+            if self.window_weights.is_empty() { &[][..] } else { &self.window_weights[band] };
+        (&self.intervals, weights)
+    }
+
+    /// The fill shared by [`EnvelopeBuffer::fill_band`] and
+    /// [`EnvelopeBuffer::fill_window`].
+    fn fill_into(
+        intervals: &mut Vec<SweepInterval>,
+        index: &BandIndex,
+        band: Range<usize>,
+        bandwidth: f64,
+        k: f64,
+    ) {
+        intervals.clear();
         let b2 = bandwidth * bandwidth;
         let xs = &index.xs[band.clone()];
         let ys = &index.ys[band];
         // A zip of two slices has an exact length, so `extend` reserves
         // once and writes without a per-push capacity check.
-        self.intervals.extend(xs.iter().zip(ys).map(|(&x, &y)| {
+        intervals.extend(xs.iter().zip(ys).map(|(&x, &y)| {
             let dy = k - y;
             // Clamp with an explicit compare, never `f64::max`, whose `-0.0`
             // choice is representation-defined. For `BandIndex` bands the
@@ -219,7 +306,6 @@ impl EnvelopeBuffer {
             let half = rem.sqrt();
             SweepInterval { point: Point::new(x, y), lb: x - half, ub: x + half }
         }));
-        &self.intervals
     }
 
     /// The intervals from the most recent [`EnvelopeBuffer::fill`].
@@ -240,6 +326,8 @@ impl EnvelopeBuffer {
     /// Heap bytes currently held (space-consumption accounting).
     pub fn space_bytes(&self) -> usize {
         self.intervals.capacity() * std::mem::size_of::<SweepInterval>()
+            + self.window.space_bytes()
+            + self.window_weights.capacity() * std::mem::size_of::<f64>()
     }
 }
 

@@ -72,6 +72,19 @@ impl Kahan {
         self.sum + self.comp
     }
 
+    /// The running sum and its compensation as raw bits, in that order:
+    /// the whole state, for a sweep checkpoint.
+    #[inline(always)]
+    pub fn to_bits(&self) -> [u64; 2] {
+        [self.sum.to_bits(), self.comp.to_bits()]
+    }
+
+    /// The accumulator whose state [`Kahan::to_bits`] returned.
+    #[inline(always)]
+    pub fn from_bits([sum, comp]: [u64; 2]) -> Self {
+        Self { sum: f64::from_bits(sum), comp: f64::from_bits(comp) }
+    }
+
     /// Resets to zero without reallocating.
     #[inline]
     pub fn reset(&mut self) {

@@ -38,8 +38,10 @@
 //! interval contains, and the accumulators are periodically translated so
 //! every stored coordinate stays within `5b` of the frame origin.
 
+use std::ops::Range;
+
 use crate::aggregate::SweepAccumulator;
-use crate::driver::{sweep_grid, KdvParams, RowEngine};
+use crate::driver::{sweep_grid, KdvParams, RowEngine, RowSpan};
 use crate::envelope::SweepInterval;
 use crate::error::Result;
 use crate::geom::Point;
@@ -49,15 +51,16 @@ use crate::kernel::KernelType;
 /// End-of-list marker of the bucket lists.
 const NIL: u32 = u32::MAX;
 
-/// The row's buckets: intrusive singly linked lists over the interval
-/// array, one lower-bound and one upper-bound list per pixel.
-///
+/// The row's buckets for the swept pixels `s..e`: intrusive singly
+/// linked lists over the interval array, one lower-bound list per pixel
+/// and one upper-bound list per pixel boundary.
 #[derive(Debug, Default)]
 struct Buckets {
-    /// `head_l[i]` — first interval whose lower bound activates at pixel `i`
-    /// (index `X` = activates past the last pixel, i.e. never).
+    /// `head_l[i − s]` — first interval whose lower bound activates at
+    /// pixel `i`.
     head_l: Vec<u32>,
-    /// `head_u[i]` — first interval whose upper bound deactivates at pixel `i`.
+    /// `head_u[i − s]` — first interval whose upper bound deactivates
+    /// after pixel `i` (its upper bucket is `i + 1`).
     head_u: Vec<u32>,
     next_l: Vec<u32>,
     next_u: Vec<u32>,
@@ -69,13 +72,19 @@ impl Buckets {
     /// `bl == bu` means the interval contains no pixel centre: it would
     /// activate and deactivate at the same pixel, contributing nothing, so
     /// it is dropped here (saving work *and* rounding noise).
-    fn scatter(&mut self, xs: &[f64], intervals: &[SweepInterval]) {
+    ///
+    /// Buckets are computed against the whole row `xs`, whatever the
+    /// swept pixels `cols`, so an interval's buckets never depend on where
+    /// a sweep stops; only the events inside the sweep are linked: lower
+    /// buckets in `s..e`, upper buckets in `s + 1..=e`. Each list keeps
+    /// the interval order it has in a whole-row scatter.
+    fn scatter(&mut self, xs: &[f64], cols: Range<usize>, intervals: &[SweepInterval]) {
         let x_count = xs.len();
-        // Reset bucket heads: X+1 buckets, index X meaning "never".
+        let (s, n) = (cols.start, cols.len());
         self.head_l.clear();
-        self.head_l.resize(x_count + 1, NIL);
+        self.head_l.resize(n, NIL);
         self.head_u.clear();
-        self.head_u.resize(x_count + 1, NIL);
+        self.head_u.resize(n, NIL);
         self.next_l.clear();
         self.next_l.resize(intervals.len(), NIL);
         self.next_u.clear();
@@ -90,10 +99,17 @@ impl Buckets {
             if bl == bu {
                 continue;
             }
-            self.next_l[idx] = self.head_l[bl];
-            self.head_l[bl] = idx as u32;
-            self.next_u[idx] = self.head_u[bu];
-            self.head_u[bu] = idx as u32;
+            // `wrapping_sub` folds both range checks into one compare.
+            let l = bl.wrapping_sub(s);
+            if l < n {
+                self.next_l[idx] = self.head_l[l];
+                self.head_l[l] = idx as u32;
+            }
+            let u = bu.wrapping_sub(s + 1);
+            if u < n {
+                self.next_u[idx] = self.head_u[u];
+                self.head_u[u] = idx as u32;
+            }
         }
     }
 
@@ -171,88 +187,131 @@ impl BucketSweep {
     }
 
     /// Scatters the row's intervals, then runs the sweep pass with the
-    /// kernel's quartic choice; `weights` as in [`BucketSweep::sweep`].
+    /// kernel's quartic choice; arguments as in [`RowEngine::sweep_span`].
     fn run<const WEIGHTED: bool>(
         &mut self,
-        xs: &[f64],
-        k: f64,
-        intervals: &[SweepInterval],
-        weights: &[f64],
+        row: &RowSpan<'_>,
+        resume: Option<&[u64]>,
+        marks: &[usize],
+        captured: &mut [u64],
         out: &mut [f64],
     ) {
-        debug_assert_eq!(out.len(), xs.len());
+        assert!(
+            row.cols.start < row.cols.end && row.cols.end <= row.xs.len(),
+            "swept pixels must be a non-empty range of the row"
+        );
+        assert!(resume.is_some() || row.cols.start == 0, "a sweep right of pixel 0 must resume");
+        assert_eq!(out.len(), row.cols.len(), "output/swept-pixel mismatch");
         {
-            let _s = kdv_obs::span1("bucket.scatter", "intervals", intervals.len() as u64);
-            self.buckets.scatter(xs, intervals);
+            let _s = kdv_obs::span1("bucket.scatter", "intervals", row.intervals.len() as u64);
+            self.buckets.scatter(row.xs, row.cols.clone(), row.intervals);
         }
+        let weights = row.weights.unwrap_or(&[]);
         if self.kernel.needs_quartic_terms() {
-            self.sweep::<true, WEIGHTED>(xs, k, intervals, weights, out);
+            self.sweep::<true, WEIGHTED>(row, weights, resume, marks, captured, out);
         } else {
-            self.sweep::<false, WEIGHTED>(xs, k, intervals, weights, out);
+            self.sweep::<false, WEIGHTED>(row, weights, resume, marks, captured, out);
         }
     }
 
-    /// Sweep pass (lines 13–20 of Algorithm 2) over the scattered buckets.
+    /// Sweep pass (lines 13–20 of Algorithm 2) over the scattered buckets
+    /// of pixels `row.cols`.
     ///
     /// `QUARTIC` is `kernel.needs_quartic_terms()` as a compile-time
-    /// constant, and the `L`/`U` accumulators are locals of this call
-    /// (they are reset at every row start anyway). Together with the
-    /// accumulator methods being inlined, that lets the compiler drop the
-    /// six quartic sums from Epanechnikov/uniform rows and keep the live
-    /// sums in registers across the bucket drains. `WEIGHTED` is the
-    /// accumulators' weight source: `weights[i]` is the weight of
-    /// `intervals[i]` when it is set, and `weights` is not read otherwise.
+    /// constant, and the `L`/`U` accumulators are locals of this call.
+    /// Together with the accumulator methods being inlined, that lets the
+    /// compiler drop the six quartic sums from Epanechnikov/uniform rows
+    /// and keep the live sums in registers across the bucket drains.
+    /// `WEIGHTED` is the accumulators' weight source: `weights[i]` is the
+    /// weight of `row.intervals[i]` when it is set, and `weights` is not
+    /// read otherwise.
+    ///
+    /// The sweep's whole state between two pixels is `(L, U, frame_x)`
+    /// (Lemma 5): a pixel's density depends on the events at or left of
+    /// it only through that state. So a sweep resumed from the state a
+    /// whole-row sweep had at pixel `s` runs the same float program over
+    /// `s..e` as the whole-row sweep does, provided it sees the same
+    /// events there, which the whole-row buckets of [`Buckets::scatter`]
+    /// guarantee. The state is captured at each of `marks` by an
+    /// out-of-loop save, so a sweep with no marks runs the plain pixel loop.
     fn sweep<const QUARTIC: bool, const WEIGHTED: bool>(
         &self,
-        xs: &[f64],
-        k: f64,
-        intervals: &[SweepInterval],
+        row: &RowSpan<'_>,
         weights: &[f64],
+        resume: Option<&[u64]>,
+        marks: &[usize],
+        captured: &mut [u64],
         out: &mut [f64],
     ) {
+        let RowSpan { xs, k, intervals, .. } = *row;
+        let s = row.cols.start;
         debug_assert!(!WEIGHTED || weights.len() == intervals.len());
         // Each interval is visited at most once per side across the whole
         // row, so O(X + |E(k)|) total. Accumulation runs in the rolling
         // frame `(frame_x, k)` — see the module docs of `sweep_sort` for the
         // conditioning argument.
         let Buckets { head_l, head_u, next_l, next_u } = &self.buckets;
-        let mut l_acc = SweepAccumulator::<WEIGHTED>::new(QUARTIC);
-        let mut u_acc = SweepAccumulator::<WEIGHTED>::new(QUARTIC);
+        let side = SweepAccumulator::<WEIGHTED>::state_words(QUARTIC);
+        let (mut l_acc, mut u_acc, mut frame_x) = match resume {
+            Some(state) => (
+                SweepAccumulator::<WEIGHTED>::restore(&state[1..], QUARTIC),
+                SweepAccumulator::<WEIGHTED>::restore(&state[1 + side..], QUARTIC),
+                f64::from_bits(state[0]),
+            ),
+            None => (
+                SweepAccumulator::<WEIGHTED>::new(QUARTIC),
+                SweepAccumulator::<WEIGHTED>::new(QUARTIC),
+                xs[0],
+            ),
+        };
         let weight = |idx: usize| if WEIGHTED { weights[idx] } else { 1.0 };
         let shift_limit = 4.0 * self.bandwidth;
-        let mut frame_x = xs[0];
         let _span = kdv_obs::span("row.emit");
-        for (i, &x) in xs.iter().enumerate() {
-            if l_acc.count() == u_acc.count() {
-                // Active set is empty: restart clean at the pixel.
-                l_acc.reset();
-                u_acc.reset();
-                frame_x = x;
-            } else if x - frame_x > shift_limit {
-                let delta = x - frame_x;
-                l_acc.shift_x(delta);
-                u_acc.shift_x(delta);
-                frame_x = x;
+        let mut i = s;
+        let mut saved = captured.chunks_exact_mut(1 + 2 * side);
+        for stop in marks.iter().copied().chain(std::iter::once(row.cols.end)) {
+            debug_assert!(i <= stop && stop <= row.cols.end, "marks must ascend inside the sweep");
+            while i < stop {
+                let x = xs[i];
+                if l_acc.count() == u_acc.count() {
+                    // Active set is empty: restart clean at the pixel.
+                    l_acc.reset();
+                    u_acc.reset();
+                    frame_x = x;
+                } else if x - frame_x > shift_limit {
+                    let delta = x - frame_x;
+                    l_acc.shift_x(delta);
+                    u_acc.shift_x(delta);
+                    frame_x = x;
+                }
+                let mut cur = head_l[i - s];
+                while cur != NIL {
+                    let idx = cur as usize;
+                    let p = &intervals[idx].point;
+                    l_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
+                    cur = next_l[idx];
+                }
+                let (n, agg) = l_acc.diff(&u_acc);
+                let q = Point::new(x - frame_x, 0.0);
+                out[i - s] =
+                    self.kernel.density_from_moments(&q, n, &agg, self.bandwidth, self.weight);
+                // Deactivate intervals whose bucket is the next pixel — i.e.
+                // whose last contained pixel is the current one — while their
+                // coordinates are still within `b` of the sweep position.
+                let mut cur = head_u[i - s];
+                while cur != NIL {
+                    let idx = cur as usize;
+                    let p = &intervals[idx].point;
+                    u_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
+                    cur = next_u[idx];
+                }
+                i += 1;
             }
-            let mut cur = head_l[i];
-            while cur != NIL {
-                let idx = cur as usize;
-                let p = &intervals[idx].point;
-                l_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
-                cur = next_l[idx];
-            }
-            let (n, agg) = l_acc.diff(&u_acc);
-            let q = Point::new(x - frame_x, 0.0);
-            out[i] = self.kernel.density_from_moments(&q, n, &agg, self.bandwidth, self.weight);
-            // Deactivate intervals whose bucket is the next pixel — i.e.
-            // whose last contained pixel is the current one — while their
-            // coordinates are still within `b` of the sweep position.
-            let mut cur = head_u[i + 1];
-            while cur != NIL {
-                let idx = cur as usize;
-                let p = &intervals[idx].point;
-                u_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
-                cur = next_u[idx];
+            // The trailing stop is the sweep's end, not a mark.
+            if let Some(state) = saved.next() {
+                state[0] = frame_x.to_bits();
+                l_acc.save(&mut state[1..]);
+                u_acc.save(&mut state[1 + side..]);
             }
         }
     }
@@ -260,7 +319,8 @@ impl BucketSweep {
 
 impl RowEngine for BucketSweep {
     fn process_row(&mut self, xs: &[f64], k: f64, intervals: &[SweepInterval], out: &mut [f64]) {
-        self.run::<false>(xs, k, intervals, &[], out);
+        let row = RowSpan { xs, cols: 0..xs.len(), k, intervals, weights: None };
+        self.run::<false>(&row, None, &[], &mut [], out);
     }
 
     fn process_weighted_row(
@@ -271,7 +331,38 @@ impl RowEngine for BucketSweep {
         weights: &[f64],
         out: &mut [f64],
     ) {
-        self.run::<true>(xs, k, intervals, weights, out);
+        let row = RowSpan { xs, cols: 0..xs.len(), k, intervals, weights: Some(weights) };
+        self.run::<true>(&row, None, &[], &mut [], out);
+    }
+
+    fn sweep_span(
+        &mut self,
+        row: &RowSpan<'_>,
+        resume: Option<&[u64]>,
+        marks: &[usize],
+        captured: &mut [u64],
+        out: &mut [f64],
+    ) {
+        assert!(
+            captured.len() == marks.len() * self.state_words(row.weights.is_some()),
+            "captured states/marks mismatch"
+        );
+        match row.weights {
+            Some(_) => self.run::<true>(row, resume, marks, captured, out),
+            None => self.run::<false>(row, resume, marks, captured, out),
+        }
+    }
+
+    /// `frame_x` plus both accumulators' maintained sums: 15 words (120 B)
+    /// for a unit Epanechnikov or uniform row.
+    fn state_words(&self, weighted: bool) -> usize {
+        let quartic = self.kernel.needs_quartic_terms();
+        let side = if weighted {
+            SweepAccumulator::<true>::state_words(quartic)
+        } else {
+            SweepAccumulator::<false>::state_words(quartic)
+        };
+        1 + 2 * side
     }
 
     fn space_bytes(&self) -> usize {

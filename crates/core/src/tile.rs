@@ -59,7 +59,7 @@
 
 use std::ops::Range;
 
-use crate::driver::{KdvParams, RowEngine, SweepContext};
+use crate::driver::{KdvParams, RowEngine, RowSpan, SweepContext};
 use crate::envelope::EnvelopeBuffer;
 use crate::error::{KdvError, Result};
 use crate::geom::Point;
@@ -125,6 +125,15 @@ impl Tiling {
         start..(start + self.tile_size).min(self.res_y)
     }
 
+    /// The tile boundaries a band sweep over pixel columns `cols` crosses
+    /// and can checkpoint at: the left edges of tiles in
+    /// `cols.start + 1..=cols.end`, ascending. The raster's right edge is
+    /// not one: no sweep resumes there.
+    pub fn boundaries(&self, cols: Range<usize>) -> impl Iterator<Item = usize> {
+        let (end, size) = (cols.end.min(self.res_x - 1), self.tile_size);
+        (cols.start / size + 1..).map(move |tx| tx * size).take_while(move |&c| c <= end)
+    }
+
     /// Position of tile `(tx, ty)` in the row-major tile order emitted by
     /// [`compute_tiles`].
     #[inline]
@@ -188,10 +197,10 @@ impl Tile {
 /// results row-major into `out` (`rows.len() × ctx.xs.len()`). Rows whose
 /// envelope band is empty are skipped and set to exactly zero, as in
 /// [`crate::driver::sweep_grid`]. A weighted context sweeps each row with
-/// its band's weights. This is the canonical
-/// band computation shared by the monolithic and stitched drivers and the
-/// `kdv-serve` tile cache: running it for any row range produces the same
-/// bits the monolithic sweep produces for those rows.
+/// its band's weights. This is [`sweep_band`] over whole rows: the
+/// canonical band computation shared by the monolithic and stitched
+/// drivers and the `kdv-serve` tile cache, so running it for any row range
+/// produces the same bits the monolithic sweep produces for those rows.
 pub fn sweep_rows<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
@@ -200,28 +209,94 @@ pub fn sweep_rows<E: RowEngine>(
     envelope: &mut EnvelopeBuffer,
     out: &mut [f64],
 ) {
-    sweep_row_prefixes(ctx, bandwidth, rows, ctx.xs.len(), engine, envelope, out);
+    sweep_band(ctx, bandwidth, rows, 0..ctx.xs.len(), None, &[], engine, envelope, out);
 }
 
-/// [`sweep_rows`] over the pixel prefix `xs[..end]` of each row: `out`
-/// is `rows.len() × end`, and each of its rows is bitwise the first `end`
-/// pixels of the full row.
+/// The sweep state of every row of one band at one pixel boundary — the
+/// `(L, U, frame_x)` of paper Lemma 5 per row, packed into the words
+/// [`RowEngine::state_words`] names. A sweep that resumes from it at
+/// `boundary` computes bitwise the pixels a whole-row sweep computes
+/// right of `boundary`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BandCheckpoint {
+    /// The pixel column the state was taken at: the sweep had processed
+    /// pixels `..boundary` of each row.
+    pub boundary: usize,
+    /// Words per row.
+    row_words: usize,
+    /// Row-major states, one `row_words` chunk per row of the band
+    /// (all zero for a row whose envelope band is empty).
+    words: Vec<u64>,
+}
+
+impl BandCheckpoint {
+    /// Number of band rows held.
+    pub fn rows(&self) -> usize {
+        self.words.len().checked_div(self.row_words).unwrap_or(0)
+    }
+
+    /// Heap bytes held, counted like [`Tile::bytes`].
+    pub fn bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
+    }
+}
+
+/// The one band loop: sweeps pixels `cols` of each row of `rows` into
+/// `out` (`rows.len() × cols.len()`, row-major), bitwise those pixels of
+/// the whole-row sweeps, and returns the band's state at each boundary of
+/// `marks` (ascending, within `cols.start + 1..=cols.end`).
+///
+/// The sweep starts at pixel 0 when `resume` is `None` (then `cols` must
+/// start at 0), else from `resume`, a checkpoint of the same rows and
+/// context taken at `cols.start`. Unless `cols` is the whole row, each
+/// row's envelope is restricted to the window of points that can have an
+/// endpoint event in `cols`, selected once for the band
+/// ([`EnvelopeBuffer::set_window`]), so the per-interval work scales with
+/// the swept columns as well; the events inside `cols` are exactly the
+/// whole row's, so the bits are too. Whether a row is skipped as exactly
+/// zero is decided on its whole envelope band, as in [`sweep_rows`].
 ///
 /// # Panics
-/// Panics if `end` is zero or past the row, or if `out` is not
-/// `rows.len() × end`.
-pub fn sweep_row_prefixes<E: RowEngine>(
+/// Panics if `cols` is empty or leaves the row, if `out` is not
+/// `rows.len() × cols.len()`, if a sweep right of pixel 0 has nothing to
+/// resume from, or if `resume` or `marks` is given to an engine that
+/// cannot checkpoint.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep_band<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
     rows: Range<usize>,
-    end: usize,
+    cols: Range<usize>,
+    resume: Option<&BandCheckpoint>,
+    marks: &[usize],
     engine: &mut E,
     envelope: &mut EnvelopeBuffer,
     out: &mut [f64],
-) {
-    assert!((1..=ctx.xs.len()).contains(&end), "row prefix must be non-empty and inside the row");
-    assert_eq!(out.len(), rows.len() * end, "band buffer/row-range mismatch");
-    for (j, out) in rows.zip(out.chunks_exact_mut(end)) {
+) -> Vec<BandCheckpoint> {
+    let x_count = ctx.xs.len();
+    assert!(
+        cols.start < cols.end && cols.end <= x_count,
+        "swept pixels must be non-empty and inside the row"
+    );
+    assert_eq!(out.len(), rows.len() * cols.len(), "band buffer/row-range mismatch");
+    let weights = ctx.weights();
+    let row_words = engine.state_words(weights.is_some());
+    if let Some(from) = resume {
+        assert_eq!(from.boundary, cols.start, "checkpoint taken at another pixel");
+        assert_eq!(from.words.len(), rows.len() * row_words, "checkpoint of another band");
+    }
+    // Each row's states at the marks, row-major, regrouped by mark below.
+    let mut states = vec![0u64; rows.len() * marks.len() * row_words];
+    let windowed = cols.len() < x_count;
+    if windowed && !rows.is_empty() {
+        let (first, last) = (ctx.ks[rows.start], ctx.ks[rows.end - 1]);
+        let (a, b) = (ctx.index.band(bandwidth, first), ctx.index.band(bandwidth, last));
+        let points = a.start.min(b.start)..a.end.max(b.end);
+        let (x_lo, x_hi) = (ctx.xs[cols.start], ctx.xs[cols.end - 1]);
+        envelope.set_window(&ctx.index, weights, points, bandwidth, x_lo, x_hi);
+    }
+    let per_row = marks.len() * row_words;
+    for (slot, (j, out)) in rows.clone().zip(out.chunks_exact_mut(cols.len())).enumerate() {
         let k = ctx.ks[j];
         let band = {
             let _s = kdv_obs::span1("band.search", "row", j as u64);
@@ -231,15 +306,36 @@ pub fn sweep_row_prefixes<E: RowEngine>(
             out.fill(0.0);
             continue;
         }
-        let intervals = {
+        let (intervals, row_weights) = {
             let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-            let intervals = envelope.fill_band(&ctx.index, band.clone(), bandwidth, k);
+            let (intervals, row_weights) = if windowed {
+                let (intervals, w) = envelope.fill_window(bandwidth, k);
+                (intervals, weights.map(|_| w))
+            } else {
+                let w = weights.map(|w| &w[band.clone()]);
+                (envelope.fill_band(&ctx.index, band, bandwidth, k), w)
+            };
             s.arg("size", intervals.len() as u64);
-            intervals
+            (intervals, row_weights)
         };
         let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-        ctx.sweep_row(engine, band, k, intervals, out);
+        let row = RowSpan { xs: &ctx.xs, cols: cols.clone(), k, intervals, weights: row_weights };
+        let from = resume.map(|c| &c.words[slot * row_words..(slot + 1) * row_words]);
+        let captured = &mut states[slot * per_row..(slot + 1) * per_row];
+        engine.sweep_span(&row, from, marks, captured, out);
     }
+    marks
+        .iter()
+        .enumerate()
+        .map(|(m, &boundary)| {
+            let words = states
+                .chunks_exact(per_row.max(1))
+                .flat_map(|row| &row[m * row_words..(m + 1) * row_words])
+                .copied()
+                .collect();
+            BandCheckpoint { boundary, row_words, words }
+        })
+        .collect()
 }
 
 /// Computes one tile row band — the ordinary full-width row sweeps for
@@ -260,12 +356,10 @@ pub fn compute_band<E: RowEngine>(
 }
 
 /// Computes the tiles at columns `cols` of band `ty`, in the order
-/// given — the unit the `kdv-serve` tile server computes on a miss. Each
-/// row of the band is swept only over the pixel prefix that ends at the
-/// right edge of the rightmost requested tile, and only the requested
-/// tiles are sliced out. Every tile is bitwise the tile [`compute_band`]
-/// returns at that position. `band` is reusable scratch (resized as
-/// needed); an empty `cols` computes nothing.
+/// given: [`sweep_band`] from pixel 0 to the right edge of the rightmost
+/// requested tile, sliced into the requested tiles. Every tile is bitwise
+/// the tile [`compute_band`] returns at that position. `band` is reusable
+/// scratch (resized as needed); an empty `cols` computes nothing.
 ///
 /// # Panics
 /// Panics if a column is outside the tiling.
@@ -285,19 +379,20 @@ pub fn compute_band_tiles<E: RowEngine>(
     };
     assert!(last < tiling.tiles_x(), "tile column outside the tiling");
     let rows = tiling.tile_rows(ty);
-    let end = tiling.tile_cols(last).end;
+    let span = 0..tiling.tile_cols(last).end;
     let mut s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
-    s.arg("end", end as u64);
-    band.resize(rows.len() * end, 0.0);
-    sweep_row_prefixes(ctx, bandwidth, rows, end, engine, envelope, band);
-    slice_band_tiles(tiling, ty, end, cols, band)
+    s.arg("start", span.start as u64);
+    s.arg("end", span.end as u64);
+    band.resize(rows.len() * span.len(), 0.0);
+    sweep_band(ctx, bandwidth, rows, span.clone(), None, &[], engine, envelope, band);
+    slice_band_tiles(tiling, ty, span, cols, band)
 }
 
-/// Band accumulation — the streaming patch primitive. Runs the row
-/// sweeps for `rows` over the pixel prefix `xs[..end]` of `ctx` (a
-/// weighted context built over a *delta batch*, not the base set) into
-/// `scratch`, then folds the result elementwise into `out`, the
-/// `rows.len() × end` prefix band of the existing densities.
+/// Band accumulation — the streaming patch primitive. Sweeps the rows
+/// `rows` of `ctx` (a weighted context built over a *delta batch*, not
+/// the base set) from pixel 0 to `cols.end` into `scratch`, then folds
+/// its pixels `cols` elementwise into `out`, the `rows.len() ×
+/// cols.len()` band of the existing densities over those columns.
 ///
 /// Kernel sums are additive, so `base band + delta band` is the live
 /// band; signed weights make the same call an append (`+w`) or an
@@ -308,47 +403,50 @@ pub fn compute_band_tiles<E: RowEngine>(
 /// caller may elide it entirely without changing a bit. Both the cold
 /// rebuild path and the cached-tile patch path in `kdv-serve` go through
 /// this one function, which is what makes patch-then-serve bitwise-equal
-/// to rebuild-from-scratch by construction. A prefix fold is bitwise the
-/// first `end` pixels of the full-width fold, as for [`sweep_row_prefixes`].
+/// to rebuild-from-scratch by construction. Each folded pixel is
+/// bitwise that pixel of the full-width fold, as for [`sweep_band`].
 ///
 /// # Panics
-/// Panics if `end` is zero or past the row, or if `out` is not
-/// `rows.len() × end`.
+/// Panics if `cols` is empty or leaves the row, or if `out` is not
+/// `rows.len() × cols.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_rows<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
     rows: Range<usize>,
-    end: usize,
+    cols: Range<usize>,
     engine: &mut E,
     envelope: &mut EnvelopeBuffer,
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
-    assert_eq!(out.len(), rows.len() * end, "band buffer/row-range mismatch");
+    assert_eq!(out.len(), rows.len() * cols.len(), "band buffer/row-range mismatch");
     let _s =
         kdv_obs::span2("tile.patch", "rows", rows.len() as u64, "points", ctx.points.len() as u64);
+    let end = cols.end;
     scratch.resize(rows.len() * end, 0.0);
-    sweep_row_prefixes(ctx, bandwidth, rows, end, engine, envelope, scratch);
-    for (o, &d) in out.iter_mut().zip(scratch.iter()) {
-        if d != 0.0 {
-            *o += d;
+    sweep_band(ctx, bandwidth, rows, 0..end, None, &[], engine, envelope, scratch);
+    for (out, delta) in out.chunks_exact_mut(cols.len()).zip(scratch.chunks_exact(end)) {
+        for (o, &d) in out.iter_mut().zip(&delta[cols.clone()]) {
+            if d != 0.0 {
+                *o += d;
+            }
         }
     }
 }
 
 /// Cuts the tiles at columns `cols` of band `ty` (in the order given)
-/// out of `band`, the band's `rows × end` prefix buffer (as
-/// [`sweep_row_prefixes`] and [`accumulate_rows`] fill it) — pure memory
+/// out of `band`, the band's rows over pixel columns `span` (as
+/// [`sweep_band`] and [`accumulate_rows`] fill it) — pure memory
 /// movement, shared by [`compute_band_tiles`] and the `kdv-serve` patch
 /// and cold paths.
 ///
 /// # Panics
-/// Panics if a column ends past `end`.
+/// Panics if a column leaves `span`.
 pub fn slice_band_tiles(
     tiling: &Tiling,
     ty: usize,
-    end: usize,
+    span: Range<usize>,
     cols: &[usize],
     band: &[f64],
 ) -> Vec<Tile> {
@@ -357,10 +455,14 @@ pub fn slice_band_tiles(
     cols.iter()
         .map(|&tx| {
             let cols = tiling.tile_cols(tx);
-            assert!(cols.end <= end, "tile column past the band prefix");
+            assert!(
+                span.start <= cols.start && cols.end <= span.end,
+                "tile column outside the band's pixels"
+            );
+            let local = cols.start - span.start..cols.end - span.start;
             let mut values = Vec::with_capacity(cols.len() * height);
-            for row in band.chunks_exact(end).take(height) {
-                values.extend_from_slice(&row[cols.clone()]);
+            for row in band.chunks_exact(span.len()).take(height) {
+                values.extend_from_slice(&row[local.clone()]);
             }
             Tile::new(tx, ty, cols.len(), height, values)
         })
@@ -707,11 +809,13 @@ mod tests {
                 let mut fold = |end: usize| {
                     let BandWorkspace { engine, envelope, delta, .. } = &mut ws;
                     let mut out = vec![f64::NAN; 5 * end];
-                    sweep_row_prefixes(
+                    sweep_band(
                         &base,
                         params.bandwidth,
                         0..5,
-                        end,
+                        0..end,
+                        None,
+                        &[],
                         engine,
                         envelope,
                         &mut out,
@@ -721,7 +825,7 @@ mod tests {
                             batch,
                             params.bandwidth,
                             0..5,
-                            end,
+                            0..end,
                             engine,
                             envelope,
                             delta,
@@ -743,6 +847,217 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Points in two x-clusters with an empty gap between them (so some
+    /// pixels have an empty active set) and y below 50 (so the top rows
+    /// of a `5..70` raster have empty envelope bands).
+    fn clustered_points() -> Vec<Point> {
+        let mut state = 0xC4EC_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..300)
+            .map(|i| {
+                let x = if i % 2 == 0 { -12.0 + next() * 50.0 } else { 62.0 + next() * 30.0 };
+                Point::new(x, 3.0 + next() * 47.0)
+            })
+            .collect()
+    }
+
+    /// Decoded `(frame_x, l.count, u.count)` of one row of a checkpoint.
+    fn frame_and_counts(c: &BandCheckpoint, slot: usize) -> (f64, u64, u64) {
+        let w = &c.words[slot * c.row_words..(slot + 1) * c.row_words];
+        let side = (c.row_words - 1) / 2;
+        (f64::from_bits(w[0]), w[1], w[1 + side])
+    }
+
+    #[test]
+    fn resumed_band_sweeps_equal_whole_row_sweeps_bitwise() {
+        // The tile server resumes a cold tile run from the band's state at a
+        // tile boundary: for every kernel, unit and weighted rows, any
+        // checkpoint `s` and any end `e`, `resume(checkpoint(s), s..e)` is
+        // bitwise pixels `s..e` of the whole-row sweep, and its state at `e`
+        // is the whole-row sweep's state at `e`.
+        let pts = clustered_points();
+        let weights: Vec<f64> = (0..pts.len()).map(|i| 0.25 + (i % 7) as f64 * 0.5).collect();
+        let mut state = 0x5EED_C0DE_u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as usize % n
+        };
+        let (mut empty_active, mut after_shift, mut empty_rows) = (0, 0, 0);
+        for width in [1, 97, 331, 2560] {
+            for kernel in KernelType::ALL {
+                let grid = GridSpec::new(Rect::new(-10.0, 5.0, 90.0, 70.0), width, 7).unwrap();
+                let params = KdvParams::new(grid, kernel, 6.0).with_weight(0.004);
+                for ctx in [
+                    SweepContext::new(&params, &pts).unwrap(),
+                    SweepContext::weighted(&params, &pts, &weights).unwrap(),
+                ] {
+                    let what =
+                        format!("{kernel:?} width {width} weighted {}", ctx.weights().is_some());
+                    let mut engine = BucketSweep::new(kernel, params.bandwidth, params.weight);
+                    let mut envelope = EnvelopeBuffer::new();
+                    let marks: Vec<usize> = (1..=width).collect();
+                    let mut whole = vec![f64::NAN; 7 * width];
+                    sweep_rows(&ctx, 6.0, 0..7, &mut engine, &mut envelope, &mut whole);
+                    let mut full = vec![f64::NAN; 7 * width];
+                    let at = sweep_band(
+                        &ctx,
+                        6.0,
+                        0..7,
+                        0..width,
+                        None,
+                        &marks,
+                        &mut engine,
+                        &mut envelope,
+                        &mut full,
+                    );
+                    assert_eq!(bits(&full), bits(&whole), "{what}: capturing changed the sweep");
+                    empty_rows +=
+                        (0..7).filter(|&j| ctx.index.band(6.0, ctx.ks[j]).is_empty()).count();
+                    for c in &at {
+                        for slot in 0..7 {
+                            let (frame_x, l, u) = frame_and_counts(c, slot);
+                            empty_active += usize::from(l == u && l > 0);
+                            after_shift += usize::from(l != u && frame_x == ctx.xs[c.boundary - 1]);
+                        }
+                    }
+                    let mut starts = vec![0, width - 1];
+                    starts.extend((0..10).map(|_| below(width)));
+                    for s in starts {
+                        let mut ends = vec![s + 1, width];
+                        ends.extend((0..3).map(|_| s + 1 + below(width - s)));
+                        for e in ends {
+                            let resume = s.checked_sub(1).map(|i| &at[i]);
+                            let mut got = vec![f64::NAN; 7 * (e - s)];
+                            let end_state = sweep_band(
+                                &ctx,
+                                6.0,
+                                0..7,
+                                s..e,
+                                resume,
+                                &[e],
+                                &mut engine,
+                                &mut envelope,
+                                &mut got,
+                            );
+                            for j in 0..7 {
+                                assert_eq!(
+                                    bits(&got[j * (e - s)..(j + 1) * (e - s)]),
+                                    bits(&whole[j * width + s..j * width + e]),
+                                    "{what} row {j}: resumed {s}..{e}"
+                                );
+                            }
+                            assert_eq!(
+                                end_state,
+                                [at[e - 1].clone()],
+                                "{what}: state at {e} from {s}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(empty_active > 0, "no checkpoint fell on an empty active set");
+        assert!(after_shift > 0, "no checkpoint fell just after a frame shift");
+        assert!(empty_rows > 0, "no row had an empty band");
+    }
+
+    #[test]
+    fn windowed_envelopes_sweep_like_whole_envelopes_bitwise() {
+        // A sweep over `s..e` reads only the intervals with an event inside
+        // it, so the band's x-window may drop every other point: the engine
+        // gives the same bits from the windowed envelope as from the whole
+        // one, resumed or from pixel 0, unit and weighted.
+        let pts = clustered_points();
+        let weights: Vec<f64> = (0..pts.len()).map(|i| 0.5 + (i % 5) as f64 * 0.25).collect();
+        for width in [97, 331] {
+            for kernel in KernelType::ALL {
+                let grid = GridSpec::new(Rect::new(-10.0, 5.0, 90.0, 70.0), width, 4).unwrap();
+                let params = KdvParams::new(grid, kernel, 6.0).with_weight(0.004);
+                for ctx in [
+                    SweepContext::new(&params, &pts).unwrap(),
+                    SweepContext::weighted(&params, &pts, &weights).unwrap(),
+                ] {
+                    let mut engine = BucketSweep::new(kernel, 6.0, params.weight);
+                    let mut envelope = EnvelopeBuffer::new();
+                    let marks: Vec<usize> = (1..width).collect();
+                    let mut full = vec![0.0; 4 * width];
+                    let at = sweep_band(
+                        &ctx,
+                        6.0,
+                        0..4,
+                        0..width,
+                        None,
+                        &marks,
+                        &mut engine,
+                        &mut envelope,
+                        &mut full,
+                    );
+                    let words = engine.state_words(ctx.weights().is_some());
+                    for (s, e) in [(0, width / 3), (width / 3, width / 2), (width / 2, width)] {
+                        let mut windowed = vec![0.0; 4 * (e - s)];
+                        let resume = s.checked_sub(1).map(|i| &at[i]);
+                        sweep_band(
+                            &ctx,
+                            6.0,
+                            0..4,
+                            s..e,
+                            resume,
+                            &[],
+                            &mut engine,
+                            &mut envelope,
+                            &mut windowed,
+                        );
+                        let mut kept = 0;
+                        for (slot, j) in (0..4).enumerate() {
+                            let k = ctx.ks[j];
+                            let band = ctx.index.band(6.0, k);
+                            if band.is_empty() {
+                                continue;
+                            }
+                            let intervals =
+                                envelope.fill_band(&ctx.index, band.clone(), 6.0, k).to_vec();
+                            let row = RowSpan {
+                                xs: &ctx.xs,
+                                cols: s..e,
+                                k,
+                                intervals: &intervals,
+                                weights: ctx.weights().map(|w| &w[band]),
+                            };
+                            let from = resume.map(|c| &c.words[slot * words..(slot + 1) * words]);
+                            let mut whole = vec![0.0; e - s];
+                            engine.sweep_span(&row, from, &[], &mut [], &mut whole);
+                            assert_eq!(
+                                bits(&windowed[slot * (e - s)..(slot + 1) * (e - s)]),
+                                bits(&whole),
+                                "{kernel:?} width {width} row {j}: {s}..{e}"
+                            );
+                            kept += intervals.len();
+                        }
+                        assert!(kept > 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundaries_are_the_tile_edges_a_sweep_crosses() {
+        let t = Tiling::new(100, 8, 16).unwrap();
+        let b = |cols: Range<usize>| t.boundaries(cols).collect::<Vec<_>>();
+        assert_eq!(b(0..100), [16, 32, 48, 64, 80, 96]);
+        assert_eq!(b(16..48), [32, 48]);
+        assert_eq!(b(17..47), [32]);
+        assert_eq!(b(96..100), Vec::<usize>::new(), "the raster's right edge is no boundary");
+        assert_eq!(b(0..16), [16]);
     }
 
     #[test]

@@ -218,7 +218,7 @@ fn weighted_renders(scene: &Scene, kernel: KernelType) -> Vec<(String, DensityGr
         &batch,
         scene.bandwidth,
         rows.clone(),
-        res_x,
+        0..res_x,
         &mut engine,
         &mut envelope,
         &mut Vec::new(),

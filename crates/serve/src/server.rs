@@ -81,7 +81,7 @@ use std::time::Instant;
 use kdv_core::driver::{KdvParams, SweepContext};
 use kdv_core::parallel::for_each_index_with;
 use kdv_core::telemetry::SweepReport;
-use kdv_core::tile::{self, slice_band_tiles, sweep_row_prefixes, BandWorkspace, Tile, Tiling};
+use kdv_core::tile::{self, slice_band_tiles, sweep_band, BandWorkspace, Tile, Tiling};
 use kdv_core::{DensityGrid, KdvError, KernelType, Point, Result};
 use kdv_coreset::{Coreset, CoresetMethod, CoresetSpec};
 use kdv_obs::RequestClass;
@@ -651,12 +651,14 @@ impl TileServer {
 
         for (from, group) in patches {
             let mut span = kdv_obs::span2("serve.patch", "ty", ty as u64, "from", from);
-            let end = group.last().map_or(0, |&(_, tx, _)| req.tiling.tile_cols(tx).end);
-            ws.band.resize(rows.len() * end, 0.0);
+            let (first, last) = (group[0].1, group[group.len() - 1].1);
+            let pixels = req.tiling.tile_cols(first).start..req.tiling.tile_cols(last).end;
+            ws.band.resize(rows.len() * pixels.len(), 0.0);
             for (_, tx, tile) in &group {
                 let cols = req.tiling.tile_cols(*tx);
-                for (j, row) in ws.band.chunks_exact_mut(end).enumerate() {
-                    row[cols.clone()].copy_from_slice(tile.row(j));
+                let local = cols.start - pixels.start..cols.end - pixels.start;
+                for (j, row) in ws.band.chunks_exact_mut(pixels.len()).enumerate() {
+                    row[local.clone()].copy_from_slice(tile.row(j));
                 }
             }
             let offset = 1 + (from - req.snapshot.epoch_generation) as usize;
@@ -664,13 +666,13 @@ impl TileServer {
                 req.params,
                 req.snapshot.batches_since(from),
                 rows.clone(),
-                end,
+                pixels.clone(),
                 ws,
                 |i, _| Ok(Arc::clone(&req.contexts[offset + i])),
             )?;
             span.arg("folded", folded);
             let cols: Vec<usize> = group.iter().map(|&(_, tx, _)| tx).collect();
-            let fresh = slice_band_tiles(req.tiling, ty, end, &cols, &ws.band);
+            let fresh = slice_band_tiles(req.tiling, ty, pixels, &cols, &ws.band);
             for ((mut lease, tx, _), tile) in group.into_iter().zip(fresh) {
                 let tile = Arc::new(tile);
                 let old = self.key(zoom, tx, ty, from);
@@ -693,26 +695,33 @@ impl TileServer {
         }
 
         if let Some(&(_, last)) = cold.last() {
-            let end = req.tiling.tile_cols(last).end;
+            let pixels = 0..req.tiling.tile_cols(last).end;
             let mut s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
-            s.arg("end", end as u64);
-            ws.band.resize(rows.len() * end, 0.0);
+            s.arg("start", pixels.start as u64);
+            s.arg("end", pixels.end as u64);
+            ws.band.resize(rows.len() * pixels.len(), 0.0);
             let BandWorkspace { engine, envelope, band, .. } = ws;
-            sweep_row_prefixes(
+            sweep_band(
                 &req.contexts[0],
                 self.config.bandwidth,
                 rows.clone(),
-                end,
+                pixels.clone(),
+                None,
+                &[],
                 engine,
                 envelope,
                 band,
             );
-            let (folded, _) =
-                fold_batches(req.params, &req.snapshot.batches, rows, end, ws, |i, _| {
-                    Ok(Arc::clone(&req.contexts[1 + i]))
-                })?;
+            let (folded, _) = fold_batches(
+                req.params,
+                &req.snapshot.batches,
+                rows,
+                pixels.clone(),
+                ws,
+                |i, _| Ok(Arc::clone(&req.contexts[1 + i])),
+            )?;
             let cols: Vec<usize> = cold.iter().map(|&(_, tx)| tx).collect();
-            let fresh = slice_band_tiles(req.tiling, ty, end, &cols, &ws.band);
+            let fresh = slice_band_tiles(req.tiling, ty, pixels, &cols, &ws.band);
             for ((mut lease, tx), tile) in cold.into_iter().zip(fresh) {
                 let tile = Arc::new(tile);
                 req.record(

@@ -31,6 +31,7 @@
 //! conformance oracle compares against.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use kdv_core::driver::{validate_points, KdvParams, SweepContext};
@@ -343,14 +344,15 @@ impl StreamingPointSet {
 }
 
 /// Folds every batch of `batches` into `workspace.band`, the row band
-/// of rows `row_range` of the raster over the pixel prefix `xs[..end]`
-/// (`row_range.len() × end`), in batch order, skipping batches outside
+/// of rows `rows` of the raster over pixel columns `cols`
+/// (`rows.len() × cols.len()`), in batch order, skipping batches outside
 /// the band's bandwidth radius. This is the one fold both the cold
 /// rebuild and the serve layer's cached-tile patch run — the shared
-/// float program that makes them bitwise-equal. A prefix fold is bitwise
-/// the first `end` pixels of each row of the full-width fold (see
-/// [`kdv_core::tile::accumulate_rows`]), so a tile can be patched over
-/// the prefix that ends at its right edge.
+/// float program that makes them bitwise-equal. Each folded pixel is
+/// bitwise that pixel of the full-width fold (see
+/// [`kdv_core::tile::accumulate_rows`], whose batch sweeps start at pixel
+/// 0), so a tile can be patched, or a resumed cold run folded, over just
+/// its own columns.
 ///
 /// `context_for` supplies (or caches) the per-batch weighted sweep
 /// context ([`batch_context`]), called with each folded batch's index
@@ -362,8 +364,8 @@ impl StreamingPointSet {
 pub fn fold_batches(
     params: &KdvParams,
     batches: &[Arc<DeltaBatch>],
-    rows: std::ops::Range<usize>,
-    end: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
     workspace: &mut BandWorkspace,
     mut context_for: impl FnMut(usize, &DeltaBatch) -> Result<Arc<SweepContext>>,
 ) -> Result<(u64, u64)> {
@@ -382,7 +384,8 @@ pub fn fold_batches(
             continue;
         }
         let ctx = context_for(i, batch)?;
-        accumulate_rows(&ctx, params.bandwidth, rows.clone(), end, engine, envelope, delta, band);
+        let (rows, cols) = (rows.clone(), cols.clone());
+        accumulate_rows(&ctx, params.bandwidth, rows, cols, engine, envelope, delta, band);
         folded += 1;
     }
     Ok((folded, skipped))
@@ -412,7 +415,7 @@ pub fn rebuild_grid(params: &KdvParams, snapshot: &StreamSnapshot) -> Result<Den
         &mut ws.envelope,
         &mut ws.band,
     );
-    fold_batches(params, &snapshot.batches, rows, params.grid.res_x, &mut ws, |_, batch| {
+    fold_batches(params, &snapshot.batches, rows, 0..params.grid.res_x, &mut ws, |_, batch| {
         Ok(Arc::new(batch_context(params, batch)?))
     })?;
     Ok(DensityGrid::from_values(params.grid.res_x, params.grid.res_y, ws.band))
@@ -421,6 +424,7 @@ pub fn rebuild_grid(params: &KdvParams, snapshot: &StreamSnapshot) -> Result<Den
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdv_core::tile::sweep_band;
     use kdv_core::{GridSpec, KernelType, Rect};
 
     fn params() -> KdvParams {
@@ -553,17 +557,20 @@ mod tests {
         for (rows, end) in [(0..24, 1), (3..9, 7), (10..24, 13), (5..6, 24), (0..24, 24)] {
             ws.band.resize(rows.len() * end, 0.0);
             let BandWorkspace { engine, envelope, band, .. } = &mut ws;
-            kdv_core::tile::sweep_row_prefixes(
+            let (rows, cols) = (rows.clone(), 0..end);
+            sweep_band(
                 &ctx,
                 p.bandwidth,
                 rows.clone(),
-                end,
+                cols.clone(),
+                None,
+                &[],
                 engine,
                 envelope,
                 band,
             );
             let (folded, _) =
-                fold_batches(&p, &snapshot.batches, rows.clone(), end, &mut ws, |_, b| {
+                fold_batches(&p, &snapshot.batches, rows.clone(), cols, &mut ws, |_, b| {
                     Ok(Arc::new(batch_context(&p, b)?))
                 })
                 .unwrap();

@@ -131,7 +131,7 @@ proptest! {
             &params,
             &missing,
             0..params.grid.res_y,
-            params.grid.res_x,
+            0..params.grid.res_x,
             &mut workspace,
             |_, batch| Ok(Arc::new(batch_context(&params, batch)?)),
         ).unwrap();
