@@ -194,7 +194,7 @@ fn main() {
     }
     println!(
         "saturation (1 worker, depth-2 queue): {} accepted, {shed} shed with explicit QueueFull",
-        sat.stats().submitted()
+        sat.stats().submitted() - shed
     );
 
     let now = std::time::SystemTime::now()

@@ -419,9 +419,8 @@ fn top_line(slo: &SloTracker, cache: &CacheSampler) -> String {
     let lookups = hits + misses;
     let hit_rate = if lookups == 0 { 0.0 } else { 100.0 * hits as f64 / lookups as f64 };
     let shed = counter("serve.shed.queue_full") + counter("serve.shed.deadline");
-    let inflight = counter("serve.submitted")
-        .saturating_sub(counter("serve.completed"))
-        .saturating_sub(counter("serve.shed.deadline"));
+    let inflight =
+        counter("serve.submitted").saturating_sub(counter("serve.completed")).saturating_sub(shed);
     let lag = gauge("stream.generation").saturating_sub(gauge("serve.generation"));
     let qps = requests as f64 / (slo.window_ns() as f64 / 1e9);
     let mut out = format!("[top] qps {qps:.1}{tiers}");

@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use kdv_core::tile::Tile;
+use kdv_core::tile::{BandCheckpoint, Tile};
 use kdv_core::KernelType;
 
 use crate::pyramid::TileCoord;
@@ -124,6 +124,44 @@ impl TileKey {
     }
 }
 
+/// Key of a band sweep checkpoint ([`BandCheckpoint`]): the state of the
+/// sweep of band `coord.ty` at the left edge of tile column `coord.tx`,
+/// over the epoch base whose generation is `generation` (a checkpoint is
+/// of the base sweep only, so every generation of an epoch shares it).
+/// Every other field keys the computation as for a tile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CheckpointKey(pub TileKey);
+
+/// A cache entry's key: tiles and checkpoints never alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum EntryKey {
+    Tile(TileKey),
+    Checkpoint(CheckpointKey),
+}
+
+/// A cached value.
+#[derive(Debug, Clone)]
+enum Entry {
+    Tile(Arc<Tile>),
+    Checkpoint(Arc<BandCheckpoint>),
+}
+
+impl Entry {
+    fn bytes(&self) -> usize {
+        match self {
+            Entry::Tile(tile) => tile.bytes(),
+            Entry::Checkpoint(checkpoint) => checkpoint.bytes(),
+        }
+    }
+
+    fn tile(&self) -> Option<&Arc<Tile>> {
+        match self {
+            Entry::Tile(tile) => Some(tile),
+            Entry::Checkpoint(_) => None,
+        }
+    }
+}
+
 /// What a [`TileCache::lookup`] found.
 #[derive(Debug, Clone)]
 pub enum Lookup {
@@ -156,6 +194,11 @@ pub enum Lookup {
 /// hit rate lie about how much sweep work streaming actually saved.
 /// Counting at lookup time makes `hits + misses + patched` equal the
 /// lookups, for one request and in total.
+///
+/// Checkpoint lookups ([`TileCache::nearest_checkpoint`]) count only
+/// under `checkpoint_hits` / `checkpoint_misses`, so the tile counters
+/// keep counting tiles. Evictions and rejections count entries of either
+/// kind: both spend the one byte budget.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: kdv_obs::Counter,
@@ -163,6 +206,8 @@ pub struct CacheStats {
     evictions: kdv_obs::Counter,
     rejected: kdv_obs::Counter,
     patched: kdv_obs::Counter,
+    checkpoint_hits: kdv_obs::Counter,
+    checkpoint_misses: kdv_obs::Counter,
 }
 
 impl CacheStats {
@@ -191,6 +236,16 @@ impl CacheStats {
     /// patched forward — reused bits, neither hits nor misses.
     pub fn patched(&self) -> u64 {
         self.patched.get()
+    }
+
+    /// Checkpoint lookups that found a checkpoint to resume from.
+    pub fn checkpoint_hits(&self) -> u64 {
+        self.checkpoint_hits.get()
+    }
+
+    /// Checkpoint lookups that found none.
+    pub fn checkpoint_misses(&self) -> u64 {
+        self.checkpoint_misses.get()
     }
 
     /// Test hook: forces the raw counter values (e.g. to the `u64`
@@ -245,8 +300,8 @@ const EMPTY: List = List { head: NIL, tail: NIL, bytes: 0 };
 /// One cache node: the entry plus its segment and position in that
 /// segment's recency list.
 struct Node {
-    key: TileKey,
-    tile: Arc<Tile>,
+    key: EntryKey,
+    entry: Entry,
     bytes: usize,
     seg: Segment,
     prev: usize,
@@ -260,7 +315,7 @@ struct Node {
 /// probation. Eviction takes the probation tail; protected entries leave
 /// only through demotion. All operations are O(1) amortised.
 struct Shard {
-    map: HashMap<TileKey, usize>,
+    map: HashMap<EntryKey, usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     lists: [List; 2],
@@ -313,11 +368,11 @@ impl Shard {
         node.next = head;
     }
 
-    /// Unlinks and frees a node, releasing its tile buffer.
+    /// Unlinks and frees a node, releasing its buffer.
     fn release(&mut self, idx: usize) -> Segment {
         self.unlink(idx);
         self.map.remove(&self.nodes[idx].key);
-        self.nodes[idx].tile = Arc::new(Tile::new(0, 0, 0, 0, Vec::new()));
+        self.nodes[idx].entry = Entry::Tile(Arc::new(Tile::new(0, 0, 0, 0, Vec::new())));
         self.free.push(idx);
         self.nodes[idx].seg
     }
@@ -332,16 +387,21 @@ impl Shard {
         }
     }
 
-    fn get(&mut self, key: &TileKey) -> Option<Arc<Tile>> {
+    fn get(&mut self, key: &EntryKey) -> Option<Entry> {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx, Segment::Protected);
         self.demote_overflow();
-        Some(Arc::clone(&self.nodes[idx].tile))
+        Some(self.nodes[idx].entry.clone())
+    }
+
+    /// The entry under `key`, without touching recency.
+    fn peek(&self, key: &EntryKey) -> Option<&Entry> {
+        self.map.get(key).map(|&idx| &self.nodes[idx].entry)
     }
 
     /// Removes an entry if present, returning the segment it was in.
-    fn remove(&mut self, key: &TileKey) -> Option<Segment> {
+    fn remove(&mut self, key: &EntryKey) -> Option<Segment> {
         let idx = *self.map.get(key)?;
         Some(self.release(idx))
     }
@@ -349,17 +409,17 @@ impl Shard {
     /// Inserts an entry into `seg`, or refreshes it in the hotter of its
     /// own segment and `seg`, then evicts until the shard fits its
     /// budget. Returns the number of evictions.
-    fn insert(&mut self, key: TileKey, tile: Arc<Tile>, seg: Segment) -> u64 {
-        let bytes = tile.bytes();
+    fn insert(&mut self, key: EntryKey, entry: Entry, seg: Segment) -> u64 {
+        let bytes = entry.bytes();
         if let Some(&idx) = self.map.get(&key) {
             // refresh: same key recomputed (identical bits by construction)
             self.unlink(idx);
             let seg = seg.max(self.nodes[idx].seg);
-            self.nodes[idx].tile = tile;
+            self.nodes[idx].entry = entry;
             self.nodes[idx].bytes = bytes;
             self.push_front(idx, seg);
         } else {
-            let node = Node { key, tile, bytes, seg, prev: NIL, next: NIL };
+            let node = Node { key, entry, bytes, seg, prev: NIL, next: NIL };
             let idx = match self.free.pop() {
                 Some(i) => {
                     self.nodes[i] = node;
@@ -425,13 +485,24 @@ impl TileCache {
         }
     }
 
-    /// The shard of a tile. Its generation is left out of the hash, so
-    /// every generation of a tile shares one shard and a lookup finds a
-    /// stale generation under the same lock.
-    fn shard_of(&self, key: &TileKey) -> MutexGuard<'_, Shard> {
+    /// The shard of an entry. A tile's generation is left out of the
+    /// hash, so every generation of a tile shares one shard and a lookup
+    /// finds a stale generation under the same lock; a checkpoint's
+    /// column is left out too, so every boundary of a band's sweep shares
+    /// one shard and [`TileCache::nearest_checkpoint`] searches them under
+    /// one lock.
+    fn shard_of(&self, key: &EntryKey) -> MutexGuard<'_, Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        (key.dataset, key.kernel, key.bandwidth_bits, key.weight_bits, key.coord, key.tier)
-            .hash(&mut h);
+        match key {
+            EntryKey::Tile(k) => {
+                (k.dataset, k.kernel, k.bandwidth_bits, k.weight_bits, k.coord, k.tier).hash(&mut h)
+            }
+            EntryKey::Checkpoint(CheckpointKey(k)) => {
+                let band = (k.coord.zoom, k.coord.ty, k.generation);
+                (k.dataset, k.kernel, k.bandwidth_bits, k.weight_bits, band, k.tier, 1u8)
+                    .hash(&mut h)
+            }
+        }
         // high bits pick the shard so shard choice stays independent of
         // the map's own bucket choice (which uses the low bits)
         self.lock(&self.shards[((h.finish() >> 32) & self.shard_mask) as usize])
@@ -469,15 +540,15 @@ impl TileCache {
     pub fn lookup(&self, key: &TileKey, oldest: u64) -> Lookup {
         let mut span = kdv_obs::span("cache.lookup");
         let found = {
-            let mut shard = self.shard_of(key);
-            match shard.get(key) {
-                Some(tile) => Lookup::Hit(tile),
-                None => (oldest..key.generation)
+            let mut shard = self.shard_of(&EntryKey::Tile(*key));
+            match shard.get(&EntryKey::Tile(*key)) {
+                Some(Entry::Tile(tile)) => Lookup::Hit(tile),
+                _ => (oldest..key.generation)
                     .rev()
                     .find_map(|generation| {
-                        let stale = TileKey { generation, ..*key };
-                        let idx = *shard.map.get(&stale)?;
-                        Some(Lookup::Stale(generation, Arc::clone(&shard.nodes[idx].tile)))
+                        let stale = EntryKey::Tile(TileKey { generation, ..*key });
+                        let tile = shard.peek(&stale)?.tile()?;
+                        Some(Lookup::Stale(generation, Arc::clone(tile)))
                     })
                     .unwrap_or(Lookup::Miss),
             }
@@ -496,8 +567,8 @@ impl TileCache {
 
     /// Peeks without touching recency or counters (used by assertions).
     pub fn peek(&self, key: &TileKey) -> Option<Arc<Tile>> {
-        let shard = self.shard_of(key);
-        shard.map.get(key).copied().map(|idx| Arc::clone(&shard.nodes[idx].tile))
+        let key = EntryKey::Tile(*key);
+        self.shard_of(&key).peek(&key).and_then(Entry::tile).cloned()
     }
 
     /// Inserts a computed tile at the head of probation (a refreshed key
@@ -510,13 +581,61 @@ impl TileCache {
     /// can attribute displacement to themselves instead of diffing the
     /// global counters (which misattributes under concurrency).
     pub fn insert(&self, key: TileKey, tile: Arc<Tile>) -> InsertOutcome {
-        let mut span = kdv_obs::span1("cache.insert", "bytes", tile.bytes() as u64);
-        if tile.bytes() > self.shard_budget {
+        self.admit(EntryKey::Tile(key), Entry::Tile(tile))
+    }
+
+    /// Inserts a band sweep checkpoint like a tile ([`TileCache::insert`]):
+    /// at the head of probation, under the same byte budget, counted the
+    /// same way when it is rejected or displaces entries.
+    pub fn insert_checkpoint(
+        &self,
+        key: CheckpointKey,
+        checkpoint: Arc<BandCheckpoint>,
+    ) -> InsertOutcome {
+        self.admit(EntryKey::Checkpoint(key), Entry::Checkpoint(checkpoint))
+    }
+
+    /// The checkpoint nearest left of `key`'s column: the one at column
+    /// `key.0.coord.tx`, else `tx − 1`, down to column `floor`, searched
+    /// under one shard lock. A checkpoint found moves to the head of the
+    /// protected segment, like a tile hit, so this request's own inserts
+    /// cannot evict it before it is used. Counts one checkpoint hit or
+    /// miss, never a tile lookup.
+    pub fn nearest_checkpoint(
+        &self,
+        key: &CheckpointKey,
+        floor: u32,
+    ) -> Option<Arc<BandCheckpoint>> {
+        let CheckpointKey(k) = *key;
+        let found = {
+            let mut shard = self.shard_of(&EntryKey::Checkpoint(*key));
+            (floor..=k.coord.tx).rev().find_map(|tx| {
+                let coord = TileCoord { tx, ..k.coord };
+                match shard.get(&EntryKey::Checkpoint(CheckpointKey(TileKey { coord, ..k }))) {
+                    Some(Entry::Checkpoint(checkpoint)) => Some(checkpoint),
+                    _ => None,
+                }
+            })
+        };
+        let (counter, name) = match found {
+            Some(_) => (&self.stats.checkpoint_hits, "serve.checkpoint.hits"),
+            None => (&self.stats.checkpoint_misses, "serve.checkpoint.misses"),
+        };
+        counter.bump();
+        kdv_obs::metrics::global().counter(name).bump();
+        found
+    }
+
+    /// Admits one entry at the head of probation: the body of
+    /// [`TileCache::insert`] and [`TileCache::insert_checkpoint`].
+    fn admit(&self, key: EntryKey, entry: Entry) -> InsertOutcome {
+        let mut span = kdv_obs::span1("cache.insert", "bytes", entry.bytes() as u64);
+        if entry.bytes() > self.shard_budget {
             span.arg("rejected", 1);
             self.stats.rejected.bump();
             return InsertOutcome { evicted: 0, rejected: true };
         }
-        let evicted = self.shard_of(&key).insert(key, tile, Segment::Probation);
+        let evicted = self.shard_of(&key).insert(key, entry, Segment::Probation);
         span.arg("evicted", evicted);
         if evicted > 0 {
             self.stats.evictions.add(evicted);
@@ -539,13 +658,15 @@ impl TileCache {
     /// twice in sequence (remove, then insert), never nested.
     pub fn patch(&self, old_key: &TileKey, new_key: TileKey, tile: Arc<Tile>) -> InsertOutcome {
         let mut span = kdv_obs::span1("cache.patch", "bytes", tile.bytes() as u64);
-        let seg = self.shard_of(old_key).remove(old_key).unwrap_or(Segment::Probation);
+        let old_key = EntryKey::Tile(*old_key);
+        let seg = self.shard_of(&old_key).remove(&old_key).unwrap_or(Segment::Probation);
         if tile.bytes() > self.shard_budget {
             span.arg("rejected", 1);
             self.stats.rejected.bump();
             return InsertOutcome { evicted: 0, rejected: true };
         }
-        let evicted = self.shard_of(&new_key).insert(new_key, tile, seg);
+        let new_key = EntryKey::Tile(new_key);
+        let evicted = self.shard_of(&new_key).insert(new_key, Entry::Tile(tile), seg);
         span.arg("evicted", evicted);
         if evicted > 0 {
             self.stats.evictions.add(evicted);
@@ -553,14 +674,38 @@ impl TileCache {
         InsertOutcome { evicted, rejected: false }
     }
 
-    /// Total bytes of tile buffers currently held.
+    /// Total bytes of tile and checkpoint buffers currently held.
     pub fn bytes(&self) -> usize {
         self.shards.iter().map(|s| self.lock(s).bytes()).sum()
     }
 
     /// Number of cached tiles.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).map.len()).sum()
+        self.count(|key| matches!(key, EntryKey::Tile(_)))
+    }
+
+    /// Number of cached band sweep checkpoints.
+    pub fn checkpoints(&self) -> usize {
+        self.count(|key| matches!(key, EntryKey::Checkpoint(_)))
+    }
+
+    /// Bytes of the cached band sweep checkpoints.
+    pub fn checkpoint_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = self.lock(s);
+                let of = |&idx: &usize| match &shard.nodes[idx].entry {
+                    Entry::Checkpoint(_) => shard.nodes[idx].bytes,
+                    Entry::Tile(_) => 0,
+                };
+                shard.map.values().map(of).sum::<usize>()
+            })
+            .sum()
+    }
+
+    fn count(&self, pred: impl Fn(&EntryKey) -> bool) -> usize {
+        self.shards.iter().map(|s| self.lock(s).map.keys().filter(|k| pred(k)).count()).sum()
     }
 
     /// Whether the cache is empty.
@@ -870,7 +1015,7 @@ mod tests {
         }
         // only 8 units fit protected: the two oldest hits were demoted to
         // the probation head, key(1,0) ahead of key(0,0)
-        let shard = cache.shard_of(&key(0, 0));
+        let shard = cache.shard_of(&EntryKey::Tile(key(0, 0)));
         assert_eq!(shard.lists[Segment::Protected as usize].bytes, unit * 8);
         assert_eq!(shard.lists[Segment::Probation as usize].bytes, unit * 2);
         drop(shard);
@@ -927,7 +1072,8 @@ mod tests {
                         model.insert(to, 0.0);
                     }
                     _ => {
-                        cache.shard_of(&k).remove(&k);
+                        let entry = EntryKey::Tile(k);
+                        cache.shard_of(&entry).remove(&entry);
                         model.remove(&k);
                     }
                 }
@@ -936,7 +1082,10 @@ mod tests {
                     let s = cache.lock(s);
                     s.map
                         .iter()
-                        .map(|(k, &i)| (*k, s.nodes[i].tile.values()[0]))
+                        .map(|(k, &i)| match k {
+                            EntryKey::Tile(k) => (*k, s.nodes[i].entry.tile().unwrap().values()[0]),
+                            EntryKey::Checkpoint(_) => panic!("no checkpoint was inserted"),
+                        })
                         .collect::<Vec<_>>()
                 }) {
                     assert_eq!(model.get(&k), Some(&v), "step {step}: cached bits drifted");
@@ -977,8 +1126,9 @@ mod tests {
     }
 
     fn segment_of(cache: &TileCache, k: &TileKey) -> Option<Segment> {
-        let shard = cache.shard_of(k);
-        shard.map.get(k).map(|&i| shard.nodes[i].seg)
+        let k = EntryKey::Tile(*k);
+        let shard = cache.shard_of(&k);
+        shard.map.get(&k).map(|&i| shard.nodes[i].seg)
     }
 
     /// Walks both lists of every shard: links agree in both directions,
@@ -997,7 +1147,7 @@ mod tests {
                     assert_eq!(node.seg, seg);
                     assert_eq!(node.prev, prev);
                     assert_eq!(shard.map.get(&node.key), Some(&idx), "map and list disagree");
-                    assert_eq!(node.bytes, node.tile.bytes());
+                    assert_eq!(node.bytes, node.entry.bytes());
                     bytes += node.bytes;
                     linked += 1;
                     (prev, idx) = (idx, node.next);
@@ -1010,6 +1160,79 @@ mod tests {
             let node_bytes: usize = shard.map.values().map(|&i| shard.nodes[i].bytes).sum();
             assert_eq!(shard.bytes(), node_bytes);
         }
+    }
+
+    fn checkpoint(boundary: usize, words: usize) -> Arc<BandCheckpoint> {
+        let tiling = kdv_core::tile::Tiling::new(64, 4, 16).unwrap();
+        let grid =
+            kdv_core::GridSpec::new(kdv_core::Rect::new(0.0, 0.0, 64.0, 4.0), 64, 4).unwrap();
+        let params = kdv_core::KdvParams::new(grid, KernelType::Epanechnikov, 3.0);
+        let pts: Vec<_> = (0..words).map(|i| kdv_core::Point::new(i as f64, 2.0)).collect();
+        let ctx = kdv_core::driver::SweepContext::new(&params, &pts).unwrap();
+        let mut engine = kdv_core::sweep_bucket::BucketSweep::new(params.kernel, 3.0, 1.0);
+        let mut out = vec![0.0; 4 * boundary];
+        let rows = tiling.tile_rows(0);
+        let mut envelope = kdv_core::envelope::EnvelopeBuffer::new();
+        let at = kdv_core::tile::sweep_band(
+            &ctx,
+            3.0,
+            rows,
+            0..boundary,
+            None,
+            &[boundary],
+            &mut engine,
+            &mut envelope,
+            &mut out,
+        );
+        Arc::new(at.into_iter().next().unwrap())
+    }
+
+    #[test]
+    fn checkpoints_share_the_budget_but_not_the_tile_counters() {
+        let cache = TileCache::new(1 << 20, 4);
+        let ck = |tx: u32| CheckpointKey(key(tx, 0));
+        // a checkpoint and a tile under the same coordinate never alias
+        cache.insert(key(2, 0), tile(2, 4));
+        assert_eq!(cache.insert_checkpoint(ck(2), checkpoint(32, 20)), InsertOutcome::default());
+        assert_eq!(cache.get(&key(2, 0)).unwrap().values()[0], 2.0);
+        assert_eq!((cache.len(), cache.checkpoints()), (1, 1));
+        assert_eq!(cache.bytes(), tile(2, 4).bytes() + checkpoint(32, 20).bytes());
+        assert_eq!(cache.checkpoint_bytes(), checkpoint(32, 20).bytes());
+        // the nearest checkpoint at or left of a column, down to the floor
+        assert_eq!(cache.nearest_checkpoint(&ck(5), 1).unwrap().boundary, 32);
+        assert!(cache.nearest_checkpoint(&ck(5), 3).is_none(), "2 is below the floor");
+        assert!(cache.nearest_checkpoint(&ck(1), 1).is_none());
+        assert!(
+            cache.nearest_checkpoint(&CheckpointKey(at(key(2, 0), 1)), 1).is_none(),
+            "other epoch"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.checkpoint_hits(), stats.checkpoint_misses()), (1, 3));
+        assert_eq!((stats.hits(), stats.misses()), (1, 0), "tile counters count tiles only");
+        check_invariants(&cache);
+    }
+
+    #[test]
+    fn checkpoints_are_evicted_and_promoted_like_tiles() {
+        let unit = tile(0, 8).bytes();
+        let cache = TileCache::new(unit * 3, 1);
+        let ck = |tx: u32| CheckpointKey(key(tx, 9));
+        cache.insert_checkpoint(ck(1), checkpoint(16, 30));
+        cache.insert_checkpoint(ck(2), checkpoint(16, 30));
+        // a found checkpoint is promoted: the probation tail goes first
+        assert!(cache.nearest_checkpoint(&ck(1), 1).is_some());
+        let mut evicted = 0;
+        for tx in 0..3 {
+            evicted += cache.insert(key(tx, 0), tile(tx as usize, 8)).evicted;
+        }
+        assert!(evicted > 0 && cache.bytes() <= cache.budget());
+        assert!(cache.nearest_checkpoint(&ck(2), 2).is_none(), "the cold checkpoint was evicted");
+        assert!(cache.nearest_checkpoint(&ck(1), 1).is_some(), "the promoted one survived");
+        assert_eq!(cache.stats().evictions(), evicted);
+        let huge = TileCache::new(64, 1);
+        assert!(huge.insert_checkpoint(ck(1), checkpoint(16, 30)).rejected);
+        assert_eq!(huge.stats().rejected(), 1);
+        check_invariants(&cache);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! Metrics (process-global registry): counters `serve.submitted`,
 //! `serve.completed`, `serve.shed.queue_full`, `serve.shed.deadline`;
 //! histograms `serve.queue_wait_ns` (time spent queued) and the
-//! server-level `serve.request_ns`.
+//! server-level `serve.request_ns`. `serve.submitted` counts every offer,
+//! shed ones included, so once the admitted requests have finished,
+//! submitted = completed + shed.
 //!
 //! Observability: every admitted request gets a process-unique **request
 //! id** and is executed under a `serve.request` span carrying it (`req`
@@ -124,7 +126,9 @@ pub struct FrontendStats {
 }
 
 impl FrontendStats {
-    /// Requests accepted into the queue.
+    /// Requests offered to [`Frontend::submit`], admitted or shed at the
+    /// door. Once every admitted request has finished,
+    /// `submitted = completed + shed` by construction.
     pub fn submitted(&self) -> u64 {
         self.submitted.get()
     }
@@ -279,6 +283,8 @@ impl Frontend {
         }
         let depth = self.inner.config.queue_depth.max(1);
         let mut queue = lock(&self.inner.queue);
+        self.inner.stats.submitted.bump();
+        kdv_obs::metrics::global().counter("serve.submitted").bump();
         if queue.len() >= depth {
             self.inner.stats.shed_queue_full.bump();
             kdv_obs::metrics::global().counter("serve.shed.queue_full").bump();
@@ -289,8 +295,6 @@ impl Frontend {
         let (ticket, state) = Ticket::new();
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         queue.push_back(Job { id, viewport, submitted: Instant::now(), ticket: state });
-        self.inner.stats.submitted.bump();
-        kdv_obs::metrics::global().counter("serve.submitted").bump();
         drop(queue);
         self.inner.not_empty.notify_one();
         Ok(ticket)

@@ -32,9 +32,9 @@ impl Default for LiveConfig {
     }
 }
 
-/// Saturating counters of band work. One band-prefix sweep counts one
-/// band: a patch of the stale tiles one band holds at one generation, or
-/// the cold sweep of one band's missing tiles.
+/// Saturating counters of band work. One band sweep counts one band: a
+/// patch of the stale tiles one band holds at one generation, or one cold
+/// sweep of a run of one band's missing tiles.
 #[derive(Debug, Default)]
 pub struct LiveStats {
     pub(crate) patched_bands: kdv_obs::Counter,
@@ -43,19 +43,21 @@ pub struct LiveStats {
 }
 
 impl LiveStats {
-    /// Band prefixes advanced by patching cached tiles (no base sweep).
+    /// Band column ranges advanced by patching cached tiles (no base
+    /// sweep).
     pub fn patched_bands(&self) -> u64 {
         self.patched_bands.get()
     }
 
-    /// Band prefixes swept from the epoch base (tiles not cached, stale
-    /// from an older epoch, or patching disabled).
+    /// Band column ranges swept from the epoch base, from pixel 0 or a
+    /// checkpoint (tiles not cached, stale from an older epoch, or
+    /// patching disabled).
     pub fn recomputed_bands(&self) -> u64 {
         self.recomputed_bands.get()
     }
 
-    /// Delta batches folded into band prefixes (patch suffixes and cold
-    /// rebuilds both count; radius-skipped batches do not).
+    /// Delta batches folded into band column ranges (patch suffixes and
+    /// cold rebuilds both count; radius-skipped batches do not).
     pub fn folded_batches(&self) -> u64 {
         self.folded_batches.get()
     }

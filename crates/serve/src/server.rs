@@ -13,16 +13,27 @@
 //!   by folding in a weighted sweep of only the batches sealed since `g₀`
 //!   ([`kdv_stream::fold_batches`]). The stale tiles of one band and one
 //!   `g₀` are copied into the band buffer and folded together, over the
-//!   row prefixes that end at the rightmost of them;
-//! * **not cached** — a cold compute: the band's base prefix sweep over
-//!   the epoch base ([`kdv_core::tile::sweep_row_prefixes`], the sweep of
-//!   [`kdv_core::tile::compute_band_tiles`]) up to its rightmost missing
-//!   tile, then every batch folded over the same prefix.
+//!   columns from the leftmost to the rightmost of them;
+//! * **not cached** — a cold compute: a sweep of the band's rows over the
+//!   epoch base ([`kdv_core::tile::sweep_band`]) up to the right edge of
+//!   its rightmost missing tile, then every batch folded over the same
+//!   columns.
 //!
 //! The tile is the unit of a miss: a request computes exactly the tiles
-//! it missed and inserts only those, so a tile near a level's left edge
-//! costs a short prefix rather than a full-width band, and a zoom-in
-//! excursion does not flood the cache with tiles nobody asked for.
+//! it missed and inserts only those, and a zoom-in excursion does not
+//! flood the cache with tiles nobody asked for.
+//!
+//! **Checkpoints.** A cold sweep records the band's sweep state at every
+//! tile boundary it crosses ([`kdv_core::tile::BandCheckpoint`], keyed by
+//! `(zoom, ty, boundary, epoch generation)` in the same [`TileCache`] and
+//! byte budget as the tiles). A later cold run of the band resumes from
+//! the nearest checkpoint at or left of its first tile instead of sweeping
+//! from pixel 0, so a missed tile costs about its own columns, not the
+//! whole row prefix left of it. A request looks its checkpoints up in the
+//! same pass as its tiles, before computing anything, and counts those
+//! lookups under [`CacheStats::checkpoint_hits`] / `checkpoint_misses`
+//! only. Checkpoints hold the base sweep's state, so every generation of
+//! an epoch resumes from them, with the batches folded on top as usual.
 //!
 //! **Exactness contract.** The canonical raster of generation `g` is the
 //! epoch-base sweep with each batch's weighted sweep folded in batch
@@ -81,13 +92,17 @@ use std::time::Instant;
 use kdv_core::driver::{KdvParams, SweepContext};
 use kdv_core::parallel::for_each_index_with;
 use kdv_core::telemetry::SweepReport;
-use kdv_core::tile::{self, slice_band_tiles, sweep_band, BandWorkspace, Tile, Tiling};
+use kdv_core::tile::{
+    self, slice_band_tiles, sweep_band, BandCheckpoint, BandWorkspace, Tile, Tiling,
+};
 use kdv_core::{DensityGrid, KdvError, KernelType, Point, Result};
 use kdv_coreset::{Coreset, CoresetMethod, CoresetSpec};
 use kdv_obs::RequestClass;
 use kdv_stream::{batch_context, fold_batches, StreamSnapshot, StreamingPointSet};
 
-use crate::cache::{CacheStats, InsertOutcome, Lookup, TileCache, TileKey, TileTier};
+use crate::cache::{
+    CacheStats, CheckpointKey, InsertOutcome, Lookup, TileCache, TileKey, TileTier,
+};
 use crate::flight::{Flight, FlightStats, FlightTable};
 use crate::live::{LiveConfig, LiveStats};
 use crate::pyramid::{PyramidSpec, TileCoord, Viewport};
@@ -330,6 +345,50 @@ impl TileServer {
         .with_tier(self.tier_of(zoom))
     }
 
+    /// Key of the checkpoint at the left edge of tile column `tx` of band
+    /// `ty`, of the epoch whose base has generation `epoch_generation`.
+    fn checkpoint_key(
+        &self,
+        zoom: u8,
+        tx: usize,
+        ty: usize,
+        epoch_generation: u64,
+    ) -> CheckpointKey {
+        CheckpointKey(self.key(zoom, tx, ty, epoch_generation))
+    }
+
+    /// Looks up where each run of adjacent cold tiles `cold` (ascending
+    /// columns) of band `ty` can resume: the checkpoint nearest left of
+    /// the run's first tile, no further left than two columns past the
+    /// previous run (resuming at or left of the previous run's end costs
+    /// no less than sweeping on through). Runs starting at column 0 need
+    /// none. Found checkpoints go into `found` under `(tx, ty)` of their
+    /// run's first tile.
+    fn find_checkpoints(
+        &self,
+        zoom: u8,
+        ty: usize,
+        epoch_generation: u64,
+        cold: &[usize],
+        found: &mut HashMap<(usize, usize), Arc<BandCheckpoint>>,
+    ) {
+        let mut floor = 1;
+        for (i, &tx) in cold.iter().enumerate() {
+            if i > 0 {
+                if cold[i - 1] + 1 == tx {
+                    continue;
+                }
+                floor = cold[i - 1] + 2;
+            }
+            if tx >= floor {
+                let key = self.checkpoint_key(zoom, tx, ty, epoch_generation);
+                if let Some(checkpoint) = self.cache.nearest_checkpoint(&key, floor as u32) {
+                    found.insert((tx, ty), checkpoint);
+                }
+            }
+        }
+    }
+
     fn level_params(&self, zoom: u8) -> KdvParams {
         self.pyramid.level_params(
             zoom,
@@ -524,13 +583,17 @@ impl TileServer {
 
         // Look every tile up first, counting this request's own hits,
         // patches and misses; collect the tiles to compute in `(ty, tx)`
-        // order, as the lookup walks the rows in order.
+        // order, as the lookup walks the rows in order. Each band's cold
+        // runs look up their checkpoints in the same pass, so a checkpoint
+        // this request resumes from is promoted before any of its inserts.
         let oldest = if self.live.patching { snapshot.epoch_generation } else { generation };
         let mut window = TileWindow::new(&vp, self.pyramid.tile_size);
         let mut missing: Vec<TileId> = Vec::new();
         let mut stale: HashMap<(usize, usize), (u64, Arc<Tile>)> = HashMap::new();
+        let mut resume: HashMap<(usize, usize), Arc<BandCheckpoint>> = HashMap::new();
         let (mut req_hits, mut req_misses, mut req_patched) = (0u64, 0u64, 0u64);
         for ty in window.rows() {
+            let mut cold = Vec::new();
             for tx in window.cols() {
                 match self.cache.lookup(&self.key(vp.zoom, tx, ty, generation), oldest) {
                     Lookup::Hit(tile) => {
@@ -542,10 +605,14 @@ impl TileServer {
                         req_patched += 1;
                         stale.insert((tx, ty), (from, tile));
                     }
-                    Lookup::Miss => req_misses += 1,
+                    Lookup::Miss => {
+                        req_misses += 1;
+                        cold.push(tx);
+                    }
                 }
                 missing.push((vp.zoom, tx, ty, generation));
             }
+            self.find_checkpoints(vp.zoom, ty, snapshot.epoch_generation, &cold, &mut resume);
         }
 
         let req_evictions = AtomicU64::new(0);
@@ -560,6 +627,7 @@ impl TileServer {
                 tiling: &tiling,
                 contexts: &contexts,
                 stale: &stale,
+                resume: &resume,
                 evictions: &req_evictions,
                 rejected: &req_rejected,
             };
@@ -618,9 +686,12 @@ impl TileServer {
     /// and another request's flight for one of them may have completed in
     /// between. So the leader first peeks each tile at the request's
     /// generation: a cached one is published without computing. The rest
-    /// are patched, one fold per stale generation over the prefix that
-    /// ends at the rightmost tile of that generation, and computed cold
-    /// over the prefix that ends at the rightmost cold tile.
+    /// are patched, one fold per stale generation over the columns of the
+    /// tiles of that generation, and computed cold, one sweep per run of
+    /// [`plan_runs`]: from the checkpoint the request found for the run,
+    /// or from pixel 0, to the right edge of its rightmost tile. Each
+    /// sweep caches its tiles and its checkpoints at every tile boundary
+    /// it crossed.
     fn lead_tiles(
         &self,
         req: &LeadContext<'_>,
@@ -694,35 +765,38 @@ impl TileServer {
             self.stats.folded_batches.add(folded);
         }
 
-        if let Some(&(_, last)) = cold.last() {
-            let pixels = 0..req.tiling.tile_cols(last).end;
+        for run in plan_runs(cold, req.tiling.tile_size, |tx| req.resume.get(&(tx, ty))) {
+            let (from, start) = match run.from {
+                Some(checkpoint) => (Some(&**checkpoint), checkpoint.boundary),
+                None => (None, 0),
+            };
+            let last = run.tiles.last().map_or(0, |&(_, tx)| tx);
+            let pixels = start..req.tiling.tile_cols(last).end;
             let mut s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
             s.arg("start", pixels.start as u64);
             s.arg("end", pixels.end as u64);
+            let marks: Vec<usize> = req.tiling.boundaries(pixels.clone()).collect();
             ws.band.resize(rows.len() * pixels.len(), 0.0);
             let BandWorkspace { engine, envelope, band, .. } = ws;
-            sweep_band(
+            let checkpoints = sweep_band(
                 &req.contexts[0],
                 self.config.bandwidth,
                 rows.clone(),
                 pixels.clone(),
-                None,
-                &[],
+                from,
+                &marks,
                 engine,
                 envelope,
                 band,
             );
-            let (folded, _) = fold_batches(
-                req.params,
-                &req.snapshot.batches,
-                rows,
-                pixels.clone(),
-                ws,
-                |i, _| Ok(Arc::clone(&req.contexts[1 + i])),
-            )?;
-            let cols: Vec<usize> = cold.iter().map(|&(_, tx)| tx).collect();
+            let batches = &req.snapshot.batches;
+            let (folded, _) =
+                fold_batches(req.params, batches, rows.clone(), pixels.clone(), ws, |i, _| {
+                    Ok(Arc::clone(&req.contexts[1 + i]))
+                })?;
+            let cols: Vec<usize> = run.tiles.iter().map(|&(_, tx)| tx).collect();
             let fresh = slice_band_tiles(req.tiling, ty, pixels, &cols, &ws.band);
-            for ((mut lease, tx), tile) in cold.into_iter().zip(fresh) {
+            for ((mut lease, tx), tile) in run.tiles.into_iter().zip(fresh) {
                 let tile = Arc::new(tile);
                 req.record(
                     self.cache.insert(self.key(zoom, tx, ty, generation), Arc::clone(&tile)),
@@ -731,11 +805,45 @@ impl TileServer {
                 lease.complete(Ok(Arc::clone(&tile)));
                 tiles.push(tile);
             }
+            for checkpoint in checkpoints {
+                let tx = checkpoint.boundary / req.tiling.tile_size;
+                let key = self.checkpoint_key(zoom, tx, ty, req.snapshot.epoch_generation);
+                req.record(self.cache.insert_checkpoint(key, Arc::new(checkpoint)));
+            }
             self.stats.recomputed_bands.bump();
             self.stats.folded_batches.add(folded);
         }
         Ok(tiles)
     }
+}
+
+/// One cold sweep of a band: its tiles (ascending columns) and the
+/// checkpoint it resumes from (`None`: from pixel 0).
+struct ColdRun<'a, L> {
+    from: Option<&'a Arc<BandCheckpoint>>,
+    tiles: Vec<(L, usize)>,
+}
+
+/// Splits a band's cold tiles (ascending columns) into sweeps. A tile
+/// starts a new sweep from `resume_at(tx)`, the checkpoint found for it,
+/// when that lies right of where the previous sweep ends; otherwise it
+/// joins the previous sweep (sweeping on is no dearer than resuming), or
+/// starts the first one from pixel 0.
+fn plan_runs<'a, L>(
+    cold: Vec<(L, usize)>,
+    tile_size: usize,
+    resume_at: impl Fn(usize) -> Option<&'a Arc<BandCheckpoint>>,
+) -> Vec<ColdRun<'a, L>> {
+    let mut runs: Vec<ColdRun<'a, L>> = Vec::new();
+    for (lease, tx) in cold {
+        let end = runs.last().and_then(|r| r.tiles.last()).map(|&(_, last)| (last + 1) * tile_size);
+        let from = resume_at(tx).filter(|c| end.is_none_or(|end| c.boundary > end));
+        match runs.last_mut() {
+            Some(run) if from.is_none() => run.tiles.push((lease, tx)),
+            _ => runs.push(ColdRun { from, tiles: vec![(lease, tx)] }),
+        }
+    }
+    runs
 }
 
 /// The SLO and latency class of a response: `live` once the stream has
@@ -750,7 +858,8 @@ pub(crate) fn request_class(tier: TileTier, generation: u64) -> RequestClass {
 
 /// Per-request context shared by every band this request leads tiles
 /// in: the snapshot, the level's parameters, tiling and sweep contexts,
-/// the stale tiles its lookups found, and the request-local eviction /
+/// the stale tiles and checkpoints its lookups found, and the
+/// request-local eviction /
 /// rejection accumulators (leaders insert from parallel worker threads,
 /// so the deltas are atomics).
 struct LeadContext<'a> {
@@ -759,6 +868,9 @@ struct LeadContext<'a> {
     tiling: &'a Tiling,
     contexts: &'a [Arc<SweepContext>],
     stale: &'a HashMap<(usize, usize), (u64, Arc<Tile>)>,
+    /// Checkpoints found for cold runs, under `(tx, ty)` of the run's
+    /// first tile (see [`TileServer::find_checkpoints`]).
+    resume: &'a HashMap<(usize, usize), Arc<BandCheckpoint>>,
     evictions: &'a AtomicU64,
     rejected: &'a AtomicU64,
 }
@@ -943,6 +1055,97 @@ mod tests {
         assert_eq!(srv.flight_stats().duplicate_computes(), 0);
         assert_eq!(srv.cache().len(), first.len() + exposed.len());
         assert!(!cached(&srv, 1, 3, 1), "tiles right of the pan stay uncomputed");
+    }
+
+    /// Whether the checkpoint at the left edge of column `tx` of band
+    /// `ty` of generation 0 is cached (a counted lookup).
+    fn checkpointed(srv: &TileServer, zoom: u8, tx: usize, ty: usize) -> bool {
+        let key = srv.checkpoint_key(zoom, tx, ty, 0);
+        srv.cache().nearest_checkpoint(&key, tx as u32).is_some()
+    }
+
+    #[test]
+    fn cold_sweeps_checkpoint_every_tile_boundary_they_cross() {
+        let srv = server(1 << 22);
+        // zoom 2 is 192 px wide in 16-px tiles: twelve columns per band
+        let vp = Viewport { zoom: 2, px: 40, py: 64, width: 20, height: 16 };
+        assert_eq!(tiles_of(&srv, &vp), [(2, 4), (3, 4)]);
+        let (grid, _) = srv.serve_viewport(&vp, 0).unwrap();
+        assert_eq!(grid, crop_reference(&srv, &vp));
+        // the band was swept over 0..64: boundaries 16, 32, 48 and 64
+        for tx in 1..12 {
+            assert_eq!(checkpointed(&srv, 2, tx, 4), (1..=4).contains(&tx), "boundary {tx}");
+        }
+        assert_eq!(srv.cache().checkpoints(), 4);
+        // unit Epanechnikov: 15 words (120 B) per row and boundary
+        let words = srv.cache().checkpoint_bytes() - 4 * std::mem::size_of::<BandCheckpoint>();
+        assert_eq!(words, 4 * 16 * 120);
+        assert!(srv.cache().bytes() <= srv.cache().budget());
+    }
+
+    #[test]
+    fn pans_resume_from_the_nearest_checkpoint_and_stay_bitwise() {
+        let srv = server(1 << 22);
+        let a = Viewport { zoom: 2, px: 0, py: 64, width: 48, height: 16 };
+        srv.serve_viewport(&a, 0).unwrap();
+        let stats = srv.cache_stats();
+        assert_eq!(
+            (stats.checkpoint_hits(), stats.checkpoint_misses()),
+            (0, 0),
+            "column 0 needs none"
+        );
+        // pan right by one tile: the exposed column resumes at boundary 48
+        let b = Viewport { zoom: 2, px: 16, py: 64, width: 48, height: 16 };
+        let (grid, report) = srv.serve_viewport(&b, 0).unwrap();
+        assert_eq!(grid, crop_reference(&srv, &b));
+        assert_eq!(report.cache_misses, 1);
+        assert_eq!((stats.checkpoint_hits(), stats.checkpoint_misses()), (1, 0));
+        // a jump right of every checkpoint resumes at the nearest one, 64
+        let c = Viewport { zoom: 2, px: 130, py: 64, width: 20, height: 16 };
+        let (grid, _) = srv.serve_viewport(&c, 0).unwrap();
+        assert_eq!(grid, crop_reference(&srv, &c));
+        assert_eq!((stats.checkpoint_hits(), stats.checkpoint_misses()), (2, 0));
+        assert!(!cached(&srv, 2, 5, 4), "tiles left of a resumed run are not cached");
+        // a band nobody swept has no checkpoint: a miss, swept from 0
+        let d = Viewport { zoom: 2, px: 100, py: 0, width: 20, height: 16 };
+        let (grid, _) = srv.serve_viewport(&d, 0).unwrap();
+        assert_eq!(grid, crop_reference(&srv, &d));
+        assert_eq!((stats.checkpoint_hits(), stats.checkpoint_misses()), (2, 1));
+        assert_eq!(srv.flight_stats().duplicate_computes(), 0);
+    }
+
+    #[test]
+    fn resumed_walks_under_eviction_match_the_rebuild_bitwise() {
+        // A cache of a few tiles evicts tiles and checkpoints alike; every
+        // response, live generations included, must still be the crop of
+        // its generation's rebuild.
+        let unit = std::mem::size_of::<Tile>() + 16 * 16 * 8;
+        let srv = server(unit * 9);
+        let mut state = 0x9A11_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as usize % n
+        };
+        for step in 0..60 {
+            if step % 20 == 10 {
+                srv.append(&points(3 + step % 5));
+            }
+            let vp = Viewport { zoom: 2, px: next(150), py: next(150), width: 40, height: 30 };
+            let (grid, report) = srv.serve_viewport(&vp, 0).unwrap();
+            let params = srv.pyramid().level_params(2, KernelType::Epanechnikov, 14.0, 0.005);
+            let level = kdv_stream::rebuild_grid(&params, &srv.snapshot()).unwrap();
+            for j in 0..vp.height {
+                let want = &level.row(vp.py + j)[vp.px..vp.px + vp.width];
+                assert_eq!(grid.row(j), want, "step {step} {vp:?} row {j}");
+            }
+            let tiles = (vp.tile_cols(16).len() * vp.tile_rows(16).len()) as u64;
+            assert_eq!(report.cache_hits + report.cache_misses + report.cache_patched, tiles);
+            assert!(srv.cache().bytes() <= srv.cache().budget());
+        }
+        assert!(srv.cache_stats().checkpoint_hits() > 0, "no cold run resumed");
+        assert!(srv.cache_stats().evictions() > 0, "the cache never filled");
     }
 
     #[test]

@@ -187,3 +187,33 @@ fn saturation_produces_explicit_load_shed_not_latency() {
         t.wait().expect("accepted requests still complete under overload");
     }
 }
+
+#[test]
+fn saturated_depth_one_queue_reconciles_submitted_with_completed_and_shed() {
+    // An open-loop burst into one worker behind a one-slot queue: most
+    // offers are shed at the door. Every offer counts as submitted, so
+    // once the admitted ones finish, submitted = completed + shed.
+    let fe = Frontend::new(
+        make_server(),
+        FrontendConfig { workers: 1, queue_depth: 1, ..FrontendConfig::default() },
+    );
+    let vp = Viewport { zoom: 2, px: 0, py: 0, width: 96, height: 96 };
+    let (mut accepted, mut shed) = (Vec::new(), 0u64);
+    for _ in 0..64 {
+        match fe.submit(vp) {
+            Ok(t) => accepted.push(t),
+            Err(kdv_serve::ServeError::Shed(kdv_serve::ShedReason::QueueFull)) => shed += 1,
+            Err(other) => panic!("unexpected {other:?}"),
+        }
+    }
+    assert!(shed > 0, "a depth-1 queue never shed a burst of 64");
+    let admitted = accepted.len() as u64;
+    for t in accepted {
+        t.wait().expect("admitted requests complete under overload");
+    }
+    let stats = fe.stats();
+    assert_eq!(stats.submitted(), 64, "every offer counts as submitted");
+    assert_eq!(stats.completed(), admitted);
+    assert_eq!(stats.shed(), shed);
+    assert_eq!(stats.submitted(), stats.completed() + stats.shed());
+}

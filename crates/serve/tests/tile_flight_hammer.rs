@@ -12,7 +12,10 @@
 //!   (`computed` equals the count derived from the viewports),
 //! * no tile is computed twice (`duplicate_computes == 0`),
 //! * every request counts each of its window's tiles once, as a hit, a
-//!   miss or a patch, and the requests' misses sum to the cache's, and
+//!   miss or a patch, and the requests' misses sum to the cache's, with
+//!   band sweep checkpoints on: their lookups count only under the
+//!   checkpoint counters (the cache's and `serve.checkpoint.*` in
+//!   `kdv-obs` agree), and `duplicate_computes` counts tiles only, and
 //! * no request panics, so every window tile was served (a tile a
 //!   request neither found, led nor joined would trip
 //!   `TileWindow::assemble`'s panic).
@@ -87,8 +90,16 @@ fn hammer_column_ranges_of_shared_bands_compute_each_tile_once() {
     let requested: usize = viewports.iter().map(|vp| own_tiles(vp) as usize).sum();
     assert!(expected < requested, "the viewports must share tiles");
 
+    let metrics = kdv_obs::metrics::global();
+    let checkpoint_counters = || {
+        (
+            metrics.counter("serve.checkpoint.hits").get(),
+            metrics.counter("serve.checkpoint.misses").get(),
+        )
+    };
     for round in 0..ROUNDS {
         let server = Arc::new(make_server());
+        let obs_before = checkpoint_counters();
         let start = Arc::new(Barrier::new(THREADS));
         let served: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = viewports
@@ -111,7 +122,22 @@ fn hammer_column_ranges_of_shared_bands_compute_each_tile_once() {
                 .collect()
         });
         let misses: u64 = served.iter().map(|(_, m)| m).sum();
-        assert_eq!(server.cache_stats().misses(), misses, "round {round}: misses reconcile");
+        let stats = server.cache_stats();
+        assert_eq!(stats.misses(), misses, "round {round}: misses reconcile");
+        assert_eq!(
+            stats.hits() + stats.misses() + stats.patched(),
+            requested as u64,
+            "round {round}: the tile counters count window tiles only"
+        );
+        let lookups = (stats.checkpoint_hits(), stats.checkpoint_misses());
+        let obs_after = checkpoint_counters();
+        assert!(lookups.0 + lookups.1 > 0, "round {round}: no cold run right of pixel 0");
+        assert_eq!(
+            (obs_after.0 - obs_before.0, obs_after.1 - obs_before.1),
+            lookups,
+            "round {round}: kdv-obs checkpoint counters disagree with the cache's"
+        );
+        assert!(server.cache().checkpoints() > 0, "round {round}: no checkpoint was cached");
         for ((vp, (got, _)), want) in viewports.iter().zip(&served).zip(&reference) {
             assert_eq!(got, want, "round {round} {vp:?}: bits diverge from the sequential server");
         }
