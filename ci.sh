@@ -7,8 +7,11 @@
 #   ./ci.sh soak [N]   extended differential fuzzing: N fresh seeds
 #                      (default 20000) through every engine×oracle pair
 #   ./ci.sh bench      timing benches: bench_envelope + bench_tiles,
-#                      appending dated entries under results/BENCH_*.json,
-#                      then a smoke check that the JSON parses with the
+#                      appending dated entries under
+#                      target/bench-results/BENCH_*.json (the bench
+#                      binaries' default; `--out results` records a run in
+#                      the committed results/ history instead), then a
+#                      smoke check that the committed JSON parses with the
 #                      expected keys
 #   ./ci.sh obs        observability gate: instrumented sweep + serve
 #                      trace replay through the CLI export flags, JSON
@@ -35,7 +38,8 @@
 #   ./ci.sh coreset    approximate-overview gate: bench_coreset at
 #                      n=10^6 (sup-error <= advertised eps, deep zoom
 #                      bitwise vs the exact server, >=5x cold overview
-#                      speedup, appended to results/BENCH_coreset.json),
+#                      speedup, appended to
+#                      target/bench-results/BENCH_coreset.json),
 #                      the kdv-coreset property suite, the tier-boundary
 #                      regression + hammer tests, and the quick
 #                      conformance matrix (four coreset pairs included)
@@ -43,12 +47,18 @@
 #                      under a live append feed, every patched response
 #                      bitwise-equal to the cold recompute arm, zero
 #                      duplicate tile computes, >=5x patch-vs-recompute
-#                      speedup, appended to results/BENCH_stream.json),
+#                      speedup, appended to
+#                      target/bench-results/BENCH_stream.json),
 #                      the kdv-stream unit + property suites, the live
 #                      server tests incl. the 8-thread hammer, a live
 #                      feed replay through the CLI, and the quick
 #                      conformance matrix (three streaming pairs
 #                      included)
+#
+# Every bench_* gate above appends its dated entry under
+# target/bench-results/ (the kdv-bench default), so running a gate leaves
+# the committed results/BENCH_*.json history untouched; the smoke tests
+# check that committed history.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -18,8 +18,9 @@
 //!   pixel term dominates `O(Y·n)` and the speedup is reported but not
 //!   gated).
 //!
-//! Appends one dated entry per run to `BENCH_coreset.json` in the output
-//! directory (`--out`, default `results/`).
+//! Appends one dated entry per run to `BENCH_coreset.json` in the
+//! output directory (`--out`, default `target/bench-results/`; `--out
+//! results` records the run in the committed history).
 
 use std::time::Instant;
 

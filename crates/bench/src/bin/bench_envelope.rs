@@ -1,11 +1,12 @@
 //! Bandwidth sweep of envelope extraction: full-scan vs banded index.
 //!
-//! For each bandwidth, times (a) extraction alone over every raster row —
-//! `O(Y·n)` for the scan vs `O(Y·(log n + |E(k)|))` for the banded index —
-//! and (b) the end-to-end SLAM_BUCKET raster through both extraction
-//! paths, asserting the two rasters are bitwise identical. Emits
-//! `BENCH_envelope.json` into the output directory (`--out`, default
-//! `results/`).
+//! For each bandwidth, times (a) extraction alone over every raster row
+//! — `O(Y·n)` for the scan vs `O(Y·(log n + |E(k)|))` for the banded
+//! index — and (b) the end-to-end SLAM_BUCKET raster through both
+//! extraction paths, asserting the two rasters are bitwise identical.
+//! Emits `BENCH_envelope.json` into the output directory (`--out`,
+//! default `target/bench-results/`; `--out results` records the run in
+//! the committed history).
 //!
 //! Expected shape: banded wins by orders of magnitude at small bandwidth
 //! (almost every point is out of band) and converges to parity as the

@@ -17,7 +17,8 @@
 //!    [`kdv_obs::metrics::Snapshot`] counter-for-counter.
 //!
 //! Appends a dated entry to `BENCH_flight.json` in the output directory
-//! (`--out`, default `results/`). `./ci.sh obs-live` runs this.
+//! (`--out`, default `target/bench-results/`; `--out results` records
+//! the run in the committed history). `./ci.sh obs-live` runs this.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -9,9 +9,10 @@
 //! bitwise identical to the same sweep with them disabled.
 //!
 //! Appends a dated entry to `BENCH_obs.json` in the output directory
-//! (`--out`, default `results/`). `./ci.sh obs` runs this and asserts
-//! the ratio bound; `tests/bench_results.rs` guards the committed
-//! ratio trajectory across entries.
+//! (`--out`, default `target/bench-results/`; `--out results` records
+//! the run in the committed history). `./ci.sh obs` runs this and
+//! asserts the ratio bound; `tests/bench_results.rs` guards the
+//! committed ratio trajectory across entries.
 
 use std::time::Instant;
 

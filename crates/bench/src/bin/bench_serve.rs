@@ -18,7 +18,8 @@
 //!   completes.
 //!
 //! Appends one dated entry per run to `BENCH_serve.json` in the output
-//! directory (`--out`, default `results/`).
+//! directory (`--out`, default `target/bench-results/`; `--out results`
+//! records the run in the committed history).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -112,6 +113,15 @@ fn main() {
     let t0 = Instant::now();
     let seq = kdv_serve::replay_sequential(&seq_server, &sessions, 0);
     let seq_s = t0.elapsed().as_secs_f64();
+    let stats = seq_server.cache_stats();
+    println!(
+        "sequential: {} cold run(s) resumed from a checkpoint, {} from pixel 0; {} checkpoint(s) \
+         cached, {} bytes",
+        stats.checkpoint_hits(),
+        stats.checkpoint_misses(),
+        seq_server.cache().checkpoints(),
+        seq_server.cache().checkpoint_bytes()
+    );
 
     // --- concurrent replay through the front end ------------------------
     let conc_server = make_server(&points, extent, bandwidth);

@@ -15,7 +15,8 @@
 //! * patching is at least [`MIN_SPEEDUP`]× faster over the live phase.
 //!
 //! Appends one dated entry per run to `BENCH_stream.json` in the output
-//! directory (`--out`, default `results/`).
+//! directory (`--out`, default `target/bench-results/`; `--out results`
+//! records the run in the committed history).
 
 use std::time::Instant;
 

@@ -7,8 +7,9 @@
 //! serving layer exists for.
 //!
 //! Appends one dated entry per run to `BENCH_tiles.json` in the output
-//! directory (`--out`, default `results/`), so successive runs accumulate
-//! a history (`./ci.sh bench` drives this).
+//! directory (`--out`, default `target/bench-results/`; `--out results`
+//! records the run in the committed history), so successive runs
+//! accumulate a history (`./ci.sh bench` drives this).
 
 use std::time::Instant;
 
@@ -119,6 +120,14 @@ fn main() {
     for (name, trace) in &traces {
         let server = make_server(&points, extent, bandwidth, 512 << 20);
         let cold_s = replay(&server, trace);
+        let stats = server.cache_stats();
+        let (resumed, unresumed) = (stats.checkpoint_hits(), stats.checkpoint_misses());
+        println!(
+            "{name:>10} cold: {resumed} cold run(s) resumed from a checkpoint, {unresumed} from \
+             pixel 0; {} checkpoint(s) cached, {} bytes",
+            server.cache().checkpoints(),
+            server.cache().checkpoint_bytes()
+        );
         // warm: median of 3 replays over the now-populated cache
         let warm = [replay(&server, trace), replay(&server, trace), replay(&server, trace)];
         let warm_s = kdv_obs::stats::median_f64(&warm).expect("three samples");

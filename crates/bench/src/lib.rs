@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper's evaluation (Section 4),
 //! sharing the machinery here: a scaled dataset cache, a timing runner
 //! with the paper's response-time cap, and paper-shaped table printers
-//! that also persist TSV rows under `results/`.
+//! that also persist TSV rows under the output directory
+//! ([`DEFAULT_OUT_DIR`] unless `--out` names another).
 //!
 //! The harness runs *scaled-down* workloads by default so the whole grid
 //! finishes on a laptop: dataset sizes are `--scale` × the paper's row
@@ -34,9 +35,14 @@ pub struct HarnessConfig {
     pub cap: Duration,
     /// Default raster resolution `(X, Y)`.
     pub resolution: (usize, usize),
-    /// Output directory for TSV result rows.
+    /// Output directory for TSV result rows and `BENCH_*.json` entries.
     pub out_dir: PathBuf,
 }
+
+/// Where the harness writes by default: under the build directory, so a
+/// CI gate run leaves the committed `results/BENCH_*.json` history as it
+/// is. `--out results` appends to that history on purpose.
+pub const DEFAULT_OUT_DIR: &str = "target/bench-results";
 
 impl Default for HarnessConfig {
     fn default() -> Self {
@@ -44,7 +50,7 @@ impl Default for HarnessConfig {
             scale: 0.01,
             cap: Duration::from_secs(60),
             resolution: (320, 240),
-            out_dir: PathBuf::from("results"),
+            out_dir: PathBuf::from(DEFAULT_OUT_DIR),
         }
     }
 }

@@ -32,20 +32,29 @@
 //!
 //! The unit of work is a tile, not a band. A pixel's density depends
 //! only on the events at or left of it (the sweep runs left to right),
-//! so the tiles at columns `cols` of a band cost the row *prefixes* that
-//! end at the right edge of the rightmost of them: [`compute_band_tiles`]
-//! hands each row's engine the shorter pixel slice `xs[..end]` and slices
-//! out only the requested tiles. The prefix is bitwise the full row's
-//! prefix (the engines are unchanged; the tests pin it for both engines,
-//! every kernel and weighted rows), so a tile's bits do not depend on
-//! which other tiles were computed with it. [`compute_band`] is the
-//! all-columns case.
+//! and only through the sweep's state `(L, U, frame_x)` between two
+//! pixels (paper Lemma 5). So [`sweep_band`] sweeps any column range
+//! `s..e` of a band's rows: from pixel 0, or resumed from a
+//! [`BandCheckpoint`] — that state, captured at a tile boundary by an
+//! earlier sweep of the same band. Interval buckets are always computed
+//! against the whole row, so a sweep that stops at `e` leaves active every
+//! interval that crosses `e`, and its state there is the whole-row
+//! sweep's. The swept pixels are bitwise the whole row's (the tests pin
+//! it for every kernel, unit and weighted rows, resumed or not), so a
+//! tile's bits do not depend on which other tiles were computed with it
+//! or where the sweep that computed it began. [`compute_band_tiles`] is
+//! the case `s = 0`, and [`compute_band`] its all-columns case.
 //!
-//! Cost: the tiles of a band whose rightmost requested column ends at
-//! pixel `end` cost `O(tile_size · (end + |E|))`. The envelope `E` of a
-//! row is the same whatever the prefix, so the per-interval work
-//! (envelope fill and bucket scatter) is paid in full, and tiles near the
-//! left edge are the cheapest; exactness is the price of that floor.
+//! Cost: a band sweep over columns `s..e` costs
+//! `O(tile_size · ((e − s) + |E_w|))`, where `E_w` is the part of a row's
+//! envelope that can have an event inside `s..e`: the points with
+//! `x ∈ [x_s − b, x_{e−1} + b]`, selected once per band. A cold tile that
+//! resumes from a checkpoint at its left edge therefore costs its own
+//! columns and the points within `b` of them, wherever it lies in the
+//! row. Without a checkpoint the sweep starts at pixel 0, and tiles near
+//! the left edge are the cheapest. A checkpoint of a unit Epanechnikov
+//! or uniform band holds 15 words (120 B) per row, a sixteenth of a
+//! 256-px tile's bytes.
 //!
 //! Assembly is the other half: [`assemble`] cuts any pixel window out of
 //! a set of tiles, and it is the only assembly path — [`stitch`] is

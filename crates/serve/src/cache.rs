@@ -1,4 +1,5 @@
-//! Sharded, byte-budgeted, segmented-LRU cache of computed tiles.
+//! Sharded, byte-budgeted, segmented-LRU cache of computed tiles and
+//! band sweep checkpoints.
 //!
 //! The cache key is the full provenance of a tile's bits — dataset,
 //! kernel, bandwidth, weight and pyramid coordinate — so a hit is
@@ -30,6 +31,17 @@
 //! miss that cached it, then a hit) survives it. The server inserts only
 //! tiles a request asked for (there is no band prefetch), so the burst is
 //! no larger than the excursion itself.
+//!
+//! Checkpoints ([`BandCheckpoint`], the sweep state of a band at a tile
+//! boundary, under a [`CheckpointKey`]) are entries of the same shards,
+//! budget and policy: inserted into probation by the cold sweep that
+//! crossed the boundary, promoted to protected when a later cold run
+//! resumes from one ([`TileCache::nearest_checkpoint`]), and evicted from
+//! the probation tail with the tiles. They cost the budget their bytes, a
+//! sixteenth of a 256-px tile per boundary for unit Epanechnikov, and the
+//! evictions and rejections they cause count like a tile's. A tile and a
+//! checkpoint never alias, and checkpoint lookups never count as tile
+//! hits or misses.
 //!
 //! Hit/miss/eviction/rejection counters are **saturating** (they stick
 //! at `u64::MAX` rather than wrapping), keeping reported statistics
