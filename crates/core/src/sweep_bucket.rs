@@ -271,8 +271,13 @@ impl BucketSweep {
         let mut saved = captured.chunks_exact_mut(1 + 2 * side);
         for stop in marks.iter().copied().chain(std::iter::once(row.cols.end)) {
             debug_assert!(i <= stop && stop <= row.cols.end, "marks must ascend inside the sweep");
-            while i < stop {
-                let x = xs[i];
+            let local = i - s..stop - s;
+            let pixels = xs[i..stop]
+                .iter()
+                .zip(&mut out[local.clone()])
+                .zip(&head_l[local.clone()])
+                .zip(&head_u[local]);
+            for (((&x, out), &first_l), &first_u) in pixels {
                 if l_acc.count() == u_acc.count() {
                     // Active set is empty: restart clean at the pixel.
                     l_acc.reset();
@@ -284,7 +289,7 @@ impl BucketSweep {
                     u_acc.shift_x(delta);
                     frame_x = x;
                 }
-                let mut cur = head_l[i - s];
+                let mut cur = first_l;
                 while cur != NIL {
                     let idx = cur as usize;
                     let p = &intervals[idx].point;
@@ -293,20 +298,19 @@ impl BucketSweep {
                 }
                 let (n, agg) = l_acc.diff(&u_acc);
                 let q = Point::new(x - frame_x, 0.0);
-                out[i - s] =
-                    self.kernel.density_from_moments(&q, n, &agg, self.bandwidth, self.weight);
+                *out = self.kernel.density_from_moments(&q, n, &agg, self.bandwidth, self.weight);
                 // Deactivate intervals whose bucket is the next pixel — i.e.
                 // whose last contained pixel is the current one — while their
                 // coordinates are still within `b` of the sweep position.
-                let mut cur = head_u[i - s];
+                let mut cur = first_u;
                 while cur != NIL {
                     let idx = cur as usize;
                     let p = &intervals[idx].point;
                     u_acc.insert(&Point::new(p.x - frame_x, p.y - k), weight(idx));
                     cur = next_u[idx];
                 }
-                i += 1;
             }
+            i = stop;
             // The trailing stop is the sweep's end, not a mark.
             if let Some(state) = saved.next() {
                 state[0] = frame_x.to_bits();

@@ -239,11 +239,6 @@ pub struct BandCheckpoint {
 }
 
 impl BandCheckpoint {
-    /// Number of band rows held.
-    pub fn rows(&self) -> usize {
-        self.words.len().checked_div(self.row_words).unwrap_or(0)
-    }
-
     /// Heap bytes held, counted like [`Tile::bytes`].
     pub fn bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
