@@ -247,12 +247,9 @@ impl SweepContext {
         intervals: &[SweepInterval],
         out: &mut [f64],
     ) {
-        match &self.weights {
-            Some(weights) => {
-                engine.process_weighted_row(&self.xs, k, intervals, &weights[band], out)
-            }
-            None => engine.process_row(&self.xs, k, intervals, out),
-        }
+        let weights = self.weights.as_deref().map(|w| &w[band]);
+        let row = RowSpan { xs: &self.xs, cols: 0..self.xs.len(), k, intervals, weights };
+        engine.sweep_span(&row, None, &[], &mut [], out);
     }
 
     /// Per-point weights in canonical order (`None`: unit weights).

@@ -734,9 +734,9 @@ mod tests {
 
     #[test]
     fn row_prefix_sweeps_equal_full_row_prefixes_bitwise() {
-        // The serving layer computes a tile from the row prefix that ends at
-        // its right edge; this pins that the unchanged engines give exactly
-        // the full row's prefix, unit and weighted, for every kernel.
+        // A row cut short at any pixel is a prefix of the whole row: both
+        // engines give exactly the full row's first pixels, unit and
+        // weighted, for every kernel.
         let (_, pts) = setup(1, 1, 1.0);
         let mut state = 0x7E57_u64;
         let mut below = move |n: usize| {
@@ -784,10 +784,10 @@ mod tests {
 
     #[test]
     fn prefix_folds_equal_full_width_folds_bitwise() {
-        // The serving layer patches a tile over the row prefix that ends
-        // at its right edge: the base sweep plus each signed batch folded
-        // over `xs[..e]` must be exactly the first `e` pixels of the same
-        // program run over the full width.
+        // The serving layer folds batches over the columns of the tiles it
+        // computes; for columns `0..e`, the base sweep plus each signed
+        // batch folded over them must be exactly the first `e` pixels of
+        // the same program run over the full width.
         let (_, pts) = setup(1, 1, 1.0);
         let signed: Vec<f64> = (0..60).map(|i| if i % 3 == 0 { -1.0 } else { 1.0 }).collect();
         let expired = vec![-1.0; 40];

@@ -15,10 +15,11 @@
 //!   never seals a batch. The tile is the unit of a miss: a request looks
 //!   each tile up at its snapshot's generation and finds it cached, stale
 //!   (cached at an older generation of the epoch, patched forward by
-//!   folding the batches sealed since over the row prefix that ends at
-//!   the band's rightmost stale tile) or missing (computed cold over the
-//!   row prefix that ends at the band's rightmost missing tile, with every
-//!   batch folded on top), under per-tile single-flight. It collects the
+//!   folding the batches sealed since over the columns of the band's
+//!   stale tiles) or missing (computed cold up to the band's rightmost
+//!   missing tile, from pixel 0 or resumed from a cached sweep
+//!   checkpoint, with every batch folded on top), under per-tile
+//!   single-flight. It collects the
 //!   tiles in a dense table over its tile window and assembles the
 //!   response with `kdv_core::tile::assemble`, which writes each pixel
 //!   once into an unzeroed buffer: a request whose tiles are all cached

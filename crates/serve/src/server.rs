@@ -40,8 +40,9 @@
 //! order ([`kdv_stream::rebuild_grid`]); at generation 0 it is the
 //! monolithic `sweep_bucket` raster. Cold computes run exactly that
 //! program and patches run its suffix from the cached prefix — the same
-//! additions in the same order, and a prefix sweep or fold is bitwise the
-//! full row's prefix — so a served viewport is bitwise-equal to cropping
+//! additions in the same order, and a sweep or fold over a column range,
+//! resumed or not, is bitwise those columns of the full row — so a
+//! served viewport is bitwise-equal to cropping
 //! the rebuild of its generation, for any cache state, patch history,
 //! zoom and thread count. Compaction rebases onto a re-swept base and
 //! takes a fresh generation, so stale tiles of an older epoch are never
@@ -515,7 +516,8 @@ impl TileServer {
     /// Serves one viewport against a consistent snapshot of the stream:
     /// assembles the requested pixel window from tiles of the snapshot's
     /// generation — cached, patched forward from an older generation, or
-    /// computed cold, one prefix sweep per band and stale generation on
+    /// computed cold, one band sweep per run of cold tiles and one fold
+    /// per band and stale generation on
     /// the work-stealing runtime (`threads == 0` means "auto"). Misses
     /// and patches are single-flight per tile. The raster is
     /// bitwise-equal to cropping the rebuild of the snapshot's generation

@@ -540,9 +540,9 @@ mod tests {
 
     #[test]
     fn prefix_fold_equals_the_full_folds_prefix_bitwise() {
-        // A tile is patched over the row prefix that ends at its right
-        // edge: base prefix sweep plus every signed batch folded over
-        // `xs[..end]` must be the first `end` pixels of the rebuild.
+        // Columns `0..end` of a band: the base sweep plus every signed
+        // batch folded over them must be the first `end` pixels of the
+        // rebuild.
         let p = params();
         let mut set = StreamingPointSet::new(pts(11, 40));
         set.append(&pts(12, 9)).unwrap();
