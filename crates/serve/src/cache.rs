@@ -38,10 +38,11 @@
 //! crossed the boundary, promoted to protected when a later cold run
 //! resumes from one ([`TileCache::nearest_checkpoint`]), and evicted from
 //! the probation tail with the tiles. They cost the budget their bytes, a
-//! sixteenth of a 256-px tile per boundary for unit Epanechnikov, and the
-//! evictions and rejections they cause count like a tile's. A tile and a
-//! checkpoint never alias, and checkpoint lookups never count as tile
-//! hits or misses.
+//! sixteenth of a 256-px tile per boundary for unit Epanechnikov. A tile
+//! and a checkpoint never alias, and checkpoint lookups and displacements
+//! never count as tile hits, misses or evictions: they have their own
+//! counters, so the tile counters keep saying how often a tile was
+//! recomputed or pushed out.
 //!
 //! Hit/miss/eviction/rejection counters are **saturating** (they stick
 //! at `u64::MAX` rather than wrapping), keeping reported statistics
@@ -208,9 +209,10 @@ pub enum Lookup {
 /// lookups, for one request and in total.
 ///
 /// Checkpoint lookups ([`TileCache::nearest_checkpoint`]) count only
-/// under `checkpoint_hits` / `checkpoint_misses`, so the tile counters
-/// keep counting tiles. Evictions and rejections count entries of either
-/// kind: both spend the one byte budget.
+/// under `checkpoint_hits` / `checkpoint_misses`, and displaced
+/// checkpoints only under `checkpoint_evictions`, so the tile counters
+/// keep counting tiles. Rejections count entries of either kind (a
+/// checkpoint too large for a shard comes with a tile that is too).
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: kdv_obs::Counter,
@@ -220,6 +222,7 @@ pub struct CacheStats {
     patched: kdv_obs::Counter,
     checkpoint_hits: kdv_obs::Counter,
     checkpoint_misses: kdv_obs::Counter,
+    checkpoint_evictions: kdv_obs::Counter,
 }
 
 impl CacheStats {
@@ -233,7 +236,7 @@ impl CacheStats {
         self.misses.get()
     }
 
-    /// Entries displaced from the cache to stay inside the byte budget.
+    /// Tiles displaced from the cache to stay inside the byte budget.
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
     }
@@ -260,6 +263,12 @@ impl CacheStats {
         self.checkpoint_misses.get()
     }
 
+    /// Checkpoints displaced from the cache to stay inside the byte
+    /// budget.
+    pub fn checkpoint_evictions(&self) -> u64 {
+        self.checkpoint_evictions.get()
+    }
+
     /// Test hook: forces the raw counter values (e.g. to the `u64`
     /// boundary) so rollover behaviour can be exercised without serving
     /// 2⁶⁴ requests. Not for production use.
@@ -275,10 +284,22 @@ impl CacheStats {
 /// cannot provide under concurrency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InsertOutcome {
-    /// Entries this insert displaced to fit the shard budget.
+    /// Tiles this insert displaced to fit the shard budget.
     pub evicted: u64,
-    /// Whether the tile was refused outright (oversized, never cached).
+    /// Checkpoints this insert displaced to fit the shard budget.
+    pub evicted_checkpoints: u64,
+    /// Whether the entry was refused outright (oversized, never cached).
     pub rejected: bool,
+}
+
+impl InsertOutcome {
+    /// Counts one displaced entry under its kind.
+    fn displaced(&mut self, key: &EntryKey) {
+        match key {
+            EntryKey::Tile(_) => self.evicted += 1,
+            EntryKey::Checkpoint(_) => self.evicted_checkpoints += 1,
+        }
+    }
 }
 
 const NIL: usize = usize::MAX;
@@ -420,8 +441,8 @@ impl Shard {
 
     /// Inserts an entry into `seg`, or refreshes it in the hotter of its
     /// own segment and `seg`, then evicts until the shard fits its
-    /// budget. Returns the number of evictions.
-    fn insert(&mut self, key: EntryKey, entry: Entry, seg: Segment) -> u64 {
+    /// budget. Returns the evictions, by kind.
+    fn insert(&mut self, key: EntryKey, entry: Entry, seg: Segment) -> InsertOutcome {
         let bytes = entry.bytes();
         if let Some(&idx) = self.map.get(&key) {
             // refresh: same key recomputed (identical bits by construction)
@@ -446,19 +467,21 @@ impl Shard {
             self.push_front(idx, seg);
         }
         self.demote_overflow();
-        let mut evicted = 0u64;
+        let mut outcome = InsertOutcome::default();
         while self.bytes() > self.budget {
             // protected now fits its cap, which is within the budget, so
             // an over-budget shard always has a probation tail to evict
-            self.release(self.lists[Segment::Probation as usize].tail);
-            evicted += 1;
+            let tail = self.lists[Segment::Probation as usize].tail;
+            outcome.displaced(&self.nodes[tail].key);
+            self.release(tail);
         }
-        evicted
+        outcome
     }
 
-    /// Drops every entry, returning how many there were.
-    fn clear(&mut self) -> u64 {
-        let dropped = self.map.len() as u64;
+    /// Drops every entry, returning how many of each kind there were.
+    fn clear(&mut self) -> InsertOutcome {
+        let mut dropped = InsertOutcome::default();
+        self.map.keys().for_each(|key| dropped.displaced(key));
         self.map.clear();
         self.nodes.clear();
         self.free.clear();
@@ -528,7 +551,7 @@ impl TileCache {
     fn lock<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
         shard.lock().unwrap_or_else(|poisoned| {
             let mut guard = poisoned.into_inner();
-            self.stats.evictions.add(guard.clear());
+            self.count_evictions(&guard.clear());
             shard.clear_poison();
             guard
         })
@@ -598,7 +621,8 @@ impl TileCache {
 
     /// Inserts a band sweep checkpoint like a tile ([`TileCache::insert`]):
     /// at the head of probation, under the same byte budget, counted the
-    /// same way when it is rejected or displaces entries.
+    /// same way when it is rejected; the entries it displaces count by
+    /// kind.
     pub fn insert_checkpoint(
         &self,
         key: CheckpointKey,
@@ -645,14 +669,26 @@ impl TileCache {
         if entry.bytes() > self.shard_budget {
             span.arg("rejected", 1);
             self.stats.rejected.bump();
-            return InsertOutcome { evicted: 0, rejected: true };
+            return InsertOutcome { rejected: true, ..InsertOutcome::default() };
         }
-        let evicted = self.shard_of(&key).insert(key, entry, Segment::Probation);
-        span.arg("evicted", evicted);
-        if evicted > 0 {
-            self.stats.evictions.add(evicted);
+        let outcome = self.shard_of(&key).insert(key, entry, Segment::Probation);
+        self.count_evictions(&outcome);
+        span.arg("evicted", outcome.evicted);
+        span.arg("evicted_checkpoints", outcome.evicted_checkpoints);
+        outcome
+    }
+
+    /// Adds displaced entries to the tile or checkpoint eviction counters.
+    fn count_evictions(&self, outcome: &InsertOutcome) {
+        if outcome.evicted > 0 {
+            self.stats.evictions.add(outcome.evicted);
         }
-        InsertOutcome { evicted, rejected: false }
+        if outcome.evicted_checkpoints > 0 {
+            self.stats.checkpoint_evictions.add(outcome.evicted_checkpoints);
+            kdv_obs::metrics::global()
+                .counter("serve.checkpoint.evictions")
+                .add(outcome.evicted_checkpoints);
+        }
     }
 
     /// Advances a cached tile to a newer generation **in place**: removes
@@ -675,15 +711,14 @@ impl TileCache {
         if tile.bytes() > self.shard_budget {
             span.arg("rejected", 1);
             self.stats.rejected.bump();
-            return InsertOutcome { evicted: 0, rejected: true };
+            return InsertOutcome { rejected: true, ..InsertOutcome::default() };
         }
         let new_key = EntryKey::Tile(new_key);
-        let evicted = self.shard_of(&new_key).insert(new_key, Entry::Tile(tile), seg);
-        span.arg("evicted", evicted);
-        if evicted > 0 {
-            self.stats.evictions.add(evicted);
-        }
-        InsertOutcome { evicted, rejected: false }
+        let outcome = self.shard_of(&new_key).insert(new_key, Entry::Tile(tile), seg);
+        self.count_evictions(&outcome);
+        span.arg("evicted", outcome.evicted);
+        span.arg("evicted_checkpoints", outcome.evicted_checkpoints);
+        outcome
     }
 
     /// Total bytes of tile and checkpoint buffers currently held.
@@ -787,7 +822,7 @@ mod tests {
         let cache = TileCache::new(64, 1);
         let outcome = cache.insert(key(0, 0), tile(0, 64));
         assert!(cache.is_empty());
-        assert_eq!(outcome, InsertOutcome { evicted: 0, rejected: true });
+        assert_eq!(outcome, InsertOutcome { rejected: true, ..InsertOutcome::default() });
         assert_eq!(cache.stats().rejected(), 1, "refused insert counts as rejected");
         assert_eq!(cache.stats().evictions(), 0, "nothing was cached, nothing displaced");
     }
@@ -821,7 +856,7 @@ mod tests {
         assert_eq!(cache.insert(key(0, 0), tile(0, 8)), InsertOutcome::default());
         assert_eq!(cache.insert(key(1, 0), tile(1, 8)), InsertOutcome::default());
         let third = cache.insert(key(2, 0), tile(2, 8));
-        assert_eq!(third, InsertOutcome { evicted: 1, rejected: false });
+        assert_eq!(third, InsertOutcome { evicted: 1, ..InsertOutcome::default() });
         assert_eq!(cache.stats().evictions(), 1);
         assert_eq!(cache.stats().rejected(), 0);
     }
@@ -1111,6 +1146,7 @@ mod tests {
         let cache = Arc::new(TileCache::new(1 << 20, 1));
         cache.insert(key(0, 0), tile(0, 4));
         cache.insert(key(1, 0), tile(1, 4));
+        cache.insert_checkpoint(CheckpointKey(key(0, 0)), checkpoint(16, 3));
         let poisoner = Arc::clone(&cache);
         let result = std::thread::spawn(move || {
             let mut shard = poisoner.shards[0].lock().unwrap();
@@ -1125,6 +1161,7 @@ mod tests {
         assert_eq!(cache.len(), 0, "the poisoned shard is cleared, not trusted");
         assert!(!cache.shards[0].is_poisoned());
         assert_eq!(cache.stats().evictions(), 2, "dropped entries count as evictions");
+        assert_eq!(cache.stats().checkpoint_evictions(), 1, "by kind");
         assert_eq!(cache.bytes(), 0);
         assert!(cache.get(&key(0, 0)).is_none());
         assert_eq!(cache.insert(key(0, 0), tile(0, 4)), InsertOutcome::default());
@@ -1233,14 +1270,20 @@ mod tests {
         cache.insert_checkpoint(ck(2), checkpoint(16, 30));
         // a found checkpoint is promoted: the probation tail goes first
         assert!(cache.nearest_checkpoint(&ck(1), 1).is_some());
-        let mut evicted = 0;
+        let (mut tiles, mut checkpoints) = (0, 0);
         for tx in 0..3 {
-            evicted += cache.insert(key(tx, 0), tile(tx as usize, 8)).evicted;
+            let outcome = cache.insert(key(tx, 0), tile(tx as usize, 8));
+            (tiles, checkpoints) =
+                (tiles + outcome.evicted, checkpoints + outcome.evicted_checkpoints);
         }
-        assert!(evicted > 0 && cache.bytes() <= cache.budget());
+        assert!(cache.bytes() <= cache.budget());
         assert!(cache.nearest_checkpoint(&ck(2), 2).is_none(), "the cold checkpoint was evicted");
         assert!(cache.nearest_checkpoint(&ck(1), 1).is_some(), "the promoted one survived");
-        assert_eq!(cache.stats().evictions(), evicted);
+        // each displaced entry counts under its own kind only
+        assert_eq!(checkpoints, 1);
+        assert_eq!(tiles, 3 - cache.len() as u64);
+        assert_eq!(cache.stats().evictions(), tiles);
+        assert_eq!(cache.stats().checkpoint_evictions(), checkpoints);
         let huge = TileCache::new(64, 1);
         assert!(huge.insert_checkpoint(ck(1), checkpoint(16, 30)).rejected);
         assert_eq!(huge.stats().rejected(), 1);
