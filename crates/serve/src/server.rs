@@ -358,36 +358,33 @@ impl TileServer {
         CheckpointKey(self.key(zoom, tx, ty, epoch_generation))
     }
 
-    /// Looks up where each run of adjacent cold tiles `cold` (ascending
-    /// columns) of band `ty` can resume: the checkpoint nearest left of
-    /// the run's first tile, no further left than two columns past the
-    /// previous run (resuming at or left of the previous run's end costs
-    /// no less than sweeping on through). Runs starting at column 0 need
-    /// none. Found checkpoints go into `found` under `(tx, ty)` of their
-    /// run's first tile.
+    /// Looks up the checkpoints the cold tiles `cold` (ascending columns)
+    /// of band `ty` may resume from: for each run of adjacent cold tiles,
+    /// the checkpoint nearest left of its first tile. The search of a run
+    /// stops two columns past the previous run, because resuming at or
+    /// left of the previous run's end is no cheaper than sweeping on.
+    /// Returns the found checkpoints ascending by boundary; which run
+    /// resumes from which is [`plan_runs`]' choice alone.
     fn find_checkpoints(
         &self,
         zoom: u8,
         ty: usize,
         epoch_generation: u64,
         cold: &[usize],
-        found: &mut HashMap<(usize, usize), Arc<BandCheckpoint>>,
-    ) {
-        let mut floor = 1;
+    ) -> Vec<Arc<BandCheckpoint>> {
+        let mut found = Vec::new();
         for (i, &tx) in cold.iter().enumerate() {
-            if i > 0 {
-                if cold[i - 1] + 1 == tx {
-                    continue;
-                }
-                floor = cold[i - 1] + 2;
-            }
+            let floor = match i.checked_sub(1).map(|p| cold[p]) {
+                Some(prev) if prev + 1 == tx => continue,
+                Some(prev) => prev + 2,
+                None => 1,
+            };
             if tx >= floor {
                 let key = self.checkpoint_key(zoom, tx, ty, epoch_generation);
-                if let Some(checkpoint) = self.cache.nearest_checkpoint(&key, floor as u32) {
-                    found.insert((tx, ty), checkpoint);
-                }
+                found.extend(self.cache.nearest_checkpoint(&key, floor as u32));
             }
         }
+        found
     }
 
     fn level_params(&self, zoom: u8) -> KdvParams {
@@ -592,7 +589,7 @@ impl TileServer {
         let mut window = TileWindow::new(&vp, self.pyramid.tile_size);
         let mut missing: Vec<TileId> = Vec::new();
         let mut stale: HashMap<(usize, usize), (u64, Arc<Tile>)> = HashMap::new();
-        let mut resume: HashMap<(usize, usize), Arc<BandCheckpoint>> = HashMap::new();
+        let mut resume: HashMap<usize, Vec<Arc<BandCheckpoint>>> = HashMap::new();
         let (mut req_hits, mut req_misses, mut req_patched) = (0u64, 0u64, 0u64);
         for ty in window.rows() {
             let mut cold = Vec::new();
@@ -614,7 +611,10 @@ impl TileServer {
                 }
                 missing.push((vp.zoom, tx, ty, generation));
             }
-            self.find_checkpoints(vp.zoom, ty, snapshot.epoch_generation, &cold, &mut resume);
+            let found = self.find_checkpoints(vp.zoom, ty, snapshot.epoch_generation, &cold);
+            if !found.is_empty() {
+                resume.insert(ty, found);
+            }
         }
 
         let req_evictions = AtomicU64::new(0);
@@ -690,8 +690,9 @@ impl TileServer {
     /// generation: a cached one is published without computing. The rest
     /// are patched, one fold per stale generation over the columns of the
     /// tiles of that generation, and computed cold, one sweep per run of
-    /// [`plan_runs`]: from the checkpoint the request found for the run,
-    /// or from pixel 0, to the right edge of its rightmost tile. Each
+    /// [`plan_runs`]: from the checkpoint it picks among those the
+    /// request found for the band, or from pixel 0, to the right edge of
+    /// its rightmost tile. Each
     /// sweep caches its tiles and its checkpoints at every tile boundary
     /// it crossed.
     fn lead_tiles(
@@ -767,7 +768,8 @@ impl TileServer {
             self.stats.folded_batches.add(folded);
         }
 
-        for run in plan_runs(cold, req.tiling.tile_size, |tx| req.resume.get(&(tx, ty))) {
+        let found = req.resume.get(&ty).map_or(&[][..], Vec::as_slice);
+        for run in plan_runs(cold, req.tiling.tile_size, found) {
             let (from, start) = match run.from {
                 Some(checkpoint) => (Some(&**checkpoint), checkpoint.boundary),
                 None => (None, 0),
@@ -826,20 +828,26 @@ struct ColdRun<'a, L> {
     tiles: Vec<(L, usize)>,
 }
 
-/// Splits a band's cold tiles (ascending columns) into sweeps. A tile
-/// starts a new sweep from `resume_at(tx)`, the checkpoint found for it,
-/// when that lies right of where the previous sweep ends; otherwise it
-/// joins the previous sweep (sweeping on is no dearer than resuming), or
-/// starts the first one from pixel 0.
+/// Splits a band's cold tiles (ascending columns) into sweeps, given the
+/// band's `found` checkpoints (ascending boundaries). A tile starts a new
+/// sweep from the rightmost checkpoint at or left of its left edge when
+/// that lies right of where the previous sweep ends; otherwise it joins
+/// the previous sweep (sweeping on is no dearer than resuming), or starts
+/// the first one from pixel 0. The tiles a request leads may be fewer
+/// than the ones it looked checkpoints up for (another request took some
+/// of them in between), so a sweep may resume from a checkpoint found for
+/// a tile left of its first.
 fn plan_runs<'a, L>(
     cold: Vec<(L, usize)>,
     tile_size: usize,
-    resume_at: impl Fn(usize) -> Option<&'a Arc<BandCheckpoint>>,
+    found: &'a [Arc<BandCheckpoint>],
 ) -> Vec<ColdRun<'a, L>> {
     let mut runs: Vec<ColdRun<'a, L>> = Vec::new();
     for (lease, tx) in cold {
         let end = runs.last().and_then(|r| r.tiles.last()).map(|&(_, last)| (last + 1) * tile_size);
-        let from = resume_at(tx).filter(|c| end.is_none_or(|end| c.boundary > end));
+        let at = found.partition_point(|c| c.boundary <= tx * tile_size);
+        let from =
+            at.checked_sub(1).map(|i| &found[i]).filter(|c| end.is_none_or(|end| c.boundary > end));
         match runs.last_mut() {
             Some(run) if from.is_none() => run.tiles.push((lease, tx)),
             _ => runs.push(ColdRun { from, tiles: vec![(lease, tx)] }),
@@ -870,9 +878,9 @@ struct LeadContext<'a> {
     tiling: &'a Tiling,
     contexts: &'a [Arc<SweepContext>],
     stale: &'a HashMap<(usize, usize), (u64, Arc<Tile>)>,
-    /// Checkpoints found for cold runs, under `(tx, ty)` of the run's
-    /// first tile (see [`TileServer::find_checkpoints`]).
-    resume: &'a HashMap<(usize, usize), Arc<BandCheckpoint>>,
+    /// Checkpoints found for each band's cold tiles, by `ty`, ascending
+    /// by boundary (see [`TileServer::find_checkpoints`]).
+    resume: &'a HashMap<usize, Vec<Arc<BandCheckpoint>>>,
     evictions: &'a AtomicU64,
     rejected: &'a AtomicU64,
 }
@@ -1114,6 +1122,35 @@ mod tests {
         assert_eq!(grid, crop_reference(&srv, &d));
         assert_eq!((stats.checkpoint_hits(), stats.checkpoint_misses()), (2, 1));
         assert_eq!(srv.flight_stats().duplicate_computes(), 0);
+    }
+
+    #[test]
+    fn runs_resume_from_the_rightmost_found_checkpoint_past_the_previous_run() {
+        let srv = server(1 << 22);
+        // a sweep of band 4 of zoom 2 over 0..112 checkpoints columns 1..=7
+        let vp = Viewport { zoom: 2, px: 96, py: 64, width: 16, height: 16 };
+        srv.serve_viewport(&vp, 0).unwrap();
+        let found: Vec<_> = [2, 5]
+            .map(|tx| srv.cache().nearest_checkpoint(&srv.checkpoint_key(2, tx, 4, 0), 1).unwrap())
+            .into();
+        let plan = |cold: &[usize]| -> Vec<(Option<usize>, Vec<usize>)> {
+            let cold = cold.iter().map(|&tx| ((), tx)).collect();
+            plan_runs(cold, 16, &found)
+                .into_iter()
+                .map(|run| {
+                    let tiles = run.tiles.into_iter().map(|(_, tx)| tx).collect();
+                    (run.from.map(|c| c.boundary), tiles)
+                })
+                .collect()
+        };
+        assert_eq!(plan(&[3, 4]), [(Some(32), vec![3, 4])]);
+        // the lookup run was 5..=7, but another request took tile 5 since:
+        // the led run still resumes from the checkpoint found for tile 5
+        assert_eq!(plan(&[6, 7]), [(Some(80), vec![6, 7])]);
+        assert_eq!(plan(&[3, 5]), [(Some(32), vec![3]), (Some(80), vec![5])]);
+        // resuming at the previous run's end is no cheaper: sweep on
+        assert_eq!(plan(&[3, 4, 6]), [(Some(32), vec![3, 4, 6])]);
+        assert_eq!(plan(&[0, 1, 6]), [(None, vec![0, 1]), (Some(80), vec![6])]);
     }
 
     #[test]
