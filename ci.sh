@@ -11,7 +11,7 @@
 #                      target/bench-results/BENCH_*.json (the bench
 #                      binaries' default; `--out results` records a run in
 #                      the committed results/ history instead), then a
-#                      smoke check that the committed JSON parses with the
+#                      smoke check that the appended JSON parses with the
 #                      expected keys
 #   ./ci.sh obs        observability gate: instrumented sweep + serve
 #                      trace replay through the CLI export flags, JSON
@@ -57,10 +57,25 @@
 #
 # Every bench_* gate above appends its dated entry under
 # target/bench-results/ (the kdv-bench default), so running a gate leaves
-# the committed results/BENCH_*.json history untouched; the smoke tests
-# check that committed history.
+# the committed results/BENCH_*.json history untouched. Each gate first
+# copies that history into target/bench-results/ and afterwards runs the
+# bench_results smoke tests there: they check the fresh entry, and the
+# trajectory guard compares it with the last committed one.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+bench_out=target/bench-results
+
+# Starts the gate's output directory from the committed history.
+seed_bench_results() {
+    mkdir -p "$bench_out"
+    cp results/BENCH_*.json "$bench_out"/
+}
+
+# The bench_results smoke tests over the gate's output directory.
+check_bench_results() {
+    KDV_BENCH_RESULTS_DIR="$bench_out" cargo test -q --test bench_results
+}
 
 if [[ "${1:-}" == "soak" ]]; then
     n="${2:-20000}"
@@ -69,17 +84,19 @@ if [[ "${1:-}" == "soak" ]]; then
 fi
 
 if [[ "${1:-}" == "bench" ]]; then
+    seed_bench_results
     echo "==> bench_envelope"
     cargo run --release -p kdv-bench --bin bench_envelope
     echo "==> bench_tiles"
     cargo run --release -p kdv-bench --bin bench_tiles
     echo "==> bench results smoke test"
-    cargo test -q --test bench_results
+    check_bench_results
     echo "==> BENCH OK"
     exit 0
 fi
 
 if [[ "${1:-}" == "obs" ]]; then
+    seed_bench_results
     echo "==> bench_obs (bitwise + overhead-ratio assertions)"
     cargo run --release -p kdv-bench --bin bench_obs
     echo "==> instrumented sweep + serve replay through the CLI flags"
@@ -97,7 +114,8 @@ if [[ "${1:-}" == "obs" ]]; then
         [[ -s "$tmp/$f.json" ]] || { echo "missing export $f.json" >&2; exit 1; }
     done
     echo "==> exported JSON well-formedness + schema smoke"
-    cargo test -q --test obs_trace --test bench_results
+    cargo test -q --test obs_trace
+    check_bench_results
     cargo test -q -p kdv-obs
     cargo test -q -p kdv-core --test obs_properties
     echo "==> kdv-obs unit tests, 20 runs (a span-log race fails here instead of flaking)"
@@ -109,6 +127,7 @@ if [[ "${1:-}" == "obs" ]]; then
 fi
 
 if [[ "${1:-}" == "obs-live" ]]; then
+    seed_bench_results
     echo "==> bench_flight (ring overhead, trigger injection, prometheus agreement)"
     cargo run --release -p kdv-bench --bin bench_flight
     echo "==> trigger-injection tests (incident dumps)"
@@ -129,12 +148,13 @@ if [[ "${1:-}" == "obs-live" ]]; then
     grep -q "^# TYPE kdv_" "$tmp/prom.txt" \
         || { echo "prometheus export missing or malformed" >&2; exit 1; }
     echo "==> bench results smoke test (incl. trajectory guard)"
-    cargo test -q --test bench_results
+    check_bench_results
     echo "==> OBS-LIVE OK"
     exit 0
 fi
 
 if [[ "${1:-}" == "coreset" ]]; then
+    seed_bench_results
     echo "==> bench_coreset at n=10^6 (eps-certificate, deep-zoom-bitwise, >=5x speedup gates)"
     cargo run --release -p kdv-bench --bin bench_coreset -- --scale 0.5
     echo "==> coreset unit + property suites"
@@ -144,12 +164,13 @@ if [[ "${1:-}" == "coreset" ]]; then
     echo "==> quick conformance matrix (includes the four coreset pairs)"
     cargo run --release -p kdv-conformance -- --quick
     echo "==> bench results smoke test"
-    cargo test -q --test bench_results
+    check_bench_results
     echo "==> CORESET OK"
     exit 0
 fi
 
 if [[ "${1:-}" == "stream" ]]; then
+    seed_bench_results
     echo "==> bench_stream (bitwise patch-vs-recompute, zero-duplicate, >=5x speedup gates)"
     cargo run --release -p kdv-bench --bin bench_stream
     echo "==> kdv-stream unit + property suites"
@@ -168,12 +189,13 @@ if [[ "${1:-}" == "stream" ]]; then
     echo "==> quick conformance matrix (includes the three streaming pairs)"
     cargo run --release -p kdv-conformance -- --quick
     echo "==> bench results smoke test"
-    cargo test -q --test bench_results
+    check_bench_results
     echo "==> STREAM OK"
     exit 0
 fi
 
 if [[ "${1:-}" == "serve-load" ]]; then
+    seed_bench_results
     echo "==> bench_serve (bitwise, zero-duplicate-tile, p99 and load-shed assertions)"
     cargo run --release -p kdv-bench --bin bench_serve
     echo "==> v2 multi-session trace replay through the CLI front end"
@@ -197,7 +219,7 @@ if [[ "${1:-}" == "serve-load" ]]; then
     echo "==> serve hammers (serve_frontend, tile_flight_hammer) + front-end tests"
     cargo test -q -p kdv-serve --test serve_frontend --test tile_flight_hammer
     cargo test -q -p kdv-serve
-    cargo test -q --test bench_results
+    check_bench_results
     echo "==> SERVE-LOAD OK"
     exit 0
 fi

@@ -1,19 +1,33 @@
-//! Smoke tests over the committed benchmark result files: `./ci.sh bench`
-//! appends entries to `results/BENCH_*.json`, and a malformed append (a
-//! bad suffix splice, a truncated run) must fail CI rather than silently
-//! corrupt the history. The checks are [`kdv_obs::validate_json`] (a
-//! recursive-descent well-formedness pass — no JSON dependency in the
+//! Smoke tests over the benchmark result files: every `bench_*` gate
+//! appends a dated entry to a `BENCH_*.json` history, and a malformed
+//! append (a bad suffix splice, a truncated run) must fail CI rather than
+//! silently corrupt the history. The checks are [`kdv_obs::validate_json`]
+//! (a recursive-descent well-formedness pass — no JSON dependency in the
 //! budget) plus presence of the keys downstream tooling reads.
+//!
+//! The files are read from `$KDV_BENCH_RESULTS_DIR` when it is set,
+//! relative to the repository root unless absolute, and from the
+//! committed `results/` otherwise. `./ci.sh` copies `results/` into the
+//! gates' output directory `target/bench-results/` before a gate and
+//! points the variable there after it, so the checks see the entry the
+//! gate just appended, on top of the committed history.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use kdv_obs::validate_json;
 
-/// Reads `results/<name>` and runs the well-formedness pass, panicking
-/// with the offending file's full path (and the bytes around the error)
-/// so a malformed append is traceable straight from the CI log.
+/// The directory of the result files (see the module docs).
+fn results_dir() -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    root.join(std::env::var_os("KDV_BENCH_RESULTS_DIR").unwrap_or_else(|| "results".into()))
+}
+
+/// Reads `<results dir>/<name>` and runs the well-formedness pass,
+/// panicking with the offending file's full path (and the bytes around
+/// the error) so a malformed append is traceable straight from the CI
+/// log.
 fn validated(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results").join(name);
+    let path = results_dir().join(name);
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{} missing (run ./ci.sh bench): {e}", path.display()));
     validate_json(&text).unwrap_or_else(|off| {
@@ -126,8 +140,9 @@ fn numeric_series(text: &str, key: &str) -> Vec<f64> {
 
 /// Trajectory guard: `./ci.sh` bench gates append one dated entry per
 /// run, and the gated headline ratio of the *latest* entry must not
-/// regress by more than 25% against the entry before it. A fresh file
-/// with fewer than two entries passes trivially.
+/// regress by more than 25% against the entry before it — after a gate,
+/// the fresh entry against the last committed one. A fresh file with
+/// fewer than two entries passes trivially.
 #[test]
 fn bench_trajectories_do_not_regress() {
     const MAX_REGRESSION: f64 = 0.25;
