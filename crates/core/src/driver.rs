@@ -110,7 +110,10 @@ pub trait RowEngine {
     /// Sweeps the pixels `row.cols` of a row into `out` (`row.cols.len()`
     /// values, bitwise those pixels of the whole-row sweep). The sweep
     /// starts from `resume`, the row's state at `row.cols.start` as an
-    /// earlier call captured it, or from pixel 0 when `resume` is `None`.
+    /// earlier call captured it. With no `resume` it starts fresh at the
+    /// last pixel at or left of `row.cols.start` where no interval of the
+    /// row is active (pixel 0 at worst), because the whole-row sweep
+    /// restarts from a fresh state there too.
     /// At each pixel boundary of `marks` (ascending, within
     /// `row.cols.start + 1..=row.cols.end`) it writes the row's state into
     /// the next [`RowEngine::state_words`] words of `captured`.
@@ -166,7 +169,9 @@ pub struct RowSpan<'a> {
     pub k: f64,
     /// The row's envelope intervals in canonical order: all of them, or
     /// any subsequence that keeps every interval with an endpoint event
-    /// inside `cols`.
+    /// inside `cols` — inside `0..cols.end` for a sweep with no resume
+    /// state, which finds where to start from the intervals left of
+    /// `cols`.
     pub intervals: &'a [SweepInterval],
     /// Per-interval weights (`None`: unit weights).
     pub weights: Option<&'a [f64]>,

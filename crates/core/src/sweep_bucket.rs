@@ -79,7 +79,6 @@ impl Buckets {
     /// buckets in `s..e`, upper buckets in `s + 1..=e`. Each list keeps
     /// the interval order it has in a whole-row scatter.
     fn scatter(&mut self, xs: &[f64], cols: Range<usize>, intervals: &[SweepInterval]) {
-        let x_count = xs.len();
         let (s, n) = (cols.start, cols.len());
         self.head_l.clear();
         self.head_l.resize(n, NIL);
@@ -90,12 +89,9 @@ impl Buckets {
         self.next_u.clear();
         self.next_u.resize(intervals.len(), NIL);
 
-        let x0 = xs[0];
-        let inv_gap = if x_count > 1 { (x_count - 1) as f64 / (xs[x_count - 1] - x0) } else { 0.0 };
-        let hi = x_count.min(i32::MAX as usize) as f64;
+        let index = BucketIndex::new(xs);
         for (idx, iv) in intervals.iter().enumerate() {
-            let bl = lower_bucket_index(xs, iv.lb, bucket_guess(iv.lb, x0, inv_gap, hi));
-            let bu = upper_bucket_index(xs, iv.ub, bucket_guess(iv.ub, x0, inv_gap, hi));
+            let (bl, bu) = index.of(iv);
             if bl == bu {
                 continue;
             }
@@ -120,6 +116,74 @@ impl Buckets {
             + self.next_l.capacity()
             + self.next_u.capacity())
             * std::mem::size_of::<u32>()
+    }
+}
+
+/// Bucket computation against a whole row of pixel centres `xs`.
+struct BucketIndex<'a> {
+    xs: &'a [f64],
+    x0: f64,
+    inv_gap: f64,
+    hi: f64,
+}
+
+impl<'a> BucketIndex<'a> {
+    fn new(xs: &'a [f64]) -> Self {
+        let x_count = xs.len();
+        let x0 = xs[0];
+        let inv_gap = if x_count > 1 { (x_count - 1) as f64 / (xs[x_count - 1] - x0) } else { 0.0 };
+        Self { xs, x0, inv_gap, hi: x_count.min(i32::MAX as usize) as f64 }
+    }
+
+    /// The interval's lower and upper buckets `(bl, bu)`: it contains the
+    /// pixel centres `bl..bu`.
+    #[inline(always)]
+    fn of(&self, iv: &SweepInterval) -> (usize, usize) {
+        let Self { xs, x0, inv_gap, hi } = *self;
+        let bl = lower_bucket_index(xs, iv.lb, bucket_guess(iv.lb, x0, inv_gap, hi));
+        let bu = upper_bucket_index(xs, iv.ub, bucket_guess(iv.ub, x0, inv_gap, hi));
+        (bl, bu)
+    }
+}
+
+/// The last pixel at or left of `s` where the whole-row sweep of
+/// `intervals` over `xs` restarts clean: no interval is active there, so
+/// [`BucketSweep`] resets its state to a fresh one, whatever came before.
+/// A sweep started fresh at that pixel therefore runs the whole-row
+/// sweep's float program from it on.
+///
+/// An interval covering pixels `bl..bu` is active at the top of pixel
+/// `p` iff `bl < p < bu`. The pixels where some interval is active form
+/// runs of the merged ranges `bl + 1..bu`; the answer is `s` outside them
+/// and the pixel before the run holding `s` inside one. Pixel 0 is in no
+/// run.
+pub(crate) fn clean_start(xs: &[f64], intervals: &[SweepInterval], s: usize) -> usize {
+    if s == 0 {
+        return 0;
+    }
+    let index = BucketIndex::new(xs);
+    // only ranges starting at or left of `s` can hold it
+    let mut active: Vec<(usize, usize)> = intervals
+        .iter()
+        .filter_map(|iv| {
+            let (bl, bu) = index.of(iv);
+            (bl < s && bl + 1 < bu).then_some((bl + 1, bu))
+        })
+        .collect();
+    active.sort_unstable();
+    // every range starts at or left of `s`, so only the last run can hold it
+    let mut run = 0..0;
+    for (start, end) in active {
+        if start > run.end {
+            run = start..end;
+        } else {
+            run.end = run.end.max(end);
+        }
+    }
+    if run.contains(&s) {
+        run.start - 1
+    } else {
+        s
     }
 }
 
@@ -178,16 +242,22 @@ pub struct BucketSweep {
     bandwidth: f64,
     weight: f64,
     buckets: Buckets,
+    /// Densities of a sweep that starts clean left of its first output
+    /// pixel (see [`clean_start`]), lead-in pixels included.
+    spill: Vec<f64>,
 }
 
 impl BucketSweep {
     /// Creates an engine for the given kernel/bandwidth/weight.
     pub fn new(kernel: KernelType, bandwidth: f64, weight: f64) -> Self {
-        Self { kernel, bandwidth, weight, buckets: Buckets::default() }
+        Self { kernel, bandwidth, weight, buckets: Buckets::default(), spill: Vec::new() }
     }
 
     /// Scatters the row's intervals, then runs the sweep pass with the
     /// kernel's quartic choice; arguments as in [`RowEngine::sweep_span`].
+    /// A sweep with no `resume` starts fresh at the row's [`clean_start`]
+    /// of `row.cols.start`, sweeping the pixels between the two into
+    /// `spill`.
     fn run<const WEIGHTED: bool>(
         &mut self,
         row: &RowSpan<'_>,
@@ -200,18 +270,34 @@ impl BucketSweep {
             row.cols.start < row.cols.end && row.cols.end <= row.xs.len(),
             "swept pixels must be a non-empty range of the row"
         );
-        assert!(resume.is_some() || row.cols.start == 0, "a sweep right of pixel 0 must resume");
         assert_eq!(out.len(), row.cols.len(), "output/swept-pixel mismatch");
+        let start = match resume {
+            Some(_) => row.cols.start,
+            None => clean_start(row.xs, row.intervals, row.cols.start),
+        };
+        let row = &RowSpan { cols: start..row.cols.end, ..row.clone() };
+        let lead_in = row.cols.len() - out.len();
+        let mut spill = std::mem::take(&mut self.spill);
+        let dest = if lead_in == 0 {
+            &mut *out
+        } else {
+            spill.resize(row.cols.len(), 0.0);
+            &mut spill[..]
+        };
         {
             let _s = kdv_obs::span1("bucket.scatter", "intervals", row.intervals.len() as u64);
             self.buckets.scatter(row.xs, row.cols.clone(), row.intervals);
         }
         let weights = row.weights.unwrap_or(&[]);
         if self.kernel.needs_quartic_terms() {
-            self.sweep::<true, WEIGHTED>(row, weights, resume, marks, captured, out);
+            self.sweep::<true, WEIGHTED>(row, weights, resume, marks, captured, dest);
         } else {
-            self.sweep::<false, WEIGHTED>(row, weights, resume, marks, captured, out);
+            self.sweep::<false, WEIGHTED>(row, weights, resume, marks, captured, dest);
         }
+        if lead_in > 0 {
+            out.copy_from_slice(&spill[lead_in..]);
+        }
+        self.spill = spill;
     }
 
     /// Sweep pass (lines 13–20 of Algorithm 2) over the scattered buckets
@@ -232,8 +318,11 @@ impl BucketSweep {
     /// whole-row sweep had at pixel `s` runs the same float program over
     /// `s..e` as the whole-row sweep does, provided it sees the same
     /// events there, which the whole-row buckets of [`Buckets::scatter`]
-    /// guarantee. The state is captured at each of `marks` by an
-    /// out-of-loop save, so a sweep with no marks runs the plain pixel loop.
+    /// guarantee. A sweep with no `resume` starts from fresh accumulators
+    /// at `s`, which [`BucketSweep::run`] picks where the whole-row sweep
+    /// resets to that same fresh state ([`clean_start`]). The state is
+    /// captured at each of `marks` by an out-of-loop save, so a sweep with
+    /// no marks runs the plain pixel loop.
     fn sweep<const QUARTIC: bool, const WEIGHTED: bool>(
         &self,
         row: &RowSpan<'_>,
@@ -261,7 +350,7 @@ impl BucketSweep {
             None => (
                 SweepAccumulator::<WEIGHTED>::new(QUARTIC),
                 SweepAccumulator::<WEIGHTED>::new(QUARTIC),
-                xs[0],
+                xs[s],
             ),
         };
         let weight = |idx: usize| if WEIGHTED { weights[idx] } else { 1.0 };
@@ -370,7 +459,7 @@ impl RowEngine for BucketSweep {
     }
 
     fn space_bytes(&self) -> usize {
-        self.buckets.space_bytes()
+        self.buckets.space_bytes() + self.spill.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -402,6 +491,24 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         (0..n).map(|_| Point::new(-30.0 + next() * 120.0, -10.0 + next() * 70.0)).collect()
+    }
+
+    #[test]
+    fn clean_start_is_the_last_pixel_with_no_active_interval() {
+        // pixel centres 0, 1, …, 9; an interval `lb..ub` covers the
+        // centres inside it and is active strictly inside those
+        let xs: Vec<f64> = (0..10).map(f64::from).collect();
+        let iv = |lb: f64, ub: f64| SweepInterval { point: Point::new(0.0, 0.0), lb, ub };
+        let intervals = [
+            iv(-0.5, 1.5), // covers 0..2: active at 1
+            iv(1.5, 4.5),  // covers 2..5: active at 3, 4
+            iv(3.5, 7.5),  // covers 4..8: active at 5, 6, 7 (a run 3..8 with the above)
+            iv(8.5, 8.7),  // covers no centre
+            iv(8.7, 9.5),  // covers 9 alone: active nowhere
+        ];
+        let starts: Vec<usize> = (0..10).map(|s| clean_start(&xs, &intervals, s)).collect();
+        assert_eq!(starts, [0, 0, 2, 2, 2, 2, 2, 2, 8, 9]);
+        assert_eq!(clean_start(&xs, &[], 6), 6, "no interval, nothing active");
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //! only on the events at or left of it (the sweep runs left to right),
 //! and only through the sweep's state `(L, U, frame_x)` between two
 //! pixels (paper Lemma 5). So [`sweep_band`] sweeps any column range
-//! `s..e` of a band's rows: from pixel 0, or resumed from a
-//! [`BandCheckpoint`] — that state, captured at a tile boundary by an
-//! earlier sweep of the same band. Interval buckets are always computed
+//! `s..e` of a band's rows: resumed from a [`BandCheckpoint`] — that
+//! state, captured at a tile boundary by an earlier sweep of the same
+//! band — or, without one, started fresh at the last pixel at or left of
+//! `s` where no interval is active, because the whole-row sweep resets to
+//! a fresh state there (pixel 0 is always such a pixel). Interval buckets are always computed
 //! against the whole row, so a sweep that stops at `e` leaves active every
 //! interval that crosses `e`, and its state there is the whole-row
 //! sweep's. The swept pixels are bitwise the whole row's (the tests pin
@@ -51,8 +53,11 @@
 //! `x ∈ [x_s − b, x_{e−1} + b]`, selected once per band. A cold tile that
 //! resumes from a checkpoint at its left edge therefore costs its own
 //! columns and the points within `b` of them, wherever it lies in the
-//! row. Without a checkpoint the sweep starts at pixel 0, and tiles near
-//! the left edge are the cheapest. A checkpoint of a unit Epanechnikov
+//! row. Without a checkpoint each row's sweep starts at its last clean
+//! pixel at or left of `s`: pixel 0 for the rows of a dense point set,
+//! whose active sets rarely empty, but close to `s` for a sparse delta
+//! batch, so folding a batch into a few tiles costs about their columns.
+//! A checkpoint of a unit Epanechnikov
 //! or uniform band holds 15 words (120 B) per row, a sixteenth of a
 //! 256-px tile's bytes.
 //!
@@ -250,21 +255,25 @@ impl BandCheckpoint {
 /// the whole-row sweeps, and returns the band's state at each boundary of
 /// `marks` (ascending, within `cols.start + 1..=cols.end`).
 ///
-/// The sweep starts at pixel 0 when `resume` is `None` (then `cols` must
-/// start at 0), else from `resume`, a checkpoint of the same rows and
-/// context taken at `cols.start`. Unless `cols` is the whole row, each
-/// row's envelope is restricted to the window of points that can have an
-/// endpoint event in `cols`, selected once for the band
-/// ([`EnvelopeBuffer::set_window`]), so the per-interval work scales with
-/// the swept columns as well; the events inside `cols` are exactly the
-/// whole row's, so the bits are too. Whether a row is skipped as exactly
-/// zero is decided on its whole envelope band, as in [`sweep_rows`].
+/// The sweep starts from `resume`, a checkpoint of the same rows and
+/// context taken at `cols.start`. With no `resume`, each row's sweep
+/// starts fresh at the last pixel at or left of `cols.start` where none
+/// of its intervals is active (pixel 0 at worst; see
+/// [`RowEngine::sweep_span`]): a sparse delta batch folded over a few
+/// tiles sweeps about their columns, not the whole row prefix. Unless
+/// `cols` is the whole row, each row's envelope is restricted to the
+/// window of points that can have an endpoint event in the swept pixels
+/// (`cols` with a resume state, `0..cols.end` without), selected once for
+/// the band ([`EnvelopeBuffer::set_window`]), so the per-interval work
+/// scales with the swept columns as well; the events inside them are
+/// exactly the whole row's, so the bits are too. Whether a row is skipped
+/// as exactly zero is decided on its whole envelope band, as in
+/// [`sweep_rows`].
 ///
 /// # Panics
 /// Panics if `cols` is empty or leaves the row, if `out` is not
-/// `rows.len() × cols.len()`, if a sweep right of pixel 0 has nothing to
-/// resume from, or if `resume` or `marks` is given to an engine that
-/// cannot checkpoint.
+/// `rows.len() × cols.len()`, or if an engine that sweeps whole rows
+/// only is given a partial row, a `resume` or `marks`.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_band<E: RowEngine>(
     ctx: &SweepContext,
@@ -296,7 +305,8 @@ pub fn sweep_band<E: RowEngine>(
         let (first, last) = (ctx.ks[rows.start], ctx.ks[rows.end - 1]);
         let (a, b) = (ctx.index.band(bandwidth, first), ctx.index.band(bandwidth, last));
         let points = a.start.min(b.start)..a.end.max(b.end);
-        let (x_lo, x_hi) = (ctx.xs[cols.start], ctx.xs[cols.end - 1]);
+        let from = if resume.is_some() { cols.start } else { 0 };
+        let (x_lo, x_hi) = (ctx.xs[from], ctx.xs[cols.end - 1]);
         envelope.set_window(&ctx.index, weights, points, bandwidth, x_lo, x_hi);
     }
     let per_row = marks.len() * row_words;
@@ -392,11 +402,13 @@ pub fn compute_band_tiles<E: RowEngine>(
     slice_band_tiles(tiling, ty, span, cols, band)
 }
 
-/// Band accumulation — the streaming patch primitive. Sweeps the rows
-/// `rows` of `ctx` (a weighted context built over a *delta batch*, not
-/// the base set) from pixel 0 to `cols.end` into `scratch`, then folds
-/// its pixels `cols` elementwise into `out`, the `rows.len() ×
-/// cols.len()` band of the existing densities over those columns.
+/// Band accumulation — the streaming patch primitive. Sweeps pixels
+/// `cols` of the rows `rows` of `ctx` (a weighted context built over a
+/// *delta batch*, not the base set) into `scratch`, each row from its
+/// last clean pixel at or left of `cols.start` ([`sweep_band`] with no
+/// resume state), then folds them elementwise into `out`, the
+/// `rows.len() × cols.len()` band of the existing densities over those
+/// columns.
 ///
 /// Kernel sums are additive, so `base band + delta band` is the live
 /// band; signed weights make the same call an append (`+w`) or an
@@ -427,11 +439,10 @@ pub fn accumulate_rows<E: RowEngine>(
     assert_eq!(out.len(), rows.len() * cols.len(), "band buffer/row-range mismatch");
     let _s =
         kdv_obs::span2("tile.patch", "rows", rows.len() as u64, "points", ctx.points.len() as u64);
-    let end = cols.end;
-    scratch.resize(rows.len() * end, 0.0);
-    sweep_band(ctx, bandwidth, rows, 0..end, None, &[], engine, envelope, scratch);
-    for (out, delta) in out.chunks_exact_mut(cols.len()).zip(scratch.chunks_exact(end)) {
-        for (o, &d) in out.iter_mut().zip(&delta[cols.clone()]) {
+    scratch.resize(rows.len() * cols.len(), 0.0);
+    sweep_band(ctx, bandwidth, rows, cols.clone(), None, &[], engine, envelope, scratch);
+    for (out, delta) in out.chunks_exact_mut(cols.len()).zip(scratch.chunks_exact(cols.len())) {
+        for (o, &d) in out.iter_mut().zip(delta) {
             if d != 0.0 {
                 *o += d;
             }
@@ -972,6 +983,113 @@ mod tests {
         assert!(empty_active > 0, "no checkpoint fell on an empty active set");
         assert!(after_shift > 0, "no checkpoint fell just after a frame shift");
         assert!(empty_rows > 0, "no row had an empty band");
+    }
+
+    #[test]
+    fn fresh_band_sweeps_right_of_pixel_0_equal_whole_row_sweeps_bitwise() {
+        // With no checkpoint, a sweep over `s..e` starts each row fresh at
+        // its last clean pixel at or left of `s`: for every kernel, unit,
+        // weighted and sparse batch-like rows, its pixels, its state at `e`
+        // and its fold into a band are bitwise the whole-row sweep's.
+        let pts = clustered_points();
+        let weights: Vec<f64> = (0..pts.len()).map(|i| 0.25 + (i % 7) as f64 * 0.5).collect();
+        let sparse: Vec<Point> = pts.iter().step_by(23).copied().collect();
+        let signed: Vec<f64> = (0..sparse.len()).map(|i| [1.0, -1.0, 2.5][i % 3]).collect();
+        let mut state = 0xC1EA_u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as usize % n
+        };
+        let (mut at_s, mut between, mut at_0) = (0, 0, 0);
+        for width in [1, 97, 331, 2560] {
+            for kernel in KernelType::ALL {
+                let grid = GridSpec::new(Rect::new(-10.0, 5.0, 90.0, 70.0), width, 7).unwrap();
+                let params = KdvParams::new(grid, kernel, 6.0).with_weight(0.004);
+                for ctx in [
+                    SweepContext::new(&params, &pts).unwrap(),
+                    SweepContext::weighted(&params, &pts, &weights).unwrap(),
+                    SweepContext::weighted(&params, &sparse, &signed).unwrap(),
+                ] {
+                    let what = format!("{kernel:?} width {width} points {}", ctx.points.len());
+                    let mut engine = BucketSweep::new(kernel, params.bandwidth, params.weight);
+                    let mut envelope = EnvelopeBuffer::new();
+                    let marks: Vec<usize> = (1..=width).collect();
+                    let mut whole = vec![f64::NAN; 7 * width];
+                    let at = sweep_band(
+                        &ctx,
+                        6.0,
+                        0..7,
+                        0..width,
+                        None,
+                        &marks,
+                        &mut engine,
+                        &mut envelope,
+                        &mut whole,
+                    );
+                    let mut starts = vec![0, width - 1];
+                    starts.extend((0..10).map(|_| below(width)));
+                    for s in starts {
+                        for j in 0..7 {
+                            let band = ctx.index.band(6.0, ctx.ks[j]);
+                            if band.is_empty() {
+                                continue;
+                            }
+                            let intervals = envelope.fill_band(&ctx.index, band, 6.0, ctx.ks[j]);
+                            match sweep_bucket::clean_start(&ctx.xs, intervals, s) {
+                                c if c == s => at_s += 1,
+                                0 => at_0 += 1,
+                                _ => between += 1,
+                            }
+                        }
+                        let e = s + 1 + below(width - s);
+                        let mut got = vec![f64::NAN; 7 * (e - s)];
+                        let end_state = sweep_band(
+                            &ctx,
+                            6.0,
+                            0..7,
+                            s..e,
+                            None,
+                            &[e],
+                            &mut engine,
+                            &mut envelope,
+                            &mut got,
+                        );
+                        let mut folded = vec![0.0; 7 * (e - s)];
+                        let mut scratch = Vec::new();
+                        accumulate_rows(
+                            &ctx,
+                            6.0,
+                            0..7,
+                            s..e,
+                            &mut engine,
+                            &mut envelope,
+                            &mut scratch,
+                            &mut folded,
+                        );
+                        for j in 0..7 {
+                            let want = &whole[j * width + s..j * width + e];
+                            let got = &got[j * (e - s)..(j + 1) * (e - s)];
+                            assert_eq!(bits(got), bits(want), "{what} row {j}: fresh {s}..{e}");
+                            let fold: Vec<f64> = want
+                                .iter()
+                                .map(|&d| if d != 0.0 { 0.0 + d } else { 0.0 })
+                                .collect();
+                            assert_eq!(
+                                bits(&folded[j * (e - s)..(j + 1) * (e - s)]),
+                                bits(&fold),
+                                "{what} row {j}: fold over {s}..{e}"
+                            );
+                        }
+                        assert_eq!(end_state, [at[e - 1].clone()], "{what}: state at {e} from {s}");
+                    }
+                }
+            }
+        }
+        assert!(at_s > 0, "no sweep started at its first pixel");
+        assert!(between > 0, "no sweep started between pixel 0 and its first pixel");
+        assert!(at_0 > 0, "no sweep had to start at pixel 0");
     }
 
     #[test]

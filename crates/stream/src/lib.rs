@@ -350,9 +350,10 @@ impl StreamingPointSet {
 /// rebuild and the serve layer's cached-tile patch run — the shared
 /// float program that makes them bitwise-equal. Each folded pixel is
 /// bitwise that pixel of the full-width fold (see
-/// [`kdv_core::tile::accumulate_rows`], whose batch sweeps start at pixel
-/// 0), so a tile can be patched, or a resumed cold run folded, over just
-/// its own columns.
+/// [`kdv_core::tile::accumulate_rows`], whose batch sweeps start at each
+/// row's last pixel at or left of `cols` with nothing active), so a tile
+/// can be patched, or a resumed cold run folded, over about its own
+/// columns.
 ///
 /// `context_for` supplies (or caches) the per-batch weighted sweep
 /// context ([`batch_context`]), called with each folded batch's index
@@ -582,5 +583,43 @@ mod tests {
                 assert_eq!(got, want, "row {j}, prefix of {end} pixels");
             }
         }
+    }
+
+    #[test]
+    fn column_range_fold_equals_the_full_folds_columns_bitwise() {
+        // Columns `s..e` of the base raster with every signed batch folded
+        // over just those columns must be those columns of the rebuild.
+        let p = params();
+        let mut set = StreamingPointSet::new(pts(21, 40));
+        set.append(&pts(22, 3)).unwrap();
+        set.append(&pts(23, 2)).unwrap();
+        set.expire_oldest(4);
+        let snapshot = set.snapshot();
+        let full = rebuild_grid(&p, &snapshot).unwrap();
+        let base =
+            rebuild_grid(&p, &StreamingPointSet::new(snapshot.base.to_vec()).snapshot()).unwrap();
+        let mut ws = BandWorkspace::new(&p);
+        let mut total = 0;
+        for (rows, cols) in [(0..24, 5..6), (3..9, 7..19), (10..24, 13..24), (0..24, 1..23)] {
+            ws.band.clear();
+            for j in rows.clone() {
+                ws.band.extend_from_slice(&base.row(j)[cols.clone()]);
+            }
+            let (folded, _) =
+                fold_batches(&p, &snapshot.batches, rows.clone(), cols.clone(), &mut ws, |_, b| {
+                    Ok(Arc::new(batch_context(&p, b)?))
+                })
+                .unwrap();
+            total += folded;
+            for (slot, j) in rows.clone().enumerate() {
+                let n = cols.len();
+                let got: Vec<u64> =
+                    ws.band[slot * n..(slot + 1) * n].iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> =
+                    full.row(j)[cols.clone()].iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "row {j}, columns {cols:?}");
+            }
+        }
+        assert!(total > 0, "no batch reached a band");
     }
 }
