@@ -1167,6 +1167,7 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as usize % n
         };
+        let mut evictions = 0;
         for step in 0..60 {
             if step % 20 == 10 {
                 srv.append(&points(3 + step % 5));
@@ -1182,9 +1183,14 @@ mod tests {
             let tiles = (vp.tile_cols(16).len() * vp.tile_rows(16).len()) as u64;
             assert_eq!(report.cache_hits + report.cache_misses + report.cache_patched, tiles);
             assert!(srv.cache().bytes() <= srv.cache().budget());
+            evictions += report.cache_evictions;
         }
-        assert!(srv.cache_stats().checkpoint_hits() > 0, "no cold run resumed");
-        assert!(srv.cache_stats().evictions() > 0, "the cache never filled");
+        let stats = srv.cache_stats();
+        assert!(stats.checkpoint_hits() > 0, "no cold run resumed");
+        assert!(stats.evictions() > 0, "the cache never filled");
+        // requests report the tiles they pushed out; checkpoints count apart
+        assert_eq!(evictions, stats.evictions(), "per-request evictions count tiles only");
+        assert!(stats.checkpoint_evictions() > 0, "no checkpoint was evicted");
     }
 
     #[test]
