@@ -94,8 +94,8 @@ fn main() {
         });
         let mut banded_grid = None;
         let total_banded_s = median_secs(|| {
-            let mut engine = BucketSweep::new(params.kernel, bandwidth, params.weight);
-            banded_grid = Some(sweep_grid(&params, &points, &mut engine).unwrap());
+            let make = || BucketSweep::new(params.kernel, bandwidth, params.weight);
+            banded_grid = Some(sweep_grid(&params, &points, 1, make).unwrap());
         });
         assert_eq!(banded_grid, reference, "banded output must be bitwise identical");
 

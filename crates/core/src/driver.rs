@@ -13,6 +13,7 @@ use crate::error::{KdvError, Result};
 use crate::geom::Point;
 use crate::grid::{DensityGrid, GridSpec};
 use crate::kernel::KernelType;
+use crate::parallel::{chunk_len, run_workers, workers_for};
 
 /// Parameters of one KDV computation (Problem 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,23 +241,6 @@ impl SweepContext {
         Ok(ctx)
     }
 
-    /// Sweeps one whole row with `engine`: `intervals` were filled from
-    /// `band` (a range of the canonical order) at row coordinate `k`. A
-    /// weighted context hands the engine the band's weights.
-    #[inline]
-    pub(crate) fn sweep_row<E: RowEngine>(
-        &self,
-        engine: &mut E,
-        band: Range<usize>,
-        k: f64,
-        intervals: &[SweepInterval],
-        out: &mut [f64],
-    ) {
-        let weights = self.weights.as_deref().map(|w| &w[band]);
-        let row = RowSpan { xs: &self.xs, cols: 0..self.xs.len(), k, intervals, weights };
-        engine.sweep_span(&row, None, &[], &mut [], out);
-    }
-
     /// Per-point weights in canonical order (`None`: unit weights).
     #[inline]
     pub fn weights(&self) -> Option<&[f64]> {
@@ -275,32 +259,51 @@ impl SweepContext {
     }
 }
 
-/// Runs `engine` over every row of the raster with banded envelope
-/// extraction: O(n log n) once, then `Y` iterations of an
-/// `O(log n + |E(k)| + X)` row (rows with an empty band are skipped
-/// outright — their densities are exactly zero).
+/// Runs one `make_engine()` engine per worker over every row of the
+/// raster with banded envelope extraction, on `threads` workers (`0`:
+/// auto; see [`crate::parallel`]): O(n log n) once, then `Y` iterations of
+/// an `O(log n + |E(k)| + X)` row (rows with an empty band are skipped
+/// outright — their densities are exactly zero). Bitwise identical for
+/// every thread count.
 pub fn sweep_grid<E: RowEngine>(
     params: &KdvParams,
     points: &[Point],
-    engine: &mut E,
+    threads: usize,
+    make_engine: impl Fn() -> E + Sync,
 ) -> Result<DensityGrid> {
     let ctx = SweepContext::new(params, points)?;
-    Ok(sweep_context(&ctx, params, engine))
+    Ok(sweep_context(&ctx, params, threads, make_engine))
 }
 
-/// The raster of a built context: [`crate::tile::sweep_rows`] over every
-/// row, unit or weighted as the context says.
+/// The raster of a built context, unit or weighted as the context says:
+/// the workers claim chunks of rows, each a disjoint slice of the output,
+/// and sweep them with [`crate::tile::sweep_rows`]. The `sweep.parallel`
+/// span carries the rows, the workers and, at close, the auxiliary heap:
+/// `peak_bytes` of the largest worker (envelope buffer plus engine) and
+/// `aux_bytes` of all workers plus the context.
 pub(crate) fn sweep_context<E: RowEngine>(
     ctx: &SweepContext,
     params: &KdvParams,
-    engine: &mut E,
+    threads: usize,
+    make_engine: impl Fn() -> E + Sync,
 ) -> DensityGrid {
     let (res_x, res_y) = (params.grid.res_x, params.grid.res_y);
+    let workers = workers_for(threads, res_y);
+    let chunk = chunk_len(res_y, workers);
     let mut values = vec![0.0; res_x * res_y];
-    let mut envelope = EnvelopeBuffer::for_points(ctx.points.len());
-    let _sweep =
-        kdv_obs::span2("sweep.sequential", "rows", res_y as u64, "points", ctx.points.len() as u64);
-    crate::tile::sweep_rows(ctx, params.bandwidth, 0..res_y, engine, &mut envelope, &mut values);
+    let mut span =
+        kdv_obs::span2("sweep.parallel", "rows", res_y as u64, "threads", workers as u64);
+    let heap = run_workers(workers, values.chunks_mut(chunk * res_x).enumerate(), |claims| {
+        let mut engine = make_engine();
+        let mut envelope = EnvelopeBuffer::for_points(ctx.points.len());
+        for (c, out) in claims {
+            let rows = c * chunk..c * chunk + out.len() / res_x;
+            crate::tile::sweep_rows(ctx, params.bandwidth, rows, &mut engine, &mut envelope, out);
+        }
+        envelope.space_bytes() + engine.space_bytes()
+    });
+    span.arg("peak_bytes", heap.iter().copied().max().unwrap_or(0) as u64);
+    span.arg("aux_bytes", (ctx.space_bytes() + heap.iter().sum::<usize>()) as u64);
     DensityGrid::from_values(res_x, res_y, values)
 }
 
@@ -332,10 +335,9 @@ mod tests {
     use super::*;
     use crate::geom::{Point, Rect};
 
-    struct CountingEngine {
-        rows_seen: usize,
-        envelope_sizes: Vec<usize>,
-    }
+    /// Fills each row it sweeps with `100 + |E(k)|`, so a skipped row
+    /// (left exactly zero) is told apart from a swept empty one.
+    struct CountingEngine;
 
     impl RowEngine for CountingEngine {
         fn process_row(
@@ -346,9 +348,7 @@ mod tests {
             out: &mut [f64],
         ) {
             assert_eq!(xs.len(), out.len());
-            self.rows_seen += 1;
-            self.envelope_sizes.push(intervals.len());
-            out.fill(intervals.len() as f64);
+            out.fill(100.0 + intervals.len() as f64);
         }
     }
 
@@ -375,15 +375,15 @@ mod tests {
         let p = params(8, 5);
         // one point near the bottom, one near the top
         let pts = [Point::new(5.0, 1.0), Point::new(5.0, 9.0)];
-        let mut eng = CountingEngine { rows_seen: 0, envelope_sizes: vec![] };
-        let grid = sweep_grid(&p, &pts, &mut eng).unwrap();
         // row centres are y = 1,3,5,7,9; b = 2 ⇒ row 0 sees pt0 only,
         // row 1 sees pt0, row 2 sees none (skipped outright), row 3 sees
-        // pt1, row 4 sees pt1.
-        assert_eq!(eng.rows_seen, 4);
-        assert_eq!(eng.envelope_sizes, vec![1, 1, 1, 1]);
-        assert_eq!(grid.get(0, 2), 0.0, "skipped row stays exactly zero");
-        assert_eq!(grid.get(0, 0), 1.0);
+        // pt1, row 4 sees pt1 — on any number of workers.
+        for threads in [1, 2, 5] {
+            let grid = sweep_grid(&p, &pts, threads, || CountingEngine).unwrap();
+            for (j, want) in [101.0, 101.0, 0.0, 101.0, 101.0].into_iter().enumerate() {
+                assert!(grid.row(j).iter().all(|&v| v == want), "row {j} threads {threads}");
+            }
+        }
     }
 
     #[test]
@@ -401,9 +401,9 @@ mod tests {
         for bandwidth in [0.3, 2.0, 25.0] {
             let mut params = p;
             params.bandwidth = bandwidth;
-            let mut a = crate::sweep_bucket::BucketSweep::new(params.kernel, bandwidth, 1.0);
-            let mut b = crate::sweep_bucket::BucketSweep::new(params.kernel, bandwidth, 1.0);
-            let banded = sweep_grid(&params, &pts, &mut a).unwrap();
+            let make = || crate::sweep_bucket::BucketSweep::new(params.kernel, bandwidth, 1.0);
+            let mut b = make();
+            let banded = sweep_grid(&params, &pts, 1, make).unwrap();
             let scan = sweep_grid_scan(&params, &pts, &mut b).unwrap();
             assert_eq!(banded, scan, "b={bandwidth}");
         }

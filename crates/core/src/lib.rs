@@ -49,7 +49,8 @@
 //! Extensions beyond the paper (each documented as such):
 //!
 //! * [`parallel`] — work-stealing row-parallel runtime (plain, RAO,
-//!   and weighted sweeps) with [`telemetry`] reports.
+//!   and weighted sweeps); what its workers did is recorded as `kdv-obs`
+//!   spans (`sweep.parallel`, `band.search`, `envelope.fill`, `row.sweep`).
 //! * [`weighted`] — per-point weights (temporal kernels, event counts).
 //! * [`grid_io`] — lossless raster persistence (binary and TSV).
 //! * [`simd`] — the machine's `f64` lane class, reported in the benchmark
@@ -57,6 +58,8 @@
 //! * [`tile`] — tile-decomposed computation whose stitched output is
 //!   bitwise identical to the monolithic sweep (the compute layer under
 //!   the `kdv-serve` tile cache).
+
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod digest;
@@ -73,7 +76,6 @@ pub mod simd;
 pub mod stats;
 pub mod sweep_bucket;
 pub mod sweep_sort;
-pub mod telemetry;
 pub mod tile;
 pub mod weighted;
 

@@ -9,33 +9,34 @@
 //! by orders of magnitude across rows, so contiguous bands leave most
 //! workers idle while one grinds through the hotspot.
 //!
-//! This module therefore schedules rows dynamically: workers claim small
-//! chunks of row indices from a shared atomic counter until the raster is
-//! exhausted. Each row is still swept start-to-finish by exactly one engine,
-//! so no floating-point reassociation crosses a row boundary and the output
-//! is **bitwise identical** to the sequential sweep for every thread count.
-//! One `fetch_add` per chunk keeps contention negligible next to an
-//! `O(X + n)` row.
+//! This module therefore schedules work dynamically: workers claim small
+//! chunks of rows (or of any indexed tasks) from one shared queue until it
+//! runs dry. The raster driver ([`crate::driver::sweep_grid`]) hands each
+//! claimed chunk's output rows out as a disjoint `&mut` slice and sweeps
+//! them with the one band loop, [`crate::tile::sweep_rows`]. Each row is
+//! still swept start-to-finish by exactly one engine, so no floating-point
+//! reassociation crosses a row boundary and the output is **bitwise
+//! identical** for every thread count. One lock per chunk keeps contention
+//! negligible next to an `O(X + n)` row. The calling thread is always one
+//! of the workers, so a one-thread run spawns nothing.
 //!
 //! The same scheduler drives every parallel entry point in the workspace:
 //! plain sweeps ([`compute_parallel`]), RAO composition
 //! ([`compute_parallel_rao`]), weighted sweeps
-//! ([`compute_weighted_parallel`]) and — via [`for_each_index`] — the
-//! temporal frame driver in `kdv-temporal`. The `*_with_report`
-//! variants additionally collect a [`SweepReport`] of per-row envelope
-//! sizes, fill/sweep phase times and the rows-per-worker distribution.
+//! ([`compute_weighted_parallel`]) and — via [`for_each_index`] — tile
+//! bands, serving requests and the temporal frame driver in
+//! `kdv-temporal`. What the workers did is recorded as `kdv-obs` spans
+//! (`sweep.parallel` around the raster, `band.search` / `envelope.fill` /
+//! `row.sweep` per row, on each worker's own thread track).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::{Mutex, PoisonError};
 
-use crate::driver::{KdvParams, RowEngine, SweepContext};
-use crate::envelope::EnvelopeBuffer;
+use crate::driver::{sweep_grid, KdvParams, SweepContext};
 use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::sweep_bucket::BucketSweep;
 use crate::sweep_sort::SortSweep;
-use crate::telemetry::{SweepReport, WorkerStats};
 
 /// Which sequential engine each worker thread instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,207 +53,76 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Resolves a user-facing thread request: `0` means "auto".
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        default_threads()
-    } else {
-        threads
+/// Workers for `items` work items under a user-facing thread request
+/// (`0` means "auto"): never more workers than items, never fewer than one.
+pub(crate) fn workers_for(threads: usize, items: usize) -> usize {
+    let threads = if threads == 0 { default_threads() } else { threads };
+    threads.min(items).max(1)
+}
+
+/// Items per claim: small enough that a clustered hotspot cannot pin a
+/// worker for long, large enough that the queue traffic stays negligible.
+pub(crate) fn chunk_len(items: usize, workers: usize) -> usize {
+    (items / (workers * 8)).clamp(1, 64)
+}
+
+/// The shared work queue of [`run_workers`]: each worker iterates it, and
+/// every item goes to exactly one worker.
+pub(crate) struct Claims<I>(Mutex<I>);
+
+impl<I: Iterator> Iterator for &Claims<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        // Workers never panic while holding the lock, so a poisoned
+        // queue is still consistent.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).next()
     }
 }
 
-/// Chunked claiming from a shared atomic row counter — the work-stealing
-/// heart of the runtime.
-struct RowClaimer {
-    next: AtomicUsize,
-    rows: usize,
-    chunk: usize,
-}
-
-impl RowClaimer {
-    fn new(rows: usize, workers: usize) -> Self {
-        // Chunks small enough that a clustered hotspot cannot pin a worker
-        // for long, large enough that the atomic traffic stays negligible.
-        let chunk = (rows / (workers.max(1) * 8)).clamp(1, 64);
-        Self { next: AtomicUsize::new(0), rows, chunk }
-    }
-
-    fn claim(&self) -> Option<std::ops::Range<usize>> {
-        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.rows {
-            None
-        } else {
-            Some(start..(start + self.chunk).min(self.rows))
-        }
-    }
-}
-
-/// Hands out disjoint mutable raster rows to workers.
-///
-/// Safety contract: every row index is claimed by exactly one worker (the
-/// `RowClaimer` guarantees unique claims), so the aliasing rules hold even
-/// though the borrow checker cannot see it.
-struct RowTable {
-    base: *mut f64,
-    row_len: usize,
-    rows: usize,
-}
-
-unsafe impl Send for RowTable {}
-unsafe impl Sync for RowTable {}
-
-impl RowTable {
-    fn new(values: &mut [f64], row_len: usize) -> Self {
-        let rows = values.len().checked_div(row_len).unwrap_or(0);
-        debug_assert_eq!(values.len(), rows * row_len);
-        Self { base: values.as_mut_ptr(), row_len, rows }
-    }
-
-    /// # Safety
-    /// `j` must be claimed by exactly one worker for the table's lifetime.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row(&self, j: usize) -> &mut [f64] {
-        debug_assert!(j < self.rows);
-        unsafe { std::slice::from_raw_parts_mut(self.base.add(j * self.row_len), self.row_len) }
-    }
-}
-
-/// Generic work-stealing scheduler: spawns `workers` scoped threads, each
-/// building private state with `make_state` and running `sweep_row` for
-/// every claimed row. Returns the per-worker telemetry records in spawn
-/// order.
-fn run_scheduler<S>(
-    rows: usize,
+/// Runs `worker` on `workers` workers sharing the queue `items`: the
+/// calling thread plus `workers - 1` scoped threads. Returns the workers'
+/// results, the spawned ones first.
+pub(crate) fn run_workers<I, R>(
     workers: usize,
-    make_state: &(impl Fn() -> S + Sync),
-    sweep_row: &(impl Fn(&mut S, usize, &mut WorkerStats) + Sync),
-    aux_bytes: &(impl Fn(&S) -> usize + Sync),
-) -> Vec<WorkerStats> {
-    let workers = workers.min(rows).max(1);
-    let claimer = RowClaimer::new(rows, workers);
+    items: I,
+    worker: impl Fn(&Claims<I>) -> R + Sync,
+) -> Vec<R>
+where
+    I: Iterator + Send,
+    R: Send,
+{
+    let claims = Claims(Mutex::new(items));
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let claimer = &claimer;
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    let mut stats = WorkerStats::default();
-                    while let Some(range) = claimer.claim() {
-                        for j in range {
-                            sweep_row(&mut state, j, &mut stats);
-                            stats.rows += 1;
-                        }
-                    }
-                    stats.aux_bytes = aux_bytes(&state);
-                    stats
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(|| worker(&claims))).collect();
+        let own = worker(&claims);
+        // Explicit joins: a joined thread has also drained its span log.
+        let mut results: Vec<R> =
+            spawned.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect();
+        results.push(own);
+        results
     })
 }
 
-/// Computes the raster with `threads` workers claiming rows dynamically.
-/// `threads == 0` uses [`default_threads`]; `1` falls back to the
-/// sequential path. Output is bitwise identical to the sequential sweep
-/// for every thread count.
+/// Computes the raster with `threads` workers claiming rows dynamically
+/// (`threads == 0` uses [`default_threads`]). Output is bitwise identical
+/// for every thread count, and equal to [`crate::sweep_sort::compute`] or
+/// [`crate::sweep_bucket::compute`], which are its one-thread case.
 pub fn compute_parallel(
     params: &KdvParams,
     points: &[Point],
     engine: ParallelEngine,
     threads: usize,
 ) -> Result<DensityGrid> {
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        return match engine {
-            ParallelEngine::Sort => crate::sweep_sort::compute(params, points),
-            ParallelEngine::Bucket => crate::sweep_bucket::compute(params, points),
-        };
-    }
-    compute_parallel_with_report(params, points, engine, threads).map(|(grid, _)| grid)
-}
-
-/// [`compute_parallel`] plus execution telemetry. Runs the scheduler even
-/// for `threads == 1` so the report is always populated.
-pub fn compute_parallel_with_report(
-    params: &KdvParams,
-    points: &[Point],
-    engine: ParallelEngine,
-    threads: usize,
-) -> Result<(DensityGrid, SweepReport)> {
-    let ctx = SweepContext::new(params, points)?;
     let (kernel, b, w) = (params.kernel, params.bandwidth, params.weight);
-    Ok(match engine {
+    match engine {
         ParallelEngine::Sort => {
-            sweep_context_parallel(&ctx, params, threads, || SortSweep::new(kernel, b, w))
+            sweep_grid(params, points, threads, || SortSweep::new(kernel, b, w))
         }
         ParallelEngine::Bucket => {
-            sweep_context_parallel(&ctx, params, threads, || BucketSweep::new(kernel, b, w))
+            sweep_grid(params, points, threads, || BucketSweep::new(kernel, b, w))
         }
-    })
-}
-
-/// The work-stealing row sweep over a built context, unit or weighted as
-/// the context says, with one `make_engine()` engine per worker: the one
-/// row closure of every parallel sweep driver.
-fn sweep_context_parallel<E: RowEngine>(
-    ctx: &SweepContext,
-    params: &KdvParams,
-    threads: usize,
-    make_engine: impl Fn() -> E + Sync,
-) -> (DensityGrid, SweepReport) {
-    let threads = resolve_threads(threads);
-    let res_x = params.grid.res_x;
-    let res_y = params.grid.res_y;
-    let mut values = vec![0.0_f64; res_x * res_y];
-    let table = RowTable::new(&mut values, res_x);
-
-    let start = Instant::now();
-    let workers = {
-        let _sweep =
-            kdv_obs::span2("sweep.parallel", "rows", res_y as u64, "threads", threads as u64);
-        run_scheduler(
-            res_y,
-            threads,
-            &|| (EnvelopeBuffer::for_points(ctx.points.len()), make_engine()),
-            &|(envelope, eng), j, stats| {
-                let k = ctx.ks[j];
-                let t0 = Instant::now();
-                let band = {
-                    let _s = kdv_obs::span1("band.search", "row", j as u64);
-                    ctx.index.band(params.bandwidth, k)
-                };
-                if band.is_empty() {
-                    // the output row is already zeroed — skip the engine
-                    stats.fill_nanos += t0.elapsed().as_nanos() as u64;
-                    stats.rows_skipped += 1;
-                    stats.envelope_sizes.push((j, 0));
-                    return;
-                }
-                let intervals = {
-                    let mut s = kdv_obs::span1("envelope.fill", "row", j as u64);
-                    let intervals =
-                        envelope.fill_band(&ctx.index, band.clone(), params.bandwidth, k);
-                    s.arg("size", intervals.len() as u64);
-                    intervals
-                };
-                let t1 = Instant::now();
-                // SAFETY: the scheduler claims each row exactly once.
-                let out = unsafe { table.row(j) };
-                {
-                    let _s = kdv_obs::span1("row.sweep", "row", j as u64);
-                    ctx.sweep_row(eng, band, k, intervals, out);
-                }
-                stats.fill_nanos += (t1 - t0).as_nanos() as u64;
-                stats.sweep_nanos += t1.elapsed().as_nanos() as u64;
-                stats.envelope_sizes.push((j, intervals.len()));
-            },
-            &|(envelope, eng)| envelope.space_bytes() + eng.space_bytes(),
-        )
-    };
-    let mut report = SweepReport::from_workers(workers, res_y, ctx.space_bytes());
-    report.wall_nanos = start.elapsed().as_nanos() as u64;
-    (DensityGrid::from_values(res_x, res_y, values), report)
+    }
 }
 
 /// Parallel sweep with the resolution-aware optimization: transposes when
@@ -264,59 +134,23 @@ pub fn compute_parallel_rao(
     engine: ParallelEngine,
     threads: usize,
 ) -> Result<DensityGrid> {
-    compute_parallel_rao_with_report(params, points, engine, threads).map(|(grid, _)| grid)
-}
-
-/// [`compute_parallel_rao`] plus telemetry. When the problem transposes,
-/// the report describes the *transposed* sweep (rows = original columns).
-pub fn compute_parallel_rao_with_report(
-    params: &KdvParams,
-    points: &[Point],
-    engine: ParallelEngine,
-    threads: usize,
-) -> Result<(DensityGrid, SweepReport)> {
-    with_rao_report(params, points, |params, points| {
-        compute_parallel_with_report(params, points, engine, threads)
+    crate::rao::with_rao(params, points, |params, points| {
+        compute_parallel(params, points, engine, threads)
     })
 }
 
-/// [`crate::rao::with_rao`] for the drivers that also return a report.
-fn with_rao_report(
-    params: &KdvParams,
-    points: &[Point],
-    sweep: impl Fn(&KdvParams, &[Point]) -> Result<(DensityGrid, SweepReport)>,
-) -> Result<(DensityGrid, SweepReport)> {
-    if !crate::rao::should_transpose(params) {
-        return sweep(params, points);
-    }
-    let t_points: Vec<Point> = points.iter().map(Point::transposed).collect();
-    let (grid, report) = sweep(&params.transposed(), &t_points)?;
-    Ok((grid.transposed(), report))
-}
-
 /// Parallel weighted sweep (bucket engine plus RAO dispatch), bitwise
-/// identical to [`crate::weighted::compute_weighted`].
+/// identical to [`crate::weighted::compute_weighted`], its one-thread case.
 pub fn compute_weighted_parallel(
     params: &KdvParams,
     points: &[Point],
     weights: &[f64],
     threads: usize,
 ) -> Result<DensityGrid> {
-    compute_weighted_parallel_with_report(params, points, weights, threads).map(|(g, _)| g)
-}
-
-/// [`compute_weighted_parallel`] plus telemetry (transposed semantics as in
-/// [`compute_parallel_rao_with_report`]).
-pub fn compute_weighted_parallel_with_report(
-    params: &KdvParams,
-    points: &[Point],
-    weights: &[f64],
-    threads: usize,
-) -> Result<(DensityGrid, SweepReport)> {
-    with_rao_report(params, points, |params, points| {
+    crate::rao::with_rao(params, points, |params, points| {
         let ctx = SweepContext::weighted(params, points, weights)?;
         let (kernel, b, w) = (params.kernel, params.bandwidth, params.weight);
-        Ok(sweep_context_parallel(&ctx, params, threads, || BucketSweep::new(kernel, b, w)))
+        Ok(crate::driver::sweep_context(&ctx, params, threads, || BucketSweep::new(kernel, b, w)))
     })
 }
 
@@ -336,50 +170,32 @@ pub fn for_each_index<T: Send>(
 /// `S` with `make_state` and threads it through every task it claims. This
 /// is how frame loops keep buffers warm across frames without sharing them
 /// between threads (e.g. one [`crate::tile::BandWorkspace`] per worker).
+/// Each worker writes its results straight into their slots.
 pub fn for_each_index_with<S, T: Send>(
     count: usize,
     threads: usize,
     make_state: impl Fn() -> S + Sync,
     task: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
-    if count == 0 {
-        return Vec::new();
-    }
-    let workers = resolve_threads(threads).min(count).max(1);
-    let claimer = RowClaimer::new(count, workers);
-    let mut collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let claimer = &claimer;
-                let task = &task;
-                let make_state = &make_state;
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    let mut local = Vec::new();
-                    while let Some(range) = claimer.claim() {
-                        for i in range {
-                            local.push((i, task(&mut state, i)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("index worker panicked")).collect()
-    });
+    let workers = workers_for(threads, count);
+    let chunk = chunk_len(count, workers);
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for worker in collected.iter_mut() {
-        for (i, value) in worker.drain(..) {
-            debug_assert!(slots[i].is_none(), "index {i} produced twice");
-            slots[i] = Some(value);
+    run_workers(workers, slots.chunks_mut(chunk).enumerate(), |claims| {
+        let mut state = make_state();
+        for (c, out) in claims {
+            for (slot, i) in out.iter_mut().zip(c * chunk..) {
+                *slot = Some(task(&mut state, i));
+            }
         }
-    }
-    slots.into_iter().map(|s| s.expect("index not produced")).collect()
+    });
+    slots.into_iter().map(|s| s.expect("every index is claimed")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RowEngine;
+    use crate::envelope::SweepInterval;
     use crate::geom::Rect;
     use crate::grid::GridSpec;
     use crate::kernel::KernelType;
@@ -430,18 +246,28 @@ mod tests {
     }
 
     #[test]
-    fn report_accounts_for_every_row() {
+    fn workers_sweep_every_row_once() {
+        // each worker's engine notes the rows it sweeps: together they
+        // sweep every row of this dense raster exactly once
+        struct Noting<'a>(&'a Mutex<Vec<u64>>);
+        impl RowEngine for Noting<'_> {
+            fn process_row(&mut self, _: &[f64], k: f64, _: &[SweepInterval], out: &mut [f64]) {
+                self.0.lock().unwrap().push(k.to_bits());
+                out.fill(1.0);
+            }
+        }
         let (params, pts) = setup();
-        let (grid, report) =
-            compute_parallel_with_report(&params, &pts, ParallelEngine::Bucket, 3).unwrap();
-        assert_eq!(grid, crate::sweep_bucket::compute(&params, &pts).unwrap());
-        assert_eq!(report.rows, 23);
-        assert_eq!(report.rows_per_worker.iter().sum::<usize>(), 23);
-        assert_eq!(report.envelope_sizes.len(), 23);
-        // every row of this dense dataset has a non-empty envelope
-        assert!(report.envelope_sizes.iter().all(|&s| s > 0));
-        assert!(report.total_aux_bytes > 0);
-        assert!(report.threads <= 3);
+        let ctx = SweepContext::new(&params, &pts).unwrap();
+        let mut rows: Vec<u64> = ctx.ks.iter().map(|k| k.to_bits()).collect();
+        rows.sort_unstable();
+        for threads in [1, 3, 8, 64] {
+            let seen = Mutex::new(Vec::new());
+            let grid = sweep_grid(&params, &pts, threads, || Noting(&seen)).unwrap();
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, rows, "threads={threads}");
+            assert!(grid.values().iter().all(|&v| v == 1.0), "threads={threads}");
+        }
     }
 
     #[test]

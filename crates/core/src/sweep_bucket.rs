@@ -464,10 +464,11 @@ impl RowEngine for BucketSweep {
 }
 
 /// Computes the full KDV raster with SLAM_BUCKET
-/// (`O(Y(X + n))`, Theorem 2).
+/// (`O(Y(X + n))`, Theorem 2) on the calling thread.
 pub fn compute(params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
-    let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
-    sweep_grid(params, points, &mut engine)
+    sweep_grid(params, points, 1, || {
+        BucketSweep::new(params.kernel, params.bandwidth, params.weight)
+    })
 }
 
 #[cfg(test)]

@@ -153,10 +153,9 @@ impl RowEngine for SortSweep {
 }
 
 /// Computes the full KDV raster with SLAM_SORT
-/// (`O(Y(n log n + X))`, Theorem 1).
+/// (`O(Y(n log n + X))`, Theorem 1) on the calling thread.
 pub fn compute(params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
-    let mut engine = SortSweep::new(params.kernel, params.bandwidth, params.weight);
-    sweep_grid(params, points, &mut engine)
+    sweep_grid(params, points, 1, || SortSweep::new(params.kernel, params.bandwidth, params.weight))
 }
 
 #[cfg(test)]

@@ -706,10 +706,10 @@ mod tests {
     #[test]
     fn sweep_rows_agrees_with_sweep_grid_rows() {
         let (params, pts) = setup(30, 24, 9.0);
-        let full = {
-            let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
-            sweep_grid(&params, &pts, &mut engine).unwrap()
-        };
+        let full = sweep_grid(&params, &pts, 1, || {
+            BucketSweep::new(params.kernel, params.bandwidth, params.weight)
+        })
+        .unwrap();
         let ctx = SweepContext::new(&params, &pts).unwrap();
         let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
         let mut envelope = EnvelopeBuffer::for_points(ctx.points.len());

@@ -13,22 +13,21 @@
 //! `Σ w_i`, `A = Σ p` with `Σ w_i·p`, and so on. The sweep machinery is
 //! unchanged — only the accumulator scales each insertion by the point's
 //! weight. So there is no separate weighted engine: a
-//! [`SweepContext::weighted`] context carries the weights in canonical
-//! order, and every driver sweeps it with the one bucket row loop
-//! (`SweepAccumulator<true>`), with the same `O(Y(X + n))` complexity
+//! [`crate::driver::SweepContext::weighted`] context carries the weights
+//! in canonical order, and every driver sweeps it with the one bucket row
+//! loop (`SweepAccumulator<true>`), with the same `O(Y(X + n))` complexity
 //! (plus RAO). This module keeps the monolithic entry point and the
 //! direct-summation reference it is validated against.
 
-use crate::driver::{sweep_context, KdvParams, SweepContext};
+use crate::driver::KdvParams;
 use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::stats::Kahan;
-use crate::sweep_bucket::BucketSweep;
 
 /// Computes the weighted KDV raster with a bucket sweep plus RAO:
 /// `F(q) = params.weight · Σ_i weights[i]·K(q, p_i)`,
-/// in `O(min(X,Y)·(max(X,Y) + n))` time.
+/// in `O(min(X,Y)·(max(X,Y) + n))` time, on the calling thread.
 ///
 /// # Errors
 /// In addition to the usual parameter validation, every weight must be
@@ -41,11 +40,7 @@ pub fn compute_weighted(
     points: &[Point],
     weights: &[f64],
 ) -> Result<DensityGrid> {
-    crate::rao::with_rao(params, points, |params, points| {
-        let ctx = SweepContext::weighted(params, points, weights)?;
-        let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
-        Ok(sweep_context(&ctx, params, &mut engine))
-    })
+    crate::parallel::compute_weighted_parallel(params, points, weights, 1)
 }
 
 /// Reference weighted evaluation by direct summation (for tests and as a
@@ -69,12 +64,13 @@ pub fn weighted_scan(params: &KdvParams, points: &[Point], weights: &[f64]) -> D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RowEngine;
+    use crate::driver::{RowEngine, SweepContext};
     use crate::envelope::EnvelopeBuffer;
     use crate::error::KdvError;
     use crate::geom::Rect;
     use crate::grid::GridSpec;
     use crate::kernel::KernelType;
+    use crate::sweep_bucket::BucketSweep;
 
     fn setup() -> (KdvParams, Vec<Point>, Vec<f64>) {
         let grid = GridSpec::new(Rect::new(0.0, 0.0, 60.0, 40.0), 21, 13).unwrap();

@@ -2,13 +2,17 @@
 //! clustered datasets make per-row costs wildly uneven, which is exactly
 //! where a static band split loses — and where dynamic scheduling must
 //! still reproduce the sequential raster bit for bit.
+//!
+//! One test reads the span recorder, which is process-global, so every
+//! test here holds [`kdv_obs::span::exclusive`]: no other test's spans
+//! land in its trace.
 
 use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
 use kdv_core::parallel::{
-    compute_parallel, compute_parallel_rao, compute_parallel_with_report,
-    compute_weighted_parallel, default_threads, ParallelEngine,
+    compute_parallel, compute_parallel_rao, compute_weighted_parallel, default_threads,
+    ParallelEngine,
 };
 use kdv_core::{rao, sweep_bucket, sweep_sort, KernelType};
 
@@ -45,6 +49,7 @@ fn thread_counts() -> Vec<usize> {
 
 #[test]
 fn clustered_bucket_parallel_is_bitwise_sequential() {
+    let _quiet = kdv_obs::span::exclusive();
     let pts = clustered_points();
     for kernel in KernelType::ALL {
         let p = params(kernel);
@@ -58,6 +63,7 @@ fn clustered_bucket_parallel_is_bitwise_sequential() {
 
 #[test]
 fn clustered_sort_parallel_is_bitwise_sequential() {
+    let _quiet = kdv_obs::span::exclusive();
     let pts = clustered_points();
     let p = params(KernelType::Quartic);
     let seq = sweep_sort::compute(&p, &pts).unwrap();
@@ -69,6 +75,7 @@ fn clustered_sort_parallel_is_bitwise_sequential() {
 
 #[test]
 fn clustered_rao_parallel_is_bitwise_sequential() {
+    let _quiet = kdv_obs::span::exclusive();
     // tall raster so the RAO path actually transposes
     let grid = GridSpec::new(Rect::new(0.0, 0.0, 100.0, 100.0), 17, 53).unwrap();
     let p = KdvParams::new(grid, KernelType::Epanechnikov, 4.0).with_weight(5e-4);
@@ -82,6 +89,7 @@ fn clustered_rao_parallel_is_bitwise_sequential() {
 
 #[test]
 fn clustered_weighted_parallel_is_bitwise_sequential() {
+    let _quiet = kdv_obs::span::exclusive();
     let pts = clustered_points();
     let weights: Vec<f64> = (0..pts.len()).map(|i| 0.1 + (i % 11) as f64 * 0.3).collect();
     let p = params(KernelType::Quartic);
@@ -94,19 +102,26 @@ fn clustered_weighted_parallel_is_bitwise_sequential() {
 
 #[test]
 fn report_reflects_the_cluster() {
+    let _quiet = kdv_obs::span::exclusive();
     let pts = clustered_points();
     let p = params(KernelType::Epanechnikov);
-    let (_, report) = compute_parallel_with_report(&p, &pts, ParallelEngine::Bucket, 3).unwrap();
-    assert_eq!(report.rows, 37);
-    assert_eq!(report.rows_per_worker.iter().sum::<usize>(), 37);
-    assert_eq!(report.envelope_sizes.len(), 37);
+    kdv_obs::span::clear();
+    kdv_obs::set_enabled(true);
+    let grid = compute_parallel(&p, &pts, ParallelEngine::Bucket, 3);
+    kdv_obs::set_enabled(false);
+    let trace = kdv_obs::span::take_trace();
+    assert_eq!(grid.unwrap(), sweep_bucket::compute(&p, &pts).unwrap());
+    let named = |name| trace.events.iter().filter(move |e| e.name == name);
+    let size =
+        |e: &kdv_obs::TraceEvent| e.args.as_slice().iter().find(|a| a.0 == "size").unwrap().1;
+    assert_eq!(named("band.search").count(), 37, "one band search per row");
     // the dense band must dominate the envelope-size distribution
-    let max = report.max_envelope();
-    let mean = report.total_envelope() as f64 / report.rows as f64;
+    let sizes: Vec<u64> = named("envelope.fill").map(size).collect();
+    assert_eq!(sizes.len(), 37, "every row of this dataset has an envelope");
+    let max = *sizes.iter().max().unwrap();
+    let mean = sizes.iter().sum::<u64>() as f64 / 37.0;
     assert!(
         max as f64 > 3.0 * mean,
         "expected a skewed envelope distribution, max {max} mean {mean:.1}"
     );
-    assert!(report.imbalance() >= 1.0);
-    assert!(!report.summary().is_empty());
 }

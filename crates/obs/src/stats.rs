@@ -1,10 +1,10 @@
-//! Small numeric helpers shared by `kdv-core` telemetry and the bench
-//! binaries (previously copy-pasted nearest-rank percentile and median
-//! implementations).
+//! Small numeric helpers shared by the CLI's `--stats` output and the
+//! bench binaries (previously copy-pasted nearest-rank percentile and
+//! median implementations).
 
 /// Nearest-rank percentile of `values` at quantile `q in [0,1]`
-/// (`rank = round(q * (len-1))`), or `None` when empty. Matches the
-/// semantics `SweepReport::envelope_percentile` has always used.
+/// (`rank = round(q * (len-1))`), or `None` when empty: the band-size
+/// percentiles `kdv --stats` prints.
 pub fn percentile_u64(values: &[u64], q: f64) -> Option<u64> {
     if values.is_empty() {
         return None;
@@ -66,10 +66,10 @@ mod tests {
     }
 
     /// Recorded regression: percentiles are permutation-invariant, ties
-    /// included. `SweepReport` feeds per-row band sizes in whatever order
-    /// the rows were processed (which the parallel driver permutes), so a
-    /// rank picked from an unsorted or unstably-tied slice would make the
-    /// telemetry output depend on thread scheduling.
+    /// included. `kdv --stats` feeds per-row band sizes in the order the
+    /// rows were swept (which the parallel driver permutes), so a rank
+    /// picked from an unsorted or unstably-tied slice would make its
+    /// output depend on thread scheduling.
     #[test]
     fn percentile_invariant_under_permutation_and_ties() {
         let base = [4u64, 7, 7, 1, 7, 2, 9, 1, 7, 3];

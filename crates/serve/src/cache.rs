@@ -591,10 +591,7 @@ impl TileCache {
         span.arg("hit", matches!(found, Lookup::Hit(_)) as u64);
         match found {
             Lookup::Hit(_) => self.stats.hits.bump(),
-            Lookup::Stale(..) => {
-                self.stats.patched.bump();
-                kdv_obs::metrics::global().counter("cache.patched").bump();
-            }
+            Lookup::Stale(..) => self.stats.patched.bump(),
             Lookup::Miss => self.stats.misses.bump(),
         }
         found

@@ -42,12 +42,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kdv_core::telemetry::SweepReport;
 use kdv_core::{DensityGrid, KdvError};
 use kdv_obs::SloTracker;
 
 use crate::pyramid::Viewport;
-use crate::server::{request_class, TileServer};
+use crate::server::{request_class, RequestOutcome, TileServer};
 
 /// Why a request was rejected without being served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +89,8 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A served viewport: the raster plus the per-request report.
-pub type ServeResult = Result<(DensityGrid, SweepReport), ServeError>;
+/// A served viewport: the raster plus the request's outcome.
+pub type ServeResult = Result<(DensityGrid, RequestOutcome), ServeError>;
 
 /// Front-end configuration.
 #[derive(Debug, Clone, Copy)]
@@ -353,9 +352,10 @@ fn worker_loop(inner: &Inner) {
             } else {
                 inner
                     .server
-                    .serve(&job.viewport, inner.config.threads_per_request)
-                    .map(|(grid, report, tier, generation)| {
-                        ((grid, report), request_class(tier.tier, generation))
+                    .serve_viewport_tiered(&job.viewport, inner.config.threads_per_request)
+                    .map(|(grid, outcome, tier)| {
+                        let class = request_class(tier.tier, outcome.generation);
+                        ((grid, outcome), class)
                     })
                     .map_err(ServeError::Compute)
             }

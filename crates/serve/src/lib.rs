@@ -64,5 +64,5 @@ pub use frontend::{
 pub use live::{LiveConfig, LiveStats, LiveTileServer};
 pub use pyramid::{PyramidSpec, TileCoord, Viewport};
 pub use replay::{checksum, replay_concurrent, replay_sequential, ReplayOutcome, ReplayRecord};
-pub use server::{OverviewConfig, ServeConfig, TierInfo, TileServer};
+pub use server::{OverviewConfig, RequestOutcome, ServeConfig, TierInfo, TileServer};
 pub use trace::{Session, SessionRequest, TraceFile};

@@ -27,7 +27,8 @@ use std::thread;
 use kdv_core::digest::grid_checksum;
 use kdv_core::{DensityGrid, KernelType, Point, Rect};
 use kdv_serve::{
-    Frontend, FrontendConfig, LiveConfig, PyramidSpec, ServeConfig, TileServer, Viewport,
+    Frontend, FrontendConfig, LiveConfig, PyramidSpec, ServeConfig, ServeError, ShedReason,
+    TileServer, Viewport,
 };
 use kdv_stream::{rebuild_grid, StreamingPointSet};
 
@@ -254,4 +255,63 @@ fn hammer_with_expirations_and_compaction_stays_pure() {
     }
     let (grid, _) = server.serve_viewport(&vp, 0).unwrap();
     assert_eq!(grid, reference(&fresh, &vp), "post-compaction serve diverged from fresh rebuild");
+}
+
+#[test]
+fn a_burst_into_a_depth_1_queue_sheds_and_every_request_is_accounted_for() {
+    // 8 threads submit at once into a one-worker front end whose queue
+    // holds one request: the burst overflows it, and every submit ends
+    // completed or shed, never lost or counted twice.
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 16;
+    let server = Arc::new(TileServer::with_live(
+        pyramid(),
+        config(),
+        LiveConfig::default(),
+        points(300, 0x5A7),
+        512 << 10,
+        4,
+    ));
+    let frontend = Arc::new(Frontend::new(
+        server,
+        FrontendConfig { workers: 1, queue_depth: 1, ..FrontendConfig::default() },
+    ));
+    let viewports = [
+        Viewport { zoom: 0, px: 0, py: 0, width: 48, height: 48 },
+        Viewport { zoom: 1, px: 13, py: 29, width: 61, height: 50 },
+    ];
+    let start = Arc::new(Barrier::new(THREADS));
+    let clients: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (frontend, start) = (Arc::clone(&frontend), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                let submitted: Vec<_> = (0..PER_THREAD)
+                    .map(|i| frontend.submit(viewports[(t + i) % viewports.len()]))
+                    .collect();
+                let (mut completed, mut shed) = (0u64, 0u64);
+                for result in submitted {
+                    match result {
+                        Ok(ticket) => {
+                            ticket.wait().expect("an admitted request is served");
+                            completed += 1;
+                        }
+                        Err(ServeError::Shed(ShedReason::QueueFull)) => shed += 1,
+                        Err(e) => panic!("thread {t}: a shed submit returned {e}"),
+                    }
+                }
+                (completed, shed)
+            })
+        })
+        .collect();
+    let (completed, shed) = clients
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .fold((0, 0), |(c, s), (tc, ts)| (c + tc, s + ts));
+    let stats = frontend.stats();
+    assert_eq!(stats.submitted(), (THREADS * PER_THREAD) as u64);
+    assert_eq!(stats.submitted(), stats.completed() + stats.shed(), "submitted = completed + shed");
+    assert!(stats.shed() > 0, "a burst of {} into a depth-1 queue must shed", THREADS * PER_THREAD);
+    assert_eq!((stats.completed(), stats.shed_queue_full()), (completed, shed));
+    assert_eq!(stats.shed_deadline(), 0, "no deadline was set");
 }

@@ -94,20 +94,7 @@ pub struct Frame {
 /// # Ok::<(), kdv_core::KdvError>(())
 /// ```
 pub fn compute_stkdv(config: &StKdvConfig, records: &[EventRecord]) -> Result<Vec<Frame>> {
-    compute_stkdv_threaded(config, records, 1)
-}
-
-/// [`compute_stkdv`] with frames distributed over a work-stealing thread
-/// pool ([`kdv_core::parallel::for_each_index`]). Frames are independent
-/// weighted sweeps, so each is computed whole by one worker and the result
-/// is bitwise identical to the sequential driver for every thread count
-/// (`threads == 0` means "auto", `<= 1` stays on the calling thread).
-pub fn compute_stkdv_parallel(
-    config: &StKdvConfig,
-    records: &[EventRecord],
-    threads: usize,
-) -> Result<Vec<Frame>> {
-    compute_stkdv_threaded(config, records, threads)
+    compute_stkdv_parallel(config, records, 1)
 }
 
 /// Per-worker scratch reused across frames: the event/weight selection
@@ -119,7 +106,12 @@ struct FrameScratch {
     weights: Vec<f64>,
 }
 
-fn compute_stkdv_threaded(
+/// [`compute_stkdv`] with frames distributed over a work-stealing thread
+/// pool ([`kdv_core::parallel::for_each_index`]). Frames are independent
+/// weighted sweeps, so each is computed whole by one worker and the result
+/// is bitwise identical to the sequential driver for every thread count
+/// (`threads == 0` means "auto"; one thread stays on the calling thread).
+pub fn compute_stkdv_parallel(
     config: &StKdvConfig,
     records: &[EventRecord],
     threads: usize,
@@ -133,14 +125,6 @@ fn compute_stkdv_threaded(
     let times: Vec<i64> = sorted.iter().map(|r| r.timestamp).collect();
     let frame_times: Vec<i64> = config.frames.times().collect();
 
-    if threads <= 1 {
-        let mut scratch = FrameScratch::default();
-        let mut frames = Vec::with_capacity(frame_times.len());
-        for &t in &frame_times {
-            frames.push(compute_frame(config, &sorted, &times, t, &mut scratch)?);
-        }
-        return Ok(frames);
-    }
     kdv_core::parallel::for_each_index_with(
         frame_times.len(),
         threads,
