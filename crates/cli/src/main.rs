@@ -874,6 +874,23 @@ fn print_flights(server: &kdv_serve::TileServer) {
     );
 }
 
+/// The replay summaries' checkpoint line: lookups that found a band
+/// sweep checkpoint to resume from and ones that did not, checkpoints
+/// displaced, and the bytes held against the checkpoints' share of the
+/// cache budget.
+fn checkpoint_line(cache: &kdv_serve::TileCache) -> String {
+    let cs = cache.stats();
+    format!(
+        "checkpoints: {} hit(s) / {} miss(es), {} displaced, {} held in {} B of a {} B share",
+        cs.checkpoint_hits(),
+        cs.checkpoint_misses(),
+        cs.checkpoint_evictions(),
+        cache.checkpoints(),
+        cache.checkpoint_bytes(),
+        cache.checkpoint_budget()
+    )
+}
+
 /// `kdv serve --batch`: replays a recorded viewport trace against the
 /// caching tile server and reports cache effectiveness. Every served
 /// raster is exact — bitwise-equal to cropping the monolithic sweep of
@@ -919,6 +936,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         server.cache().bytes(),
         server.cache().budget()
     );
+    println!("{}", checkpoint_line(server.cache()));
     setup.finish(&server)
 }
 
@@ -1039,6 +1057,7 @@ fn cmd_serve_live(args: &Args, feed_path: &str) -> Result<(), String> {
         cs.patched(),
         cs.evictions(),
     );
+    println!("{}", checkpoint_line(server.cache()));
     print_flights(&server);
     setup.finish(&server)
 }
@@ -1284,6 +1303,39 @@ mod tests {
         let digits: String =
             text[at + prefix.len()..].chars().take_while(char::is_ascii_digit).collect();
         digits.parse().unwrap()
+    }
+
+    #[test]
+    fn checkpoint_line_reports_the_cache_counters_and_share() {
+        let region = kdv_core::Rect::new(0.0, 0.0, 100.0, 100.0);
+        let pyramid = kdv_serve::PyramidSpec::new(region, 16, 48, 48, 2).unwrap();
+        let config = kdv_serve::ServeConfig {
+            dataset: 1,
+            kernel: KernelType::Epanechnikov,
+            bandwidth: 14.0,
+            weight: 0.01,
+        };
+        let points = (0..200)
+            .map(|i| kdv_core::geom::Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64))
+            .collect();
+        let server = kdv_serve::TileServer::new(pyramid, config, points, 1 << 20, 1);
+        // no spans of these sweeps may enter a sibling test's trace
+        let _guard = kdv_obs::span::exclusive();
+        // a sweep of tiles 2..=3, then a pan right that resumes at 64
+        for px in [40, 64] {
+            let vp = kdv_serve::Viewport { zoom: 2, px, py: 64, width: 20, height: 16 };
+            server.serve_viewport(&vp, 1).unwrap();
+        }
+        let (cache, cs) = (server.cache(), server.cache_stats());
+        assert!(cs.checkpoint_hits() > 0 && cache.checkpoints() > 0);
+        let line = checkpoint_line(cache);
+        assert_eq!(figure(&line, "checkpoints: "), cs.checkpoint_hits() as usize, "{line}");
+        assert_eq!(figure(&line, " / "), cs.checkpoint_misses() as usize, "{line}");
+        assert_eq!(figure(&line, "), "), cs.checkpoint_evictions() as usize, "{line}");
+        assert_eq!(figure(&line, "displaced, "), cache.checkpoints(), "{line}");
+        assert_eq!(figure(&line, "held in "), cache.checkpoint_bytes(), "{line}");
+        // 88 B of sweep state beside a 16-px tile's 128 B per row
+        assert_eq!(figure(&line, "B of a "), (1 << 20) * 88 / (128 + 88), "{line}");
     }
 
     #[test]

@@ -99,7 +99,16 @@ impl RangeAggregates {
 ///
 /// Tracks the same ten quantities as [`RangeAggregates`] but with
 /// Kahan-compensated sums; `maintain_quartic` lets Epanechnikov/uniform runs
-/// skip the six extra accumulators.
+/// skip the six quartic accumulators and `Σy`.
+///
+/// `Σy` can go because the sweeps evaluate every pixel at `q.y = 0`, where
+/// Epanechnikov reads `A_y` only through `q.y·A_y`, a signed zero: in
+/// `n − (n‖q‖² − 2qᵀA + S)/b²` that zero can flip only the sign of a zero
+/// intermediate, `n‖q‖²` is `+0` unless `n < 0`, and a nonzero `n` absorbs
+/// a signed-zero `u/b²`. A zero `n` is `+0`, never `−0`: a count is, and a
+/// Neumaier weight sum started at `+0` never reaches `−0`. Uniform reads
+/// only `n`. So the densities are bitwise those of an accumulator that
+/// keeps `Σy`, and [`SweepAccumulator::diff`] reports it as zero.
 ///
 /// `WEIGHTED` picks the weight source at compile time. Every Table 4
 /// aggregate is a sum over points, so a weighted sweep is the same sweep
@@ -148,9 +157,9 @@ impl<const WEIGHTED: bool> SweepAccumulator<WEIGHTED> {
             (p.x, p.y, n2)
         };
         self.ax.add(wx);
-        self.ay.add(wy);
         self.s.add(wn2);
         if self.maintain_quartic {
+            self.ay.add(wy);
             self.cx.add(wn2 * p.x);
             self.cy.add(wn2 * p.y);
             self.q4.add(wn2 * n2);
@@ -218,11 +227,11 @@ impl<const WEIGHTED: bool> SweepAccumulator<WEIGHTED> {
 
     /// Number of `u64` words [`SweepAccumulator::save`] writes: the count,
     /// then a sum and a compensation per maintained aggregate (`Σ wᵢ`
-    /// when weighted, `A` and `S`, and the six quartic terms when
-    /// `maintain_quartic`). Fields the accumulator never touches stay
+    /// when weighted, `Σx` and `S`, and `Σy` with the six quartic terms
+    /// when `maintain_quartic`). Fields the accumulator never touches stay
     /// zero, so they need no words.
     pub const fn state_words(maintain_quartic: bool) -> usize {
-        1 + 2 * (3 + WEIGHTED as usize + if maintain_quartic { 6 } else { 0 })
+        1 + 2 * (2 + WEIGHTED as usize + if maintain_quartic { 7 } else { 0 })
     }
 
     /// Writes the accumulator's whole state into the first
@@ -254,24 +263,31 @@ impl<const WEIGHTED: bool> SweepAccumulator<WEIGHTED> {
     /// The maintained sums, in [`SweepAccumulator::save`] order.
     #[inline(always)]
     fn maintained(&self) -> impl Iterator<Item = &Kahan> {
-        let quartic = [&self.cx, &self.cy, &self.q4, &self.mxx, &self.mxy, &self.myy];
+        let quartic = [&self.ay, &self.cx, &self.cy, &self.q4, &self.mxx, &self.mxy, &self.myy];
         WEIGHTED
             .then_some(&self.wsum)
             .into_iter()
-            .chain([&self.ax, &self.ay, &self.s])
-            .chain(quartic.into_iter().take(if self.maintain_quartic { 6 } else { 0 }))
+            .chain([&self.ax, &self.s])
+            .chain(quartic.into_iter().take(if self.maintain_quartic { 7 } else { 0 }))
     }
 
     /// [`SweepAccumulator::maintained`], mutably.
     #[inline(always)]
     fn maintained_mut(&mut self) -> impl Iterator<Item = &mut Kahan> {
-        let n = if self.maintain_quartic { 6 } else { 0 };
-        let quartic =
-            [&mut self.cx, &mut self.cy, &mut self.q4, &mut self.mxx, &mut self.mxy, &mut self.myy];
+        let n = if self.maintain_quartic { 7 } else { 0 };
+        let quartic = [
+            &mut self.ay,
+            &mut self.cx,
+            &mut self.cy,
+            &mut self.q4,
+            &mut self.mxx,
+            &mut self.mxy,
+            &mut self.myy,
+        ];
         WEIGHTED
             .then_some(&mut self.wsum)
             .into_iter()
-            .chain([&mut self.ax, &mut self.ay, &mut self.s])
+            .chain([&mut self.ax, &mut self.s])
             .chain(quartic.into_iter().take(n))
     }
 
@@ -449,6 +465,58 @@ mod tests {
         assert_eq!(d.count, 0);
         assert_eq!(d.ax, 0.0);
         assert_eq!(d.q4, 0.0);
+    }
+
+    /// Sweeps `events` (a point, its weight and whether it enters `L` or
+    /// leaves into `U`) through non-quartic accumulators in a frame that
+    /// shifts by `step` after every event, and checks each density at
+    /// `q = (qx, 0)` bitwise against the same evaluation with `Σy`
+    /// carried alongside, as the accumulator kept it before.
+    fn check_sigma_y_free<const WEIGHTED: bool>(events: &[(Point, f64, bool)], step: f64) {
+        let (mut l, mut u) =
+            (SweepAccumulator::<WEIGHTED>::new(false), SweepAccumulator::new(false));
+        let (mut ay_l, mut ay_u) = (Kahan::new(), Kahan::new());
+        for &(p, w, enters) in events {
+            let wy = if WEIGHTED { w * p.y } else { p.y };
+            if enters {
+                l.insert(&p, w);
+                ay_l.add(wy);
+            } else {
+                u.insert(&p, w);
+                ay_u.add(wy);
+            }
+            let (n, agg) = l.diff(&u);
+            assert_eq!(agg.ay.to_bits(), 0, "Σy is not maintained");
+            let kept = RangeAggregates { ay: ay_l.value() - ay_u.value(), ..agg };
+            for kernel in [crate::KernelType::Epanechnikov, crate::KernelType::Uniform] {
+                // qx = 0 is a pixel exactly at `frame_x`
+                for qx in [0.0, -0.0, 0.5, -1.75, 3.0] {
+                    let q = Point::new(qx, 0.0);
+                    let got = kernel.density_from_moments(&q, n, &agg, 2.5, 0.3);
+                    let want = kernel.density_from_moments(&q, n, &kept, 2.5, 0.3);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{kernel:?} n={n} q={qx}");
+                }
+            }
+            l.shift_x(step);
+            u.shift_x(step);
+        }
+    }
+
+    #[test]
+    fn dropping_sigma_y_keeps_non_quartic_densities_bitwise() {
+        // points on the row line (y = ±0), negative and cancelling
+        // weights, and a set that empties to n = 0 with nonzero sums left
+        let pts = [(1.0, 0.0), (-0.5, -0.0), (2.0, 1.5), (0.0, -2.25), (-1.5, 0.0), (0.75, 0.5)]
+            .map(|(x, y)| Point::new(x, y));
+        let weights = [1.0, -2.5, 2.5, -1.0, 0.75, -0.75];
+        let mut events: Vec<_> = pts.iter().zip(weights).map(|(&p, w)| (p, w, true)).collect();
+        events.extend(pts.iter().zip(weights).map(|(&p, w)| (p, w, false)));
+        for step in [0.0, 0.25, -1.0] {
+            check_sigma_y_free::<true>(&events, step);
+            check_sigma_y_free::<false>(&events, step);
+            let unit: Vec<_> = events.iter().map(|&(p, _, e)| (p, 1.0, e)).collect();
+            check_sigma_y_free::<true>(&unit, step);
+        }
     }
 
     #[test]

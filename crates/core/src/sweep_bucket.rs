@@ -446,8 +446,9 @@ impl RowEngine for BucketSweep {
         }
     }
 
-    /// `frame_x` plus both accumulators' maintained sums: 15 words (120 B)
-    /// for a unit Epanechnikov or uniform row.
+    /// `frame_x` plus both accumulators' maintained sums: 11 words (88 B)
+    /// for a unit Epanechnikov or uniform row, 15 weighted; 39 and 43 for
+    /// quartic, which also keeps `Σy` and the quartic terms.
     fn state_words(&self, weighted: bool) -> usize {
         let quartic = self.kernel.needs_quartic_terms();
         let side = if weighted {
@@ -510,6 +511,18 @@ mod tests {
         let starts: Vec<usize> = (0..10).map(|s| clean_start(&xs, &intervals, s)).collect();
         assert_eq!(starts, [0, 0, 2, 2, 2, 2, 2, 2, 8, 9]);
         assert_eq!(clean_start(&xs, &[], 6), 6, "no interval, nothing active");
+    }
+
+    #[test]
+    fn state_words_per_row_are_pinned() {
+        for (kernel, unit, weighted) in [
+            (KernelType::Uniform, 11, 15),
+            (KernelType::Epanechnikov, 11, 15),
+            (KernelType::Quartic, 39, 43),
+        ] {
+            let engine = BucketSweep::new(kernel, 2.0, 1.0);
+            assert_eq!((engine.state_words(false), engine.state_words(true)), (unit, weighted));
+        }
     }
 
     #[test]

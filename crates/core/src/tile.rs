@@ -58,8 +58,9 @@
 //! whose active sets rarely empty, but close to `s` for a sparse delta
 //! batch, so folding a batch into a few tiles costs about their columns.
 //! A checkpoint of a unit Epanechnikov
-//! or uniform band holds 15 words (120 B) per row, a sixteenth of a
-//! 256-px tile's bytes.
+//! or uniform band holds 11 words (88 B) per row, about a twenty-third of
+//! a 256-px tile's bytes: the accumulators keep no `Σy` for a kernel that
+//! is not quartic (see [`crate::aggregate::SweepAccumulator`]).
 //!
 //! Assembly is the other half: [`assemble`] cuts any pixel window out of
 //! a set of tiles, and it is the only assembly path — [`stitch`] is

@@ -17,12 +17,12 @@
 //! else arrived). A shard whose lock was poisoned by a panicking thread
 //! is cleared and keeps serving, its lost entries counted as evictions.
 //!
-//! Policy: each shard is a **segmented LRU** enforcing `budget / shards`
-//! bytes. A new tile enters the *probation* segment; a hit moves it to
-//! *protected*, which may hold at most 4/5 of the shard budget (its
-//! overflow is demoted back to the head of probation). Eviction takes the
-//! probation tail: protected entries leave only by demotion, so an
-//! over-budget shard never has an empty probation segment.
+//! Policy: each shard is a **segmented LRU** enforcing its share of
+//! `budget / shards` bytes. A new tile enters the *probation* segment; a
+//! hit moves it to *protected*, which may hold at most 4/5 of the shard's
+//! tile budget (its overflow is demoted back to the head of probation).
+//! Eviction takes the probation tail: protected entries leave only by
+//! demotion, so an over-budget shard never has an empty probation segment.
 //! Scan resistance guards the panned working set against one-off
 //! traffic: a deep-zoom excursion inserts a viewport's worth of tiles at
 //! once that are seldom read again. Under plain LRU that burst pushed out
@@ -33,16 +33,25 @@
 //! no larger than the excursion itself.
 //!
 //! Checkpoints ([`BandCheckpoint`], the sweep state of a band at a tile
-//! boundary, under a [`CheckpointKey`]) are entries of the same shards,
-//! budget and policy: inserted into probation by the cold sweep that
-//! crossed the boundary, promoted to protected when a later cold run
-//! resumes from one ([`TileCache::nearest_checkpoint`]), and evicted from
-//! the probation tail with the tiles. They cost the budget their bytes, a
-//! sixteenth of a 256-px tile per boundary for unit Epanechnikov. A tile
-//! and a checkpoint never alias, and checkpoint lookups and displacements
-//! never count as tile hits, misses or evictions: they have their own
-//! counters, so the tile counters keep saying how often a tile was
-//! recomputed or pushed out.
+//! boundary, under a [`CheckpointKey`]) live beside each shard's tiles in
+//! a second SLRU of the same code, with a byte budget of its own: the
+//! checkpoint's share `c / (t + c)` of the shard budget, where `c` and
+//! `t` are a checkpoint's and a tile's bytes per row
+//! ([`TileCache::with_checkpoint_share`]; [`TileCache::new`] gives
+//! checkpoints no room). A tile insert never displaces a checkpoint and a
+//! checkpoint insert never displaces a tile, and tiles plus checkpoints
+//! stay within the budget. A checkpoint enters its probation segment when
+//! a cold sweep records it and is promoted to protected when a later cold
+//! run resumes from it ([`TileCache::nearest_checkpoint`]), so one-off
+//! checkpoints — a zoom excursion records one per tile it caches — churn
+//! only the checkpoint probation segment. Keeping the sweep state is the
+//! cheap half of the trade: a unit Epanechnikov checkpoint is about 1/24
+//! of a 256-px tile's bytes, so the checkpoints of tiles the excursion
+//! pushed out outlive them, and a re-missed tile sweeps only its own
+//! columns. A tile and a checkpoint never alias, and checkpoint lookups
+//! and displacements never count as tile hits, misses or evictions: they
+//! have their own counters, so the tile counters keep saying how often a
+//! tile was recomputed or pushed out.
 //!
 //! Hit/miss/eviction/rejection counters are **saturating** (they stick
 //! at `u64::MAX` rather than wrapping), keeping reported statistics
@@ -211,8 +220,9 @@ pub enum Lookup {
 /// Checkpoint lookups ([`TileCache::nearest_checkpoint`]) count only
 /// under `checkpoint_hits` / `checkpoint_misses`, and displaced
 /// checkpoints only under `checkpoint_evictions`, so the tile counters
-/// keep counting tiles. Rejections count entries of either kind (a
-/// checkpoint too large for a shard comes with a tile that is too).
+/// keep counting tiles. `rejected` counts tiles only: a checkpoint too
+/// large for its segment is dropped, and the sweep it came from still
+/// served its tiles.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: kdv_obs::Counter,
@@ -241,8 +251,8 @@ impl CacheStats {
         self.evictions.get()
     }
 
-    /// Inserts refused outright (tile larger than one shard's budget) —
-    /// the tile was computed, never cached, and dropped.
+    /// Inserts refused outright (tile larger than one shard's tile
+    /// budget) — the tile was computed, never cached, and dropped.
     pub fn rejected(&self) -> u64 {
         self.rejected.get()
     }
@@ -263,8 +273,8 @@ impl CacheStats {
         self.checkpoint_misses.get()
     }
 
-    /// Checkpoints displaced from the cache to stay inside the byte
-    /// budget.
+    /// Checkpoints displaced from the cache to stay inside their share of
+    /// the byte budget.
     pub fn checkpoint_evictions(&self) -> u64 {
         self.checkpoint_evictions.get()
     }
@@ -284,9 +294,10 @@ impl CacheStats {
 /// cannot provide under concurrency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InsertOutcome {
-    /// Tiles this insert displaced to fit the shard budget.
+    /// Tiles this insert displaced to fit the shard's tile budget.
     pub evicted: u64,
-    /// Checkpoints this insert displaced to fit the shard budget.
+    /// Checkpoints this insert displaced to fit the shard's checkpoint
+    /// budget.
     pub evicted_checkpoints: u64,
     /// Whether the entry was refused outright (oversized, never cached).
     pub rejected: bool,
@@ -304,10 +315,10 @@ impl InsertOutcome {
 
 const NIL: usize = usize::MAX;
 
-/// Share of a shard's budget the protected segment may hold, as a
+/// Share of an SLRU's budget the protected segment may hold, as a
 /// fraction `PROTECTED_SHARE.0 / PROTECTED_SHARE.1`. The rest is the
-/// floor of probation: room where a burst of new tiles churns without
-/// touching the tiles hit since they were cached.
+/// floor of probation: room where a burst of new entries churns without
+/// touching the entries hit since they were cached.
 const PROTECTED_SHARE: (u128, u128) = (4, 5);
 
 /// Which recency list of its shard a node is threaded on.
@@ -341,8 +352,9 @@ struct Node {
     next: usize,
 }
 
-/// One shard: a hash map into a slab of nodes, each threaded on one of
-/// two intrusive doubly-linked recency lists — a segmented LRU. New keys
+/// One SLRU of a shard (its tiles, or its checkpoints): a hash map into a
+/// slab of nodes, each threaded on one of two intrusive doubly-linked
+/// recency lists — a segmented LRU. New keys
 /// enter probation; a hit moves its entry to protected, whose overflow
 /// past [`PROTECTED_SHARE`] of the budget is demoted back to the head of
 /// probation. Eviction takes the probation tail; protected entries leave
@@ -492,8 +504,14 @@ impl Shard {
 
 /// The sharded, byte-budgeted, segmented-LRU tile cache.
 pub struct TileCache {
+    /// Each shard's tiles.
     shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
+    /// Each shard's checkpoints, in an SLRU of their own.
+    checkpoint_shards: Vec<Mutex<Shard>>,
+    /// Bytes of tiles one shard may hold.
+    tile_budget: usize,
+    /// Bytes of checkpoints one shard may hold.
+    checkpoint_budget: usize,
     shard_mask: u64,
     stats: CacheStats,
 }
@@ -509,38 +527,65 @@ impl TileCache {
     /// `byte_budget` (smaller than the shard count) degrades to a cache
     /// that can still admit nothing larger than a byte — not one whose
     /// zero budget silently misclassifies every insert.
+    ///
+    /// The whole budget holds tiles: a checkpoint is never admitted. A
+    /// server that resumes band sweeps builds its cache with
+    /// [`TileCache::with_checkpoint_share`].
     pub fn new(byte_budget: usize, shards: usize) -> Self {
+        Self::with_checkpoint_share(byte_budget, shards, 0, 1)
+    }
+
+    /// [`TileCache::new`], with each shard's budget split between its
+    /// tiles and its checkpoints in the proportion of a checkpoint's
+    /// `checkpoint_row_bytes` to a tile's `tile_row_bytes` per row: the
+    /// checkpoints get `c / (t + c)` of it, the budget of a checkpoint
+    /// beside each tile. Each shard keeps at least one byte for tiles.
+    pub fn with_checkpoint_share(
+        byte_budget: usize,
+        shards: usize,
+        checkpoint_row_bytes: usize,
+        tile_row_bytes: usize,
+    ) -> Self {
         let shards = shards.clamp(1, 1 << 12).next_power_of_two();
         let shard_budget = (byte_budget / shards).max(1);
+        let pair = checkpoint_row_bytes as u128 + tile_row_bytes as u128;
+        let share = (shard_budget as u128 * checkpoint_row_bytes as u128).checked_div(pair);
+        let checkpoint_budget = (share.unwrap_or(0) as usize).min(shard_budget - 1);
+        let tile_budget = shard_budget - checkpoint_budget;
+        let slrus = |budget| (0..shards).map(|_| Mutex::new(Shard::new(budget))).collect();
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new(shard_budget))).collect(),
-            shard_budget,
+            shards: slrus(tile_budget),
+            checkpoint_shards: slrus(checkpoint_budget),
+            tile_budget,
+            checkpoint_budget,
             shard_mask: shards as u64 - 1,
             stats: CacheStats::default(),
         }
     }
 
-    /// The shard of an entry. A tile's generation is left out of the
-    /// hash, so every generation of a tile shares one shard and a lookup
-    /// finds a stale generation under the same lock; a checkpoint's
-    /// column is left out too, so every boundary of a band's sweep shares
-    /// one shard and [`TileCache::nearest_checkpoint`] searches them under
-    /// one lock.
+    /// The SLRU of an entry: its shard's tiles or its shard's
+    /// checkpoints. A tile's generation is left out of the hash, so every
+    /// generation of a tile shares one shard and a lookup finds a stale
+    /// generation under the same lock; a checkpoint's column is left out
+    /// too, so every boundary of a band's sweep shares one shard and
+    /// [`TileCache::nearest_checkpoint`] searches them under one lock.
     fn shard_of(&self, key: &EntryKey) -> MutexGuard<'_, Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        match key {
+        let slrus = match key {
             EntryKey::Tile(k) => {
-                (k.dataset, k.kernel, k.bandwidth_bits, k.weight_bits, k.coord, k.tier).hash(&mut h)
+                (k.dataset, k.kernel, k.bandwidth_bits, k.weight_bits, k.coord, k.tier)
+                    .hash(&mut h);
+                &self.shards
             }
             EntryKey::Checkpoint(CheckpointKey(k)) => {
                 let band = (k.coord.zoom, k.coord.ty, k.generation);
-                (k.dataset, k.kernel, k.bandwidth_bits, k.weight_bits, band, k.tier, 1u8)
-                    .hash(&mut h)
+                (k.dataset, k.kernel, k.bandwidth_bits, k.weight_bits, band, k.tier).hash(&mut h);
+                &self.checkpoint_shards
             }
-        }
+        };
         // high bits pick the shard so shard choice stays independent of
         // the map's own bucket choice (which uses the low bits)
-        self.lock(&self.shards[((h.finish() >> 32) & self.shard_mask) as usize])
+        self.lock(&slrus[((h.finish() >> 32) & self.shard_mask) as usize])
     }
 
     /// Locks a shard. A shard whose lock was poisoned (a thread panicked
@@ -616,10 +661,11 @@ impl TileCache {
         self.admit(EntryKey::Tile(key), Entry::Tile(tile))
     }
 
-    /// Inserts a band sweep checkpoint like a tile ([`TileCache::insert`]):
-    /// at the head of probation, under the same byte budget, counted the
-    /// same way when it is rejected; the entries it displaces count by
-    /// kind.
+    /// Inserts a band sweep checkpoint like a tile ([`TileCache::insert`]),
+    /// but into its shard's checkpoint SLRU: it displaces only
+    /// checkpoints, counted under `checkpoint_evictions`, and one larger
+    /// than the shard's checkpoint budget is refused without counting as
+    /// a tile rejection.
     pub fn insert_checkpoint(
         &self,
         key: CheckpointKey,
@@ -630,10 +676,10 @@ impl TileCache {
 
     /// The checkpoint nearest left of `key`'s column: the one at column
     /// `key.0.coord.tx`, else `tx − 1`, down to column `floor`, searched
-    /// under one shard lock. A checkpoint found moves to the head of the
-    /// protected segment, like a tile hit, so this request's own inserts
-    /// cannot evict it before it is used. Counts one checkpoint hit or
-    /// miss, never a tile lookup.
+    /// under one shard lock. A checkpoint found is one a cold run resumes
+    /// from: it moves to the head of the checkpoint SLRU's protected
+    /// segment, like a tile hit. Counts one checkpoint hit or miss, never
+    /// a tile lookup.
     pub fn nearest_checkpoint(
         &self,
         key: &CheckpointKey,
@@ -663,9 +709,15 @@ impl TileCache {
     /// [`TileCache::insert`] and [`TileCache::insert_checkpoint`].
     fn admit(&self, key: EntryKey, entry: Entry) -> InsertOutcome {
         let mut span = kdv_obs::span1("cache.insert", "bytes", entry.bytes() as u64);
-        if entry.bytes() > self.shard_budget {
+        let budget = match key {
+            EntryKey::Tile(_) => self.tile_budget,
+            EntryKey::Checkpoint(_) => self.checkpoint_budget,
+        };
+        if entry.bytes() > budget {
             span.arg("rejected", 1);
-            self.stats.rejected.bump();
+            if let EntryKey::Tile(_) = key {
+                self.stats.rejected.bump();
+            }
             return InsertOutcome { rejected: true, ..InsertOutcome::default() };
         }
         let outcome = self.shard_of(&key).insert(key, entry, Segment::Probation);
@@ -705,7 +757,7 @@ impl TileCache {
         let mut span = kdv_obs::span1("cache.patch", "bytes", tile.bytes() as u64);
         let old_key = EntryKey::Tile(*old_key);
         let seg = self.shard_of(&old_key).remove(&old_key).unwrap_or(Segment::Probation);
-        if tile.bytes() > self.shard_budget {
+        if tile.bytes() > self.tile_budget {
             span.arg("rejected", 1);
             self.stats.rejected.bump();
             return InsertOutcome { rejected: true, ..InsertOutcome::default() };
@@ -720,36 +772,27 @@ impl TileCache {
 
     /// Total bytes of tile and checkpoint buffers currently held.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).bytes()).sum()
+        self.bytes_of(&self.shards) + self.bytes_of(&self.checkpoint_shards)
     }
 
     /// Number of cached tiles.
     pub fn len(&self) -> usize {
-        self.count(|key| matches!(key, EntryKey::Tile(_)))
+        self.shards.iter().map(|s| self.lock(s).map.len()).sum()
     }
 
     /// Number of cached band sweep checkpoints.
     pub fn checkpoints(&self) -> usize {
-        self.count(|key| matches!(key, EntryKey::Checkpoint(_)))
+        self.checkpoint_shards.iter().map(|s| self.lock(s).map.len()).sum()
     }
 
     /// Bytes of the cached band sweep checkpoints.
     pub fn checkpoint_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = self.lock(s);
-                let of = |&idx: &usize| match &shard.nodes[idx].entry {
-                    Entry::Checkpoint(_) => shard.nodes[idx].bytes,
-                    Entry::Tile(_) => 0,
-                };
-                shard.map.values().map(of).sum::<usize>()
-            })
-            .sum()
+        self.bytes_of(&self.checkpoint_shards)
     }
 
-    fn count(&self, pred: impl Fn(&EntryKey) -> bool) -> usize {
-        self.shards.iter().map(|s| self.lock(s).map.keys().filter(|k| pred(k)).count()).sum()
+    /// Bytes held by one SLRU of every shard.
+    fn bytes_of(&self, slrus: &[Mutex<Shard>]) -> usize {
+        slrus.iter().map(|s| self.lock(s).bytes()).sum()
     }
 
     /// Whether the cache is empty.
@@ -757,9 +800,15 @@ impl TileCache {
         self.len() == 0
     }
 
-    /// The byte budget the cache enforces (sum of shard budgets).
+    /// The byte budget the cache enforces (sum of shard budgets, tiles
+    /// and checkpoints together).
     pub fn budget(&self) -> usize {
-        self.shard_budget * self.shards.len()
+        (self.tile_budget + self.checkpoint_budget) * self.shards.len()
+    }
+
+    /// The part of [`TileCache::budget`] that holds checkpoints.
+    pub fn checkpoint_budget(&self) -> usize {
+        self.checkpoint_budget * self.shards.len()
     }
 
     /// The shared saturating counters.
@@ -1140,23 +1189,28 @@ mod tests {
 
     #[test]
     fn poisoned_shard_is_cleared_and_keeps_serving() {
-        let cache = Arc::new(TileCache::new(1 << 20, 1));
+        let cache = Arc::new(TileCache::with_checkpoint_share(1 << 20, 1, 88, 2048));
         cache.insert(key(0, 0), tile(0, 4));
         cache.insert(key(1, 0), tile(1, 4));
         cache.insert_checkpoint(CheckpointKey(key(0, 0)), checkpoint(16, 3));
-        let poisoner = Arc::clone(&cache);
-        let result = std::thread::spawn(move || {
-            let mut shard = poisoner.shards[0].lock().unwrap();
-            // die mid-relink: a dangling head the next user must not follow
-            shard.lists[Segment::Probation as usize].head = 12_345;
-            panic!("injected panic while holding the shard lock");
-        })
-        .join();
-        assert!(result.is_err());
-        assert!(cache.shards[0].is_poisoned());
+        for checkpoints in [false, true] {
+            let poisoner = Arc::clone(&cache);
+            let result = std::thread::spawn(move || {
+                let slrus =
+                    if checkpoints { &poisoner.checkpoint_shards } else { &poisoner.shards };
+                let mut shard = slrus[0].lock().unwrap();
+                // die mid-relink: a dangling head the next user must not follow
+                shard.lists[Segment::Probation as usize].head = 12_345;
+                panic!("injected panic while holding the shard lock");
+            })
+            .join();
+            assert!(result.is_err());
+        }
+        assert!(cache.shards[0].is_poisoned() && cache.checkpoint_shards[0].is_poisoned());
 
         assert_eq!(cache.len(), 0, "the poisoned shard is cleared, not trusted");
-        assert!(!cache.shards[0].is_poisoned());
+        assert_eq!(cache.checkpoints(), 0);
+        assert!(!cache.shards[0].is_poisoned() && !cache.checkpoint_shards[0].is_poisoned());
         assert_eq!(cache.stats().evictions(), 2, "dropped entries count as evictions");
         assert_eq!(cache.stats().checkpoint_evictions(), 1, "by kind");
         assert_eq!(cache.bytes(), 0);
@@ -1177,12 +1231,13 @@ mod tests {
         shard.map.get(&k).map(|&i| shard.nodes[i].seg)
     }
 
-    /// Walks both lists of every shard: links agree in both directions,
+    /// Walks both lists of every SLRU: links agree in both directions,
     /// every node sits on the list its segment names, per-segment bytes
     /// equal the sum over its nodes, and the map indexes exactly the
     /// linked nodes.
     fn check_invariants(cache: &TileCache) {
-        for shard in &cache.shards {
+        assert!(cache.bytes() <= cache.budget());
+        for shard in cache.shards.iter().chain(&cache.checkpoint_shards) {
             let shard = cache.lock(shard);
             let mut linked = 0;
             for seg in [Segment::Probation, Segment::Protected] {
@@ -1235,7 +1290,9 @@ mod tests {
 
     #[test]
     fn checkpoints_share_the_budget_but_not_the_tile_counters() {
-        let cache = TileCache::new(1 << 20, 4);
+        let cache = TileCache::with_checkpoint_share(1 << 20, 4, 88, 2048);
+        assert_eq!(cache.checkpoint_budget(), 4 * ((1 << 18) * 88 / (2048 + 88)));
+        assert_eq!(cache.budget(), 1 << 20, "the split keeps the budget whole");
         let ck = |tx: u32| CheckpointKey(key(tx, 0));
         // a checkpoint and a tile under the same coordinate never alias
         cache.insert(key(2, 0), tile(2, 4));
@@ -1260,31 +1317,47 @@ mod tests {
 
     #[test]
     fn checkpoints_are_evicted_and_promoted_like_tiles() {
-        let unit = tile(0, 8).bytes();
-        let cache = TileCache::new(unit * 3, 1);
+        // room for three tiles beside three checkpoints
+        let (unit, ck_bytes) = (tile(0, 8).bytes(), checkpoint(16, 30).bytes());
+        let cache = TileCache::with_checkpoint_share(3 * (unit + ck_bytes), 1, ck_bytes, unit);
+        assert_eq!(cache.checkpoint_budget(), 3 * ck_bytes);
         let ck = |tx: u32| CheckpointKey(key(tx, 9));
-        cache.insert_checkpoint(ck(1), checkpoint(16, 30));
-        cache.insert_checkpoint(ck(2), checkpoint(16, 30));
-        // a found checkpoint is promoted: the probation tail goes first
-        assert!(cache.nearest_checkpoint(&ck(1), 1).is_some());
-        let (mut tiles, mut checkpoints) = (0, 0);
-        for tx in 0..3 {
-            let outcome = cache.insert(key(tx, 0), tile(tx as usize, 8));
-            (tiles, checkpoints) =
-                (tiles + outcome.evicted, checkpoints + outcome.evicted_checkpoints);
+        let mut outcomes = Vec::new();
+        for tx in 1..=3 {
+            outcomes.push(cache.insert_checkpoint(ck(tx), checkpoint(16, 30)));
         }
-        assert!(cache.bytes() <= cache.budget());
-        assert!(cache.nearest_checkpoint(&ck(2), 2).is_none(), "the cold checkpoint was evicted");
+        // a checkpoint a cold run resumes from is promoted
+        assert!(cache.nearest_checkpoint(&ck(1), 1).is_some());
+        // a tile burst larger than the whole budget displaces no checkpoint
+        for tx in 0..10 {
+            outcomes.push(cache.insert(key(tx, 0), tile(tx as usize, 8)));
+            assert!(cache.bytes() <= cache.budget(), "tile {tx}");
+        }
+        assert_eq!((cache.len(), cache.checkpoints()), (3, 3));
+        // a burst of one-off checkpoints churns only checkpoint probation
+        for tx in 10..20 {
+            outcomes.push(cache.insert_checkpoint(ck(tx), checkpoint(16, 30)));
+            assert!(cache.bytes() <= cache.budget(), "checkpoint {tx}");
+        }
+        assert_eq!((cache.len(), cache.checkpoints()), (3, 3));
         assert!(cache.nearest_checkpoint(&ck(1), 1).is_some(), "the promoted one survived");
+        assert!(cache.nearest_checkpoint(&ck(3), 2).is_none(), "the one-off ones were evicted");
         // each displaced entry counts under its own kind only
-        assert_eq!(checkpoints, 1);
-        assert_eq!(tiles, 3 - cache.len() as u64);
+        let (tiles, checkpoints) =
+            outcomes.iter().fold((0, 0), |(t, c), o| (t + o.evicted, c + o.evicted_checkpoints));
+        assert_eq!((tiles, checkpoints), (7, 10));
         assert_eq!(cache.stats().evictions(), tiles);
         assert_eq!(cache.stats().checkpoint_evictions(), checkpoints);
-        let huge = TileCache::new(64, 1);
-        assert!(huge.insert_checkpoint(ck(1), checkpoint(16, 30)).rejected);
-        assert_eq!(huge.stats().rejected(), 1);
         check_invariants(&cache);
+        // a checkpoint too big for its segment is no tile rejection
+        for cache in
+            [TileCache::new(1 << 20, 1), TileCache::with_checkpoint_share(2 * unit, 1, 1, 99)]
+        {
+            assert!(cache.insert_checkpoint(ck(1), checkpoint(16, 30)).rejected);
+            assert_eq!(cache.stats().rejected(), 0);
+            assert_eq!(cache.insert(key(0, 0), tile(0, 8)), InsertOutcome::default());
+            assert_eq!((cache.len(), cache.checkpoints()), (1, 0));
+        }
     }
 
     #[test]

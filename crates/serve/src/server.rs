@@ -23,17 +23,26 @@
 //! it missed and inserts only those, and a zoom-in excursion does not
 //! flood the cache with tiles nobody asked for.
 //!
-//! **Checkpoints.** A cold sweep records the band's sweep state at every
-//! tile boundary it crosses ([`kdv_core::tile::BandCheckpoint`], keyed by
-//! `(zoom, ty, boundary, epoch generation)` in the same [`TileCache`] and
-//! byte budget as the tiles). A later cold run of the band resumes from
-//! the nearest checkpoint at or left of its first tile instead of sweeping
-//! from pixel 0, so a missed tile costs about its own columns, not the
-//! whole row prefix left of it. A request looks its checkpoints up in the
-//! same pass as its tiles, before computing anything, and counts those
-//! lookups under [`CacheStats::checkpoint_hits`] / `checkpoint_misses`
-//! only. Checkpoints hold the base sweep's state, so every generation of
-//! an epoch resumes from them, with the batches folded on top as usual.
+//! **Checkpoints.** A cold sweep records the band's sweep state
+//! ([`kdv_core::tile::BandCheckpoint`], keyed by `(zoom, ty, boundary,
+//! epoch generation)`) where a later cold run can resume with no lead-in:
+//! at the left edge of each tile it caches, except its own start, so a
+//! re-missed tile sweeps only its own columns, and at its right edge,
+//! which serves a right pan. Boundaries it crosses inside its lead-in are
+//! not recorded. The [`TileCache`] keeps checkpoints in an SLRU of their
+//! own beside each shard's tiles, with the checkpoint's share
+//! `c / (t + c)` of the byte budget (`c`, `t`: a checkpoint's and a
+//! tile's bytes per row, from the engine's state words and the pyramid's
+//! tile size), so a zoom excursion that pushes tiles out leaves the
+//! checkpoints in front of them. A later cold run of the band resumes
+//! from the nearest checkpoint at or left of its first tile instead of
+//! sweeping from pixel 0, so a missed tile costs about its own columns,
+//! not the whole row prefix left of it. A request looks its checkpoints
+//! up in the same pass as its tiles, before computing anything, and
+//! counts those lookups under [`CacheStats::checkpoint_hits`] /
+//! `checkpoint_misses` only. Checkpoints hold the base sweep's state, so
+//! every generation of an epoch resumes from them, with the batches
+//! folded on top as usual.
 //!
 //! **Exactness contract.** The canonical raster of generation `g` is the
 //! epoch-base sweep with each batch's weighted sweep folded in batch
@@ -90,8 +99,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use kdv_core::driver::{KdvParams, SweepContext};
+use kdv_core::driver::{KdvParams, RowEngine, SweepContext};
 use kdv_core::parallel::for_each_index_with;
+use kdv_core::sweep_bucket::BucketSweep;
 use kdv_core::tile::{
     self, slice_band_tiles, sweep_band, BandCheckpoint, BandWorkspace, Tile, Tiling,
 };
@@ -231,7 +241,9 @@ impl TileServer {
     }
 
     /// A server whose stream starts from the epoch base `base` at
-    /// generation 0, patching and compacting as `live` says.
+    /// generation 0, patching and compacting as `live` says. The cache
+    /// gives checkpoints the share of `cache_bytes` that a unit-weight
+    /// row's sweep state takes beside a tile's row of densities.
     pub fn with_live(
         pyramid: PyramidSpec,
         config: ServeConfig,
@@ -240,11 +252,19 @@ impl TileServer {
         cache_bytes: usize,
         cache_shards: usize,
     ) -> Self {
+        let engine = BucketSweep::new(config.kernel, config.bandwidth, config.weight);
+        let checkpoint_row = engine.state_words(false) * std::mem::size_of::<u64>();
+        let tile_row = pyramid.tile_size * std::mem::size_of::<f64>();
         Self {
             pyramid,
             config,
             live,
-            cache: TileCache::new(cache_bytes, cache_shards),
+            cache: TileCache::with_checkpoint_share(
+                cache_bytes,
+                cache_shards,
+                checkpoint_row,
+                tile_row,
+            ),
             stream: Mutex::new(Stream { set: StreamingPointSet::new(base), overview: None }),
             contexts: Mutex::new(HashMap::new()),
             flights: FlightTable::new(),
@@ -703,9 +723,9 @@ impl TileServer {
     /// tiles of that generation, and computed cold, one sweep per run of
     /// [`plan_runs`]: from the checkpoint it picks among those the
     /// request found for the band, or from pixel 0, to the right edge of
-    /// its rightmost tile. Each
-    /// sweep caches its tiles and its checkpoints at every tile boundary
-    /// it crossed.
+    /// its rightmost tile. Each sweep caches its tiles and a checkpoint
+    /// at the left edge of each of them (unless the sweep starts there)
+    /// and at its own right edge.
     fn lead_tiles(
         &self,
         req: &LeadContext<'_>,
@@ -790,7 +810,15 @@ impl TileServer {
             let mut s = kdv_obs::span2("tile.band", "ty", ty as u64, "rows", rows.len() as u64);
             s.arg("start", pixels.start as u64);
             s.arg("end", pixels.end as u64);
-            let marks: Vec<usize> = req.tiling.boundaries(pixels.clone()).collect();
+            let cols: Vec<usize> = run.tiles.iter().map(|&(_, tx)| tx).collect();
+            let size = req.tiling.tile_size;
+            // Only where a later cold run resumes with no lead-in: a
+            // re-missed tile's left edge, and the end a right pan starts at.
+            let marks: Vec<usize> = req
+                .tiling
+                .boundaries(pixels.clone())
+                .filter(|&c| c == pixels.end || cols.contains(&(c / size)))
+                .collect();
             ws.band.resize(rows.len() * pixels.len(), 0.0);
             let BandWorkspace { engine, envelope, band, .. } = ws;
             let checkpoints = sweep_band(
@@ -809,7 +837,6 @@ impl TileServer {
                 fold_batches(req.params, batches, rows.clone(), pixels.clone(), ws, |i, _| {
                     Ok(Arc::clone(&req.contexts[1 + i]))
                 })?;
-            let cols: Vec<usize> = run.tiles.iter().map(|&(_, tx)| tx).collect();
             let fresh = slice_band_tiles(req.tiling, ty, pixels, &cols, &ws.band);
             for ((mut lease, tx), tile) in run.tiles.into_iter().zip(fresh) {
                 let tile = Arc::new(tile);
@@ -821,9 +848,13 @@ impl TileServer {
                 tiles.push(tile);
             }
             for checkpoint in checkpoints {
-                let tx = checkpoint.boundary / req.tiling.tile_size;
-                let key = self.checkpoint_key(zoom, tx, ty, req.snapshot.epoch_generation);
-                req.record(self.cache.insert_checkpoint(key, Arc::new(checkpoint)));
+                let key = self.checkpoint_key(
+                    zoom,
+                    checkpoint.boundary / size,
+                    ty,
+                    req.snapshot.epoch_generation,
+                );
+                self.cache.insert_checkpoint(key, Arc::new(checkpoint));
             }
             self.stats.recomputed_bands.bump();
             self.stats.folded_batches.add(folded);
@@ -1086,21 +1117,33 @@ mod tests {
     }
 
     #[test]
-    fn cold_sweeps_checkpoint_every_tile_boundary_they_cross() {
+    fn cold_sweeps_checkpoint_where_a_later_run_needs_no_lead_in() {
         let srv = server(1 << 22);
         // zoom 2 is 192 px wide in 16-px tiles: twelve columns per band
         let vp = Viewport { zoom: 2, px: 40, py: 64, width: 20, height: 16 };
         assert_eq!(tiles_of(&srv, &vp), [(2, 4), (3, 4)]);
         let (grid, _) = srv.serve_viewport(&vp, 0).unwrap();
         assert_eq!(grid, crop_reference(&srv, &vp));
-        // the band was swept over 0..64: boundaries 16, 32, 48 and 64
-        for tx in 1..12 {
-            assert_eq!(checkpointed(&srv, 2, tx, 4), (1..=4).contains(&tx), "boundary {tx}");
-        }
-        assert_eq!(srv.cache().checkpoints(), 4);
-        // unit Epanechnikov: 15 words (120 B) per row and boundary
-        let words = srv.cache().checkpoint_bytes() - 4 * std::mem::size_of::<BandCheckpoint>();
-        assert_eq!(words, 4 * 16 * 120);
+        // the band was swept over 0..64 for tiles 2 and 3: their left
+        // edges 32 and 48 and the sweep's right edge 64, not 16 inside the
+        // lead-in
+        let marked = |srv: &TileServer| -> Vec<usize> {
+            (1..12).filter(|&tx| checkpointed(srv, 2, tx, 4)).collect()
+        };
+        assert_eq!(marked(&srv), [2, 3, 4]);
+        // unit Epanechnikov: 11 words (88 B) per row and boundary
+        let words = srv.cache().checkpoint_bytes() - 3 * std::mem::size_of::<BandCheckpoint>();
+        assert_eq!(words, 3 * 16 * 88);
+        // tile 6 resumes at 64 and sweeps 64..112: its own left edge 96
+        // and the right edge 112, not 80 inside the lead-in
+        let vp = Viewport { zoom: 2, px: 96, py: 64, width: 16, height: 16 };
+        assert_eq!(srv.serve_viewport(&vp, 0).unwrap().0, crop_reference(&srv, &vp));
+        assert_eq!(marked(&srv), [2, 3, 4, 6, 7]);
+        // a sweep to the raster's right edge records nothing there
+        let vp = Viewport { zoom: 2, px: 176, py: 64, width: 16, height: 16 };
+        assert_eq!(srv.serve_viewport(&vp, 0).unwrap().0, crop_reference(&srv, &vp));
+        assert_eq!(marked(&srv), [2, 3, 4, 6, 7, 11]);
+        assert_eq!(srv.cache().checkpoints(), 6);
         assert!(srv.cache().bytes() <= srv.cache().budget());
     }
 
@@ -1138,9 +1181,12 @@ mod tests {
     #[test]
     fn runs_resume_from_the_rightmost_found_checkpoint_past_the_previous_run() {
         let srv = server(1 << 22);
-        // a sweep of band 4 of zoom 2 over 0..112 checkpoints columns 1..=7
-        let vp = Viewport { zoom: 2, px: 96, py: 64, width: 16, height: 16 };
-        srv.serve_viewport(&vp, 0).unwrap();
+        // sweeps of band 4 of zoom 2 that cache tiles 2 and 5 checkpoint
+        // their left edges, 32 and 80
+        for px in [32, 80] {
+            srv.serve_viewport(&Viewport { zoom: 2, px, py: 64, width: 16, height: 16 }, 0)
+                .unwrap();
+        }
         let found: Vec<_> = [2, 5]
             .map(|tx| srv.cache().nearest_checkpoint(&srv.checkpoint_key(2, tx, 4, 0), 1).unwrap())
             .into();
