@@ -1,24 +1,11 @@
 //! # kdv-analysis — analysis on top of KDV rasters
 //!
 //! The paper's motivation is hotspot *detection*; this crate provides the
-//! downstream analysis a KDV consumer runs once the raster exists, plus
-//! the first of the paper's future-work GIS operations:
+//! downstream step a KDV consumer runs once the raster exists:
 //!
 //! * [`hotspot`] — threshold + connected-component hotspot extraction
 //!   with per-region summaries (mass, peak, centroid, area).
-//! * [`contour`] — marching-squares iso-density contours (hotspot
-//!   boundary polylines).
-//! * [`metrics`] — raster difference metrics (L∞/RMSE/MAE) and
-//!   hotspot-mask Jaccard overlap, used to grade the approximate methods.
-//! * [`kfunction`] — Ripley's K-function (naive and kd-tree-accelerated),
-//!   the "other GIS operation" the paper's conclusion names first.
 
-pub mod contour;
 pub mod hotspot;
-pub mod kfunction;
-pub mod metrics;
 
-pub use contour::{contour_segments, contours, Contour};
 pub use hotspot::{extract_hotspots, hotspots_by_peak_fraction, Hotspot};
-pub use kfunction::{k_function, k_function_naive, KFunction};
-pub use metrics::{grid_diff, hotspot_jaccard, GridDiff};

@@ -1,13 +1,8 @@
 //! Integration tests for the analysis crate on hand-built synthetic grids
-//! whose hotspots, contours, and diff metrics are known in closed form —
-//! plus agreement checks between the accelerated and naive K-function
-//! estimators on deterministic point sets.
+//! whose hotspots are known in closed form.
 
-use kdv_analysis::{
-    contour_segments, contours, extract_hotspots, grid_diff, hotspot_jaccard,
-    hotspots_by_peak_fraction, k_function, k_function_naive,
-};
-use kdv_core::{DensityGrid, GridSpec, Point, Rect};
+use kdv_analysis::{extract_hotspots, hotspots_by_peak_fraction};
+use kdv_core::{DensityGrid, GridSpec, Rect};
 
 /// Unit-pixel spec: pixel (i, j) is centred at (i + 0.5, j + 0.5).
 fn unit_spec(w: usize, h: usize) -> GridSpec {
@@ -84,146 +79,4 @@ fn peak_fraction_thresholding_tracks_the_global_peak() {
     // all-zero raster: no spurious hotspot at threshold 0
     let zero = DensityGrid::zeroed(10, 8);
     assert!(hotspots_by_peak_fraction(&zero, &spec, 0.5).is_empty());
-}
-
-#[test]
-fn contour_around_an_interior_blob_is_a_single_closed_ring() {
-    // one hot 3×3 plateau in the middle of a cold 9×9 grid
-    let spec = unit_spec(9, 9);
-    let mut g = DensityGrid::zeroed(9, 9);
-    for j in 3..=5 {
-        for i in 3..=5 {
-            g.set(i, j, 10.0);
-        }
-    }
-    let cs = contours(&g, &spec, 5.0);
-    assert_eq!(cs.len(), 1, "one interior blob → one contour");
-    let ring = &cs[0];
-    assert!(ring.closed, "an interior iso-line must close into a ring");
-    assert!(ring.points.len() >= 8);
-    // the ring must strictly separate hot from cold: every vertex lies
-    // between the plateau boundary pixels (centres 3.5..5.5) and their
-    // cold neighbours (centres 2.5 / 6.5)
-    for p in &ring.points {
-        assert!(p.x > 2.5 && p.x < 6.5, "vertex x={} escapes the transition band", p.x);
-        assert!(p.y > 2.5 && p.y < 6.5, "vertex y={} escapes the transition band", p.y);
-    }
-    // threshold halfway between 0 and 10 crosses each cell edge at its
-    // midpoint, so the ring is the square through x,y ∈ {3.0, 6.0} with
-    // its four corners clipped to diagonals: 4·3 − 4·(1 − √½) ≈ 10.828
-    let expected = 12.0 - 4.0 * (1.0 - 0.5_f64.sqrt());
-    let len = ring.length();
-    assert!(
-        (len - expected).abs() < 1e-9,
-        "ring length {len}, expected {expected} for the 3×3 plateau"
-    );
-}
-
-#[test]
-fn contour_degenerate_and_out_of_range_thresholds_yield_nothing() {
-    let (grid, spec) = two_blob_grid();
-    // marching squares needs a 2×2 cell: 1×N and N×1 grids have none
-    let thin = DensityGrid::from_values(8, 1, vec![5.0; 8]);
-    assert!(contour_segments(&thin, &unit_spec(8, 1), 1.0).is_empty());
-    let tall = DensityGrid::from_values(1, 8, vec![5.0; 8]);
-    assert!(contour_segments(&tall, &unit_spec(1, 8), 1.0).is_empty());
-    // threshold above the global max: nothing is inside
-    assert!(contour_segments(&grid, &spec, 100.0).is_empty());
-    // threshold at/below zero: everything is inside, no crossings
-    assert!(contour_segments(&grid, &spec, -1.0).is_empty());
-}
-
-#[test]
-fn contour_count_tracks_the_number_of_blobs() {
-    let (grid, spec) = two_blob_grid();
-    let cs = contours(&grid, &spec, 1.5);
-    assert_eq!(cs.len(), 2, "two blobs → two separate iso-rings");
-    assert!(cs.iter().all(|c| c.closed));
-}
-
-#[test]
-fn grid_diff_metrics_match_hand_computation() {
-    let reference = DensityGrid::from_values(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-    let got = DensityGrid::from_values(2, 2, vec![1.0, 2.5, 2.0, 4.0]);
-    let d = grid_diff(&got, &reference);
-    // diffs: [0, 0.5, 1, 0]
-    assert_eq!(d.max_abs, 1.0);
-    assert!((d.mae - 0.375).abs() < 1e-15);
-    assert!((d.rmse - (1.25_f64 / 4.0).sqrt()).abs() < 1e-15);
-    assert!((d.max_rel_to_peak - 0.25).abs() < 1e-15);
-    // identical rasters → all-zero metrics
-    let z = grid_diff(&reference, &reference);
-    assert_eq!((z.max_abs, z.rmse, z.mae, z.max_rel_to_peak), (0.0, 0.0, 0.0, 0.0));
-}
-
-#[test]
-#[should_panic(expected = "resolution mismatch")]
-fn grid_diff_rejects_mismatched_resolutions() {
-    let a = DensityGrid::zeroed(2, 3);
-    let b = DensityGrid::zeroed(3, 2);
-    let _ = grid_diff(&a, &b);
-}
-
-#[test]
-fn hotspot_jaccard_spans_disjoint_to_identical() {
-    let a = DensityGrid::from_values(2, 2, vec![5.0, 5.0, 0.0, 0.0]);
-    let b = DensityGrid::from_values(2, 2, vec![0.0, 0.0, 5.0, 5.0]);
-    let c = DensityGrid::from_values(2, 2, vec![5.0, 0.0, 5.0, 0.0]);
-    assert_eq!(hotspot_jaccard(&a, &a, 1.0), 1.0);
-    assert_eq!(hotspot_jaccard(&a, &b, 1.0), 0.0);
-    // a ∩ c = 1 pixel, a ∪ c = 3 pixels
-    assert!((hotspot_jaccard(&a, &c, 1.0) - 1.0 / 3.0).abs() < 1e-15);
-    // both masks empty → defined as perfect agreement
-    let zero = DensityGrid::zeroed(2, 2);
-    assert_eq!(hotspot_jaccard(&zero, &zero, 1.0), 1.0);
-}
-
-#[test]
-fn k_function_matches_the_naive_estimator_and_known_values() {
-    // deterministic lattice-with-jitter point set (no RNG: jitter from a
-    // fixed integer recurrence)
-    let window = Rect::new(0.0, 0.0, 10.0, 10.0);
-    let mut pts = Vec::new();
-    let mut s: u64 = 12345;
-    for gy in 0..7 {
-        for gx in 0..7 {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let jx = (s >> 40) as f64 / (1u64 << 24) as f64 - 0.5;
-            let jy = (s >> 16 & 0xFFFFFF) as f64 / (1u64 << 24) as f64 - 0.5;
-            pts.push(Point::new(
-                1.0 + gx as f64 * 1.4 + 0.4 * jx,
-                1.0 + gy as f64 * 1.4 + 0.4 * jy,
-            ));
-        }
-    }
-    let radii = [0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 14.2];
-    let naive = k_function_naive(&pts, window, &radii);
-    let fast = k_function(&pts, window, &radii);
-    assert_eq!(naive.radii, fast.radii);
-    for (r, (a, b)) in radii.iter().zip(naive.k_values.iter().zip(&fast.k_values)) {
-        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "K({r}): {a} vs {b}");
-    }
-    // closed-form anchors: no pairs within r=0.1 (min spacing ≈ 1), and at
-    // r ≥ the window diagonal every ordered pair counts:
-    // K = A/n² · n(n−1) = 100·48/49
-    assert_eq!(naive.k_values[0], 0.0);
-    let all_pairs = 100.0 * 48.0 / 49.0;
-    assert!((naive.k_values[7] - all_pairs).abs() < 1e-9);
-    // K is non-decreasing in r
-    for w in naive.k_values.windows(2) {
-        assert!(w[1] >= w[0]);
-    }
-}
-
-#[test]
-fn l_transform_flags_a_clustered_pattern() {
-    // a tight cluster of 20 points in a large window is maximally
-    // clustered at small r: L(r) − r must be strongly positive there
-    let window = Rect::new(0.0, 0.0, 100.0, 100.0);
-    let pts: Vec<Point> = (0..20)
-        .map(|i| Point::new(50.0 + (i % 5) as f64 * 0.1, 50.0 + (i / 5) as f64 * 0.1))
-        .collect();
-    let kf = k_function_naive(&pts, window, &[1.0, 2.0]);
-    let l = kf.l_minus_r();
-    assert!(l[0] > 10.0, "clustered pattern must show L(r)−r ≫ 0, got {}", l[0]);
 }

@@ -8,12 +8,38 @@
 use kdv_baselines::AnyMethod;
 use kdv_bench::{banner, time_method, CityData, HarnessConfig, Table};
 use kdv_core::driver::KdvParams;
-use kdv_core::geom::Point;
+use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
 use kdv_core::{KernelType, Method};
 use kdv_data::catalog::City;
 use kdv_data::record::year_start;
-use kdv_explore::{pan_regions, zoom_regions};
+
+/// The zoom regions of the paper's Figure-16 zoom experiment: the MBR
+/// scaled about its centre by each ratio (0.25 / 0.5 / 0.75 / 1).
+pub fn zoom_regions(mbr: Rect, ratios: &[f64]) -> Vec<Rect> {
+    ratios.iter().map(|&r| mbr.scaled_about_center(r, r)).collect()
+}
+
+/// The pan regions of the paper's Figure-16 pan experiment: `count`
+/// randomly placed windows of size `0.5H × 0.5W` inside the MBR, seeded.
+pub fn pan_regions(mbr: Rect, count: usize, seed: u64) -> Vec<Rect> {
+    let (w, h) = (mbr.width() * 0.5, mbr.height() * 0.5);
+    let mut state = seed | 1;
+    let mut next = move || {
+        // xorshift64*: deterministic, dependency-free
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|_| {
+            let x0 = mbr.min_x + next() * (mbr.width() - w);
+            let y0 = mbr.min_y + next() * (mbr.height() - h);
+            Rect::new(x0, y0, x0 + w, y0 + h)
+        })
+        .collect()
+}
 
 fn figure_lineup() -> Vec<AnyMethod> {
     vec![
@@ -85,5 +111,37 @@ fn main() {
         }
         let stem = format!("fig16_pan_{}", city.name().to_lowercase().replace(' ', "_"));
         pan_table.emit(&cfg.out_dir, &stem);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zoom_regions_match_paper_ratios() {
+        let mbr = Rect::new(0.0, 0.0, 40.0, 40.0);
+        let regions = zoom_regions(mbr, &[0.25, 0.5, 0.75, 1.0]);
+        assert_eq!(regions.len(), 4);
+        assert!((regions[0].width() - 10.0).abs() < 1e-12);
+        assert_eq!(regions[3], mbr);
+        for r in &regions {
+            assert_eq!(r.center(), mbr.center());
+        }
+    }
+
+    #[test]
+    fn pan_regions_are_half_size_and_inside() {
+        let mbr = Rect::new(10.0, 20.0, 110.0, 80.0);
+        let regions = pan_regions(mbr, 5, 99);
+        assert_eq!(regions.len(), 5);
+        for r in &regions {
+            assert!((r.width() - 50.0).abs() < 1e-9);
+            assert!((r.height() - 30.0).abs() < 1e-9);
+            assert!(r.min_x >= mbr.min_x - 1e-9 && r.max_x <= mbr.max_x + 1e-9);
+            assert!(r.min_y >= mbr.min_y - 1e-9 && r.max_y <= mbr.max_y + 1e-9);
+        }
+        // deterministic
+        assert_eq!(regions, pan_regions(mbr, 5, 99));
     }
 }

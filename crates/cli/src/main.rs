@@ -1297,6 +1297,14 @@ mod tests {
         assert!(err.contains("4294967296x4294967296"), "{err}");
     }
 
+    /// Runs `body` holding the span recorder's exclusive guard. The
+    /// recorder is process-global, so every test here that sweeps or
+    /// serves goes through this: no test's spans can enter another's trace.
+    fn exclusive<T>(body: impl FnOnce() -> T) -> T {
+        let _guard = kdv_obs::span::exclusive();
+        body()
+    }
+
     /// The number right after the first `prefix` in `text`.
     fn figure(text: &str, prefix: &str) -> usize {
         let at = text.find(prefix).unwrap_or_else(|| panic!("{prefix:?} missing from\n{text}"));
@@ -1318,14 +1326,15 @@ mod tests {
         let points = (0..200)
             .map(|i| kdv_core::geom::Point::new((i * 37 % 100) as f64, (i * 53 % 100) as f64))
             .collect();
-        let server = kdv_serve::TileServer::new(pyramid, config, points, 1 << 20, 1);
-        // no spans of these sweeps may enter a sibling test's trace
-        let _guard = kdv_obs::span::exclusive();
-        // a sweep of tiles 2..=3, then a pan right that resumes at 64
-        for px in [40, 64] {
-            let vp = kdv_serve::Viewport { zoom: 2, px, py: 64, width: 20, height: 16 };
-            server.serve_viewport(&vp, 1).unwrap();
-        }
+        let server = exclusive(|| {
+            let server = kdv_serve::TileServer::new(pyramid, config, points, 1 << 20, 1);
+            // a sweep of tiles 2..=3, then a pan right that resumes at 64
+            for px in [40, 64] {
+                let vp = kdv_serve::Viewport { zoom: 2, px, py: 64, width: 20, height: 16 };
+                server.serve_viewport(&vp, 1).unwrap();
+            }
+            server
+        });
         let (cache, cs) = (server.cache(), server.cache_stats());
         assert!(cs.checkpoint_hits() > 0 && cache.checkpoints() > 0);
         let line = checkpoint_line(cache);
@@ -1367,10 +1376,7 @@ mod tests {
             "--out",
             out.to_str().unwrap(),
         ]);
-        let text = {
-            let _guard = kdv_obs::span::exclusive();
-            cmd_render(&a).unwrap()
-        };
+        let text = exclusive(|| cmd_render(&a).unwrap());
         let (points, params) = load_problem(&a).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         let ctx = kdv_core::driver::SweepContext::new(&params, &points).unwrap();

@@ -1,7 +1,7 @@
-//! Heat-map image rendering: density grid → RGB image → PPM/PGM/ASCII.
+//! Heat-map image rendering: density grid → RGB image → PPM/ASCII.
 //!
-//! Output formats are hand-rolled binary PPM (P6) / PGM (P5) — the
-//! simplest formats every image viewer understands — plus an ASCII art
+//! The output format is hand-rolled binary PPM (P6) — the simplest
+//! format every image viewer understands — plus an ASCII art
 //! renderer for terminal-only smoke checks. The image is flipped
 //! vertically relative to the grid: grid row 0 (smallest y) is the
 //! *bottom* scanline, matching geographic orientation.
@@ -24,15 +24,6 @@ pub struct Image {
 }
 
 impl Image {
-    /// Builds an image from a raw row-major RGB buffer.
-    ///
-    /// # Panics
-    /// Panics if `pixels.len() != width * height * 3`.
-    pub fn from_raw(width: usize, height: usize, pixels: Vec<u8>) -> Self {
-        assert_eq!(pixels.len(), width * height * 3, "RGB buffer size mismatch");
-        Self { width, height, pixels }
-    }
-
     /// Image dimensions `(width, height)`.
     pub fn dimensions(&self) -> (usize, usize) {
         (self.width, self.height)
@@ -66,18 +57,8 @@ impl Image {
 /// Renders a density grid to an RGB heat map, normalising against the
 /// grid's own maximum.
 pub fn render(grid: &DensityGrid, colormap: ColorMap, scale: Scale) -> Image {
-    render_with_max(grid, colormap, scale, grid.max_value())
-}
-
-/// Renders a density grid normalised against a caller-supplied maximum.
-///
-/// This is the tile-mosaic entry point: a tile coloured against its *own*
-/// max shifts hue whenever the viewport moves, so tiles of one zoom level
-/// must share the level-wide maximum (see [`shared_max`]). With the same
-/// `max`, rendering tiles independently and pasting them together is
-/// pixel-identical to rendering the stitched grid in one call.
-pub fn render_with_max(grid: &DensityGrid, colormap: ColorMap, scale: Scale, max: f64) -> Image {
     let (w, h) = (grid.res_x(), grid.res_y());
+    let max = grid.max_value();
     let mut pixels = Vec::with_capacity(w * h * 3);
     for y in 0..h {
         let j = h - 1 - y; // flip: top scanline = largest y
@@ -88,35 +69,6 @@ pub fn render_with_max(grid: &DensityGrid, colormap: ColorMap, scale: Scale, max
         }
     }
     Image { width: w, height: h, pixels }
-}
-
-/// Maximum density across several rasters (e.g. all tiles of a zoom
-/// level), for use as the shared `max` of [`render_with_max`]. NaNs are
-/// ignored; an empty input yields 0 (which renders all-black).
-pub fn shared_max<'a, I>(rasters: I) -> f64
-where
-    I: IntoIterator<Item = &'a [f64]>,
-{
-    rasters
-        .into_iter()
-        .flat_map(|r| r.iter().copied())
-        .filter(|v| !v.is_nan())
-        .fold(0.0_f64, f64::max)
-}
-
-/// Writes a density grid as a binary PGM (P5) grayscale image.
-pub fn write_pgm<W: Write>(writer: W, grid: &DensityGrid, scale: Scale) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    write!(w, "P5\n{} {}\n255\n", grid.res_x(), grid.res_y())?;
-    let max = grid.max_value();
-    for y in 0..grid.res_y() {
-        let j = grid.res_y() - 1 - y;
-        for i in 0..grid.res_x() {
-            let t = scale.normalize(grid.get(i, j), max);
-            w.write_all(&[(t * 255.0).round() as u8])?;
-        }
-    }
-    w.flush()
 }
 
 /// Density ramp used by the ASCII renderer, light to heavy.
@@ -173,17 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn pgm_header_and_payload() {
-        let mut buf = Vec::new();
-        write_pgm(&mut buf, &gradient_grid(), Scale::Linear).unwrap();
-        assert!(buf.starts_with(b"P5\n4 3\n255\n"));
-        let payload = &buf["P5\n4 3\n255\n".len()..];
-        assert_eq!(payload.len(), 12);
-        assert_eq!(payload[3], 255, "hot pixel at top-right");
-        assert_eq!(payload[8], 64, "quarter-bright pixel at bottom-left");
-    }
-
-    #[test]
     fn ascii_shape_and_extremes() {
         let art = ascii_art(&gradient_grid(), Scale::Linear);
         let lines: Vec<&str> = art.lines().collect();
@@ -198,67 +139,5 @@ mod tests {
         let g = DensityGrid::zeroed(2, 2);
         let img = render(&g, ColorMap::Grayscale, Scale::Log);
         assert!(img.bytes().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn shared_max_skips_nans_and_handles_empty() {
-        let a = [1.0, f64::NAN, 3.0];
-        let b = [2.0, 0.5];
-        assert_eq!(shared_max([&a[..], &b[..]]), 3.0);
-        assert_eq!(shared_max(std::iter::empty::<&[f64]>()), 0.0);
-    }
-
-    /// Tiles rendered independently against the level-wide shared max must
-    /// paste into the exact pixel buffer of rendering the stitched grid in
-    /// one call — the property that lets a tile server colour cached tiles
-    /// without ever seeing the whole viewport.
-    #[test]
-    fn tile_mosaic_renders_pixel_identical_to_full_render() {
-        use kdv_core::driver::KdvParams;
-        use kdv_core::geom::{Point, Rect};
-        use kdv_core::grid::GridSpec;
-        use kdv_core::tile::{compute_tiles, stitch, Tiling};
-        use kdv_core::KernelType;
-
-        let region = Rect::new(0.0, 0.0, 100.0, 80.0);
-        let points: Vec<Point> = (0..200)
-            .map(|i| {
-                let t = i as f64;
-                Point::new(50.0 + 40.0 * (t * 0.37).sin(), 40.0 + 30.0 * (t * 0.53).cos())
-            })
-            .collect();
-        let grid = GridSpec::new(region, 50, 36).unwrap();
-        let params = KdvParams::new(grid, KernelType::Quartic, 18.0).with_weight(0.005);
-
-        let tile_size = 16;
-        let tiles = compute_tiles(&params, &points, tile_size).unwrap();
-        let tiling = Tiling::new(50, 36, tile_size).unwrap();
-        let full = stitch(&tiling, &tiles);
-
-        for (colormap, scale) in [(ColorMap::Heat, Scale::Sqrt), (ColorMap::Viridis, Scale::Log)] {
-            let max = shared_max(tiles.iter().map(|t| t.values()));
-            assert_eq!(max, full.max_value(), "shared max must equal the stitched max");
-            let reference = render(&full, colormap, scale);
-
-            // render every tile on its own, then paste the scanlines
-            let mut mosaic = vec![0u8; 50 * 36 * 3];
-            for tile in &tiles {
-                let tile_grid =
-                    DensityGrid::from_values(tile.width, tile.height, tile.values().to_vec());
-                let img = render_with_max(&tile_grid, colormap, scale, max);
-                let x0 = tile.tx * tile_size;
-                let rows = tiling.tile_rows(tile.ty);
-                for iy in 0..tile.height {
-                    // image row iy corresponds to grid row (height-1-iy);
-                    // place it at the full image's row for that grid row
-                    let grid_row = rows.start + (tile.height - 1 - iy);
-                    let full_iy = 36 - 1 - grid_row;
-                    let src = &img.bytes()[iy * tile.width * 3..(iy + 1) * tile.width * 3];
-                    let dst_off = (full_iy * 50 + x0) * 3;
-                    mosaic[dst_off..dst_off + src.len()].copy_from_slice(src);
-                }
-            }
-            assert_eq!(mosaic, reference.bytes(), "{colormap:?}/{scale:?} mosaic diverged");
-        }
     }
 }

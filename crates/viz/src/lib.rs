@@ -5,17 +5,14 @@
 //!
 //! * [`normalize`] — linear / sqrt / log density scales.
 //! * [`colormap`] — heat, grayscale and viridis-like gradients.
-//! * [`image`] — RGB rendering plus PPM/PGM/ASCII output (hand-rolled;
-//!   the formats are trivial and the dependency budget is spent on
+//! * [`image`] — RGB rendering plus PPM/ASCII output (hand-rolled; the
+//!   formats are trivial and the dependency budget is spent on
 //!   algorithmic crates).
-//! * [`legend`] — colour-bar legends composed next to the heat map.
 
 pub mod colormap;
 pub mod image;
-pub mod legend;
 pub mod normalize;
 
 pub use colormap::{ColorMap, Rgb};
-pub use image::{ascii_art, render, render_with_max, shared_max, write_pgm, Image};
-pub use legend::{color_bar, with_legend};
+pub use image::{ascii_art, render, Image};
 pub use normalize::Scale;

@@ -1,11 +1,11 @@
 //! Integration tests for the viz crate: colormap monotonicity and
-//! continuity, normalisation round-trips, and legend/colour-bar layout
-//! bounds. These pin the rendering contracts end-to-end (density grid →
-//! normalised value → colour → composed image) rather than per-module
-//! internals, which the inline unit tests already cover.
+//! continuity, normalisation round-trips, and raster orientation. These
+//! pin the rendering contracts end-to-end (density grid → normalised
+//! value → colour → image) rather than per-module internals, which the
+//! inline unit tests already cover.
 
 use kdv_core::grid::DensityGrid;
-use kdv_viz::{ascii_art, color_bar, render, with_legend, ColorMap, Rgb, Scale};
+use kdv_viz::{ascii_art, render, ColorMap, Rgb, Scale};
 
 const MAPS: [ColorMap; 3] = [ColorMap::Heat, ColorMap::Grayscale, ColorMap::Viridis];
 const SCALES: [Scale; 3] = [Scale::Linear, Scale::Sqrt, Scale::Log];
@@ -216,21 +216,6 @@ fn render_all_zero_grid_is_uniformly_cold() {
 }
 
 #[test]
-fn pgm_header_payload_and_peak_byte() {
-    let grid = peaked_grid(9, 4);
-    let mut buf = Vec::new();
-    kdv_viz::write_pgm(&mut buf, &grid, Scale::Linear).unwrap();
-    let header = b"P5\n9 4\n255\n";
-    assert_eq!(&buf[..header.len()], header);
-    let payload = &buf[header.len()..];
-    assert_eq!(payload.len(), 9 * 4);
-    // peak pixel (8, 3) is on the top scanline at x=8
-    assert_eq!(payload[8], 255);
-    // coldest pixel (0, 0) is on the bottom scanline at x=0
-    assert_eq!(payload[3 * 9], 0);
-}
-
-#[test]
 fn ascii_art_shape_matches_the_grid() {
     let grid = peaked_grid(11, 3);
     let art = ascii_art(&grid, Scale::Sqrt);
@@ -240,48 +225,4 @@ fn ascii_art_shape_matches_the_grid() {
     // heaviest glyph at the peak (top-right), lightest at the bottom-left
     assert_eq!(lines[0].as_bytes()[10], b'@');
     assert_eq!(lines[2].as_bytes()[0], b' ');
-}
-
-#[test]
-fn with_legend_bounds_are_exactly_heatmap_plus_margin_plus_bar() {
-    for (w, h) in [(16usize, 12usize), (64, 48), (640, 480), (2000, 64)] {
-        let img = render(&peaked_grid(w, h), ColorMap::Heat, Scale::Linear);
-        let bar_w = (w / 20).clamp(8, 40);
-        let margin = (w / 40).clamp(4, 20);
-        let out = with_legend(&img, ColorMap::Heat, Scale::Linear);
-        assert_eq!(out.dimensions(), (w + margin + bar_w, h), "legend layout for {w}x{h}");
-        // heat map is blitted unchanged at the origin
-        assert_eq!(out.pixel(0, 0), img.pixel(0, 0));
-        assert_eq!(out.pixel(w - 1, h - 1), img.pixel(w - 1, h - 1));
-        // the margin column is white background
-        assert_eq!(out.pixel(w + margin / 2, h / 2), (255, 255, 255));
-    }
-}
-
-#[test]
-fn color_bar_is_hottest_at_the_top_with_dark_ticks() {
-    let bar = color_bar(ColorMap::Heat, Scale::Linear, 12, 41, 5);
-    assert_eq!(bar.dimensions(), (12, 41));
-    let hot = ColorMap::Heat.map(1.0);
-    let cold = ColorMap::Heat.map(0.0);
-    // tick marks only darken x < 6; x = 8 shows the pure ramp
-    assert_eq!(bar.pixel(8, 0), (hot.0, hot.1, hot.2));
-    assert_eq!(bar.pixel(8, 40), (cold.0, cold.1, cold.2));
-    // 5 ticks at even steps over height 41: rows 0, 10, 20, 30, 40
-    for y in [0usize, 10, 20, 30, 40] {
-        assert_eq!(bar.pixel(0, y), (20, 20, 20), "missing tick at y={y}");
-    }
-    // between ticks the left edge shows the ramp, not tick colour
-    assert_ne!(bar.pixel(0, 5), (20, 20, 20));
-    // luminance decreases monotonically down a grayscale bar
-    let gbar = color_bar(ColorMap::Grayscale, Scale::Linear, 8, 30, 0);
-    let mut prev = f64::INFINITY;
-    for y in 0..30 {
-        let l = luminance({
-            let (r, g, b) = gbar.pixel(7, y);
-            Rgb(r, g, b)
-        });
-        assert!(l <= prev + 0.5, "bar brightens going down at y={y}");
-        prev = l;
-    }
 }

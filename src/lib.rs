@@ -13,11 +13,13 @@
 //!   and QUAD comparators.
 //! * [`data`] (`kdv-data`) — synthetic city datasets, Scott's rule,
 //!   sampling, CSV I/O.
-//! * [`explore`] (`kdv-explore`) — zoom/pan/filter sessions.
 //! * [`temporal`] (`kdv-temporal`) — spatial-temporal KDV animations.
-//! * [`analysis`] (`kdv-analysis`) — hotspot extraction, grid metrics,
-//!   Ripley's K-function.
+//! * [`analysis`] (`kdv-analysis`) — hotspot extraction.
 //! * [`viz`] (`kdv-viz`) — heat-map rendering.
+//!
+//! Zoom and pan over a dataset (the paper's Figures 2 and 16) are served
+//! by `kdv-serve`'s tile pyramid (`Viewport`, `PyramidSpec`, `Frontend`),
+//! which the `kdv serve` command drives.
 //!
 //! The most common entry points are lifted to the top level; see
 //! `examples/quickstart.rs` for a tour.
@@ -26,7 +28,6 @@ pub use kdv_analysis as analysis;
 pub use kdv_baselines as baselines;
 pub use kdv_core as core;
 pub use kdv_data as data;
-pub use kdv_explore as explore;
 pub use kdv_index as index;
 pub use kdv_temporal as temporal;
 pub use kdv_viz as viz;
@@ -36,4 +37,3 @@ pub use kdv_core::{
     DensityGrid, GridSpec, KdvEngine, KdvError, KdvParams, KernelType, Method, Point, Rect,
 };
 pub use kdv_data::{City, Dataset};
-pub use kdv_explore::{ExploreSession, Viewport};

@@ -1,13 +1,11 @@
 //! Integration tests spanning the workspace crates: data generation →
-//! exploration → SLAM engines → baselines → visualisation.
+//! SLAM engines → baselines → visualisation.
 
 use slam_kdv::baselines::AnyMethod;
 use slam_kdv::core::driver::KdvParams;
 use slam_kdv::core::stats::max_rel_error;
 use slam_kdv::data::csvio;
-use slam_kdv::data::record::year_start;
-use slam_kdv::explore::{pan_regions, zoom_regions, Bandwidth, ExploreSession, Viewport};
-use slam_kdv::viz::{ascii_art, render, write_pgm, ColorMap, Scale};
+use slam_kdv::viz::{ascii_art, render, ColorMap, Scale};
 use slam_kdv::{City, GridSpec, KdvEngine, KernelType, Method};
 
 /// Full happy path: synthesise a city, render a KDV with every SLAM
@@ -55,64 +53,6 @@ fn csv_round_trip_preserves_density() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The exploration session reproduces the paper's Figure-16 protocol:
-/// year-filtered events, zoomed and panned windows, all rendering
-/// successfully with plausible statistics.
-#[test]
-fn figure16_protocol_via_session() {
-    let dataset = City::LosAngeles.dataset(0.001);
-    let mbr = dataset.mbr();
-    let full_n = dataset.len();
-    let mut session = ExploreSession::new(dataset);
-    session
-        .set_time_window(Some((year_start(2019), year_start(2020))))
-        .set_bandwidth(Bandwidth::ScottRule);
-
-    // zoom protocol
-    for (i, region) in zoom_regions(mbr, &[0.25, 0.5, 0.75, 1.0]).into_iter().enumerate() {
-        session.set_viewport(Viewport::new(region, 64, 48));
-        let r = session.render().unwrap();
-        assert!(r.points_used > 0, "zoom step {i} lost all points");
-        assert!(r.points_used < full_n, "year filter must bite");
-        assert_eq!(r.grid.res_x(), 64);
-    }
-    // pan protocol
-    for region in pan_regions(mbr, 5, 7) {
-        session.set_viewport(Viewport::new(region, 64, 48));
-        let r = session.render().unwrap();
-        assert_eq!(r.grid.res_y(), 48);
-    }
-}
-
-/// Attribute and time filters compose; a filtered render is equivalent to
-/// computing over the pre-filtered points directly.
-#[test]
-fn filters_equal_manual_prefilter() {
-    let dataset = City::NewYork.dataset(0.0005);
-    let mbr = dataset.mbr();
-    let manual: Vec<slam_kdv::Point> = dataset
-        .records
-        .iter()
-        .filter(|r| r.category == 2 && r.timestamp >= year_start(2015))
-        .map(|r| r.point)
-        .collect();
-
-    let mut session = ExploreSession::new(dataset);
-    session
-        .set_viewport(Viewport::new(mbr, 48, 36))
-        .set_category(Some(2))
-        .set_time_window(Some((year_start(2015), i64::MAX)))
-        .set_bandwidth(Bandwidth::Fixed(1200.0));
-    let via_session = session.render().unwrap();
-    assert_eq!(via_session.points_used, manual.len());
-
-    let grid = GridSpec::new(mbr, 48, 36).unwrap();
-    let params = KdvParams::new(grid, KernelType::Epanechnikov, 1200.0)
-        .with_weight(1.0 / manual.len() as f64);
-    let direct = KdvEngine::new(Method::SlamBucketRao).compute(&params, &manual).unwrap();
-    assert_eq!(via_session.grid, direct);
-}
-
 /// Z-order sampling stays within a loose error band on a real-shaped
 /// dataset and is consistent with its configured reduction.
 #[test]
@@ -140,10 +80,6 @@ fn viz_outputs_from_engine_grid() {
 
     let art = ascii_art(&density, Scale::Log);
     assert_eq!(art.lines().count(), 24);
-
-    let mut pgm = Vec::new();
-    write_pgm(&mut pgm, &density, Scale::Linear).unwrap();
-    assert!(pgm.starts_with(b"P5\n32 24\n255\n"));
 
     let img = render(&density, ColorMap::Viridis, Scale::Sqrt);
     let mut ppm = Vec::new();

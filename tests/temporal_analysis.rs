@@ -1,14 +1,13 @@
 //! Integration tests spanning the temporal and analysis crates with the
 //! SLAM engines: an animated outbreak must be *trackable* — hotspot
-//! extraction per frame should recover the moving epicentre, contours
-//! should enclose it, and the K-function should flag the clustering.
+//! extraction per frame should recover the moving epicentre — and a
+//! uniform-kernel frame must equal a direct SLAM run over its window.
 
-use slam_kdv::analysis::{
-    contours, grid_diff, hotspot_jaccard, hotspots_by_peak_fraction, k_function,
-};
+use slam_kdv::analysis::hotspots_by_peak_fraction;
 use slam_kdv::core::driver::KdvParams;
 use slam_kdv::core::geom::{Point, Rect};
 use slam_kdv::core::grid::GridSpec;
+use slam_kdv::core::stats::max_rel_error;
 use slam_kdv::data::record::EventRecord;
 use slam_kdv::temporal::{compute_stkdv, FrameSpec, StKdvConfig, TemporalKernel};
 use slam_kdv::{KdvEngine, KernelType, Method};
@@ -68,22 +67,6 @@ fn stkdv_frames_track_the_moving_hotspot() {
 }
 
 #[test]
-fn contours_enclose_the_frame_hotspot() {
-    let cfg = config();
-    let frames = compute_stkdv(&cfg, &moving_bursts()).unwrap();
-    let frame = &frames[1];
-    let threshold = frame.grid.max_value() * 0.5;
-    let cs = contours(&frame.grid, &cfg.params.grid, threshold);
-    assert!(!cs.is_empty());
-    // the longest contour should be a closed ring around (60, 50)
-    let longest = cs.iter().max_by(|a, b| a.length().total_cmp(&b.length())).unwrap();
-    assert!(longest.closed, "hotspot boundary must be a ring");
-    let cx = longest.points.iter().map(|p| p.x).sum::<f64>() / longest.points.len() as f64;
-    let cy = longest.points.iter().map(|p| p.y).sum::<f64>() / longest.points.len() as f64;
-    assert!(Point::new(cx, cy).dist(&Point::new(60.0, 50.0)) < 8.0, "ring centre ({cx}, {cy})");
-}
-
-#[test]
 fn per_frame_grids_equal_direct_slam_on_uniform_kernel() {
     // with a uniform temporal kernel, a frame is exactly a filtered SLAM run
     let mut cfg = config();
@@ -97,20 +80,7 @@ fn per_frame_grids_equal_direct_slam_on_uniform_kernel() {
             .map(|r| r.point)
             .collect();
         let direct = KdvEngine::new(Method::SlamBucketRao).compute(&cfg.params, &window).unwrap();
-        let diff = grid_diff(&frame.grid, &direct);
-        assert!(diff.max_rel_to_peak < 1e-9, "t={}: {diff:?}", frame.time);
-        assert_eq!(hotspot_jaccard(&frame.grid, &direct, direct.max_value() * 0.3), 1.0);
+        let err = max_rel_error(frame.grid.values(), direct.values());
+        assert!(err < 1e-9, "t={}: max relative error {err}", frame.time);
     }
-}
-
-#[test]
-fn k_function_detects_burst_clustering() {
-    let records = moving_bursts();
-    let points: Vec<Point> = records.iter().map(|r| r.point).collect();
-    let window = Rect::new(0.0, 0.0, 100.0, 70.0);
-    let k = k_function(&points, window, &[5.0, 15.0]);
-    // three tight bursts: strong clustering at small scales
-    let l = k.l_minus_r();
-    assert!(l[0] > 5.0, "L(5) - 5 = {}", l[0]);
-    assert!(l[1] > 5.0, "L(15) - 15 = {}", l[1]);
 }
