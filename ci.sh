@@ -236,9 +236,6 @@ cargo run --release -p kdv-conformance -- --quick
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
-
 echo "==> cargo fmt --check"
 cargo fmt --check
 

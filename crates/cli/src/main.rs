@@ -76,7 +76,7 @@ OPTIONS:
   --colormap     heat | gray | viridis                   (default heat)
   --scale-mode   linear | sqrt | log                     (default sqrt)
   --threads      sweep worker threads; 0 or omitted = all cores
-                 (SLAM methods, stkdv and serve)
+                 (SLAM methods, stkdv and serve; at most 1024)
   --stats        print the sweep statistics read from the span stream
                  (SLAM methods only); with --trace-out/--metrics-out also
                  prints a per-phase span summary table
@@ -96,8 +96,9 @@ SERVE OPTIONS:
                  (default one tile: tile-size x tile-size)
   --max-zoom     deepest zoom level served                 (default 4)
   --cache-mb     tile cache budget in MiB                  (default 256)
-  --workers      front-end worker threads for v2 replay    (default 4);
-                 with a v1 trace, forces it through the front end too
+  --workers      front-end worker threads for v2 replay    (default 4,
+                 at most 1024); with a v1 trace, forces it through the
+                 front end too
   --queue-depth  bounded admission queue; submits beyond it are
                  load-shed with an explicit rejection      (default 64)
   --deadline-ms  shed requests still queued after this many ms
@@ -514,15 +515,35 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The most OS threads `--threads` or `--workers` may ask for: far more
+/// than the cores of any machine this tool serves from, far fewer than
+/// it takes to exhaust a process's thread limit.
+const MAX_THREADS: usize = 1024;
+
+/// Parses the thread count given as `--flag value`, rejecting counts
+/// above [`MAX_THREADS`] before any thread is started.
+fn parse_thread_count(flag: &str, value: &str) -> Result<usize, String> {
+    let n: usize = value.parse().map_err(|_| format!("bad --{flag}"))?;
+    if n > MAX_THREADS {
+        return Err(format!("--{flag} {n} is above the limit of {MAX_THREADS} threads"));
+    }
+    Ok(n)
+}
+
 /// Parses `--threads` (`0`/omitted = all cores, per [`default_threads`]).
 fn parse_threads(args: &Args) -> Result<usize, String> {
     match args.get("threads") {
         Some(t) => {
-            let n: usize = t.parse().map_err(|_| "bad --threads")?;
+            let n = parse_thread_count("threads", t)?;
             Ok(if n == 0 { default_threads() } else { n })
         }
         None => Ok(default_threads()),
     }
+}
+
+/// Parses `--workers`, the front end's worker threads (default 4).
+fn parse_workers(args: &Args) -> Result<usize, String> {
+    parse_thread_count("workers", args.get("workers").unwrap_or("4"))
 }
 
 /// Runs `method` honouring `--threads`: SLAM variants dispatch to the
@@ -1122,7 +1143,7 @@ fn serve_concurrent(
     if args.get("out-prefix").is_some() {
         return Err("--out-prefix is only supported for sequential (v1) replay".into());
     }
-    let workers: usize = args.get("workers").unwrap_or("4").parse().map_err(|_| "bad --workers")?;
+    let workers = parse_workers(args)?;
     let queue_depth: usize =
         args.get("queue-depth").unwrap_or("64").parse().map_err(|_| "bad --queue-depth")?;
     let deadline = match args.get("deadline-ms") {
@@ -1249,6 +1270,28 @@ mod tests {
         assert!(a.has_flag("ascii"));
         assert!(!a.has_flag("res"));
         assert_eq!(a.get("missing"), None);
+    }
+
+    #[test]
+    fn thread_counts_above_the_ceiling_are_rejected() {
+        // parsing only: no thread is started for any of these values
+        for (flag, parse) in [
+            ("threads", parse_threads as fn(&Args) -> Result<usize, String>),
+            ("workers", parse_workers),
+        ] {
+            let key = format!("--{flag}");
+            let with = |value: &str| parse(&args(&[&key, value]));
+            assert_eq!(with(&MAX_THREADS.to_string()), Ok(MAX_THREADS));
+            assert_eq!(with("3"), Ok(3));
+            for too_many in [MAX_THREADS + 1, 1_000_000, usize::MAX] {
+                let err = with(&too_many.to_string()).unwrap_err();
+                assert!(err.contains(&key), "{err}");
+            }
+            assert!(with("-1").is_err());
+            assert!(with("99999999999999999999999").is_err());
+        }
+        assert_eq!(parse_workers(&args(&[])), Ok(4));
+        assert!(USAGE.contains(&format!("at most {MAX_THREADS}")), "usage names the ceiling");
     }
 
     #[test]

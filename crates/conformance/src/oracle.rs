@@ -18,7 +18,7 @@
 //! | aKDE | SCAN | absolute bound `w·n·ε/2` |
 //! | STKDV frames | per-frame `weighted_scan` | sweep ULPs |
 //! | parallel STKDV | sequential STKDV | bitwise |
-//! | stitched tiles | monolithic SLAM_BUCKET | bitwise |
+//! | band tiles | monolithic SLAM_BUCKET | bitwise |
 //! | instrumented bucket | same sweep, recorder off | bitwise |
 //! | coreset grid / coreset sort | SCAN | error bound (advertised ε) |
 //! | coreset overview serve | SCAN | error bound (advertised ε) |
@@ -32,12 +32,13 @@
 //! so a corpus line alone reproduces the full computation.
 
 use kdv_baselines::AnyMethod;
-use kdv_core::driver::KdvParams;
+use kdv_core::driver::{KdvParams, SweepContext};
 use kdv_core::parallel::{
     compute_parallel, compute_parallel_rao, compute_weighted_parallel, ParallelEngine,
 };
+use kdv_core::tile::{self, BandWorkspace, Tile, Tiling};
 use kdv_core::weighted::{compute_weighted, weighted_scan};
-use kdv_core::{rao, sweep_bucket, KdvEngine, Method};
+use kdv_core::{rao, sweep_bucket, DensityGrid, KdvEngine, Method, Point};
 use kdv_coreset::{CoresetMethod, CoresetSpec};
 use kdv_data::record::EventRecord;
 use kdv_serve::{
@@ -66,7 +67,7 @@ pub const PAIR_NAMES: [&str; 24] = [
     "aKDE bound vs SCAN",
     "STKDV vs weighted_scan",
     "parallel STKDV vs sequential",
-    "stitched tiles vs monolithic",
+    "band tiles vs monolithic",
     "instrumented bucket vs plain",
     "coreset grid vs SCAN (ε-bound)",
     "coreset sort vs SCAN (ε-bound)",
@@ -213,23 +214,18 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
     // --- STKDV ------------------------------------------------------------
     out.extend(run_stkdv(case, &params, &mut aux));
 
-    // --- stitched tiles vs the monolithic sweep (bitwise) ------------------
+    // --- band tiles vs the monolithic sweep (bitwise) ----------------------
     // Tile decomposition must be pure memory movement: for every tile
     // size — including single-pixel tiles and tiles smaller than the
-    // bandwidth — the stitched raster is the identical float program.
+    // bandwidth — the path every `TileServer` miss runs (`compute_band`
+    // per band, then `assemble`) is the identical float program.
     let tile_size = case.tile_size();
-    out.push(
-        match (
-            kdv_core::tile::compute_stitched(&params, pts, tile_size),
-            sweep_bucket::compute(&params, pts),
-        ) {
-            (Ok(t), Ok(m)) => ok(PAIR_NAMES[15], Policy::Bitwise, t.values(), m.values()),
-            (t, m) => fail(
-                PAIR_NAMES[15],
-                format!("tile_size={tile_size}: {}", two_errors(t.err(), m.err())),
-            ),
-        },
-    );
+    out.push(match (band_tiles(&params, pts, tile_size), sweep_bucket::compute(&params, pts)) {
+        (Ok(t), Ok(m)) => ok(PAIR_NAMES[15], Policy::Bitwise, t.values(), m.values()),
+        (t, m) => {
+            fail(PAIR_NAMES[15], format!("tile_size={tile_size}: {}", two_errors(t.err(), m.err())))
+        }
+    });
 
     // --- instrumented sweep vs plain (bitwise) -----------------------------
     // Observability must be observation-only: the same bucket sweep with
@@ -523,6 +519,27 @@ fn run_streaming_overview(
         Ok((_, _, info)) => fail(pair, format!("zoom 0 reported tier {:?}", info.tier)),
         Err(e) => fail(pair, e.to_string()),
     }
+}
+
+/// The raster through the path a `TileServer` miss runs:
+/// [`tile::compute_band`] for each band, then [`tile::assemble`] over the
+/// whole raster.
+fn band_tiles(
+    params: &KdvParams,
+    pts: &[Point],
+    tile_size: usize,
+) -> kdv_core::Result<DensityGrid> {
+    let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size)?;
+    let ctx = SweepContext::new(params, pts)?;
+    let BandWorkspace { mut engine, mut envelope, mut band, .. } = BandWorkspace::new(params);
+    let tiles: Vec<Tile> = (0..tiling.tiles_y())
+        .flat_map(|ty| {
+            let b = params.bandwidth;
+            tile::compute_band(&ctx, &tiling, b, ty, &mut engine, &mut envelope, &mut band)
+        })
+        .collect();
+    let (res_x, res_y) = (tiling.res_x, tiling.res_y);
+    Ok(tile::assemble(&tiling, 0, 0, res_x, res_y, |tx, ty| &tiles[ty * tiling.tiles_x() + tx]))
 }
 
 fn two_errors(a: Option<kdv_core::KdvError>, b: Option<kdv_core::KdvError>) -> String {

@@ -31,7 +31,7 @@
 //!
 //! Engines that run the *identical* floating-point program as their
 //! reference (parallel vs sequential, banded vs full-scan extraction,
-//! stitched tiles vs the monolithic sweep) get no budget at all:
+//! band tiles vs the monolithic sweep) get no budget at all:
 //! [`Policy::Bitwise`].
 //! Approximate engines (aKDE) are checked against their *proven* absolute
 //! error bound, not against a similarity heuristic.

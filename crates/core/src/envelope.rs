@@ -211,20 +211,14 @@ impl EnvelopeBuffer {
         &self.intervals
     }
 
-    /// Banded counterpart of [`EnvelopeBuffer::fill`]: locates the row's
-    /// band in `index` (O(log n)) and fills intervals from just that slice
-    /// (O(|E(k)|)). The intervals are bitwise identical — same values, same
-    /// order — to a full scan over the index's y-sorted point order.
-    pub fn fill_banded(&mut self, index: &BandIndex, bandwidth: f64, k: f64) -> &[SweepInterval] {
-        let band = index.band(bandwidth, k);
-        self.fill_band(index, band, bandwidth, k)
-    }
-
-    /// Fills intervals for an already-located `band` (normally every point
-    /// of the range satisfies `|k − p.y| ≤ b`, which [`BandIndex::band`]
-    /// guarantees; a caller-built band may graze the support boundary, in
-    /// which case the underflowed `b² − dy²` is clamped to `+0.0` before
-    /// the square root).
+    /// Banded counterpart of [`EnvelopeBuffer::fill`]: fills intervals
+    /// from just the row's `band` of `index` (O(|E(k)|); [`BandIndex::band`]
+    /// locates it in O(log n)). The intervals are bitwise identical — same
+    /// values, same order — to a full scan over the index's y-sorted point
+    /// order. Normally every point of the range satisfies `|k − p.y| ≤ b`,
+    /// which [`BandIndex::band`] guarantees; a caller-built band may graze
+    /// the support boundary, in which case the underflowed `b² − dy²` is
+    /// clamped to `+0.0` before the square root.
     pub fn fill_band(
         &mut self,
         index: &BandIndex,
@@ -268,7 +262,7 @@ impl EnvelopeBuffer {
         }
     }
 
-    /// [`EnvelopeBuffer::fill_banded`] over the window of the last
+    /// [`EnvelopeBuffer::fill_band`] over the window of the last
     /// [`EnvelopeBuffer::set_window`]: the row's intervals whose points
     /// are in the window, in canonical order, with their weights (empty
     /// for a unit-weight window).
@@ -418,7 +412,7 @@ mod tests {
         for b in [0.25, 2.0, 3.5, 100.0] {
             for k in [-3.0 - b, -1.0, 0.5, 2.0 - b, 2.0 + b, 6.0, 50.0] {
                 let reference = scan.fill(&sorted, b, k).to_vec();
-                let got = banded.fill_banded(&index, b, k);
+                let got = banded.fill_band(&index, index.band(b, k), b, k);
                 assert_eq!(got, &reference[..], "b={b} k={k}");
             }
         }

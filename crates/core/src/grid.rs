@@ -153,11 +153,6 @@ impl DensityGrid {
         &self.values
     }
 
-    /// Consumes the grid, returning the flat buffer.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Maximum density value (0 for an all-zero grid).
     pub fn max_value(&self) -> f64 {
         self.values.iter().copied().fold(0.0_f64, f64::max)

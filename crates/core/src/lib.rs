@@ -52,7 +52,6 @@
 //!   and weighted sweeps); what its workers did is recorded as `kdv-obs`
 //!   spans (`sweep.parallel`, `band.search`, `envelope.fill`, `row.sweep`).
 //! * [`weighted`] — per-point weights (temporal kernels, event counts).
-//! * [`grid_io`] — lossless raster persistence (binary and TSV).
 //! * [`simd`] — the machine's `f64` lane class, reported in the benchmark
 //!   fingerprint (the engines themselves have one scalar row loop).
 //! * [`tile`] — tile-decomposed computation whose stitched output is
@@ -68,7 +67,6 @@ pub mod envelope;
 pub mod error;
 pub mod geom;
 pub mod grid;
-pub mod grid_io;
 pub mod kernel;
 pub mod parallel;
 pub mod rao;

@@ -23,7 +23,7 @@
 //! The same scheduler drives every parallel entry point in the workspace:
 //! plain sweeps ([`compute_parallel`]), RAO composition
 //! ([`compute_parallel_rao`]), weighted sweeps
-//! ([`compute_weighted_parallel`]) and — via [`for_each_index`] — tile
+//! ([`compute_weighted_parallel`]) and — via [`for_each_index_with`] — tile
 //! bands, serving requests and the temporal frame driver in
 //! `kdv-temporal`. What the workers did is recorded as `kdv-obs` spans
 //! (`sweep.parallel` around the raster, `band.search` / `envelope.fill` /
@@ -156,21 +156,14 @@ pub fn compute_weighted_parallel(
 
 /// Generic work-stealing index loop for embarrassingly parallel tasks that
 /// are not row sweeps (e.g. temporal frames in `kdv-temporal`). Runs
-/// `task(i)` for every `i in 0..count` on up to `threads` workers and
-/// returns the results in index order. `threads == 0` means "auto".
-pub fn for_each_index<T: Send>(
-    count: usize,
-    threads: usize,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    for_each_index_with(count, threads, || (), |(), i| task(i))
-}
-
-/// [`for_each_index`] with per-worker scratch state: each worker builds one
-/// `S` with `make_state` and threads it through every task it claims. This
-/// is how frame loops keep buffers warm across frames without sharing them
-/// between threads (e.g. one [`crate::tile::BandWorkspace`] per worker).
-/// Each worker writes its results straight into their slots.
+/// `task(state, i)` for every `i in 0..count` on up to `threads` workers
+/// and returns the results in index order. `threads == 0` means "auto".
+///
+/// Each worker builds one `S` with `make_state` and threads it through
+/// every task it claims. This is how frame loops keep buffers warm across
+/// frames without sharing them between threads (e.g. one
+/// [`crate::tile::BandWorkspace`] per worker). Each worker writes its
+/// results straight into their slots.
 pub fn for_each_index_with<S, T: Send>(
     count: usize,
     threads: usize,
@@ -298,12 +291,12 @@ mod tests {
 
     #[test]
     fn for_each_index_preserves_order() {
-        let out = for_each_index(100, 4, |i| i * i);
+        let out = for_each_index_with(100, 4, || (), |(), i| i * i);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
         }
-        assert!(for_each_index(0, 4, |i| i).is_empty());
+        assert!(for_each_index_with(0, 4, || (), |(), i| i).is_empty());
     }
 
     #[test]

@@ -63,11 +63,11 @@
 //! is not quartic (see [`crate::aggregate::SweepAccumulator`]).
 //!
 //! Assembly is the other half: [`assemble`] cuts any pixel window out of
-//! a set of tiles, and it is the only assembly path — [`stitch`] is
-//! `assemble` over the whole raster, and both `kdv-serve` servers answer
-//! every viewport with it. It writes the window row by row into one
-//! buffer reserved up front, appending each overlapping tile's row
-//! segment, so every pixel is written once and nothing is zero-filled.
+//! a set of tiles, and it is the only assembly path — the `kdv-serve`
+//! `TileServer` answers every viewport with it. It writes the window row
+//! by row into one buffer reserved up front, appending each overlapping
+//! tile's row segment, so every pixel is written once and nothing is
+//! zero-filled.
 //! A viewport whose tiles are all cached therefore costs one copy of its
 //! pixels; for a 1024 × 768 viewport that copy (6.3 MB) is most of the
 //! request.
@@ -77,9 +77,7 @@ use std::ops::Range;
 use crate::driver::{KdvParams, RowEngine, RowSpan, SweepContext};
 use crate::envelope::EnvelopeBuffer;
 use crate::error::{KdvError, Result};
-use crate::geom::Point;
 use crate::grid::DensityGrid;
-use crate::parallel::for_each_index_with;
 use crate::sweep_bucket::BucketSweep;
 
 /// Partition of an `X × Y` raster into square tiles of side `tile_size`
@@ -148,13 +146,6 @@ impl Tiling {
         let (end, size) = (cols.end.min(self.res_x - 1), self.tile_size);
         (cols.start / size + 1..).map(move |tx| tx * size).take_while(move |&c| c <= end)
     }
-
-    /// Position of tile `(tx, ty)` in the row-major tile order emitted by
-    /// [`compute_tiles`].
-    #[inline]
-    pub fn index_of(&self, tx: usize, ty: usize) -> usize {
-        ty * self.tiles_x() + tx
-    }
 }
 
 /// One computed tile: a row-major density buffer covering pixel columns
@@ -213,9 +204,9 @@ impl Tile {
 /// envelope band is empty are skipped and set to exactly zero, as in
 /// [`crate::driver::sweep_grid`]. A weighted context sweeps each row with
 /// its band's weights. This is [`sweep_band`] over whole rows: the
-/// canonical band computation shared by the monolithic and stitched
-/// drivers and the `kdv-serve` tile cache, so running it for any row range
-/// produces the same bits the monolithic sweep produces for those rows.
+/// canonical band computation shared by the monolithic driver and the
+/// `kdv-serve` tile cache, so running it for any row range produces the
+/// same bits the monolithic sweep produces for those rows.
 pub fn sweep_rows<E: RowEngine>(
     ctx: &SweepContext,
     bandwidth: f64,
@@ -512,38 +503,6 @@ impl BandWorkspace {
     }
 }
 
-/// Computes every tile of the raster with SLAM_BUCKET row sweeps, one
-/// shared full-width sweep per row band. Tiles are returned in row-major
-/// `(ty, tx)` order (see [`Tiling::index_of`]): [`compute_tiles_parallel`]
-/// on one worker.
-pub fn compute_tiles(params: &KdvParams, points: &[Point], tile_size: usize) -> Result<Vec<Tile>> {
-    compute_tiles_parallel(params, points, tile_size, 1)
-}
-
-/// [`compute_tiles`] with row bands distributed over the work-stealing
-/// runtime (`threads == 0` means "auto", as everywhere). Each band is
-/// swept start-to-finish by one worker's engine, so the output is bitwise
-/// identical to the sequential path for every thread count.
-pub fn compute_tiles_parallel(
-    params: &KdvParams,
-    points: &[Point],
-    tile_size: usize,
-    threads: usize,
-) -> Result<Vec<Tile>> {
-    let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size)?;
-    let ctx = SweepContext::new(params, points)?;
-    let per_band: Vec<Vec<Tile>> = for_each_index_with(
-        tiling.tiles_y(),
-        threads,
-        || BandWorkspace::new(params),
-        |ws, ty| {
-            let BandWorkspace { engine, envelope, band, .. } = ws;
-            compute_band(&ctx, &tiling, params.bandwidth, ty, engine, envelope, band)
-        },
-    );
-    Ok(per_band.into_iter().flatten().collect())
-}
-
 /// Assembles the `width × height` pixel window at `(px, py)` of the
 /// tiled raster from its overlapping tiles; `tile_at(tx, ty)` returns
 /// the tile at that position of `tiling`.
@@ -593,58 +552,11 @@ pub fn assemble<'t>(
     DensityGrid::from_values(width, height, values)
 }
 
-/// Reassembles tiles (in any order) into the full raster: [`assemble`]
-/// over the whole tiling.
-///
-/// # Panics
-/// Panics if the tile count or a tile's extent disagrees with the tiling
-/// or a pixel is left uncovered (a missing or duplicated tile) — a
-/// stitching bug must never degrade silently into a half-zero raster.
-pub fn stitch(tiling: &Tiling, tiles: &[Tile]) -> DensityGrid {
-    let _s = kdv_obs::span1("tile.stitch", "tiles", tiles.len() as u64);
-    assert_eq!(tiles.len(), tiling.tile_count(), "tile count mismatch");
-    let mut by_index: Vec<Option<&Tile>> = vec![None; tiles.len()];
-    for tile in tiles {
-        assert!(tile.tx < tiling.tiles_x() && tile.ty < tiling.tiles_y(), "tile extent mismatch");
-        by_index[tiling.index_of(tile.tx, tile.ty)] = Some(tile);
-    }
-    assemble(tiling, 0, 0, tiling.res_x, tiling.res_y, |tx, ty| {
-        by_index[tiling.index_of(tx, ty)].expect("stitched tiles must cover every pixel")
-    })
-}
-
-/// Computes the raster through the tile path — partition, per-band sweep,
-/// stitch — and returns the reassembled grid. Bitwise identical to
-/// [`crate::sweep_bucket::compute`] for every `tile_size` (the conformance
-/// harness holds this to the exact policy).
-pub fn compute_stitched(
-    params: &KdvParams,
-    points: &[Point],
-    tile_size: usize,
-) -> Result<DensityGrid> {
-    let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size)?;
-    let tiles = compute_tiles(params, points, tile_size)?;
-    Ok(stitch(&tiling, &tiles))
-}
-
-/// Parallel [`compute_stitched`]; bitwise identical for every thread
-/// count.
-pub fn compute_stitched_parallel(
-    params: &KdvParams,
-    points: &[Point],
-    tile_size: usize,
-    threads: usize,
-) -> Result<DensityGrid> {
-    let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size)?;
-    let tiles = compute_tiles_parallel(params, points, tile_size, threads)?;
-    Ok(stitch(&tiling, &tiles))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::sweep_grid;
-    use crate::geom::Rect;
+    use crate::geom::{Point, Rect};
     use crate::grid::GridSpec;
     use crate::kernel::KernelType;
     use crate::sweep_bucket;
@@ -661,6 +573,32 @@ mod tests {
         };
         let pts = (0..400).map(|_| Point::new(-20.0 + next() * 120.0, next() * 80.0)).collect();
         (params, pts)
+    }
+
+    /// Every tile of the raster, band by band through [`compute_band`]
+    /// (the path a `TileServer` miss runs), in row-major `(ty, tx)` order.
+    fn band_tiles(ctx: &SweepContext, params: &KdvParams, tiling: &Tiling) -> Vec<Tile> {
+        let mut ws = BandWorkspace::new(params);
+        (0..tiling.tiles_y())
+            .flat_map(|ty| {
+                let BandWorkspace { engine, envelope, band, .. } = &mut ws;
+                compute_band(ctx, tiling, params.bandwidth, ty, engine, envelope, band)
+            })
+            .collect()
+    }
+
+    /// The whole raster [`assemble`]d from row-major `tiles`.
+    fn whole(tiling: &Tiling, tiles: &[Tile]) -> DensityGrid {
+        assemble(tiling, 0, 0, tiling.res_x, tiling.res_y, |tx, ty| {
+            &tiles[ty * tiling.tiles_x() + tx]
+        })
+    }
+
+    /// The raster through the tile path in tiles of `tile_size`.
+    fn tiled(params: &KdvParams, pts: &[Point], tile_size: usize) -> DensityGrid {
+        let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size).unwrap();
+        let ctx = SweepContext::new(params, pts).unwrap();
+        whole(&tiling, &band_tiles(&ctx, params, &tiling))
     }
 
     #[test]
@@ -680,18 +618,7 @@ mod tests {
         let (params, pts) = setup(50, 33, 12.0);
         let mono = sweep_bucket::compute(&params, &pts).unwrap();
         for tile_size in [1, 7, 16, 33, 50, 256] {
-            let stitched = compute_stitched(&params, &pts, tile_size).unwrap();
-            assert_eq!(stitched, mono, "tile_size={tile_size}");
-        }
-    }
-
-    #[test]
-    fn parallel_tiles_match_sequential_bitwise() {
-        let (params, pts) = setup(41, 29, 8.0);
-        let seq = compute_tiles(&params, &pts, 16).unwrap();
-        for threads in [1, 2, 5] {
-            let par = compute_tiles_parallel(&params, &pts, 16, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(tiled(&params, &pts, tile_size), mono, "tile_size={tile_size}");
         }
     }
 
@@ -700,8 +627,7 @@ mod tests {
         // bandwidth spans many tiles: interval endpoints cross every seam
         let (params, pts) = setup(64, 48, 55.0);
         let mono = sweep_bucket::compute(&params, &pts).unwrap();
-        let stitched = compute_stitched(&params, &pts, 4).unwrap();
-        assert_eq!(stitched, mono);
+        assert_eq!(tiled(&params, &pts, 4), mono);
     }
 
     #[test]
@@ -1244,21 +1170,8 @@ mod tests {
         let ctx = SweepContext::weighted(&params, &pts, &weights).unwrap();
         for tile_size in [1, 7, 16, 33] {
             let tiling = Tiling::new(50, 33, tile_size).unwrap();
-            let mut ws = BandWorkspace::new(&params);
-            let mut tiles = Vec::new();
-            for ty in 0..tiling.tiles_y() {
-                tiles.extend(compute_band(
-                    &ctx,
-                    &tiling,
-                    params.bandwidth,
-                    ty,
-                    &mut ws.engine,
-                    &mut ws.envelope,
-                    &mut ws.band,
-                ));
-            }
-            let stitched = stitch(&tiling, &tiles);
-            assert_eq!(stitched, mono, "tile_size={tile_size}");
+            let tiles = band_tiles(&ctx, &params, &tiling);
+            assert_eq!(whole(&tiling, &tiles), mono, "tile_size={tile_size}");
         }
     }
 
@@ -1296,46 +1209,19 @@ mod tests {
     }
 
     #[test]
-    fn stitch_panics_on_missing_tile() {
-        let tiling = Tiling::new(8, 8, 4).unwrap();
-        let tiles: Vec<Tile> =
-            (0..3).map(|i| Tile::new(i % 2, i / 2, 4, 4, vec![0.0; 16])).collect();
-        let result = std::panic::catch_unwind(|| stitch(&tiling, &tiles));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn stitch_panics_on_duplicate_tile() {
-        // right count, but (0, 0) twice and (1, 1) never
-        let tiling = Tiling::new(8, 8, 4).unwrap();
-        let tiles: Vec<Tile> = [(0, 0), (1, 0), (0, 1), (0, 0)]
-            .iter()
-            .map(|&(tx, ty)| Tile::new(tx, ty, 4, 4, vec![0.0; 16]))
-            .collect();
-        let result = std::panic::catch_unwind(|| stitch(&tiling, &tiles));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn stitch_panics_on_tile_outside_the_tiling() {
-        let tiling = Tiling::new(8, 4, 4).unwrap();
-        let tiles = vec![Tile::new(0, 0, 4, 4, vec![0.0; 16]), Tile::new(2, 0, 0, 4, Vec::new())];
-        let result = std::panic::catch_unwind(|| stitch(&tiling, &tiles));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn assembled_windows_match_monolithic_crops_bitwise() {
         // 23 × 17 in tiles of 5: the last column and row are clipped
         let (params, pts) = setup(23, 17, 9.0);
         let mono = sweep_bucket::compute(&params, &pts).unwrap();
         let tiling = Tiling::new(23, 17, 5).unwrap();
-        let tiles = compute_tiles(&params, &pts, 5).unwrap();
+        let ctx = SweepContext::new(&params, &pts).unwrap();
+        let tiles = band_tiles(&ctx, &params, &tiling);
         let mut windows = vec![(0, 0, 23, 17), (22, 16, 1, 1), (5, 10, 5, 5), (20, 15, 3, 2)];
         windows.extend((0..5).flat_map(|x| (0..5).map(move |y| (5 + x, y, 11 - x, 9 + y))));
         for (px, py, width, height) in windows {
-            let grid =
-                assemble(&tiling, px, py, width, height, |tx, ty| &tiles[tiling.index_of(tx, ty)]);
+            let grid = assemble(&tiling, px, py, width, height, |tx, ty| {
+                &tiles[ty * tiling.tiles_x() + tx]
+            });
             assert_eq!((grid.res_x(), grid.res_y()), (width, height));
             for j in 0..height {
                 assert_eq!(grid.row(j), &mono.row(py + j)[px..px + width], "({px}, {py}) row {j}");
@@ -1359,7 +1245,6 @@ mod tests {
     #[test]
     fn empty_input_stitches_to_zero() {
         let (params, _) = setup(20, 20, 5.0);
-        let stitched = compute_stitched(&params, &[], 7).unwrap();
-        assert_eq!(stitched.max_value(), 0.0);
+        assert_eq!(tiled(&params, &[], 7).max_value(), 0.0);
     }
 }

@@ -27,7 +27,7 @@ fn lattice_points() -> impl Strategy<Value = Vec<Point>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `fill_banded` equals full-scan `fill` over the same canonical
+    /// `fill_band` over `BandIndex::band` equals full-scan `fill` over the same canonical
     /// (y-sorted) order bit for bit — same membership, same sequence,
     /// same bounds — and as a multiset equals a scan of the unsorted
     /// input. Each case probes a generic row plus an exact boundary row
@@ -48,7 +48,7 @@ proptest! {
             let mut banded = EnvelopeBuffer::for_points(pts.len());
             let mut scan_sorted = EnvelopeBuffer::for_points(pts.len());
             let mut scan_orig = EnvelopeBuffer::for_points(pts.len());
-            let got = bits(banded.fill_banded(&index, b, k));
+            let got = bits(banded.fill_band(&index, index.band(b, k), b, k));
             let want = bits(scan_sorted.fill(&sorted, b, k));
             prop_assert_eq!(&got, &want, "sequence mismatch at k={}", k);
             let mut got_sorted = got;

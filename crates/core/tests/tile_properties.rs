@@ -1,12 +1,34 @@
 //! Seam-focused properties of the tile compute layer: for *any* tile
 //! size — degenerate, misaligned, smaller than the bandwidth, larger than
-//! the raster — the stitched output is byte-for-byte the monolithic
+//! the raster — the assembled band tiles are byte-for-byte the monolithic
 //! raster, and individual tiles are viewport-independent (the soundness
 //! precondition of the `kdv-serve` cache).
 
-use kdv_core::driver::KdvParams;
-use kdv_core::tile::{compute_stitched, compute_stitched_parallel, compute_tiles, Tiling};
-use kdv_core::{sweep_bucket, GridSpec, KernelType, Point, Rect};
+use kdv_core::driver::{KdvParams, SweepContext};
+use kdv_core::tile::{assemble, compute_band, BandWorkspace, Tile, Tiling};
+use kdv_core::{sweep_bucket, DensityGrid, GridSpec, KernelType, Point, Rect};
+
+/// Every tile of the raster in tiles of `tile_size`, band by band through
+/// `compute_band` (the path a `TileServer` miss runs), in row-major
+/// `(ty, tx)` order.
+fn band_tiles(params: &KdvParams, pts: &[Point], tile_size: usize) -> (Tiling, Vec<Tile>) {
+    let tiling = Tiling::new(params.grid.res_x, params.grid.res_y, tile_size).unwrap();
+    let ctx = SweepContext::new(params, pts).unwrap();
+    let mut ws = BandWorkspace::new(params);
+    let tiles = (0..tiling.tiles_y())
+        .flat_map(|ty| {
+            let BandWorkspace { engine, envelope, band, .. } = &mut ws;
+            compute_band(&ctx, &tiling, params.bandwidth, ty, engine, envelope, band)
+        })
+        .collect();
+    (tiling, tiles)
+}
+
+/// The whole raster `assemble`d from [`band_tiles`].
+fn tiled(params: &KdvParams, pts: &[Point], tile_size: usize) -> DensityGrid {
+    let (tiling, tiles) = band_tiles(params, pts, tile_size);
+    assemble(&tiling, 0, 0, tiling.res_x, tiling.res_y, |tx, ty| &tiles[ty * tiling.tiles_x() + tx])
+}
 
 /// Deterministic xorshift point cloud with a couple of tight clusters —
 /// clusters make band populations uneven across tile rows.
@@ -35,7 +57,7 @@ fn clustered_points(n: usize, seed: u64, region: Rect) -> Vec<Point> {
     pts
 }
 
-fn bytes_of(grid: &kdv_core::DensityGrid) -> Vec<u64> {
+fn bytes_of(grid: &DensityGrid) -> Vec<u64> {
     grid.values().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -50,9 +72,8 @@ fn stitched_equals_monolithic_for_every_tile_size() {
         // 1 = per-pixel tiles; 7/13 misaligned with everything; 61/97 hit
         // exactly one raster dimension; 128 exceeds both.
         for tile_size in [1, 7, 13, 61, 97, 128] {
-            let stitched = compute_stitched(&params, &pts, tile_size).unwrap();
             assert_eq!(
-                bytes_of(&stitched),
+                bytes_of(&tiled(&params, &pts, tile_size)),
                 bytes_of(&mono),
                 "{kernel:?} tile_size={tile_size} diverged from monolithic"
             );
@@ -70,8 +91,11 @@ fn tiles_much_smaller_than_bandwidth_stay_exact() {
     let params = KdvParams::new(grid, KernelType::Quartic, 80.0).with_weight(0.005);
     let mono = sweep_bucket::compute(&params, &pts).unwrap();
     for tile_size in [2, 4] {
-        let stitched = compute_stitched(&params, &pts, tile_size).unwrap();
-        assert_eq!(bytes_of(&stitched), bytes_of(&mono), "tile_size={tile_size}");
+        assert_eq!(
+            bytes_of(&tiled(&params, &pts, tile_size)),
+            bytes_of(&mono),
+            "tile_size={tile_size}"
+        );
     }
 }
 
@@ -84,14 +108,13 @@ fn unaligned_viewport_windows_match_the_full_raster() {
     let pts = clustered_points(260, 0xD0E, region);
     let params = KdvParams::new(grid, KernelType::Epanechnikov, 21.0).with_weight(0.01);
     let mono = sweep_bucket::compute(&params, &pts).unwrap();
-    let tiling = Tiling::new(83, 59, 16).unwrap();
-    let tiles = compute_tiles(&params, &pts, 16).unwrap();
+    let (tiling, tiles) = band_tiles(&params, &pts, 16);
     // windows chosen to start/end mid-tile in both axes
     for (px, py, w, h) in [(3, 5, 30, 27), (15, 16, 17, 17), (47, 31, 36, 28), (0, 58, 83, 1)] {
         for j in 0..h {
             for i in 0..w {
                 let (x, y) = (px + i, py + j);
-                let tile = &tiles[tiling.index_of(x / 16, y / 16)];
+                let tile = &tiles[(y / 16) * tiling.tiles_x() + x / 16];
                 assert_eq!(
                     tile.get(x % 16, y % 16).to_bits(),
                     mono.get(x, y).to_bits(),
@@ -111,23 +134,10 @@ fn tile_bits_do_not_depend_on_tiling_geometry() {
     let grid = GridSpec::new(region, 55, 38).unwrap();
     let pts = clustered_points(180, 0xFAB, region);
     let params = KdvParams::new(grid, KernelType::Uniform, 12.0).with_weight(0.02);
-    let reference = compute_stitched(&params, &pts, 9).unwrap();
+    let reference = tiled(&params, &pts, 9);
     for tile_size in [3, 20, 55] {
-        let other = compute_stitched(&params, &pts, tile_size).unwrap();
+        let other = tiled(&params, &pts, tile_size);
         assert_eq!(bytes_of(&other), bytes_of(&reference), "tile_size={tile_size}");
-    }
-}
-
-#[test]
-fn parallel_stitching_matches_sequential_for_every_thread_count() {
-    let region = Rect::new(0.0, 0.0, 200.0, 160.0);
-    let grid = GridSpec::new(region, 64, 50).unwrap();
-    let pts = clustered_points(300, 0xC0DE, region);
-    let params = KdvParams::new(grid, KernelType::Quartic, 25.0).with_weight(1.0 / 300.0);
-    let seq = compute_stitched(&params, &pts, 16).unwrap();
-    for threads in [1, 2, 3, 8] {
-        let par = compute_stitched_parallel(&params, &pts, 16, threads).unwrap();
-        assert_eq!(bytes_of(&par), bytes_of(&seq), "threads={threads}");
     }
 }
 
@@ -141,8 +151,8 @@ fn degenerate_rasters_tile_cleanly() {
         let params = KdvParams::new(grid, KernelType::Epanechnikov, 8.0).with_weight(0.1);
         let mono = sweep_bucket::compute(&params, &pts).unwrap();
         for tile_size in [1, 2, 64] {
-            let stitched = compute_stitched(&params, &pts, tile_size).unwrap();
-            assert_eq!(bytes_of(&stitched), bytes_of(&mono), "{rx}x{ry} tile={tile_size}");
+            let got = tiled(&params, &pts, tile_size);
+            assert_eq!(bytes_of(&got), bytes_of(&mono), "{rx}x{ry} tile={tile_size}");
         }
     }
 }

@@ -52,16 +52,6 @@ impl City {
         }
     }
 
-    /// Paper's Scott's-rule bandwidth in metres (Table 5), for reference.
-    pub fn paper_bandwidth(&self) -> f64 {
-        match self {
-            City::Seattle => 671.39,
-            City::LosAngeles => 1588.47,
-            City::NewYork => 1062.53,
-            City::SanFrancisco => 279.27,
-        }
-    }
-
     /// Event-category label set (used by attribute filtering demos).
     pub fn category_names(&self) -> &'static [&'static str] {
         match self {
@@ -209,7 +199,6 @@ mod tests {
     fn paper_metadata() {
         assert_eq!(City::SanFrancisco.paper_size(), 4_333_098);
         assert_eq!(City::Seattle.name(), "Seattle");
-        assert!(City::LosAngeles.paper_bandwidth() > 1000.0);
         assert!(City::NewYork.category_names().contains(&"pedestrian"));
     }
 }

@@ -68,11 +68,6 @@ impl Dataset {
         self.records.iter().filter(|r| r.timestamp >= from && r.timestamp < to).copied().collect()
     }
 
-    /// Records with the given category (attribute-based filtering).
-    pub fn filter_category(&self, category: u16) -> Vec<EventRecord> {
-        self.records.iter().filter(|r| r.category == category).copied().collect()
-    }
-
     /// Heap bytes held by the record buffer.
     pub fn space_bytes(&self) -> usize {
         self.records.capacity() * std::mem::size_of::<EventRecord>()
@@ -134,13 +129,6 @@ mod tests {
         // boundary: event exactly at year_start(2020) would be excluded
         let none = d.filter_time(year_start(2020), year_start(2021));
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn category_filter() {
-        let d = sample();
-        assert_eq!(d.filter_category(1).len(), 2);
-        assert_eq!(d.filter_category(9).len(), 0);
     }
 
     #[test]

@@ -106,13 +106,4 @@ proptest! {
             s * b0
         );
     }
-
-    /// Dataset filters partition consistently: category filters are
-    /// disjoint and cover the dataset.
-    #[test]
-    fn category_filters_partition(records in records_strategy()) {
-        let dataset = Dataset::new("fuzz", records);
-        let total: usize = (0u16..32).map(|c| dataset.filter_category(c).len()).sum();
-        prop_assert_eq!(total, dataset.len());
-    }
 }

@@ -122,13 +122,6 @@ impl KdTree {
         self.range_rec(node.right, q, r2, f);
     }
 
-    /// Collects the range-query solution set `R(q)` (Eq. 3) into a vector.
-    pub fn range_query(&self, q: &Point, radius: f64) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.for_each_in_range(q, radius, |p| out.push(*p));
-        out
-    }
-
     /// Counts points within `radius` of `q` without materialising them.
     pub fn count_in_range(&self, q: &Point, radius: f64) -> usize {
         let mut n = 0usize;
@@ -187,7 +180,8 @@ mod tests {
         let pts = grid_points();
         let t = KdTree::build(&pts);
         let q = Point::new(3.0, 3.0);
-        let mut got = t.range_query(&q, 1.0);
+        let mut got = Vec::new();
+        t.for_each_in_range(&q, 1.0, |p| got.push(*p));
         got.sort_by(|a, b| (a.x, a.y).partial_cmp(&(b.x, b.y)).unwrap());
         let mut expect: Vec<Point> = pts.iter().filter(|p| q.dist(p) <= 1.0).copied().collect();
         expect.sort_by(|a, b| (a.x, a.y).partial_cmp(&(b.x, b.y)).unwrap());

@@ -179,16 +179,6 @@ impl QuadTree {
         }
     }
 
-    /// Bounds and aggregates of the root (for aKDE's top-down refinement).
-    pub fn root_info(&self) -> Option<(Rect, &RangeAggregates)> {
-        if self.root == NIL {
-            None
-        } else {
-            let n = &self.nodes[self.root as usize];
-            Some((n.bounds, &n.agg))
-        }
-    }
-
     /// Root node id, or `u32::MAX` when the tree is empty.
     pub fn root_id(&self) -> u32 {
         self.root
@@ -313,7 +303,7 @@ mod tests {
     fn empty_tree() {
         let t = QuadTree::build(&[]);
         assert!(t.is_empty());
-        assert!(t.root_info().is_none());
+        assert_eq!(t.root_id(), NIL);
         let visited = std::cell::Cell::new(false);
         t.visit_range(&Point::new(0.0, 0.0), 10.0, |_| visited.set(true), |_| visited.set(true));
         assert!(!visited.get());
@@ -323,7 +313,7 @@ mod tests {
     fn root_aggregates_cover_everything() {
         let pts = mixed_points();
         let t = QuadTree::build(&pts);
-        let (bounds, agg) = t.root_info().unwrap();
+        let (bounds, agg, _, _) = t.node_info(t.root_id());
         assert_eq!(agg.count as usize, pts.len());
         for p in &pts {
             assert!(bounds.contains(p));

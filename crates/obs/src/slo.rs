@@ -191,11 +191,6 @@ impl SloTracker {
     pub fn windowed(&self, class: RequestClass) -> HistogramSnapshot {
         self.classes[class.index()].latency.snapshot()
     }
-
-    /// [`SloTracker::windowed`] at an explicit time.
-    pub fn windowed_at(&self, now_ns: u64, class: RequestClass) -> HistogramSnapshot {
-        self.classes[class.index()].latency.snapshot_at(now_ns)
-    }
 }
 
 #[cfg(test)]

@@ -64,12 +64,6 @@ impl PyramidSpec {
         Ok(Self { region, tile_size, base_res_x, base_res_y, max_zoom })
     }
 
-    /// A pyramid whose level 0 is exactly one tile (the slippy-map
-    /// convention).
-    pub fn single_tile_base(region: Rect, tile_size: usize, max_zoom: u8) -> Result<Self> {
-        Self::new(region, tile_size, tile_size, tile_size, max_zoom)
-    }
-
     /// Raster resolution of level `zoom`.
     #[inline]
     pub fn level_res(&self, zoom: u8) -> (usize, usize) {
@@ -184,7 +178,7 @@ mod tests {
         assert!(PyramidSpec::new(r, 0, 8, 8, 2).is_err());
         assert!(PyramidSpec::new(r, 16, 0, 8, 2).is_err());
         assert!(PyramidSpec::new(r, 16, 8, 8, 60).is_err());
-        assert!(PyramidSpec::single_tile_base(r, 256, 3).is_ok());
+        assert!(PyramidSpec::new(r, 256, 256, 256, 3).is_ok());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! replay of the same sessions — which is exactly what the hammer tests
 //! and `ci.sh serve-load` assert.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kdv_core::DensityGrid;
@@ -151,23 +150,10 @@ pub fn latency_quantile_ns(records: &[ReplayRecord], q: f64) -> u64 {
     lat[rank - 1]
 }
 
-/// Convenience used by the benchmarks and the hammer tests: replays
-/// `sessions` both ways against *fresh* state and asserts nothing —
-/// just returns `(sequential, concurrent)` record sets for the caller
-/// to compare.
-pub fn replay_both(
-    make_server: impl Fn() -> Arc<TileServer>,
-    frontend_config: crate::frontend::FrontendConfig,
-    sessions: &[Session],
-) -> (Vec<ReplayRecord>, Vec<ReplayRecord>) {
-    let sequential = replay_sequential(&make_server(), sessions, 1);
-    let frontend = Frontend::new(make_server(), frontend_config);
-    let concurrent = replay_concurrent(&frontend, sessions, false);
-    (sequential, concurrent)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::frontend::FrontendConfig;
     use crate::pyramid::{PyramidSpec, Viewport};
@@ -225,11 +211,9 @@ mod tests {
     #[test]
     fn concurrent_replay_matches_sequential_bitwise() {
         let sessions = pan_sessions(4);
-        let (seq, conc) = replay_both(
-            server,
-            FrontendConfig { workers: 4, ..FrontendConfig::default() },
-            &sessions,
-        );
+        let seq = replay_sequential(&server(), &sessions, 1);
+        let frontend = Frontend::new(server(), FrontendConfig { workers: 4, ..Default::default() });
+        let conc = replay_concurrent(&frontend, &sessions, false);
         assert_eq!(seq.len(), conc.len());
         for (s, c) in seq.iter().zip(&conc) {
             assert_eq!((s.session, s.seq), (c.session, c.seq));

@@ -239,31 +239,6 @@ pub fn parse_sessions(text: &str) -> Result<TraceFile, TraceError> {
     })
 }
 
-/// Formats sessions back into the v2 trace format ([`parse_sessions`]
-/// inverse, interleaving sessions request-by-request the way a live
-/// capture would record them).
-pub fn format_sessions(sessions: &[Session]) -> String {
-    let mut s = String::from("# session think_ms zoom px py width height\n");
-    let mut cursors = vec![0usize; sessions.len()];
-    loop {
-        let mut wrote = false;
-        for (session, cursor) in sessions.iter().zip(cursors.iter_mut()) {
-            if let Some(r) = session.requests.get(*cursor) {
-                let vp = r.viewport;
-                s.push_str(&format!(
-                    "{} {} {} {} {} {} {}\n",
-                    session.id, r.think_ms, vp.zoom, vp.px, vp.py, vp.width, vp.height
-                ));
-                *cursor += 1;
-                wrote = true;
-            }
-        }
-        if !wrote {
-            return s;
-        }
-    }
-}
-
 /// One timestamped event of a live feed ([`parse_live`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LiveEvent {
@@ -445,35 +420,6 @@ mod tests {
         let err = parse_sessions("0 0 1 0 0 256\n").unwrap_err();
         assert!(err.to_string().contains("expected 5 fields"));
         assert!(parse_sessions("0 0 999 0 0 1 1\n").is_err());
-    }
-
-    #[test]
-    fn format_sessions_round_trips() {
-        let sessions = vec![
-            Session {
-                id: 0,
-                requests: vec![
-                    SessionRequest {
-                        think_ms: 0,
-                        viewport: Viewport { zoom: 1, px: 0, py: 0, width: 64, height: 64 },
-                    },
-                    SessionRequest {
-                        think_ms: 10,
-                        viewport: Viewport { zoom: 1, px: 32, py: 0, width: 64, height: 64 },
-                    },
-                ],
-            },
-            Session {
-                id: 3,
-                requests: vec![SessionRequest {
-                    think_ms: 5,
-                    viewport: Viewport { zoom: 0, px: 0, py: 0, width: 48, height: 48 },
-                }],
-            },
-        ];
-        let t = parse_sessions(&format_sessions(&sessions)).unwrap();
-        assert_eq!(t.version, 2);
-        assert_eq!(t.sessions, sessions);
     }
 
     #[test]

@@ -146,11 +146,12 @@ fn frontend_replay_of_sessions_matches_sequential_ground_truth() {
         })
         .collect();
 
-    let (seq, conc) = kdv_serve::replay::replay_both(
-        make_server,
+    let seq = kdv_serve::replay::replay_sequential(&make_server(), &sessions, 1);
+    let frontend = Frontend::new(
+        make_server(),
         FrontendConfig { workers: 4, queue_depth: 64, ..FrontendConfig::default() },
-        &sessions,
     );
+    let conc = kdv_serve::replay::replay_concurrent(&frontend, &sessions, false);
     assert_eq!(seq.len(), conc.len());
     for (s, c) in seq.iter().zip(&conc) {
         assert_eq!((s.session, s.seq), (c.session, c.seq));

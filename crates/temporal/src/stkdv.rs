@@ -107,7 +107,7 @@ struct FrameScratch {
 }
 
 /// [`compute_stkdv`] with frames distributed over a work-stealing thread
-/// pool ([`kdv_core::parallel::for_each_index`]). Frames are independent
+/// pool ([`kdv_core::parallel::for_each_index_with`]). Frames are independent
 /// weighted sweeps, so each is computed whole by one worker and the result
 /// is bitwise identical to the sequential driver for every thread count
 /// (`threads == 0` means "auto"; one thread stays on the calling thread).

@@ -37,12 +37,6 @@ impl Scale {
             }
         }
     }
-
-    /// Normalises a whole raster into a fresh `[0, 1]` buffer.
-    pub fn normalize_all(&self, values: &[f64]) -> Vec<f64> {
-        let max = values.iter().copied().fold(0.0_f64, f64::max);
-        values.iter().map(|&v| self.normalize(v, max)).collect()
-    }
 }
 
 impl std::str::FromStr for Scale {
@@ -96,12 +90,5 @@ mod tests {
         for s in [Scale::Linear, Scale::Sqrt, Scale::Log] {
             assert_eq!(s.normalize(5.0, 0.0), 0.0);
         }
-        assert!(Scale::Linear.normalize_all(&[0.0, 0.0]).iter().all(|&t| t == 0.0));
-    }
-
-    #[test]
-    fn normalize_all_uses_buffer_max() {
-        let out = Scale::Linear.normalize_all(&[1.0, 2.0, 4.0]);
-        assert_eq!(out, vec![0.25, 0.5, 1.0]);
     }
 }

@@ -2,9 +2,9 @@
 //! the tile server or the repository benchmark reaches it.
 //!
 //! Every package under `crates/` must be reachable through `[dependencies]`
-//! edges from `kdv-cli`, `kdv-serve` or `perfbench/Cargo.toml`. Tests,
-//! examples and demo benches are not callers. The manifests are read with
-//! plain line scanning, so the check needs no TOML dependency.
+//! edges from `kdv-cli`, `kdv-serve` or `perfbench/Cargo.toml`. Tests and
+//! examples are not callers. The manifests are read with plain line
+//! scanning, so the check needs no TOML dependency.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
