@@ -71,7 +71,9 @@ OPTIONS:
   --method       scan | rqs-kd | rqs-ball | zorder | akde | quad |
                  slam-sort | slam-bucket | slam-sort-rao | slam-bucket-rao
                  (default slam-bucket-rao)
-  --bandwidth    metres; omitted = Scott's rule
+  --bandwidth    metres, finite and above 0; omitted = Scott's rule
+  --scale        generate: fraction of the paper's dataset size, in
+                 (0, 10]                                 (default 0.01)
   --res          raster, e.g. 640x480                    (default 640x480)
   --colormap     heat | gray | viridis                   (default heat)
   --scale-mode   linear | sqrt | log                     (default sqrt)
@@ -91,10 +93,10 @@ SERVE OPTIONS:
                  sequentially. v2: `session think_ms zoom px py width
                  height` lines, replayed concurrently (one thread per
                  session) through the worker-pool front end
-  --tile-size    tile side length in pixels                (default 256)
+  --tile-size    tile side length in pixels, at most 4096  (default 256)
   --base-res     level-0 raster, e.g. 512x512; level z doubles per zoom
                  (default one tile: tile-size x tile-size)
-  --max-zoom     deepest zoom level served                 (default 4)
+  --max-zoom     deepest zoom level served, at most 23     (default 4)
   --cache-mb     tile cache budget in MiB                  (default 256)
   --workers      front-end worker threads for v2 replay    (default 4,
                  at most 1024); with a v1 trace, forces it through the
@@ -469,9 +471,51 @@ fn parse_method(s: &str) -> Result<AnyMethod, String> {
     }
 }
 
+/// Parses a `WxH` resolution; [`GridSpec::new`] validates it.
 fn parse_res(s: &str) -> Result<(usize, usize), String> {
     let (x, y) = s.split_once(['x', 'X']).ok_or("resolution must be WxH")?;
     Ok((x.parse().map_err(|_| "bad width")?, y.parse().map_err(|_| "bad height")?))
+}
+
+/// Parses `--bandwidth`: a finite, positive length in metres.
+fn parse_bandwidth(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(b) if b.is_finite() && b > 0.0 => Ok(b),
+        _ => Err(format!("bad --bandwidth {s}: expected a finite length above 0")),
+    }
+}
+
+/// The largest `--scale` of `kdv generate`: ten times the paper's dataset
+/// sizes (which the paper runs at 1), far below a point count whose
+/// allocation would abort.
+const MAX_SCALE: f64 = 10.0;
+
+/// Parses `--scale`: a fraction of the paper's size in `(0, MAX_SCALE]`.
+fn parse_scale(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(v) if v > 0.0 && v <= MAX_SCALE => Ok(v),
+        _ => Err(format!("bad --scale {s}: expected a value in (0, {MAX_SCALE}]")),
+    }
+}
+
+/// The largest `--tile-size`: a 4096×4096 tile is 128 MiB of densities.
+const MAX_TILE_SIZE: usize = 4096;
+
+/// Parses `--tile-size`: a side length in `1..=MAX_TILE_SIZE` pixels.
+fn parse_tile_size(s: &str) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(t) if (1..=MAX_TILE_SIZE).contains(&t) => Ok(t),
+        _ => Err(format!("bad --tile-size {s}: expected 1..={MAX_TILE_SIZE} pixels")),
+    }
+}
+
+/// Parses a zoom level given as `--flag value`: one a pyramid can serve,
+/// below [`kdv_serve::ZOOM_LIMIT`].
+fn parse_zoom(flag: &str, s: &str) -> Result<u8, String> {
+    match s.parse::<u8>() {
+        Ok(z) if z < kdv_serve::ZOOM_LIMIT => Ok(z),
+        _ => Err(format!("bad --{flag} {s}: expected 0..{}", kdv_serve::ZOOM_LIMIT)),
+    }
 }
 
 /// Loads a CSV dataset and assembles the KDV parameters shared by the
@@ -488,7 +532,7 @@ fn load_problem(args: &Args) -> Result<(Vec<kdv_core::Point>, KdvParams), String
     let kernel: KernelType =
         args.get("kernel").unwrap_or("epanechnikov").parse().map_err(|e: String| e)?;
     let bandwidth = match args.get("bandwidth") {
-        Some(b) => b.parse().map_err(|_| "bad --bandwidth")?,
+        Some(b) => parse_bandwidth(b)?,
         None => kdv_data::scott_bandwidth(&points),
     };
     let grid = GridSpec::new(mbr, rx, ry).map_err(|e| e.to_string())?;
@@ -498,7 +542,7 @@ fn load_problem(args: &Args) -> Result<(Vec<kdv_core::Point>, KdvParams), String
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
     let city = parse_city(args.get("city").ok_or("--city is required")?)?;
-    let scale: f64 = args.get("scale").unwrap_or("0.01").parse().map_err(|_| "bad --scale")?;
+    let scale = parse_scale(args.get("scale").unwrap_or("0.01"))?;
     let out = PathBuf::from(
         args.get("out")
             .map(str::to_string)
@@ -762,25 +806,23 @@ impl ServeSetup {
             return Err("dataset is empty".into());
         }
         let points = dataset.points();
-        let tile_size: usize =
-            args.get("tile-size").unwrap_or("256").parse().map_err(|_| "bad --tile-size")?;
+        let tile_size = parse_tile_size(args.get("tile-size").unwrap_or("256"))?;
         let (base_x, base_y) = match args.get("base-res") {
             Some(r) => parse_res(r)?,
             None => (tile_size, tile_size),
         };
-        let max_zoom: u8 =
-            args.get("max-zoom").unwrap_or("4").parse().map_err(|_| "bad --max-zoom")?;
+        let max_zoom = parse_zoom("max-zoom", args.get("max-zoom").unwrap_or("4"))?;
         let kernel: KernelType =
             args.get("kernel").unwrap_or("epanechnikov").parse().map_err(|e: String| e)?;
         let bandwidth = match args.get("bandwidth") {
-            Some(b) => b.parse().map_err(|_| "bad --bandwidth")?,
+            Some(b) => parse_bandwidth(b)?,
             None => kdv_data::scott_bandwidth(&points),
         };
         let cache_mb: usize =
             args.get("cache-mb").unwrap_or("256").parse().map_err(|_| "bad --cache-mb")?;
         let overview = match args.get("coreset-zoom") {
             Some(z) => Some(kdv_serve::OverviewConfig {
-                max_zoom: z.parse().map_err(|_| "bad --coreset-zoom")?,
+                max_zoom: parse_zoom("coreset-zoom", z)?,
                 method: args
                     .get("coreset-method")
                     .unwrap_or("grid")
@@ -1270,6 +1312,93 @@ mod tests {
         assert!(a.has_flag("ascii"));
         assert!(!a.has_flag("res"));
         assert_eq!(a.get("missing"), None);
+    }
+
+    /// Arbitrary flag values: short strings over the characters numbers
+    /// are written with (signs, exponents, `x` separators, `NaN`/`inf`
+    /// letters, a space, a non-ASCII letter), or one of the values at the
+    /// edges of each parser's range.
+    fn flag_value() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let chars: Vec<char> = "0123456789.-+eExXnaNAifIty é".chars().collect();
+        // `|`-separated, the first one empty
+        let edges: Vec<String> = "|0|-0|1|-1|NaN|nan|inf|-inf|infinity|1e309|1e-320|10|10.000001\
+            |4096|4097|23|24|255|256|1024|1025|18446744073709551615|18446744073709551616|0x0|1x0\
+            |x|640x480|4294967296x4294967296|99999999999999999999x1|1x1x1| 64x48"
+            .split('|')
+            .map(String::from)
+            .collect();
+        (
+            prop::collection::vec(prop::sample::select(chars), 0..24),
+            prop::sample::select(edges),
+            0u8..3,
+        )
+            .prop_map(|(chars, edge, pick)| match pick {
+                0 => edge,
+                1 => chars.into_iter().collect(),
+                _ => format!("{edge}{}", chars.into_iter().collect::<String>()),
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Every numeric flag parser returns `Err` or a value inside its
+        /// own validation, and none panics. Parsing only: no command runs
+        /// and no thread is started for any value.
+        #[test]
+        fn numeric_flag_parsers_return_err_or_a_valid_value(value in flag_value()) {
+            use proptest::prelude::*;
+            // `--res` and `--base-res` go through `GridSpec::new` next
+            let unit = kdv_core::Rect::new(0.0, 0.0, 1.0, 1.0);
+            if let Ok(grid) = parse_res(&value).and_then(|(x, y)| {
+                GridSpec::new(unit, x, y).map_err(|e| e.to_string())
+            }) {
+                let bytes = grid.res_x.checked_mul(grid.res_y).and_then(|p| p.checked_mul(8));
+                prop_assert!(grid.res_x >= 1 && grid.res_y >= 1, "--res {:?}", value);
+                prop_assert!(bytes.is_some_and(|b| b <= isize::MAX as usize), "--res {:?}", value);
+            }
+            if let Ok(b) = parse_bandwidth(&value) {
+                prop_assert!(b.is_finite() && b > 0.0, "--bandwidth {:?}", value);
+            }
+            if let Ok(v) = parse_scale(&value) {
+                prop_assert!(v > 0.0 && v <= MAX_SCALE, "--scale {:?}", value);
+            }
+            if let Ok(t) = parse_tile_size(&value) {
+                prop_assert!((1..=MAX_TILE_SIZE).contains(&t), "--tile-size {:?}", value);
+            }
+            for flag in ["max-zoom", "coreset-zoom"] {
+                if let Ok(z) = parse_zoom(flag, &value) {
+                    prop_assert!(z < kdv_serve::ZOOM_LIMIT, "--{} {:?}", flag, value);
+                }
+            }
+            for flag in ["threads", "workers"] {
+                if let Ok(n) = parse_thread_count(flag, &value) {
+                    prop_assert!(n <= MAX_THREADS, "--{} {:?}", flag, value);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn numeric_flags_reject_their_edge_values() {
+        for bad in ["0", "-1", "NaN", "inf", "1e309", ""] {
+            assert!(parse_bandwidth(bad).is_err(), "--bandwidth {bad}");
+            assert!(parse_scale(bad).is_err(), "--scale {bad}");
+        }
+        assert_eq!(parse_bandwidth("2.5"), Ok(2.5));
+        assert_eq!(parse_scale("10"), Ok(MAX_SCALE));
+        assert!(parse_scale("10.000001").is_err());
+        assert_eq!(parse_tile_size("4096"), Ok(MAX_TILE_SIZE));
+        for bad in ["0", "4097", "18446744073709551615"] {
+            assert!(parse_tile_size(bad).is_err(), "--tile-size {bad}");
+        }
+        assert_eq!(parse_zoom("max-zoom", "23"), Ok(23));
+        assert!(parse_zoom("max-zoom", "24").unwrap_err().contains("--max-zoom"));
+        assert_eq!(parse_res("640x480"), Ok((640, 480)));
+        for bad in ["x", "640", "-1x4", "1x1x1"] {
+            assert!(parse_res(bad).is_err(), "--res {bad}");
+        }
     }
 
     #[test]

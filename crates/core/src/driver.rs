@@ -6,7 +6,8 @@
 //! This module owns everything row-independent: input validation, numerical
 //! recentring, pixel-centre precomputation and buffer reuse.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use crate::envelope::{BandIndex, EnvelopeBuffer, SweepInterval};
 use crate::error::{KdvError, Result};
@@ -178,31 +179,80 @@ pub struct RowSpan<'a> {
     pub weights: Option<&'a [f64]>,
 }
 
-/// Pre-processed, recentred inputs shared by every row of one computation.
+/// The part of a [`SweepContext`] that depends only on the point set and
+/// the region centre: the recentred points in the **canonical sweep
+/// order** — ascending y, ties in input order — their banded index and,
+/// for a weighted set, the weights in that order.
 ///
-/// The points are stored in the **canonical sweep order** — ascending y,
-/// ties in input order — which is what both the banded index and the
-/// full-scan reference emit, so every extraction path hands intervals to
-/// the engines in the same sequence (bitwise-reproducible accumulation).
-///
-/// A context built with [`SweepContext::weighted`] also carries per-point
-/// weights in that order, so a row's weights are the slice of its band and
-/// every driver sweeps it as a weighted KDV with no further setup.
-pub struct SweepContext {
+/// The canonical order is what both the banded index and the full-scan
+/// reference emit, so every extraction path hands intervals to the
+/// engines in the same sequence (bitwise-reproducible accumulation).
+/// Every raster over regions with the same centre sweeps the same set, so
+/// contexts for several resolutions of one region (the levels of a tile
+/// pyramid) share one set behind an [`Arc`] ([`SweepContext::for_grid`]).
+pub struct SweepSet {
     /// Points shifted so the region centre is the origin, sorted by
     /// ascending y (stable, so runs are deterministic).
     pub points: Vec<Point>,
     /// Banded envelope index over `points`: y-sorted SoA coordinates plus
     /// the permutation back to the caller's input order.
     pub index: BandIndex,
-    /// Recentred pixel-centre x-coordinates, strictly increasing.
-    pub xs: Vec<f64>,
-    /// Recentred pixel-centre y-coordinates, one per row.
-    pub ks: Vec<f64>,
     /// Offset that was subtracted (region centre).
     pub center: Point,
     /// Per-point weights in canonical order (`None`: unit weights).
     weights: Option<Vec<f64>>,
+}
+
+impl SweepSet {
+    /// Recentres `points` about `center` and sorts them into the banded
+    /// index, carrying `weights` (in input order) into the canonical
+    /// order. The inputs are already validated.
+    fn build(center: Point, points: &[Point], weights: Option<&[f64]>) -> Self {
+        let shifted: Vec<_> = points.iter().map(|p| p.shifted(center.x, center.y)).collect();
+        let index = BandIndex::build(&shifted);
+        let sorted = (0..index.len()).map(|i| index.point(i)).collect();
+        let weights =
+            weights.map(|w| (0..index.len()).map(|i| w[index.original_index(i)]).collect());
+        Self { points: sorted, index, center, weights }
+    }
+
+    /// Per-point weights in canonical order (`None`: unit weights).
+    #[inline]
+    pub fn weights(&self) -> Option<&[f64]> {
+        self.weights.as_deref()
+    }
+
+    /// Heap bytes held by the set (points, index, weights).
+    fn space_bytes(&self) -> usize {
+        self.points.capacity() * std::mem::size_of::<Point>()
+            + self.index.space_bytes()
+            + self.weights.as_ref().map_or(0, Vec::capacity) * std::mem::size_of::<f64>()
+    }
+}
+
+/// Pre-processed, recentred inputs shared by every row of one computation:
+/// a shared [`SweepSet`] (read through `Deref`, so `ctx.points`,
+/// `ctx.index`, `ctx.center` and `ctx.weights()` are the set's) plus the
+/// pixel centres of one raster.
+///
+/// A context built with [`SweepContext::weighted`] carries per-point
+/// weights in the canonical order, so a row's weights are the slice of its
+/// band and every driver sweeps it as a weighted KDV with no further setup.
+pub struct SweepContext {
+    set: Arc<SweepSet>,
+    /// Recentred pixel-centre x-coordinates, strictly increasing.
+    pub xs: Vec<f64>,
+    /// Recentred pixel-centre y-coordinates, one per row.
+    pub ks: Vec<f64>,
+}
+
+impl Deref for SweepContext {
+    type Target = SweepSet;
+
+    #[inline]
+    fn deref(&self) -> &SweepSet {
+        &self.set
+    }
 }
 
 impl SweepContext {
@@ -216,14 +266,8 @@ impl SweepContext {
     pub fn new(params: &KdvParams, points: &[Point]) -> Result<Self> {
         params.validate()?;
         validate_points(points)?;
-        let grid = &params.grid;
-        let center = grid.region.center();
-        let shifted: Vec<_> = points.iter().map(|p| p.shifted(center.x, center.y)).collect();
-        let index = BandIndex::build(&shifted);
-        let sorted: Vec<_> = (0..index.len()).map(|i| index.point(i)).collect();
-        let xs: Vec<f64> = (0..grid.res_x).map(|i| grid.pixel_x(i) - center.x).collect();
-        let ks: Vec<f64> = (0..grid.res_y).map(|j| grid.pixel_y(j) - center.y).collect();
-        Ok(Self { points: sorted, index, xs, ks, center, weights: None })
+        let set = SweepSet::build(params.grid.region.center(), points, None);
+        Ok(Self::on_set(&params.grid, Arc::new(set)))
     }
 
     /// [`SweepContext::new`] for a weighted KDV: `weights[i]` is the weight
@@ -235,27 +279,59 @@ impl SweepContext {
     /// unmatched index when the lengths differ.
     pub fn weighted(params: &KdvParams, points: &[Point], weights: &[f64]) -> Result<Self> {
         validate_weights(points, weights)?;
-        let mut ctx = Self::new(params, points)?;
-        let index = &ctx.index;
-        ctx.weights = Some((0..index.len()).map(|i| weights[index.original_index(i)]).collect());
-        Ok(ctx)
+        params.validate()?;
+        validate_points(points)?;
+        let set = SweepSet::build(params.grid.region.center(), points, Some(weights));
+        Ok(Self::on_set(&params.grid, Arc::new(set)))
     }
 
-    /// Per-point weights in canonical order (`None`: unit weights).
+    /// The context for the raster of `params` over this context's point
+    /// set, bitwise the one [`SweepContext::new`] (or, for a weighted
+    /// context, [`SweepContext::weighted`] with the same weights) builds
+    /// from `points`, the input this context was built from.
+    ///
+    /// When the two regions' centres are bitwise equal the recentred set is
+    /// too, so the new context shares this one's [`SweepSet`] and computes
+    /// only its own pixel centres, `O(X + Y)`; `points` is not read. Any
+    /// other region gets a freshly built set.
+    pub fn for_grid(&self, params: &KdvParams, points: &[Point]) -> Result<Self> {
+        let center = params.grid.region.center();
+        if center.x.to_bits() == self.center.x.to_bits()
+            && center.y.to_bits() == self.center.y.to_bits()
+        {
+            params.validate()?;
+            return Ok(Self::on_set(&params.grid, Arc::clone(&self.set)));
+        }
+        let Some(canonical) = self.weights() else {
+            return Self::new(params, points);
+        };
+        // The weights back in input order, through the index's permutation.
+        let mut weights = vec![0.0; canonical.len()];
+        for (i, &w) in canonical.iter().enumerate() {
+            weights[self.index.original_index(i)] = w;
+        }
+        Self::weighted(params, points, &weights)
+    }
+
+    /// The context over `set` with the pixel centres of `grid`, recentred
+    /// by the set's centre.
+    fn on_set(grid: &GridSpec, set: Arc<SweepSet>) -> Self {
+        let center = set.center;
+        let xs = (0..grid.res_x).map(|i| grid.pixel_x(i) - center.x).collect();
+        let ks = (0..grid.res_y).map(|j| grid.pixel_y(j) - center.y).collect();
+        Self { set, xs, ks }
+    }
+
+    /// The shared point set this context sweeps.
     #[inline]
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
+    pub fn set(&self) -> &Arc<SweepSet> {
+        &self.set
     }
 
-    /// Heap bytes held by the context (points, index, pixel coordinates,
-    /// weights).
+    /// Heap bytes held by the context (its set plus pixel coordinates).
     pub fn space_bytes(&self) -> usize {
-        self.points.capacity() * std::mem::size_of::<Point>()
-            + self.index.space_bytes()
-            + (self.xs.capacity()
-                + self.ks.capacity()
-                + self.weights.as_ref().map_or(0, Vec::capacity))
-                * std::mem::size_of::<f64>()
+        self.set.space_bytes()
+            + (self.xs.capacity() + self.ks.capacity()) * std::mem::size_of::<f64>()
     }
 }
 

@@ -149,15 +149,6 @@ impl Rect {
         p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
     }
 
-    /// Whether two (closed) rectangles intersect.
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min_x <= other.max_x
-            && other.min_x <= self.max_x
-            && self.min_y <= other.max_y
-            && other.min_y <= self.max_y
-    }
-
     /// Squared distance from `p` to the nearest point of the rectangle
     /// (zero when `p` is inside). Used for index pruning: a node can be
     /// skipped when `min_dist_sq(q) > b²`.
@@ -203,11 +194,6 @@ impl Rect {
         let hw = 0.5 * self.width() * sx;
         let hh = 0.5 * self.height() * sy;
         Rect::new(c.x - hw, c.y - hh, c.x + hw, c.y + hh)
-    }
-
-    /// A rectangle translated by `(dx, dy)` (pan operation).
-    pub fn translated(&self, dx: f64, dy: f64) -> Rect {
-        Rect::new(self.min_x + dx, self.min_y + dy, self.max_x + dx, self.max_y + dy)
     }
 }
 
@@ -261,20 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn rect_intersects() {
-        let a = Rect::new(0.0, 0.0, 2.0, 2.0);
-        assert!(a.intersects(&Rect::new(1.0, 1.0, 3.0, 3.0)));
-        assert!(a.intersects(&Rect::new(2.0, 2.0, 3.0, 3.0))); // touching
-        assert!(!a.intersects(&Rect::new(2.1, 0.0, 3.0, 1.0)));
-    }
-
-    #[test]
     fn zoom_and_pan() {
         let r = Rect::new(0.0, 0.0, 10.0, 20.0);
         let z = r.scaled_about_center(0.5, 0.5);
         assert_eq!(z, Rect::new(2.5, 5.0, 7.5, 15.0));
-        let t = r.translated(1.0, -1.0);
-        assert_eq!(t, Rect::new(1.0, -1.0, 11.0, 19.0));
     }
 
     #[test]

@@ -74,7 +74,7 @@
 
 use std::ops::Range;
 
-use crate::driver::{KdvParams, RowEngine, RowSpan, SweepContext};
+use crate::driver::{KdvParams, RowEngine, RowSpan, SweepContext, SweepSet};
 use crate::envelope::EnvelopeBuffer;
 use crate::error::{KdvError, Result};
 use crate::grid::DensityGrid;
@@ -284,7 +284,10 @@ pub fn sweep_band<E: RowEngine>(
         "swept pixels must be non-empty and inside the row"
     );
     assert_eq!(out.len(), rows.len() * cols.len(), "band buffer/row-range mismatch");
-    let weights = ctx.weights();
+    // The shared set, read once per band rather than through the context
+    // on every row.
+    let set: &SweepSet = ctx;
+    let (index, weights) = (&set.index, set.weights());
     let row_words = engine.state_words(weights.is_some());
     if let Some(from) = resume {
         assert_eq!(from.boundary, cols.start, "checkpoint taken at another pixel");
@@ -295,18 +298,18 @@ pub fn sweep_band<E: RowEngine>(
     let windowed = cols.len() < x_count;
     if windowed && !rows.is_empty() {
         let (first, last) = (ctx.ks[rows.start], ctx.ks[rows.end - 1]);
-        let (a, b) = (ctx.index.band(bandwidth, first), ctx.index.band(bandwidth, last));
+        let (a, b) = (index.band(bandwidth, first), index.band(bandwidth, last));
         let points = a.start.min(b.start)..a.end.max(b.end);
         let from = if resume.is_some() { cols.start } else { 0 };
         let (x_lo, x_hi) = (ctx.xs[from], ctx.xs[cols.end - 1]);
-        envelope.set_window(&ctx.index, weights, points, bandwidth, x_lo, x_hi);
+        envelope.set_window(index, weights, points, bandwidth, x_lo, x_hi);
     }
     let per_row = marks.len() * row_words;
     for (slot, (j, out)) in rows.clone().zip(out.chunks_exact_mut(cols.len())).enumerate() {
         let k = ctx.ks[j];
         let band = {
             let _s = kdv_obs::span1("band.search", "row", j as u64);
-            ctx.index.band(bandwidth, k)
+            index.band(bandwidth, k)
         };
         if band.is_empty() {
             out.fill(0.0);
@@ -319,7 +322,7 @@ pub fn sweep_band<E: RowEngine>(
                 (intervals, weights.map(|_| w))
             } else {
                 let w = weights.map(|w| &w[band.clone()]);
-                (envelope.fill_band(&ctx.index, band, bandwidth, k), w)
+                (envelope.fill_band(index, band, bandwidth, k), w)
             };
             s.arg("size", intervals.len() as u64);
             (intervals, row_weights)

@@ -38,8 +38,8 @@
 //!   the slow-request [`ring::Exemplar`]s into a Perfetto-loadable file.
 //!   `obs.dropped_events` counts span writes lost to a log a consumer
 //!   was reading.
-//! * [`window`] — rotating time-windowed histograms/counters beside the
-//!   cumulative ones ("p99 over the last 10 s", qps).
+//! * [`window`] — rotating time-windowed histograms beside the
+//!   cumulative ones ("p99 over the last 10 s").
 //! * [`slo`] — [`slo::SloTracker`]: windowed p50/p99 per request class
 //!   (exact / coreset / live) against explicit targets, with
 //!   edge-triggered breach detection feeding the incident triggers.
@@ -70,4 +70,4 @@ pub use prometheus::prometheus_text;
 pub use ring::{arm_incidents, disarm_incidents, trigger, Exemplar, IncidentConfig};
 pub use slo::{RequestClass, SloObservation, SloTargets, SloTracker};
 pub use span::{enabled, set_enabled, span, span1, span2, SpanArgs, SpanGuard, Trace, TraceEvent};
-pub use window::{WindowedCounter, WindowedHistogram};
+pub use window::WindowedHistogram;

@@ -1,5 +1,5 @@
-//! Time-windowed metrics: rotating-slot histograms and counters that
-//! answer "over the last N seconds" beside the cumulative registry.
+//! Time-windowed metrics: rotating-slot histograms that answer "over the
+//! last N seconds" beside the cumulative registry.
 //!
 //! A long-lived server's cumulative p99 converges to its lifetime
 //! average and stops moving — useless for "is p99 degrading *right
@@ -11,7 +11,7 @@
 //! allocation-free sliding approximation: observations expire in
 //! whole-slot granules (window/[`SLOTS`]), never linger forever.
 //!
-//! All types take an explicit `*_at(now_ns, ..)` variant so tests drive
+//! Each method has an explicit `*_at(now_ns, ..)` variant so tests drive
 //! a deterministic clock; the plain methods read the shared recorder
 //! clock.
 
@@ -113,78 +113,6 @@ impl WindowedHistogram {
     }
 }
 
-#[derive(Clone, Copy)]
-struct CountSlot {
-    index: u64,
-    value: u64,
-}
-
-/// A counter over a sliding time window (slot-granular expiry); the
-/// basis for rates like queries-per-second.
-pub struct WindowedCounter {
-    window_ns: u64,
-    slot_ns: u64,
-    slots: Mutex<[CountSlot; SLOTS]>,
-}
-
-impl WindowedCounter {
-    /// A windowed counter covering roughly the last `window_ns`.
-    pub fn new(window_ns: u64) -> Self {
-        WindowedCounter {
-            window_ns,
-            slot_ns: (window_ns / SLOTS as u64).max(1),
-            slots: Mutex::new([CountSlot { index: 0, value: 0 }; SLOTS]),
-        }
-    }
-
-    /// The configured window span.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
-    /// Adds `n` at the current recorder time.
-    pub fn add(&self, n: u64) {
-        self.add_at(span::now_ns(), n);
-    }
-
-    /// Adds `n` at an explicit time.
-    pub fn add_at(&self, now_ns: u64, n: u64) {
-        let index = now_ns / self.slot_ns;
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = &mut slots[(index % SLOTS as u64) as usize];
-        if slot.index != index {
-            *slot = CountSlot { index, value: 0 };
-        }
-        slot.value = slot.value.saturating_add(n);
-    }
-
-    /// Sum over every slot still inside the window.
-    pub fn sum(&self) -> u64 {
-        self.sum_at(span::now_ns())
-    }
-
-    /// [`WindowedCounter::sum`] at an explicit time.
-    pub fn sum_at(&self, now_ns: u64) -> u64 {
-        let now_index = now_ns / self.slot_ns;
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots
-            .iter()
-            .filter(|s| s.index + (SLOTS as u64) > now_index && s.index <= now_index)
-            .fold(0u64, |acc, s| acc.saturating_add(s.value))
-    }
-
-    /// Windowed sum divided by the window span in seconds — e.g. qps
-    /// when the counter counts requests.
-    pub fn rate_per_sec(&self) -> f64 {
-        self.rate_per_sec_at(span::now_ns())
-    }
-
-    /// [`WindowedCounter::rate_per_sec`] at an explicit time.
-    pub fn rate_per_sec_at(&self, now_ns: u64) -> f64 {
-        self.sum_at(now_ns) as f64 / (self.window_ns as f64 / 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,18 +166,6 @@ mod tests {
         let late = h.snapshot_at(1_000 + W);
         assert_eq!(late.count, 1);
         assert_eq!(late.quantile_upper_bound(0.5), 1 << 20);
-    }
-
-    #[test]
-    fn windowed_counter_sums_and_rates() {
-        let c = WindowedCounter::new(8_000_000_000); // 8 s window, 1 s slots
-        c.add_at(500_000_000, 3);
-        c.add_at(1_500_000_000, 5);
-        assert_eq!(c.sum_at(2_000_000_000), 8);
-        assert!((c.rate_per_sec_at(2_000_000_000) - 1.0).abs() < 1e-12);
-        // the first slot expires, the second remains
-        assert_eq!(c.sum_at(8_500_000_000), 5);
-        assert_eq!(c.sum_at(9_500_000_000), 0);
     }
 
     #[test]

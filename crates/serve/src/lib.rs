@@ -62,7 +62,7 @@ pub use frontend::{
     Frontend, FrontendConfig, FrontendStats, ServeError, ServeResult, ShedReason, Ticket,
 };
 pub use live::{LiveConfig, LiveStats, LiveTileServer};
-pub use pyramid::{PyramidSpec, TileCoord, Viewport};
+pub use pyramid::{PyramidSpec, TileCoord, Viewport, ZOOM_LIMIT};
 pub use replay::{checksum, replay_concurrent, replay_sequential, ReplayOutcome, ReplayRecord};
 pub use server::{OverviewConfig, RequestOutcome, ServeConfig, TierInfo, TileServer};
 pub use trace::{Session, SessionRequest, TraceFile};

@@ -25,6 +25,9 @@ pub struct TileCoord {
     pub ty: u32,
 }
 
+/// The zoom levels a pyramid can have: `max_zoom` is below this.
+pub const ZOOM_LIMIT: u8 = 24;
+
 /// Pyramid geometry: region, per-level resolutions and the tile grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PyramidSpec {
@@ -55,7 +58,7 @@ impl PyramidSpec {
         if tile_size == 0 {
             return Err(KdvError::InvalidTileSize { tile_size });
         }
-        if max_zoom >= 24
+        if max_zoom >= ZOOM_LIMIT
             || base_res_x.checked_shl(max_zoom as u32).is_none()
             || base_res_y.checked_shl(max_zoom as u32).is_none()
         {

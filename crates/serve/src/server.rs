@@ -108,7 +108,7 @@ use kdv_core::tile::{
 use kdv_core::{DensityGrid, KdvError, KernelType, Point, Result};
 use kdv_coreset::{Coreset, CoresetMethod, CoresetSpec};
 use kdv_obs::RequestClass;
-use kdv_stream::{batch_context, fold_batches, StreamSnapshot, StreamingPointSet};
+use kdv_stream::{fold_batches, StreamSnapshot, StreamingPointSet};
 
 use crate::cache::{
     CacheStats, CheckpointKey, InsertOutcome, Lookup, TileCache, TileKey, TileTier,
@@ -218,7 +218,9 @@ pub struct TileServer {
     /// levels), at a batch's generation the weighted context of that
     /// batch. Generations are unique across epochs, so the two never
     /// collide; entries of older epochs are dropped when the first
-    /// context of a newer one is built.
+    /// context of a newer one is built. The contexts of one set at
+    /// different zooms share its sorted points and index
+    /// ([`TileServer::contexts_for`]).
     contexts: Mutex<HashMap<(u8, u64), Arc<SweepContext>>>,
     flights: FlightTable<TileId, Arc<Tile>>,
     pub(crate) stats: LiveStats,
@@ -509,6 +511,13 @@ impl TileServer {
     /// its overview coreset, weighted by the multiplicities), index
     /// `1 + i` is batch `i`'s weighted context. Missing ones are built
     /// under the map's lock, so each is built once.
+    ///
+    /// Every level covers the same region, so the recentred, y-sorted set
+    /// is the same at every zoom: it is sorted once per (tier, generation)
+    /// — the epoch base, the epoch's coreset, or one sealed batch — and
+    /// every other level's context is derived from a held one
+    /// ([`SweepContext::for_grid`]), sharing that set and owning only its
+    /// own pixel centres.
     fn contexts_for(
         &self,
         snapshot: &StreamSnapshot,
@@ -516,6 +525,7 @@ impl TileServer {
         zoom: u8,
     ) -> Result<Vec<Arc<SweepContext>>> {
         let params = self.level_params(zoom);
+        let tier = self.tier_of(zoom);
         let first = snapshot.epoch_generation;
         let mut map = self.lock_contexts();
         let mut out = Vec::with_capacity(1 + snapshot.batches.len());
@@ -524,16 +534,31 @@ impl TileServer {
                 out.push(Arc::clone(ctx));
                 continue;
             }
-            let ctx = Arc::new(match (generation - first).checked_sub(1) {
-                Some(i) => batch_context(&params, &snapshot.batches[i as usize])?,
+            // Another level's context over the same set: any level's at a
+            // batch generation, a level of the same tier at the epoch's.
+            let sibling = map
+                .iter()
+                .find(|(&(z, g), _)| g == generation && (g != first || self.tier_of(z) == tier))
+                .map(|(_, ctx)| Arc::clone(ctx));
+            let _s =
+                (generation == first).then(|| kdv_obs::span1("pyramid.build", "zoom", zoom as u64));
+            let (points, weights) = match (generation - first).checked_sub(1) {
+                Some(i) => {
+                    let batch = &snapshot.batches[i as usize];
+                    (&batch.points[..], Some(&batch.weights[..]))
+                }
                 None => {
-                    let _s = kdv_obs::span1("pyramid.build", "zoom", zoom as u64);
                     map.retain(|&(_, g), _| g >= first);
                     match coreset {
-                        Some(c) => SweepContext::weighted(&params, &c.points, &c.weights)?,
-                        None => SweepContext::new(&params, &snapshot.base)?,
+                        Some(c) => (&c.points[..], Some(&c.weights[..])),
+                        None => (&snapshot.base[..], None),
                     }
                 }
+            };
+            let ctx = Arc::new(match (sibling, weights) {
+                (Some(sibling), _) => sibling.for_grid(&params, points)?,
+                (None, Some(weights)) => SweepContext::weighted(&params, points, weights)?,
+                (None, None) => SweepContext::new(&params, points)?,
             });
             map.insert((zoom, generation), Arc::clone(&ctx));
             out.push(ctx);
@@ -1336,6 +1361,59 @@ mod tests {
         assert!(report.cache_rejected > 0, "tiny budget must reject oversized tiles");
         assert_eq!(report.cache_evictions, 0, "nothing admitted, so nothing displaced");
         assert!(srv.cache().bytes() <= srv.cache().budget());
+    }
+
+    /// Serves every level of `srv` whole, so each level's contexts are in
+    /// the map; an exact level is checked against the rebuild of its
+    /// generation.
+    fn serve_every_level(srv: &TileServer) {
+        for zoom in 0..=srv.pyramid().max_zoom {
+            let (width, height) = srv.pyramid().level_res(zoom);
+            let vp = Viewport { zoom, px: 0, py: 0, width, height };
+            let (grid, _, tier) = srv.serve_viewport_tiered(&vp, 0).unwrap();
+            if tier.tier == TileTier::Exact {
+                let params = srv.level_params(zoom);
+                assert_eq!(grid, kdv_stream::rebuild_grid(&params, &srv.snapshot()).unwrap());
+            }
+        }
+    }
+
+    /// The sets of the contexts held at `generation`, by zoom.
+    fn sets_at(srv: &TileServer, generation: u64) -> Vec<Arc<kdv_core::driver::SweepSet>> {
+        let map = srv.lock_contexts();
+        (0..=srv.pyramid().max_zoom)
+            .map(|zoom| Arc::clone(map[&(zoom, generation)].set()))
+            .collect()
+    }
+
+    #[test]
+    fn every_level_sweeps_one_sorted_set_per_generation() {
+        let srv = server(1 << 22);
+        serve_every_level(&srv);
+        let base = srv.snapshot().generation();
+        let sets = sets_at(&srv, base);
+        assert!(sets.iter().all(|s| Arc::ptr_eq(s, &sets[0])), "base set sorted per level");
+        assert_eq!(sets[0].points.len(), 300);
+        // a sealed batch: every level patches from one sorted batch set,
+        // and keeps the base set it had
+        assert_eq!(srv.append(&points(5)), 1);
+        serve_every_level(&srv);
+        let batch = sets_at(&srv, base + 1);
+        assert!(batch.iter().all(|s| Arc::ptr_eq(s, &batch[0])), "batch set sorted per level");
+        assert_eq!(batch[0].points.len(), 5);
+        assert!(sets_at(&srv, base).iter().all(|s| Arc::ptr_eq(s, &sets[0])));
+    }
+
+    #[test]
+    fn coreset_levels_share_the_coreset_set_and_exact_levels_the_base() {
+        let srv = tiered_server(1 << 22, 1);
+        serve_every_level(&srv);
+        let sets = sets_at(&srv, srv.snapshot().generation());
+        // zooms 0 and 1 sweep the epoch's coreset, zoom 2 the base
+        assert!(Arc::ptr_eq(&sets[0], &sets[1]), "coreset set sorted per level");
+        assert!(!Arc::ptr_eq(&sets[1], &sets[2]), "tiers must not share a set");
+        assert!(sets[0].points.len() < 300 && sets[0].weights().is_some());
+        assert_eq!((sets[2].points.len(), sets[2].weights()), (300, None));
     }
 
     /// Poisons `mutex` by panicking on a thread that holds it.

@@ -24,11 +24,6 @@ pub struct Image {
 }
 
 impl Image {
-    /// Image dimensions `(width, height)`.
-    pub fn dimensions(&self) -> (usize, usize) {
-        (self.width, self.height)
-    }
-
     /// RGB triple at image coordinates (x, y), y = 0 at the *top*.
     pub fn pixel(&self, x: usize, y: usize) -> (u8, u8, u8) {
         let i = (y * self.width + x) * 3;
@@ -106,7 +101,7 @@ mod tests {
     #[test]
     fn render_flips_vertically() {
         let img = render(&gradient_grid(), ColorMap::Grayscale, Scale::Linear);
-        assert_eq!(img.dimensions(), (4, 3));
+        assert_eq!((img.width, img.height), (4, 3));
         // grid (3,2) — max — must be at image top-right (3,0), white
         assert_eq!(img.pixel(3, 0), (255, 255, 255));
         // grid (0,0) — 25% — at image bottom-left (0,2)

@@ -190,7 +190,9 @@ fn render_dimensions_and_orientation() {
     for map in MAPS {
         for scale in SCALES {
             let img = render(&grid, map, scale);
-            assert_eq!(img.dimensions(), (7, 5));
+            let mut ppm = Vec::new();
+            img.write_ppm(&mut ppm).unwrap();
+            assert!(ppm.starts_with(b"P6\n7 5\n255\n"), "a 7x5 PPM header");
             assert_eq!(img.bytes().len(), 7 * 5 * 3);
             // grid row 0 (smallest y) is the bottom scanline, so the peak
             // pixel (6, 4) lands at image (6, 0) with the t=1 colour

@@ -28,7 +28,9 @@ fn city_to_image_pipeline() {
     }
 
     let img = render(&reference, ColorMap::Heat, Scale::Sqrt);
-    assert_eq!(img.dimensions(), (96, 72));
+    let mut ppm = Vec::new();
+    img.write_ppm(&mut ppm).unwrap();
+    assert!(ppm.starts_with(b"P6\n96 72\n255\n"), "a 96x72 PPM header");
     // hotspots exist: some pixel is hot (red channel dominant)
     let has_hot = (0..72).any(|y| (0..96).any(|x| img.pixel(x, y).0 > 150));
     assert!(has_hot, "expected at least one hot pixel");

@@ -142,7 +142,8 @@ proptest! {
             .grid;
 
         let shifted: Vec<Point> = points.iter().map(|p| Point::new(p.x + dx, p.y + dy)).collect();
-        let region_b = region.translated(dx, dy);
+        let region_b =
+            Rect::new(region.min_x + dx, region.min_y + dy, region.max_x + dx, region.max_y + dy);
         let grid_b = GridSpec::new(region_b, rx, ry).unwrap();
         let params_b = KdvParams::new(grid_b, kernel, bandwidth);
         let b = AnyMethod::Slam(Method::SlamBucketRao)
