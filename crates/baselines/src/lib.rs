@@ -159,7 +159,7 @@ impl AnyMethod {
                 // SLAM's engines are the fast path and run uninterrupted;
                 // honour the deadline by checking before starting.
                 check_deadline(deadline)?;
-                let grid = kdv_core::KdvEngine::new(*m).compute(params, points)?;
+                let grid = m.compute(params, points, 1)?;
                 // aux space: recentred copy + envelope buffer (~O(n) each)
                 // plus the y-sorted banded extraction index
                 let aux = std::mem::size_of_val(points) * 2

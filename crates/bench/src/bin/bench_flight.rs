@@ -25,14 +25,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kdv_bench::HarnessConfig;
+use kdv_core::digest::grid_checksum;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::KernelType;
 use kdv_data::synth::{generate, SynthConfig};
 use kdv_obs::metrics::MetricValue;
 use kdv_obs::{ring, IncidentConfig, SloTargets, SloTracker};
 use kdv_serve::{
-    checksum, Frontend, FrontendConfig, PyramidSpec, ServeConfig, ServeError, ShedReason,
-    TileServer, Viewport,
+    Frontend, FrontendConfig, PyramidSpec, ServeConfig, ServeError, ShedReason, TileServer,
+    Viewport,
 };
 
 const TILE_SIZE: usize = 256;
@@ -83,7 +84,7 @@ fn replay_cold(
         .iter()
         .map(|vp| {
             let (grid, _) = server.serve_viewport(vp, 0).expect("trace viewport must be servable");
-            checksum(&grid)
+            grid_checksum(&grid)
         })
         .collect();
     (t0.elapsed().as_secs_f64(), sums)

@@ -20,8 +20,7 @@ use kdv_bench::HarnessConfig;
 use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
-use kdv_core::parallel::{compute_parallel, ParallelEngine};
-use kdv_core::KernelType;
+use kdv_core::{KernelType, Method};
 use kdv_data::synth::{generate, SynthConfig};
 use kdv_serve::{PyramidSpec, ServeConfig, TileServer, Viewport};
 
@@ -90,12 +89,11 @@ fn main() {
     let grid = GridSpec::new(extent, 256, 256).expect("valid grid");
     let params = KdvParams::new(grid, KernelType::Epanechnikov, bandwidth)
         .with_weight(1.0 / points.len() as f64);
-    let plain = compute_parallel(&params, &points, ParallelEngine::Bucket, 4)
-        .expect("plain sweep must succeed");
+    let plain = Method::SlamBucket.compute(&params, &points, 4).expect("plain sweep must succeed");
     kdv_obs::span::clear();
     kdv_obs::set_enabled(true);
-    let traced = compute_parallel(&params, &points, ParallelEngine::Bucket, 4)
-        .expect("traced sweep must succeed");
+    let traced =
+        Method::SlamBucket.compute(&params, &points, 4).expect("traced sweep must succeed");
     kdv_obs::set_enabled(false);
     let recorded = kdv_obs::span::take_trace();
     assert_eq!(plain, traced, "enabling the recorder must not change densities");

@@ -25,14 +25,14 @@ use kdv_analysis::hotspots_by_peak_fraction;
 use kdv_baselines::AnyMethod;
 use kdv_core::driver::KdvParams;
 use kdv_core::grid::{DensityGrid, GridSpec};
-use kdv_core::parallel::{compute_parallel, compute_parallel_rao, default_threads, ParallelEngine};
+use kdv_core::parallel::default_threads;
 use kdv_core::{KernelType, Method};
 use kdv_data::catalog::City;
 use kdv_data::csvio;
 use kdv_obs::stats::ns_to_ms;
 use kdv_obs::telemetry::{record_metrics, SweepStats};
 use kdv_obs::{RequestClass, SloTargets, SloTracker, Trace};
-use kdv_temporal::{compute_stkdv_parallel, FrameSpec, StKdvConfig, TemporalKernel};
+use kdv_temporal::{compute_stkdv, FrameSpec, StKdvConfig, TemporalKernel};
 use kdv_viz::{ascii_art, render, ColorMap, Scale};
 
 const USAGE: &str = "kdv — SLAM kernel density visualization tools
@@ -518,6 +518,16 @@ fn parse_zoom(flag: &str, s: &str) -> Result<u8, String> {
     }
 }
 
+/// Parses `--cache-mb`, the tile cache budget in MiB, and returns it in
+/// bytes: a budget whose byte count does not fit a `usize` is an error,
+/// not a wrapped (and so tiny) budget.
+fn parse_cache_mb(s: &str) -> Result<usize, String> {
+    s.parse::<usize>()
+        .ok()
+        .and_then(|mb| mb.checked_mul(1 << 20))
+        .ok_or_else(|| format!("bad --cache-mb {s}: expected 0..={} MiB", usize::MAX >> 20))
+}
+
 /// Loads a CSV dataset and assembles the KDV parameters shared by the
 /// `render` and `bench` subcommands.
 fn load_problem(args: &Args) -> Result<(Vec<kdv_core::Point>, KdvParams), String> {
@@ -609,17 +619,7 @@ fn compute_with_runtime(
         }
         return Ok(method.compute(params, points).map_err(|e| e.to_string())?.grid);
     };
-    let engine = match m {
-        Method::SlamSort | Method::SlamSortRao => ParallelEngine::Sort,
-        Method::SlamBucket | Method::SlamBucketRao => ParallelEngine::Bucket,
-    };
-    let grid = match m {
-        Method::SlamSortRao | Method::SlamBucketRao => {
-            compute_parallel_rao(params, points, engine, threads)
-        }
-        Method::SlamSort | Method::SlamBucket => compute_parallel(params, points, engine, threads),
-    };
-    grid.map_err(|e| e.to_string())
+    m.compute(params, points, threads).map_err(|e| e.to_string())
 }
 
 /// What `render` and `bench` print after their own line: the `--stats`
@@ -708,9 +708,7 @@ fn cmd_hotspots(args: &Args) -> Result<(), String> {
         args.get("peak-fraction").unwrap_or("0.25").parse().map_err(|_| "bad --peak-fraction")?;
     let top: usize = args.get("top").unwrap_or("10").parse().map_err(|_| "bad --top")?;
 
-    let grid = kdv_core::KdvEngine::new(Method::SlamBucketRao)
-        .compute(&params, &points)
-        .map_err(|e| e.to_string())?;
+    let grid = Method::SlamBucketRao.compute(&params, &points, 1).map_err(|e| e.to_string())?;
     let hotspots = hotspots_by_peak_fraction(&grid, &params.grid, fraction);
     println!(
         "{} hotspot region(s) at >= {:.0}% of peak density {:.6}:",
@@ -763,8 +761,7 @@ fn cmd_stkdv(args: &Args) -> Result<(), String> {
     };
     let threads = parse_threads(args)?;
     let start = Instant::now();
-    let rendered =
-        compute_stkdv_parallel(&config, &dataset.records, threads).map_err(|e| e.to_string())?;
+    let rendered = compute_stkdv(&config, &dataset.records, threads).map_err(|e| e.to_string())?;
     println!(
         "computed {} frames in {:.2}s (temporal bandwidth {}s, {} thread(s))",
         rendered.len(),
@@ -791,7 +788,7 @@ struct ServeSetup {
     pyramid: kdv_serve::PyramidSpec,
     config: kdv_serve::ServeConfig,
     overview: Option<kdv_serve::OverviewConfig>,
-    cache_mb: usize,
+    cache_bytes: usize,
     threads: usize,
     stats: bool,
     obs: ObsSession,
@@ -818,8 +815,7 @@ impl ServeSetup {
             Some(b) => parse_bandwidth(b)?,
             None => kdv_data::scott_bandwidth(&points),
         };
-        let cache_mb: usize =
-            args.get("cache-mb").unwrap_or("256").parse().map_err(|_| "bad --cache-mb")?;
+        let cache_bytes = parse_cache_mb(args.get("cache-mb").unwrap_or("256"))?;
         let overview = match args.get("coreset-zoom") {
             Some(z) => Some(kdv_serve::OverviewConfig {
                 max_zoom: parse_zoom("coreset-zoom", z)?,
@@ -851,7 +847,7 @@ impl ServeSetup {
             pyramid,
             config,
             overview,
-            cache_mb,
+            cache_bytes,
             threads: parse_threads(args)?,
             stats: args.has_flag("stats"),
             obs: ObsSession::from_args(args, false),
@@ -866,7 +862,7 @@ impl ServeSetup {
         &mut self,
         live: kdv_serve::LiveConfig,
     ) -> Result<Arc<kdv_serve::TileServer>, String> {
-        let (pyramid, config, bytes) = (self.pyramid, self.config, self.cache_mb << 20);
+        let (pyramid, config, bytes) = (self.pyramid, self.config, self.cache_bytes);
         let points = std::mem::take(&mut self.points);
         let n = points.len();
         let server = Arc::new(match self.overview {
@@ -903,7 +899,11 @@ impl ServeSetup {
         format!(
             "tile {}px, base {base_x}x{base_y}, max zoom {}, bandwidth {:.2}, cache {} MiB, \
              {} thread(s)",
-            p.tile_size, p.max_zoom, self.config.bandwidth, self.cache_mb, self.threads
+            p.tile_size,
+            p.max_zoom,
+            self.config.bandwidth,
+            self.cache_bytes >> 20,
+            self.threads
         )
     }
 
@@ -1323,7 +1323,8 @@ mod tests {
         let chars: Vec<char> = "0123456789.-+eExXnaNAifIty é".chars().collect();
         // `|`-separated, the first one empty
         let edges: Vec<String> = "|0|-0|1|-1|NaN|nan|inf|-inf|infinity|1e309|1e-320|10|10.000001\
-            |4096|4097|23|24|255|256|1024|1025|18446744073709551615|18446744073709551616|0x0|1x0\
+            |4096|4097|23|24|255|256|1024|1025|17592186044415|17592186044416|18446744073709551615\
+            |18446744073709551616|0x0|1x0\
             |x|640x480|4294967296x4294967296|99999999999999999999x1|1x1x1| 64x48"
             .split('|')
             .map(String::from)
@@ -1377,6 +1378,11 @@ mod tests {
                     prop_assert!(n <= MAX_THREADS, "--{} {:?}", flag, value);
                 }
             }
+            if let Ok(bytes) = parse_cache_mb(&value) {
+                // whole MiB, and exactly the MiB asked for: nothing wrapped
+                prop_assert!(bytes % (1 << 20) == 0, "--cache-mb {:?}", value);
+                prop_assert_eq!(value.parse::<usize>(), Ok(bytes >> 20), "--cache-mb {:?}", value);
+            }
         }
     }
 
@@ -1398,6 +1404,15 @@ mod tests {
         assert_eq!(parse_res("640x480"), Ok((640, 480)));
         for bad in ["x", "640", "-1x4", "1x1x1"] {
             assert!(parse_res(bad).is_err(), "--res {bad}");
+        }
+        assert_eq!(parse_cache_mb("256"), Ok(256 << 20));
+        assert_eq!(parse_cache_mb("0"), Ok(0));
+        let largest = usize::MAX >> 20;
+        assert_eq!(parse_cache_mb(&largest.to_string()), Ok(largest << 20));
+        // 2^44 MiB is 2^64 bytes: it used to wrap to a 0-byte budget
+        for bad in [&(largest + 1).to_string(), "17592186044416", "-1", "1.5", ""] {
+            let err = parse_cache_mb(bad).unwrap_err();
+            assert!(err.contains("--cache-mb"), "--cache-mb {bad}: {err}");
         }
     }
 

@@ -10,14 +10,14 @@
 //! | pair | oracle | policy |
 //! |------|--------|--------|
 //! | 4 SLAM variants | SCAN | sweep ULPs |
-//! | parallel bucket / parallel RAO sort | sequential twin | bitwise |
+//! | bucket / RAO sort on 3 / 2 threads | the same call on 1 thread | bitwise |
 //! | weighted sweep | `weighted_scan` | sweep ULPs |
-//! | parallel weighted | sequential weighted | bitwise |
+//! | weighted on 3 threads | the same call on 1 thread | bitwise |
 //! | RQS_kd / RQS_ball / QUAD | SCAN | tree ULPs `(c/b)⁴` |
 //! | Z-order (fraction 1) | SCAN | tree ULPs |
 //! | aKDE | SCAN | absolute bound `w·n·ε/2` |
 //! | STKDV frames | per-frame `weighted_scan` | sweep ULPs |
-//! | parallel STKDV | sequential STKDV | bitwise |
+//! | STKDV on 3 threads | the same call on 1 thread | bitwise |
 //! | band tiles | monolithic SLAM_BUCKET | bitwise |
 //! | instrumented bucket | same sweep, recorder off | bitwise |
 //! | coreset grid / coreset sort | SCAN | error bound (advertised ε) |
@@ -33,19 +33,16 @@
 
 use kdv_baselines::AnyMethod;
 use kdv_core::driver::{KdvParams, SweepContext};
-use kdv_core::parallel::{
-    compute_parallel, compute_parallel_rao, compute_weighted_parallel, ParallelEngine,
-};
 use kdv_core::tile::{self, BandWorkspace, Tile, Tiling};
 use kdv_core::weighted::{compute_weighted, weighted_scan};
-use kdv_core::{rao, sweep_bucket, DensityGrid, KdvEngine, Method, Point};
+use kdv_core::{sweep_bucket, DensityGrid, Method, Point};
 use kdv_coreset::{CoresetMethod, CoresetSpec};
 use kdv_data::record::EventRecord;
 use kdv_serve::{
     LiveConfig, OverviewConfig, PyramidSpec, ServeConfig, TileServer, TileTier, Viewport,
 };
 use kdv_stream::rebuild_grid;
-use kdv_temporal::{compute_stkdv, compute_stkdv_parallel, FrameSpec, StKdvConfig, TemporalKernel};
+use kdv_temporal::{compute_stkdv, FrameSpec, StKdvConfig, TemporalKernel};
 
 use crate::case::{CaseSpec, SplitMix64};
 use crate::tolerance::{compare, unit_kernel_peak, Comparison, Policy};
@@ -132,17 +129,17 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
     let term = case.weight.abs() * pts.len() as f64 * unit_kernel_peak(case.kernel, case.bandwidth);
     let sweep = Policy::sweep_exact(term);
     for (name, method) in PAIR_NAMES.iter().zip(Method::ALL) {
-        match KdvEngine::new(method).compute(&params, pts) {
+        match method.compute(&params, pts, 1) {
             Ok(g) => out.push(ok(name, sweep, g.values(), scan.values())),
             Err(e) => out.push(fail(name, e.to_string())),
         }
     }
 
-    // --- parallel drivers vs their sequential twins (bitwise) ------------
+    // --- many threads vs one, through the same call (bitwise) -----------
     out.push(
         match (
-            compute_parallel(&params, pts, ParallelEngine::Bucket, 3),
-            sweep_bucket::compute(&params, pts),
+            Method::SlamBucket.compute(&params, pts, 3),
+            Method::SlamBucket.compute(&params, pts, 1),
         ) {
             (Ok(p), Ok(s)) => ok(PAIR_NAMES[4], Policy::Bitwise, p.values(), s.values()),
             (p, s) => fail(PAIR_NAMES[4], two_errors(p.err(), s.err())),
@@ -150,8 +147,8 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
     );
     out.push(
         match (
-            compute_parallel_rao(&params, pts, ParallelEngine::Sort, 2),
-            rao::compute_sort(&params, pts),
+            Method::SlamSortRao.compute(&params, pts, 2),
+            Method::SlamSortRao.compute(&params, pts, 1),
         ) {
             (Ok(p), Ok(s)) => ok(PAIR_NAMES[5], Policy::Bitwise, p.values(), s.values()),
             (p, s) => fail(PAIR_NAMES[5], two_errors(p.err(), s.err())),
@@ -162,7 +159,7 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
     let weights = derive_weights(case);
     let weighted_term = weights.iter().map(|w| w.abs()).sum::<f64>()
         * unit_kernel_peak(case.kernel, case.bandwidth);
-    out.push(match compute_weighted(&params, pts, &weights) {
+    out.push(match compute_weighted(&params, pts, &weights, 1) {
         Ok(g) => {
             let reference = weighted_scan(&params, pts, &weights);
             ok(PAIR_NAMES[6], Policy::sweep_exact(weighted_term), g.values(), reference.values())
@@ -171,8 +168,8 @@ pub fn run_case(case: &CaseSpec) -> Vec<PairResult> {
     });
     out.push(
         match (
-            compute_weighted_parallel(&params, pts, &weights, 3),
-            compute_weighted(&params, pts, &weights),
+            compute_weighted(&params, pts, &weights, 3),
+            compute_weighted(&params, pts, &weights, 1),
         ) {
             (Ok(p), Ok(s)) => ok(PAIR_NAMES[7], Policy::Bitwise, p.values(), s.values()),
             (p, s) => fail(PAIR_NAMES[7], two_errors(p.err(), s.err())),
@@ -289,7 +286,7 @@ fn run_coreset(
             eval_grids: vec![params.grid],
         };
         out.push(match kdv_coreset::build(&spec, &case.points) {
-            Ok(cs) => match compute_weighted(params, &cs.points, &cs.weights) {
+            Ok(cs) => match compute_weighted(params, &cs.points, &cs.weights, 1) {
                 Ok(g) => ok(
                     PAIR_NAMES[idx],
                     Policy::ErrorBound { epsilon: cs.epsilon },
@@ -576,7 +573,7 @@ fn run_stkdv(case: &CaseSpec, params: &KdvParams, aux: &mut SplitMix64) -> Vec<P
         temporal_kernel,
     };
 
-    let sequential = compute_stkdv(&config, &records);
+    let sequential = compute_stkdv(&config, &records, 1);
     let scan_pair = match &sequential {
         Ok(frames) => {
             // oracle: per frame, weight every record by the temporal
@@ -608,7 +605,7 @@ fn run_stkdv(case: &CaseSpec, params: &KdvParams, aux: &mut SplitMix64) -> Vec<P
         Err(e) => fail(PAIR_NAMES[13], e.to_string()),
     };
 
-    let parallel_pair = match (&sequential, compute_stkdv_parallel(&config, &records, 3)) {
+    let parallel_pair = match (&sequential, compute_stkdv(&config, &records, 3)) {
         (Ok(seq), Ok(par)) => {
             let got: Vec<f64> = par.iter().flat_map(|f| f.grid.values().iter().copied()).collect();
             let reference: Vec<f64> =

@@ -50,6 +50,11 @@ mod tests {
         assert_eq!(grid_checksum(&a), grid_checksum(&b));
         b.set(1, 0, 1.0 + f64::EPSILON);
         assert_ne!(grid_checksum(&a), grid_checksum(&b));
+        // one ULP above zero, the smallest step there is
+        let zero = DensityGrid::zeroed(4, 4);
+        let mut ulp = zero.clone();
+        ulp.set(2, 1, f64::from_bits(1));
+        assert_ne!(grid_checksum(&zero), grid_checksum(&ulp));
         // same values, transposed shape
         let wide = DensityGrid::from_values(4, 1, vec![0.0, 1.0, 2.0, 3.0]);
         let tall = DensityGrid::from_values(1, 4, vec![0.0, 1.0, 2.0, 3.0]);

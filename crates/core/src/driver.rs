@@ -340,7 +340,8 @@ impl SweepContext {
 /// auto; see [`crate::parallel`]): O(n log n) once, then `Y` iterations of
 /// an `O(log n + |E(k)| + X)` row (rows with an empty band are skipped
 /// outright — their densities are exactly zero). Bitwise identical for
-/// every thread count.
+/// every thread count. Public, with this signature, because `perfbench`
+/// drives its own row engines through it.
 pub fn sweep_grid<E: RowEngine>(
     params: &KdvParams,
     points: &[Point],

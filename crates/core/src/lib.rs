@@ -14,7 +14,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use kdv_core::{GridSpec, KdvEngine, KdvParams, KernelType, Method, Point, Rect};
+//! use kdv_core::{GridSpec, KdvParams, KernelType, Method, Point, Rect};
 //!
 //! // a tiny dataset with a hotspot around (30, 30)
 //! let points: Vec<Point> = (0..100)
@@ -25,7 +25,8 @@
 //! let params = KdvParams::new(grid, KernelType::Epanechnikov, 15.0)
 //!     .with_weight(1.0 / points.len() as f64);
 //!
-//! let density = KdvEngine::new(Method::SlamBucketRao).compute(&params, &points)?;
+//! // one thread; `0` would use every core, with the same bits
+//! let density = Method::SlamBucketRao.compute(&params, &points, 1)?;
 //! assert_eq!(density.res_x(), 64);
 //! let hottest = density.max_value();
 //! assert!(hottest > 0.0);
@@ -42,16 +43,21 @@
 //! * [`envelope`] — per-row envelope point sets and sweep intervals
 //!   (Definition 1, Lemma 2), extracted via a y-sorted banded index
 //!   (`O(log n + |E(k)|)` per row instead of a full `O(n)` scan).
-//! * [`sweep_sort`] / [`sweep_bucket`] — the two SLAM engines
+//! * [`sweep_sort`] / [`sweep_bucket`] — the two SLAM row engines
 //!   (Algorithms 1 and 2).
 //! * [`rao`] — resolution-aware optimization (Section 3.6).
 //!
+//! [`Method::compute`] is the one unit-weight compute call: it runs any
+//! of the four variants of Table 1 on `threads` workers, and the output
+//! is bitwise identical for every thread count.
+//!
 //! Extensions beyond the paper (each documented as such):
 //!
-//! * [`parallel`] — work-stealing row-parallel runtime (plain, RAO,
-//!   and weighted sweeps); what its workers did is recorded as `kdv-obs`
-//!   spans (`sweep.parallel`, `band.search`, `envelope.fill`, `row.sweep`).
-//! * [`weighted`] — per-point weights (temporal kernels, event counts).
+//! * [`parallel`] — the work-stealing row-parallel runtime under every
+//!   compute call; what its workers did is recorded as `kdv-obs` spans
+//!   (`sweep.parallel`, `band.search`, `envelope.fill`, `row.sweep`).
+//! * [`weighted`] — per-point weights (temporal kernels, event counts),
+//!   computed by [`weighted::compute_weighted`].
 //! * [`simd`] — the machine's `f64` lane class, reported in the benchmark
 //!   fingerprint (the engines themselves have one scalar row loop).
 //! * [`tile`] — tile-decomposed computation whose stitched output is
@@ -78,12 +84,13 @@ pub mod tile;
 pub mod weighted;
 
 pub use driver::KdvParams;
-pub use error::{KdvError, Result};
+pub use error::{KdvError, Result, ViewportOutside};
 pub use geom::{Point, Rect};
 pub use grid::{DensityGrid, GridSpec};
 pub use kernel::KernelType;
 
-/// The SLAM method variants exposed by [`KdvEngine`] (paper Table 1).
+/// The SLAM method variants (paper Table 1), and the one compute call
+/// that runs them ([`Method::compute`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// SLAM_SORT — `O(Y(X + n log n))`.
@@ -110,42 +117,31 @@ impl Method {
             Method::SlamBucketRao => "SLAM_BUCKET^(RAO)",
         }
     }
+
+    /// Computes the exact density raster for `points` under `params` with
+    /// `threads` workers claiming rows (`0` means
+    /// [`parallel::default_threads`]). The output is bitwise identical
+    /// for every thread count; one thread spawns nothing.
+    pub fn compute(
+        self,
+        params: &KdvParams,
+        points: &[Point],
+        threads: usize,
+    ) -> Result<DensityGrid> {
+        use parallel::ParallelEngine::{Bucket, Sort};
+        use parallel::{compute_parallel, compute_parallel_rao};
+        match self {
+            Method::SlamSort => compute_parallel(params, points, Sort, threads),
+            Method::SlamBucket => compute_parallel(params, points, Bucket, threads),
+            Method::SlamSortRao => compute_parallel_rao(params, points, Sort, threads),
+            Method::SlamBucketRao => compute_parallel_rao(params, points, Bucket, threads),
+        }
+    }
 }
 
 impl std::fmt::Display for Method {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Unified front-door for the SLAM family.
-///
-/// Thin dispatcher over [`sweep_sort::compute`], [`sweep_bucket::compute`]
-/// and the [`rao`] wrappers; see the crate docs for an example.
-#[derive(Debug, Clone, Copy)]
-pub struct KdvEngine {
-    method: Method,
-}
-
-impl KdvEngine {
-    /// An engine running the chosen SLAM variant.
-    pub const fn new(method: Method) -> Self {
-        Self { method }
-    }
-
-    /// The variant this engine dispatches to.
-    pub const fn method(&self) -> Method {
-        self.method
-    }
-
-    /// Computes the exact density raster for `points` under `params`.
-    pub fn compute(&self, params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
-        match self.method {
-            Method::SlamSort => sweep_sort::compute(params, points),
-            Method::SlamBucket => sweep_bucket::compute(params, points),
-            Method::SlamSortRao => rao::compute_sort(params, points),
-            Method::SlamBucketRao => rao::compute_bucket(params, points),
-        }
     }
 }
 
@@ -163,9 +159,9 @@ mod tests {
                 Point::new((t * 7.13) % 50.0, (t * 3.77) % 80.0)
             })
             .collect();
-        let reference = KdvEngine::new(Method::SlamSort).compute(&params, &pts).unwrap();
+        let reference = Method::SlamSort.compute(&params, &pts, 1).unwrap();
         for m in Method::ALL {
-            let got = KdvEngine::new(m).compute(&params, &pts).unwrap();
+            let got = m.compute(&params, &pts, 1).unwrap();
             // RAO reassociates float ops across the transpose, so agreement
             // is to rounding error, not bitwise.
             let err = stats::max_rel_error(got.values(), reference.values());

@@ -20,25 +20,30 @@
 //! negligible next to an `O(X + n)` row. The calling thread is always one
 //! of the workers, so a one-thread run spawns nothing.
 //!
-//! The same scheduler drives every parallel entry point in the workspace:
-//! plain sweeps ([`compute_parallel`]), RAO composition
-//! ([`compute_parallel_rao`]), weighted sweeps
-//! ([`compute_weighted_parallel`]) and — via [`for_each_index_with`] — tile
-//! bands, serving requests and the temporal frame driver in
+//! The same scheduler drives every compute call in the workspace:
+//! [`crate::Method::compute`] (plain and RAO sweeps),
+//! [`crate::weighted::compute_weighted`] and — via [`for_each_index_with`]
+//! — tile bands, serving requests and the temporal frame driver in
 //! `kdv-temporal`. What the workers did is recorded as `kdv-obs` spans
 //! (`sweep.parallel` around the raster, `band.search` / `envelope.fill` /
 //! `row.sweep` per row, on each worker's own thread track).
+//!
+//! [`compute_parallel_rao`], [`ParallelEngine`] and [`default_threads`]
+//! stay public because the repository benchmark (`perfbench`) calls them
+//! directly; the workspace's own rasters go through the compute calls
+//! above.
 
 use std::sync::{Mutex, PoisonError};
 
-use crate::driver::{sweep_grid, KdvParams, SweepContext};
+use crate::driver::{sweep_grid, KdvParams};
 use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::sweep_bucket::BucketSweep;
 use crate::sweep_sort::SortSweep;
 
-/// Which sequential engine each worker thread instantiates.
+/// Which row engine each worker thread instantiates. Public for
+/// `perfbench`, which names it in its [`compute_parallel_rao`] calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelEngine {
     /// SLAM_SORT per row.
@@ -48,7 +53,8 @@ pub enum ParallelEngine {
 }
 
 /// Default worker count: the machine's available parallelism (1 if it
-/// cannot be determined).
+/// cannot be determined). What a thread request of `0` resolves to;
+/// `perfbench` reads it too.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -106,9 +112,9 @@ where
 
 /// Computes the raster with `threads` workers claiming rows dynamically
 /// (`threads == 0` uses [`default_threads`]). Output is bitwise identical
-/// for every thread count, and equal to [`crate::sweep_sort::compute`] or
-/// [`crate::sweep_bucket::compute`], which are its one-thread case.
-pub fn compute_parallel(
+/// for every thread count. [`crate::Method::compute`] runs it for the two
+/// non-RAO variants.
+pub(crate) fn compute_parallel(
     params: &KdvParams,
     points: &[Point],
     engine: ParallelEngine,
@@ -127,7 +133,9 @@ pub fn compute_parallel(
 
 /// Parallel sweep with the resolution-aware optimization: transposes when
 /// the raster is taller than wide (Theorem 3), then runs the work-stealing
-/// sweep over the (fewer, longer) rows.
+/// sweep over the (fewer, longer) rows. [`crate::Method::compute`] runs it
+/// for the two RAO variants; it stays public, with this signature, because
+/// `perfbench` calls it directly.
 pub fn compute_parallel_rao(
     params: &KdvParams,
     points: &[Point],
@@ -136,21 +144,6 @@ pub fn compute_parallel_rao(
 ) -> Result<DensityGrid> {
     crate::rao::with_rao(params, points, |params, points| {
         compute_parallel(params, points, engine, threads)
-    })
-}
-
-/// Parallel weighted sweep (bucket engine plus RAO dispatch), bitwise
-/// identical to [`crate::weighted::compute_weighted`], its one-thread case.
-pub fn compute_weighted_parallel(
-    params: &KdvParams,
-    points: &[Point],
-    weights: &[f64],
-    threads: usize,
-) -> Result<DensityGrid> {
-    crate::rao::with_rao(params, points, |params, points| {
-        let ctx = SweepContext::weighted(params, points, weights)?;
-        let (kernel, b, w) = (params.kernel, params.bandwidth, params.weight);
-        Ok(crate::driver::sweep_context(&ctx, params, threads, || BucketSweep::new(kernel, b, w)))
     })
 }
 
@@ -187,7 +180,7 @@ pub fn for_each_index_with<S, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RowEngine;
+    use crate::driver::{RowEngine, SweepContext};
     use crate::envelope::SweepInterval;
     use crate::geom::Rect;
     use crate::grid::GridSpec;
@@ -215,7 +208,7 @@ mod tests {
             let par = compute_parallel(&params, &pts, ParallelEngine::Bucket, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
-        let seq = crate::sweep_sort::compute(&params, &pts).unwrap();
+        let seq = compute_parallel(&params, &pts, ParallelEngine::Sort, 1).unwrap();
         let par = compute_parallel(&params, &pts, ParallelEngine::Sort, 4).unwrap();
         assert_eq!(par, seq);
     }
@@ -269,7 +262,7 @@ mod tests {
         let grid = GridSpec::new(Rect::new(0.0, 0.0, 70.0, 100.0), 23, 40).unwrap();
         let params = KdvParams::new(grid, KernelType::Quartic, 9.0).with_weight(0.002);
         let (_, pts) = setup();
-        let seq = crate::rao::compute_bucket(&params, &pts).unwrap();
+        let seq = compute_parallel_rao(&params, &pts, ParallelEngine::Bucket, 1).unwrap();
         for threads in [2, 5] {
             let par = compute_parallel_rao(&params, &pts, ParallelEngine::Bucket, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
@@ -278,15 +271,16 @@ mod tests {
 
     #[test]
     fn weighted_parallel_matches_sequential() {
+        use crate::weighted::compute_weighted;
         let (params, pts) = setup();
         let weights: Vec<f64> = (0..pts.len()).map(|i| 0.25 + (i % 7) as f64).collect();
-        let seq = crate::weighted::compute_weighted(&params, &pts, &weights).unwrap();
+        let seq = compute_weighted(&params, &pts, &weights, 1).unwrap();
         for threads in [2, 4] {
-            let par = compute_weighted_parallel(&params, &pts, &weights, threads).unwrap();
+            let par = compute_weighted(&params, &pts, &weights, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
         // weight validation propagates
-        assert!(compute_weighted_parallel(&params, &pts, &weights[1..], 2).is_err());
+        assert!(compute_weighted(&params, &pts, &weights[1..], 2).is_err());
     }
 
     #[test]

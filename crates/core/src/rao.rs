@@ -14,9 +14,9 @@ use crate::driver::KdvParams;
 use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
-use crate::{sweep_bucket, sweep_sort};
 
-/// Whether RAO would transpose this problem (i.e. `Y > X`).
+/// Whether RAO would transpose this problem (i.e. `Y > X`). Public, with
+/// this signature, because `perfbench` calls it.
 #[inline]
 pub fn should_transpose(params: &KdvParams) -> bool {
     params.grid.res_y > params.grid.res_x
@@ -24,7 +24,7 @@ pub fn should_transpose(params: &KdvParams) -> bool {
 
 /// Runs `f` on the original problem when `X ≥ Y`, or on the transposed
 /// problem (transposing the output back) when `Y > X`.
-pub fn with_rao<F>(params: &KdvParams, points: &[Point], f: F) -> Result<DensityGrid>
+pub(crate) fn with_rao<F>(params: &KdvParams, points: &[Point], f: F) -> Result<DensityGrid>
 where
     F: Fn(&KdvParams, &[Point]) -> Result<DensityGrid>,
 {
@@ -37,23 +37,13 @@ where
     Ok(t_grid.transposed())
 }
 
-/// SLAM_SORT^(RAO): sorting-based sweep along the shorter raster dimension.
-pub fn compute_sort(params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
-    with_rao(params, points, sweep_sort::compute)
-}
-
-/// SLAM_BUCKET^(RAO): bucket-based sweep along the shorter raster dimension —
-/// the paper's overall best method.
-pub fn compute_bucket(params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
-    with_rao(params, points, sweep_bucket::compute)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geom::Rect;
     use crate::grid::GridSpec;
     use crate::kernel::KernelType;
+    use crate::Method;
 
     fn points() -> Vec<Point> {
         let mut state = 7u64;
@@ -92,13 +82,13 @@ mod tests {
         let pts = points();
         for kernel in KernelType::ALL {
             let p = tall_params(kernel);
-            let plain = sweep_bucket::compute(&p, &pts).unwrap();
-            let rao = compute_bucket(&p, &pts).unwrap();
+            let plain = Method::SlamBucket.compute(&p, &pts, 1).unwrap();
+            let rao = Method::SlamBucketRao.compute(&p, &pts, 1).unwrap();
             let err = crate::stats::max_rel_error(plain.values(), rao.values());
             assert!(err < 1e-10, "{kernel}: bucket RAO err {err}");
 
-            let plain = sweep_sort::compute(&p, &pts).unwrap();
-            let rao = compute_sort(&p, &pts).unwrap();
+            let plain = Method::SlamSort.compute(&p, &pts, 1).unwrap();
+            let rao = Method::SlamSortRao.compute(&p, &pts, 1).unwrap();
             let err = crate::stats::max_rel_error(plain.values(), rao.values());
             assert!(err < 1e-10, "{kernel}: sort RAO err {err}");
         }
@@ -107,7 +97,7 @@ mod tests {
     #[test]
     fn rao_output_has_original_orientation() {
         let p = tall_params(KernelType::Epanechnikov);
-        let g = compute_bucket(&p, &points()).unwrap();
+        let g = Method::SlamBucketRao.compute(&p, &points(), 1).unwrap();
         assert_eq!(g.res_x(), 9);
         assert_eq!(g.res_y(), 24);
     }

@@ -465,7 +465,9 @@ impl RowEngine for BucketSweep {
 }
 
 /// Computes the full KDV raster with SLAM_BUCKET
-/// (`O(Y(X + n))`, Theorem 2) on the calling thread.
+/// (`O(Y(X + n))`, Theorem 2) on the calling thread: the same bits as
+/// [`crate::Method::compute`] for `SlamBucket` on one thread. It stays
+/// public, with this signature, because `perfbench` calls it.
 pub fn compute(params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
     sweep_grid(params, points, 1, || {
         BucketSweep::new(params.kernel, params.bandwidth, params.weight)
@@ -477,7 +479,6 @@ mod tests {
     use super::*;
     use crate::geom::Rect;
     use crate::grid::GridSpec;
-    use crate::sweep_sort;
 
     fn params(kernel: KernelType, b: f64) -> KdvParams {
         let grid = GridSpec::new(Rect::new(-20.0, 0.0, 80.0, 50.0), 25, 19).unwrap();
@@ -532,7 +533,7 @@ mod tests {
             for &b in &[1.0, 7.3, 40.0, 200.0] {
                 let p = params(kernel, b);
                 let bucket = compute(&p, &pts).unwrap();
-                let sort = sweep_sort::compute(&p, &pts).unwrap();
+                let sort = crate::Method::SlamSort.compute(&p, &pts, 1).unwrap();
                 let err = crate::stats::max_rel_error(bucket.values(), sort.values());
                 assert!(err < 1e-12, "{kernel} b={b}: max rel err {err}");
             }

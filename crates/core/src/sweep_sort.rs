@@ -40,11 +40,9 @@
 //! Earth the data sits and of the raster/bandwidth ratio.
 
 use crate::aggregate::SweepAccumulator;
-use crate::driver::{sweep_grid, KdvParams, RowEngine};
+use crate::driver::RowEngine;
 use crate::envelope::SweepInterval;
-use crate::error::Result;
 use crate::geom::Point;
-use crate::grid::DensityGrid;
 use crate::kernel::KernelType;
 
 /// Reusable row engine implementing SLAM_SORT.
@@ -152,17 +150,13 @@ impl RowEngine for SortSweep {
     }
 }
 
-/// Computes the full KDV raster with SLAM_SORT
-/// (`O(Y(n log n + X))`, Theorem 1) on the calling thread.
-pub fn compute(params: &KdvParams, points: &[Point]) -> Result<DensityGrid> {
-    sweep_grid(params, points, 1, || SortSweep::new(params.kernel, params.bandwidth, params.weight))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::KdvParams;
     use crate::geom::Rect;
-    use crate::grid::GridSpec;
+    use crate::grid::{DensityGrid, GridSpec};
+    use crate::Method;
 
     /// Brute-force reference (SCAN) for comparison.
     fn scan(params: &KdvParams, points: &[Point]) -> DensityGrid {
@@ -210,7 +204,7 @@ mod tests {
         let pts = cluster_points();
         for kernel in KernelType::ALL {
             let p = params(kernel);
-            let fast = compute(&p, &pts).unwrap();
+            let fast = Method::SlamSort.compute(&p, &pts, 1).unwrap();
             let slow = scan(&p, &pts);
             let err = crate::stats::max_rel_error(fast.values(), slow.values());
             assert!(err < 1e-9, "{kernel}: max rel err {err}");
@@ -220,7 +214,7 @@ mod tests {
     #[test]
     fn empty_dataset_gives_zero_grid() {
         let p = params(KernelType::Epanechnikov);
-        let grid = compute(&p, &[]).unwrap();
+        let grid = Method::SlamSort.compute(&p, &[], 1).unwrap();
         assert_eq!(grid.max_value(), 0.0);
     }
 
@@ -231,7 +225,7 @@ mod tests {
         // point exactly on the centre pixel (i=5 → x = 5.0)
         let p = KdvParams::new(grid, KernelType::Epanechnikov, 3.0);
         let pts = [Point::new(grid.pixel_x(5), grid.pixel_y(5))];
-        let d = compute(&p, &pts).unwrap();
+        let d = Method::SlamSort.compute(&p, &pts, 1).unwrap();
         assert!((d.get(5, 5) - 1.0).abs() < 1e-12);
         let mut max = 0.0;
         for j in 0..11 {
@@ -248,7 +242,7 @@ mod tests {
         let p = KdvParams::new(grid, KernelType::Epanechnikov, 5.0);
         // point left of the region but within b of the first column
         let pts = [Point::new(-2.0, 5.0)];
-        let d = compute(&p, &pts).unwrap();
+        let d = Method::SlamSort.compute(&p, &pts, 1).unwrap();
         assert!(d.get(0, 4) > 0.0, "out-of-region point must contribute");
         assert_eq!(d.get(9, 4), 0.0);
     }

@@ -1169,7 +1169,7 @@ mod tests {
         // agreement is bitwise.
         let (params, pts) = setup(50, 33, 12.0);
         let weights: Vec<f64> = (0..pts.len()).map(|i| 0.25 + (i % 9) as f64 * 0.5).collect();
-        let mono = crate::weighted::compute_weighted(&params, &pts, &weights).unwrap();
+        let mono = crate::weighted::compute_weighted(&params, &pts, &weights, 1).unwrap();
         let ctx = SweepContext::weighted(&params, &pts, &weights).unwrap();
         for tile_size in [1, 7, 16, 33] {
             let tiling = Tiling::new(50, 33, tile_size).unwrap();
@@ -1182,7 +1182,7 @@ mod tests {
     fn weighted_rows_match_full_weighted_rows() {
         let (params, pts) = setup(30, 24, 9.0);
         let weights: Vec<f64> = (0..pts.len()).map(|i| (i % 5) as f64 * 0.3 + 0.1).collect();
-        let full = crate::weighted::compute_weighted(&params, &pts, &weights).unwrap();
+        let full = crate::weighted::compute_weighted(&params, &pts, &weights, 1).unwrap();
         let ctx = SweepContext::weighted(&params, &pts, &weights).unwrap();
         let mut engine = BucketSweep::new(params.kernel, params.bandwidth, params.weight);
         let rows = 4..19;

@@ -16,18 +16,21 @@
 //! [`crate::driver::SweepContext::weighted`] context carries the weights
 //! in canonical order, and every driver sweeps it with the one bucket row
 //! loop (`SweepAccumulator<true>`), with the same `O(Y(X + n))` complexity
-//! (plus RAO). This module keeps the monolithic entry point and the
+//! (plus RAO). This module keeps the one weighted compute call and the
 //! direct-summation reference it is validated against.
 
-use crate::driver::KdvParams;
+use crate::driver::{sweep_context, KdvParams, SweepContext};
 use crate::error::Result;
 use crate::geom::Point;
 use crate::grid::DensityGrid;
 use crate::stats::Kahan;
+use crate::sweep_bucket::BucketSweep;
 
 /// Computes the weighted KDV raster with a bucket sweep plus RAO:
 /// `F(q) = params.weight · Σ_i weights[i]·K(q, p_i)`,
-/// in `O(min(X,Y)·(max(X,Y) + n))` time, on the calling thread.
+/// in `O(min(X,Y)·(max(X,Y) + n))` time, with `threads` workers claiming
+/// rows (`0` means [`crate::parallel::default_threads`]). The output is
+/// bitwise identical for every thread count.
 ///
 /// # Errors
 /// In addition to the usual parameter validation, every weight must be
@@ -39,8 +42,13 @@ pub fn compute_weighted(
     params: &KdvParams,
     points: &[Point],
     weights: &[f64],
+    threads: usize,
 ) -> Result<DensityGrid> {
-    crate::parallel::compute_weighted_parallel(params, points, weights, 1)
+    crate::rao::with_rao(params, points, |params, points| {
+        let ctx = SweepContext::weighted(params, points, weights)?;
+        let (kernel, b, w) = (params.kernel, params.bandwidth, params.weight);
+        Ok(sweep_context(&ctx, params, threads, || BucketSweep::new(kernel, b, w)))
+    })
 }
 
 /// Reference weighted evaluation by direct summation (for tests and as a
@@ -64,13 +72,12 @@ pub fn weighted_scan(params: &KdvParams, points: &[Point], weights: &[f64]) -> D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{RowEngine, SweepContext};
+    use crate::driver::RowEngine;
     use crate::envelope::EnvelopeBuffer;
     use crate::error::KdvError;
     use crate::geom::Rect;
     use crate::grid::GridSpec;
     use crate::kernel::KernelType;
-    use crate::sweep_bucket::BucketSweep;
 
     fn setup() -> (KdvParams, Vec<Point>, Vec<f64>) {
         let grid = GridSpec::new(Rect::new(0.0, 0.0, 60.0, 40.0), 21, 13).unwrap();
@@ -95,7 +102,7 @@ mod tests {
         let (mut params, points, weights) = setup();
         for kernel in KernelType::ALL {
             params.kernel = kernel;
-            let fast = compute_weighted(&params, &points, &weights).unwrap();
+            let fast = compute_weighted(&params, &points, &weights, 1).unwrap();
             let slow = weighted_scan(&params, &points, &weights);
             let scale = slow.max_value().max(1e-300);
             for (a, b) in fast.values().iter().zip(slow.values()) {
@@ -108,8 +115,8 @@ mod tests {
     fn unit_weights_reduce_to_unweighted() {
         let (params, points, _) = setup();
         let ones = vec![1.0; points.len()];
-        let weighted = compute_weighted(&params, &points, &ones).unwrap();
-        let plain = crate::rao::compute_bucket(&params, &points).unwrap();
+        let weighted = compute_weighted(&params, &points, &ones, 1).unwrap();
+        let plain = crate::Method::SlamBucketRao.compute(&params, &points, 1).unwrap();
         let scale = plain.max_value().max(1e-300);
         for (a, b) in weighted.values().iter().zip(plain.values()) {
             assert!((a - b).abs() / scale < 1e-12);
@@ -122,7 +129,7 @@ mod tests {
         let grid = GridSpec::new(Rect::new(0.0, 0.0, 40.0, 60.0), 9, 27).unwrap();
         let params = KdvParams::new(grid, KernelType::Quartic, 11.0);
         let (_, points, weights) = setup();
-        let fast = compute_weighted(&params, &points, &weights).unwrap();
+        let fast = compute_weighted(&params, &points, &weights, 1).unwrap();
         let slow = weighted_scan(&params, &points, &weights);
         let scale = slow.max_value().max(1e-300);
         for (a, b) in fast.values().iter().zip(slow.values()) {
@@ -139,7 +146,7 @@ mod tests {
         let params = KdvParams::new(grid, KernelType::Epanechnikov, 4.0);
         let pts = [Point::new(3.0, 5.0), Point::new(7.0, 5.0)];
         let w = [1.0, -1.0];
-        let out = compute_weighted(&params, &pts, &w).unwrap();
+        let out = compute_weighted(&params, &pts, &w, 1).unwrap();
         let direct = weighted_scan(&params, &pts, &w);
         for (a, b) in out.values().iter().zip(direct.values()) {
             assert!((a - b).abs() < 1e-12);
@@ -181,7 +188,7 @@ mod tests {
                 }
                 engine.process_weighted_row(&ctx.xs, k, intervals, &env_weights, grid.row_mut(j));
             }
-            let banded = compute_weighted(&p, &points, &weights).unwrap();
+            let banded = compute_weighted(&p, &points, &weights, 1).unwrap();
             assert_eq!(banded, grid, "b={bandwidth}");
         }
     }
@@ -225,9 +232,9 @@ mod tests {
         let params = KdvParams::new(grid, KernelType::Uniform, 2.0);
         let pts = [Point::new(1.0, 1.0)];
         assert!(matches!(
-            compute_weighted(&params, &pts, &[f64::NAN]),
+            compute_weighted(&params, &pts, &[f64::NAN], 1),
             Err(KdvError::InvalidWeight(_))
         ));
-        assert!(compute_weighted(&params, &pts, &[]).is_err());
+        assert!(compute_weighted(&params, &pts, &[], 1).is_err());
     }
 }

@@ -24,13 +24,10 @@
 use kdv_core::digest::grid_checksum;
 use kdv_core::driver::SweepContext;
 use kdv_core::envelope::EnvelopeBuffer;
-use kdv_core::parallel::{compute_parallel_rao, compute_weighted_parallel, ParallelEngine};
 use kdv_core::sweep_bucket::BucketSweep;
 use kdv_core::tile::{accumulate_rows, sweep_rows};
 use kdv_core::weighted::compute_weighted;
-use kdv_core::{
-    sweep_bucket, sweep_sort, DensityGrid, GridSpec, KdvParams, KernelType, Point, Rect,
-};
+use kdv_core::{sweep_bucket, DensityGrid, GridSpec, KdvParams, KernelType, Method, Point, Rect};
 
 /// Deterministic xorshift stream in `[0, 1)`.
 fn uniform(seed: u64) -> impl FnMut() -> f64 {
@@ -114,12 +111,9 @@ fn renders(scene: &Scene, kernel: KernelType) -> Vec<(String, DensityGrid)> {
     let label = |engine: &str| format!("{}/{kernel}/{engine}", scene.name);
     vec![
         (label("bucket"), sweep_bucket::compute(&params, pts).unwrap()),
-        (label("sort"), sweep_sort::compute(&params, pts).unwrap()),
-        (
-            label("bucket-rao-2t"),
-            compute_parallel_rao(&params, pts, ParallelEngine::Bucket, 2).unwrap(),
-        ),
-        (label("weighted-unit"), compute_weighted(&params, pts, &unit).unwrap()),
+        (label("sort"), Method::SlamSort.compute(&params, pts, 1).unwrap()),
+        (label("bucket-rao-2t"), Method::SlamBucketRao.compute(&params, pts, 2).unwrap()),
+        (label("weighted-unit"), compute_weighted(&params, pts, &unit, 1).unwrap()),
     ]
 }
 
@@ -196,11 +190,11 @@ fn weighted_renders(scene: &Scene, kernel: KernelType) -> Vec<(String, DensityGr
     for (kind, weights) in weight_sets(pts.len()) {
         out.push((
             label(&format!("weighted-{kind}")),
-            compute_weighted(&params, pts, &weights).unwrap(),
+            compute_weighted(&params, pts, &weights, 1).unwrap(),
         ));
         out.push((
             label(&format!("weighted-{kind}-2t")),
-            compute_weighted_parallel(&params, pts, &weights, 2).unwrap(),
+            compute_weighted(&params, pts, &weights, 2).unwrap(),
         ));
     }
     // The streaming patch step: a signed batch (the scene's first 60

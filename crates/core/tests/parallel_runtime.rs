@@ -1,7 +1,10 @@
 //! Regression tests for the work-stealing parallel runtime: heavily
 //! clustered datasets make per-row costs wildly uneven, which is exactly
 //! where a static band split loses — and where dynamic scheduling must
-//! still reproduce the sequential raster bit for bit.
+//! still reproduce the one-thread raster bit for bit.
+//!
+//! The bitwise tests are one table: every [`Method`] and the weighted call
+//! at every entry of [`THREADS`] against the same call on one thread.
 //!
 //! One test reads the span recorder, which is process-global, so every
 //! test here holds [`kdv_obs::span::exclusive`]: no other test's spans
@@ -9,12 +12,9 @@
 
 use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
-use kdv_core::grid::GridSpec;
-use kdv_core::parallel::{
-    compute_parallel, compute_parallel_rao, compute_weighted_parallel, default_threads,
-    ParallelEngine,
-};
-use kdv_core::{rao, sweep_bucket, sweep_sort, KernelType};
+use kdv_core::grid::{DensityGrid, GridSpec};
+use kdv_core::weighted::compute_weighted;
+use kdv_core::{sweep_bucket, KernelType, Method, Result};
 
 /// A pathologically clustered dataset: 90% of the points live in a band
 /// covering ~6% of the rows, so those rows carry envelope sets ~15× the
@@ -38,66 +38,82 @@ fn clustered_points() -> Vec<Point> {
     pts
 }
 
-fn params(kernel: KernelType) -> KdvParams {
-    let grid = GridSpec::new(Rect::new(0.0, 0.0, 100.0, 100.0), 48, 37).unwrap();
+/// A wide raster: every variant sweeps its rows as given.
+const WIDE: (usize, usize) = (48, 37);
+/// A tall raster: the RAO variants transpose it.
+const TALL: (usize, usize) = (17, 53);
+
+fn params_at((res_x, res_y): (usize, usize), kernel: KernelType) -> KdvParams {
+    let grid = GridSpec::new(Rect::new(0.0, 0.0, 100.0, 100.0), res_x, res_y).unwrap();
     KdvParams::new(grid, kernel, 4.0).with_weight(5e-4)
 }
 
-fn thread_counts() -> Vec<usize> {
-    vec![2, 3, 8, default_threads()]
+fn params(kernel: KernelType) -> KdvParams {
+    params_at(WIDE, kernel)
 }
 
-#[test]
-fn clustered_bucket_parallel_is_bitwise_sequential() {
+/// The thread counts each call is run at; `0` is "auto".
+const THREADS: [usize; 5] = [2, 3, 8, 64, 0];
+
+/// Asserts, for every kernel and both rasters, that `call` at each entry
+/// of [`THREADS`] is bitwise equal to `call` on one thread.
+fn assert_bitwise_for_every_thread_count(
+    label: &str,
+    call: impl Fn(&KdvParams, &[Point], usize) -> Result<DensityGrid>,
+) {
     let _quiet = kdv_obs::span::exclusive();
     let pts = clustered_points();
-    for kernel in KernelType::ALL {
-        let p = params(kernel);
-        let seq = sweep_bucket::compute(&p, &pts).unwrap();
-        for threads in thread_counts() {
-            let par = compute_parallel(&p, &pts, ParallelEngine::Bucket, threads).unwrap();
-            assert_eq!(par, seq, "bucket kernel={kernel} threads={threads}");
+    for res in [WIDE, TALL] {
+        for kernel in KernelType::ALL {
+            let p = params_at(res, kernel);
+            let one = call(&p, &pts, 1).unwrap();
+            for threads in THREADS {
+                let got = call(&p, &pts, threads).unwrap();
+                assert_eq!(got, one, "{label} {res:?} kernel={kernel} threads={threads}");
+            }
         }
     }
 }
 
 #[test]
+fn clustered_bucket_parallel_is_bitwise_sequential() {
+    for method in [Method::SlamBucket, Method::SlamBucketRao] {
+        assert_bitwise_for_every_thread_count(method.name(), |p, pts, t| method.compute(p, pts, t));
+    }
+}
+
+#[test]
 fn clustered_sort_parallel_is_bitwise_sequential() {
-    let _quiet = kdv_obs::span::exclusive();
-    let pts = clustered_points();
-    let p = params(KernelType::Quartic);
-    let seq = sweep_sort::compute(&p, &pts).unwrap();
-    for threads in thread_counts() {
-        let par = compute_parallel(&p, &pts, ParallelEngine::Sort, threads).unwrap();
-        assert_eq!(par, seq, "sort threads={threads}");
+    for method in [Method::SlamSort, Method::SlamSortRao] {
+        assert_bitwise_for_every_thread_count(method.name(), |p, pts, t| method.compute(p, pts, t));
     }
 }
 
 #[test]
 fn clustered_rao_parallel_is_bitwise_sequential() {
+    // on a tall raster a RAO variant at any thread count is the plain
+    // variant's one-thread sweep of the transposed problem, transposed back
     let _quiet = kdv_obs::span::exclusive();
-    // tall raster so the RAO path actually transposes
-    let grid = GridSpec::new(Rect::new(0.0, 0.0, 100.0, 100.0), 17, 53).unwrap();
-    let p = KdvParams::new(grid, KernelType::Epanechnikov, 4.0).with_weight(5e-4);
     let pts = clustered_points();
-    let seq = rao::compute_bucket(&p, &pts).unwrap();
-    for threads in thread_counts() {
-        let par = compute_parallel_rao(&p, &pts, ParallelEngine::Bucket, threads).unwrap();
-        assert_eq!(par, seq, "rao threads={threads}");
+    let transposed: Vec<Point> = pts.iter().map(Point::transposed).collect();
+    let p = params_at(TALL, KernelType::Epanechnikov);
+    for (rao, plain) in
+        [(Method::SlamSortRao, Method::SlamSort), (Method::SlamBucketRao, Method::SlamBucket)]
+    {
+        let column_sweep = plain.compute(&p.transposed(), &transposed, 1).unwrap().transposed();
+        for threads in THREADS {
+            let got = rao.compute(&p, &pts, threads).unwrap();
+            assert_eq!(got, column_sweep, "{rao} threads={threads}");
+        }
     }
 }
 
 #[test]
 fn clustered_weighted_parallel_is_bitwise_sequential() {
-    let _quiet = kdv_obs::span::exclusive();
-    let pts = clustered_points();
-    let weights: Vec<f64> = (0..pts.len()).map(|i| 0.1 + (i % 11) as f64 * 0.3).collect();
-    let p = params(KernelType::Quartic);
-    let seq = kdv_core::weighted::compute_weighted(&p, &pts, &weights).unwrap();
-    for threads in thread_counts() {
-        let par = compute_weighted_parallel(&p, &pts, &weights, threads).unwrap();
-        assert_eq!(par, seq, "weighted threads={threads}");
-    }
+    let weights: Vec<f64> = (0..2_000).map(|i| 0.1 + (i % 11) as f64 * 0.3).collect();
+    assert_bitwise_for_every_thread_count("weighted", |p, pts, t| {
+        compute_weighted(p, pts, &weights, t)
+    });
 }
 
 #[test]
@@ -107,7 +123,7 @@ fn report_reflects_the_cluster() {
     let p = params(KernelType::Epanechnikov);
     kdv_obs::span::clear();
     kdv_obs::set_enabled(true);
-    let grid = compute_parallel(&p, &pts, ParallelEngine::Bucket, 3);
+    let grid = Method::SlamBucket.compute(&p, &pts, 3);
     kdv_obs::set_enabled(false);
     let trace = kdv_obs::span::take_trace();
     assert_eq!(grid.unwrap(), sweep_bucket::compute(&p, &pts).unwrap());

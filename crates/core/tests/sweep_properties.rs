@@ -7,7 +7,7 @@ use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::{DensityGrid, GridSpec};
 use kdv_core::weighted::{compute_weighted, weighted_scan};
-use kdv_core::{rao, sweep_bucket, sweep_sort, KernelType};
+use kdv_core::{sweep_bucket, KernelType, Method};
 use proptest::prelude::*;
 
 /// Direct per-pixel reference.
@@ -63,9 +63,9 @@ fn recorded_regression_quartic_large_axis_ratio() {
     let params = KdvParams::new(grid, KernelType::Quartic, 132.97204695578574);
     let reference = scan(&params, &pts);
     for (name, result) in [
-        ("sort", sweep_sort::compute(&params, &pts).unwrap()),
+        ("sort", Method::SlamSort.compute(&params, &pts, 1).unwrap()),
         ("bucket", sweep_bucket::compute(&params, &pts).unwrap()),
-        ("rao", rao::compute_bucket(&params, &pts).unwrap()),
+        ("rao", Method::SlamBucketRao.compute(&params, &pts, 1).unwrap()),
     ] {
         let err = max_scaled_error(&result, &reference);
         assert!(err < 1e-12, "{name}: err {err}");
@@ -93,9 +93,9 @@ proptest! {
         // peak can be far below the active count near cluster edges).
         let tol = 1e-9;
         for (name, result) in [
-            ("sort", sweep_sort::compute(&params, &pts).unwrap()),
+            ("sort", Method::SlamSort.compute(&params, &pts, 1).unwrap()),
             ("bucket", sweep_bucket::compute(&params, &pts).unwrap()),
-            ("rao", rao::compute_bucket(&params, &pts).unwrap()),
+            ("rao", Method::SlamBucketRao.compute(&params, &pts, 1).unwrap()),
         ] {
             let err = max_scaled_error(&result, &reference);
             prop_assert!(err < tol, "{name} kernel={kernel} off={off}: err {err} tol {tol}");
@@ -123,7 +123,7 @@ proptest! {
                 0.5 + 5.0 * ((state >> 11) as f64 / (1u64 << 53) as f64)
             })
             .collect();
-        let fast = compute_weighted(&params, &pts, &weights).unwrap();
+        let fast = compute_weighted(&params, &pts, &weights, 1).unwrap();
         let slow = weighted_scan(&params, &pts, &weights);
         let err = max_scaled_error(&fast, &slow);
         let tol = 1e-9; // same rolling-frame bound as above

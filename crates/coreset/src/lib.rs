@@ -389,7 +389,7 @@ pub fn build(spec: &CoresetSpec, points: &[Point]) -> Result<Coreset> {
         last_size = reps.len();
         let mut measured = 0.0f64;
         for (params, reference) in &references {
-            let approx = compute_weighted(params, &reps, &weights)?;
+            let approx = compute_weighted(params, &reps, &weights, 1)?;
             for (a, r) in approx.values().iter().zip(reference.values()) {
                 measured = measured.max((a - r).abs());
             }

@@ -7,7 +7,7 @@
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
 use kdv_core::weighted::compute_weighted;
-use kdv_core::{KdvError, KdvParams, KernelType};
+use kdv_core::{KdvError, KdvParams, KernelType, Method};
 use kdv_coreset::{build, density_scale, Coreset, CoresetMethod, CoresetSpec};
 
 fn random_points(n: usize, seed: u64, extent: Rect) -> Vec<Point> {
@@ -85,8 +85,8 @@ fn measured_sup_error_never_exceeds_advertised_epsilon() {
                 .unwrap();
                 for grid in &grids {
                     let params = KdvParams::new(*grid, kernel, bandwidth).with_weight(weight);
-                    let exact = kdv_core::sweep_sort::compute(&params, &points).unwrap();
-                    let approx = compute_weighted(&params, &cs.points, &cs.weights).unwrap();
+                    let exact = Method::SlamSort.compute(&params, &points, 1).unwrap();
+                    let approx = compute_weighted(&params, &cs.points, &cs.weights, 1).unwrap();
                     let sup = approx
                         .values()
                         .iter()

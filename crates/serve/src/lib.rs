@@ -63,6 +63,6 @@ pub use frontend::{
 };
 pub use live::{LiveConfig, LiveStats, LiveTileServer};
 pub use pyramid::{PyramidSpec, TileCoord, Viewport, ZOOM_LIMIT};
-pub use replay::{checksum, replay_concurrent, replay_sequential, ReplayOutcome, ReplayRecord};
+pub use replay::{replay_concurrent, replay_sequential, ReplayOutcome, ReplayRecord};
 pub use server::{OverviewConfig, RequestOutcome, ServeConfig, TierInfo, TileServer};
 pub use trace::{Session, SessionRequest, TraceFile};

@@ -12,7 +12,7 @@
 
 use kdv_core::driver::KdvParams;
 use kdv_core::tile::Tiling;
-use kdv_core::{GridSpec, KdvError, KernelType, Rect, Result};
+use kdv_core::{GridSpec, KdvError, KernelType, Rect, Result, ViewportOutside};
 
 /// Address of one tile in the pyramid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -121,23 +121,22 @@ pub struct Viewport {
 
 impl Viewport {
     /// Clamps the viewport to the level raster, shrinking it if it hangs
-    /// over the edge. Returns `None` if nothing remains (zero-size or
-    /// fully outside).
-    pub fn clamped(&self, pyramid: &PyramidSpec) -> Option<Viewport> {
-        if !pyramid.has_zoom(self.zoom) || self.width == 0 || self.height == 0 {
-            return None;
+    /// over the edge. An error if nothing remains: a zoom the pyramid does
+    /// not have or an origin outside the level
+    /// ([`KdvError::ViewportOutsideLevel`]), or a zero size.
+    pub fn clamped(&self, pyramid: &PyramidSpec) -> Result<Viewport> {
+        let Viewport { zoom, px, py, width, height } = *self;
+        let level = pyramid.has_zoom(zoom).then(|| pyramid.level_res(zoom));
+        let outside =
+            || KdvError::ViewportOutsideLevel(Box::new(ViewportOutside { zoom, px, py, level }));
+        let (rx, ry) = level.ok_or_else(outside)?;
+        if width == 0 || height == 0 {
+            return Err(KdvError::EmptyResolution { x: width, y: height });
         }
-        let (rx, ry) = pyramid.level_res(self.zoom);
-        if self.px >= rx || self.py >= ry {
-            return None;
+        if px >= rx || py >= ry {
+            return Err(outside());
         }
-        Some(Viewport {
-            zoom: self.zoom,
-            px: self.px,
-            py: self.py,
-            width: self.width.min(rx - self.px),
-            height: self.height.min(ry - self.py),
-        })
+        Ok(Viewport { zoom, px, py, width: width.min(rx - px), height: height.min(ry - py) })
     }
 
     /// Tile columns intersected by the viewport (assumes it is clamped).
@@ -194,9 +193,9 @@ mod tests {
         assert_eq!(c.tile_cols(64), 4..5);
         assert_eq!(c.tile_rows(64), 2..4);
         // fully outside or degenerate viewports vanish
-        assert!(Viewport { zoom: 2, px: 320, py: 0, width: 5, height: 5 }.clamped(&p).is_none());
-        assert!(Viewport { zoom: 9, px: 0, py: 0, width: 5, height: 5 }.clamped(&p).is_none());
-        assert!(Viewport { zoom: 2, px: 0, py: 0, width: 0, height: 5 }.clamped(&p).is_none());
+        assert!(Viewport { zoom: 2, px: 320, py: 0, width: 5, height: 5 }.clamped(&p).is_err());
+        assert!(Viewport { zoom: 9, px: 0, py: 0, width: 5, height: 5 }.clamped(&p).is_err());
+        assert!(Viewport { zoom: 2, px: 0, py: 0, width: 0, height: 5 }.clamped(&p).is_err());
     }
 
     #[test]

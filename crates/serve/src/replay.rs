@@ -1,5 +1,7 @@
 //! Trace replayers: sequential (ground truth) and concurrent (through
-//! the [`Frontend`] worker pool), both checksumming every served grid.
+//! the [`Frontend`] worker pool), both checksumming every served grid
+//! with [`kdv_core::digest::grid_checksum`], the definition the golden
+//! checksums use.
 //!
 //! The concurrent replayer spawns one thread per trace session; each
 //! session is a closed loop — submit a viewport, wait for the result,
@@ -12,20 +14,11 @@
 
 use std::time::{Duration, Instant};
 
-use kdv_core::DensityGrid;
+use kdv_core::digest::grid_checksum;
 
 use crate::frontend::{Frontend, ServeError, ShedReason};
 use crate::server::TileServer;
 use crate::trace::Session;
-
-/// FNV-1a over the grid dimensions and the raw bit pattern of every
-/// density value. Bitwise-sensitive: any single-ULP difference between
-/// two grids produces a different checksum. Thin re-export of the shared
-/// [`kdv_core::digest::grid_checksum`] so replay digests and the golden
-/// checksums use one definition.
-pub fn checksum(grid: &DensityGrid) -> u64 {
-    kdv_core::digest::grid_checksum(grid)
-}
 
 /// How one replayed request ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +65,7 @@ pub fn replay_sequential(
             progressed = true;
             let start = Instant::now();
             let outcome = match server.serve_viewport(&req.viewport, threads) {
-                Ok((grid, _)) => ReplayOutcome::Served { checksum: checksum(&grid) },
+                Ok((grid, _)) => ReplayOutcome::Served { checksum: grid_checksum(&grid) },
                 Err(e) => ReplayOutcome::Failed(e.to_string()),
             };
             records.push(ReplayRecord {
@@ -114,7 +107,9 @@ pub fn replay_concurrent(
                         }
                         let start = Instant::now();
                         let outcome = match frontend.serve(req.viewport) {
-                            Ok((grid, _)) => ReplayOutcome::Served { checksum: checksum(&grid) },
+                            Ok((grid, _)) => {
+                                ReplayOutcome::Served { checksum: grid_checksum(&grid) }
+                            }
                             Err(ServeError::Shed(reason)) => ReplayOutcome::Shed(reason),
                             Err(e) => ReplayOutcome::Failed(e.to_string()),
                         };
@@ -197,15 +192,6 @@ mod tests {
                     .collect(),
             })
             .collect()
-    }
-
-    #[test]
-    fn checksum_is_bitwise_sensitive() {
-        let mut a = DensityGrid::zeroed(4, 4);
-        let b = a.clone();
-        assert_eq!(checksum(&a), checksum(&b));
-        a.set(2, 1, f64::from_bits(1)); // one ULP above zero
-        assert_ne!(checksum(&a), checksum(&b));
     }
 
     #[test]

@@ -597,9 +597,7 @@ impl TileServer {
     ) -> Result<(DensityGrid, RequestOutcome, TierInfo)> {
         let started = Instant::now();
         let mut span = kdv_obs::span1("serve.viewport", "zoom", viewport.zoom as u64);
-        let vp = viewport
-            .clamped(&self.pyramid)
-            .ok_or(KdvError::EmptyResolution { x: viewport.width, y: viewport.height })?;
+        let vp = viewport.clamped(&self.pyramid)?;
         // The clamped window's size: the request's own `width × height`
         // is untrusted and may overflow.
         span.arg("pixels", vp.num_pixels() as u64);
@@ -1278,10 +1276,17 @@ mod tests {
     #[test]
     fn degenerate_viewports_are_rejected() {
         let srv = server(1 << 20);
+        let message = |vp: &Viewport| srv.serve_viewport(vp, 0).unwrap_err().to_string();
+        // the error names the zoom and the origin, and the level's extent
+        // when the zoom exists
         let out_of_level = Viewport { zoom: 9, px: 0, py: 0, width: 4, height: 4 };
-        assert!(srv.serve_viewport(&out_of_level, 0).is_err());
+        let err = message(&out_of_level);
+        assert!(err.contains("origin (0, 0) asks for zoom 9: no such zoom"), "{err}");
+        let past_the_edge = Viewport { zoom: 1, px: 96, py: 5, width: 4, height: 4 };
+        let err = message(&past_the_edge);
+        assert!(err.contains("origin (96, 5) is outside zoom 1, whose level is 96x96 px"), "{err}");
         let empty = Viewport { zoom: 0, px: 0, py: 0, width: 0, height: 4 };
-        assert!(srv.serve_viewport(&empty, 0).is_err());
+        assert!(message(&empty).contains("resolution 0x4"));
     }
 
     fn tiered_server(cache_bytes: usize, threshold: u8) -> TileServer {

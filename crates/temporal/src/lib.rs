@@ -20,4 +20,4 @@ pub mod frames;
 pub mod stkdv;
 
 pub use frames::FrameSpec;
-pub use stkdv::{compute_stkdv, compute_stkdv_parallel, Frame, StKdvConfig, TemporalKernel};
+pub use stkdv::{compute_stkdv, Frame, StKdvConfig, TemporalKernel};

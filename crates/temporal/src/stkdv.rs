@@ -62,11 +62,24 @@ pub struct Frame {
     pub grid: DensityGrid,
 }
 
-/// Computes every frame of the animation.
+/// Per-worker scratch reused across frames: the event/weight selection
+/// buffers. One animation allocates these once per worker instead of once
+/// per frame.
+#[derive(Default)]
+struct FrameScratch {
+    points: Vec<Point>,
+    weights: Vec<f64>,
+}
+
+/// Computes every frame of the animation on `threads` workers (`0` means
+/// "auto"; one thread stays on the calling thread).
 ///
 /// Events are sorted by timestamp once (`O(n log n)`); each frame then
 /// locates its temporal support by binary search and runs one weighted
-/// SLAM sweep over only those events.
+/// SLAM sweep over only those events. Frames are independent, so the
+/// work-stealing pool ([`kdv_core::parallel::for_each_index_with`]) hands
+/// each one whole to a worker, and the result is bitwise identical for
+/// every thread count.
 ///
 /// ```
 /// use kdv_core::driver::KdvParams;
@@ -88,30 +101,14 @@ pub struct Frame {
 ///     temporal_bandwidth: 30,
 ///     temporal_kernel: TemporalKernel::Epanechnikov,
 /// };
-/// let frames = compute_stkdv(&config, &events)?;
+/// let frames = compute_stkdv(&config, &events, 2)?;
 /// assert_eq!(frames.len(), 3);
 /// assert!(frames[0].grid.max_value() > 0.0);
+/// // the same bits on one thread
+/// assert_eq!(compute_stkdv(&config, &events, 1)?[0].grid, frames[0].grid);
 /// # Ok::<(), kdv_core::KdvError>(())
 /// ```
-pub fn compute_stkdv(config: &StKdvConfig, records: &[EventRecord]) -> Result<Vec<Frame>> {
-    compute_stkdv_parallel(config, records, 1)
-}
-
-/// Per-worker scratch reused across frames: the event/weight selection
-/// buffers. One animation allocates these once per worker instead of once
-/// per frame.
-#[derive(Default)]
-struct FrameScratch {
-    points: Vec<Point>,
-    weights: Vec<f64>,
-}
-
-/// [`compute_stkdv`] with frames distributed over a work-stealing thread
-/// pool ([`kdv_core::parallel::for_each_index_with`]). Frames are independent
-/// weighted sweeps, so each is computed whole by one worker and the result
-/// is bitwise identical to the sequential driver for every thread count
-/// (`threads == 0` means "auto"; one thread stays on the calling thread).
-pub fn compute_stkdv_parallel(
+pub fn compute_stkdv(
     config: &StKdvConfig,
     records: &[EventRecord],
     threads: usize,
@@ -158,7 +155,7 @@ fn compute_frame(
             scratch.weights.push(w);
         }
     }
-    let grid = compute_weighted(&config.params, &scratch.points, &scratch.weights)?;
+    let grid = compute_weighted(&config.params, &scratch.points, &scratch.weights, 1)?;
     Ok(Frame { time: t, events: scratch.points.len(), grid })
 }
 
@@ -168,7 +165,7 @@ mod tests {
     use kdv_core::geom::Rect;
     use kdv_core::grid::GridSpec;
     use kdv_core::weighted::weighted_scan;
-    use kdv_core::KernelType;
+    use kdv_core::{KernelType, Method};
 
     fn records() -> Vec<EventRecord> {
         // two bursts: one early around (20, 20), one late around (70, 60)
@@ -201,7 +198,7 @@ mod tests {
     #[test]
     fn frames_follow_the_bursts() {
         let cfg = config(FrameSpec::new(1_030, 8_000, 2), TemporalKernel::Epanechnikov);
-        let frames = compute_stkdv(&cfg, &records()).unwrap();
+        let frames = compute_stkdv(&cfg, &records(), 1).unwrap();
         assert_eq!(frames.len(), 2);
         // frame 0 (t=1030) sees only the early burst near (20, 20)
         assert_eq!(frames[0].events, 60);
@@ -227,7 +224,7 @@ mod tests {
     fn matches_direct_weighted_evaluation() {
         let cfg = config(FrameSpec::new(1_000, 100, 3), TemporalKernel::Triangular);
         let recs = records();
-        let frames = compute_stkdv(&cfg, &recs).unwrap();
+        let frames = compute_stkdv(&cfg, &recs, 1).unwrap();
         for frame in &frames {
             // direct: weight every record by the temporal kernel and scan
             let mut pts = Vec::new();
@@ -251,7 +248,7 @@ mod tests {
     #[test]
     fn empty_window_yields_zero_frame() {
         let cfg = config(FrameSpec::new(100_000, 10, 1), TemporalKernel::Uniform);
-        let frames = compute_stkdv(&cfg, &records()).unwrap();
+        let frames = compute_stkdv(&cfg, &records(), 1).unwrap();
         assert_eq!(frames[0].events, 0);
         assert_eq!(frames[0].grid.max_value(), 0.0);
     }
@@ -260,11 +257,11 @@ mod tests {
     fn uniform_temporal_kernel_is_a_time_filter() {
         let cfg = config(FrameSpec::new(1_030, 1, 1), TemporalKernel::Uniform);
         let recs = records();
-        let frames = compute_stkdv(&cfg, &recs).unwrap();
+        let frames = compute_stkdv(&cfg, &recs, 1).unwrap();
         // uniform weights: equals the unweighted KDV over the window
         let window: Vec<Point> =
             recs.iter().filter(|r| (r.timestamp - 1_030).abs() <= 500).map(|r| r.point).collect();
-        let plain = kdv_core::rao::compute_bucket(&cfg.params, &window).unwrap();
+        let plain = Method::SlamBucketRao.compute(&cfg.params, &window, 1).unwrap();
         let scale = plain.max_value().max(1e-300);
         for (a, b) in frames[0].grid.values().iter().zip(plain.values()) {
             assert!((a - b).abs() / scale < 1e-12);
@@ -275,9 +272,9 @@ mod tests {
     fn parallel_frames_match_sequential_bitwise() {
         let cfg = config(FrameSpec::new(1_000, 700, 13), TemporalKernel::Epanechnikov);
         let recs = records();
-        let seq = compute_stkdv(&cfg, &recs).unwrap();
+        let seq = compute_stkdv(&cfg, &recs, 1).unwrap();
         for threads in [2, 3, 8] {
-            let par = compute_stkdv_parallel(&cfg, &recs, threads).unwrap();
+            let par = compute_stkdv(&cfg, &recs, threads).unwrap();
             assert_eq!(par.len(), seq.len());
             for (a, b) in par.iter().zip(&seq) {
                 assert_eq!(a.time, b.time, "threads={threads}");
@@ -294,7 +291,7 @@ mod tests {
             cfg.temporal_bandwidth = bt;
             assert!(
                 matches!(
-                    compute_stkdv(&cfg, &records()),
+                    compute_stkdv(&cfg, &records(), 1),
                     Err(kdv_core::KdvError::InvalidBandwidth(_))
                 ),
                 "temporal bandwidth {bt} must be rejected, not panic"

@@ -12,7 +12,7 @@
 
 use slam_kdv::analysis::hotspots_by_peak_fraction;
 use slam_kdv::core::driver::KdvParams;
-use slam_kdv::{City, GridSpec, KdvEngine, KernelType, Method};
+use slam_kdv::{City, GridSpec, KernelType, Method};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = City::SanFrancisco.dataset(0.002);
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params =
         KdvParams::new(spec, KernelType::Quartic, bandwidth).with_weight(1.0 / points.len() as f64);
     let t0 = std::time::Instant::now();
-    let grid = KdvEngine::new(Method::SlamBucketRao).compute(&params, &points)?;
+    let grid = Method::SlamBucketRao.compute(&params, &points, 1)?;
     println!("KDV 480x480 in {:.1} ms\n", t0.elapsed().as_secs_f64() * 1e3);
 
     // 2. hotspot extraction + ranking

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let t0 = std::time::Instant::now();
-    let frames = compute_stkdv(&config, &records)?;
+    let frames = compute_stkdv(&config, &records, 1)?;
     println!(
         "computed {} frames ({}x{}) in {:.1} ms\n",
         frames.len(),

@@ -11,7 +11,7 @@
 use slam_kdv::baselines::AnyMethod;
 use slam_kdv::core::driver::KdvParams;
 use slam_kdv::viz::{ascii_art, render, ColorMap, Scale};
-use slam_kdv::{City, GridSpec, KdvEngine, KernelType, Method};
+use slam_kdv::{City, GridSpec, KernelType, Method};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A dataset: synthetic Seattle at 0.5% of the paper's size.
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Compute the exact KDV with the paper's best method.
     let t0 = std::time::Instant::now();
-    let density = KdvEngine::new(Method::SlamBucketRao).compute(&params, &points)?;
+    let density = Method::SlamBucketRao.compute(&params, &points, 1)?;
     println!("SLAM_BUCKET^(RAO): {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
 
     // 4. Cross-check exactness against the naive O(XYn) scan.
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let preview_grid = GridSpec::new(dataset.mbr(), 64, 24)?;
     let preview_params = KdvParams::new(preview_grid, KernelType::Epanechnikov, bandwidth)
         .with_weight(1.0 / points.len() as f64);
-    let preview = KdvEngine::new(Method::SlamBucketRao).compute(&preview_params, &points)?;
+    let preview = Method::SlamBucketRao.compute(&preview_params, &points, 1)?;
     println!("\n{}", ascii_art(&preview, Scale::Sqrt));
     Ok(())
 }

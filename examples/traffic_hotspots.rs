@@ -11,7 +11,7 @@
 
 use slam_kdv::core::driver::KdvParams;
 use slam_kdv::viz::{render, ColorMap, Scale};
-use slam_kdv::{City, GridSpec, KdvEngine, KernelType, Method, Rect};
+use slam_kdv::{City, GridSpec, KernelType, Method, Rect};
 
 /// Finds the hottest pixel of a density grid and returns the surrounding
 /// window (a crude but effective hotspot-region proposer).
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = City::NewYork.dataset(0.01);
     let points = dataset.points();
     let bandwidth = slam_kdv::data::scott_bandwidth(&points);
-    let engine = KdvEngine::new(Method::SlamBucketRao);
+    let method = Method::SlamBucketRao;
     let weight = 1.0 / points.len() as f64;
     println!("New York traffic accidents (synthetic): n={}, b={:.0} m", points.len(), bandwidth);
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let overview_params =
         KdvParams::new(overview_spec, KernelType::Epanechnikov, bandwidth).with_weight(weight);
     let t0 = std::time::Instant::now();
-    let overview = engine.compute(&overview_params, &points)?;
+    let overview = method.compute(&overview_params, &points, 1)?;
     println!("overview 640x480 in {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
     render(&overview, ColorMap::Heat, Scale::Sqrt)
         .save_ppm(std::path::Path::new("ny_overview.ppm"))?;
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let params = KdvParams::new(spec, KernelType::Epanechnikov, b)
             .with_weight(1.0 / visible.len().max(1) as f64);
         let t0 = std::time::Instant::now();
-        let zoom = engine.compute(&params, &points)?;
+        let zoom = method.compute(&params, &points, 1)?;
         let file = format!("ny_hotspot_{}.ppm", idx + 1);
         println!(
             "hotspot {} around ({:.0}, {:.0}): {} visible events, {:.1} ms -> {file}",

@@ -33,7 +33,5 @@ pub use kdv_temporal as temporal;
 pub use kdv_viz as viz;
 
 pub use kdv_baselines::AnyMethod;
-pub use kdv_core::{
-    DensityGrid, GridSpec, KdvEngine, KdvError, KdvParams, KernelType, Method, Point, Rect,
-};
+pub use kdv_core::{DensityGrid, GridSpec, KdvError, KdvParams, KernelType, Method, Point, Rect};
 pub use kdv_data::{City, Dataset};

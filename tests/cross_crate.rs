@@ -6,7 +6,7 @@ use slam_kdv::core::driver::KdvParams;
 use slam_kdv::core::stats::max_rel_error;
 use slam_kdv::data::csvio;
 use slam_kdv::viz::{ascii_art, render, ColorMap, Scale};
-use slam_kdv::{City, GridSpec, KdvEngine, KernelType, Method};
+use slam_kdv::{City, GridSpec, KernelType, Method};
 
 /// Full happy path: synthesise a city, render a KDV with every SLAM
 /// variant, check exactness against SCAN and produce an image.
@@ -22,7 +22,7 @@ fn city_to_image_pipeline() {
 
     let reference = AnyMethod::Scan.compute(&params, &points).unwrap().grid;
     for m in Method::ALL {
-        let got = KdvEngine::new(m).compute(&params, &points).unwrap();
+        let got = m.compute(&params, &points, 1).unwrap();
         let err = max_rel_error(got.values(), reference.values());
         assert!(err < 1e-9, "{m}: err {err}");
     }
@@ -49,8 +49,8 @@ fn csv_round_trip_preserves_density() {
 
     let grid = GridSpec::new(dataset.mbr(), 40, 30).unwrap();
     let params = KdvParams::new(grid, KernelType::Quartic, 1500.0);
-    let a = KdvEngine::new(Method::SlamBucketRao).compute(&params, &dataset.points()).unwrap();
-    let b = KdvEngine::new(Method::SlamBucketRao).compute(&params, &reloaded.points()).unwrap();
+    let a = Method::SlamBucketRao.compute(&params, &dataset.points(), 1).unwrap();
+    let b = Method::SlamBucketRao.compute(&params, &reloaded.points(), 1).unwrap();
     assert_eq!(a, b, "CSV round trip must be lossless for the engines");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -78,7 +78,7 @@ fn viz_outputs_from_engine_grid() {
     let points = dataset.points();
     let grid = GridSpec::new(dataset.mbr(), 32, 24).unwrap();
     let params = KdvParams::new(grid, KernelType::Epanechnikov, 2500.0);
-    let density = KdvEngine::new(Method::SlamBucketRao).compute(&params, &points).unwrap();
+    let density = Method::SlamBucketRao.compute(&params, &points, 1).unwrap();
 
     let art = ascii_art(&density, Scale::Log);
     assert_eq!(art.lines().count(), 24);

@@ -14,8 +14,7 @@ use std::collections::BTreeSet;
 use kdv_core::driver::KdvParams;
 use kdv_core::geom::{Point, Rect};
 use kdv_core::grid::GridSpec;
-use kdv_core::parallel::{compute_parallel, ParallelEngine};
-use kdv_core::KernelType;
+use kdv_core::{KernelType, Method};
 use kdv_data::synth::{generate, SynthConfig};
 use kdv_obs::{chrome_trace_json, validate_json};
 
@@ -30,7 +29,7 @@ fn instrumented_sweep_emits_loadable_chrome_trace() {
 
     kdv_obs::span::clear();
     kdv_obs::set_enabled(true);
-    let result = compute_parallel(&params, &points, ParallelEngine::Bucket, 4);
+    let result = Method::SlamBucket.compute(&params, &points, 4);
     kdv_obs::set_enabled(false);
     let trace = kdv_obs::span::take_trace();
     result.expect("instrumented sweep must succeed");

@@ -10,7 +10,7 @@ use slam_kdv::core::grid::GridSpec;
 use slam_kdv::core::stats::max_rel_error;
 use slam_kdv::data::record::EventRecord;
 use slam_kdv::temporal::{compute_stkdv, FrameSpec, StKdvConfig, TemporalKernel};
-use slam_kdv::{KdvEngine, KernelType, Method};
+use slam_kdv::{KernelType, Method};
 
 /// A burst that jumps between three sites over three epochs.
 fn moving_bursts() -> Vec<EventRecord> {
@@ -48,7 +48,7 @@ fn config() -> StKdvConfig {
 #[test]
 fn stkdv_frames_track_the_moving_hotspot() {
     let cfg = config();
-    let frames = compute_stkdv(&cfg, &moving_bursts()).unwrap();
+    let frames = compute_stkdv(&cfg, &moving_bursts(), 1).unwrap();
     assert_eq!(frames.len(), 3);
     let expected = [Point::new(20.0, 20.0), Point::new(60.0, 50.0), Point::new(85.0, 15.0)];
     for (frame, site) in frames.iter().zip(expected) {
@@ -72,14 +72,14 @@ fn per_frame_grids_equal_direct_slam_on_uniform_kernel() {
     let mut cfg = config();
     cfg.temporal_kernel = TemporalKernel::Uniform;
     let records = moving_bursts();
-    let frames = compute_stkdv(&cfg, &records).unwrap();
+    let frames = compute_stkdv(&cfg, &records, 1).unwrap();
     for frame in &frames {
         let window: Vec<Point> = records
             .iter()
             .filter(|r| (r.timestamp - frame.time).abs() <= cfg.temporal_bandwidth)
             .map(|r| r.point)
             .collect();
-        let direct = KdvEngine::new(Method::SlamBucketRao).compute(&cfg.params, &window).unwrap();
+        let direct = Method::SlamBucketRao.compute(&cfg.params, &window, 1).unwrap();
         let err = max_rel_error(frame.grid.values(), direct.values());
         assert!(err < 1e-9, "t={}: max relative error {err}", frame.time);
     }
